@@ -134,20 +134,13 @@ class Agent:
             min_keep=min_keep or self.config.min_keep,
             keep_threshold=self.config.rerank_threshold,
         )
-        if mode == MULTI_HOP:
-            messages = render_prompt(
-                AGENT_ANSWER_MULTI_HOP,
-                {
-                    "question": question,
-                    "documents": self._document_blocks(kept),
-                    "history": list(history),
-                },
-            )
-        else:
-            messages = render_prompt(
-                AGENT_ANSWER_SINGLE_HOP,
-                {"question": question, "documents": self._document_blocks(kept)},
-            )
+        template = AGENT_ANSWER_MULTI_HOP if mode == MULTI_HOP else AGENT_ANSWER_SINGLE_HOP
+        slots = {
+            "question": question,
+            "documents": self._document_blocks(kept),
+            "history": list(history),
+        }
+        messages = render_prompt(template, slots)
         try:
             text, usage = self.backend.chat(messages)
         except Exception as exc:

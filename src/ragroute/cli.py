@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -204,15 +204,7 @@ def _load_agents(cfg: SystemConfig, backend, embedder, retrieval: str | None = N
     agents: dict[str, Agent] = {}
     for agent_cfg in cfg.agents:
         if retrieval:
-            agent_cfg = AgentConfig(
-                agent_id=agent_cfg.agent_id,
-                category=agent_cfg.category,
-                retrieval_method=retrieval,
-                retrieval_depth=agent_cfg.retrieval_depth,
-                min_keep=agent_cfg.min_keep,
-                chunking=agent_cfg.chunking,
-                rerank_threshold=agent_cfg.rerank_threshold,
-            )
+            agent_cfg = replace(agent_cfg, retrieval_method=retrieval)
         adir = cfg.agent_dir(agent_cfg.agent_id)
         chunks = load_chunks(adir / "chunks.jsonl")
         dense = DenseIndex.load(adir / "vectors")
@@ -264,10 +256,7 @@ def cmd_ask(
                     "strategy": plan_strategy.value,
                     "status": result.status,
                     "final_answer": result.final_answer,
-                    "records": [
-                        {"question": r.question, "answer": r.answer, "round": r.round}
-                        for r in result.records
-                    ],
+                    "records": [asdict(r) for r in result.records],
                     "rounds": [
                         {
                             "round": r.round,
@@ -278,10 +267,7 @@ def cmd_ask(
                         }
                         for r in result.rounds
                     ],
-                    "usage": {
-                        "prompt_tokens": result.usage.prompt_tokens,
-                        "completion_tokens": result.usage.completion_tokens,
-                    },
+                    "usage": asdict(result.usage),
                 }
             )
         else:
@@ -301,10 +287,7 @@ def cmd_ask(
                     "final_answer": routed.final_answer,
                     "selected_agents": list(routed.selected_agent_ids),
                     "verdicts": routed.verdicts,
-                    "usage": {
-                        "prompt_tokens": routed.usage.prompt_tokens,
-                        "completion_tokens": routed.usage.completion_tokens,
-                    },
+                    "usage": asdict(routed.usage),
                 }
             )
     except Exception as exc:
@@ -445,24 +428,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "ingest":
             if args.corpus:
                 cfg.corpus_path = Path(args.corpus)
-            if args.chunk_tokens or args.overlap_tokens:
-                chunking = ChunkingConfig(
-                    args.chunk_tokens or cfg.chunking.chunk_tokens,
-                    args.overlap_tokens if args.overlap_tokens is not None else cfg.chunking.overlap_tokens,
-                )
-                cfg.chunking = chunking
-                cfg.agents = [
-                    AgentConfig(
-                        agent_id=a.agent_id,
-                        category=a.category,
-                        retrieval_method=a.retrieval_method,
-                        retrieval_depth=a.retrieval_depth,
-                        min_keep=a.min_keep,
-                        chunking=chunking,
-                        rerank_threshold=a.rerank_threshold,
-                    )
-                    for a in cfg.agents
-                ]
+            flags = {"chunk_tokens": args.chunk_tokens, "overlap_tokens": args.overlap_tokens}
+            overrides = {name: value for name, value in flags.items() if value is not None}
+            if overrides:
+                try:
+                    cfg.chunking = replace(cfg.chunking, **overrides)
+                except ValueError as exc:
+                    raise ConfigError(str(exc)) from exc
+                cfg.agents = [replace(a, chunking=cfg.chunking) for a in cfg.agents]
             return cmd_ingest(cfg, agent_id=args.agent)
         if args.command == "build-index":
             return cmd_build_index(cfg, agent_id=args.agent)

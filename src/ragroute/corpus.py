@@ -72,10 +72,6 @@ def chunk_ordinal(chunk_id: str) -> int:
     return int(chunk_id.rsplit(":", 1)[1])
 
 
-def chunk_doc_id(chunk_id: str) -> str:
-    return chunk_id.rsplit(":", 1)[0]
-
-
 def chunk_count(total_tokens: int, cfg: ChunkingConfig) -> int:
     """Number of windows over a document of ``total_tokens`` tokens."""
     return math.ceil(max(total_tokens - cfg.overlap_tokens, 1) / cfg.stride)

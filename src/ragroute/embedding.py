@@ -17,15 +17,57 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import requests
 
 from .corpus import tokenize
 
+EMBED_MAX_IN_FLIGHT = 4
+EMBED_TIMEOUT_S = 60.0
+
 
 class TransportError(RuntimeError):
     """Transient transport failure talking to a remote endpoint; retryable."""
+
+
+def post_json(
+    endpoint: str,
+    body: dict,
+    api_key_env: str | None,
+    timeout: float,
+    max_retries: int,
+    backoff: float,
+    on_retry: Callable[[], None] = lambda: None,
+) -> dict:
+    """POST ``body`` as JSON and return the decoded reply.
+
+    Sends ``Authorization: Bearer <key>`` when ``api_key_env`` names a set
+    environment variable. Server errors (5xx), connection errors and timeouts
+    are retried up to ``max_retries`` times; before retry ``n`` it calls
+    ``on_retry`` and sleeps ``backoff * n`` seconds. Other HTTP errors raise
+    at once; exhausted retries raise TransportError.
+    """
+    headers = {"Content-Type": "application/json"}
+    key = os.environ.get(api_key_env, "") if api_key_env else ""
+    if key:
+        headers["Authorization"] = f"Bearer {key}"
+    last_exc: Exception | None = None
+    for attempt in range(max_retries + 1):
+        if attempt:
+            on_retry()
+            time.sleep(backoff * attempt)
+        try:
+            resp = requests.post(endpoint, json=body, headers=headers, timeout=timeout)
+            if resp.status_code >= 500:
+                last_exc = TransportError(f"server error {resp.status_code}")
+                continue
+            resp.raise_for_status()
+            return resp.json()
+        except (requests.ConnectionError, requests.Timeout) as exc:
+            last_exc = TransportError(str(exc))
+    raise TransportError(f"request to {endpoint} failed after {max_retries} retries: {last_exc}")
 
 
 class DimensionMismatchError(RuntimeError):
@@ -98,12 +140,7 @@ class RemoteEmbedder:
     """HTTP embeddings client; bounds in-flight requests with a semaphore."""
 
     def __init__(
-        self,
-        cfg: EmbeddingProviderConfig,
-        max_in_flight: int = 4,
-        max_retries: int = 2,
-        retry_backoff: float = 0.5,
-        timeout: float = 60.0,
+        self, cfg: EmbeddingProviderConfig, max_retries: int = 2, retry_backoff: float = 0.5
     ):
         if cfg.provider != "remote_http":
             raise ValueError("RemoteEmbedder requires a remote_http config")
@@ -111,58 +148,37 @@ class RemoteEmbedder:
         self.dim = cfg.dim
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
-        self.timeout = timeout
-        self._slots = threading.Semaphore(max_in_flight)
-
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        if self.cfg.api_key_env:
-            key = os.environ.get(self.cfg.api_key_env, "")
-            if key:
-                headers["Authorization"] = f"Bearer {key}"
-        return headers
+        self._slots = threading.Semaphore(EMBED_MAX_IN_FLIGHT)
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
         if not texts:
             raise ValueError("texts must be non-empty")
         body = {"model": self.cfg.model_name, "input": list(texts)}
-        last_exc: Exception | None = None
-        for attempt in range(self.max_retries + 1):
-            if attempt and self.retry_backoff:
-                time.sleep(self.retry_backoff * attempt)
-            try:
-                with self._slots:
-                    resp = requests.post(
-                        self.cfg.endpoint,
-                        json=body,
-                        headers=self._headers(),
-                        timeout=self.timeout,
-                    )
-                if resp.status_code >= 500:
-                    last_exc = TransportError(f"server error {resp.status_code}")
-                    continue
-                resp.raise_for_status()
-                payload = resp.json()
-            except (requests.ConnectionError, requests.Timeout) as exc:
-                last_exc = TransportError(str(exc))
-                continue
-            rows = [item["embedding"] for item in payload["data"]]
-            for vec in rows:
-                if len(vec) != self.dim:
-                    raise DimensionMismatchError(
-                        f"endpoint returned dim {len(vec)}, config says {self.dim}"
-                    )
-            matrix = np.asarray(rows, dtype=np.float32)
-            if not np.all(np.isfinite(matrix)):
-                raise ValueError("endpoint returned non-finite embedding values")
-            return matrix
-        raise TransportError(f"embedding request failed after retries: {last_exc}")
+        with self._slots:
+            payload = post_json(
+                self.cfg.endpoint,
+                body,
+                self.cfg.api_key_env,
+                timeout=EMBED_TIMEOUT_S,
+                max_retries=self.max_retries,
+                backoff=self.retry_backoff,
+            )
+        rows = [item["embedding"] for item in payload["data"]]
+        for vec in rows:
+            if len(vec) != self.dim:
+                raise DimensionMismatchError(
+                    f"endpoint returned dim {len(vec)}, config says {self.dim}"
+                )
+        matrix = np.asarray(rows, dtype=np.float32)
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError("endpoint returned non-finite embedding values")
+        return matrix
 
 
-def make_embedder(cfg: EmbeddingProviderConfig, **remote_kwargs):
+def make_embedder(cfg: EmbeddingProviderConfig):
     if cfg.provider == "deterministic_mock":
         return MockEmbedder(cfg.dim)
-    return RemoteEmbedder(cfg, **remote_kwargs)
+    return RemoteEmbedder(cfg)
 
 
 def embed_batch(texts: list[str], cfg: EmbeddingProviderConfig) -> np.ndarray:

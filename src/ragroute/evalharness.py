@@ -22,7 +22,7 @@ from typing import Iterable
 
 from .agent import Agent
 from .corpus import tokenize
-from .llm import ChatMessage, TokenUsage
+from .llm import ChatMessage, TokenUsage, ask_parsed
 from .planner import PlanStrategy, run_plan
 from .prompts import (
     CORRECTNESS_JUDGE_MULTI_HOP,
@@ -40,9 +40,6 @@ WITH_RAG = "with_rag"
 AGENTS_SELECTED = "selected"
 AGENTS_ALL = "all"
 AGENTS_RAW_KNOWLEDGE = "raw_knowledge"
-
-COT_PREFIX = "Think step by step, then answer.\n\n"
-
 
 @dataclass(frozen=True)
 class EvalItem:
@@ -179,6 +176,13 @@ def _mean(values: list[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
+def _correct_verdict(text: str) -> bool | None:
+    for line in text.splitlines():
+        if line.lower().lstrip().startswith("correct"):
+            return re.search(r"\byes\b", line.split(":", 1)[-1], re.I) is not None
+    return None
+
+
 def judge_correctness(
     question: str, groundtruths: Iterable[str], response: str, backend, hop: str = SINGLE
 ) -> tuple[bool | None, TokenUsage]:
@@ -194,15 +198,7 @@ def judge_correctness(
             CORRECTNESS_JUDGE_SINGLE_HOP,
             {"question": question, "model_answers": gts, "response": response},
         )
-    usage = TokenUsage()
-    for _ in range(2):
-        text, call_usage = backend.chat(messages)
-        usage = usage + call_usage
-        for line in text.splitlines():
-            if line.lower().lstrip().startswith("correct"):
-                tail = line.split(":", 1)[-1]
-                return re.search(r"\byes\b", tail, re.I) is not None, usage
-    return None, usage
+    return ask_parsed(backend, messages, _correct_verdict)
 
 
 @dataclass
@@ -217,7 +213,6 @@ class EvalSystem:
     strategy: PlanStrategy | str = PlanStrategy.GREEDY
     max_rounds: int = 5
     agent_mode: str = AGENTS_SELECTED
-    cot_prefix: bool = False
     parallelism: int = 1
 
 
@@ -281,8 +276,7 @@ def aggregate(outcomes: list[ItemOutcome]) -> dict:
 
 
 def _run_raw_model(item: EvalItem, system: EvalSystem) -> ItemOutcome:
-    prefix = COT_PREFIX if system.cot_prefix else ""
-    text, usage = system.backend.chat([ChatMessage("user", prefix + item.question)])
+    text, usage = system.backend.chat([ChatMessage("user", item.question)])
     return ItemOutcome(item=item, final_answer=text.strip(), usage=usage)
 
 

@@ -11,17 +11,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
-
-import requests
+from typing import Callable, TypeVar
 
 from .corpus import tokenize
-from .embedding import TransportError
+from .embedding import post_json
+
+CHAT_TIMEOUT_S = 120.0
+
+T = TypeVar("T")
 
 
 class UnscriptedPromptError(RuntimeError):
@@ -158,23 +159,18 @@ class ScriptedChatBackend:
 class RemoteChatBackend:
     """HTTP chat-completions client with bounded retry on transport failures."""
 
-    def __init__(self, cfg: ChatBackendConfig, retry_backoff: float = 0.5, timeout: float = 120.0):
+    def __init__(self, cfg: ChatBackendConfig, retry_backoff: float = 0.5):
         if cfg.backend != "remote_http":
             raise ValueError("RemoteChatBackend requires a remote_http config")
         self.cfg = cfg
         self.retry_backoff = retry_backoff
-        self.timeout = timeout
         self.calls: list[ChatCall] = []
         self.retries_used = 0
         self._lock = threading.Lock()
 
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        if self.cfg.api_key_env:
-            key = os.environ.get(self.cfg.api_key_env, "")
-            if key:
-                headers["Authorization"] = f"Bearer {key}"
-        return headers
+    def _count_retry(self) -> None:
+        with self._lock:
+            self.retries_used += 1
 
     def chat(self, messages: list[ChatMessage]) -> tuple[str, TokenUsage]:
         _check_messages(messages)
@@ -183,45 +179,52 @@ class RemoteChatBackend:
             "messages": [{"role": m.role, "content": m.content} for m in messages],
             "temperature": self.cfg.temperature,
         }
-        last_exc: Exception | None = None
-        for attempt in range(self.cfg.max_rounds_retry + 1):
-            if attempt:
-                with self._lock:
-                    self.retries_used += 1
-                if self.retry_backoff:
-                    time.sleep(self.retry_backoff * attempt)
-            try:
-                resp = requests.post(
-                    self.cfg.endpoint, json=body, headers=self._headers(), timeout=self.timeout
-                )
-                if resp.status_code >= 500:
-                    last_exc = TransportError(f"server error {resp.status_code}")
-                    continue
-                resp.raise_for_status()
-                payload = resp.json()
-            except (requests.ConnectionError, requests.Timeout) as exc:
-                last_exc = TransportError(str(exc))
-                continue
-            text = payload["choices"][0]["message"]["content"]
-            usage_rec = payload.get("usage", {})
-            usage = TokenUsage(
-                int(usage_rec.get("prompt_tokens", 0)),
-                int(usage_rec.get("completion_tokens", 0)),
-            )
-            with self._lock:
-                self.calls.append(ChatCall(_prompt_text(messages), text, usage))
-            return text, usage
-        raise TransportError(f"chat request failed after retries: {last_exc}")
+        payload = post_json(
+            self.cfg.endpoint,
+            body,
+            self.cfg.api_key_env,
+            timeout=CHAT_TIMEOUT_S,
+            max_retries=self.cfg.max_rounds_retry,
+            backoff=self.retry_backoff,
+            on_retry=self._count_retry,
+        )
+        text = payload["choices"][0]["message"]["content"]
+        usage_rec = payload.get("usage", {})
+        usage = TokenUsage(
+            int(usage_rec.get("prompt_tokens", 0)),
+            int(usage_rec.get("completion_tokens", 0)),
+        )
+        with self._lock:
+            self.calls.append(ChatCall(_prompt_text(messages), text, usage))
+        return text, usage
 
 
-def make_chat_backend(cfg: ChatBackendConfig, **remote_kwargs):
+def make_chat_backend(cfg: ChatBackendConfig):
     if cfg.backend == "scripted_mock":
         return ScriptedChatBackend.from_file(cfg.script_path)
-    return RemoteChatBackend(cfg, **remote_kwargs)
+    return RemoteChatBackend(cfg)
 
 
-def chat(messages: list[ChatMessage], cfg: ChatBackendConfig) -> tuple[str, TokenUsage]:
-    return make_chat_backend(cfg).chat(messages)
+def ask_parsed(
+    backend, messages: list[ChatMessage], parse: Callable[[str], T | None]
+) -> tuple[T | None, TokenUsage]:
+    """Ask and parse the reply, re-asking once with the same messages.
+
+    ``parse`` returns None, or raises ReplyParseError, for a reply it cannot
+    use. Returns the first usable parse, or None after two unusable replies,
+    together with the summed usage of every call made.
+    """
+    usage = TokenUsage()
+    for _ in range(2):
+        text, call_usage = backend.chat(messages)
+        usage = usage + call_usage
+        try:
+            parsed = parse(text)
+        except ReplyParseError:
+            continue
+        if parsed is not None:
+            return parsed, usage
+    return None, usage
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .llm import (
     ParsedJudgment,
     ReplyParseError,
     TokenUsage,
+    ask_parsed,
     extract_numbered_questions,
     parse_agent_reply,
     parse_judgment,
@@ -106,16 +107,21 @@ class UsageMeter:
         self.total = self.total + usage
         return text
 
+    def ask(self, backend, messages, parse):
+        """``ask_parsed``, charging every attempt's tokens to this meter."""
+        parsed, usage = ask_parsed(backend, messages, parse)
+        self.total = self.total + usage
+        return parsed
+
 
 def split_first_round(query: str, backend, meter: UsageMeter | None = None) -> list[str]:
     """First-round decomposition; re-asks once before giving up."""
     meter = meter or UsageMeter()
     messages = render_prompt(SPLITTER_FIRST_ROUND, {"question": query})
-    for attempt in range(2):
-        questions = extract_numbered_questions(meter.chat(backend, messages))
-        if questions:
-            return questions
-    raise PlanError("splitter produced no numbered subquestions")
+    questions = meter.ask(backend, messages, lambda text: extract_numbered_questions(text) or None)
+    if questions is None:
+        raise PlanError("splitter produced no numbered subquestions")
+    return questions
 
 
 def judge_and_split(
@@ -125,13 +131,10 @@ def judge_and_split(
     next round's candidate subquestions. Re-asks once on a bad parse."""
     meter = meter or UsageMeter()
     messages = render_prompt(JUDGER_SPLITTER, {"query": query, "records": records})
-    for attempt in range(2):
-        try:
-            return parse_judgment(meter.chat(backend, messages))
-        except ReplyParseError:
-            if attempt == 1:
-                raise
-    raise AssertionError("unreachable")
+    judgment = meter.ask(backend, messages, parse_judgment)
+    if judgment is None:
+        raise ReplyParseError("unparseable judgment: no Answerable line")
+    return judgment
 
 
 def _pairwise_ok(candidate: str, asked: str, backend, meter: UsageMeter) -> bool:
@@ -185,17 +188,21 @@ def select_subquestion(
     return SelectedQuestion(candidates[0], warning=True)
 
 
+def _labeled_answer(text: str) -> str | None:
+    reply = parse_agent_reply(text)
+    return None if reply.degraded else reply.answer
+
+
 def defend(
     query: str, records: list[QARecord], backend, meter: UsageMeter | None = None
 ) -> str:
     """Final answer from the records; re-asks once on an unlabeled reply."""
     meter = meter or UsageMeter()
     messages = render_prompt(DEFENDER, {"query": query, "records": records})
-    for attempt in range(2):
-        reply = parse_agent_reply(meter.chat(backend, messages))
-        if not reply.degraded:
-            return reply.answer
-    raise PlanError("defender reply had no Answer section")
+    answer = meter.ask(backend, messages, _labeled_answer)
+    if answer is None:
+        raise PlanError("defender reply had no Answer section")
+    return answer
 
 
 def run_plan(

@@ -19,7 +19,7 @@ import numpy as np
 from .agent import MULTI_HOP, SINGLE_HOP, Agent, AgentAnswer, AgentError
 from .boundary import CentroidEntry
 from .embedding import load_vectors, save_vectors
-from .llm import ParsedAgentReply, TokenUsage, parse_agent_reply
+from .llm import ParsedAgentReply, TokenUsage, _label_matches, ask_parsed, parse_agent_reply
 from .prompts import (
     AGENT_ANSWER_MULTI_HOP,
     AGENT_ANSWER_SINGLE_HOP,
@@ -168,13 +168,11 @@ def _verdicts_from_evaluation(evaluation: str, count: int) -> list[str]:
     return verdicts
 
 
-def _split_router_sections(text: str) -> tuple[str, str, str]:
-    labels = {}
-    for name in ("evaluation", "analysis", "answer"):
-        matches = list(re.finditer(rf"(?im)^[ \t]*{name}[ \t]*:", text))
-        labels[name] = matches
+def _split_router_sections(text: str) -> tuple[str, str, str] | None:
+    """(evaluation, analysis, answer) sections; None when there is no Answer."""
+    labels = {name: _label_matches(name, text) for name in ("evaluation", "analysis", "answer")}
     if not labels["answer"]:
-        raise RouterError("unparseable router output: no Answer section")
+        return None
     answer_m = labels["answer"][-1]
     analysis_candidates = [m for m in labels["analysis"] if m.start() < answer_m.start()]
     analysis_m = analysis_candidates[-1] if analysis_candidates else None
@@ -197,27 +195,17 @@ def evaluate_and_curate(
     """Ask the curation prompt over all agent responses and parse verdicts."""
     if not answers:
         raise RouterError("no agent answers to curate")
-    responses = [a.raw_text for a in answers]
-    if mode == MULTI_HOP:
-        messages = render_prompt(
-            ROUTER_FINALIZE_MULTI_HOP,
-            {"question": question, "responses": responses, "history": list(history)},
-        )
-    else:
-        messages = render_prompt(
-            ROUTER_FINALIZE_SINGLE_HOP, {"question": question, "responses": responses}
-        )
-    usage = TokenUsage()
-    text = ""
-    for attempt in range(2):
-        text, call_usage = backend.chat(messages)
-        usage = usage + call_usage
-        try:
-            evaluation, analysis, answer = _split_router_sections(text)
-            break
-        except RouterError:
-            if attempt == 1:
-                raise
+    template = ROUTER_FINALIZE_MULTI_HOP if mode == MULTI_HOP else ROUTER_FINALIZE_SINGLE_HOP
+    slots = {
+        "question": question,
+        "responses": [a.raw_text for a in answers],
+        "history": list(history),
+    }
+    messages = render_prompt(template, slots)
+    sections, usage = ask_parsed(backend, messages, _split_router_sections)
+    if sections is None:
+        raise RouterError("unparseable router output: no Answer section")
+    evaluation, analysis, answer = sections
     by_position = _verdicts_from_evaluation(evaluation, len(answers))
     verdicts = {a.agent_id: v for a, v in zip(answers, by_position)}
     return RoutedAnswer(
@@ -335,10 +323,9 @@ def route_raw_knowledge(
         blocks.extend(agent._document_blocks(kept))
         answers.append(AgentAnswer(agent_id, ParsedAgentReply("", "", False), "", tuple(kept), TokenUsage()))
     template = AGENT_ANSWER_MULTI_HOP if mode == MULTI_HOP else AGENT_ANSWER_SINGLE_HOP
-    slots: dict = {"question": question, "documents": blocks}
-    if mode == MULTI_HOP:
-        slots["history"] = []
-    text, usage = backend.chat(render_prompt(template, slots))
+    text, usage = backend.chat(
+        render_prompt(template, {"question": question, "documents": blocks, "history": []})
+    )
     reply = parse_agent_reply(text)
     return RoutedAnswer(
         final_answer=reply.answer,

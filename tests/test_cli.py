@@ -130,22 +130,40 @@ class TestLifecycle:
         assert main(["register", "--config", str(config)]) == 2
         assert "build-index" in json.loads(capsys.readouterr().err.strip())["error"]
 
-    def test_chunking_flags_override_config(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "chunking, flags",
+        [
+            # 40 tokens at stride 12: ceil((40-4)/12) = 3 windows
+            ((256, 20), ["--chunk-tokens", "16", "--overlap-tokens", "4"]),
+            # an explicit 0 overlap wins over the config's 8: ceil(40/16) = 3 windows
+            ((16, 8), ["--overlap-tokens", "0"]),
+        ],
+        ids=["both-flags", "zero-overlap"],
+    )
+    def test_chunking_flags_override_config(self, tmp_path, capsys, chunking, flags):
         body = " ".join(f"w{i}" for i in range(40))
         config = write_config(
             tmp_path,
             [{"doc_id": "d", "category": "c", "body": body}],
             [],
             [{"agent_id": "a", "category": "c"}],
-            chunking={"chunk_tokens": 256, "overlap_tokens": 20},
+            chunking={"chunk_tokens": chunking[0], "overlap_tokens": chunking[1]},
         )
-        assert main(["ingest", "--config", str(config),
-                     "--chunk-tokens", "16", "--overlap-tokens", "4"]) == 0
+        assert main(["ingest", "--config", str(config), *flags]) == 0
         chunks = (tmp_path / "index" / "agents" / "a" / "chunks.jsonl").read_text()
         records = [json.loads(line) for line in chunks.splitlines()]
-        # 40 tokens at stride 12: ceil((40-4)/12) = 3 windows
         assert len(records) == 3
         assert records[0]["token_len"] == 16
+
+    def test_invalid_chunking_flags_exit_2(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            [{"doc_id": "d", "category": "c", "body": "words"}],
+            [],
+            [{"agent_id": "a", "category": "c"}],
+        )
+        assert main(["ingest", "--config", str(config), "--overlap-tokens", "300"]) == 2
+        assert "overlap_tokens" in json.loads(capsys.readouterr().err.strip())["error"]
 
     def test_single_agent_build_leaves_others_untouched(self, tmp_path, capsys):
         corpus = [

@@ -116,10 +116,12 @@ class _EmbeddingHandler(BaseHTTPRequestHandler):
     fail_times = 0
     dim = 8
     seen: list[dict] = []
+    auth: list[str | None] = []
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         type(self).seen.append(body)
+        type(self).auth.append(self.headers.get("Authorization"))
         if type(self).fail_times > 0:
             type(self).fail_times -= 1
             self.send_response(500)
@@ -142,6 +144,7 @@ def embedding_server():
     handler = _EmbeddingHandler
     handler.fail_times = 0
     handler.seen = []
+    handler.auth = []
     server = HTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -157,6 +160,17 @@ class TestRemoteEmbedder:
         assert out.shape == (2, 8)
         assert handler.seen[0]["model"] == "test-model"
         assert handler.seen[0]["input"] == ["x", "y"]
+
+    def test_bearer_header_from_env(self, embedding_server, monkeypatch):
+        url, handler = embedding_server
+        monkeypatch.setenv("TEST_EMBED_KEY", "sekrit")
+        cfg = EmbeddingProviderConfig(
+            "remote_http", "m", 8, endpoint=url, api_key_env="TEST_EMBED_KEY"
+        )
+        RemoteEmbedder(cfg).embed_batch(["x"])
+        monkeypatch.delenv("TEST_EMBED_KEY")
+        RemoteEmbedder(cfg).embed_batch(["x"])
+        assert handler.auth == ["Bearer sekrit", None]
 
     def test_dimension_mismatch_is_hard_error(self, embedding_server):
         url, handler = embedding_server

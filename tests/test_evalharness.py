@@ -145,8 +145,10 @@ class TestJudgeCorrectness:
                 ScriptEntry("Response:", "still no verdict"),
             ]
         )
-        flag, _ = judge_correctness("q", ["t"], "r", backend)
+        flag, usage = judge_correctness("q", ["t"], "r", backend)
         assert flag is None
+        assert len(backend.calls) == 2
+        assert usage == backend.calls[0].usage + backend.calls[1].usage
 
 
 def eight_topic_system(mock_embedder, backend, max_agents=5, agent_mode="selected"):

@@ -12,6 +12,7 @@ from ragroute.planner import (
     PlanError,
     PlanStrategy,
     QARecord,
+    UsageMeter,
     defend,
     judge_and_split,
     polish_query,
@@ -51,6 +52,17 @@ class TestSplitFirstRound:
         with pytest.raises(PlanError):
             split_first_round("q", backend)
         assert len(backend.calls) == 2
+
+
+    def test_meter_charges_both_attempts(self):
+        backend = backend_of(
+            ("break the question into", "no numbering at all"),
+            ("break the question into", "1. First?"),
+        )
+        meter = UsageMeter()
+        assert split_first_round("q", backend, meter) == ["First?"]
+        assert len(backend.calls) == 2
+        assert meter.total == backend.calls[0].usage + backend.calls[1].usage
 
 
 class TestJudgeAndSplit:
