@@ -88,12 +88,18 @@ class Agent:
     def agent_id(self) -> str:
         return self.config.agent_id
 
-    def retrieve(self, question: str, depth: int | None = None) -> list[RetrievalHit]:
+    def retrieve(
+        self, question: str, query_vec: np.ndarray, depth: int | None = None
+    ) -> list[RetrievalHit]:
+        """Top ``depth`` hits (default ``retrieval_depth``) by the configured method.
+
+        ``query_vec`` is the question's embedding, computed once by the caller;
+        retrieval embeds nothing itself.
+        """
         depth = depth or self.config.retrieval_depth
         method = self.config.retrieval_method
         if len(self.dense_index) == 0:
             return []
-        query_vec = self.embedder.embed_batch([question])[0]
         if method == DENSE:
             return dense_search(self.dense_index, query_vec, depth)
         if method == BM25:
@@ -116,17 +122,21 @@ class Agent:
         mode: str = SINGLE_HOP,
         history: Iterable = (),
         min_keep: int | None = None,
+        query_vec: np.ndarray | None = None,
     ) -> AgentAnswer:
         """Retrieve, rerank to at least min_keep chunks, and generate a reply.
 
-        An agent with an empty index answers "I don't know." without touching
-        the backend. Backend hard failures are re-raised tagged with the
-        agent id.
+        ``query_vec`` is the question's embedding; the router passes the one
+        it selected agents with. Only without it does the agent embed the
+        question, once, for both retrieval and rerank. An agent with an empty
+        index answers "I don't know." without touching the embedder or the
+        backend. Backend hard failures are re-raised tagged with the agent id.
         """
         if len(self.dense_index) == 0:
             return AgentAnswer(self.agent_id, _unknown_reply(), "", (), TokenUsage())
-        query_vec = self.embedder.embed_batch([question])[0]
-        hits = self.retrieve(question)
+        if query_vec is None:
+            query_vec = self.embedder.embed_batch([question])[0]
+        hits = self.retrieve(question, query_vec)
         kept = rerank(
             hits,
             query_vec,

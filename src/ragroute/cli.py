@@ -2,9 +2,10 @@
 
 One JSON config document drives every command; secrets only ever come from
 environment variables named in that config. Exit codes: 0 success, 1 partial
-item failures, 2 config/IO errors. Index, profile, and registry files are
-deterministic functions of their inputs, so re-running a command with
-unchanged inputs rewrites byte-identical artifacts.
+item failures, 2 config/IO errors, which include a vector file that disagrees
+with its manifest and an endpoint that fails or replies malformed. Index,
+profile, and registry files are deterministic functions of their inputs, so
+re-running a command with unchanged inputs rewrites byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -20,7 +21,16 @@ import numpy as np
 from .agent import Agent, AgentConfig
 from .boundary import build_profile, export_centroids, load_profile, save_profile
 from .corpus import ChunkingConfig, chunk_document, load_chunks, load_corpus, save_chunks
-from .embedding import EmbeddingProviderConfig, load_vectors, make_embedder, save_vectors
+from .embedding import (
+    DimensionMismatchError,
+    EmbeddingProviderConfig,
+    MalformedReplyError,
+    TransportError,
+    VectorFileError,
+    load_vectors,
+    make_embedder,
+    save_vectors,
+)
 from .evalharness import (
     AGENTS_ALL,
     AGENTS_RAW_KNOWLEDGE,
@@ -464,9 +474,14 @@ def main(argv: list[str] | None = None) -> int:
                 judge=args.judge,
             )
         return cmd_inspect(cfg)
-    except ConfigError as exc:
-        return _fail(args.command, str(exc))
-    except OSError as exc:
+    except (
+        ConfigError,
+        OSError,
+        VectorFileError,
+        TransportError,
+        DimensionMismatchError,
+        MalformedReplyError,
+    ) as exc:
         return _fail(args.command, str(exc))
 
 

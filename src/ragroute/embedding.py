@@ -32,6 +32,15 @@ class TransportError(RuntimeError):
     """Transient transport failure talking to a remote endpoint; retryable."""
 
 
+class MalformedReplyError(RuntimeError):
+    """A remote endpoint's reply is not JSON or lacks a field its wire shape
+    requires; not retryable."""
+
+
+class VectorFileError(RuntimeError):
+    """A stored vector file disagrees with its manifest."""
+
+
 def post_json(
     endpoint: str,
     body: dict,
@@ -47,7 +56,8 @@ def post_json(
     environment variable. Server errors (5xx), connection errors and timeouts
     are retried up to ``max_retries`` times; before retry ``n`` it calls
     ``on_retry`` and sleeps ``backoff * n`` seconds. Other HTTP errors raise
-    at once; exhausted retries raise TransportError.
+    at once; exhausted retries raise TransportError, and a reply that is not
+    JSON raises MalformedReplyError.
     """
     headers = {"Content-Type": "application/json"}
     key = os.environ.get(api_key_env, "") if api_key_env else ""
@@ -64,9 +74,13 @@ def post_json(
                 last_exc = TransportError(f"server error {resp.status_code}")
                 continue
             resp.raise_for_status()
-            return resp.json()
         except (requests.ConnectionError, requests.Timeout) as exc:
             last_exc = TransportError(str(exc))
+            continue
+        try:
+            return resp.json()
+        except ValueError as exc:
+            raise MalformedReplyError(f"reply from {endpoint} is not JSON: {exc}") from exc
     raise TransportError(f"request to {endpoint} failed after {max_retries} retries: {last_exc}")
 
 
@@ -163,7 +177,16 @@ class RemoteEmbedder:
                 max_retries=self.max_retries,
                 backoff=self.retry_backoff,
             )
-        rows = [item["embedding"] for item in payload["data"]]
+        try:
+            rows = [item["embedding"] for item in payload["data"]]
+        except (KeyError, TypeError) as exc:
+            raise MalformedReplyError(
+                f"embeddings reply lacks data[].embedding: {exc!r}"
+            ) from exc
+        if len(rows) != len(texts):
+            raise MalformedReplyError(
+                f"endpoint returned {len(rows)} embeddings for {len(texts)} texts"
+            )
         for vec in rows:
             if len(vec) != self.dim:
                 raise DimensionMismatchError(
@@ -206,8 +229,21 @@ def save_vectors(base_path: str | Path, matrix: np.ndarray, ids: list[str]) -> N
 
 
 def load_vectors(base_path: str | Path) -> tuple[np.ndarray, list[str]]:
+    """Read what ``save_vectors`` wrote.
+
+    Raises VectorFileError when the ``.bin`` size is not ``count * dim * 4``
+    bytes or the manifest does not list ``count`` ids.
+    """
     base = Path(base_path)
     manifest = json.loads(base.with_suffix(".manifest.json").read_text(encoding="utf-8"))
-    raw = base.with_suffix(".bin").read_bytes()
-    mat = np.frombuffer(raw, dtype="<f4").reshape(manifest["count"], manifest["dim"])
-    return mat.astype(np.float32), list(manifest["chunk_ids"])
+    count, dim, ids = manifest["count"], manifest["dim"], list(manifest["chunk_ids"])
+    bin_path = base.with_suffix(".bin")
+    raw = bin_path.read_bytes()
+    if len(raw) != count * dim * 4:
+        raise VectorFileError(
+            f"{bin_path} holds {len(raw)} bytes; its manifest needs {count} x {dim} x 4"
+        )
+    if len(ids) != count:
+        raise VectorFileError(f"{bin_path}: manifest lists {len(ids)} ids for {count} rows")
+    mat = np.frombuffer(raw, dtype="<f4").reshape(count, dim)
+    return mat.astype(np.float32), ids

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, TypeVar
 
 from .corpus import tokenize
-from .embedding import post_json
+from .embedding import MalformedReplyError, post_json
 
 CHAT_TIMEOUT_S = 120.0
 
@@ -188,7 +188,12 @@ class RemoteChatBackend:
             backoff=self.retry_backoff,
             on_retry=self._count_retry,
         )
-        text = payload["choices"][0]["message"]["content"]
+        try:
+            text = payload["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError) as exc:
+            raise MalformedReplyError(
+                f"chat reply lacks choices[0].message.content: {exc!r}"
+            ) from exc
         usage_rec = payload.get("usage", {})
         usage = TokenUsage(
             int(usage_rec.get("prompt_tokens", 0)),

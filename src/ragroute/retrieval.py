@@ -26,6 +26,27 @@ BM25_K1 = 1.2
 BM25_B = 0.75
 RRF_K = 60
 
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def unit_scores(unit_rows: np.ndarray, unit_q: np.ndarray) -> np.ndarray:
+    """Dot product of each row with ``unit_q``, summed in one order for every
+    row, so equal rows get bit-equal scores and tie as they should.
+
+    A BLAS matrix-vector product sums some rows in another order than others,
+    so two copies of one vector can score 1 ulp apart.
+    """
+    return np.einsum("ij,j->i", unit_rows, unit_q)
+
+
+def unit_query(query_vec: np.ndarray) -> np.ndarray:
+    """The query as a float64 unit vector; a zero vector has no cosine."""
+    q = np.asarray(query_vec, dtype=np.float64)
+    qn = np.linalg.norm(q)
+    if qn == 0.0:
+        raise ValueError("undefined similarity: zero query vector")
+    return q / qn
+
 
 @dataclass(frozen=True)
 class RetrievalHit:
@@ -47,6 +68,7 @@ class DenseIndex:
             raise ValueError("zero vector in dense index")
         self.matrix = matrix
         self.chunk_ids = list(chunk_ids)
+        self.row_of = {cid: i for i, cid in enumerate(self.chunk_ids)}
         self._unit = (
             matrix.astype(np.float64) / norms[:, None] if matrix.shape[0] else matrix.astype(np.float64)
         )
@@ -64,20 +86,34 @@ class DenseIndex:
 
 
 def dense_search(index: DenseIndex, query_vec: np.ndarray, top_n: int) -> list[RetrievalHit]:
-    """Top-n chunks by cosine similarity; exhaustive scan."""
+    """Top-n chunks by cosine similarity; exhaustive scan.
+
+    One BLAS product scores every row and ``np.partition`` finds the n-th best
+    score. Rows within rounding slack of that cut are scored again with
+    ``unit_scores`` and sorted by (-score, chunk_id), so every tie on the cut
+    is kept and broken by chunk_id, as in a full sort.
+    """
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
     if len(index) == 0:
         return []
-    q = np.asarray(query_vec, dtype=np.float64)
-    qn = np.linalg.norm(q)
-    if qn == 0.0:
-        raise ValueError("undefined similarity: zero query vector")
-    sims = index._unit @ (q / qn)
-    order = sorted(range(len(index)), key=lambda i: (-sims[i], index.chunk_ids[i]))
+    q = unit_query(query_vec)
+    unit = index._unit
+    rows = range(len(index))
+    if top_n < len(index):
+        approx = unit @ q
+        cut = np.partition(approx, len(approx) - top_n)[len(approx) - top_n]
+        # A row's BLAS score and its unit_scores score both sum d products of
+        # unit vectors, so they differ by at most about d * eps, and every row
+        # of the exact top n scores at least cut - 2 * d * eps here.
+        rows = np.flatnonzero(approx >= cut - 4 * q.shape[0] * _EPS).tolist()
+        unit = unit[rows]
+    sims = unit_scores(unit, q).tolist()
+    ids = [index.chunk_ids[i] for i in rows]
+    order = sorted(range(len(ids)), key=lambda k: (-sims[k], ids[k]))[:top_n]
     return [
-        RetrievalHit(chunk_id=index.chunk_ids[i], score=float(sims[i]), rank=r, method=DENSE)
-        for r, i in enumerate(order[:top_n], 1)
+        RetrievalHit(chunk_id=ids[k], score=sims[k], rank=r, method=DENSE)
+        for r, k in enumerate(order, 1)
     ]
 
 
@@ -184,13 +220,9 @@ def rerank(
         raise ValueError("min_keep must be >= 1")
     if not hits:
         return []
-    q = np.asarray(query_vec, dtype=np.float64)
-    qn = np.linalg.norm(q)
-    if qn == 0.0:
-        raise ValueError("undefined similarity: zero query vector")
-    row = {cid: i for i, cid in enumerate(index.chunk_ids)}
+    q = unit_query(query_vec)
     scored = [
-        (float(index._unit[row[h.chunk_id]] @ (q / qn)), h.chunk_id, h.method) for h in hits
+        (float(index._unit[index.row_of[h.chunk_id]] @ q), h.chunk_id, h.method) for h in hits
     ]
     scored.sort(key=lambda t: (-t[0], t[1]))
     floor = min(min_keep, len(scored))

@@ -1,8 +1,8 @@
 """Centroid registry, top-k agent selection, response evaluation, curation.
 
 The router only ever sees cluster centroids, never chunk text. Selection
-scans every registered centroid by cosine similarity to the query and keeps
-the first ``max_agents`` distinct agents in score order.
+scores every registered centroid by cosine similarity to the query and keeps
+the ``max_agents`` agents with the best centroid scores.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .prompts import (
     ROUTER_FINALIZE_SINGLE_HOP,
     render_prompt,
 )
-from .retrieval import rerank
+from .retrieval import rerank, unit_query, unit_scores
 
 GOOD_RELIABLE = "good_reliable"
 CONJECTURE = "conjecture"
@@ -44,14 +44,27 @@ class RouterRegistry:
 
     def __init__(self) -> None:
         self.entries: list[CentroidEntry] = []
+        self._index_entries()
+
+    def _index_entries(self) -> None:
+        """Cache what selection needs: one float64 unit row per entry and,
+        per row, the position of its agent in ``agent_ids``."""
+        self._agent_ids = sorted({e.agent_id for e in self.entries})
+        position = {agent_id: i for i, agent_id in enumerate(self._agent_ids)}
+        self._agent_of_row = np.array([position[e.agent_id] for e in self.entries], dtype=np.intp)
+        if not self.entries:
+            self._unit = np.zeros((0, 0))
+            return
+        matrix = np.stack([e.centroid for e in self.entries]).astype(np.float64)
+        self._unit = matrix / np.linalg.norm(matrix, axis=1)[:, None]
 
     @property
     def agent_ids(self) -> list[str]:
-        return sorted({e.agent_id for e in self.entries})
+        return list(self._agent_ids)
 
     @property
     def agent_count(self) -> int:
-        return len({e.agent_id for e in self.entries})
+        return len(self._agent_ids)
 
     def register(self, entries: Iterable[CentroidEntry]) -> None:
         new = list(entries)
@@ -63,6 +76,7 @@ class RouterRegistry:
         incoming_agents = {e.agent_id for e in new}
         self.entries = [e for e in self.entries if e.agent_id not in incoming_agents]
         self.entries.extend(new)
+        self._index_entries()
 
     def save(self, json_path: str | Path, vectors_base: str | Path) -> None:
         order = sorted(self.entries, key=lambda e: (e.agent_id, e.cluster_id))
@@ -84,46 +98,35 @@ class RouterRegistry:
         payload = json.loads(Path(json_path).read_text(encoding="utf-8"))
         matrix, _ = load_vectors(vectors_base)
         registry = cls()
-        registry.entries = [
+        registry.register(
             CentroidEntry(
                 agent_id=rec["agent_id"],
                 cluster_id=int(rec["cluster_id"]),
                 centroid=matrix[int(rec["row"])],
             )
             for rec in payload["entries"]
-        ]
+        )
         return registry
 
 
 def select_agents(registry: RouterRegistry, query_vec: np.ndarray, max_agents: int) -> list[str]:
-    """Distinct agents in descending best-centroid order, capped at max_agents.
+    """Distinct agents by descending best-centroid score, capped at max_agents.
 
-    Centroids are scanned in descending cosine similarity (ties by agent_id
-    then cluster_id); each agent is taken the first time one of its centroids
-    appears.
+    Every centroid is scored against the query in one product over the
+    registry's cached unit-centroid matrix. An agent's score is its best
+    centroid's; agents come out by (-score, agent_id), the order in which a
+    scan of centroids sorted by (-score, agent_id, cluster_id) first meets
+    each agent.
     """
     if not registry.entries:
         raise RouterError("no agents registered")
     if max_agents < 1:
         raise ValueError("max_agents must be >= 1")
-    q = np.asarray(query_vec, dtype=np.float64)
-    qn = np.linalg.norm(q)
-    if qn == 0.0:
-        raise ValueError("undefined similarity: zero query vector")
-    unit_q = q / qn
-    scored = []
-    for entry in registry.entries:
-        c = entry.centroid.astype(np.float64)
-        sim = float(c @ unit_q / np.linalg.norm(c))
-        scored.append((-sim, entry.agent_id, entry.cluster_id))
-    scored.sort()
-    selected: list[str] = []
-    for _, agent_id, _ in scored:
-        if agent_id not in selected:
-            selected.append(agent_id)
-            if len(selected) == max_agents:
-                break
-    return selected
+    sims = unit_scores(registry._unit, unit_query(query_vec))
+    best = np.full(len(registry._agent_ids), -np.inf)
+    np.maximum.at(best, registry._agent_of_row, sims)
+    order = np.argsort(-best, kind="stable")[:max_agents]
+    return [registry._agent_ids[i] for i in order]
 
 
 @dataclass(frozen=True)
@@ -221,6 +224,7 @@ def evaluate_and_curate(
 
 def _fan_out(
     question: str,
+    query_vec: np.ndarray,
     agents: list[Agent],
     mode: str,
     history: Iterable,
@@ -229,7 +233,9 @@ def _fan_out(
 ) -> list[AgentAnswer | AgentError]:
     def ask(agent: Agent):
         try:
-            return agent.answer_question(question, mode=mode, history=history, min_keep=min_keep)
+            return agent.answer_question(
+                question, mode=mode, history=history, min_keep=min_keep, query_vec=query_vec
+            )
         except AgentError as exc:
             return exc
 
@@ -254,18 +260,20 @@ def route_and_answer(
 ) -> RoutedAnswer:
     """Select agents, fan the question out, and curate one final answer.
 
-    Agents that hard-fail are recorded as unhelpful with an error note; the
-    query proceeds with the answers that did arrive. ``selected_override``
-    bypasses centroid selection (used by the all-agents baseline).
+    The question is embedded once; that vector selects the agents and every
+    selected agent retrieves and reranks with it. Agents that hard-fail are
+    recorded as unhelpful with an error note; the query proceeds with the
+    answers that did arrive. ``selected_override`` bypasses centroid
+    selection (used by the all-agents baseline).
     """
+    query_vec = embedder.embed_batch([question])[0]
     if selected_override is not None:
         selected = list(selected_override)
     else:
-        query_vec = embedder.embed_batch([question])[0]
         selected = select_agents(registry, query_vec, max_agents)
     history = list(history)
     results = _fan_out(
-        question, [agents[a] for a in selected], mode, history, min_keep, parallelism
+        question, query_vec, [agents[a] for a in selected], mode, history, min_keep, parallelism
     )
     answers = [r for r in results if isinstance(r, AgentAnswer)]
     failed = {r.agent_id: str(r) for r in results if isinstance(r, AgentError)}
@@ -300,7 +308,8 @@ def route_raw_knowledge(
     min_keep: int | None = None,
 ) -> RoutedAnswer:
     """Baseline variant: selected agents only retrieve; their chunks are
-    forwarded to one generation call instead of per-agent answers."""
+    forwarded to one generation call instead of per-agent answers. The
+    question is embedded once, for selection, retrieval and rerank."""
     query_vec = embedder.embed_batch([question])[0]
     selected = select_agents(registry, query_vec, max_agents)
     blocks: list[str] = []
@@ -312,7 +321,7 @@ def route_raw_knowledge(
                 AgentAnswer(agent_id, ParsedAgentReply("", "I don't know.", True), "", (), TokenUsage())
             )
             continue
-        hits = agent.retrieve(question)
+        hits = agent.retrieve(question, query_vec)
         kept = rerank(
             hits,
             query_vec,

@@ -50,6 +50,27 @@ def make_agents(
     return agents, registry
 
 
+class CountingEmbedder(MockEmbedder):
+    """Mock embedder that counts its ``embed_batch`` calls."""
+
+    def __init__(self, dim: int):
+        super().__init__(dim)
+        self.calls = 0
+
+    def embed_batch(self, texts: list[str]):
+        self.calls += 1
+        return super().embed_batch(texts)
+
+
+def count_embeds(agents: dict[str, Agent]) -> CountingEmbedder:
+    """Point every built agent at one fresh counting embedder and return it,
+    so only query-time embeds are counted."""
+    counter = CountingEmbedder(transcripts.MOCK_DIM)
+    for agent in agents.values():
+        agent.embedder = counter
+    return counter
+
+
 @pytest.fixture
 def mock_embedder() -> MockEmbedder:
     return MockEmbedder(transcripts.MOCK_DIM)

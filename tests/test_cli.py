@@ -347,6 +347,21 @@ class TestEval:
             rates[cap] = report["modes"]["with_rag"]["answerable_agent_pct"]
         assert rates[1] <= rates[2] <= rates[4]
 
+    def test_truncated_vectors_exit_2_with_json_error(self, tmp_path, capsys):
+        corpus, agents = topic_corpus_and_agents()
+        config = write_config(tmp_path, corpus, catch_all_script(), agents)
+        build_lifecycle(config)
+        dataset = topic_dataset(tmp_path)
+        vectors = tmp_path / "index" / "agents" / agents[0]["agent_id"] / "vectors.bin"
+        vectors.write_bytes(vectors.read_bytes()[:-6])
+        capsys.readouterr()
+        code = main(["eval", "--config", str(config), "--dataset", str(dataset),
+                     "--report", str(tmp_path / "r")])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["command"] == "eval"
+        assert "vectors.bin holds" in error["error"]
+
     def test_missing_dataset_exits_2(self, tmp_path, capsys):
         corpus, agents = topic_corpus_and_agents()
         config = write_config(tmp_path, corpus, catch_all_script(), agents)

@@ -16,6 +16,7 @@ from ragroute.embedding import (
     MockEmbedder,
     RemoteEmbedder,
     TransportError,
+    VectorFileError,
     cosine_similarity,
     embed_batch,
     load_vectors,
@@ -213,6 +214,22 @@ class TestVectorFile:
         save_vectors(tmp_path / "v", np.zeros((2, 3), np.float32), ["a", "b"])
         manifest = json.loads((tmp_path / "v.manifest.json").read_text())
         assert manifest == {"dim": 3, "count": 2, "chunk_ids": ["a", "b"]}
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda base: base.with_suffix(".bin").write_bytes(b"\0" * 44),
+            lambda base: base.with_suffix(".manifest.json").write_text(
+                json.dumps({"dim": 4, "count": 3, "chunk_ids": ["a", "b"]})
+            ),
+        ],
+        ids=["truncated-bin", "ids-short"],
+    )
+    def test_disagreeing_files_raise_typed_error(self, tmp_path, damage):
+        save_vectors(tmp_path / "v", np.ones((3, 4), np.float32), ["a", "b", "c"])
+        damage(tmp_path / "v")
+        with pytest.raises(VectorFileError):
+            load_vectors(tmp_path / "v")
 
     def test_little_endian_layout(self, tmp_path):
         matrix = np.array([[1.0, 2.0]], dtype=np.float32)

@@ -7,8 +7,14 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 import transcripts
+from ragroute.cli import main
 from ragroute.corpus import tokenize
-from ragroute.embedding import TransportError
+from ragroute.embedding import (
+    EmbeddingProviderConfig,
+    MalformedReplyError,
+    RemoteEmbedder,
+    TransportError,
+)
 from ragroute.llm import (
     ChatBackendConfig,
     ChatMessage,
@@ -85,6 +91,7 @@ class TestScriptedBackend:
 class _ChatHandler(BaseHTTPRequestHandler):
     fail_times = 0
     seen: list[dict] = []
+    reply: bytes | None = None  # sent instead of the chat reply when set
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
@@ -100,7 +107,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
             "choices": [{"message": {"role": "assistant", "content": "pong"}}],
             "usage": {"prompt_tokens": 12, "completion_tokens": 3},
         }
-        raw = json.dumps(payload).encode()
+        raw = type(self).reply or json.dumps(payload).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(raw)))
@@ -115,6 +122,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
 def chat_server():
     _ChatHandler.fail_times = 0
     _ChatHandler.seen = []
+    _ChatHandler.reply = None
     server = HTTPServer(("127.0.0.1", 0), _ChatHandler)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions", _ChatHandler
@@ -168,6 +176,62 @@ class TestRemoteBackend:
         with pytest.raises(TransportError):
             backend.chat(user("ping"))
         handler.fail_times = 0
+
+
+class TestMalformedReplies:
+    @pytest.mark.parametrize(
+        "reply",
+        [b'{"usage": {}}', b'{"choices": []}', b'{"choices": [{"text": "pong"}]}', b"pong"],
+        ids=["no-choices", "empty-choices", "no-message", "not-json"],
+    )
+    def test_chat_reply_is_typed_error(self, chat_server, reply):
+        url, handler = chat_server
+        handler.reply = reply
+        cfg = ChatBackendConfig(backend="remote_http", model_name="m", endpoint=url)
+        with pytest.raises(MalformedReplyError):
+            RemoteChatBackend(cfg, retry_backoff=0.0).chat(user("ping"))
+
+    @pytest.mark.parametrize(
+        "reply",
+        [b'{"object": "list"}', b'{"data": [{"index": 0}]}', b'{"data": []}', b'{"data": 3}'],
+        ids=["no-data", "no-embedding", "too-few-rows", "data-not-list"],
+    )
+    def test_embeddings_reply_is_typed_error(self, chat_server, reply):
+        url, handler = chat_server
+        handler.reply = reply
+        cfg = EmbeddingProviderConfig("remote_http", "m", 4, endpoint=url)
+        with pytest.raises(MalformedReplyError):
+            RemoteEmbedder(cfg, retry_backoff=0.0).embed_batch(["x"])
+
+    @pytest.mark.parametrize(
+        "reply, message",
+        [(b'{"object": "list"}', "lacks data"), (b'{"data": [{"embedding": [0.5]}]}', "dim 1")],
+        ids=["no-data", "wrong-dim"],
+    )
+    def test_build_index_exits_2_with_json_error(
+        self, chat_server, tmp_path, capsys, reply, message
+    ):
+        url, handler = chat_server
+        handler.reply = reply
+        transcripts.write_jsonl(
+            tmp_path / "corpus.jsonl",
+            [{"doc_id": "d", "category": "c", "body": "one short document"}],
+        )
+        (tmp_path / "script.json").write_text("[]", encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "corpus_path": str(tmp_path / "corpus.jsonl"),
+            "index_dir": str(tmp_path / "index"),
+            "embedding": {"provider": "remote_http", "model_name": "m", "dim": 4, "endpoint": url},
+            "chat": {"backend": "scripted_mock", "script_path": str(tmp_path / "script.json")},
+            "agents": [{"agent_id": "a", "category": "c"}],
+        }), encoding="utf-8")
+        assert main(["ingest", "--config", str(config)]) == 0
+        capsys.readouterr()
+        assert main(["build-index", "--config", str(config)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["command"] == "build-index"
+        assert message in error["error"]
 
 
 class TestParseAgentReply:

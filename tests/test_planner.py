@@ -223,6 +223,15 @@ class TestRunPlanGreedy:
         assert result.records[1].question == transcripts.NR_ROUND2_QUESTION
         assert [r.round for r in result.records] == [1, 2]
 
+    def test_embeds_once_per_routed_round(self, news_reports_setup):
+        from conftest import count_embeds
+
+        agents, registry, backend = news_reports_setup
+        counter = count_embeds(agents)
+        result = run_plan(transcripts.NR_QUERY, "greedy", registry, agents, backend, counter)
+        assert len(result.rounds) == 2
+        assert counter.calls == len(result.rounds)
+
     def test_usage_equals_backend_log_sum(self, news_reports_setup, mock_embedder):
         agents, registry, backend = news_reports_setup
         result = run_plan(

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ragroute.corpus import Chunk, tokenize
 from ragroute.embedding import cosine_similarity
@@ -39,6 +41,23 @@ def full_scan_oracle(index: DenseIndex, query: np.ndarray, top_n: int) -> list[s
     return [cid for _, cid in scored[:top_n]]
 
 
+@st.composite
+def tied_indexes(draw):
+    """Rows that are copies (some scaled by a power of two) of a few base
+    vectors, with chunk ids shuffled against row order, so equal scores
+    often straddle ``top_n``."""
+    dim = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.normal(size=(draw(st.integers(1, 4)), dim))
+    picks = st.tuples(st.integers(0, len(base) - 1), st.integers(0, 3))
+    copies = draw(st.lists(picks, min_size=1, max_size=60))
+    matrix = np.array([base[b] * 2.0**k for b, k in copies], dtype=np.float32)
+    ids = [f"c:{i:05d}" for i in rng.permutation(len(copies))]
+    on_a_copy = draw(st.booleans())
+    query = base[draw(st.integers(0, len(base) - 1))] if on_a_copy else rng.normal(size=dim)
+    return DenseIndex(matrix, ids), query, draw(st.integers(1, len(copies) + 2))
+
+
 class TestDenseSearch:
     def test_single_chunk_index(self):
         index = DenseIndex(np.array([[1.0, 2.0]], np.float32), ["only:00000"])
@@ -68,6 +87,13 @@ class TestDenseSearch:
         query = rng.normal(size=8)
         got = [h.chunk_id for h in dense_search(index, query, top_n=25)]
         assert got == full_scan_oracle(index, query, 25)
+
+    @settings(deadline=None)
+    @given(tied_indexes())
+    def test_ties_on_the_cut_match_oracle(self, case):
+        index, query, top_n = case
+        got = [h.chunk_id for h in dense_search(index, query, top_n)]
+        assert got == full_scan_oracle(index, query, top_n)
 
     def test_empty_index(self):
         index = DenseIndex(np.zeros((0, 4), np.float32), [])

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import transcripts
 from ragroute.agent import AgentAnswer
 from ragroute.boundary import CentroidEntry
 from ragroute.embedding import cosine_similarity
 from ragroute.llm import ScriptedChatBackend, ScriptEntry, TokenUsage
+from conftest import count_embeds
 from ragroute.router import (
     CONJECTURE,
     GOOD_RELIABLE,
@@ -17,6 +20,7 @@ from ragroute.router import (
     _verdicts_from_evaluation,
     evaluate_and_curate,
     route_and_answer,
+    route_raw_knowledge,
     select_agents,
 )
 
@@ -33,6 +37,24 @@ def random_registry(rng: np.random.Generator, n_agents: int, max_clusters: int, 
             [entry(f"ag{a:03d}", c, rng.normal(size=dim)) for c in range(n_clusters)]
         )
     return registry
+
+
+@st.composite
+def tied_selections(draw):
+    """Agents whose centroids are copies (some scaled by a power of two) of a
+    few base vectors, so equal agent scores often straddle ``max_agents``."""
+    dim = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.normal(size=(draw(st.integers(1, 3)), dim))
+    picks = st.tuples(st.integers(0, len(base) - 1), st.integers(0, 3))
+    n_agents = draw(st.integers(1, 8))
+    registry = RouterRegistry()
+    for a in range(n_agents):
+        copies = draw(st.lists(picks, min_size=1, max_size=4))
+        registry.register([entry(f"ag{a}", c, base[b] * 2.0**k) for c, (b, k) in enumerate(copies)])
+    on_a_copy = draw(st.booleans())
+    query = base[draw(st.integers(0, len(base) - 1))] if on_a_copy else rng.normal(size=dim)
+    return registry, query, draw(st.integers(1, n_agents))
 
 
 def selection_oracle(registry: RouterRegistry, query: np.ndarray, max_agents: int) -> list[str]:
@@ -115,6 +137,23 @@ class TestSelectAgents:
             assert select_agents(registry, query, max_agents) == selection_oracle(
                 registry, query, max_agents
             )
+
+    @settings(deadline=None)
+    @given(tied_selections())
+    def test_ties_on_the_cap_match_oracle(self, case):
+        registry, query, max_agents = case
+        assert select_agents(registry, query, max_agents) == selection_oracle(
+            registry, query, max_agents
+        )
+
+    def test_registry_load_rebuilds_selection_matrix(self, tmp_path):
+        rng = np.random.default_rng(43)
+        registry = random_registry(rng, 6, 3)
+        registry.save(tmp_path / "registry.json", tmp_path / "registry_vectors")
+        loaded = RouterRegistry.load(tmp_path / "registry.json", tmp_path / "registry_vectors")
+        for _ in range(20):
+            query = rng.normal(size=8)
+            assert select_agents(loaded, query, 3) == selection_oracle(registry, query, 3)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(41)
@@ -390,3 +429,29 @@ class TestRouteAndAnswer:
         assert threaded.selected_agent_ids == sequential.selected_agent_ids
         assert threaded.verdicts == sequential.verdicts
         assert threaded.usage == sequential.usage
+
+
+class TestEmbedOnce:
+    @pytest.mark.parametrize(
+        "override", [None, transcripts.WD_AGENT_IDS], ids=["selected", "override"]
+    )
+    def test_route_and_answer_embeds_once(self, walking_dead_setup, override):
+        agents, registry, backend = walking_dead_setup
+        counter = count_embeds(agents)
+        routed = route_and_answer(
+            transcripts.WD_QUESTION, registry, agents, backend, counter,
+            max_agents=5, selected_override=override,
+        )
+        assert routed.final_answer == transcripts.WD_EXPECTED
+        assert counter.calls == 1
+
+    def test_route_raw_knowledge_embeds_once(self, walking_dead_setup):
+        agents, registry, _ = walking_dead_setup
+        counter = count_embeds(agents)
+        backend = ScriptedChatBackend([ScriptEntry("Question:", "Answer: Merle Dixon")])
+        routed = route_raw_knowledge(
+            transcripts.WD_QUESTION, registry, agents, backend, counter, max_agents=3
+        )
+        assert len(routed.selected_agent_ids) == 3
+        assert all(a.hits for a in routed.agent_answers)
+        assert counter.calls == 1
