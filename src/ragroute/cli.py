@@ -2,10 +2,12 @@
 
 One JSON config document drives every command; secrets only ever come from
 environment variables named in that config. Exit codes: 0 success, 1 partial
-item failures, 2 config/IO errors, which include a vector file that disagrees
-with its manifest and an endpoint that fails or replies malformed. Index,
-profile, and registry files are deterministic functions of their inputs, so
-re-running a command with unchanged inputs rewrites byte-identical artifacts.
+item failures, 2 config/IO errors, which include an index file that is not
+valid JSON, a vector file that disagrees with its manifest, a registry that
+names an agent the config does not list, and an endpoint that fails or
+replies malformed. Index, profile, and registry files are deterministic
+functions of their inputs, so re-running a command with unchanged inputs
+rewrites byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from .corpus import ChunkingConfig, chunk_document, load_chunks, load_corpus, sa
 from .embedding import (
     DimensionMismatchError,
     EmbeddingProviderConfig,
+    IndexFileError,
     MalformedReplyError,
     TransportError,
-    VectorFileError,
     load_vectors,
     make_embedder,
     save_vectors,
@@ -210,7 +212,21 @@ def cmd_register(cfg: SystemConfig, agent_id: str | None = None) -> int:
     return EXIT_OK
 
 
-def _load_agents(cfg: SystemConfig, backend, embedder, retrieval: str | None = None) -> dict[str, Agent]:
+def _load_system(cfg: SystemConfig, retrieval: str | None = None):
+    """Chat backend, embedder, registry and agents for ``ask`` and ``eval``.
+
+    Raises ConfigError when there is no registry or it names an agent that
+    the config does not list.
+    """
+    if not cfg.registry_json().exists():
+        raise ConfigError("no registry: run register first")
+    backend = make_chat_backend(cfg.chat)
+    embedder = make_embedder(cfg.embedding)
+    registry = RouterRegistry.load(cfg.registry_json(), cfg.registry_vectors())
+    configured = {a.agent_id for a in cfg.agents}
+    unknown = [a for a in registry.agent_ids if a not in configured]
+    if unknown:
+        raise ConfigError(f"registry names agents missing from the config: {', '.join(unknown)}")
     agents: dict[str, Agent] = {}
     for agent_cfg in cfg.agents:
         if retrieval:
@@ -220,7 +236,7 @@ def _load_agents(cfg: SystemConfig, backend, embedder, retrieval: str | None = N
         dense = DenseIndex.load(adir / "vectors")
         bm25 = Bm25Index.load(adir / "bm25.json")
         agents[agent_cfg.agent_id] = Agent(agent_cfg, chunks, dense, bm25, embedder, backend)
-    return agents
+    return backend, embedder, registry, agents
 
 
 def _prompt_hashes(backend) -> list[str]:
@@ -236,12 +252,7 @@ def cmd_ask(
     max_rounds: int | None = None,
     trace_path: str | None = None,
 ) -> int:
-    if not cfg.registry_json().exists():
-        return _fail("ask", "no registry: run register first")
-    backend = make_chat_backend(cfg.chat)
-    embedder = make_embedder(cfg.embedding)
-    registry = RouterRegistry.load(cfg.registry_json(), cfg.registry_vectors())
-    agents = _load_agents(cfg, backend, embedder)
+    backend, embedder, registry, agents = _load_system(cfg)
     max_agents = max_agents or cfg.max_agents
     trace: dict = {"question": question, "max_agents": max_agents}
     code = EXIT_OK
@@ -325,12 +336,7 @@ def cmd_eval(
 ) -> int:
     if not Path(dataset).exists():
         return _fail("eval", f"dataset does not exist: {dataset}")
-    if not cfg.registry_json().exists():
-        return _fail("eval", "no registry: run register first")
-    backend = make_chat_backend(cfg.chat)
-    embedder = make_embedder(cfg.embedding)
-    registry = RouterRegistry.load(cfg.registry_json(), cfg.registry_vectors())
-    agents = _load_agents(cfg, backend, embedder, retrieval=retrieval)
+    backend, embedder, registry, agents = _load_system(cfg, retrieval=retrieval)
     system = EvalSystem(
         registry=registry,
         agents=agents,
@@ -477,7 +483,7 @@ def main(argv: list[str] | None = None) -> int:
     except (
         ConfigError,
         OSError,
-        VectorFileError,
+        IndexFileError,
         TransportError,
         DimensionMismatchError,
         MalformedReplyError,

@@ -37,8 +37,22 @@ class MalformedReplyError(RuntimeError):
     requires; not retryable."""
 
 
-class VectorFileError(RuntimeError):
+class IndexFileError(RuntimeError):
+    """A stored index file cannot be read back as what its writer wrote."""
+
+
+class VectorFileError(IndexFileError):
     """A stored vector file disagrees with its manifest."""
+
+
+def read_json(path: str | Path):
+    """Parse a stored JSON file; IndexFileError names the file when it is not
+    valid UTF-8 JSON."""
+    path = Path(path)
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise IndexFileError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def post_json(
@@ -231,11 +245,12 @@ def save_vectors(base_path: str | Path, matrix: np.ndarray, ids: list[str]) -> N
 def load_vectors(base_path: str | Path) -> tuple[np.ndarray, list[str]]:
     """Read what ``save_vectors`` wrote.
 
-    Raises VectorFileError when the ``.bin`` size is not ``count * dim * 4``
-    bytes or the manifest does not list ``count`` ids.
+    Raises IndexFileError when the manifest is not valid JSON, and
+    VectorFileError when the ``.bin`` size is not ``count * dim * 4`` bytes
+    or the manifest does not list ``count`` ids.
     """
     base = Path(base_path)
-    manifest = json.loads(base.with_suffix(".manifest.json").read_text(encoding="utf-8"))
+    manifest = read_json(base.with_suffix(".manifest.json"))
     count, dim, ids = manifest["count"], manifest["dim"], list(manifest["chunk_ids"])
     bin_path = base.with_suffix(".bin")
     raw = bin_path.read_bytes()

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Chunk, tokenize
-from .embedding import load_vectors, save_vectors
+from .embedding import load_vectors, read_json, save_vectors
 
 DENSE = "dense"
 BM25 = "bm25"
@@ -153,7 +153,7 @@ class Bm25Index:
 
     @classmethod
     def load(cls, path: str | Path) -> "Bm25Index":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = read_json(path)
         postings = {t: {c: int(tf) for c, tf in post.items()} for t, post in payload["postings"].items()}
         doc_len = {c: int(n) for c, n in payload["doc_len"].items()}
         return cls(postings, doc_len)

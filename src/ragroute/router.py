@@ -18,7 +18,7 @@ import numpy as np
 
 from .agent import MULTI_HOP, SINGLE_HOP, Agent, AgentAnswer, AgentError
 from .boundary import CentroidEntry
-from .embedding import load_vectors, save_vectors
+from .embedding import load_vectors, read_json, save_vectors
 from .llm import ParsedAgentReply, TokenUsage, _label_matches, ask_parsed, parse_agent_reply
 from .prompts import (
     AGENT_ANSWER_MULTI_HOP,
@@ -95,7 +95,7 @@ class RouterRegistry:
 
     @classmethod
     def load(cls, json_path: str | Path, vectors_base: str | Path) -> "RouterRegistry":
-        payload = json.loads(Path(json_path).read_text(encoding="utf-8"))
+        payload = read_json(json_path)
         matrix, _ = load_vectors(vectors_base)
         registry = cls()
         registry.register(

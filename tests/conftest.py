@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 import transcripts
 from ragroute.agent import Agent, AgentConfig, build_agent
@@ -8,6 +9,10 @@ from ragroute.boundary import build_profile, export_centroids
 from ragroute.corpus import ChunkingConfig, Document, chunk_document
 from ragroute.embedding import MockEmbedder
 from ragroute.router import RouterRegistry
+
+# Every run tries the same examples, and slow examples are not failures.
+settings.register_profile("ragroute", derandomize=True, deadline=None)
+settings.load_profile("ragroute")
 
 
 def make_agents(

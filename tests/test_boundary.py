@@ -4,11 +4,15 @@ import dataclasses
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ragroute.boundary import (
+    _pairwise_cosine_distance,
     build_profile,
     cluster_chunks,
     cluster_count,
@@ -44,6 +48,58 @@ def naive_complete_linkage(embeddings: np.ndarray, n: int) -> list[list[int]]:
         merged = sorted(clusters[ia] + clusters[ib])
         clusters = [c for k, c in enumerate(clusters) if k not in (ia, ib)] + [merged]
     return sorted(clusters, key=lambda c: c[0])
+
+
+def greedy_complete_linkage(embeddings: np.ndarray, n: int) -> list[list[int]]:
+    """The global-minimum loop: scan the whole linkage matrix for the smallest
+    distance at every merge and take the smallest (min member, min member)
+    pair among the ties. O(m^3)."""
+    m = len(embeddings)
+    if not (1 <= n <= m):
+        raise ValueError(f"need 1 <= n <= {m}, got n={n}")
+    members: dict[int, list[int]] = {i: [i] for i in range(m)}
+    link = _pairwise_cosine_distance(embeddings)
+    np.fill_diagonal(link, np.inf)
+    while len(members) > n:
+        dmin = link.min()
+        best_pair: tuple[int, int] | None = None
+        best_key: tuple[int, int] | None = None
+        for r, c in np.argwhere(link == dmin):
+            if r >= c:
+                continue
+            key = (min(members[r][0], members[c][0]), max(members[r][0], members[c][0]))
+            if best_key is None or key < best_key:
+                best_key = key
+                best_pair = (int(r), int(c))
+        i, j = best_pair
+        keep, drop = (i, j) if members[i][0] < members[j][0] else (j, i)
+        members[keep] = sorted(members[keep] + members.pop(drop))
+        merged = np.maximum(link[keep], link[drop])
+        link[keep, :] = merged
+        link[:, keep] = merged
+        link[keep, keep] = np.inf
+        link[drop, :] = np.inf
+        link[:, drop] = np.inf
+    return sorted(members.values(), key=lambda ms: ms[0])
+
+
+@st.composite
+def tie_heavy_inputs(draw) -> tuple[np.ndarray, int]:
+    """Up to 60 rows of one-hot, small-integer or random normal vectors,
+    optionally drawn with repeats, and a cluster count n in 1..m."""
+    d = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["one-hot", "small-int", "normal"]))
+    if kind == "one-hot":
+        rows = np.eye(d)[draw(st.lists(st.integers(0, d - 1), min_size=k, max_size=k))]
+    elif kind == "small-int":
+        row = st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any)
+        rows = np.array(draw(st.lists(row, min_size=k, max_size=k)), dtype=np.float64)
+    else:
+        rows = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(k, d))
+    if draw(st.booleans()):
+        rows = rows[draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=60))]
+    return rows, draw(st.integers(1, len(rows)))
 
 
 def max_intra_distance(partition: list[list[int]], embeddings: np.ndarray) -> float:
@@ -166,6 +222,28 @@ class TestClusterIndices:
             ]
             assert chosen == min(others)
             clusters = after
+
+    @given(tie_heavy_inputs())
+    def test_matches_greedy_loop_with_ties(self, case):
+        vectors, n = case
+        assert cluster_indices(vectors, n) == greedy_complete_linkage(vectors, n)
+
+    def test_matches_greedy_loop_at_agent_size(self):
+        rng = np.random.default_rng(31)
+        vectors = rng.integers(0, 2, size=(300, 12)).astype(np.float64)
+        vectors[vectors.sum(axis=1) == 0, 0] = 1.0
+        assert cluster_indices(vectors, 17) == greedy_complete_linkage(vectors, 17)
+
+    def test_peak_memory_is_one_distance_matrix(self):
+        m = 1000
+        vectors = np.random.default_rng(32).normal(size=(m, 32))
+        tracemalloc.start()
+        try:
+            cluster_indices(vectors, cluster_count(m))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * m * m * 8
 
     def test_bad_n_rejected(self):
         vectors = np.random.default_rng(0).normal(size=(3, 4))

@@ -371,6 +371,53 @@ class TestEval:
         assert code == 2
 
 
+def command_args(tmp_path: Path, command: str) -> list[str]:
+    """The arguments after --config with which ``command`` reads a built index."""
+    if command == "ask":
+        return ["--question", "topic0word0?"]
+    if command == "eval":
+        return ["--dataset", str(topic_dataset(tmp_path)), "--report", str(tmp_path / "r")]
+    return []
+
+
+class TestIndexFiles:
+    @pytest.mark.parametrize(
+        "relpath, command",
+        [
+            ("agents/agent0/vectors.manifest.json", "ask"),
+            ("agents/agent0/bm25.json", "eval"),
+            ("registry.json", "register"),
+            ("agents/agent0/profile.json", "inspect"),
+        ],
+    )
+    def test_file_that_is_not_json_exits_2_naming_it(self, tmp_path, capsys, relpath, command):
+        corpus, agents = topic_corpus_and_agents()
+        config = write_config(tmp_path, corpus, catch_all_script(), agents)
+        build_lifecycle(config)
+        (tmp_path / "index" / relpath).write_text("{not json", encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, "--config", str(config), *command_args(tmp_path, command)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["command"] == command
+        assert f"{Path(relpath).name} is not valid JSON" in error["error"]
+
+    @pytest.mark.parametrize("command", ["ask", "eval"])
+    def test_registry_agent_missing_from_config_exits_2(self, tmp_path, capsys, command):
+        corpus, agents = topic_corpus_and_agents()
+        config = write_config(tmp_path, corpus, catch_all_script(), agents)
+        build_lifecycle(config)
+        raw = json.loads(config.read_text())
+        raw["agents"] = raw["agents"][1:]
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, "--config", str(config), *command_args(tmp_path, command)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["command"] == command
+        assert "agent0" in error["error"]
+
+
 class TestInspect:
     def test_summary_lists_agents_and_registry(self, tmp_path, capsys):
         corpus, agents = topic_corpus_and_agents(2)

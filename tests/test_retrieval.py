@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from ragroute.corpus import Chunk, tokenize
@@ -88,7 +88,6 @@ class TestDenseSearch:
         got = [h.chunk_id for h in dense_search(index, query, top_n=25)]
         assert got == full_scan_oracle(index, query, 25)
 
-    @settings(deadline=None)
     @given(tied_indexes())
     def test_ties_on_the_cut_match_oracle(self, case):
         index, query, top_n = case

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import transcripts
@@ -138,7 +138,6 @@ class TestSelectAgents:
                 registry, query, max_agents
             )
 
-    @settings(deadline=None)
     @given(tied_selections())
     def test_ties_on_the_cap_match_oracle(self, case):
         registry, query, max_agents = case
