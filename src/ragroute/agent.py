@@ -88,15 +88,13 @@ class Agent:
     def agent_id(self) -> str:
         return self.config.agent_id
 
-    def retrieve(
-        self, question: str, query_vec: np.ndarray, depth: int | None = None
-    ) -> list[RetrievalHit]:
-        """Top ``depth`` hits (default ``retrieval_depth``) by the configured method.
+    def retrieve(self, question: str, query_vec: np.ndarray) -> list[RetrievalHit]:
+        """Top ``retrieval_depth`` hits by the configured method.
 
         ``query_vec`` is the question's embedding, computed once by the caller;
         retrieval embeds nothing itself.
         """
-        depth = depth or self.config.retrieval_depth
+        depth = self.config.retrieval_depth
         method = self.config.retrieval_method
         if len(self.dense_index) == 0:
             return []

@@ -182,20 +182,23 @@ def save_profile(profile: AgentProfile, json_path: str | Path, vectors_base: str
 
 
 def load_profile(json_path: str | Path, vectors_base: str | Path) -> AgentProfile:
-    manifest = read_json(json_path)
     matrix, ids = load_vectors(vectors_base)
     by_ref = {ref: matrix[i] for i, ref in enumerate(ids)}
-    clusters = tuple(
-        Cluster(
-            cluster_id=int(rec["cluster_id"]),
-            member_chunk_ids=tuple(rec["member_chunk_ids"]),
-            centroid=by_ref[rec["centroid_ref"]],
+
+    def parse(manifest) -> AgentProfile:
+        clusters = tuple(
+            Cluster(
+                cluster_id=int(rec["cluster_id"]),
+                member_chunk_ids=tuple(rec["member_chunk_ids"]),
+                centroid=by_ref[rec["centroid_ref"]],
+            )
+            for rec in manifest["clusters"]
         )
-        for rec in manifest["clusters"]
-    )
-    return AgentProfile(
-        agent_id=manifest["agent_id"],
-        num_chunks=int(manifest["m"]),
-        num_clusters=int(manifest["n"]),
-        clusters=clusters,
-    )
+        return AgentProfile(
+            agent_id=manifest["agent_id"],
+            num_chunks=int(manifest["m"]),
+            num_clusters=int(manifest["n"]),
+            clusters=clusters,
+        )
+
+    return read_json(json_path, parse)

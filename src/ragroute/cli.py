@@ -3,11 +3,11 @@
 One JSON config document drives every command; secrets only ever come from
 environment variables named in that config. Exit codes: 0 success, 1 partial
 item failures, 2 config/IO errors, which include an index file that is not
-valid JSON, a vector file that disagrees with its manifest, a registry that
-names an agent the config does not list, and an endpoint that fails or
-replies malformed. Index, profile, and registry files are deterministic
-functions of their inputs, so re-running a command with unchanged inputs
-rewrites byte-identical artifacts.
+valid JSON or has the wrong shape, a vector file that disagrees with its
+manifest, a registry that names an agent the config does not list, and an
+endpoint that fails or replies malformed. Index, profile, and registry files
+are deterministic functions of their inputs, so re-running a command with
+unchanged inputs rewrites byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -199,6 +199,9 @@ def cmd_register(cfg: SystemConfig, agent_id: str | None = None) -> int:
             return _fail("register", f"no index for agent {agent_cfg.agent_id}: run build-index first")
         matrix, chunk_ids = load_vectors(adir / "vectors")
         if not chunk_ids:
+            registry.unregister(agent_cfg.agent_id)
+            for stale in ("profile.json", "centroids.bin", "centroids.manifest.json"):
+                (adir / stale).unlink(missing_ok=True)
             continue
         profile = build_profile(agent_cfg.agent_id, chunk_ids, matrix)
         save_profile(profile, adir / "profile.json", adir / "centroids")

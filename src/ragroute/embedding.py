@@ -1,11 +1,11 @@
-"""Embedding providers and vector math.
+"""Embedding providers and vector files.
 
 Two providers sit behind one contract: a deterministic offline mock (bag of
 hashed token directions, L2-normalized) and a remote HTTP provider speaking
 the common embeddings wire shape ``{model, input: [...]}`` ->
 ``{data: [{embedding: [...]}]}``.
 
-Vectors are stored at float32; similarity math accumulates at float64.
+Vectors are stored as little-endian float32 rows.
 """
 
 from __future__ import annotations
@@ -45,14 +45,21 @@ class VectorFileError(IndexFileError):
     """A stored vector file disagrees with its manifest."""
 
 
-def read_json(path: str | Path):
-    """Parse a stored JSON file; IndexFileError names the file when it is not
-    valid UTF-8 JSON."""
+def read_json(path: str | Path, parse: Callable):
+    """Parse a stored JSON file and return ``parse`` of its payload.
+
+    IndexFileError names the file when it is not valid UTF-8 JSON, or when
+    ``parse`` finds a field missing or of the wrong type.
+    """
     path = Path(path)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise IndexFileError(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        return parse(payload)
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise IndexFileError(f"{path} is valid JSON of the wrong shape: {exc!r}") from exc
 
 
 def post_json(
@@ -117,19 +124,6 @@ class EmbeddingProviderConfig:
             raise ValueError("remote_http provider requires an endpoint")
         if self.provider not in ("remote_http", "deterministic_mock"):
             raise ValueError(f"unknown provider {self.provider!r}")
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity in [-1, 1], accumulated at float64."""
-    a64 = np.asarray(a, dtype=np.float64)
-    b64 = np.asarray(b, dtype=np.float64)
-    if a64.shape != b64.shape:
-        raise ValueError(f"dimension mismatch: {a64.shape} vs {b64.shape}")
-    na = float(np.linalg.norm(a64))
-    nb = float(np.linalg.norm(b64))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("undefined similarity: zero vector")
-    return float(np.dot(a64, b64) / (na * nb))
 
 
 def _token_axis(token: str, dim: int) -> int:
@@ -218,10 +212,6 @@ def make_embedder(cfg: EmbeddingProviderConfig):
     return RemoteEmbedder(cfg)
 
 
-def embed_batch(texts: list[str], cfg: EmbeddingProviderConfig) -> np.ndarray:
-    return make_embedder(cfg).embed_batch(texts)
-
-
 def save_vectors(base_path: str | Path, matrix: np.ndarray, ids: list[str]) -> None:
     """Persist a vector matrix as little-endian float32 rows plus a manifest.
 
@@ -243,22 +233,23 @@ def save_vectors(base_path: str | Path, matrix: np.ndarray, ids: list[str]) -> N
 
 
 def load_vectors(base_path: str | Path) -> tuple[np.ndarray, list[str]]:
-    """Read what ``save_vectors`` wrote.
+    """Read what ``save_vectors`` wrote, as one float32 array.
 
-    Raises IndexFileError when the manifest is not valid JSON, and
-    VectorFileError when the ``.bin`` size is not ``count * dim * 4`` bytes
-    or the manifest does not list ``count`` ids.
+    Raises IndexFileError when the manifest is not valid JSON or lacks a
+    field, and VectorFileError when the ``.bin`` size is not
+    ``count * dim * 4`` bytes or the manifest does not list ``count`` ids.
     """
     base = Path(base_path)
-    manifest = read_json(base.with_suffix(".manifest.json"))
-    count, dim, ids = manifest["count"], manifest["dim"], list(manifest["chunk_ids"])
+    count, dim, ids = read_json(
+        base.with_suffix(".manifest.json"),
+        lambda m: (int(m["count"]), int(m["dim"]), list(m["chunk_ids"])),
+    )
     bin_path = base.with_suffix(".bin")
-    raw = bin_path.read_bytes()
-    if len(raw) != count * dim * 4:
+    size = bin_path.stat().st_size
+    if size != count * dim * 4:
         raise VectorFileError(
-            f"{bin_path} holds {len(raw)} bytes; its manifest needs {count} x {dim} x 4"
+            f"{bin_path} holds {size} bytes; its manifest needs {count} x {dim} x 4"
         )
     if len(ids) != count:
         raise VectorFileError(f"{bin_path}: manifest lists {len(ids)} ids for {count} rows")
-    mat = np.frombuffer(raw, dtype="<f4").reshape(count, dim)
-    return mat.astype(np.float32), ids
+    return np.fromfile(bin_path, dtype="<f4").reshape(count, dim), ids

@@ -294,10 +294,7 @@ def _run_with_rag(item: EvalItem, system: EvalSystem) -> ItemOutcome:
         outcome.final_answer = routed.final_answer
         outcome.selected_agent_ids = routed.selected_agent_ids
         outcome.usage = routed.usage
-        outcome.retrieved_doc_slots = {
-            a.agent_id: tuple(system.agents[a.agent_id].doc_ids_for(a.hits))
-            for a in routed.agent_answers
-        }
+        outcome.retrieved_doc_slots = routed.doc_slots(system.agents)
         return outcome
     if item.hop == MULTI:
         result = run_plan(
@@ -340,10 +337,7 @@ def _run_with_rag(item: EvalItem, system: EvalSystem) -> ItemOutcome:
     outcome.final_answer = routed.final_answer
     outcome.selected_agent_ids = routed.selected_agent_ids
     outcome.usage = routed.usage
-    outcome.retrieved_doc_slots = {
-        a.agent_id: tuple(system.agents[a.agent_id].doc_ids_for(a.hits))
-        for a in routed.agent_answers
-    }
+    outcome.retrieved_doc_slots = routed.doc_slots(system.agents)
     return outcome
 
 

@@ -239,19 +239,13 @@ def run_plan(
         meter.total = meter.total + routed.usage
         return routed
 
-    def doc_slots(routed: RoutedAnswer) -> dict[str, tuple[str, ...]]:
-        return {
-            a.agent_id: tuple(agents[a.agent_id].doc_ids_for(a.hits))
-            for a in routed.agent_answers
-        }
-
     if strategy is PlanStrategy.ONE_SHOT:
         routed = route(query, ONE_SHOT_MIN_KEEP)
         state.status = ANSWERABLE
         rounds.append(
             RoundTrace(
                 1, query, routed.final_answer, routed.selected_agent_ids, routed.verdicts,
-                doc_slots(routed),
+                routed.doc_slots(agents),
             )
         )
         return PlanResult(
@@ -275,7 +269,7 @@ def run_plan(
             rounds.append(
                 RoundTrace(
                     ordinal, question, routed.final_answer, routed.selected_agent_ids,
-                    routed.verdicts, doc_slots(routed),
+                    routed.verdicts, routed.doc_slots(agents),
                 )
             )
         state.status = EXHAUSTED
@@ -298,7 +292,7 @@ def run_plan(
                 routed.final_answer,
                 routed.selected_agent_ids,
                 routed.verdicts,
-                doc_slots(routed),
+                routed.doc_slots(agents),
             )
         )
         judgment = judge_and_split(query, state.records, backend, meter)

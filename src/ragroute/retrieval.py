@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Chunk, tokenize
+# save_vectors is unused here; perfbench/spans.py traces it by name on this module.
 from .embedding import load_vectors, read_json, save_vectors
 
 DENSE = "dense"
@@ -57,27 +58,23 @@ class RetrievalHit:
 
 
 class DenseIndex:
-    """Chunk embeddings as one float32 matrix with a parallel chunk_id list."""
+    """Chunk embeddings as one float64 matrix of unit rows (rounded to float32,
+    as stored, before normalising) with a parallel chunk_id list."""
 
     def __init__(self, matrix: np.ndarray, chunk_ids: list[str]):
-        matrix = np.asarray(matrix, dtype=np.float32)
-        if matrix.ndim != 2 or matrix.shape[0] != len(chunk_ids):
+        unit = np.asarray(matrix, dtype=np.float32).astype(np.float64)
+        if unit.ndim != 2 or unit.shape[0] != len(chunk_ids):
             raise ValueError("matrix rows must match chunk_ids")
-        norms = np.linalg.norm(matrix.astype(np.float64), axis=1)
-        if matrix.shape[0] and not np.all(norms > 0.0):
+        norms = np.linalg.norm(unit, axis=1)
+        if not np.all(norms > 0.0):
             raise ValueError("zero vector in dense index")
-        self.matrix = matrix
+        unit /= norms[:, None]
+        self._unit = unit
         self.chunk_ids = list(chunk_ids)
         self.row_of = {cid: i for i, cid in enumerate(self.chunk_ids)}
-        self._unit = (
-            matrix.astype(np.float64) / norms[:, None] if matrix.shape[0] else matrix.astype(np.float64)
-        )
 
     def __len__(self) -> int:
         return len(self.chunk_ids)
-
-    def save(self, base_path: str | Path) -> None:
-        save_vectors(base_path, self.matrix, self.chunk_ids)
 
     @classmethod
     def load(cls, base_path: str | Path) -> "DenseIndex":
@@ -153,10 +150,12 @@ class Bm25Index:
 
     @classmethod
     def load(cls, path: str | Path) -> "Bm25Index":
-        payload = read_json(path)
-        postings = {t: {c: int(tf) for c, tf in post.items()} for t, post in payload["postings"].items()}
-        doc_len = {c: int(n) for c, n in payload["doc_len"].items()}
-        return cls(postings, doc_len)
+        def parse(payload) -> "Bm25Index":
+            postings = {t: {c: int(tf) for c, tf in post.items()} for t, post in payload["postings"].items()}
+            doc_len = {c: int(n) for c, n in payload["doc_len"].items()}
+            return cls(postings, doc_len)
+
+        return read_json(path, parse)
 
 
 def bm25_search(index: Bm25Index, query_tokens: list[str], top_n: int) -> list[RetrievalHit]:
@@ -220,16 +219,14 @@ def rerank(
         raise ValueError("min_keep must be >= 1")
     if not hits:
         return []
-    q = unit_query(query_vec)
-    scored = [
-        (float(index._unit[index.row_of[h.chunk_id]] @ q), h.chunk_id, h.method) for h in hits
-    ]
-    scored.sort(key=lambda t: (-t[0], t[1]))
+    rows = [index.row_of[h.chunk_id] for h in hits]
+    sims = unit_scores(index._unit[rows], unit_query(query_vec)).tolist()
+    scored = sorted(zip(sims, hits), key=lambda t: (-t[0], t[1].chunk_id))
     floor = min(min_keep, len(scored))
     kept = [t for t in scored if t[0] >= keep_threshold]
     if len(kept) < floor:
         kept = scored[:floor]
     return [
-        RetrievalHit(chunk_id=cid, score=sim, rank=r, method=method)
-        for r, (sim, cid, method) in enumerate(kept, 1)
+        RetrievalHit(chunk_id=h.chunk_id, score=sim, rank=r, method=h.method)
+        for r, (sim, h) in enumerate(kept, 1)
     ]

@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .agent import MULTI_HOP, SINGLE_HOP, Agent, AgentAnswer, AgentError
+from .agent import MULTI_HOP, SINGLE_HOP, Agent, AgentAnswer, AgentError, _unknown_reply
 from .boundary import CentroidEntry
 from .embedding import load_vectors, read_json, save_vectors
 from .llm import ParsedAgentReply, TokenUsage, _label_matches, ask_parsed, parse_agent_reply
@@ -93,19 +93,27 @@ class RouterRegistry:
             json.dumps(payload, sort_keys=True, ensure_ascii=False), encoding="utf-8"
         )
 
+    def unregister(self, agent_id: str) -> None:
+        """Drop every entry of ``agent_id``, e.g. when its chunk set empties."""
+        self.entries = [e for e in self.entries if e.agent_id != agent_id]
+        self._index_entries()
+
     @classmethod
     def load(cls, json_path: str | Path, vectors_base: str | Path) -> "RouterRegistry":
-        payload = read_json(json_path)
         matrix, _ = load_vectors(vectors_base)
-        registry = cls()
-        registry.register(
-            CentroidEntry(
-                agent_id=rec["agent_id"],
-                cluster_id=int(rec["cluster_id"]),
-                centroid=matrix[int(rec["row"])],
-            )
-            for rec in payload["entries"]
+        entries = read_json(
+            json_path,
+            lambda payload: [
+                CentroidEntry(
+                    agent_id=rec["agent_id"],
+                    cluster_id=int(rec["cluster_id"]),
+                    centroid=matrix[int(rec["row"])],
+                )
+                for rec in payload["entries"]
+            ],
         )
+        registry = cls()
+        registry.register(entries)
         return registry
 
 
@@ -138,6 +146,12 @@ class RoutedAnswer:
     agent_answers: tuple[AgentAnswer, ...] = ()
     evaluation_text: str = ""
     analysis_text: str = ""
+
+    def doc_slots(self, agents: dict[str, Agent]) -> dict[str, tuple[str, ...]]:
+        """Each answering agent's retrieved doc ids, in hit order."""
+        return {
+            a.agent_id: tuple(agents[a.agent_id].doc_ids_for(a.hits)) for a in self.agent_answers
+        }
 
 
 _BULLET_INDEX_RE = re.compile(r"respon\w*\s+((?:\d+[\s,]*(?:and|&)?[\s,]*)+)", re.I)
@@ -317,9 +331,7 @@ def route_raw_knowledge(
     for agent_id in selected:
         agent = agents[agent_id]
         if len(agent.dense_index) == 0:
-            answers.append(
-                AgentAnswer(agent_id, ParsedAgentReply("", "I don't know.", True), "", (), TokenUsage())
-            )
+            answers.append(AgentAnswer(agent_id, _unknown_reply(), "", (), TokenUsage()))
             continue
         hits = agent.retrieve(question, query_vec)
         kept = rerank(

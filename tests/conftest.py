@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -13,6 +14,20 @@ from ragroute.router import RouterRegistry
 # Every run tries the same examples, and slow examples are not failures.
 settings.register_profile("ragroute", derandomize=True, deadline=None)
 settings.load_profile("ragroute")
+
+
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine similarity in [-1, 1], accumulated at float64; the oracle that
+    dense search, rerank and selection are checked against."""
+    a64 = np.asarray(a, dtype=np.float64)
+    b64 = np.asarray(b, dtype=np.float64)
+    if a64.shape != b64.shape:
+        raise ValueError(f"dimension mismatch: {a64.shape} vs {b64.shape}")
+    na = float(np.linalg.norm(a64))
+    nb = float(np.linalg.norm(b64))
+    if na == 0.0 or nb == 0.0:
+        raise ValueError("undefined similarity: zero vector")
+    return float(np.dot(a64, b64) / (na * nb))
 
 
 def make_agents(
@@ -48,9 +63,8 @@ def make_agents(
         agent = build_agent(config, chunks, embedder, backend)
         agents[agent_id] = agent
         if chunks:
-            profile = build_profile(
-                agent_id, agent.dense_index.chunk_ids, agent.dense_index.matrix
-            )
+            matrix = embedder.embed_batch([c.text for c in chunks])
+            profile = build_profile(agent_id, [c.chunk_id for c in chunks], matrix)
             registry.register(export_centroids(profile))
     return agents, registry
 

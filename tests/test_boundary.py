@@ -21,7 +21,8 @@ from ragroute.boundary import (
     load_profile,
     save_profile,
 )
-from ragroute.embedding import MockEmbedder, cosine_similarity
+from conftest import cosine_similarity
+from ragroute.embedding import MockEmbedder
 
 
 # --- independent oracles -----------------------------------------------------

@@ -85,6 +85,26 @@ class TestLifecycle:
         assert len(registry["entries"]) == profile_a["n"] + profile_b["n"]
         assert '"agents": 2' in out
 
+    def test_register_drops_an_agent_whose_chunks_are_gone(self, tmp_path, capsys):
+        corpus, agents = topic_corpus_and_agents(2)
+        config = write_config(tmp_path, corpus, [], agents)
+        build_lifecycle(config)
+        transcripts.write_jsonl(tmp_path / "corpus.jsonl", corpus[:1])
+        capsys.readouterr()
+        build_lifecycle(config)
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["agents"] == 1
+        registry = json.loads((tmp_path / "index" / "registry.json").read_text())
+        assert {e["agent_id"] for e in registry["entries"]} == {"agent0"}
+        emptied = tmp_path / "index" / "agents" / "agent1"
+        assert sorted(p.name for p in emptied.iterdir()) == [
+            "bm25.json", "chunks.jsonl", "vectors.bin", "vectors.manifest.json"
+        ]
+        assert main(["inspect", "--config", str(config)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert [a for a in summary["agents"] if a["agent_id"] == "agent1"] == [
+            {"agent_id": "agent1", "category": "cat1"}
+        ]
+
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         corpus = [
             {"doc_id": "d1", "category": "ca", "body": "alpha words " * 30},
@@ -394,12 +414,17 @@ class TestIndexFiles:
         corpus, agents = topic_corpus_and_agents()
         config = write_config(tmp_path, corpus, catch_all_script(), agents)
         build_lifecycle(config)
-        (tmp_path / "index" / relpath).write_text("{not json", encoding="utf-8")
-        capsys.readouterr()
-        assert main([command, "--config", str(config), *command_args(tmp_path, command)]) == 2
-        error = json.loads(capsys.readouterr().err)
-        assert error["command"] == command
-        assert f"{Path(relpath).name} is not valid JSON" in error["error"]
+        for content, problem in [
+            ("{not json", "is not valid JSON"),
+            ("{}", "is valid JSON of the wrong shape"),
+            ("[]", "is valid JSON of the wrong shape"),
+        ]:
+            (tmp_path / "index" / relpath).write_text(content, encoding="utf-8")
+            capsys.readouterr()
+            assert main([command, "--config", str(config), *command_args(tmp_path, command)]) == 2
+            error = json.loads(capsys.readouterr().err)
+            assert error["command"] == command
+            assert f"{Path(relpath).name} {problem}" in error["error"]
 
     @pytest.mark.parametrize("command", ["ask", "eval"])
     def test_registry_agent_missing_from_config_exits_2(self, tmp_path, capsys, command):

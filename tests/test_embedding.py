@@ -9,6 +9,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
+from conftest import cosine_similarity
 from ragroute.corpus import tokenize
 from ragroute.embedding import (
     DimensionMismatchError,
@@ -17,9 +18,8 @@ from ragroute.embedding import (
     RemoteEmbedder,
     TransportError,
     VectorFileError,
-    cosine_similarity,
-    embed_batch,
     load_vectors,
+    make_embedder,
     save_vectors,
 )
 
@@ -157,7 +157,7 @@ class TestRemoteEmbedder:
     def test_happy_path(self, embedding_server):
         url, handler = embedding_server
         cfg = EmbeddingProviderConfig("remote_http", "test-model", 8, endpoint=url)
-        out = embed_batch(["x", "y"], cfg)
+        out = make_embedder(cfg).embed_batch(["x", "y"])
         assert out.shape == (2, 8)
         assert handler.seen[0]["model"] == "test-model"
         assert handler.seen[0]["input"] == ["x", "y"]
@@ -178,7 +178,7 @@ class TestRemoteEmbedder:
         handler.dim = 7
         cfg = EmbeddingProviderConfig("remote_http", "test-model", 8, endpoint=url)
         with pytest.raises(DimensionMismatchError):
-            embed_batch(["x"], cfg)
+            make_embedder(cfg).embed_batch(["x"])
         handler.dim = 8
 
     def test_transport_failure_retries_then_succeeds(self, embedding_server):

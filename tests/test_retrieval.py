@@ -2,14 +2,16 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import cosine_similarity
 from ragroute.corpus import Chunk, tokenize
-from ragroute.embedding import cosine_similarity
+from ragroute.embedding import save_vectors
 from ragroute.retrieval import (
     Bm25Index,
     DenseIndex,
@@ -26,17 +28,19 @@ def make_chunk(chunk_id: str, text: str) -> Chunk:
                  token_start=0, token_len=len(tokenize(text)))
 
 
-def random_index(rng: np.random.Generator, n: int, dim: int = 8) -> DenseIndex:
+def random_index(
+    rng: np.random.Generator, n: int, dim: int = 8
+) -> tuple[DenseIndex, np.ndarray]:
+    """A random index and the matrix it was built from."""
     matrix = rng.normal(size=(n, dim)).astype(np.float32)
-    return DenseIndex(matrix, [f"c:{i:05d}" for i in range(n)])
+    return DenseIndex(matrix, [f"c:{i:05d}" for i in range(n)]), matrix
 
 
-def full_scan_oracle(index: DenseIndex, query: np.ndarray, top_n: int) -> list[str]:
-    """Oracle: score every row with the public cosine primitive, stable sort."""
-    scored = [
-        (cosine_similarity(index.matrix[i], query), index.chunk_ids[i])
-        for i in range(len(index))
-    ]
+def full_scan_oracle(
+    matrix: np.ndarray, chunk_ids: list[str], query: np.ndarray, top_n: int
+) -> list[str]:
+    """Oracle: score every input row with the cosine oracle, stable sort."""
+    scored = [(cosine_similarity(row, query), cid) for row, cid in zip(matrix, chunk_ids)]
     scored.sort(key=lambda t: (-t[0], t[1]))
     return [cid for _, cid in scored[:top_n]]
 
@@ -55,7 +59,22 @@ def tied_indexes(draw):
     ids = [f"c:{i:05d}" for i in rng.permutation(len(copies))]
     on_a_copy = draw(st.booleans())
     query = base[draw(st.integers(0, len(base) - 1))] if on_a_copy else rng.normal(size=dim)
-    return DenseIndex(matrix, ids), query, draw(st.integers(1, len(copies) + 2))
+    return matrix, ids, query, draw(st.integers(1, len(copies) + 2))
+
+
+class TestDenseIndex:
+    def test_load_holds_one_float64_matrix(self, tmp_path):
+        rows, dim = 1000, 256
+        matrix = np.random.default_rng(7).normal(size=(rows, dim)).astype(np.float32)
+        save_vectors(tmp_path / "v", matrix, [f"c:{i:05d}" for i in range(rows)])
+        tracemalloc.start()
+        try:
+            index = DenseIndex.load(tmp_path / "v")
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(index) == rows
+        assert held < 1.2 * rows * dim * 8
 
 
 class TestDenseSearch:
@@ -67,8 +86,8 @@ class TestDenseSearch:
 
     def test_query_equal_to_stored_embedding(self):
         rng = np.random.default_rng(3)
-        index = random_index(rng, 10)
-        query = index.matrix[4]
+        index, matrix = random_index(rng, 10)
+        query = matrix[4]
         hits = dense_search(index, query, top_n=1)
         assert hits[0].chunk_id == index.chunk_ids[4]
         assert hits[0].score == pytest.approx(1.0, abs=1e-6)
@@ -76,23 +95,23 @@ class TestDenseSearch:
     def test_matches_full_scan_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
-            index = random_index(rng, 50)
+            index, matrix = random_index(rng, 50)
             query = rng.normal(size=8)
             got = [h.chunk_id for h in dense_search(index, query, top_n=10)]
-            assert got == full_scan_oracle(index, query, 10)
+            assert got == full_scan_oracle(matrix, index.chunk_ids, query, 10)
 
     def test_oracle_equivalence_up_to_thousand_chunks(self):
         rng = np.random.default_rng(23)
-        index = random_index(rng, 1000)
+        index, matrix = random_index(rng, 1000)
         query = rng.normal(size=8)
         got = [h.chunk_id for h in dense_search(index, query, top_n=25)]
-        assert got == full_scan_oracle(index, query, 25)
+        assert got == full_scan_oracle(matrix, index.chunk_ids, query, 25)
 
     @given(tied_indexes())
     def test_ties_on_the_cut_match_oracle(self, case):
-        index, query, top_n = case
-        got = [h.chunk_id for h in dense_search(index, query, top_n)]
-        assert got == full_scan_oracle(index, query, top_n)
+        matrix, ids, query, top_n = case
+        got = [h.chunk_id for h in dense_search(DenseIndex(matrix, ids), query, top_n)]
+        assert got == full_scan_oracle(matrix, ids, query, top_n)
 
     def test_empty_index(self):
         index = DenseIndex(np.zeros((0, 4), np.float32), [])
@@ -100,7 +119,7 @@ class TestDenseSearch:
 
     def test_scores_non_increasing_ranks_gapless(self):
         rng = np.random.default_rng(5)
-        index = random_index(rng, 30)
+        index, _ = random_index(rng, 30)
         hits = dense_search(index, rng.normal(size=8), top_n=30)
         assert [h.rank for h in hits] == list(range(1, 31))
         assert all(a.score >= b.score for a, b in zip(hits, hits[1:]))
@@ -306,3 +325,18 @@ class TestRerank:
     def test_empty_hits(self):
         index, query = self._index_and_query([0.5])
         assert rerank([], query, index, min_keep=3) == []
+
+    @given(
+        st.integers(1, 1024),
+        st.integers(1, 40),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 42),
+    )
+    def test_scores_equal_dense_search_bit_for_bit(self, dim, n, seed, top_n):
+        rng = np.random.default_rng(seed)
+        matrix = rng.normal(size=(n, dim)).astype(np.float32)
+        index = DenseIndex(matrix, [f"c:{i:05d}" for i in rng.permutation(n)])
+        query = rng.normal(size=dim)
+        hits = dense_search(index, query, top_n)
+        kept = rerank(hits, query, index, min_keep=len(hits))
+        assert {h.chunk_id: h.score for h in kept} == {h.chunk_id: h.score for h in hits}

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 import transcripts
 from ragroute.agent import AgentAnswer
 from ragroute.boundary import CentroidEntry
-from ragroute.embedding import cosine_similarity
 from ragroute.llm import ScriptedChatBackend, ScriptEntry, TokenUsage
-from conftest import count_embeds
+from conftest import cosine_similarity, count_embeds
 from ragroute.router import (
     CONJECTURE,
     GOOD_RELIABLE,
