@@ -63,10 +63,6 @@ class AgentAnswer:
     usage: TokenUsage
 
 
-def _unknown_reply() -> ParsedAgentReply:
-    return ParsedAgentReply(analysis="", answer="I don't know.", is_unknown=True)
-
-
 class Agent:
     def __init__(
         self,
@@ -106,7 +102,20 @@ class Agent:
         bm25_hits = bm25_search(self.bm25_index, tokenize(question), depth)
         return mixture_search(dense_hits, bm25_hits, depth)
 
-    def _document_blocks(self, hits: Iterable[RetrievalHit]) -> list[str]:
+    def select_chunks(
+        self, question: str, query_vec: np.ndarray, min_keep: int | None = None
+    ) -> list[RetrievalHit]:
+        """Retrieve, then rerank to at least ``min_keep`` chunks (the agent's
+        own ``min_keep`` when None); an empty index selects nothing."""
+        return rerank(
+            self.retrieve(question, query_vec),
+            query_vec,
+            self.dense_index,
+            min_keep=min_keep or self.config.min_keep,
+            keep_threshold=self.config.rerank_threshold,
+        )
+
+    def document_blocks(self, hits: Iterable[RetrievalHit]) -> list[str]:
         blocks = []
         for hit in hits:
             chunk = self.chunks_by_id[hit.chunk_id]
@@ -131,21 +140,15 @@ class Agent:
         backend. Backend hard failures are re-raised tagged with the agent id.
         """
         if len(self.dense_index) == 0:
-            return AgentAnswer(self.agent_id, _unknown_reply(), "", (), TokenUsage())
+            unknown = ParsedAgentReply(analysis="", answer="I don't know.", is_unknown=True)
+            return AgentAnswer(self.agent_id, unknown, "", (), TokenUsage())
         if query_vec is None:
             query_vec = self.embedder.embed_batch([question])[0]
-        hits = self.retrieve(question, query_vec)
-        kept = rerank(
-            hits,
-            query_vec,
-            self.dense_index,
-            min_keep=min_keep or self.config.min_keep,
-            keep_threshold=self.config.rerank_threshold,
-        )
+        kept = self.select_chunks(question, query_vec, min_keep)
         template = AGENT_ANSWER_MULTI_HOP if mode == MULTI_HOP else AGENT_ANSWER_SINGLE_HOP
         slots = {
             "question": question,
-            "documents": self._document_blocks(kept),
+            "documents": self.document_blocks(kept),
             "history": list(history),
         }
         messages = render_prompt(template, slots)

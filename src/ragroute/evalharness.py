@@ -281,9 +281,8 @@ def _run_raw_model(item: EvalItem, system: EvalSystem) -> ItemOutcome:
 
 
 def _run_with_rag(item: EvalItem, system: EvalSystem) -> ItemOutcome:
-    outcome = ItemOutcome(item=item)
     if system.agent_mode == AGENTS_RAW_KNOWLEDGE:
-        routed = route_raw_knowledge(
+        result = route_raw_knowledge(
             item.question,
             system.registry,
             system.agents,
@@ -291,12 +290,7 @@ def _run_with_rag(item: EvalItem, system: EvalSystem) -> ItemOutcome:
             system.embedder,
             max_agents=system.max_agents,
         )
-        outcome.final_answer = routed.final_answer
-        outcome.selected_agent_ids = routed.selected_agent_ids
-        outcome.usage = routed.usage
-        outcome.retrieved_doc_slots = routed.doc_slots(system.agents)
-        return outcome
-    if item.hop == MULTI:
+    elif item.hop == MULTI:
         result = run_plan(
             item.question,
             system.strategy,
@@ -308,37 +302,26 @@ def _run_with_rag(item: EvalItem, system: EvalSystem) -> ItemOutcome:
             max_agents=system.max_agents,
             parallelism=system.parallelism,
         )
-        outcome.final_answer = result.final_answer
-        outcome.usage = result.usage
-        selected: list[str] = []
-        slots: dict[str, list[str]] = {}
-        for round_trace in result.rounds:
-            for agent_id in round_trace.selected_agent_ids:
-                if agent_id not in selected:
-                    selected.append(agent_id)
-                slots.setdefault(agent_id, []).extend(
-                    round_trace.retrieved_doc_slots.get(agent_id, ())
-                )
-        outcome.selected_agent_ids = tuple(selected)
-        outcome.retrieved_doc_slots = {a: tuple(slots.get(a, ())) for a in selected}
-        return outcome
-    routed = route_and_answer(
-        item.question,
-        system.registry,
-        system.agents,
-        system.backend,
-        system.embedder,
-        max_agents=system.max_agents,
-        parallelism=system.parallelism,
-        selected_override=(
-            system.registry.agent_ids if system.agent_mode == AGENTS_ALL else None
-        ),
+    else:
+        result = route_and_answer(
+            item.question,
+            system.registry,
+            system.agents,
+            system.backend,
+            system.embedder,
+            max_agents=system.max_agents,
+            parallelism=system.parallelism,
+            selected_override=(
+                system.registry.agent_ids if system.agent_mode == AGENTS_ALL else None
+            ),
+        )
+    return ItemOutcome(
+        item=item,
+        final_answer=result.final_answer,
+        selected_agent_ids=result.selected_agent_ids,
+        retrieved_doc_slots=result.doc_slots(system.agents),
+        usage=result.usage,
     )
-    outcome.final_answer = routed.final_answer
-    outcome.selected_agent_ids = routed.selected_agent_ids
-    outcome.usage = routed.usage
-    outcome.retrieved_doc_slots = routed.doc_slots(system.agents)
-    return outcome
 
 
 def run_eval(

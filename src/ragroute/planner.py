@@ -35,7 +35,7 @@ from .prompts import (
     SPLITTER_FIRST_ROUND,
     render_prompt,
 )
-from .router import RouterRegistry, RoutedAnswer, route_and_answer
+from .router import RouterRegistry, route_and_answer
 
 
 class PlanError(RuntimeError):
@@ -48,7 +48,6 @@ class PlanStrategy(str, Enum):
     GREEDY = "greedy"
 
 
-RUNNING = "running"
 ANSWERABLE = "answerable"
 EXHAUSTED = "exhausted"
 
@@ -61,15 +60,6 @@ class QARecord:
     question: str
     answer: str
     round: int
-
-
-@dataclass
-class PlanState:
-    query: str
-    max_rounds: int
-    records: list[QARecord] = field(default_factory=list)
-    round: int = 0
-    status: str = RUNNING
 
 
 @dataclass(frozen=True)
@@ -96,6 +86,19 @@ class PlanResult:
     usage: TokenUsage
     status: str
     rounds: tuple[RoundTrace, ...] = ()
+
+    @property
+    def selected_agent_ids(self) -> tuple[str, ...]:
+        """Agents in order of first selection across rounds."""
+        return tuple(dict.fromkeys(a for r in self.rounds for a in r.selected_agent_ids))
+
+    def doc_slots(self, agents: dict[str, Agent]) -> dict[str, tuple[str, ...]]:
+        """Each selected agent's retrieved doc ids, concatenated in round
+        order; ``agents`` is unused and kept to match ``RoutedAnswer``."""
+        return {
+            agent_id: tuple(d for r in self.rounds for d in r.retrieved_doc_slots.get(agent_id, ()))
+            for agent_id in self.selected_agent_ids
+        }
 
 
 class UsageMeter:
@@ -220,10 +223,12 @@ def run_plan(
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     meter = UsageMeter()
-    state = PlanState(query=query, max_rounds=max_rounds)
+    records: list[QARecord] = []
     rounds: list[RoundTrace] = []
 
-    def route(question: str, min_keep: int) -> RoutedAnswer:
+    def route(question: str, min_keep: int) -> str:
+        """Route one round, charge it to the meter, record it, and return
+        its curated answer."""
         routed = route_and_answer(
             question,
             registry,
@@ -232,79 +237,43 @@ def run_plan(
             embedder,
             max_agents=max_agents,
             mode=MULTI_HOP,
-            history=state.records,
+            history=records,
             min_keep=min_keep,
             parallelism=parallelism,
         )
         meter.total = meter.total + routed.usage
-        return routed
+        number = len(rounds) + 1
+        records.append(QARecord(question, routed.final_answer, number))
+        rounds.append(
+            RoundTrace(
+                number, question, routed.final_answer, routed.selected_agent_ids,
+                routed.verdicts, routed.doc_slots(agents),
+            )
+        )
+        return routed.final_answer
 
     if strategy is PlanStrategy.ONE_SHOT:
-        routed = route(query, ONE_SHOT_MIN_KEEP)
-        state.status = ANSWERABLE
-        rounds.append(
-            RoundTrace(
-                1, query, routed.final_answer, routed.selected_agent_ids, routed.verdicts,
-                routed.doc_slots(agents),
-            )
-        )
-        return PlanResult(
-            final_answer=routed.final_answer,
-            records=(),
-            usage=meter.total,
-            status=state.status,
-            rounds=tuple(rounds),
-        )
+        final = route(query, ONE_SHOT_MIN_KEEP)
+        return PlanResult(final, (), meter.total, ANSWERABLE, tuple(rounds))
 
-    if strategy is PlanStrategy.PRESPLIT:
-        subquestions = split_first_round(query, backend, meter)
-        for ordinal, sub in enumerate(subquestions, 1):
-            question = sub
-            if state.records:
-                polished = polish_query(sub, state.records, backend, meter)
-                if polished is not None:
-                    question = polished
-            routed = route(question, ITERATIVE_MIN_KEEP)
-            state.records.append(QARecord(question, routed.final_answer, ordinal))
-            rounds.append(
-                RoundTrace(
-                    ordinal, question, routed.final_answer, routed.selected_agent_ids,
-                    routed.verdicts, routed.doc_slots(agents),
-                )
-            )
-        state.status = EXHAUSTED
-        final = defend(query, state.records, backend, meter)
-        return PlanResult(final, tuple(state.records), meter.total, state.status, tuple(rounds))
-
-    # greedy round loop
     candidates = split_first_round(query, backend, meter)
-    asked: list[str] = []
-    while state.round < state.max_rounds:
-        state.round += 1
-        selected = select_subquestion(candidates, asked, state.records, backend, meter)
-        routed = route(selected.text, ITERATIVE_MIN_KEEP)
-        state.records.append(QARecord(selected.text, routed.final_answer, state.round))
-        asked.append(selected.text)
-        rounds.append(
-            RoundTrace(
-                state.round,
-                selected.text,
-                routed.final_answer,
-                routed.selected_agent_ids,
-                routed.verdicts,
-                routed.doc_slots(agents),
-            )
-        )
-        judgment = judge_and_split(query, state.records, backend, meter)
-        if judgment.answerable:
-            state.status = ANSWERABLE
-            break
-        candidates = extract_numbered_questions(judgment.response)
-        if not candidates:
-            # Judge said "not answerable" but raised nothing new to ask.
-            state.status = EXHAUSTED
-            break
-    if state.status == RUNNING:
-        state.status = EXHAUSTED
-    final = defend(query, state.records, backend, meter)
-    return PlanResult(final, tuple(state.records), meter.total, state.status, tuple(rounds))
+    status = EXHAUSTED
+    if strategy is PlanStrategy.PRESPLIT:
+        for sub in candidates:
+            polished = polish_query(sub, records, backend, meter) if records else None
+            route(polished or sub, ITERATIVE_MIN_KEEP)
+    else:  # greedy round loop
+        while len(rounds) < max_rounds:
+            asked = [r.question for r in records]
+            selected = select_subquestion(candidates, asked, records, backend, meter)
+            route(selected.text, ITERATIVE_MIN_KEEP)
+            judgment = judge_and_split(query, records, backend, meter)
+            if judgment.answerable:
+                status = ANSWERABLE
+                break
+            candidates = extract_numbered_questions(judgment.response)
+            if not candidates:
+                # Judge said "not answerable" but raised nothing new to ask.
+                break
+    final = defend(query, records, backend, meter)
+    return PlanResult(final, tuple(records), meter.total, status, tuple(rounds))

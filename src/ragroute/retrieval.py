@@ -28,6 +28,8 @@ BM25_B = 0.75
 RRF_K = 60
 
 _EPS = float(np.finfo(np.float64).eps)
+# Elements per block of rows when a dense index takes its row norms.
+_NORM_BLOCK = 1 << 15
 
 
 def unit_scores(unit_rows: np.ndarray, unit_q: np.ndarray) -> np.ndarray:
@@ -65,10 +67,15 @@ class DenseIndex:
         unit = np.asarray(matrix, dtype=np.float32).astype(np.float64)
         if unit.ndim != 2 or unit.shape[0] != len(chunk_ids):
             raise ValueError("matrix rows must match chunk_ids")
-        norms = np.linalg.norm(unit, axis=1)
-        if not np.all(norms > 0.0):
-            raise ValueError("zero vector in dense index")
-        unit /= norms[:, None]
+        # np.linalg.norm(unit, axis=1) in row blocks: the same sums, without a
+        # squared temporary as large as the index.
+        step = max(1, _NORM_BLOCK // max(unit.shape[1], 1))
+        for start in range(0, len(unit), step):
+            block = unit[start : start + step]
+            norms = np.sqrt(np.add.reduce(block * block, axis=1))
+            if not np.all(norms > 0.0):
+                raise ValueError("zero vector in dense index")
+            block /= norms[:, None]
         self._unit = unit
         self.chunk_ids = list(chunk_ids)
         self.row_of = {cid: i for i, cid in enumerate(self.chunk_ids)}

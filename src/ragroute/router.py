@@ -10,23 +10,23 @@ from __future__ import annotations
 import json
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .agent import MULTI_HOP, SINGLE_HOP, Agent, AgentAnswer, AgentError, _unknown_reply
+from .agent import MULTI_HOP, SINGLE_HOP, Agent, AgentAnswer, AgentError
 from .boundary import CentroidEntry
 from .embedding import load_vectors, read_json, save_vectors
 from .llm import ParsedAgentReply, TokenUsage, _label_matches, ask_parsed, parse_agent_reply
 from .prompts import (
-    AGENT_ANSWER_MULTI_HOP,
     AGENT_ANSWER_SINGLE_HOP,
     ROUTER_FINALIZE_MULTI_HOP,
     ROUTER_FINALIZE_SINGLE_HOP,
     render_prompt,
 )
+# rerank is unused here; perfbench/spans.py traces it by name on this module.
 from .retrieval import rerank, unit_query, unit_scores
 
 GOOD_RELIABLE = "good_reliable"
@@ -101,17 +101,24 @@ class RouterRegistry:
     @classmethod
     def load(cls, json_path: str | Path, vectors_base: str | Path) -> "RouterRegistry":
         matrix, _ = load_vectors(vectors_base)
-        entries = read_json(
-            json_path,
-            lambda payload: [
+
+        def parse(payload) -> list[CentroidEntry]:
+            rows = [rec["row"] for rec in payload["entries"]]
+            for row in rows:
+                if type(row) is not int or not 0 <= row < len(matrix):
+                    raise ValueError(f"row {row!r} is not an integer in [0, {len(matrix)})")
+            if len(set(rows)) < len(rows):
+                raise ValueError("two entries share one centroid row")
+            return [
                 CentroidEntry(
                     agent_id=rec["agent_id"],
                     cluster_id=int(rec["cluster_id"]),
-                    centroid=matrix[int(rec["row"])],
+                    centroid=matrix[row],
                 )
-                for rec in payload["entries"]
-            ],
-        )
+                for rec, row in zip(payload["entries"], rows)
+            ]
+
+        entries = read_json(json_path, parse)
         registry = cls()
         registry.register(entries)
         return registry
@@ -294,20 +301,11 @@ def route_and_answer(
     if not answers:
         raise RouterError(f"all selected agents failed: {failed}")
     routed = evaluate_and_curate(question, answers, backend, mode=mode, history=history)
-    verdicts = dict(routed.verdicts)
-    for agent_id in failed:
-        verdicts[agent_id] = UNHELPFUL
-    usage = routed.usage
-    for a in answers:
-        usage = usage + a.usage
-    return RoutedAnswer(
-        final_answer=routed.final_answer,
+    return replace(
+        routed,
         selected_agent_ids=tuple(selected),
-        verdicts=verdicts,
-        usage=usage,
-        agent_answers=routed.agent_answers,
-        evaluation_text=routed.evaluation_text,
-        analysis_text=routed.analysis_text,
+        verdicts={**routed.verdicts, **dict.fromkeys(failed, UNHELPFUL)},
+        usage=sum((a.usage for a in answers), routed.usage),
     )
 
 
@@ -318,38 +316,26 @@ def route_raw_knowledge(
     backend,
     embedder,
     max_agents: int = 5,
-    mode: str = SINGLE_HOP,
-    min_keep: int | None = None,
 ) -> RoutedAnswer:
-    """Baseline variant: selected agents only retrieve; their chunks are
-    forwarded to one generation call instead of per-agent answers. The
-    question is embedded once, for selection, retrieval and rerank."""
+    """Baseline variant: selected agents only select chunks; those are
+    forwarded to one single-hop generation call instead of per-agent answers.
+    The question is embedded once, for selection, retrieval and rerank."""
     query_vec = embedder.embed_batch([question])[0]
     selected = select_agents(registry, query_vec, max_agents)
     blocks: list[str] = []
     answers: list[AgentAnswer] = []
     for agent_id in selected:
         agent = agents[agent_id]
-        if len(agent.dense_index) == 0:
-            answers.append(AgentAnswer(agent_id, _unknown_reply(), "", (), TokenUsage()))
-            continue
-        hits = agent.retrieve(question, query_vec)
-        kept = rerank(
-            hits,
-            query_vec,
-            agent.dense_index,
-            min_keep=min_keep or agent.config.min_keep,
-            keep_threshold=agent.config.rerank_threshold,
-        )
-        blocks.extend(agent._document_blocks(kept))
+        kept = agent.select_chunks(question, query_vec)
+        blocks.extend(agent.document_blocks(kept))
         answers.append(AgentAnswer(agent_id, ParsedAgentReply("", "", False), "", tuple(kept), TokenUsage()))
-    template = AGENT_ANSWER_MULTI_HOP if mode == MULTI_HOP else AGENT_ANSWER_SINGLE_HOP
     text, usage = backend.chat(
-        render_prompt(template, {"question": question, "documents": blocks, "history": []})
+        render_prompt(
+            AGENT_ANSWER_SINGLE_HOP, {"question": question, "documents": blocks, "history": []}
+        )
     )
-    reply = parse_agent_reply(text)
     return RoutedAnswer(
-        final_answer=reply.answer,
+        final_answer=parse_agent_reply(text).answer,
         selected_agent_ids=tuple(selected),
         verdicts={},
         usage=usage,

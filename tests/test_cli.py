@@ -414,11 +414,19 @@ class TestIndexFiles:
         corpus, agents = topic_corpus_and_agents()
         config = write_config(tmp_path, corpus, catch_all_script(), agents)
         build_lifecycle(config)
-        for content, problem in [
+        cases = [
             ("{not json", "is not valid JSON"),
             ("{}", "is valid JSON of the wrong shape"),
             ("[]", "is valid JSON of the wrong shape"),
-        ]:
+        ]
+        if relpath == "registry.json":
+            # a row outside the centroid matrix, two entries on one row, and a
+            # row that is not an integer
+            registry = json.loads((tmp_path / "index" / relpath).read_text(encoding="utf-8"))
+            for row in (-1, registry["entries"][1]["row"], 0.5):
+                registry["entries"][0]["row"] = row
+                cases.append((json.dumps(registry), "is valid JSON of the wrong shape"))
+        for content, problem in cases:
             (tmp_path / "index" / relpath).write_text(content, encoding="utf-8")
             capsys.readouterr()
             assert main([command, "--config", str(config), *command_args(tmp_path, command)]) == 2

@@ -6,6 +6,7 @@ import transcripts
 from ragroute.evalharness import (
     AGENTS_ALL,
     AGENTS_RAW_KNOWLEDGE,
+    MULTI,
     EvalItem,
     EvalSystem,
     ItemOutcome,
@@ -249,6 +250,43 @@ class TestRunEval:
         assert len(backend.calls) == 2
         assert report.outcomes["with_rag"][0].final_answer == "From raw chunks."
         assert report.outcomes["with_rag"][0].selected_agent_ids
+
+    def test_greedy_multi_hop_merges_rounds(self, mock_embedder):
+        from conftest import make_agents
+
+        unknown = "Analysis: none.\nAnswer: I don't know."
+        backend = ScriptedChatBackend(
+            [
+                ScriptEntry("break the question into", "1. gamma gamma alpha?"),
+                ScriptEntry("assess whether Question 2", "Meets both requirements: yes"),
+                ScriptEntry("justify if the query", "Answerable: no\nResponse: 1. beta beta?"),
+                ScriptEntry("justify if the query", "Answerable: yes\nResponse: All."),
+                ScriptEntry("If you need more information", "Analysis: joined.\nAnswer: All."),
+                ScriptEntry("collection of knowledge", unknown, repeat=True),
+                ScriptEntry("set of respoonses", "Evaluation: \n- Response 1 is unreliable.\n"
+                            + unknown, repeat=True),
+            ]
+        )
+        corpus = [
+            {"doc_id": "a-alpha", "category": "ca", "body": "alpha alpha alpha words"},
+            {"doc_id": "a-beta", "category": "ca", "body": "beta beta beta words"},
+            {"doc_id": "b-gamma", "category": "cb", "body": "gamma gamma gamma words"},
+        ]
+        agents, registry = make_agents(corpus, ["a", "b"], ["ca", "cb"], backend, mock_embedder)
+        system = EvalSystem(
+            registry=registry, agents=agents, backend=backend, embedder=mock_embedder, max_agents=2
+        )
+        item = EvalItem("alpha, beta and gamma?", ("All",), hop=MULTI)
+        outcome = run_eval([item], system).outcomes["with_rag"][0]
+        assert outcome.error is None
+        assert outcome.final_answer == "All."
+        # round 1 selects (b, a) and round 2 (a, b): agents in first-seen order
+        assert outcome.selected_agent_ids == ("b", "a")
+        # each agent's doc slots are its rounds' hits, concatenated in round order
+        assert outcome.retrieved_doc_slots == {
+            "b": ("b-gamma", "b-gamma"),
+            "a": ("a-alpha", "a-beta", "a-beta", "a-alpha"),
+        }
 
     def test_errors_recorded_run_continues(self, mock_embedder):
         # unscripted backend: every item hard-fails but the report still lands

@@ -70,11 +70,17 @@ class TestDenseIndex:
         tracemalloc.start()
         try:
             index = DenseIndex.load(tmp_path / "v")
-            held, _ = tracemalloc.get_traced_memory()
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(index) == rows
         assert held < 1.2 * rows * dim * 8
+        # Building allocates no temporary near the size of the index on top
+        # of the float32 rows read from disk and the float64 unit matrix.
+        assert peak - rows * dim * 4 < 1.5 * rows * dim * 8
+        # ... and normalises to the same bits as one np.linalg.norm over all rows
+        exact = matrix.astype(np.float64)
+        assert np.array_equal(index._unit, exact / np.linalg.norm(exact, axis=1)[:, None])
 
 
 class TestDenseSearch:
