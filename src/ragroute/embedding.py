@@ -3,7 +3,7 @@
 Two providers sit behind one contract: a deterministic offline mock (bag of
 hashed token directions, L2-normalized) and a remote HTTP provider speaking
 the common embeddings wire shape ``{model, input: [...]}`` ->
-``{data: [{embedding: [...]}]}``.
+``{data: [{index, embedding: [...]}]}`` (``index`` optional).
 
 Vectors are stored as little-endian float32 rows.
 """
@@ -11,21 +11,33 @@ Vectors are stored as little-endian float32 rows.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import os
 import threading
 import time
+from collections import defaultdict
 from dataclasses import dataclass
+from datetime import datetime, timezone
+from email.utils import parsedate_to_datetime
 from pathlib import Path
 from typing import Callable
+from urllib.parse import urlsplit
 
 import numpy as np
-import requests
+from requests import HTTPError
 
 from .corpus import tokenize
 
 EMBED_MAX_IN_FLIGHT = 4
+EMBED_BATCH_SIZE = 256
 EMBED_TIMEOUT_S = 60.0
+HTTP_MAX_IDLE_PER_ENDPOINT = 4
+
+# Idle keep-alive connections by (scheme, host, port). One pool for every
+# thread, not one per thread: the router starts a new thread pool each round.
+_idle: defaultdict[tuple[str, str, int], list[http.client.HTTPConnection]] = defaultdict(list)
+_idle_lock = threading.Lock()
 
 
 class TransportError(RuntimeError):
@@ -62,6 +74,80 @@ def read_json(path: str | Path, parse: Callable):
         raise IndexFileError(f"{path} is valid JSON of the wrong shape: {exc!r}") from exc
 
 
+def endpoint_address(endpoint: str) -> tuple[tuple[str, str, int], str]:
+    """Split an http(s) URL into ``((scheme, host, port), request target)``.
+
+    Raises ValueError for another scheme, a missing host or a bad port.
+    """
+    url = urlsplit(endpoint)
+    if url.scheme not in ("http", "https") or not url.hostname:
+        raise ValueError(f"endpoint must be an http:// or https:// URL: {endpoint!r}")
+    port = url.port or (443 if url.scheme == "https" else 80)
+    target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+    return (url.scheme, url.hostname, port), target
+
+
+def _exchange(
+    address: tuple[str, str, int], target: str, data: bytes, headers: dict, timeout: float
+) -> tuple[http.client.HTTPResponse, bytes]:
+    """Send one POST on an idle pooled connection, or a new one, and read the
+    whole reply. A reused connection that the server has since closed is
+    reopened once. The connection goes back to the pool only when the reply
+    leaves it open."""
+    with _idle_lock:
+        idle = _idle[address]
+        reused = bool(idle)
+        conn = idle.pop() if reused else None
+    if conn is None:
+        scheme, host, port = address
+        cls = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
+        conn = cls(host, port)
+    conn.timeout = timeout
+    if conn.sock is not None:
+        conn.sock.settimeout(timeout)
+    try:
+        try:
+            conn.request("POST", target, body=data, headers=headers)
+            resp = conn.getresponse()
+        except (BrokenPipeError, ConnectionResetError):  # RemoteDisconnected too
+            if not reused:
+                raise
+            conn.close()  # the next request opens a fresh socket
+            conn.request("POST", target, body=data, headers=headers)
+            resp = conn.getresponse()
+        raw = resp.read()
+    except BaseException:
+        conn.close()
+        raise
+    with _idle_lock:
+        idle = _idle[address]
+        pooled = not resp.will_close and len(idle) < HTTP_MAX_IDLE_PER_ENDPOINT
+        if pooled:
+            idle.append(conn)
+    if not pooled:
+        conn.close()
+    return resp, raw
+
+
+def _retry_after(value: str | None, cap: float) -> float | None:
+    """Seconds a ``Retry-After`` header asks to wait, at most ``cap``; None
+    when it is absent or neither delta-seconds nor an HTTP-date."""
+    if value is None:
+        return None
+    value = value.strip()
+    if value.isdigit():
+        seconds = float(value)
+    else:
+        try:
+            when = parsedate_to_datetime(value)
+        except (TypeError, ValueError):
+            return None
+        if when.tzinfo is None:
+            when = when.replace(tzinfo=timezone.utc)
+        seconds = (when - datetime.now(timezone.utc)).total_seconds()
+    return min(max(seconds, 0.0), cap)
+
+
 def post_json(
     endpoint: str,
     body: dict,
@@ -74,32 +160,44 @@ def post_json(
     """POST ``body`` as JSON and return the decoded reply.
 
     Sends ``Authorization: Bearer <key>`` when ``api_key_env`` names a set
-    environment variable. Server errors (5xx), connection errors and timeouts
-    are retried up to ``max_retries`` times; before retry ``n`` it calls
-    ``on_retry`` and sleeps ``backoff * n`` seconds. Other HTTP errors raise
-    at once; exhausted retries raise TransportError, and a reply that is not
-    JSON raises MalformedReplyError.
+    environment variable. Connections are kept alive and reused, at most
+    ``HTTP_MAX_IDLE_PER_ENDPOINT`` idle ones per host and port. Server errors
+    (5xx), 429, connection errors and timeouts are retried up to
+    ``max_retries`` times; before retry ``n`` it calls ``on_retry`` and sleeps
+    ``backoff * n`` seconds, or what the reply's ``Retry-After`` asks, at most
+    ``timeout``. Any other status outside 2xx, or a key holding a line break,
+    raises ``requests.HTTPError`` at once; exhausted retries raise
+    TransportError, and a reply that is not JSON raises MalformedReplyError.
     """
+    address, target = endpoint_address(endpoint)
+    data = json.dumps(body, allow_nan=False).encode("utf-8")
     headers = {"Content-Type": "application/json"}
     key = os.environ.get(api_key_env, "") if api_key_env else ""
+    if "\r" in key or "\n" in key:
+        raise HTTPError(f"${api_key_env} holds a line break; it cannot be sent as a header")
     if key:
         headers["Authorization"] = f"Bearer {key}"
     last_exc: Exception | None = None
+    delay = 0.0
     for attempt in range(max_retries + 1):
         if attempt:
             on_retry()
-            time.sleep(backoff * attempt)
+            time.sleep(delay)
+        delay = backoff * (attempt + 1)
         try:
-            resp = requests.post(endpoint, json=body, headers=headers, timeout=timeout)
-            if resp.status_code >= 500:
-                last_exc = TransportError(f"server error {resp.status_code}")
-                continue
-            resp.raise_for_status()
-        except (requests.ConnectionError, requests.Timeout) as exc:
-            last_exc = TransportError(str(exc))
+            resp, raw = _exchange(address, target, data, headers, timeout)
+        except (OSError, http.client.HTTPException) as exc:
+            last_exc = TransportError(f"{type(exc).__name__}: {exc}")
             continue
+        if resp.status >= 500 or resp.status == 429:
+            last_exc = TransportError(f"HTTP {resp.status} {resp.reason}")
+            wait = _retry_after(resp.getheader("Retry-After"), timeout)
+            delay = delay if wait is None else wait
+            continue
+        if not 200 <= resp.status < 300:
+            raise HTTPError(f"{resp.status} {resp.reason} for url: {endpoint}")
         try:
-            return resp.json()
+            return json.loads(raw)
         except ValueError as exc:
             raise MalformedReplyError(f"reply from {endpoint} is not JSON: {exc}") from exc
     raise TransportError(f"request to {endpoint} failed after {max_retries} retries: {last_exc}")
@@ -120,8 +218,10 @@ class EmbeddingProviderConfig:
     def __post_init__(self) -> None:
         if self.dim <= 0:
             raise ValueError("dim must be positive")
-        if self.provider == "remote_http" and not self.endpoint:
-            raise ValueError("remote_http provider requires an endpoint")
+        if self.provider == "remote_http":
+            if not self.endpoint:
+                raise ValueError("remote_http provider requires an endpoint")
+            endpoint_address(self.endpoint)
         if self.provider not in ("remote_http", "deterministic_mock"):
             raise ValueError(f"unknown provider {self.provider!r}")
 
@@ -173,8 +273,22 @@ class RemoteEmbedder:
         self._slots = threading.Semaphore(EMBED_MAX_IN_FLIGHT)
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
+        """Embed ``texts`` in order, posting at most ``EMBED_BATCH_SIZE`` per
+        request."""
         if not texts:
             raise ValueError("texts must be non-empty")
+        rows = []
+        for start in range(0, len(texts), EMBED_BATCH_SIZE):
+            rows.extend(self._post_batch(texts[start : start + EMBED_BATCH_SIZE]))
+        matrix = np.asarray(rows, dtype=np.float32)
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError("endpoint returned non-finite embedding values")
+        return matrix
+
+    def _post_batch(self, texts: list[str]) -> list:
+        """One embeddings request, its rows checked for dimension before the
+        next request is sent; rows are placed by the items' ``index`` when the
+        reply carries it, else taken in reply order."""
         body = {"model": self.cfg.model_name, "input": list(texts)}
         with self._slots:
             payload = post_json(
@@ -186,7 +300,8 @@ class RemoteEmbedder:
                 backoff=self.retry_backoff,
             )
         try:
-            rows = [item["embedding"] for item in payload["data"]]
+            items = payload["data"]
+            rows = [item["embedding"] for item in items]
         except (KeyError, TypeError) as exc:
             raise MalformedReplyError(
                 f"embeddings reply lacks data[].embedding: {exc!r}"
@@ -200,10 +315,17 @@ class RemoteEmbedder:
                 raise DimensionMismatchError(
                     f"endpoint returned dim {len(vec)}, config says {self.dim}"
                 )
-        matrix = np.asarray(rows, dtype=np.float32)
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("endpoint returned non-finite embedding values")
-        return matrix
+        if not any("index" in item for item in items):
+            return rows
+        order = [item.get("index") for item in items]
+        if not all(type(i) is int for i in order) or sorted(order) != list(range(len(rows))):
+            raise MalformedReplyError(
+                f"embeddings reply indexes are not a permutation of 0..{len(rows) - 1}"
+            )
+        placed = [None] * len(rows)
+        for i, row in zip(order, rows):
+            placed[i] = row
+        return placed
 
 
 def make_embedder(cfg: EmbeddingProviderConfig):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 import threading
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from pathlib import Path
 from typing import Callable, TypeVar
 
 from .corpus import tokenize
-from .embedding import MalformedReplyError, post_json
+from .embedding import MalformedReplyError, endpoint_address, post_json
 
 CHAT_TIMEOUT_S = 120.0
 
@@ -76,8 +77,12 @@ class ChatBackendConfig:
     script_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.backend == "remote_http" and not self.endpoint:
-            raise ValueError("remote_http backend requires an endpoint")
+        if self.backend == "remote_http":
+            if not self.endpoint:
+                raise ValueError("remote_http backend requires an endpoint")
+            endpoint_address(self.endpoint)
+            if not math.isfinite(self.temperature):
+                raise ValueError("temperature must be finite: it is sent as JSON")
         if self.backend == "scripted_mock" and not self.script_path:
             raise ValueError("scripted_mock backend requires a script source")
         if self.backend not in ("remote_http", "scripted_mock"):

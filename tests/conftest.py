@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import sys
+import threading
+from http.server import HTTPServer, ThreadingHTTPServer
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 import transcripts
+from ragroute import embedding
 from ragroute.agent import Agent, AgentConfig, build_agent
 from ragroute.boundary import build_profile, export_centroids
 from ragroute.corpus import ChunkingConfig, Document, chunk_document
@@ -88,6 +93,49 @@ def count_embeds(agents: dict[str, Agent]) -> CountingEmbedder:
     for agent in agents.values():
         agent.embedder = counter
     return counter
+
+
+class CountingHTTPServer(HTTPServer):
+    """Single-threaded loopback server that counts the connections it accepts."""
+
+    connections = 0
+
+    def get_request(self):
+        request = super().get_request()
+        self.connections += 1
+        return request
+
+    def handle_error(self, request, client_address):
+        # A client that stopped waiting (as timeout tests do) is not a server fault.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+
+class CountingThreadingHTTPServer(ThreadingHTTPServer, CountingHTTPServer):
+    """Counting server with one thread per connection, so HTTP/1.1 handlers
+    can keep connections alive."""
+
+
+@pytest.fixture
+def serve():
+    """Start loopback HTTP servers: ``serve(handler, threaded=False)`` returns
+    ``(server, "http://127.0.0.1:<port>")``. After the test, each server is
+    stopped and the client's idle pooled connections to it are closed."""
+    servers = []
+
+    def start(handler, threaded: bool = False):
+        cls = CountingThreadingHTTPServer if threaded else CountingHTTPServer
+        server = cls(("127.0.0.1", 0), handler)
+        threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+        servers.append(server)
+        return server, f"http://127.0.0.1:{server.server_port}"
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+        for conn in embedding._idle.pop(("http", "127.0.0.1", server.server_port), []):
+            conn.close()
 
 
 @pytest.fixture

@@ -2,9 +2,8 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from collections import Counter
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from ragroute.corpus import tokenize
 from ragroute.embedding import (
     DimensionMismatchError,
     EmbeddingProviderConfig,
+    MalformedReplyError,
     MockEmbedder,
     RemoteEmbedder,
     TransportError,
@@ -118,6 +118,7 @@ class _EmbeddingHandler(BaseHTTPRequestHandler):
     dim = 8
     seen: list[dict] = []
     auth: list[str | None] = []
+    reorder = None  # maps the reply's data items to what is sent, when set
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
@@ -128,8 +129,14 @@ class _EmbeddingHandler(BaseHTTPRequestHandler):
             self.send_response(500)
             self.end_headers()
             return
-        payload = {"data": [{"embedding": [0.1] * type(self).dim} for _ in body["input"]]}
-        raw = json.dumps(payload).encode()
+        # A text of digits embeds as that number on every axis, so row order shows.
+        items = [
+            {"embedding": [float(text) if text.isdigit() else 0.1] * type(self).dim}
+            for text in body["input"]
+        ]
+        if type(self).reorder:
+            items = type(self).reorder(items)
+        raw = json.dumps({"data": items}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(raw)))
@@ -141,16 +148,10 @@ class _EmbeddingHandler(BaseHTTPRequestHandler):
 
 
 @pytest.fixture
-def embedding_server():
-    handler = _EmbeddingHandler
-    handler.fail_times = 0
-    handler.seen = []
-    handler.auth = []
-    server = HTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/v1/embeddings", handler
-    server.shutdown()
+def embedding_server(serve):
+    handler = type("EmbeddingHandler", (_EmbeddingHandler,), {"seen": [], "auth": []})
+    _, url = serve(handler)
+    return f"{url}/v1/embeddings", handler
 
 
 class TestRemoteEmbedder:
@@ -172,6 +173,16 @@ class TestRemoteEmbedder:
         monkeypatch.delenv("TEST_EMBED_KEY")
         RemoteEmbedder(cfg).embed_batch(["x"])
         assert handler.auth == ["Bearer sekrit", None]
+
+    def test_key_with_line_break_is_refused_before_sending(self, embedding_server, monkeypatch):
+        url, handler = embedding_server
+        monkeypatch.setenv("TEST_EMBED_KEY", "sek\nrit")
+        cfg = EmbeddingProviderConfig(
+            "remote_http", "m", 8, endpoint=url, api_key_env="TEST_EMBED_KEY"
+        )
+        with pytest.raises(OSError, match="TEST_EMBED_KEY"):
+            RemoteEmbedder(cfg).embed_batch(["x"])
+        assert handler.seen == []
 
     def test_dimension_mismatch_is_hard_error(self, embedding_server):
         url, handler = embedding_server
@@ -199,6 +210,40 @@ class TestRemoteEmbedder:
     def test_remote_requires_endpoint(self):
         with pytest.raises(ValueError):
             EmbeddingProviderConfig("remote_http", "m", 8)
+
+    @pytest.mark.parametrize("endpoint", ["ftp://host/v1", "localhost:8080/v1", "http:///v1"])
+    def test_remote_endpoint_must_be_http_url(self, endpoint):
+        with pytest.raises(ValueError, match="http"):
+            EmbeddingProviderConfig("remote_http", "m", 8, endpoint=endpoint)
+
+    def test_large_input_is_posted_in_batches_and_kept_in_order(self, embedding_server):
+        url, handler = embedding_server
+        texts = [str(i) for i in range(600)]
+        cfg = EmbeddingProviderConfig("remote_http", "m", 8, endpoint=url)
+        out = RemoteEmbedder(cfg).embed_batch(texts)
+        assert [len(body["input"]) for body in handler.seen] == [256, 256, 88]
+        assert [t for body in handler.seen for t in body["input"]] == texts
+        assert np.array_equal(out[:, 0], np.arange(600, dtype=np.float32))
+
+    def test_rows_are_placed_by_reply_index(self, embedding_server):
+        url, handler = embedding_server
+        handler.reorder = lambda items: [dict(it, index=i) for i, it in enumerate(items)][::-1]
+        cfg = EmbeddingProviderConfig("remote_http", "m", 8, endpoint=url)
+        out = RemoteEmbedder(cfg).embed_batch(["0", "1", "2"])
+        assert out[:, 0].tolist() == [0.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "indexes", [[0, 0, 1], [1, 2, 3], [0, 1, None], [0, 1, True], [0, 1, "2"]],
+        ids=["duplicate", "out-of-range", "missing", "bool", "string"],
+    )
+    def test_reply_indexes_must_be_a_permutation(self, embedding_server, indexes):
+        url, handler = embedding_server
+        handler.reorder = lambda items: [
+            dict(it, index=i) if i is not None else it for it, i in zip(items, indexes)
+        ]
+        cfg = EmbeddingProviderConfig("remote_http", "m", 8, endpoint=url)
+        with pytest.raises(MalformedReplyError, match="permutation"):
+            RemoteEmbedder(cfg).embed_batch(["0", "1", "2"])
 
 
 class TestVectorFile:

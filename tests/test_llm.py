@@ -1,21 +1,32 @@
 from __future__ import annotations
 
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import re
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+from datetime import datetime, timedelta, timezone
+from email.utils import format_datetime
+from http.server import BaseHTTPRequestHandler
 
 import pytest
+import requests
 
 import transcripts
+from conftest import make_agents
+from ragroute import embedding
 from ragroute.cli import main
 from ragroute.corpus import tokenize
 from ragroute.embedding import (
+    HTTP_MAX_IDLE_PER_ENDPOINT,
     EmbeddingProviderConfig,
     MalformedReplyError,
     RemoteEmbedder,
     TransportError,
+    post_json,
 )
 from ragroute.llm import (
+    CHAT_TIMEOUT_S,
     ChatBackendConfig,
     ChatMessage,
     RemoteChatBackend,
@@ -28,6 +39,7 @@ from ragroute.llm import (
     parse_agent_reply,
     parse_judgment,
 )
+from ragroute.router import route_and_answer
 
 
 def user(text: str) -> list[ChatMessage]:
@@ -90,54 +102,86 @@ class TestScriptedBackend:
 
 class _ChatHandler(BaseHTTPRequestHandler):
     fail_times = 0
+    fail_status = 500
+    retry_after: str | None = None
+    delay_s = 0.0
+    drop_after_reply = False  # close a kept-alive connection without saying so
     seen: list[dict] = []
     reply: bytes | None = None  # sent instead of the chat reply when set
 
+    def answer(self, messages: list[ChatMessage]) -> tuple[str, TokenUsage]:
+        return "pong", TokenUsage(12, 3)
+
+    def chat_reply(self, body: dict) -> bytes:
+        text, usage = self.answer([ChatMessage(m["role"], m["content"]) for m in body["messages"]])
+        return json.dumps({
+            "choices": [{"message": {"role": "assistant", "content": text}}],
+            "usage": {"prompt_tokens": usage.prompt_tokens,
+                      "completion_tokens": usage.completion_tokens},
+        }).encode()
+
     def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        raw = self.rfile.read(int(self.headers["Content-Length"]))
+        body = json.loads(raw)
         type(self).seen.append(
-            {"body": body, "auth": self.headers.get("Authorization", "")}
+            {"raw": raw, "body": body, "auth": self.headers.get("Authorization", "")}
         )
+        if type(self).delay_s:
+            time.sleep(type(self).delay_s)
         if type(self).fail_times > 0:
             type(self).fail_times -= 1
-            self.send_response(500)
+            self.send_response(type(self).fail_status)
+            if type(self).retry_after is not None:
+                self.send_header("Retry-After", type(self).retry_after)
+            self.send_header("Content-Length", "0")
             self.end_headers()
             return
-        payload = {
-            "choices": [{"message": {"role": "assistant", "content": "pong"}}],
-            "usage": {"prompt_tokens": 12, "completion_tokens": 3},
-        }
-        raw = type(self).reply or json.dumps(payload).encode()
+        raw = type(self).reply or self.chat_reply(body)
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(raw)))
         self.end_headers()
         self.wfile.write(raw)
+        self.close_connection = self.close_connection or type(self).drop_after_reply
 
     def log_message(self, *args):
         pass
 
 
+def chat_handler(protocol: str = "HTTP/1.0", **attrs):
+    """A fresh handler class, so what one test sets on it stays in that test."""
+    return type("ChatHandler", (_ChatHandler,), {"protocol_version": protocol, "seen": [], **attrs})
+
+
+CHAT_PATH = "/v1/chat/completions"
+
+
 @pytest.fixture
-def chat_server():
-    _ChatHandler.fail_times = 0
-    _ChatHandler.seen = []
-    _ChatHandler.reply = None
-    server = HTTPServer(("127.0.0.1", 0), _ChatHandler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions", _ChatHandler
-    server.shutdown()
+def chat_server(serve):
+    handler = chat_handler()
+    _, url = serve(handler)
+    return url + CHAT_PATH, handler
+
+
+def remote_cfg(url: str, retries: int = 2) -> ChatBackendConfig:
+    return ChatBackendConfig(
+        backend="remote_http",
+        model_name="test-model",
+        endpoint=url,
+        temperature=0.0,
+        max_rounds_retry=retries,
+    )
 
 
 class TestRemoteBackend:
-    def _cfg(self, url: str, retries: int = 2) -> ChatBackendConfig:
-        return ChatBackendConfig(
-            backend="remote_http",
-            model_name="test-model",
-            endpoint=url,
-            temperature=0.0,
-            max_rounds_retry=retries,
-        )
+    @pytest.mark.parametrize(
+        "endpoint, temperature",
+        [("ftp://host/v1", 0.0), ("http:///v1", 0.0), ("http://host/v1", float("nan"))],
+        ids=["scheme", "no-host", "nan-temperature"],
+    )
+    def test_config_rejects_what_cannot_be_sent(self, endpoint, temperature):
+        with pytest.raises(ValueError):
+            ChatBackendConfig("remote_http", "m", endpoint, temperature=temperature)
 
     def test_wire_format_and_usage(self, chat_server, monkeypatch):
         url, handler = chat_server
@@ -164,7 +208,7 @@ class TestRemoteBackend:
     def test_two_500s_then_success_records_two_retries(self, chat_server):
         url, handler = chat_server
         handler.fail_times = 2
-        backend = RemoteChatBackend(self._cfg(url), retry_backoff=0.0)
+        backend = RemoteChatBackend(remote_cfg(url), retry_backoff=0.0)
         text, _ = backend.chat(user("ping"))
         assert text == "pong"
         assert backend.retries_used == 2
@@ -172,10 +216,148 @@ class TestRemoteBackend:
     def test_retries_exhausted_raises(self, chat_server):
         url, handler = chat_server
         handler.fail_times = 10
-        backend = RemoteChatBackend(self._cfg(url, retries=1), retry_backoff=0.0)
+        backend = RemoteChatBackend(remote_cfg(url, retries=1), retry_backoff=0.0)
         with pytest.raises(TransportError):
             backend.chat(user("ping"))
         handler.fail_times = 0
+
+    @pytest.mark.parametrize(
+        "retry_after, slept",
+        [("3", 3.0), (None, 0.5), ("999", CHAT_TIMEOUT_S)],
+        ids=["delta-seconds", "no-header", "capped-at-timeout"],
+    )
+    def test_429_is_retried_after_its_delay(self, chat_server, monkeypatch, retry_after, slept):
+        url, handler = chat_server
+        handler.fail_times, handler.fail_status, handler.retry_after = 1, 429, retry_after
+        sleeps: list[float] = []
+        monkeypatch.setattr("ragroute.embedding.time.sleep", sleeps.append)
+        backend = RemoteChatBackend(remote_cfg(url), retry_backoff=0.5)
+        assert backend.chat(user("ping"))[0] == "pong"
+        assert backend.retries_used == 1
+        assert sleeps == [slept]
+
+    def test_429_retry_after_http_date(self, chat_server, monkeypatch):
+        url, handler = chat_server
+        when = datetime.now(timezone.utc) + timedelta(seconds=60)
+        handler.fail_times, handler.fail_status = 1, 429
+        handler.retry_after = format_datetime(when, usegmt=True)
+        sleeps: list[float] = []
+        monkeypatch.setattr("ragroute.embedding.time.sleep", sleeps.append)
+        backend = RemoteChatBackend(remote_cfg(url), retry_backoff=0.5)
+        assert backend.chat(user("ping"))[0] == "pong"
+        assert len(sleeps) == 1 and 55.0 < sleeps[0] <= 60.0
+
+    def test_429_counts_against_max_retries(self, chat_server):
+        url, handler = chat_server
+        handler.fail_times, handler.fail_status = 10, 429
+        backend = RemoteChatBackend(remote_cfg(url, retries=1), retry_backoff=0.0)
+        with pytest.raises(TransportError, match="429"):
+            backend.chat(user("ping"))
+        assert backend.retries_used == 1
+        assert len(handler.seen) == 2
+
+
+class TestKeepAliveTransport:
+    def test_sequential_calls_share_one_connection(self, serve):
+        handler = chat_handler("HTTP/1.1")
+        server, url = serve(handler, threaded=True)
+        backend = RemoteChatBackend(remote_cfg(url + CHAT_PATH), retry_backoff=0.0)
+        for _ in range(5):
+            assert backend.chat(user("ping")) == ("pong", TokenUsage(12, 3))
+        assert len(handler.seen) == 5
+        assert server.connections == 1
+
+    def test_http_1_0_server_gets_one_connection_per_call(self, serve):
+        server, url = serve(chat_handler())
+        backend = RemoteChatBackend(remote_cfg(url + CHAT_PATH), retry_backoff=0.0)
+        for _ in range(3):
+            assert backend.chat(user("ping"))[0] == "pong"
+        assert server.connections == 3
+
+    def test_parallel_fan_out_answers_like_in_process(self, serve, mock_embedder):
+        scripted = transcripts.script_backend(transcripts.WD_SCRIPT)
+        handler = chat_handler(
+            "HTTP/1.1",
+            answer=lambda self, messages: scripted.chat(messages),
+            delay_s=0.02,  # so the four agent calls overlap
+        )
+        server, url = serve(handler, threaded=True)
+        remote = RemoteChatBackend(remote_cfg(url + CHAT_PATH), retry_backoff=0.0)
+        routed = {}
+        local = transcripts.script_backend(transcripts.WD_SCRIPT)
+        for name, backend in (("local", local), ("http", remote)):
+            agents, registry = make_agents(
+                transcripts.WD_CORPUS, transcripts.WD_AGENT_IDS, transcripts.WD_CATEGORIES,
+                backend, mock_embedder,
+            )
+            routed[name] = route_and_answer(
+                transcripts.WD_QUESTION, registry, agents, backend, mock_embedder,
+                max_agents=5, parallelism=4,
+            )
+        assert routed["http"] == routed["local"]
+        assert routed["http"].final_answer == transcripts.WD_EXPECTED
+        assert len(handler.seen) == 6
+        assert 1 <= server.connections <= 4
+
+    def test_concurrent_calls_keep_their_own_connections(self, serve):
+        def echo(self, messages):
+            return messages[-1].content, TokenUsage(1, 1)
+
+        handler = chat_handler("HTTP/1.1", answer=echo, delay_s=0.01)
+        server, url = serve(handler, threaded=True)
+        backend = RemoteChatBackend(remote_cfg(url + CHAT_PATH), retry_backoff=0.0)
+
+        def ask(n: int) -> list[bool]:
+            return [backend.chat(user(f"q{n}-{k}"))[0] == f"q{n}-{k}" for k in range(20)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                answered = list(pool.map(ask, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(all(ok) for ok in answered)
+        assert len(handler.seen) == 160
+        assert backend.retries_used == 0
+        idle = embedding._idle[("http", "127.0.0.1", server.server_port)]
+        # Eight callers overlapped, so more connections opened than the pool keeps.
+        assert server.connections > len(idle) == HTTP_MAX_IDLE_PER_ENDPOINT
+
+    def test_connection_dropped_while_idle_is_reopened_not_retried(self, serve):
+        handler = chat_handler("HTTP/1.1", drop_after_reply=True)
+        server, url = serve(handler, threaded=True)
+        backend = RemoteChatBackend(remote_cfg(url + CHAT_PATH), retry_backoff=0.0)
+        for _ in range(2):
+            assert backend.chat(user("ping"))[0] == "pong"
+        assert backend.retries_used == 0
+        assert len(handler.seen) == 2
+        assert server.connections == 2
+
+    def test_body_bytes_are_compact_json(self, chat_server):
+        url, handler = chat_server
+        body = {"model": "m", "messages": [{"role": "user", "content": "naïve ☃ \"q\""}],
+                "temperature": 0.7}
+        post_json(url, body, None, timeout=5.0, max_retries=0, backoff=0.0)
+        assert handler.seen[0]["raw"] == json.dumps(body, allow_nan=False).encode("utf-8")
+
+    def test_client_error_raises_at_once(self, chat_server):
+        url, handler = chat_server
+        handler.fail_times, handler.fail_status = 5, 401
+        backend = RemoteChatBackend(remote_cfg(url), retry_backoff=0.0)
+        message = rf"401 .*Unauthorized for url: {re.escape(url)}"
+        with pytest.raises(requests.HTTPError, match=message):
+            backend.chat(user("ping"))
+        assert len(handler.seen) == 1
+        assert backend.retries_used == 0
+
+    def test_read_timeout_exhausts_retries(self, serve):
+        handler = chat_handler("HTTP/1.1", delay_s=1.0)
+        _, url = serve(handler, threaded=True)
+        with pytest.raises(TransportError, match="timed out"):
+            post_json(url + CHAT_PATH, {"messages": []}, None, timeout=0.2, max_retries=1,
+                      backoff=0.0)
+        assert len(handler.seen) == 2
 
 
 class TestMalformedReplies:
@@ -204,15 +386,20 @@ class TestMalformedReplies:
             RemoteEmbedder(cfg, retry_backoff=0.0).embed_batch(["x"])
 
     @pytest.mark.parametrize(
-        "reply, message",
-        [(b'{"object": "list"}', "lacks data"), (b'{"data": [{"embedding": [0.5]}]}', "dim 1")],
-        ids=["no-data", "wrong-dim"],
+        "status, reply, message",
+        [
+            (200, b'{"object": "list"}', "lacks data"),
+            (200, b'{"data": [{"embedding": [0.5]}]}', "dim 1"),
+            (401, None, "Unauthorized for url: http://127.0.0.1:"),
+        ],
+        ids=["no-data", "wrong-dim", "unauthorized"],
     )
     def test_build_index_exits_2_with_json_error(
-        self, chat_server, tmp_path, capsys, reply, message
+        self, chat_server, tmp_path, capsys, status, reply, message
     ):
         url, handler = chat_server
         handler.reply = reply
+        handler.fail_times, handler.fail_status = int(status != 200), status
         transcripts.write_jsonl(
             tmp_path / "corpus.jsonl",
             [{"doc_id": "d", "category": "c", "body": "one short document"}],
@@ -232,6 +419,7 @@ class TestMalformedReplies:
         error = json.loads(capsys.readouterr().err)
         assert error["command"] == "build-index"
         assert message in error["error"]
+        assert len(handler.seen) == 1
 
 
 class TestParseAgentReply:
