@@ -10,13 +10,14 @@ Vectors are stored as little-endian float32 rows.
 
 from __future__ import annotations
 
+import gzip
 import hashlib
 import http.client
 import json
 import os
 import threading
 import time
-from collections import defaultdict
+import zlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from email.utils import parsedate_to_datetime
@@ -27,17 +28,14 @@ from urllib.parse import urlsplit
 import numpy as np
 from requests import HTTPError
 
+from . import __version__
 from .corpus import tokenize
 
 EMBED_MAX_IN_FLIGHT = 4
+# OpenAI's embeddings API takes at most 2048 inputs and 300,000 tokens per
+# request; 256 chunks of the default size (1024 tokens) stay under both.
 EMBED_BATCH_SIZE = 256
 EMBED_TIMEOUT_S = 60.0
-HTTP_MAX_IDLE_PER_ENDPOINT = 4
-
-# Idle keep-alive connections by (scheme, host, port). One pool for every
-# thread, not one per thread: the router starts a new thread pool each round.
-_idle: defaultdict[tuple[str, str, int], list[http.client.HTTPConnection]] = defaultdict(list)
-_idle_lock = threading.Lock()
 
 
 class TransportError(RuntimeError):
@@ -77,56 +75,35 @@ def read_json(path: str | Path, parse: Callable):
 def endpoint_address(endpoint: str) -> tuple[tuple[str, str, int], str]:
     """Split an http(s) URL into ``((scheme, host, port), request target)``.
 
-    Raises ValueError for another scheme, a missing host or a bad port.
+    Raises ValueError for another scheme, a missing host, a bad port, or a
+    path or query that is not printable ASCII (it is sent as it is written).
     """
     url = urlsplit(endpoint)
     if url.scheme not in ("http", "https") or not url.hostname:
         raise ValueError(f"endpoint must be an http:// or https:// URL: {endpoint!r}")
     port = url.port or (443 if url.scheme == "https" else 80)
     target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+    if not all(" " < c < "\x7f" for c in target):
+        raise ValueError(
+            f"endpoint path must be printable ASCII, percent-encode the rest: {endpoint!r}"
+        )
     return (url.scheme, url.hostname, port), target
 
 
 def _exchange(
     address: tuple[str, str, int], target: str, data: bytes, headers: dict, timeout: float
 ) -> tuple[http.client.HTTPResponse, bytes]:
-    """Send one POST on an idle pooled connection, or a new one, and read the
-    whole reply. A reused connection that the server has since closed is
-    reopened once. The connection goes back to the pool only when the reply
-    leaves it open."""
-    with _idle_lock:
-        idle = _idle[address]
-        reused = bool(idle)
-        conn = idle.pop() if reused else None
-    if conn is None:
-        scheme, host, port = address
-        cls = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
-        conn = cls(host, port)
-    conn.timeout = timeout
-    if conn.sock is not None:
-        conn.sock.settimeout(timeout)
+    """Send one POST on a new connection, read the whole reply and close the
+    connection."""
+    scheme, host, port = address
+    cls = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
+    conn = cls(host, port, timeout=timeout)
     try:
-        try:
-            conn.request("POST", target, body=data, headers=headers)
-            resp = conn.getresponse()
-        except (BrokenPipeError, ConnectionResetError):  # RemoteDisconnected too
-            if not reused:
-                raise
-            conn.close()  # the next request opens a fresh socket
-            conn.request("POST", target, body=data, headers=headers)
-            resp = conn.getresponse()
-        raw = resp.read()
-    except BaseException:
+        conn.request("POST", target, body=data, headers=headers)
+        resp = conn.getresponse()
+        return resp, resp.read()
+    finally:
         conn.close()
-        raise
-    with _idle_lock:
-        idle = _idle[address]
-        pooled = not resp.will_close and len(idle) < HTTP_MAX_IDLE_PER_ENDPOINT
-        if pooled:
-            idle.append(conn)
-    if not pooled:
-        conn.close()
-    return resp, raw
 
 
 def _retry_after(value: str | None, cap: float) -> float | None:
@@ -135,7 +112,7 @@ def _retry_after(value: str | None, cap: float) -> float | None:
     if value is None:
         return None
     value = value.strip()
-    if value.isdigit():
+    if value.isascii() and value.isdigit():
         seconds = float(value)
     else:
         try:
@@ -160,18 +137,23 @@ def post_json(
     """POST ``body`` as JSON and return the decoded reply.
 
     Sends ``Authorization: Bearer <key>`` when ``api_key_env`` names a set
-    environment variable. Connections are kept alive and reused, at most
-    ``HTTP_MAX_IDLE_PER_ENDPOINT`` idle ones per host and port. Server errors
-    (5xx), 429, connection errors and timeouts are retried up to
-    ``max_retries`` times; before retry ``n`` it calls ``on_retry`` and sleeps
-    ``backoff * n`` seconds, or what the reply's ``Retry-After`` asks, at most
-    ``timeout``. Any other status outside 2xx, or a key holding a line break,
-    raises ``requests.HTTPError`` at once; exhausted retries raise
-    TransportError, and a reply that is not JSON raises MalformedReplyError.
+    environment variable, and accepts a gzipped reply. Each attempt opens
+    and closes its own connection. Server errors (5xx), 429, connection
+    errors and timeouts are retried up to ``max_retries`` times; before
+    retry ``n`` it calls ``on_retry`` and sleeps ``backoff * n`` seconds, or
+    what the reply's ``Retry-After`` asks, at most ``timeout``. Any other
+    status outside 2xx, or a key holding a line break, raises
+    ``requests.HTTPError`` at once; exhausted retries raise TransportError,
+    and a reply that is not JSON (or not valid gzip) raises
+    MalformedReplyError.
     """
     address, target = endpoint_address(endpoint)
     data = json.dumps(body, allow_nan=False).encode("utf-8")
-    headers = {"Content-Type": "application/json"}
+    headers = {
+        "Content-Type": "application/json",
+        "Accept-Encoding": "gzip",
+        "User-Agent": f"ragroute/{__version__}",
+    }
     key = os.environ.get(api_key_env, "") if api_key_env else ""
     if "\r" in key or "\n" in key:
         raise HTTPError(f"${api_key_env} holds a line break; it cannot be sent as a header")
@@ -197,8 +179,10 @@ def post_json(
         if not 200 <= resp.status < 300:
             raise HTTPError(f"{resp.status} {resp.reason} for url: {endpoint}")
         try:
+            if resp.getheader("Content-Encoding", "").strip().lower() == "gzip":
+                raw = gzip.decompress(raw)
             return json.loads(raw)
-        except ValueError as exc:
+        except (OSError, EOFError, zlib.error, ValueError) as exc:
             raise MalformedReplyError(f"reply from {endpoint} is not JSON: {exc}") from exc
     raise TransportError(f"request to {endpoint} failed after {max_retries} retries: {last_exc}")
 

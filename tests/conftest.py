@@ -9,7 +9,6 @@ import pytest
 from hypothesis import settings
 
 import transcripts
-from ragroute import embedding
 from ragroute.agent import Agent, AgentConfig, build_agent
 from ragroute.boundary import build_profile, export_centroids
 from ragroute.corpus import ChunkingConfig, Document, chunk_document
@@ -113,14 +112,14 @@ class CountingHTTPServer(HTTPServer):
 
 class CountingThreadingHTTPServer(ThreadingHTTPServer, CountingHTTPServer):
     """Counting server with one thread per connection, so HTTP/1.1 handlers
-    can keep connections alive."""
+    can hold connections open and calls can overlap."""
 
 
 @pytest.fixture
 def serve():
     """Start loopback HTTP servers: ``serve(handler, threaded=False)`` returns
-    ``(server, "http://127.0.0.1:<port>")``. After the test, each server is
-    stopped and the client's idle pooled connections to it are closed."""
+    ``(server, "http://127.0.0.1:<port>")``. Each server is stopped after the
+    test."""
     servers = []
 
     def start(handler, threaded: bool = False):
@@ -134,8 +133,6 @@ def serve():
     for server in servers:
         server.shutdown()
         server.server_close()
-        for conn in embedding._idle.pop(("http", "127.0.0.1", server.server_port), []):
-            conn.close()
 
 
 @pytest.fixture

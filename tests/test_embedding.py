@@ -211,7 +211,11 @@ class TestRemoteEmbedder:
         with pytest.raises(ValueError):
             EmbeddingProviderConfig("remote_http", "m", 8)
 
-    @pytest.mark.parametrize("endpoint", ["ftp://host/v1", "localhost:8080/v1", "http:///v1"])
+    @pytest.mark.parametrize(
+        "endpoint",
+        ["ftp://host/v1", "localhost:8080/v1", "http:///v1", "http://host/v1 embeddings",
+         "http://host/v1/caf\u00e9", "http://host/v1?q=\x01"],
+    )
     def test_remote_endpoint_must_be_http_url(self, endpoint):
         with pytest.raises(ValueError, match="http"):
             EmbeddingProviderConfig("remote_http", "m", 8, endpoint=endpoint)

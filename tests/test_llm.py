@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import gc
+import gzip
 import json
 import re
-import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 from http.server import BaseHTTPRequestHandler
@@ -14,11 +15,9 @@ import requests
 
 import transcripts
 from conftest import make_agents
-from ragroute import embedding
 from ragroute.cli import main
 from ragroute.corpus import tokenize
 from ragroute.embedding import (
-    HTTP_MAX_IDLE_PER_ENDPOINT,
     EmbeddingProviderConfig,
     MalformedReplyError,
     RemoteEmbedder,
@@ -105,7 +104,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
     fail_status = 500
     retry_after: str | None = None
     delay_s = 0.0
-    drop_after_reply = False  # close a kept-alive connection without saying so
+    encode = None  # applied to the reply bytes, which are then sent as gzip, when set
     seen: list[dict] = []
     reply: bytes | None = None  # sent instead of the chat reply when set
 
@@ -124,7 +123,8 @@ class _ChatHandler(BaseHTTPRequestHandler):
         raw = self.rfile.read(int(self.headers["Content-Length"]))
         body = json.loads(raw)
         type(self).seen.append(
-            {"raw": raw, "body": body, "auth": self.headers.get("Authorization", "")}
+            {"raw": raw, "body": body, "auth": self.headers.get("Authorization", ""),
+             "accept_encoding": self.headers.get("Accept-Encoding")}
         )
         if type(self).delay_s:
             time.sleep(type(self).delay_s)
@@ -139,10 +139,12 @@ class _ChatHandler(BaseHTTPRequestHandler):
         raw = type(self).reply or self.chat_reply(body)
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
+        if type(self).encode:
+            raw = type(self).encode(raw)
+            self.send_header("Content-Encoding", "gzip")
         self.send_header("Content-Length", str(len(raw)))
         self.end_headers()
         self.wfile.write(raw)
-        self.close_connection = self.close_connection or type(self).drop_after_reply
 
     def log_message(self, *args):
         pass
@@ -176,8 +178,14 @@ def remote_cfg(url: str, retries: int = 2) -> ChatBackendConfig:
 class TestRemoteBackend:
     @pytest.mark.parametrize(
         "endpoint, temperature",
-        [("ftp://host/v1", 0.0), ("http:///v1", 0.0), ("http://host/v1", float("nan"))],
-        ids=["scheme", "no-host", "nan-temperature"],
+        [
+            ("ftp://host/v1", 0.0),
+            ("http:///v1", 0.0),
+            ("http://host/v1 chat", 0.0),
+            ("http://host/v1/caf\u00e9", 0.0),
+            ("http://host/v1", float("nan")),
+        ],
+        ids=["scheme", "no-host", "space-in-path", "non-ascii-path", "nan-temperature"],
     )
     def test_config_rejects_what_cannot_be_sent(self, endpoint, temperature):
         with pytest.raises(ValueError):
@@ -223,8 +231,8 @@ class TestRemoteBackend:
 
     @pytest.mark.parametrize(
         "retry_after, slept",
-        [("3", 3.0), (None, 0.5), ("999", CHAT_TIMEOUT_S)],
-        ids=["delta-seconds", "no-header", "capped-at-timeout"],
+        [("3", 3.0), (None, 0.5), ("999", CHAT_TIMEOUT_S), ("\u00b2", 0.5)],
+        ids=["delta-seconds", "no-header", "capped-at-timeout", "superscript-two"],
     )
     def test_429_is_retried_after_its_delay(self, chat_server, monkeypatch, retry_after, slept):
         url, handler = chat_server
@@ -257,22 +265,21 @@ class TestRemoteBackend:
         assert len(handler.seen) == 2
 
 
-class TestKeepAliveTransport:
-    def test_sequential_calls_share_one_connection(self, serve):
-        handler = chat_handler("HTTP/1.1")
+class TestTransport:
+    @pytest.mark.parametrize("protocol", ["HTTP/1.0", "HTTP/1.1"])
+    def test_each_call_opens_and_closes_one_connection(self, serve, protocol):
+        handler = chat_handler(protocol)
         server, url = serve(handler, threaded=True)
         backend = RemoteChatBackend(remote_cfg(url + CHAT_PATH), retry_backoff=0.0)
-        for _ in range(5):
-            assert backend.chat(user("ping")) == ("pong", TokenUsage(12, 3))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for _ in range(5):
+                assert backend.chat(user("ping")) == ("pong", TokenUsage(12, 3))
+            gc.collect()
         assert len(handler.seen) == 5
-        assert server.connections == 1
-
-    def test_http_1_0_server_gets_one_connection_per_call(self, serve):
-        server, url = serve(chat_handler())
-        backend = RemoteChatBackend(remote_cfg(url + CHAT_PATH), retry_backoff=0.0)
-        for _ in range(3):
-            assert backend.chat(user("ping"))[0] == "pong"
-        assert server.connections == 3
+        assert server.connections == 5
+        # A socket left for the garbage collector to close warns.
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_parallel_fan_out_answers_like_in_process(self, serve, mock_embedder):
         scripted = transcripts.script_backend(transcripts.WD_SCRIPT)
@@ -297,49 +304,21 @@ class TestKeepAliveTransport:
         assert routed["http"] == routed["local"]
         assert routed["http"].final_answer == transcripts.WD_EXPECTED
         assert len(handler.seen) == 6
-        assert 1 <= server.connections <= 4
+        assert server.connections == 6
 
-    def test_concurrent_calls_keep_their_own_connections(self, serve):
-        def echo(self, messages):
-            return messages[-1].content, TokenUsage(1, 1)
-
-        handler = chat_handler("HTTP/1.1", answer=echo, delay_s=0.01)
-        server, url = serve(handler, threaded=True)
-        backend = RemoteChatBackend(remote_cfg(url + CHAT_PATH), retry_backoff=0.0)
-
-        def ask(n: int) -> list[bool]:
-            return [backend.chat(user(f"q{n}-{k}"))[0] == f"q{n}-{k}" for k in range(20)]
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                answered = list(pool.map(ask, range(8), timeout=60))
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(all(ok) for ok in answered)
-        assert len(handler.seen) == 160
-        assert backend.retries_used == 0
-        idle = embedding._idle[("http", "127.0.0.1", server.server_port)]
-        # Eight callers overlapped, so more connections opened than the pool keeps.
-        assert server.connections > len(idle) == HTTP_MAX_IDLE_PER_ENDPOINT
-
-    def test_connection_dropped_while_idle_is_reopened_not_retried(self, serve):
-        handler = chat_handler("HTTP/1.1", drop_after_reply=True)
-        server, url = serve(handler, threaded=True)
-        backend = RemoteChatBackend(remote_cfg(url + CHAT_PATH), retry_backoff=0.0)
-        for _ in range(2):
-            assert backend.chat(user("ping"))[0] == "pong"
-        assert backend.retries_used == 0
-        assert len(handler.seen) == 2
-        assert server.connections == 2
-
-    def test_body_bytes_are_compact_json(self, chat_server):
+    def test_body_bytes_match_requests(self, chat_server):
         url, handler = chat_server
         body = {"model": "m", "messages": [{"role": "user", "content": "naïve ☃ \"q\""}],
                 "temperature": 0.7}
         post_json(url, body, None, timeout=5.0, max_retries=0, backoff=0.0)
         assert handler.seen[0]["raw"] == json.dumps(body, allow_nan=False).encode("utf-8")
+
+    def test_gzipped_reply_is_inflated(self, chat_server):
+        url, handler = chat_server
+        handler.encode = gzip.compress
+        backend = RemoteChatBackend(remote_cfg(url), retry_backoff=0.0)
+        assert backend.chat(user("ping")) == ("pong", TokenUsage(12, 3))
+        assert handler.seen[0]["accept_encoding"] == "gzip"
 
     def test_client_error_raises_at_once(self, chat_server):
         url, handler = chat_server
@@ -400,19 +379,7 @@ class TestMalformedReplies:
         url, handler = chat_server
         handler.reply = reply
         handler.fail_times, handler.fail_status = int(status != 200), status
-        transcripts.write_jsonl(
-            tmp_path / "corpus.jsonl",
-            [{"doc_id": "d", "category": "c", "body": "one short document"}],
-        )
-        (tmp_path / "script.json").write_text("[]", encoding="utf-8")
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({
-            "corpus_path": str(tmp_path / "corpus.jsonl"),
-            "index_dir": str(tmp_path / "index"),
-            "embedding": {"provider": "remote_http", "model_name": "m", "dim": 4, "endpoint": url},
-            "chat": {"backend": "scripted_mock", "script_path": str(tmp_path / "script.json")},
-            "agents": [{"agent_id": "a", "category": "c"}],
-        }), encoding="utf-8")
+        config = embedding_config(tmp_path, url)
         assert main(["ingest", "--config", str(config)]) == 0
         capsys.readouterr()
         assert main(["build-index", "--config", str(config)]) == 2
@@ -420,6 +387,44 @@ class TestMalformedReplies:
         assert error["command"] == "build-index"
         assert message in error["error"]
         assert len(handler.seen) == 1
+
+    def test_build_index_with_non_ascii_endpoint_path_exits_2(self, tmp_path, capsys):
+        config = embedding_config(tmp_path, "http://127.0.0.1:9/v1/caf\u00e9")
+        assert main(["build-index", "--config", str(config)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["command"] == "build-index"
+        assert "printable ASCII" in error["error"]
+
+    @pytest.mark.parametrize(
+        "encode",
+        [lambda raw: raw, lambda raw: gzip.compress(raw)[:-12],
+         lambda raw: gzip.compress(raw)[:10] + b"not deflate data" * 4],
+        ids=["not-gzip", "truncated-gzip", "corrupt-gzip"],
+    )
+    def test_bad_gzip_reply_is_typed_error(self, chat_server, encode):
+        url, handler = chat_server
+        handler.encode = encode
+        with pytest.raises(MalformedReplyError, match="not JSON"):
+            RemoteChatBackend(remote_cfg(url), retry_backoff=0.0).chat(user("ping"))
+        assert len(handler.seen) == 1
+
+
+def embedding_config(tmp_path, endpoint: str):
+    """A one-agent config whose embeddings go to ``endpoint``, with its corpus."""
+    transcripts.write_jsonl(
+        tmp_path / "corpus.jsonl",
+        [{"doc_id": "d", "category": "c", "body": "one short document"}],
+    )
+    (tmp_path / "script.json").write_text("[]", encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "corpus_path": str(tmp_path / "corpus.jsonl"),
+        "index_dir": str(tmp_path / "index"),
+        "embedding": {"provider": "remote_http", "model_name": "m", "dim": 4, "endpoint": endpoint},
+        "chat": {"backend": "scripted_mock", "script_path": str(tmp_path / "script.json")},
+        "agents": [{"agent_id": "a", "category": "c"}],
+    }), encoding="utf-8")
+    return config
 
 
 class TestParseAgentReply:
