@@ -37,15 +37,18 @@ from .evalharness import (
     AGENTS_ALL,
     AGENTS_RAW_KNOWLEDGE,
     AGENTS_SELECTED,
+    MULTI,
+    SINGLE,
     EvalSystem,
+    answer,
     load_eval_items,
     run_eval,
 )
 from .llm import ChatBackendConfig, make_chat_backend
-from .planner import PlanStrategy, run_plan
+from .planner import PlanResult, PlanStrategy
 from .prompts import TEMPLATES
 from .retrieval import Bm25Index, DenseIndex
-from .router import RouterRegistry, route_and_answer
+from .router import RouterRegistry
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -144,7 +147,17 @@ def _select_agent_cfgs(cfg: SystemConfig, agent_id: str | None) -> list[AgentCon
     return matches
 
 
-def cmd_ingest(cfg: SystemConfig, agent_id: str | None = None) -> int:
+def cmd_ingest(cfg: SystemConfig, args: argparse.Namespace) -> int:
+    if args.corpus:
+        cfg.corpus_path = Path(args.corpus)
+    flags = {"chunk_tokens": args.chunk_tokens, "overlap_tokens": args.overlap_tokens}
+    overrides = {name: value for name, value in flags.items() if value is not None}
+    if overrides:
+        try:
+            cfg.chunking = replace(cfg.chunking, **overrides)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        cfg.agents = [replace(a, chunking=cfg.chunking) for a in cfg.agents]
     if not cfg.corpus_path.exists():
         return _fail("ingest", f"corpus path does not exist: {cfg.corpus_path}")
     docs, record_errors = load_corpus(cfg.corpus_path)
@@ -154,7 +167,7 @@ def cmd_ingest(cfg: SystemConfig, agent_id: str | None = None) -> int:
     known_categories = {a.category or a.agent_id for a in cfg.agents}
     unassigned = sorted(c for c in by_category if c not in known_categories)
     total_chunks = 0
-    for agent_cfg in _select_agent_cfgs(cfg, agent_id):
+    for agent_cfg in _select_agent_cfgs(cfg, args.agent):
         category = agent_cfg.category or agent_cfg.agent_id
         chunks = []
         for doc in by_category.get(category, []):
@@ -171,9 +184,9 @@ def cmd_ingest(cfg: SystemConfig, agent_id: str | None = None) -> int:
     return EXIT_PARTIAL if (record_errors or unassigned) else EXIT_OK
 
 
-def cmd_build_index(cfg: SystemConfig, agent_id: str | None = None) -> int:
+def cmd_build_index(cfg: SystemConfig, args: argparse.Namespace) -> int:
     embedder = make_embedder(cfg.embedding)
-    for agent_cfg in _select_agent_cfgs(cfg, agent_id):
+    for agent_cfg in _select_agent_cfgs(cfg, args.agent):
         adir = cfg.agent_dir(agent_cfg.agent_id)
         chunks_path = adir / "chunks.jsonl"
         if not chunks_path.exists():
@@ -188,12 +201,12 @@ def cmd_build_index(cfg: SystemConfig, agent_id: str | None = None) -> int:
     return EXIT_OK
 
 
-def cmd_register(cfg: SystemConfig, agent_id: str | None = None) -> int:
+def cmd_register(cfg: SystemConfig, args: argparse.Namespace) -> int:
     registry = RouterRegistry()
     registry_path = cfg.registry_json()
     if registry_path.exists():
         registry = RouterRegistry.load(registry_path, cfg.registry_vectors())
-    for agent_cfg in _select_agent_cfgs(cfg, agent_id):
+    for agent_cfg in _select_agent_cfgs(cfg, args.agent):
         adir = cfg.agent_dir(agent_cfg.agent_id)
         if not (adir / "vectors.manifest.json").exists():
             return _fail("register", f"no index for agent {agent_cfg.agent_id}: run build-index first")
@@ -215,8 +228,10 @@ def cmd_register(cfg: SystemConfig, agent_id: str | None = None) -> int:
     return EXIT_OK
 
 
-def _load_system(cfg: SystemConfig, retrieval: str | None = None):
-    """Chat backend, embedder, registry and agents for ``ask`` and ``eval``.
+def _load_system(cfg: SystemConfig, args: argparse.Namespace) -> EvalSystem:
+    """The system ``ask`` and ``eval`` answer with, with the command's
+    ``--retrieval``, ``--max-agents``, ``--strategy``, ``--max-rounds`` and
+    ``--agent-mode`` applied over the config.
 
     Raises ConfigError when there is no registry or it names an agent that
     the config does not list.
@@ -230,6 +245,7 @@ def _load_system(cfg: SystemConfig, retrieval: str | None = None):
     unknown = [a for a in registry.agent_ids if a not in configured]
     if unknown:
         raise ConfigError(f"registry names agents missing from the config: {', '.join(unknown)}")
+    retrieval = getattr(args, "retrieval", None)
     agents: dict[str, Agent] = {}
     for agent_cfg in cfg.agents:
         if retrieval:
@@ -239,123 +255,79 @@ def _load_system(cfg: SystemConfig, retrieval: str | None = None):
         dense = DenseIndex.load(adir / "vectors")
         bm25 = Bm25Index.load(adir / "bm25.json")
         agents[agent_cfg.agent_id] = Agent(agent_cfg, chunks, dense, bm25, embedder, backend)
-    return backend, embedder, registry, agents
+    return EvalSystem(
+        registry=registry,
+        agents=agents,
+        backend=backend,
+        embedder=embedder,
+        max_agents=args.max_agents or cfg.max_agents,
+        strategy=_STRATEGY_BY_FLAG[args.strategy] if args.strategy else cfg.strategy,
+        max_rounds=getattr(args, "max_rounds", None) or cfg.max_rounds,
+        agent_mode=getattr(args, "agent_mode", AGENTS_SELECTED),
+        parallelism=cfg.parallelism,
+    )
 
 
-def _prompt_hashes(backend) -> list[str]:
-    return [call.prompt_sha256 for call in getattr(backend, "calls", [])]
+def _answer_trace(result, system: EvalSystem) -> dict:
+    if isinstance(result, PlanResult):
+        return {
+            "mode": "multi_hop",
+            "strategy": system.strategy.value,
+            "status": result.status,
+            "final_answer": result.final_answer,
+            "records": [asdict(r) for r in result.records],
+            "rounds": [
+                {
+                    "round": r.round,
+                    "question": r.question,
+                    "answer": r.answer,
+                    "selected_agents": list(r.selected_agent_ids),
+                    "verdicts": r.verdicts,
+                }
+                for r in result.rounds
+            ],
+            "usage": asdict(result.usage),
+        }
+    return {
+        "mode": "single_hop",
+        "final_answer": result.final_answer,
+        "selected_agents": list(result.selected_agent_ids),
+        "verdicts": result.verdicts,
+        "usage": asdict(result.usage),
+    }
 
 
-def cmd_ask(
-    cfg: SystemConfig,
-    question: str,
-    max_agents: int | None = None,
-    multihop: bool = False,
-    strategy: str | None = None,
-    max_rounds: int | None = None,
-    trace_path: str | None = None,
-) -> int:
-    backend, embedder, registry, agents = _load_system(cfg)
-    max_agents = max_agents or cfg.max_agents
-    trace: dict = {"question": question, "max_agents": max_agents}
+def cmd_ask(cfg: SystemConfig, args: argparse.Namespace) -> int:
+    system = _load_system(cfg, args)
+    trace: dict = {"question": args.question, "max_agents": system.max_agents}
     code = EXIT_OK
     try:
-        if multihop:
-            plan_strategy = _STRATEGY_BY_FLAG[strategy] if strategy else cfg.strategy
-            result = run_plan(
-                question,
-                plan_strategy,
-                registry,
-                agents,
-                backend,
-                embedder,
-                max_rounds=max_rounds or cfg.max_rounds,
-                max_agents=max_agents,
-                parallelism=cfg.parallelism,
-            )
-            print(result.final_answer)
-            trace.update(
-                {
-                    "mode": "multi_hop",
-                    "strategy": plan_strategy.value,
-                    "status": result.status,
-                    "final_answer": result.final_answer,
-                    "records": [asdict(r) for r in result.records],
-                    "rounds": [
-                        {
-                            "round": r.round,
-                            "question": r.question,
-                            "answer": r.answer,
-                            "selected_agents": list(r.selected_agent_ids),
-                            "verdicts": r.verdicts,
-                        }
-                        for r in result.rounds
-                    ],
-                    "usage": asdict(result.usage),
-                }
-            )
-        else:
-            routed = route_and_answer(
-                question,
-                registry,
-                agents,
-                backend,
-                embedder,
-                max_agents=max_agents,
-                parallelism=cfg.parallelism,
-            )
-            print(routed.final_answer)
-            trace.update(
-                {
-                    "mode": "single_hop",
-                    "final_answer": routed.final_answer,
-                    "selected_agents": list(routed.selected_agent_ids),
-                    "verdicts": routed.verdicts,
-                    "usage": asdict(routed.usage),
-                }
-            )
+        result = answer(system, args.question, MULTI if args.multihop else SINGLE)
+        print(result.final_answer)
+        trace.update(_answer_trace(result, system))
     except Exception as exc:
         trace["error"] = str(exc)
         code = _fail("ask", str(exc), EXIT_PARTIAL)
-    trace["prompt_sha256"] = _prompt_hashes(backend)
-    if trace_path:
-        Path(trace_path).parent.mkdir(parents=True, exist_ok=True)
-        Path(trace_path).write_text(
+    trace["prompt_sha256"] = [call.prompt_sha256 for call in getattr(system.backend, "calls", [])]
+    if args.trace_path:
+        Path(args.trace_path).parent.mkdir(parents=True, exist_ok=True)
+        Path(args.trace_path).write_text(
             json.dumps(trace, sort_keys=True, ensure_ascii=False, indent=2), encoding="utf-8"
         )
     return code
 
 
-def cmd_eval(
-    cfg: SystemConfig,
-    dataset: str,
-    report_path: str,
-    strategy: str | None = None,
-    modes: list[str] | None = None,
-    agent_mode: str = AGENTS_SELECTED,
-    retrieval: str | None = None,
-    max_agents: int | None = None,
-    judge: bool = False,
-) -> int:
-    if not Path(dataset).exists():
-        return _fail("eval", f"dataset does not exist: {dataset}")
-    backend, embedder, registry, agents = _load_system(cfg, retrieval=retrieval)
-    system = EvalSystem(
-        registry=registry,
-        agents=agents,
-        backend=backend,
-        embedder=embedder,
-        max_agents=max_agents or cfg.max_agents,
-        strategy=_STRATEGY_BY_FLAG[strategy] if strategy else cfg.strategy,
-        max_rounds=cfg.max_rounds,
-        agent_mode=agent_mode,
-        parallelism=cfg.parallelism,
-    )
-    items = load_eval_items(dataset)
+def cmd_eval(cfg: SystemConfig, args: argparse.Namespace) -> int:
+    if not Path(args.dataset).exists():
+        return _fail("eval", f"dataset does not exist: {args.dataset}")
+    system = _load_system(cfg, args)
     report = run_eval(
-        items, system, modes=modes or ["with_rag"], judge_backend=backend if judge else None
+        load_eval_items(args.dataset),
+        system,
+        modes=args.mode or ["with_rag"],
+        judge_backend=system.backend if args.judge else None,
     )
-    out = Path(report_path)
+    out = Path(args.report)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.with_suffix(".json").write_text(
         json.dumps(report.to_json(), sort_keys=True, ensure_ascii=False, indent=2),
@@ -369,7 +341,7 @@ def cmd_eval(
     return EXIT_PARTIAL if hard_failures else EXIT_OK
 
 
-def cmd_inspect(cfg: SystemConfig) -> int:
+def cmd_inspect(cfg: SystemConfig, args: argparse.Namespace) -> int:
     summary: dict = {"agents": [], "templates": sorted(TEMPLATES)}
     if cfg.registry_json().exists():
         registry = RouterRegistry.load(cfg.registry_json(), cfg.registry_vectors())
@@ -444,45 +416,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = SystemConfig.from_file(args.config)
-        if args.command == "ingest":
-            if args.corpus:
-                cfg.corpus_path = Path(args.corpus)
-            flags = {"chunk_tokens": args.chunk_tokens, "overlap_tokens": args.overlap_tokens}
-            overrides = {name: value for name, value in flags.items() if value is not None}
-            if overrides:
-                try:
-                    cfg.chunking = replace(cfg.chunking, **overrides)
-                except ValueError as exc:
-                    raise ConfigError(str(exc)) from exc
-                cfg.agents = [replace(a, chunking=cfg.chunking) for a in cfg.agents]
-            return cmd_ingest(cfg, agent_id=args.agent)
-        if args.command == "build-index":
-            return cmd_build_index(cfg, agent_id=args.agent)
-        if args.command == "register":
-            return cmd_register(cfg, agent_id=args.agent)
-        if args.command == "ask":
-            return cmd_ask(
-                cfg,
-                question=args.question,
-                max_agents=args.max_agents,
-                multihop=args.multihop,
-                strategy=args.strategy,
-                max_rounds=args.max_rounds,
-                trace_path=args.trace_path,
-            )
-        if args.command == "eval":
-            return cmd_eval(
-                cfg,
-                dataset=args.dataset,
-                report_path=args.report,
-                strategy=args.strategy,
-                modes=args.mode,
-                agent_mode=args.agent_mode,
-                retrieval=args.retrieval,
-                max_agents=args.max_agents,
-                judge=args.judge,
-            )
-        return cmd_inspect(cfg)
+        # Looked up on each call, so a command wrapped after import still runs.
+        command = globals()["cmd_" + args.command.replace("-", "_")]
+        return command(cfg, args)
     except (
         ConfigError,
         OSError,

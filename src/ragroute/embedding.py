@@ -264,9 +264,12 @@ class RemoteEmbedder:
         rows = []
         for start in range(0, len(texts), EMBED_BATCH_SIZE):
             rows.extend(self._post_batch(texts[start : start + EMBED_BATCH_SIZE]))
-        matrix = np.asarray(rows, dtype=np.float32)
+        try:
+            matrix = np.asarray(rows, dtype=np.float32)
+        except OverflowError as exc:  # an integer beyond any float
+            raise MalformedReplyError(f"embedding value out of range: {exc}") from exc
         if not np.all(np.isfinite(matrix)):
-            raise ValueError("endpoint returned non-finite embedding values")
+            raise MalformedReplyError("endpoint returned non-finite embedding values")
         return matrix
 
     def _post_batch(self, texts: list[str]) -> list:
@@ -295,6 +298,8 @@ class RemoteEmbedder:
                 f"endpoint returned {len(rows)} embeddings for {len(texts)} texts"
             )
         for vec in rows:
+            if type(vec) is not list or not set(map(type, vec)) <= {int, float}:
+                raise MalformedReplyError(f"embedding row is not a list of numbers: {vec!r:.60}")
             if len(vec) != self.dim:
                 raise DimensionMismatchError(
                     f"endpoint returned dim {len(vec)}, config says {self.dim}"

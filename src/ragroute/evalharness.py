@@ -280,41 +280,34 @@ def _run_raw_model(item: EvalItem, system: EvalSystem) -> ItemOutcome:
     return ItemOutcome(item=item, final_answer=text.strip(), usage=usage)
 
 
-def _run_with_rag(item: EvalItem, system: EvalSystem) -> ItemOutcome:
+def answer(system: EvalSystem, question: str, hop: str = SINGLE):
+    """Answer one question as ``system`` is set up: the raw-knowledge baseline
+    when its agent mode says so, else a multi-hop plan for a ``MULTI``
+    question, else one routed round (over every registered agent in
+    ``AGENTS_ALL`` mode). Returns the ``RoutedAnswer`` or ``PlanResult``."""
+    parts = (system.registry, system.agents, system.backend, system.embedder)
     if system.agent_mode == AGENTS_RAW_KNOWLEDGE:
-        result = route_raw_knowledge(
-            item.question,
-            system.registry,
-            system.agents,
-            system.backend,
-            system.embedder,
-            max_agents=system.max_agents,
-        )
-    elif item.hop == MULTI:
-        result = run_plan(
-            item.question,
+        return route_raw_knowledge(question, *parts, max_agents=system.max_agents)
+    if hop == MULTI:
+        return run_plan(
+            question,
             system.strategy,
-            system.registry,
-            system.agents,
-            system.backend,
-            system.embedder,
+            *parts,
             max_rounds=system.max_rounds,
             max_agents=system.max_agents,
             parallelism=system.parallelism,
         )
-    else:
-        result = route_and_answer(
-            item.question,
-            system.registry,
-            system.agents,
-            system.backend,
-            system.embedder,
-            max_agents=system.max_agents,
-            parallelism=system.parallelism,
-            selected_override=(
-                system.registry.agent_ids if system.agent_mode == AGENTS_ALL else None
-            ),
-        )
+    return route_and_answer(
+        question,
+        *parts,
+        max_agents=system.max_agents,
+        parallelism=system.parallelism,
+        selected_override=system.registry.agent_ids if system.agent_mode == AGENTS_ALL else None,
+    )
+
+
+def _run_with_rag(item: EvalItem, system: EvalSystem) -> ItemOutcome:
+    result = answer(system, item.question, item.hop)
     return ItemOutcome(
         item=item,
         final_answer=result.final_answer,

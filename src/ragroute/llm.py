@@ -161,6 +161,18 @@ class ScriptedChatBackend:
         raise UnscriptedPromptError(f"unscripted prompt (first 120 chars): {prompt[:120]!r}")
 
 
+def _reply_usage(usage) -> TokenUsage:
+    """The token counts of a chat reply's ``usage`` object; a count it leaves
+    out is 0."""
+    if type(usage) is dict:
+        counts = (usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0))
+        if all(type(n) is int and n >= 0 for n in counts):
+            return TokenUsage(*counts)
+    raise MalformedReplyError(
+        f"chat reply usage is not an object of non-negative integer counts: {usage!r:.80}"
+    )
+
+
 class RemoteChatBackend:
     """HTTP chat-completions client with bounded retry on transport failures."""
 
@@ -199,11 +211,9 @@ class RemoteChatBackend:
             raise MalformedReplyError(
                 f"chat reply lacks choices[0].message.content: {exc!r}"
             ) from exc
-        usage_rec = payload.get("usage", {})
-        usage = TokenUsage(
-            int(usage_rec.get("prompt_tokens", 0)),
-            int(usage_rec.get("completion_tokens", 0)),
-        )
+        if type(text) is not str:
+            raise MalformedReplyError(f"chat reply content is not a string: {text!r:.60}")
+        usage = _reply_usage(payload.get("usage", {}))
         with self._lock:
             self.calls.append(ChatCall(_prompt_text(messages), text, usage))
         return text, usage

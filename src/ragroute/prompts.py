@@ -186,13 +186,7 @@ _REQUIRED_SLOTS: dict[str, tuple[str, ...]] = {
 
 
 def _qa_pairs(history: Iterable) -> list[tuple[str, str]]:
-    pairs = []
-    for item in history:
-        if isinstance(item, tuple):
-            pairs.append((item[0], item[1]))
-        else:
-            pairs.append((item.question, item.answer))
-    return pairs
+    return [(item.question, item.answer) for item in history]
 
 
 def _numbered_blocks(label: str, texts: Sequence[str]) -> str:

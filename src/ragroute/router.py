@@ -151,8 +151,6 @@ class RoutedAnswer:
     verdicts: dict[str, str]
     usage: TokenUsage
     agent_answers: tuple[AgentAnswer, ...] = ()
-    evaluation_text: str = ""
-    analysis_text: str = ""
 
     def doc_slots(self, agents: dict[str, Agent]) -> dict[str, tuple[str, ...]]:
         """Each answering agent's retrieved doc ids, in hit order."""
@@ -192,8 +190,8 @@ def _verdicts_from_evaluation(evaluation: str, count: int) -> list[str]:
     return verdicts
 
 
-def _split_router_sections(text: str) -> tuple[str, str, str] | None:
-    """(evaluation, analysis, answer) sections; None when there is no Answer."""
+def _split_router_sections(text: str) -> tuple[str, str] | None:
+    """(evaluation, answer) sections; None when there is no Answer."""
     labels = {name: _label_matches(name, text) for name in ("evaluation", "analysis", "answer")}
     if not labels["answer"]:
         return None
@@ -204,9 +202,7 @@ def _split_router_sections(text: str) -> tuple[str, str, str] | None:
     eval_candidates = [m for m in labels["evaluation"] if m.start() < eval_end]
     eval_m = eval_candidates[0] if eval_candidates else None
     evaluation = text[eval_m.end() : eval_end].strip() if eval_m else ""
-    analysis = text[analysis_m.end() : answer_m.start()].strip() if analysis_m else ""
-    answer = text[answer_m.end() :].strip()
-    return evaluation, analysis, answer
+    return evaluation, text[answer_m.end() :].strip()
 
 
 def evaluate_and_curate(
@@ -229,7 +225,7 @@ def evaluate_and_curate(
     sections, usage = ask_parsed(backend, messages, _split_router_sections)
     if sections is None:
         raise RouterError("unparseable router output: no Answer section")
-    evaluation, analysis, answer = sections
+    evaluation, answer = sections
     by_position = _verdicts_from_evaluation(evaluation, len(answers))
     verdicts = {a.agent_id: v for a, v in zip(answers, by_position)}
     return RoutedAnswer(
@@ -238,8 +234,6 @@ def evaluate_and_curate(
         verdicts=verdicts,
         usage=usage,
         agent_answers=tuple(answers),
-        evaluation_text=evaluation,
-        analysis_text=analysis,
     )
 
 

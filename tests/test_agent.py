@@ -6,6 +6,7 @@ import transcripts
 from ragroute.agent import AgentConfig, AgentError, build_agent
 from ragroute.corpus import ChunkingConfig, Document, chunk_document
 from ragroute.llm import ScriptedChatBackend, ScriptEntry
+from ragroute.planner import QARecord
 
 
 def agent_from_text(
@@ -112,7 +113,7 @@ class TestAnswerQuestion:
         backend = ScriptedChatBackend([ScriptEntry("collection of knowledge", "Answer: fine")])
         agent = agent_from_text("h", "some topic words here", backend, mock_embedder)
         agent.answer_question(
-            "next question?", mode="multi_hop", history=[("prior q?", "prior a.")]
+            "next question?", mode="multi_hop", history=[QARecord("prior q?", "prior a.", 1)]
         )
         prompt = backend.calls[0].prompt
         assert "prior q?" in prompt and "prior a." in prompt

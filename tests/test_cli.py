@@ -267,6 +267,32 @@ class TestAsk:
         config = self._setup(tmp_path)
         assert main(["ask", "--config", str(config), "--question", "hi"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags, max_agents",
+        [([], 5), (["--multihop", "--strategy", "presplit", "--max-agents", "2"], 2)],
+        ids=["single-hop", "multihop"],
+    )
+    def test_failed_answer_exits_1_with_a_bare_trace(self, tmp_path, capsys, flags, max_agents):
+        config = write_config(tmp_path, transcripts.WD_CORPUS, [], wd_agents())
+        build_lifecycle(config)
+        capsys.readouterr()
+        trace_path = tmp_path / "trace.json"
+        code = main(["ask", "--config", str(config), "--question", transcripts.WD_QUESTION,
+                     "--trace", str(trace_path), *flags])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["command"] == "ask"
+        assert "unscripted prompt" in error["error"]
+        trace = json.loads(trace_path.read_text())
+        assert trace == {
+            "question": transcripts.WD_QUESTION,
+            "max_agents": max_agents,
+            "error": error["error"],
+            "prompt_sha256": [],
+        }
+
 
 def topic_corpus_and_agents(n=4):
     corpus = []
@@ -366,6 +392,39 @@ class TestEval:
             report = json.loads((tmp_path / f"r{cap}.json").read_text())
             rates[cap] = report["modes"]["with_rag"]["answerable_agent_pct"]
         assert rates[1] <= rates[2] <= rates[4]
+
+    def test_agent_mode_all_selects_every_registered_agent(self, tmp_path, capsys):
+        corpus, agents = topic_corpus_and_agents()
+        config = write_config(tmp_path, corpus, catch_all_script(), agents)
+        build_lifecycle(config)
+        dataset = topic_dataset(tmp_path)
+        selected = {}
+        for mode in ("selected", "all"):
+            code = main(["eval", "--config", str(config), "--dataset", str(dataset),
+                         "--max-agents", "1", "--agent-mode", mode,
+                         "--report", str(tmp_path / mode)])
+            assert code == 0
+            items = json.loads((tmp_path / f"{mode}.json").read_text())["items"]["with_rag"]
+            selected[mode] = [i["selected_agent_ids"] for i in items]
+        assert selected["selected"] == [[f"agent{t}"] for t in range(4)]
+        assert selected["all"] == [[f"agent{t}" for t in range(4)]] * 4
+
+    def test_agent_mode_raw_knowledge_makes_one_generation_call_per_item(self, tmp_path, capsys):
+        corpus, agents = topic_corpus_and_agents()
+        # One reply per item and nothing else: a second call for any item
+        # would take the next item's reply, or find none left.
+        script = [{"match": "set of documents", "reply": f"Analysis: -\nAnswer: reply {t}"}
+                  for t in range(4)]
+        config = write_config(tmp_path, corpus, script, agents)
+        build_lifecycle(config)
+        dataset = topic_dataset(tmp_path)
+        code = main(["eval", "--config", str(config), "--dataset", str(dataset),
+                     "--agent-mode", "raw_knowledge", "--report", str(tmp_path / "r")])
+        assert code == 0
+        items = json.loads((tmp_path / "r.json").read_text())["items"]["with_rag"]
+        assert [(i["final_answer"], i["error"]) for i in items] == [
+            (f"reply {t}", None) for t in range(4)
+        ]
 
     def test_truncated_vectors_exit_2_with_json_error(self, tmp_path, capsys):
         corpus, agents = topic_corpus_and_agents()

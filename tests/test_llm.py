@@ -342,8 +342,23 @@ class TestTransport:
 class TestMalformedReplies:
     @pytest.mark.parametrize(
         "reply",
-        [b'{"usage": {}}', b'{"choices": []}', b'{"choices": [{"text": "pong"}]}', b"pong"],
-        ids=["no-choices", "empty-choices", "no-message", "not-json"],
+        [
+            b'{"usage": {}}',
+            b'{"choices": []}',
+            b'{"choices": [{"text": "pong"}]}',
+            b"pong",
+            b'{"choices": [{"message": {"content": null}}]}',
+            b'{"choices": [{"message": {"content": 7}}]}',
+            b'{"choices": [{"message": {"content": "pong"}}], "usage": null}',
+            b'{"choices": [{"message": {"content": "pong"}}], "usage": [1, 2]}',
+            b'{"choices": [{"message": {"content": "pong"}}], "usage": {"prompt_tokens": "x"}}',
+            b'{"choices": [{"message": {"content": "pong"}}], "usage": {"completion_tokens": -3}}',
+            b'{"choices": [{"message": {"content": "pong"}}], "usage": {"prompt_tokens": 1.5}}',
+            b'{"choices": [{"message": {"content": "pong"}}], "usage": {"prompt_tokens": true}}',
+        ],
+        ids=["no-choices", "empty-choices", "no-message", "not-json", "null-content",
+             "number-content", "null-usage", "list-usage", "string-count", "negative-count",
+             "float-count", "bool-count"],
     )
     def test_chat_reply_is_typed_error(self, chat_server, reply):
         url, handler = chat_server
@@ -353,9 +368,30 @@ class TestMalformedReplies:
             RemoteChatBackend(cfg, retry_backoff=0.0).chat(user("ping"))
 
     @pytest.mark.parametrize(
+        "usage, expected",
+        [("", TokenUsage(0, 0)), (', "usage": {"prompt_tokens": 5}', TokenUsage(5, 0))],
+        ids=["absent", "one-count"],
+    )
+    def test_chat_reply_counts_left_out_are_zero(self, chat_server, usage, expected):
+        url, handler = chat_server
+        handler.reply = ('{"choices": [{"message": {"content": "pong"}}]%s}' % usage).encode()
+        backend = RemoteChatBackend(remote_cfg(url), retry_backoff=0.0)
+        assert backend.chat(user("ping")) == ("pong", expected)
+
+    @pytest.mark.parametrize(
         "reply",
-        [b'{"object": "list"}', b'{"data": [{"index": 0}]}', b'{"data": []}', b'{"data": 3}'],
-        ids=["no-data", "no-embedding", "too-few-rows", "data-not-list"],
+        [
+            b'{"object": "list"}',
+            b'{"data": [{"index": 0}]}',
+            b'{"data": []}',
+            b'{"data": 3}',
+            b'{"data": [{"embedding": 3}]}',
+            b'{"data": [{"embedding": ["a", "b", "c", "d"]}]}',
+            b'{"data": [{"embedding": [NaN, 0.5, 0.5, 0.5]}]}',
+            b'{"data": [{"embedding": [1%s, 0.5, 0.5, 0.5]}]}' % (b"0" * 400),
+        ],
+        ids=["no-data", "no-embedding", "too-few-rows", "data-not-list", "row-not-list",
+             "row-not-numbers", "row-nan", "row-beyond-float"],
     )
     def test_embeddings_reply_is_typed_error(self, chat_server, reply):
         url, handler = chat_server
@@ -369,9 +405,10 @@ class TestMalformedReplies:
         [
             (200, b'{"object": "list"}', "lacks data"),
             (200, b'{"data": [{"embedding": [0.5]}]}', "dim 1"),
+            (200, b'{"data": [{"embedding": [NaN, 0.5, 0.5, 0.5]}]}', "non-finite"),
             (401, None, "Unauthorized for url: http://127.0.0.1:"),
         ],
-        ids=["no-data", "wrong-dim", "unauthorized"],
+        ids=["no-data", "wrong-dim", "row-nan", "unauthorized"],
     )
     def test_build_index_exits_2_with_json_error(
         self, chat_server, tmp_path, capsys, status, reply, message

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from ragroute.planner import QARecord
 from ragroute.prompts import (
     AGENT_ANSWER_MULTI_HOP,
     AGENT_ANSWER_SINGLE_HOP,
@@ -82,7 +83,7 @@ class TestRenderPrompt:
             {
                 "question": "q?",
                 "responses": ["r"],
-                "history": [("q1?", "a1."), ("q2?", "a2.")],
+                "history": [QARecord("q1?", "a1.", 1), QARecord("q2?", "a2.", 2)],
             },
         )
         roles = [m.role for m in messages]
@@ -92,7 +93,7 @@ class TestRenderPrompt:
 
     def test_records_block_rendering(self):
         messages = render_prompt(
-            JUDGER_SPLITTER, {"query": "why?", "records": [("sub?", "ans.")]}
+            JUDGER_SPLITTER, {"query": "why?", "records": [QARecord("sub?", "ans.", 1)]}
         )
         assert messages[-1].content == (
             "Query: why?\n\nRecords:\nRecord 1:\nQuestion: sub?\nAnswer: ans."
