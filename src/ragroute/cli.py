@@ -2,12 +2,14 @@
 
 One JSON config document drives every command; secrets only ever come from
 environment variables named in that config. Exit codes: 0 success, 1 partial
-item failures, 2 config/IO errors, which include an index file that is not
-valid JSON or has the wrong shape, a vector file that disagrees with its
-manifest, a registry that names an agent the config does not list, and an
-endpoint that fails or replies malformed. Index, profile, and registry files
-are deterministic functions of their inputs, so re-running a command with
-unchanged inputs rewrites byte-identical artifacts.
+item failures, 2 config/IO errors, which include a config that is not a
+UTF-8 JSON object, a chunk or dataset line that is not a valid record, an
+index file that is not valid JSON or has the wrong shape, a vector file that
+disagrees with its manifest, a registry that names an agent the config does
+not list, and an endpoint that fails or replies malformed. Index, profile,
+and registry files are deterministic functions of their inputs, so
+re-running a command with unchanged inputs rewrites byte-identical
+artifacts.
 """
 
 from __future__ import annotations
@@ -22,7 +24,14 @@ import numpy as np
 
 from .agent import Agent, AgentConfig
 from .boundary import build_profile, export_centroids, load_profile, save_profile
-from .corpus import ChunkingConfig, chunk_document, load_chunks, load_corpus, save_chunks
+from .corpus import (
+    ChunkingConfig,
+    LineError,
+    chunk_document,
+    load_chunks,
+    load_corpus,
+    save_chunks,
+)
 from .embedding import (
     DimensionMismatchError,
     EmbeddingProviderConfig,
@@ -84,8 +93,10 @@ class SystemConfig:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, not {type(raw).__name__}")
         try:
             chunking = ChunkingConfig(**raw.get("chunking", {"chunk_tokens": 1024, "overlap_tokens": 40}))
             embedding = EmbeddingProviderConfig(**raw["embedding"])
@@ -114,7 +125,7 @@ class SystemConfig:
                 strategy=PlanStrategy(planner_cfg.get("strategy", "greedy")),
                 max_rounds=int(planner_cfg.get("max_rounds", 5)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ConfigError(f"bad config: {exc}") from exc
         ids = [a.agent_id for a in cfg.agents]
         if len(ids) != len(set(ids)):
@@ -423,6 +434,7 @@ def main(argv: list[str] | None = None) -> int:
         ConfigError,
         OSError,
         IndexFileError,
+        LineError,
         TransportError,
         DimensionMismatchError,
         MalformedReplyError,

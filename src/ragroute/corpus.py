@@ -12,8 +12,16 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, TypeVar
+
+T = TypeVar("T")
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+
+
+class LineError(RuntimeError):
+    """A line of a JSON-lines file is not the record the file must hold; the
+    message names the file and the line."""
 
 
 @dataclass(frozen=True)
@@ -178,21 +186,35 @@ def save_chunks(path: str | Path, chunks: list[Chunk]) -> None:
             )
 
 
+def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
+    """``parse`` of the JSON value on each non-blank line of a UTF-8 file.
+
+    Raises LineError naming the file and the line when a line is not UTF-8
+    or not JSON, or when ``parse`` finds a field missing or of the wrong type
+    or value.
+    """
+    path = Path(path)
+    out: list[T] = []
+    with path.open("r", encoding="utf-8") as fh:
+        try:
+            for line_no, line in enumerate(fh, 1):
+                line = line.strip()
+                if line:
+                    out.append(parse(json.loads(line)))
+        except UnicodeDecodeError as exc:
+            # The text reader decodes whole blocks, so it cannot tell which
+            # line the bad bytes are on; find it in the raw bytes.
+            for line_no, raw in enumerate(path.read_bytes().split(b"\n"), 1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as line_exc:
+                    raise LineError(f"{path} line {line_no}: not UTF-8: {line_exc}") from exc
+            raise LineError(f"{path} is not UTF-8: {exc}") from exc
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise LineError(f"{path} line {line_no}: {exc!r}") from exc
+    return out
+
+
 def load_chunks(path: str | Path) -> list[Chunk]:
-    chunks: list[Chunk] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            chunks.append(
-                Chunk(
-                    chunk_id=rec["chunk_id"],
-                    doc_id=rec["doc_id"],
-                    text=rec["text"],
-                    token_start=rec["token_start"],
-                    token_len=rec["token_len"],
-                )
-            )
-    return chunks
+    """The chunks ``save_chunks`` wrote; LineError names a bad line."""
+    return read_jsonl(path, lambda rec: Chunk(**rec))

@@ -215,6 +215,19 @@ def _token_axis(token: str, dim: int) -> int:
     return int.from_bytes(digest[:8], "little") % dim
 
 
+class _AxisMemo(dict):
+    """Token (as tokenized) -> ``_token_axis`` of its lowercase form, hashed
+    on first sight."""
+
+    def __init__(self, dim: int):
+        super().__init__()
+        self.dim = dim
+
+    def __missing__(self, token: str) -> int:
+        axis = self[token] = _token_axis(token.lower(), self.dim)
+        return axis
+
+
 class MockEmbedder:
     """Deterministic embedder: L2-normalized bag of hashed token directions.
 
@@ -228,18 +241,25 @@ class MockEmbedder:
         if dim <= 0:
             raise ValueError("dim must be positive")
         self.dim = dim
+        self._axes = _AxisMemo(dim)
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
+        """One float32 row per text: its token counts divided by their L2
+        norm in float64, then rounded; a text with no tokens is a zero row.
+
+        The counts are small integers, so their squares sum exactly in any
+        order and each row has the bits of adding 1.0 per token.
+        """
         if not texts:
             raise ValueError("texts must be non-empty")
-        out = np.zeros((len(texts), self.dim), dtype=np.float64)
+        out = np.zeros((len(texts), self.dim), dtype=np.float32)
         for row, text in enumerate(texts):
-            for token in tokenize(text):
-                out[row, _token_axis(token.lower(), self.dim)] += 1.0
-            norm = np.linalg.norm(out[row])
+            axes = np.fromiter(map(self._axes.__getitem__, tokenize(text)), dtype=np.intp)
+            counts = np.bincount(axes, minlength=self.dim)
+            norm = np.linalg.norm(counts)
             if norm > 0.0:
-                out[row] /= norm
-        return out.astype(np.float32)
+                out[row] = counts / norm
+        return out
 
 
 class RemoteEmbedder:

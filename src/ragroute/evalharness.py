@@ -14,14 +14,13 @@ Metrics:
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
 from .agent import Agent
-from .corpus import tokenize
+from .corpus import read_jsonl, tokenize
 from .llm import ChatMessage, TokenUsage, ask_parsed
 from .planner import PlanStrategy, run_plan
 from .prompts import (
@@ -56,24 +55,19 @@ class EvalItem:
             raise ValueError(f"bad hop type {self.hop!r}")
 
 
+def _eval_item(rec: dict) -> EvalItem:
+    return EvalItem(
+        question=rec["question"],
+        answers=tuple(rec["answers"]),
+        target_doc_ids=frozenset(rec.get("target_doc_ids", [])),
+        target_agent_ids=frozenset(rec.get("target_agent_ids", [])),
+        hop=rec.get("hop", SINGLE),
+    )
+
+
 def load_eval_items(path: str | Path) -> list[EvalItem]:
-    items = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            items.append(
-                EvalItem(
-                    question=rec["question"],
-                    answers=tuple(rec["answers"]),
-                    target_doc_ids=frozenset(rec.get("target_doc_ids", [])),
-                    target_agent_ids=frozenset(rec.get("target_agent_ids", [])),
-                    hop=rec.get("hop", SINGLE),
-                )
-            )
-    return items
+    """One item per non-blank line; LineError names a bad line."""
+    return read_jsonl(path, _eval_item)
 
 
 def normalize_text(text: str) -> str:

@@ -30,6 +30,9 @@ RRF_K = 60
 _EPS = float(np.finfo(np.float64).eps)
 # Elements per block of rows when a dense index takes its row norms.
 _NORM_BLOCK = 1 << 15
+# Row norms within which a float32 screening product neither overflows nor
+# loses more to underflow than the float64 slack of ``_screen_slack``.
+_F32_SAFE_NORM = (2.0**-64, 2.0**64)
 
 
 def unit_scores(unit_rows: np.ndarray, unit_q: np.ndarray) -> np.ndarray:
@@ -60,28 +63,43 @@ class RetrievalHit:
 
 
 class DenseIndex:
-    """Chunk embeddings as one float64 matrix of unit rows (rounded to float32,
-    as stored, before normalising) with a parallel chunk_id list."""
+    """Chunk embeddings as float32 rows, as stored, with one float64 L2 norm
+    per row and a parallel chunk_id list.
+
+    The rows are kept as given, not copied, so they must not be written to
+    afterwards. ``unit_rows`` gives float64 unit rows on demand.
+    """
 
     def __init__(self, matrix: np.ndarray, chunk_ids: list[str]):
-        unit = np.asarray(matrix, dtype=np.float32).astype(np.float64)
-        if unit.ndim != 2 or unit.shape[0] != len(chunk_ids):
+        rows = np.asarray(matrix, dtype=np.float32)
+        if rows.ndim != 2 or rows.shape[0] != len(chunk_ids):
             raise ValueError("matrix rows must match chunk_ids")
-        # np.linalg.norm(unit, axis=1) in row blocks: the same sums, without a
-        # squared temporary as large as the index.
-        step = max(1, _NORM_BLOCK // max(unit.shape[1], 1))
-        for start in range(0, len(unit), step):
-            block = unit[start : start + step]
-            norms = np.sqrt(np.add.reduce(block * block, axis=1))
-            if not np.all(norms > 0.0):
-                raise ValueError("zero vector in dense index")
-            block /= norms[:, None]
-        self._unit = unit
+        # np.linalg.norm(rows.astype(np.float64), axis=1) in row blocks: the
+        # same sums, without a float64 copy of the index.
+        norms = np.empty(len(rows))
+        step = max(1, _NORM_BLOCK // max(rows.shape[1], 1))
+        for start in range(0, len(rows), step):
+            block = rows[start : start + step].astype(np.float64)
+            norms[start : start + step] = np.sqrt(np.add.reduce(block * block, axis=1))
+        if not np.all(norms > 0.0):
+            raise ValueError("zero vector in dense index")
+        self._rows = rows
+        self._norms = norms
+        # A float32 product of a row whose norm is far from 1 can overflow or
+        # lose its low bits to underflow; such an index is screened in float64.
+        in_range = np.all((norms >= _F32_SAFE_NORM[0]) & (norms <= _F32_SAFE_NORM[1]))
+        self._screen_dtype = np.float32 if in_range else np.float64
         self.chunk_ids = list(chunk_ids)
         self.row_of = {cid: i for i, cid in enumerate(self.chunk_ids)}
 
     def __len__(self) -> int:
         return len(self.chunk_ids)
+
+    def unit_rows(self, rows) -> np.ndarray:
+        """Rows ``rows`` (a list or array of row indexes) as float64 unit
+        vectors, the bits of dividing each float32 row, widened, by its
+        float64 norm."""
+        return self._rows[rows] / self._norms[rows][:, None]
 
     @classmethod
     def load(cls, base_path: str | Path) -> "DenseIndex":
@@ -89,11 +107,22 @@ class DenseIndex:
         return cls(matrix, chunk_ids)
 
 
+def _screen_slack(dim: int) -> float:
+    """A bound on |screened score - ``unit_scores`` score| for one row: the
+    worst-case error of a float32 dot product of length ``dim`` with a query
+    rounded to float32, gamma(dim + 1) = (dim+1)u / (1 - (dim+1)u) with
+    u = 2**-24, plus float64 slack for both sides' norms, divisions and sums.
+    Past 2**24 terms there is no such bound, and every row is kept."""
+    g = (dim + 1) * 2.0**-24
+    return (g / (1.0 - g) if g < 1.0 else math.inf) + 4 * (dim + 2) * _EPS
+
+
 def dense_search(index: DenseIndex, query_vec: np.ndarray, top_n: int) -> list[RetrievalHit]:
     """Top-n chunks by cosine similarity; exhaustive scan.
 
-    One BLAS product scores every row and ``np.partition`` finds the n-th best
-    score. Rows within rounding slack of that cut are scored again with
+    One float32 BLAS product, divided by the row norms, screens every row,
+    and ``np.partition`` finds the n-th best screened score. Rows within
+    twice the screening error of that cut are scored again with
     ``unit_scores`` and sorted by (-score, chunk_id), so every tie on the cut
     is kept and broken by chunk_id, as in a full sort.
     """
@@ -102,18 +131,16 @@ def dense_search(index: DenseIndex, query_vec: np.ndarray, top_n: int) -> list[R
     if len(index) == 0:
         return []
     q = unit_query(query_vec)
-    unit = index._unit
-    rows = range(len(index))
+    rows = np.arange(len(index))
     if top_n < len(index):
-        approx = unit @ q
+        approx = (index._rows @ q.astype(index._screen_dtype)) / index._norms
         cut = np.partition(approx, len(approx) - top_n)[len(approx) - top_n]
-        # A row's BLAS score and its unit_scores score both sum d products of
-        # unit vectors, so they differ by at most about d * eps, and every row
-        # of the exact top n scores at least cut - 2 * d * eps here.
-        rows = np.flatnonzero(approx >= cut - 4 * q.shape[0] * _EPS).tolist()
-        unit = unit[rows]
-    sims = unit_scores(unit, q).tolist()
-    ids = [index.chunk_ids[i] for i in rows]
+        # Every screened score is within E of its exact score, so the cut is
+        # at most E above the n-th best exact score, and every row of the
+        # exact top n screens at or above cut - 2E.
+        rows = np.flatnonzero(approx >= cut - 2 * _screen_slack(q.shape[0]))
+    sims = unit_scores(index.unit_rows(rows), q).tolist()
+    ids = [index.chunk_ids[i] for i in rows.tolist()]
     order = sorted(range(len(ids)), key=lambda k: (-sims[k], ids[k]))[:top_n]
     return [
         RetrievalHit(chunk_id=ids[k], score=sims[k], rank=r, method=DENSE)
@@ -227,7 +254,7 @@ def rerank(
     if not hits:
         return []
     rows = [index.row_of[h.chunk_id] for h in hits]
-    sims = unit_scores(index._unit[rows], unit_query(query_vec)).tolist()
+    sims = unit_scores(index.unit_rows(rows), unit_query(query_vec)).tolist()
     scored = sorted(zip(sims, hits), key=lambda t: (-t[0], t[1].chunk_id))
     floor = min(min_keep, len(scored))
     kept = [t for t in scored if t[0] >= keep_threshold]

@@ -450,6 +450,53 @@ class TestEval:
         assert code == 2
 
 
+BAD_LINES = [
+    (b"{not json\n", 2),
+    (b"[]\n", 2),
+    (b"null\n", 2),
+    (b"{}\n", 2),
+    (b"\xff\xfe\n", 2),
+]
+
+
+class TestBadLines:
+    """A bad line of a dataset or chunk file exits 2 naming the file and the
+    line; a good first line is read, and blank lines are counted."""
+
+    @pytest.mark.parametrize("bad, line_no", BAD_LINES + [
+        (b'{"question": "q"}\n', 2),
+        (b'{"question": "q", "answers": []}\n', 2),
+        (b'\n{"question": "q", "answers": 7}\n', 3),
+    ])
+    def test_bad_dataset_line_exits_2(self, tmp_path, capsys, bad, line_no):
+        corpus, agents = topic_corpus_and_agents()
+        config = write_config(tmp_path, corpus, catch_all_script(), agents)
+        build_lifecycle(config)
+        dataset = topic_dataset(tmp_path, n=1)
+        dataset.write_bytes(dataset.read_bytes() + bad)
+        capsys.readouterr()
+        args = ["eval", "--config", str(config), "--dataset", str(dataset),
+                "--report", str(tmp_path / "r")]
+        assert main(args) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["command"] == "eval"
+        assert f"{dataset} line {line_no}:" in error["error"]
+
+    @pytest.mark.parametrize("command", ["eval", "build-index"])
+    @pytest.mark.parametrize("bad, line_no", BAD_LINES)
+    def test_bad_chunk_line_exits_2(self, tmp_path, capsys, command, bad, line_no):
+        corpus, agents = topic_corpus_and_agents()
+        config = write_config(tmp_path, corpus, catch_all_script(), agents)
+        build_lifecycle(config)
+        chunks = tmp_path / "index" / "agents" / "agent0" / "chunks.jsonl"
+        chunks.write_bytes(chunks.read_bytes() + bad)
+        capsys.readouterr()
+        assert main([command, "--config", str(config), *command_args(tmp_path, command)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["command"] == command
+        assert f"{chunks} line {line_no}:" in error["error"]
+
+
 def command_args(tmp_path: Path, command: str) -> list[str]:
     """The arguments after --config with which ``command`` reads a built index."""
     if command == "ask":
@@ -537,3 +584,19 @@ class TestConfigValidation:
     def test_unreadable_config_rejected(self, tmp_path, capsys):
         missing = tmp_path / "none.json"
         assert main(["ingest", "--config", str(missing)]) == 2
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"[]", b"null", b'"config"', b"\xff\xfe{}", b'{"corpus_path": "c\xe9"}', None],
+    )
+    def test_config_that_is_not_a_utf8_json_object_exits_2(self, tmp_path, capsys, content):
+        config = write_config(tmp_path, [], [], [{"agent_id": "a", "category": "c"}])
+        if content is None:  # a section of the wrong type
+            raw = json.loads(config.read_text(encoding="utf-8"))
+            raw["router"] = []
+            content = json.dumps(raw).encode()
+        config.write_bytes(content)
+        assert main(["ingest", "--config", str(config)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["command"] == "ingest"
+        assert "config" in error["error"]

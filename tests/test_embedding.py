@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from collections import Counter
 from http.server import BaseHTTPRequestHandler
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import cosine_similarity
 from ragroute.corpus import tokenize
@@ -18,6 +21,7 @@ from ragroute.embedding import (
     RemoteEmbedder,
     TransportError,
     VectorFileError,
+    _token_axis,
     load_vectors,
     make_embedder,
     save_vectors,
@@ -32,6 +36,33 @@ def naive_bag_cosine(a: str, b: str) -> float:
     na = math.sqrt(sum(v * v for v in ca.values()))
     nb = math.sqrt(sum(v * v for v in cb.values()))
     return dot / (na * nb)
+
+
+def loop_embed_batch(texts: list[str], dim: int) -> np.ndarray:
+    """Oracle: the mock embedder as a per-token loop, adding 1.0 at a fresh
+    SHA-256 axis for every token occurrence into a float64 matrix, then
+    normalising each row and rounding the whole matrix to float32."""
+    out = np.zeros((len(texts), dim), dtype=np.float64)
+    for row, text in enumerate(texts):
+        for token in tokenize(text):
+            out[row, _token_axis(token.lower(), dim)] += 1.0
+        norm = np.linalg.norm(out[row])
+        if norm > 0.0:
+            out[row] /= norm
+    return out.astype(np.float32)
+
+
+_WORDS = ["", "  ", "tax", "Tax", "TAX", "café", "CAFÉ", "İstanbul", "Straße", "東京",
+          "naïve", "ǅemal", "ﬁne", "x" * 40, ",", "?!", "42", "a_b"]
+
+
+@st.composite
+def embed_texts(draw):
+    """Texts built from repeated, mixed-case and non-ASCII words, with empty
+    and whitespace-only texts, repeats of whole texts, and arbitrary text."""
+    word_texts = st.lists(st.sampled_from(_WORDS), max_size=30).map(" ".join)
+    texts = draw(st.lists(st.one_of(word_texts, st.text(max_size=40)), min_size=1, max_size=12))
+    return texts + draw(st.lists(st.sampled_from(texts), max_size=3))
 
 
 class TestCosineSimilarity:
@@ -111,6 +142,29 @@ class TestMockEmbedder:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             MockEmbedder(8).embed_batch([])
+
+    @given(embed_texts(), st.integers(1, 4096))
+    def test_same_bytes_as_per_token_loop(self, texts, dim):
+        embedder = MockEmbedder(dim)
+        want = loop_embed_batch(texts, dim).tobytes()
+        assert embedder.embed_batch(texts).tobytes() == want
+        # a second batch reads the axes the first one memoised
+        assert embedder.embed_batch(texts).tobytes() == want
+
+    def test_peak_memory_no_higher_than_per_token_loop(self):
+        texts = [" ".join(f"w{(i * 31 + j) % 997}" for j in range(60)) for i in range(200)]
+
+        def peak(embed) -> int:
+            tracemalloc.start()
+            try:
+                embed()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: MockEmbedder(1024).embed_batch(texts)) <= peak(
+            lambda: loop_embed_batch(texts, 1024)
+        )
 
 
 class _EmbeddingHandler(BaseHTTPRequestHandler):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,8 @@ from ragroute.retrieval import (
     dense_search,
     mixture_search,
     rerank,
+    unit_query,
+    unit_scores,
 )
 
 
@@ -62,8 +65,62 @@ def tied_indexes(draw):
     return matrix, ids, query, draw(st.integers(1, len(copies) + 2))
 
 
+def f64_dense_search(
+    matrix: np.ndarray, chunk_ids: list[str], query: np.ndarray, top_n: int
+) -> list[RetrievalHit]:
+    """Oracle: dense search as it ran on one float64 unit matrix, screened by
+    a float64 BLAS product with 4 * d * eps slack, then re-scored with
+    ``unit_scores`` and sorted by (-score, chunk_id)."""
+    exact = np.asarray(matrix, dtype=np.float32).astype(np.float64)
+    unit = exact / np.linalg.norm(exact, axis=1)[:, None]
+    q = unit_query(query)
+    rows = range(len(chunk_ids))
+    if top_n < len(chunk_ids):
+        approx = unit @ q
+        cut = np.partition(approx, len(approx) - top_n)[len(approx) - top_n]
+        rows = np.flatnonzero(approx >= cut - 4 * q.shape[0] * np.finfo(np.float64).eps).tolist()
+        unit = unit[rows]
+    sims = unit_scores(unit, q).tolist()
+    ids = [chunk_ids[i] for i in rows]
+    order = sorted(range(len(ids)), key=lambda k: (-sims[k], ids[k]))[:top_n]
+    return [RetrievalHit(ids[k], sims[k], r, "dense") for r, k in enumerate(order, 1)]
+
+
+def hit_bits(hits: list[RetrievalHit]) -> list[tuple]:
+    """Hits with each score as its float64 bytes, so equal means bit-equal."""
+    return [(h.chunk_id, struct.pack("<d", h.score), h.rank, h.method) for h in hits]
+
+
+@st.composite
+def near_tied_indexes(draw):
+    """Copies of a few base vectors, some scaled by a power of two (equal
+    unit rows) and some moved one float32 ulp on one axis, with ids shuffled
+    against row order, a query on a copy or off it, and top_n in
+    {1, n - 1, n, n + 5}. Now and then every row sits far from unit scale
+    (subnormal at 2**-140, or at 2**100), where the index screens in
+    float64."""
+    dim = draw(st.one_of(st.integers(1, 48), st.sampled_from([384, 1024])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.normal(size=(draw(st.integers(1, 4)), dim)).astype(np.float32)
+    picks = st.tuples(st.integers(0, len(base) - 1), st.integers(0, 3), st.booleans())
+    rows = []
+    for b, k, nudge in draw(st.lists(picks, min_size=1, max_size=60)):
+        row = base[b] * np.float32(2.0**k)
+        if nudge:
+            axis = draw(st.integers(0, dim - 1))
+            row[axis] = np.nextafter(row[axis], np.float32(np.inf), dtype=np.float32)
+        rows.append(row)
+    scale = draw(st.sampled_from([1.0] * 6 + [2.0**-140, 2.0**100]))
+    matrix = np.array(rows, dtype=np.float32) * np.float32(scale)
+    n = len(rows)
+    ids = [f"c:{i:05d}" for i in rng.permutation(n)]
+    on_a_copy = draw(st.booleans())
+    query = base[draw(st.integers(0, len(base) - 1))] if on_a_copy else rng.normal(size=dim)
+    return matrix, ids, query, draw(st.sampled_from([1, max(1, n - 1), n, n + 5]))
+
+
 class TestDenseIndex:
-    def test_load_holds_one_float64_matrix(self, tmp_path):
+    def test_load_holds_float32_rows_and_float64_norms(self, tmp_path):
         rows, dim = 1000, 256
         matrix = np.random.default_rng(7).normal(size=(rows, dim)).astype(np.float32)
         save_vectors(tmp_path / "v", matrix, [f"c:{i:05d}" for i in range(rows)])
@@ -74,13 +131,15 @@ class TestDenseIndex:
         finally:
             tracemalloc.stop()
         assert len(index) == rows
-        assert held < 1.2 * rows * dim * 8
+        # the float32 rows read from disk and one float64 norm per row
+        assert held < 0.6 * rows * dim * 8
         # Building allocates no temporary near the size of the index on top
-        # of the float32 rows read from disk and the float64 unit matrix.
+        # of the float32 rows read from disk.
         assert peak - rows * dim * 4 < 1.5 * rows * dim * 8
         # ... and normalises to the same bits as one np.linalg.norm over all rows
         exact = matrix.astype(np.float64)
-        assert np.array_equal(index._unit, exact / np.linalg.norm(exact, axis=1)[:, None])
+        want = exact / np.linalg.norm(exact, axis=1)[:, None]
+        assert np.array_equal(index.unit_rows(np.arange(rows)), want)
 
 
 class TestDenseSearch:
@@ -118,6 +177,21 @@ class TestDenseSearch:
         matrix, ids, query, top_n = case
         got = [h.chunk_id for h in dense_search(DenseIndex(matrix, ids), query, top_n)]
         assert got == full_scan_oracle(matrix, ids, query, top_n)
+
+    @given(near_tied_indexes())
+    def test_same_hits_and_score_bits_as_float64_unit_matrix(self, case):
+        matrix, ids, query, top_n = case
+        got = dense_search(DenseIndex(matrix, ids), query, top_n)
+        assert hit_bits(got) == hit_bits(f64_dense_search(matrix, ids, query, top_n))
+
+    @pytest.mark.parametrize("top_n", [1, 2])
+    def test_row_whose_float32_product_overflows(self, top_n):
+        matrix = np.array([[3e38, 3e38], [1.0, 0.9], [0.1, 1.0]], np.float32)
+        ids = ["c:00000", "c:00001", "c:00002"]
+        query = np.array([1.0, 0.9])
+        got = dense_search(DenseIndex(matrix, ids), query, top_n)
+        assert got[0].chunk_id == "c:00001"
+        assert hit_bits(got) == hit_bits(f64_dense_search(matrix, ids, query, top_n))
 
     def test_empty_index(self):
         index = DenseIndex(np.zeros((0, 4), np.float32), [])
