@@ -125,15 +125,26 @@ class RecordError:
 def load_corpus(path: str | Path) -> tuple[list[Document], list[RecordError]]:
     """Read a JSONL corpus file (one document object per line).
 
-    Records missing ``doc_id`` or ``body`` (or duplicating an earlier
-    ``doc_id``) are rejected with a per-record error, never silently dropped.
+    Records that are not UTF-8 JSON objects, lack ``doc_id``, have a body
+    with no tokens, or duplicate an earlier ``doc_id`` are rejected with a
+    per-record error, never silently dropped.
     """
     path = Path(path)
     docs: list[Document] = []
     errors: list[RecordError] = []
     seen: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
+    # Bytes that are not UTF-8 decode to lone surrogates U+DC80..U+DCFF, which
+    # do not encode back to UTF-8, so such a line rejects its own record alone.
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, 1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                errors.append(
+                    RecordError(line_no, f"not UTF-8: byte 0x{byte:02x} at column {exc.start + 1}")
+                )
+                continue
             line = line.strip()
             if not line:
                 continue
@@ -142,6 +153,9 @@ def load_corpus(path: str | Path) -> tuple[list[Document], list[RecordError]]:
             except json.JSONDecodeError as exc:
                 errors.append(RecordError(line_no, f"malformed JSON: {exc}"))
                 continue
+            if not isinstance(rec, dict):
+                errors.append(RecordError(line_no, "not a JSON object"))
+                continue
             doc_id = rec.get("doc_id")
             body = rec.get("body")
             if not doc_id:
@@ -149,6 +163,10 @@ def load_corpus(path: str | Path) -> tuple[list[Document], list[RecordError]]:
                 continue
             if not body:
                 errors.append(RecordError(line_no, f"missing body (doc_id={doc_id!r})"))
+                continue
+            # Every character that is not whitespace is part of a token.
+            if not str(body).strip():
+                errors.append(RecordError(line_no, f"blank body (doc_id={doc_id!r})"))
                 continue
             if doc_id in seen:
                 errors.append(RecordError(line_no, f"duplicate doc_id {doc_id!r}"))

@@ -10,7 +10,6 @@ counts of prompt and reply.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import re
 import threading
@@ -19,7 +18,7 @@ from pathlib import Path
 from typing import Callable, TypeVar
 
 from .corpus import tokenize
-from .embedding import MalformedReplyError, endpoint_address, post_json
+from .embedding import MalformedReplyError, endpoint_address, post_json, read_json
 
 CHAT_TIMEOUT_S = 120.0
 
@@ -136,15 +135,23 @@ class ScriptedChatBackend:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedChatBackend":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(
-            [
+        """The script in a JSON list of ``{match, reply[, repeat]}``
+        objects; IndexFileError names the file when it is not that."""
+
+        def parse(raw) -> "ScriptedChatBackend":
+            if not isinstance(raw, list):
+                raise TypeError(f"a script is a JSON list, not {type(raw).__name__}")
+            entries = [
                 ScriptEntry(
                     match=item["match"], reply=item["reply"], repeat=bool(item.get("repeat", False))
                 )
                 for item in raw
             ]
-        )
+            if not all(isinstance(e.match, str) and isinstance(e.reply, str) for e in entries):
+                raise TypeError("every entry's match and reply must be strings")
+            return cls(entries)
+
+        return read_json(path, parse)
 
     def chat(self, messages: list[ChatMessage]) -> tuple[str, TokenUsage]:
         _check_messages(messages)

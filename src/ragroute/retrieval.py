@@ -1,8 +1,8 @@
 """Per-agent retrieval: dense cosine scan, Okapi BM25, rank fusion, rerank.
 
-Indexes are immutable after build; searches are read-only. The dense index is
-an exhaustive scan (desk-scale corpora, no ANN). Ties always break by
-ascending chunk_id so results are deterministic.
+Indexes are immutable after build; a search only adds to the BM25 index's
+per-term memo. The dense index is an exhaustive scan (desk-scale corpora, no
+ANN). Ties always break by ascending chunk_id so results are deterministic.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import Chunk, tokenize
 # save_vectors is unused here; perfbench/spans.py traces it by name on this module.
-from .embedding import load_vectors, read_json, save_vectors
+from .embedding import VectorFileError, load_vectors, read_json, save_vectors
 
 DENSE = "dense"
 BM25 = "bm25"
@@ -81,8 +81,10 @@ class DenseIndex:
         for start in range(0, len(rows), step):
             block = rows[start : start + step].astype(np.float64)
             norms[start : start + step] = np.sqrt(np.add.reduce(block * block, axis=1))
-        if not np.all(norms > 0.0):
-            raise ValueError("zero vector in dense index")
+        usable = (norms > 0.0) & (norms < math.inf)
+        if not usable.all():
+            row = int(np.flatnonzero(~usable)[0])
+            raise ValueError(f"row {row} ({chunk_ids[row]!r}) is zero or not finite")
         self._rows = rows
         self._norms = norms
         # A float32 product of a row whose norm is far from 1 can overflow or
@@ -103,8 +105,13 @@ class DenseIndex:
 
     @classmethod
     def load(cls, base_path: str | Path) -> "DenseIndex":
+        """The index ``save_vectors`` wrote; VectorFileError names the
+        ``.bin`` when a row is zero or not finite."""
         matrix, chunk_ids = load_vectors(base_path)
-        return cls(matrix, chunk_ids)
+        try:
+            return cls(matrix, chunk_ids)
+        except ValueError as exc:
+            raise VectorFileError(f"{Path(base_path).with_suffix('.bin')}: {exc}") from exc
 
 
 def _screen_slack(dim: int) -> float:
@@ -153,6 +160,12 @@ class Bm25Index:
 
     idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)), kept non-negative for
     corpus-dominating terms.
+
+    A chunk's row is its place in ``doc_len``. The row tables are built here
+    and never change. The first search that uses a term stores two arrays for
+    it: the row of each posting's chunk and the posting's BM25 weight, so
+    loading does no per-posting work. Threads that race on a term store equal
+    arrays, so threads may share an index.
     """
 
     def __init__(self, postings: dict[str, dict[str, int]], doc_len: dict[str, int]):
@@ -160,6 +173,18 @@ class Bm25Index:
         self.doc_len = doc_len
         self.n_chunks = len(doc_len)
         self.avg_len = (sum(doc_len.values()) / self.n_chunks) if self.n_chunks else 0.0
+        self.chunk_ids = list(doc_len)
+        self.row_of = dict(zip(self.chunk_ids, range(self.n_chunks)))
+        self._dl = np.fromiter(doc_len.values(), np.float64, self.n_chunks)
+        # Each row's place in chunk_id order, for tie breaks. bm25.json keeps
+        # its keys sorted, so a loaded index needs no lookups here.
+        by_id = sorted(self.chunk_ids)
+        if by_id == self.chunk_ids:
+            self._rank = np.arange(self.n_chunks)
+        else:
+            self._rank = np.empty(self.n_chunks, np.intp)
+            self._rank[[self.row_of[c] for c in by_id]] = np.arange(self.n_chunks)
+        self._terms: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
     def build(cls, chunks: list[Chunk]) -> "Bm25Index":
@@ -175,6 +200,36 @@ class Bm25Index:
     def idf(self, term: str) -> float:
         df = len(self.postings.get(term, {}))
         return math.log(1.0 + (self.n_chunks - df + 0.5) / (df + 0.5))
+
+    def term_weights(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
+        """The rows of ``term``'s chunks and each one's BM25 weight, or None
+        for a term with no postings.
+
+        Each weight is ``idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl /
+        avg_len))`` taken elementwise in that order, so it has the bits of
+        the same expression on Python floats. Raises ValueError for a posting
+        whose chunk has no length, or a weight that is not finite.
+        """
+        entry = self._terms.get(term)
+        if entry is not None:
+            return entry
+        posting = self.postings.get(term)
+        if not posting:
+            return None
+        try:
+            rows = np.fromiter(map(self.row_of.__getitem__, posting), np.intp, len(posting))
+        except KeyError as exc:
+            raise ValueError(
+                f"BM25 posting of {term!r} names chunk {exc.args[0]!r}, which has no length"
+            ) from exc
+        tf = np.fromiter(posting.values(), np.float64, len(posting))
+        with np.errstate(all="ignore"):
+            denom = tf + BM25_K1 * (1.0 - BM25_B + BM25_B * self._dl[rows] / self.avg_len)
+            weights = self.idf(term) * tf * (BM25_K1 + 1.0) / denom
+        if not np.isfinite(weights).all():
+            raise ValueError(f"BM25 weights of {term!r} are not finite (avg_len {self.avg_len})")
+        entry = self._terms[term] = (rows, weights)
+        return entry
 
     def save(self, path: str | Path) -> None:
         payload = {"postings": self.postings, "doc_len": self.doc_len}
@@ -196,27 +251,33 @@ def bm25_search(index: Bm25Index, query_tokens: list[str], top_n: int) -> list[R
     """Okapi BM25 ranking; chunks sharing no query term are excluded.
 
     Query terms are scored with multiplicity, so a duplicated term counts
-    exactly like a weight of two on the deduplicated term.
+    exactly like a weight of two on the deduplicated term. Each term's
+    weights are added into one score vector in query order, so every chunk
+    sums the same floats in the same order as a posting-by-posting loop.
+    Every touched chunk scoring at or above the n-th best score is kept and
+    sorted by (-score, chunk_id).
     """
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
-    terms = [t.lower() for t in query_tokens]
-    if not terms:
+    entries = [index.term_weights(t.lower()) for t in query_tokens]
+    entries = [e for e in entries if e is not None]
+    if not entries:
         return []
-    scores: dict[str, float] = {}
-    for term in terms:
-        posting = index.postings.get(term)
-        if not posting:
-            continue
-        idf = index.idf(term)
-        for chunk_id, tf in posting.items():
-            dl = index.doc_len[chunk_id]
-            denom = tf + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / index.avg_len)
-            scores[chunk_id] = scores.get(chunk_id, 0.0) + idf * tf * (BM25_K1 + 1.0) / denom
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    scores = np.zeros(index.n_chunks)
+    touched = np.zeros(index.n_chunks, dtype=bool)
+    for rows, weights in entries:
+        # A posting names each chunk once, so no row repeats within ``rows``.
+        scores[rows] += weights
+        touched[rows] = True
+    rows = np.flatnonzero(touched)
+    if len(rows) > top_n:
+        touched_scores = scores[rows]
+        cut = np.partition(touched_scores, len(rows) - top_n)[len(rows) - top_n]
+        rows = rows[touched_scores >= cut]
+    rows = rows[np.lexsort((index._rank[rows], -scores[rows]))][:top_n]
     return [
-        RetrievalHit(chunk_id=cid, score=score, rank=r, method=BM25)
-        for r, (cid, score) in enumerate(ranked[:top_n], 1)
+        RetrievalHit(chunk_id=index.chunk_ids[row], score=score, rank=r, method=BM25)
+        for r, (row, score) in enumerate(zip(rows.tolist(), scores[rows].tolist()), 1)
     ]
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import transcripts
@@ -142,6 +143,23 @@ class TestLifecycle:
         summary = json.loads(capsys.readouterr().out.strip())
         assert summary["documents"] == 1
         assert len(summary["record_errors"]) == 1
+
+    def test_blank_body_and_non_utf8_line_are_record_errors(self, tmp_path, capsys):
+        corpus = [
+            {"doc_id": "good", "category": "c", "body": "fine text here"},
+            {"doc_id": "blank", "category": "c", "body": "   "},
+        ]
+        config = write_config(tmp_path, corpus, [], [{"agent_id": "a", "category": "c"}])
+        with (tmp_path / "corpus.jsonl").open("ab") as fh:
+            fh.write(b'{"doc_id": "latin", "category": "c", "body": "caf\xe9"}\n')
+            fh.write(b'{"doc_id": "last", "category": "c", "body": "more text"}\n')
+        code = main(["ingest", "--config", str(config)])
+        assert code == 1
+        summary = json.loads(capsys.readouterr().out.strip())
+        assert summary["documents"] == 2
+        assert [e["line"] for e in summary["record_errors"]] == [2, 3]
+        chunks = (tmp_path / "index" / "agents" / "a" / "chunks.jsonl").read_text()
+        assert [json.loads(line)["doc_id"] for line in chunks.splitlines()] == ["good", "last"]
 
     def test_register_before_index_fails_cleanly(self, tmp_path, capsys):
         config = write_config(tmp_path, [{"doc_id": "d", "category": "c", "body": "words"}],
@@ -539,6 +557,45 @@ class TestIndexFiles:
             error = json.loads(capsys.readouterr().err)
             assert error["command"] == command
             assert f"{Path(relpath).name} {problem}" in error["error"]
+
+    @pytest.mark.parametrize("command", ["ask", "eval"])
+    @pytest.mark.parametrize("value", [float("nan"), 0.0])
+    def test_vector_row_nan_or_zero_exits_2_naming_the_bin(self, tmp_path, capsys, command, value):
+        corpus, agents = topic_corpus_and_agents()
+        config = write_config(tmp_path, corpus, catch_all_script(), agents)
+        build_lifecycle(config)
+        bin_path = tmp_path / "index" / "agents" / "agent0" / "vectors.bin"
+        rows = np.fromfile(bin_path, dtype="<f4").reshape(-1, transcripts.MOCK_DIM)
+        rows[0, 0 if np.isnan(value) else slice(None)] = value
+        rows.tofile(bin_path)
+        capsys.readouterr()
+        assert main([command, "--config", str(config), *command_args(tmp_path, command)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["command"] == command
+        assert f"{bin_path}: row 0 " in error["error"]
+        assert "zero or not finite" in error["error"]
+
+    @pytest.mark.parametrize(
+        "content, problem",
+        [
+            ("[{not json", "is not valid JSON"),
+            ("{}", "is valid JSON of the wrong shape"),
+            ('[{"match": "x"}]', "is valid JSON of the wrong shape"),
+            ('[{"match": 1, "reply": "r"}]', "is valid JSON of the wrong shape"),
+        ],
+    )
+    def test_script_file_not_a_script_exits_2_naming_it(self, tmp_path, capsys, content, problem):
+        corpus, agents = topic_corpus_and_agents()
+        config = write_config(tmp_path, corpus, catch_all_script(), agents)
+        build_lifecycle(config)
+        (tmp_path / "script.json").write_text(content, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["ask", "--config", str(config), *command_args(tmp_path, "ask")]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["command"] == "ask"
+        assert f"script.json {problem}" in error["error"]
 
     @pytest.mark.parametrize("command", ["ask", "eval"])
     def test_registry_agent_missing_from_config_exits_2(self, tmp_path, capsys, command):

@@ -165,6 +165,40 @@ class TestLoadCorpus:
         assert len(docs) == 1 and len(errors) == 1
         assert "duplicate" in errors[0].reason
 
+    def test_blank_body_reported_not_raised(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(
+            '{"doc_id": "a", "body": "hello"}\n'
+            '{"doc_id": "blank", "body": " \\t\\n\\u00a0"}\n'
+            '{"doc_id": "b", "body": "world"}\n'
+        )
+        docs, errors = load_corpus(path)
+        assert [d.doc_id for d in docs] == ["a", "b"]
+        assert [e.line_no for e in errors] == [2]
+        assert "blank body" in errors[0].reason
+
+    def test_line_not_utf8_reported_not_raised(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(
+            b'{"doc_id": "a", "body": "caf\xc3\xa9"}\r\n'
+            b'{"doc_id": "latin", "body": "caf\xe9"}\r\n'
+            b'{"doc_id": "b", "body": "world"}\r'
+            b'{"doc_id": "c", "body": "again"}\n'
+        )
+        docs, errors = load_corpus(path)
+        assert [d.doc_id for d in docs] == ["a", "b", "c"]
+        assert docs[0].body == "caf\u00e9"
+        assert [e.line_no for e in errors] == [2]
+        assert "not UTF-8: byte 0xe9 at column 33" in errors[0].reason
+
+    @pytest.mark.parametrize("line", ["[]", "null", "7", '"text"'])
+    def test_record_not_an_object_reported(self, tmp_path, line):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(line + '\n{"doc_id": "a", "body": "hello"}\n')
+        docs, errors = load_corpus(path)
+        assert [d.doc_id for d in docs] == ["a"]
+        assert [(e.line_no, e.reason) for e in errors] == [(1, "not a JSON object")]
+
     def test_unreadable_path(self, tmp_path):
         with pytest.raises(OSError):
             load_corpus(tmp_path / "missing.jsonl")

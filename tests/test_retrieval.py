@@ -3,7 +3,11 @@ from __future__ import annotations
 import math
 import random
 import struct
+import sys
+import tempfile
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,8 @@ from conftest import cosine_similarity
 from ragroute.corpus import Chunk, tokenize
 from ragroute.embedding import save_vectors
 from ragroute.retrieval import (
+    BM25_B,
+    BM25_K1,
     Bm25Index,
     DenseIndex,
     RetrievalHit,
@@ -140,6 +146,13 @@ class TestDenseIndex:
         exact = matrix.astype(np.float64)
         want = exact / np.linalg.norm(exact, axis=1)[:, None]
         assert np.array_equal(index.unit_rows(np.arange(rows)), want)
+
+    @pytest.mark.parametrize("value", [0.0, float("nan"), float("inf")])
+    def test_row_zero_or_not_finite_raises_naming_it(self, value):
+        matrix = np.ones((3, 4), np.float32)
+        matrix[1, 0 if value else slice(None)] = value
+        with pytest.raises(ValueError, match=r"row 1 \('c:00001'\) is zero or not finite"):
+            DenseIndex(matrix, ["c:00000", "c:00001", "c:00002"])
 
 
 class TestDenseSearch:
@@ -296,6 +309,127 @@ class TestBm25Search:
         index = Bm25Index.build([make_chunk("d:00001", "a b"), make_chunk("d:00000", "a b")])
         hits = bm25_search(index, ["a"], top_n=2)
         assert [h.chunk_id for h in hits] == ["d:00000", "d:00001"]
+
+
+def dict_bm25_search(index: Bm25Index, query_tokens: list[str], top_n: int) -> list[RetrievalHit]:
+    """Oracle: BM25 as it ran posting by posting over the index's dicts,
+    summing each chunk's score in a dict and sorting by (-score, chunk_id)."""
+    terms = [t.lower() for t in query_tokens]
+    if not terms:
+        return []
+    scores: dict[str, float] = {}
+    for term in terms:
+        posting = index.postings.get(term)
+        if not posting:
+            continue
+        idf = index.idf(term)
+        for chunk_id, tf in posting.items():
+            dl = index.doc_len[chunk_id]
+            denom = tf + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / index.avg_len)
+            scores[chunk_id] = scores.get(chunk_id, 0.0) + idf * tf * (BM25_K1 + 1.0) / denom
+    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [
+        RetrievalHit(chunk_id=cid, score=score, rank=r, method="bm25")
+        for r, (cid, score) in enumerate(ranked[:top_n], 1)
+    ]
+
+
+_BM25_VOCAB = ["alpha", "Beta", "gamma", "delta", "eps", "zeta", "eta", ".", ","]
+_BM25_QUERY_VOCAB = _BM25_VOCAB + ["ALPHA", "Gamma", "unknown", "zzz"]
+
+
+@st.composite
+def bm25_corpora(draw):
+    """A few texts, each used by one or more chunks (equal texts score
+    equally and tie), with chunk ids shuffled against build order."""
+    words = st.lists(st.sampled_from(_BM25_VOCAB), min_size=1, max_size=12)
+    texts = draw(st.lists(words.map(" ".join), min_size=1, max_size=6))
+    uses = draw(st.lists(st.integers(0, len(texts) - 1), min_size=1, max_size=24))
+    ids = draw(st.permutations(range(len(uses))))
+    return [make_chunk(f"d{i % 3}:{i:05d}", texts[t]) for i, t in zip(ids, uses)]
+
+
+def bm25_queries():
+    return st.lists(st.sampled_from(_BM25_QUERY_VOCAB), max_size=8)
+
+
+def top_ns(n: int):
+    return st.sampled_from([1, max(1, n - 1), n, n + 5])
+
+
+class TestBm25ArraysAgainstDictOracle:
+    @given(bm25_corpora(), bm25_queries(), bm25_queries(), st.data())
+    def test_cold_and_warm_queries_match_bit_for_bit(self, chunks, query, second, data):
+        index = Bm25Index.build(chunks)
+        top_n = data.draw(top_ns(len(chunks)))
+        for q in (query, second, query):
+            assert hit_bits(bm25_search(index, q, top_n)) == hit_bits(
+                dict_bm25_search(index, q, top_n)
+            )
+
+    @given(bm25_corpora(), bm25_queries(), st.data())
+    def test_loaded_copy_matches_bit_for_bit(self, chunks, query, data):
+        built = Bm25Index.build(chunks)
+        with tempfile.TemporaryDirectory() as tmp:
+            built.save(Path(tmp) / "bm25.json")
+            loaded = Bm25Index.load(Path(tmp) / "bm25.json")
+        # bm25.json sorts its keys, so the loaded rows are in chunk_id order
+        assert list(loaded.doc_len) == sorted(built.doc_len)
+        top_n = data.draw(top_ns(len(chunks)))
+        want = hit_bits(dict_bm25_search(built, query, top_n))
+        assert hit_bits(bm25_search(loaded, query, top_n)) == want
+        assert hit_bits(bm25_search(built, query, top_n)) == want
+
+    def test_load_builds_no_term_arrays_and_a_query_only_its_own(self, tmp_path):
+        chunks = [make_chunk("d:00001", "a b c"), make_chunk("d:00000", "b c d")]
+        Bm25Index.build(chunks).save(tmp_path / "bm25.json")
+        index = Bm25Index.load(tmp_path / "bm25.json")
+        assert index._terms == {}
+        bm25_search(index, ["B", "zzz", "b"], top_n=2)
+        assert set(index._terms) == {"b"}
+
+    def test_threads_sharing_a_fresh_index_get_the_sequential_hits(self):
+        rng = random.Random(11)
+        vocab = [f"w{i}" for i in range(60)]
+        chunks = [
+            make_chunk(f"d:{i:05d}", " ".join(rng.choices(vocab, k=rng.randint(1, 30))))
+            for i in rng.sample(range(400), 400)
+        ]
+        queries = [rng.choices(vocab, k=rng.randint(1, 6)) for _ in range(40)]
+        want = [hit_bits(bm25_search(Bm25Index.build(chunks), q, 10)) for q in queries]
+        shared = Bm25Index.build(chunks)
+        start = threading.Barrier(8, timeout=60)
+        got: list = [None] * 8
+
+        def worker(k: int) -> None:
+            # Every thread asks the same questions in the same order, so they
+            # race to store each term's arrays.
+            start.wait()
+            got[k] = [hit_bits(bm25_search(shared, q, 10)) for q in queries]
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 8
+
+    def test_posting_naming_a_chunk_without_length_raises(self):
+        index = Bm25Index({"a": {"c:00000": 1, "ghost": 2}}, {"c:00000": 3})
+        with pytest.raises(ValueError, match="ghost"):
+            bm25_search(index, ["a"], top_n=5)
+
+    def test_zero_average_length_raises_instead_of_ranking_nan(self):
+        index = Bm25Index({"a": {"c:00000": 1}}, {"c:00000": 0})
+        assert index.avg_len == 0.0
+        with pytest.raises(ValueError, match="not finite"):
+            bm25_search(index, ["a"], top_n=5)
 
 
 def hit(chunk_id: str, rank: int, method: str = "dense", score: float | None = None) -> RetrievalHit:
