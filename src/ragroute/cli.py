@@ -120,10 +120,11 @@ class SystemConfig:
                 embedding=embedding,
                 chat=chat,
                 agents=agent_cfgs,
-                max_agents=int(router_cfg.get("max_agents", 5)),
-                parallelism=int(router_cfg.get("parallelism", 1)),
-                strategy=PlanStrategy(planner_cfg.get("strategy", "greedy")),
-                max_rounds=int(planner_cfg.get("max_rounds", 5)),
+                # an absent key keeps the dataclass default
+                max_agents=int(router_cfg.get("max_agents", cls.max_agents)),
+                parallelism=int(router_cfg.get("parallelism", cls.parallelism)),
+                strategy=PlanStrategy(planner_cfg.get("strategy", cls.strategy)),
+                max_rounds=int(planner_cfg.get("max_rounds", cls.max_rounds)),
             )
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ConfigError(f"bad config: {exc}") from exc
@@ -192,7 +193,10 @@ def cmd_ingest(cfg: SystemConfig, args: argparse.Namespace) -> int:
         "unassigned_categories": unassigned,
     }
     print(json.dumps(summary, sort_keys=True))
-    return EXIT_PARTIAL if (record_errors or unassigned) else EXIT_OK
+    if record_errors or unassigned:
+        message = f"{len(record_errors)} record errors, {len(unassigned)} unassigned categories"
+        return _fail("ingest", message, EXIT_PARTIAL)
+    return EXIT_OK
 
 
 def cmd_build_index(cfg: SystemConfig, args: argparse.Namespace) -> int:
@@ -213,10 +217,15 @@ def cmd_build_index(cfg: SystemConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_register(cfg: SystemConfig, args: argparse.Namespace) -> int:
+    """Cluster each selected agent and push its centroids. A full register
+    starts from an empty registry; ``--agent`` merges into the saved one and
+    drops entries of agents the config no longer lists."""
     registry = RouterRegistry()
     registry_path = cfg.registry_json()
-    if registry_path.exists():
-        registry = RouterRegistry.load(registry_path, cfg.registry_vectors())
+    if args.agent is not None and registry_path.exists():
+        saved = RouterRegistry.load(registry_path, cfg.registry_vectors())
+        configured = {a.agent_id for a in cfg.agents}
+        registry.register(e for e in saved.entries if e.agent_id in configured)
     for agent_cfg in _select_agent_cfgs(cfg, args.agent):
         adir = cfg.agent_dir(agent_cfg.agent_id)
         if not (adir / "vectors.manifest.json").exists():
@@ -349,7 +358,9 @@ def cmd_eval(cfg: SystemConfig, args: argparse.Namespace) -> int:
     hard_failures = sum(
         1 for outcomes in report.outcomes.values() for o in outcomes if o.error is not None
     )
-    return EXIT_PARTIAL if hard_failures else EXIT_OK
+    if hard_failures:
+        return _fail("eval", f"{hard_failures} item runs failed", EXIT_PARTIAL)
+    return EXIT_OK
 
 
 def cmd_inspect(cfg: SystemConfig, args: argparse.Namespace) -> int:

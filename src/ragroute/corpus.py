@@ -125,9 +125,9 @@ class RecordError:
 def load_corpus(path: str | Path) -> tuple[list[Document], list[RecordError]]:
     """Read a JSONL corpus file (one document object per line).
 
-    Records that are not UTF-8 JSON objects, lack ``doc_id``, have a body
-    with no tokens, or duplicate an earlier ``doc_id`` are rejected with a
-    per-record error, never silently dropped.
+    Records that are not UTF-8 JSON objects, lack a string ``doc_id``, lack
+    a string body with tokens, or duplicate an earlier ``doc_id`` are
+    rejected with a per-record error, never silently dropped.
     """
     path = Path(path)
     docs: list[Document] = []
@@ -161,11 +161,17 @@ def load_corpus(path: str | Path) -> tuple[list[Document], list[RecordError]]:
             if not doc_id:
                 errors.append(RecordError(line_no, "missing doc_id"))
                 continue
+            if not isinstance(doc_id, str):
+                errors.append(RecordError(line_no, f"doc_id is not a string: {doc_id!r}"))
+                continue
             if not body:
                 errors.append(RecordError(line_no, f"missing body (doc_id={doc_id!r})"))
                 continue
+            if not isinstance(body, str):
+                errors.append(RecordError(line_no, f"body is not a string (doc_id={doc_id!r})"))
+                continue
             # Every character that is not whitespace is part of a token.
-            if not str(body).strip():
+            if not body.strip():
                 errors.append(RecordError(line_no, f"blank body (doc_id={doc_id!r})"))
                 continue
             if doc_id in seen:
@@ -174,10 +180,10 @@ def load_corpus(path: str | Path) -> tuple[list[Document], list[RecordError]]:
             seen.add(doc_id)
             docs.append(
                 Document(
-                    doc_id=str(doc_id),
+                    doc_id=doc_id,
                     title=str(rec.get("title", "")),
                     category=str(rec.get("category", "")),
-                    body=str(body),
+                    body=body,
                 )
             )
     return docs, errors

@@ -279,25 +279,12 @@ def answer(system: EvalSystem, question: str, hop: str = SINGLE):
     when its agent mode says so, else a multi-hop plan for a ``MULTI``
     question, else one routed round (over every registered agent in
     ``AGENTS_ALL`` mode). Returns the ``RoutedAnswer`` or ``PlanResult``."""
-    parts = (system.registry, system.agents, system.backend, system.embedder)
     if system.agent_mode == AGENTS_RAW_KNOWLEDGE:
-        return route_raw_knowledge(question, *parts, max_agents=system.max_agents)
+        return route_raw_knowledge(system, question)
     if hop == MULTI:
-        return run_plan(
-            question,
-            system.strategy,
-            *parts,
-            max_rounds=system.max_rounds,
-            max_agents=system.max_agents,
-            parallelism=system.parallelism,
-        )
-    return route_and_answer(
-        question,
-        *parts,
-        max_agents=system.max_agents,
-        parallelism=system.parallelism,
-        selected_override=system.registry.agent_ids if system.agent_mode == AGENTS_ALL else None,
-    )
+        return run_plan(system, question)
+    override = system.registry.agent_ids if system.agent_mode == AGENTS_ALL else None
+    return route_and_answer(system, question, selected_override=override)
 
 
 def _run_with_rag(item: EvalItem, system: EvalSystem) -> ItemOutcome:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from .agent import MULTI_HOP, Agent
 from .llm import (
@@ -35,7 +36,10 @@ from .prompts import (
     SPLITTER_FIRST_ROUND,
     render_prompt,
 )
-from .router import RouterRegistry, route_and_answer
+from .router import route_and_answer
+
+if TYPE_CHECKING:
+    from .evalharness import EvalSystem
 
 
 class PlanError(RuntimeError):
@@ -208,20 +212,13 @@ def defend(
     return answer
 
 
-def run_plan(
-    query: str,
-    strategy: PlanStrategy | str,
-    registry: RouterRegistry,
-    agents: dict[str, Agent],
-    backend,
-    embedder,
-    max_rounds: int = 5,
-    max_agents: int = 5,
-    parallelism: int = 1,
-) -> PlanResult:
-    strategy = PlanStrategy(strategy)
-    if max_rounds < 1:
+def run_plan(system: EvalSystem, query: str) -> PlanResult:
+    """Answer ``query`` with ``system.strategy``, routing each round through
+    ``system`` and stopping a greedy loop after ``system.max_rounds`` rounds."""
+    strategy = PlanStrategy(system.strategy)
+    if system.max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
+    backend = system.backend
     meter = UsageMeter()
     records: list[QARecord] = []
     rounds: list[RoundTrace] = []
@@ -229,25 +226,14 @@ def run_plan(
     def route(question: str, min_keep: int) -> str:
         """Route one round, charge it to the meter, record it, and return
         its curated answer."""
-        routed = route_and_answer(
-            question,
-            registry,
-            agents,
-            backend,
-            embedder,
-            max_agents=max_agents,
-            mode=MULTI_HOP,
-            history=records,
-            min_keep=min_keep,
-            parallelism=parallelism,
-        )
+        routed = route_and_answer(system, question, MULTI_HOP, history=records, min_keep=min_keep)
         meter.total = meter.total + routed.usage
         number = len(rounds) + 1
         records.append(QARecord(question, routed.final_answer, number))
         rounds.append(
             RoundTrace(
                 number, question, routed.final_answer, routed.selected_agent_ids,
-                routed.verdicts, routed.doc_slots(agents),
+                routed.verdicts, routed.doc_slots(system.agents),
             )
         )
         return routed.final_answer
@@ -263,7 +249,7 @@ def run_plan(
             polished = polish_query(sub, records, backend, meter) if records else None
             route(polished or sub, ITERATIVE_MIN_KEEP)
     else:  # greedy round loop
-        while len(rounds) < max_rounds:
+        while len(rounds) < system.max_rounds:
             asked = [r.question for r in records]
             selected = select_subquestion(candidates, asked, records, backend, meter)
             route(selected.text, ITERATIVE_MIN_KEEP)

@@ -12,7 +12,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -28,6 +28,9 @@ from .prompts import (
 )
 # rerank is unused here; perfbench/spans.py traces it by name on this module.
 from .retrieval import rerank, unit_query, unit_scores
+
+if TYPE_CHECKING:
+    from .evalharness import EvalSystem
 
 GOOD_RELIABLE = "good_reliable"
 CONJECTURE = "conjecture"
@@ -261,19 +264,15 @@ def _fan_out(
 
 
 def route_and_answer(
+    system: EvalSystem,
     question: str,
-    registry: RouterRegistry,
-    agents: dict[str, Agent],
-    backend,
-    embedder,
-    max_agents: int = 5,
     mode: str = SINGLE_HOP,
     history: Iterable = (),
     min_keep: int | None = None,
-    parallelism: int = 1,
     selected_override: list[str] | None = None,
 ) -> RoutedAnswer:
-    """Select agents, fan the question out, and curate one final answer.
+    """Select up to ``system.max_agents`` agents, fan the question out over
+    ``system.parallelism`` threads, and curate one final answer.
 
     The question is embedded once; that vector selects the agents and every
     selected agent retrieves and reranks with it. Agents that hard-fail are
@@ -281,20 +280,19 @@ def route_and_answer(
     answers that did arrive. ``selected_override`` bypasses centroid
     selection (used by the all-agents baseline).
     """
-    query_vec = embedder.embed_batch([question])[0]
+    query_vec = system.embedder.embed_batch([question])[0]
     if selected_override is not None:
         selected = list(selected_override)
     else:
-        selected = select_agents(registry, query_vec, max_agents)
+        selected = select_agents(system.registry, query_vec, system.max_agents)
     history = list(history)
-    results = _fan_out(
-        question, query_vec, [agents[a] for a in selected], mode, history, min_keep, parallelism
-    )
+    agents = [system.agents[a] for a in selected]
+    results = _fan_out(question, query_vec, agents, mode, history, min_keep, system.parallelism)
     answers = [r for r in results if isinstance(r, AgentAnswer)]
     failed = {r.agent_id: str(r) for r in results if isinstance(r, AgentError)}
     if not answers:
         raise RouterError(f"all selected agents failed: {failed}")
-    routed = evaluate_and_curate(question, answers, backend, mode=mode, history=history)
+    routed = evaluate_and_curate(question, answers, system.backend, mode=mode, history=history)
     return replace(
         routed,
         selected_agent_ids=tuple(selected),
@@ -303,27 +301,20 @@ def route_and_answer(
     )
 
 
-def route_raw_knowledge(
-    question: str,
-    registry: RouterRegistry,
-    agents: dict[str, Agent],
-    backend,
-    embedder,
-    max_agents: int = 5,
-) -> RoutedAnswer:
+def route_raw_knowledge(system: EvalSystem, question: str) -> RoutedAnswer:
     """Baseline variant: selected agents only select chunks; those are
     forwarded to one single-hop generation call instead of per-agent answers.
     The question is embedded once, for selection, retrieval and rerank."""
-    query_vec = embedder.embed_batch([question])[0]
-    selected = select_agents(registry, query_vec, max_agents)
+    query_vec = system.embedder.embed_batch([question])[0]
+    selected = select_agents(system.registry, query_vec, system.max_agents)
     blocks: list[str] = []
     answers: list[AgentAnswer] = []
     for agent_id in selected:
-        agent = agents[agent_id]
+        agent = system.agents[agent_id]
         kept = agent.select_chunks(question, query_vec)
         blocks.extend(agent.document_blocks(kept))
         answers.append(AgentAnswer(agent_id, ParsedAgentReply("", "", False), "", tuple(kept), TokenUsage()))
-    text, usage = backend.chat(
+    text, usage = system.backend.chat(
         render_prompt(
             AGENT_ANSWER_SINGLE_HOP, {"question": question, "documents": blocks, "history": []}
         )

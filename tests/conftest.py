@@ -13,6 +13,7 @@ from ragroute.agent import Agent, AgentConfig, build_agent
 from ragroute.boundary import build_profile, export_centroids
 from ragroute.corpus import ChunkingConfig, Document, chunk_document
 from ragroute.embedding import MockEmbedder
+from ragroute.evalharness import EvalSystem
 from ragroute.router import RouterRegistry
 
 # Every run tries the same examples, and slow examples are not failures.
@@ -71,6 +72,14 @@ def make_agents(
             profile = build_profile(agent_id, [c.chunk_id for c in chunks], matrix)
             registry.register(export_centroids(profile))
     return agents, registry
+
+
+def system_of(agents: dict[str, Agent], registry: RouterRegistry, backend, embedder, **settings):
+    """The loaded system that the router and planner entry points take;
+    ``settings`` override ``EvalSystem``'s run settings."""
+    return EvalSystem(
+        registry=registry, agents=agents, backend=backend, embedder=embedder, **settings
+    )
 
 
 class CountingEmbedder(MockEmbedder):

@@ -235,7 +235,7 @@ def test_c7_chunking_conformance(cfg):
 # -- criterion 8 ---------------------------------------------------------------
 
 def test_c8_plan_termination_bound(mock_embedder):
-    from conftest import make_agents
+    from conftest import make_agents, system_of
 
     rng = random.Random(20240508)
     for case in range(100):
@@ -266,8 +266,10 @@ def test_c8_plan_termination_bound(mock_embedder):
             [{"doc_id": "d", "category": "c", "body": f"seed question {case} fresh words"}],
             ["a"], ["c"], backend, mock_embedder,
         )
-        result = run_plan(f"never answerable {case}?", "greedy", registry, agents, backend,
-                          mock_embedder, max_rounds=max_rounds)
+        system = system_of(
+            agents, registry, backend, mock_embedder, strategy="greedy", max_rounds=max_rounds
+        )
+        result = run_plan(system, f"never answerable {case}?")
         assert len(result.rounds) <= max_rounds
         assert result.status == EXHAUSTED
         assert result.final_answer == "Insufficient information."

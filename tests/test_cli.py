@@ -106,6 +106,21 @@ class TestLifecycle:
             {"agent_id": "agent1", "category": "cat1"}
         ]
 
+    @pytest.mark.parametrize("flags", [[], ["--agent", "agent0"]], ids=["all", "one"])
+    def test_register_forgets_an_agent_dropped_from_the_config(self, tmp_path, capsys, flags):
+        corpus, agents = topic_corpus_and_agents(2)
+        config = write_config(tmp_path, corpus, catch_all_script(), agents)
+        build_lifecycle(config)
+        raw = json.loads(config.read_text())
+        raw["agents"] = raw["agents"][:1]
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["register", "--config", str(config), *flags]) == 0
+        assert json.loads(capsys.readouterr().out)["agents"] == 1
+        registry = json.loads((tmp_path / "index" / "registry.json").read_text())
+        assert {e["agent_id"] for e in registry["entries"]} == {"agent0"}
+        assert main(["ask", "--config", str(config), "--question", "topic0word0?"]) == 0
+
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         corpus = [
             {"doc_id": "d1", "category": "ca", "body": "alpha words " * 30},
@@ -160,6 +175,21 @@ class TestLifecycle:
         assert [e["line"] for e in summary["record_errors"]] == [2, 3]
         chunks = (tmp_path / "index" / "agents" / "a" / "chunks.jsonl").read_text()
         assert [json.loads(line)["doc_id"] for line in chunks.splitlines()] == ["good", "last"]
+
+    def test_doc_id_or_body_not_a_string_is_a_record_error(self, tmp_path, capsys):
+        corpus = [
+            {"doc_id": "5", "category": "c", "body": "the string id"},
+            {"doc_id": 5, "category": "c", "body": "the number id"},
+            {"doc_id": ["x"], "category": "c", "body": "a list id"},
+            {"doc_id": "listed", "category": "c", "body": ["a", "list", "body"]},
+        ]
+        config = write_config(tmp_path, corpus, [], [{"agent_id": "a", "category": "c"}])
+        assert main(["ingest", "--config", str(config)]) == 1
+        summary = json.loads(capsys.readouterr().out.strip())
+        assert summary["documents"] == 1
+        assert [e["line"] for e in summary["record_errors"]] == [2, 3, 4]
+        chunks = (tmp_path / "index" / "agents" / "a" / "chunks.jsonl").read_text()
+        assert [json.loads(line)["text"] for line in chunks.splitlines()] == ["the string id"]
 
     def test_register_before_index_fails_cleanly(self, tmp_path, capsys):
         config = write_config(tmp_path, [{"doc_id": "d", "category": "c", "body": "words"}],
@@ -521,6 +551,8 @@ def command_args(tmp_path: Path, command: str) -> list[str]:
         return ["--question", "topic0word0?"]
     if command == "eval":
         return ["--dataset", str(topic_dataset(tmp_path)), "--report", str(tmp_path / "r")]
+    if command == "register":  # only a one-agent register reads the saved registry
+        return ["--agent", "agent0"]
     return []
 
 
@@ -657,3 +689,107 @@ class TestConfigValidation:
         error = json.loads(capsys.readouterr().err)
         assert error["command"] == "ingest"
         assert "config" in error["error"]
+
+
+def _flip_middle_byte(data: bytes) -> bytes:
+    mid = len(data) // 2
+    return data[:mid] + bytes([data[mid] ^ 0xFF]) + data[mid + 1 :]
+
+
+CORRUPTIONS = {
+    "empty": lambda data: b"",
+    "list": lambda data: b"[]",
+    "null": lambda data: b"null",
+    "bom": lambda data: b"\xff\xfe" + data,
+    "half": lambda data: data[: len(data) // 2],
+    "flip": _flip_middle_byte,
+}
+
+SWEEP_COMMANDS = {
+    "inspect": [],
+    "ask": ["--question", "topic0word0 topic0word3?"],
+    "eval": ["--dataset", "{root}/items.jsonl", "--report", "{root}/report/r"],
+    "ingest": [],
+    "register": [],
+    "register --agent": ["--agent", "agent0"],
+}
+
+
+@pytest.fixture(scope="module")
+def built_tree(tmp_path_factory):
+    """A small built index with its config, chat script, corpus and dataset,
+    and a snapshot of every file in it, as ``(root, {path: bytes})``."""
+    root = tmp_path_factory.mktemp("sweep")
+    corpus, agents = topic_corpus_and_agents(2)
+    config = write_config(root, corpus, catch_all_script(), agents)
+    topic_dataset(root, n=2)
+    for command in ("ingest", "build-index", "register"):
+        assert main([command, "--config", str(config)]) == 0
+    return root, {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def restore(root: Path, snapshot: dict[Path, bytes]) -> None:
+    for path in [p for p in root.rglob("*") if p.is_file() and p not in snapshot]:
+        path.unlink()
+    for path, data in snapshot.items():
+        path.write_bytes(data)
+
+
+class TestCorruptionSweep:
+    """Every input file and every file of a built index, damaged six ways,
+    under every command: each run exits 0, 1 or 2, prints a one-line JSON
+    ``{"command", "error"}`` on stderr when it does not exit 0, and never
+    raises."""
+
+    @staticmethod
+    def escape(root: Path, command: str, capsys) -> str | None:
+        """Why the run of ``command`` broke the contract, or None."""
+        name = command.split()[0]
+        extra = [arg.format(root=root) for arg in SWEEP_COMMANDS[command]]
+        capsys.readouterr()
+        try:
+            code = main([name, "--config", str(root / "config.json"), *extra])
+        except Exception as exc:  # the sweep records every escape
+            return f"raised {exc!r}"
+        captured = capsys.readouterr()
+        if code not in (0, 1, 2):
+            return f"exit {code}"
+        if code == 0:
+            return None
+        lines = captured.err.splitlines()
+        try:
+            error = json.loads(lines[0]) if len(lines) == 1 else None
+        except ValueError:
+            error = None
+        if not isinstance(error, dict) or sorted(error) != ["command", "error"]:
+            return f"exit {code} with stderr {captured.err!r}"
+        if error["command"] != name:
+            return f"exit {code} naming command {error['command']!r}"
+        return None
+
+    @pytest.mark.parametrize("command", sorted(SWEEP_COMMANDS))
+    def test_every_file_every_corruption(self, built_tree, capsys, command):
+        root, snapshot = built_tree
+        escapes = []
+        for path, data in snapshot.items():
+            for kind, corrupt in CORRUPTIONS.items():
+                restore(root, snapshot)
+                path.write_bytes(corrupt(data))
+                why = self.escape(root, command, capsys)
+                if why:
+                    escapes.append(f"{path.relative_to(root)} {kind}: {why}")
+        restore(root, snapshot)
+        assert escapes == []
+
+    @pytest.mark.parametrize(
+        "doc_id", [["x"], {"k": "v"}, 5], ids=["list", "object", "number"]
+    )
+    def test_corpus_doc_id_not_a_string(self, built_tree, capsys, doc_id):
+        root, snapshot = built_tree
+        restore(root, snapshot)
+        corpus = root / "corpus.jsonl"
+        record = {"doc_id": doc_id, "category": "cat0", "body": "topic0word0 words"}
+        corpus.write_bytes(snapshot[corpus] + json.dumps(record).encode() + b"\n")
+        for command in sorted(SWEEP_COMMANDS):
+            assert self.escape(root, command, capsys) is None, command
+        restore(root, snapshot)

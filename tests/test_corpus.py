@@ -199,6 +199,24 @@ class TestLoadCorpus:
         assert [d.doc_id for d in docs] == ["a"]
         assert [(e.line_no, e.reason) for e in errors] == [(1, "not a JSON object")]
 
+    @pytest.mark.parametrize(
+        "record, reason",
+        [
+            ('{"doc_id": ["x"], "body": "words"}', "doc_id is not a string: ['x']"),
+            ('{"doc_id": {"k": 1}, "body": "words"}', "doc_id is not a string: {'k': 1}"),
+            ('{"doc_id": 5, "body": "words"}', "doc_id is not a string: 5"),
+            ('{"doc_id": true, "body": "words"}', "doc_id is not a string: True"),
+            ('{"doc_id": "x", "body": ["words"]}', "body is not a string (doc_id='x')"),
+            ('{"doc_id": "x", "body": 7}', "body is not a string (doc_id='x')"),
+        ],
+    )
+    def test_doc_id_or_body_not_a_string_reported(self, tmp_path, record, reason):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(f'{{"doc_id": "5", "body": "hello"}}\n{record}\n')
+        docs, errors = load_corpus(path)
+        assert [(d.doc_id, d.body) for d in docs] == [("5", "hello")]
+        assert [(e.line_no, e.reason) for e in errors] == [(2, reason)]
+
     def test_unreadable_path(self, tmp_path):
         with pytest.raises(OSError):
             load_corpus(tmp_path / "missing.jsonl")

@@ -6,12 +6,15 @@ import transcripts
 from ragroute.evalharness import (
     AGENTS_ALL,
     AGENTS_RAW_KNOWLEDGE,
+    AGENTS_SELECTED,
     MULTI,
+    SINGLE,
     EvalItem,
     EvalSystem,
     ItemOutcome,
     aggregate,
     agent_useful,
+    answer,
     answerable_rate,
     doc_useful,
     judge_correctness,
@@ -313,6 +316,58 @@ class TestRunEval:
         system = eight_topic_system(mock_embedder, backend)
         report = run_eval(topic_items(2)[:2], system, judge_backend=judge)
         assert report.mode_reports["with_rag"]["judge_pct"] == 100.0
+
+
+def every_prompt_backend() -> ScriptedChatBackend:
+    """Replies to every pipeline prompt: a one-subquestion split, a judge that
+    says answerable at once, a defender, agents and curation."""
+    unknown = "Analysis: none.\nAnswer: I don't know."
+    return ScriptedChatBackend(
+        [
+            ScriptEntry("break the question into", "1. topic0word0 topic0word3?", repeat=True),
+            ScriptEntry("justify if the query", "Answerable: yes\nResponse: done.", repeat=True),
+            ScriptEntry("If you need more information", "Answer: done.", repeat=True),
+            ScriptEntry("set of documents", unknown, repeat=True),
+            ScriptEntry("collection of knowledge", unknown, repeat=True),
+            ScriptEntry(
+                "set of respoonses",
+                "Evaluation: \n- Response 1 is unreliable.\n" + unknown,
+                repeat=True,
+            ),
+        ]
+    )
+
+
+class TestAnswerDispatch:
+    """Which path ``answer`` takes for each agent mode and hop, seen through
+    the chat calls it makes and the agents it reports, with 8 agents and
+    ``max_agents`` 2."""
+
+    # (chat calls, agents reported): selected single = 2 agents + curation;
+    # all single = 8 agents + curation; a greedy plan = split + 2 agents +
+    # curation + judge + defender, and it selects by centroids in "all" mode
+    # too; raw knowledge is one generation call for either hop.
+    EXPECTED = {
+        (AGENTS_SELECTED, SINGLE): (3, 2),
+        (AGENTS_ALL, SINGLE): (9, 8),
+        (AGENTS_RAW_KNOWLEDGE, SINGLE): (1, 2),
+        (AGENTS_SELECTED, MULTI): (6, 2),
+        (AGENTS_ALL, MULTI): (6, 2),
+        (AGENTS_RAW_KNOWLEDGE, MULTI): (1, 2),
+    }
+
+    @pytest.mark.parametrize("agent_mode, hop", sorted(EXPECTED))
+    def test_mode_and_hop_pick_the_path(self, mock_embedder, agent_mode, hop):
+        backend = every_prompt_backend()
+        system = eight_topic_system(mock_embedder, backend, max_agents=2, agent_mode=agent_mode)
+        result = answer(system, "topic0word0 topic0word3?", hop)
+        calls, agents = self.EXPECTED[agent_mode, hop]
+        assert len(backend.calls) == calls
+        assert len(result.selected_agent_ids) == agents
+        if agents == 8:
+            assert list(result.selected_agent_ids) == system.registry.agent_ids
+        else:
+            assert result.selected_agent_ids[0] == "agent0"
 
 
 class TestLoadEvalItems:

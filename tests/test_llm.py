@@ -14,7 +14,7 @@ import pytest
 import requests
 
 import transcripts
-from conftest import make_agents
+from conftest import make_agents, system_of
 from ragroute.cli import main
 from ragroute.corpus import tokenize
 from ragroute.embedding import (
@@ -297,10 +297,10 @@ class TestTransport:
                 transcripts.WD_CORPUS, transcripts.WD_AGENT_IDS, transcripts.WD_CATEGORIES,
                 backend, mock_embedder,
             )
-            routed[name] = route_and_answer(
-                transcripts.WD_QUESTION, registry, agents, backend, mock_embedder,
-                max_agents=5, parallelism=4,
+            system = system_of(
+                agents, registry, backend, mock_embedder, max_agents=5, parallelism=4
             )
+            routed[name] = route_and_answer(system, transcripts.WD_QUESTION)
         assert routed["http"] == routed["local"]
         assert routed["http"].final_answer == transcripts.WD_EXPECTED
         assert len(handler.seen) == 6

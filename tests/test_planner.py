@@ -5,6 +5,7 @@ import random
 import pytest
 
 import transcripts
+from conftest import system_of
 from ragroute.llm import ScriptedChatBackend, ScriptEntry, TokenUsage
 from ragroute.planner import (
     ANSWERABLE,
@@ -206,15 +207,10 @@ class TestPolishQuery:
 class TestRunPlanGreedy:
     def test_two_round_transcript_replay(self, news_reports_setup, mock_embedder):
         agents, registry, backend = news_reports_setup
-        result = run_plan(
-            transcripts.NR_QUERY,
-            PlanStrategy.GREEDY,
-            registry,
-            agents,
-            backend,
-            mock_embedder,
-            max_rounds=5,
+        system = system_of(
+            agents, registry, backend, mock_embedder, strategy=PlanStrategy.GREEDY, max_rounds=5
         )
+        result = run_plan(system, transcripts.NR_QUERY)
         assert result.final_answer == transcripts.NR_EXPECTED
         assert result.status == ANSWERABLE
         assert len(result.records) == 2
@@ -228,15 +224,15 @@ class TestRunPlanGreedy:
 
         agents, registry, backend = news_reports_setup
         counter = count_embeds(agents)
-        result = run_plan(transcripts.NR_QUERY, "greedy", registry, agents, backend, counter)
+        system = system_of(agents, registry, backend, counter, strategy="greedy")
+        result = run_plan(system, transcripts.NR_QUERY)
         assert len(result.rounds) == 2
         assert counter.calls == len(result.rounds)
 
     def test_usage_equals_backend_log_sum(self, news_reports_setup, mock_embedder):
         agents, registry, backend = news_reports_setup
-        result = run_plan(
-            transcripts.NR_QUERY, "greedy", registry, agents, backend, mock_embedder
-        )
+        system = system_of(agents, registry, backend, mock_embedder, strategy="greedy")
+        result = run_plan(system, transcripts.NR_QUERY)
         total = sum((c.usage for c in backend.calls), TokenUsage())
         assert result.usage == total
 
@@ -257,8 +253,10 @@ class TestRunPlanGreedy:
             backend,
             mock_embedder,
         )
-        result = run_plan("impossible?", "greedy", registry, agents, backend, mock_embedder,
-                          max_rounds=1)
+        system = system_of(
+            agents, registry, backend, mock_embedder, strategy="greedy", max_rounds=1
+        )
+        result = run_plan(system, "impossible?")
         assert result.status == EXHAUSTED
         assert len(result.rounds) == 1
         assert result.final_answer == "Insufficient information."
@@ -280,17 +278,18 @@ class TestRunPlanGreedy:
             backend,
             mock_embedder,
         )
-        result = run_plan("single hop really?", "greedy", registry, agents, backend,
-                          mock_embedder, max_rounds=5)
+        system = system_of(
+            agents, registry, backend, mock_embedder, strategy="greedy", max_rounds=5
+        )
+        result = run_plan(system, "single hop really?")
         assert result.status == ANSWERABLE
         assert len(result.rounds) == 1
         assert result.final_answer == "It is blue."
 
     def test_records_grow_one_per_round_and_no_requeue(self, news_reports_setup, mock_embedder):
         agents, registry, backend = news_reports_setup
-        result = run_plan(
-            transcripts.NR_QUERY, "greedy", registry, agents, backend, mock_embedder
-        )
+        system = system_of(agents, registry, backend, mock_embedder, strategy="greedy")
+        result = run_plan(system, transcripts.NR_QUERY)
         questions = [r.question for r in result.records]
         assert len(questions) == len(set(questions))
         assert [r.round for r in result.records] == list(range(1, len(questions) + 1))
@@ -311,8 +310,10 @@ class TestRunPlanOneShot:
             backend,
             mock_embedder,
         )
-        result = run_plan("direct material?", PlanStrategy.ONE_SHOT, registry, agents,
-                          backend, mock_embedder)
+        system = system_of(
+            agents, registry, backend, mock_embedder, strategy=PlanStrategy.ONE_SHOT
+        )
+        result = run_plan(system, "direct material?")
         assert result.final_answer == "Direct answer."
         assert result.records == ()
         forbidden = [
@@ -347,7 +348,8 @@ class TestRunPlanOneShot:
             retrieval_depth=50,
             min_keep=10,
         )
-        run_plan("zebra okapi?", "one_shot", registry, agents, backend, mock_embedder)
+        system = system_of(agents, registry, backend, mock_embedder, strategy="one_shot")
+        run_plan(system, "zebra okapi?")
         agent_prompt = backend.calls[0].prompt
         assert agent_prompt.count("[doc:") == 20
 
@@ -372,8 +374,10 @@ class TestRunPlanPresplit:
             backend,
             mock_embedder,
         )
-        result = run_plan("a and b?", PlanStrategy.PRESPLIT, registry, agents, backend,
-                          mock_embedder)
+        system = system_of(
+            agents, registry, backend, mock_embedder, strategy=PlanStrategy.PRESPLIT
+        )
+        result = run_plan(system, "a and b?")
         assert result.final_answer == "Alpha and Beta."
         assert [r.question for r in result.records] == ["Sub A?", "Sub B, given Alpha?"]
         assert len(result.records) == 2
@@ -394,7 +398,8 @@ class TestRunPlanPresplit:
             backend,
             mock_embedder,
         )
-        run_plan("q?", "presplit", registry, agents, backend, mock_embedder)
+        system = system_of(agents, registry, backend, mock_embedder, strategy="presplit")
+        run_plan(system, "q?")
         for call in backend.calls:
             assert TEMPLATES["judger_splitter"] not in call.prompt
 
@@ -436,8 +441,10 @@ class TestTerminationBound:
                 backend,
                 mock_embedder,
             )
-            result = run_plan(f"never answerable {case}?", "greedy", registry, agents,
-                              backend, mock_embedder, max_rounds=max_rounds)
+            system = system_of(
+                agents, registry, backend, mock_embedder, strategy="greedy", max_rounds=max_rounds
+            )
+            result = run_plan(system, f"never answerable {case}?")
             assert len(result.rounds) <= max_rounds
             assert result.status == EXHAUSTED
             assert result.final_answer == "Insufficient information."

@@ -9,7 +9,7 @@ import transcripts
 from ragroute.agent import AgentAnswer
 from ragroute.boundary import CentroidEntry
 from ragroute.llm import ScriptedChatBackend, ScriptEntry, TokenUsage
-from conftest import cosine_similarity, count_embeds
+from conftest import cosine_similarity, count_embeds, system_of
 from ragroute.router import (
     CONJECTURE,
     GOOD_RELIABLE,
@@ -289,9 +289,8 @@ class TestEvaluateAndCurate:
 class TestRouteAndAnswer:
     def test_topical_question_reaches_topical_agent(self, walking_dead_setup, mock_embedder):
         agents, registry, backend = walking_dead_setup
-        routed = route_and_answer(
-            transcripts.WD_QUESTION, registry, agents, backend, mock_embedder, max_agents=5
-        )
+        system = system_of(agents, registry, backend, mock_embedder, max_agents=5)
+        routed = route_and_answer(system, transcripts.WD_QUESTION)
         assert routed.final_answer == transcripts.WD_EXPECTED
         assert routed.selected_agent_ids == tuple(transcripts.WD_AGENT_IDS)
         assert routed.verdicts["a2"] == GOOD_RELIABLE
@@ -312,9 +311,8 @@ class TestRouteAndAnswer:
             backend,
             mock_embedder,
         )
-        routed = route_and_answer(
-            transcripts.WD_QUESTION, registry, agents, backend, mock_embedder, max_agents=3
-        )
+        system = system_of(agents, registry, backend, mock_embedder, max_agents=3)
+        routed = route_and_answer(system, transcripts.WD_QUESTION)
         assert len(routed.selected_agent_ids) == 3
         assert routed.selected_agent_ids == ("a1", "a2", "a3")
         # 3 agent calls + 1 curation call
@@ -339,7 +337,8 @@ class TestRouteAndAnswer:
             backend,
             mock_embedder,
         )
-        routed = route_and_answer("topic words?", registry, agents, backend, mock_embedder)
+        system = system_of(agents, registry, backend, mock_embedder)
+        routed = route_and_answer(system, "topic words?")
         assert routed.selected_agent_ids == ("solo",)
         assert routed.final_answer == "topic answer."
 
@@ -357,9 +356,8 @@ class TestRouteAndAnswer:
             backend,
             mock_embedder,
         )
-        route_and_answer(
-            transcripts.WD_QUESTION, registry, agents, backend, mock_embedder, max_agents=2
-        )
+        system = system_of(agents, registry, backend, mock_embedder, max_agents=2)
+        route_and_answer(system, transcripts.WD_QUESTION)
         unselected_text = transcripts.WD_CORPUS[4]["body"]
         for call in backend.calls:
             assert "Celebrated biographies" not in call.prompt
@@ -388,17 +386,15 @@ class TestRouteAndAnswer:
             backend,
             mock_embedder,
         )
-        routed = route_and_answer(
-            "alpha topic words beta subject", registry, agents, backend, mock_embedder
-        )
+        system = system_of(agents, registry, backend, mock_embedder)
+        routed = route_and_answer(system, "alpha topic words beta subject")
         assert routed.final_answer == "from a."
         assert routed.verdicts["b"] == UNHELPFUL
 
     def test_usage_sums_agents_and_router(self, walking_dead_setup, mock_embedder):
         agents, registry, backend = walking_dead_setup
-        routed = route_and_answer(
-            transcripts.WD_QUESTION, registry, agents, backend, mock_embedder, max_agents=5
-        )
+        system = system_of(agents, registry, backend, mock_embedder, max_agents=5)
+        routed = route_and_answer(system, transcripts.WD_QUESTION)
         total = sum((c.usage for c in backend.calls), TokenUsage())
         assert routed.usage == total
 
@@ -416,10 +412,10 @@ class TestRouteAndAnswer:
                 backend,
                 mock_embedder,
             )
-            return route_and_answer(
-                transcripts.WD_QUESTION, registry, agents, backend, mock_embedder,
-                max_agents=5, parallelism=parallelism,
+            system = system_of(
+                agents, registry, backend, mock_embedder, max_agents=5, parallelism=parallelism
             )
+            return route_and_answer(system, transcripts.WD_QUESTION)
 
         sequential = run(1)
         threaded = run(3)
@@ -436,10 +432,8 @@ class TestEmbedOnce:
     def test_route_and_answer_embeds_once(self, walking_dead_setup, override):
         agents, registry, backend = walking_dead_setup
         counter = count_embeds(agents)
-        routed = route_and_answer(
-            transcripts.WD_QUESTION, registry, agents, backend, counter,
-            max_agents=5, selected_override=override,
-        )
+        system = system_of(agents, registry, backend, counter, max_agents=5)
+        routed = route_and_answer(system, transcripts.WD_QUESTION, selected_override=override)
         assert routed.final_answer == transcripts.WD_EXPECTED
         assert counter.calls == 1
 
@@ -447,9 +441,8 @@ class TestEmbedOnce:
         agents, registry, _ = walking_dead_setup
         counter = count_embeds(agents)
         backend = ScriptedChatBackend([ScriptEntry("Question:", "Answer: Merle Dixon")])
-        routed = route_raw_knowledge(
-            transcripts.WD_QUESTION, registry, agents, backend, counter, max_agents=3
-        )
+        system = system_of(agents, registry, backend, counter, max_agents=3)
+        routed = route_raw_knowledge(system, transcripts.WD_QUESTION)
         assert len(routed.selected_agent_ids) == 3
         assert all(a.hits for a in routed.agent_answers)
         assert counter.calls == 1
