@@ -2,14 +2,11 @@
 
 One JSON config document drives every command; secrets only ever come from
 environment variables named in that config. Exit codes: 0 success, 1 partial
-item failures, 2 config/IO errors, which include a config that is not a
-UTF-8 JSON object, a chunk or dataset line that is not a valid record, an
-index file that is not valid JSON or has the wrong shape, a vector file that
-disagrees with its manifest, a registry that names an agent the config does
-not list, and an endpoint that fails or replies malformed. Index, profile,
-and registry files are deterministic functions of their inputs, so
-re-running a command with unchanged inputs rewrites byte-identical
-artifacts.
+item failures, 2 for every ``InputError`` (a config, input line, index file,
+registry or endpoint reply that is not what the program needs) or
+``OSError``. Index, profile, and registry files are deterministic functions
+of their inputs, so re-running a command with unchanged inputs rewrites
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -26,22 +23,13 @@ from .agent import Agent, AgentConfig
 from .boundary import build_profile, export_centroids, load_profile, save_profile
 from .corpus import (
     ChunkingConfig,
-    LineError,
+    InputError,
     chunk_document,
     load_chunks,
     load_corpus,
     save_chunks,
 )
-from .embedding import (
-    DimensionMismatchError,
-    EmbeddingProviderConfig,
-    IndexFileError,
-    MalformedReplyError,
-    TransportError,
-    load_vectors,
-    make_embedder,
-    save_vectors,
-)
+from .embedding import EmbeddingProviderConfig, load_vectors, make_embedder, save_vectors
 from .evalharness import (
     AGENTS_ALL,
     AGENTS_RAW_KNOWLEDGE,
@@ -70,8 +58,17 @@ _STRATEGY_BY_FLAG = {
 }
 
 
-class ConfigError(RuntimeError):
+class ConfigError(InputError):
     pass
+
+
+def _count(name: str, value: int | None, default: int = 0) -> int:
+    """``value``, or ``default`` when it is None; ConfigError naming
+    ``name`` when that is below 1."""
+    value = default if value is None else value
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1")
+    return value
 
 
 @dataclass
@@ -131,8 +128,8 @@ class SystemConfig:
         ids = [a.agent_id for a in cfg.agents]
         if len(ids) != len(set(ids)):
             raise ConfigError("agent_ids must be unique")
-        if cfg.max_agents < 1:
-            raise ConfigError("router.max_agents must be >= 1")
+        _count("router.max_agents", cfg.max_agents)
+        _count("planner.max_rounds", cfg.max_rounds)
         return cfg
 
     def agent_dir(self, agent_id: str) -> Path:
@@ -171,7 +168,7 @@ def cmd_ingest(cfg: SystemConfig, args: argparse.Namespace) -> int:
             raise ConfigError(str(exc)) from exc
         cfg.agents = [replace(a, chunking=cfg.chunking) for a in cfg.agents]
     if not cfg.corpus_path.exists():
-        return _fail("ingest", f"corpus path does not exist: {cfg.corpus_path}")
+        raise ConfigError(f"corpus path does not exist: {cfg.corpus_path}")
     docs, record_errors = load_corpus(cfg.corpus_path)
     by_category: dict[str, list] = {}
     for doc in docs:
@@ -205,7 +202,7 @@ def cmd_build_index(cfg: SystemConfig, args: argparse.Namespace) -> int:
         adir = cfg.agent_dir(agent_cfg.agent_id)
         chunks_path = adir / "chunks.jsonl"
         if not chunks_path.exists():
-            return _fail("build-index", f"no chunks for agent {agent_cfg.agent_id}: run ingest first")
+            raise ConfigError(f"no chunks for agent {agent_cfg.agent_id}: run ingest first")
         chunks = load_chunks(chunks_path)
         if chunks:
             matrix = embedder.embed_batch([c.text for c in chunks])
@@ -229,7 +226,7 @@ def cmd_register(cfg: SystemConfig, args: argparse.Namespace) -> int:
     for agent_cfg in _select_agent_cfgs(cfg, args.agent):
         adir = cfg.agent_dir(agent_cfg.agent_id)
         if not (adir / "vectors.manifest.json").exists():
-            return _fail("register", f"no index for agent {agent_cfg.agent_id}: run build-index first")
+            raise ConfigError(f"no index for agent {agent_cfg.agent_id}: run build-index first")
         matrix, chunk_ids = load_vectors(adir / "vectors")
         if not chunk_ids:
             registry.unregister(agent_cfg.agent_id)
@@ -253,9 +250,11 @@ def _load_system(cfg: SystemConfig, args: argparse.Namespace) -> EvalSystem:
     ``--retrieval``, ``--max-agents``, ``--strategy``, ``--max-rounds`` and
     ``--agent-mode`` applied over the config.
 
-    Raises ConfigError when there is no registry or it names an agent that
-    the config does not list.
+    Raises ConfigError for a count flag below 1, or when there is no
+    registry or it names an agent that the config does not list.
     """
+    max_agents = _count("--max-agents", args.max_agents, cfg.max_agents)
+    max_rounds = _count("--max-rounds", getattr(args, "max_rounds", None), cfg.max_rounds)
     if not cfg.registry_json().exists():
         raise ConfigError("no registry: run register first")
     backend = make_chat_backend(cfg.chat)
@@ -280,9 +279,9 @@ def _load_system(cfg: SystemConfig, args: argparse.Namespace) -> EvalSystem:
         agents=agents,
         backend=backend,
         embedder=embedder,
-        max_agents=args.max_agents or cfg.max_agents,
+        max_agents=max_agents,
         strategy=_STRATEGY_BY_FLAG[args.strategy] if args.strategy else cfg.strategy,
-        max_rounds=getattr(args, "max_rounds", None) or cfg.max_rounds,
+        max_rounds=max_rounds,
         agent_mode=getattr(args, "agent_mode", AGENTS_SELECTED),
         parallelism=cfg.parallelism,
     )
@@ -339,7 +338,7 @@ def cmd_ask(cfg: SystemConfig, args: argparse.Namespace) -> int:
 
 def cmd_eval(cfg: SystemConfig, args: argparse.Namespace) -> int:
     if not Path(args.dataset).exists():
-        return _fail("eval", f"dataset does not exist: {args.dataset}")
+        raise ConfigError(f"dataset does not exist: {args.dataset}")
     system = _load_system(cfg, args)
     report = run_eval(
         load_eval_items(args.dataset),
@@ -441,15 +440,7 @@ def main(argv: list[str] | None = None) -> int:
         # Looked up on each call, so a command wrapped after import still runs.
         command = globals()["cmd_" + args.command.replace("-", "_")]
         return command(cfg, args)
-    except (
-        ConfigError,
-        OSError,
-        IndexFileError,
-        LineError,
-        TransportError,
-        DimensionMismatchError,
-        MalformedReplyError,
-    ) as exc:
+    except (InputError, OSError) as exc:
         return _fail(args.command, str(exc))
 
 

@@ -19,7 +19,12 @@ T = TypeVar("T")
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
 
-class LineError(RuntimeError):
+class InputError(RuntimeError):
+    """An operator fault: a config, input file, index file or endpoint that
+    is not what the program needs. The CLI exits 2 on every one."""
+
+
+class LineError(InputError):
     """A line of a JSON-lines file is not the record the file must hold; the
     message names the file and the line."""
 

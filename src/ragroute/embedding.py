@@ -26,10 +26,9 @@ from typing import Callable
 from urllib.parse import urlsplit
 
 import numpy as np
-from requests import HTTPError
 
 from . import __version__
-from .corpus import tokenize
+from .corpus import InputError, tokenize
 
 EMBED_MAX_IN_FLIGHT = 4
 # OpenAI's embeddings API takes at most 2048 inputs and 300,000 tokens per
@@ -38,21 +37,25 @@ EMBED_BATCH_SIZE = 256
 EMBED_TIMEOUT_S = 60.0
 
 
-class TransportError(RuntimeError):
+class TransportError(InputError):
     """Transient transport failure talking to a remote endpoint; retryable."""
 
 
-class MalformedReplyError(RuntimeError):
+class MalformedReplyError(InputError):
     """A remote endpoint's reply is not JSON or lacks a field its wire shape
     requires; not retryable."""
 
 
-class IndexFileError(RuntimeError):
+class IndexFileError(InputError):
     """A stored index file cannot be read back as what its writer wrote."""
 
 
 class VectorFileError(IndexFileError):
     """A stored vector file disagrees with its manifest."""
+
+
+class HTTPStatusError(InputError):
+    """A remote endpoint refused a request, or its API key cannot be sent."""
 
 
 def read_json(path: str | Path, parse: Callable):
@@ -143,7 +146,7 @@ def post_json(
     retry ``n`` it calls ``on_retry`` and sleeps ``backoff * n`` seconds, or
     what the reply's ``Retry-After`` asks, at most ``timeout``. Any other
     status outside 2xx, or a key holding a line break, raises
-    ``requests.HTTPError`` at once; exhausted retries raise TransportError,
+    HTTPStatusError at once; exhausted retries raise TransportError,
     and a reply that is not JSON (or not valid gzip) raises
     MalformedReplyError.
     """
@@ -156,7 +159,7 @@ def post_json(
     }
     key = os.environ.get(api_key_env, "") if api_key_env else ""
     if "\r" in key or "\n" in key:
-        raise HTTPError(f"${api_key_env} holds a line break; it cannot be sent as a header")
+        raise HTTPStatusError(f"${api_key_env} holds a line break; it cannot be sent as a header")
     if key:
         headers["Authorization"] = f"Bearer {key}"
     last_exc: Exception | None = None
@@ -177,7 +180,7 @@ def post_json(
             delay = delay if wait is None else wait
             continue
         if not 200 <= resp.status < 300:
-            raise HTTPError(f"{resp.status} {resp.reason} for url: {endpoint}")
+            raise HTTPStatusError(f"{resp.status} {resp.reason} for url: {endpoint}")
         try:
             if resp.getheader("Content-Encoding", "").strip().lower() == "gzip":
                 raw = gzip.decompress(raw)
@@ -187,7 +190,7 @@ def post_json(
     raise TransportError(f"request to {endpoint} failed after {max_retries} retries: {last_exc}")
 
 
-class DimensionMismatchError(RuntimeError):
+class DimensionMismatchError(InputError):
     """Remote endpoint returned vectors of the wrong dimension; not retryable."""
 
 

@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ragroute
 import transcripts
 from ragroute.cli import main
 
@@ -689,6 +693,45 @@ class TestConfigValidation:
         error = json.loads(capsys.readouterr().err)
         assert error["command"] == "ingest"
         assert "config" in error["error"]
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("section, key", [("router", "max_agents"), ("planner", "max_rounds")])
+    def test_count_below_1_rejected_at_load(self, tmp_path, capsys, section, key, value):
+        agents = [{"agent_id": "a", "category": "c"}]
+        config = write_config(tmp_path, [], [], agents, **{section: {key: value}})
+        assert main(["inspect", "--config", str(config)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error == {"command": "inspect", "error": f"{section}.{key} must be >= 1"}
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("ask", "--max-agents", "0"), ("ask", "--max-rounds", "0"),
+         ("ask", "--max-rounds", "-1"), ("eval", "--max-agents", "0")],
+    )
+    def test_count_flag_below_1_exits_2(self, tmp_path, capsys, command, flag, value):
+        config = write_config(tmp_path, transcripts.WD_CORPUS, transcripts.WD_SCRIPT, wd_agents())
+        build_lifecycle(config)
+        dataset = tmp_path / "dataset.jsonl"
+        dataset.write_text("", encoding="utf-8")
+        extra = {
+            "ask": ["--question", transcripts.WD_QUESTION, "--multihop"],
+            "eval": ["--dataset", str(dataset), "--report", str(tmp_path / "report")],
+        }[command]
+        capsys.readouterr()
+        assert main([command, "--config", str(config), *extra, flag, value]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error == {"command": command, "error": f"{flag} must be >= 1"}
+
+
+def test_cli_import_does_not_load_requests():
+    """The package runs on numpy and the standard library: importing the CLI
+    in a fresh interpreter loads no ``requests`` module."""
+    probe = "import sys, ragroute.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'requests'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(ragroute.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
 
 
 def _flip_middle_byte(data: bytes) -> bytes:

@@ -16,6 +16,7 @@ from ragroute.corpus import tokenize
 from ragroute.embedding import (
     DimensionMismatchError,
     EmbeddingProviderConfig,
+    HTTPStatusError,
     MalformedReplyError,
     MockEmbedder,
     RemoteEmbedder,
@@ -234,7 +235,7 @@ class TestRemoteEmbedder:
         cfg = EmbeddingProviderConfig(
             "remote_http", "m", 8, endpoint=url, api_key_env="TEST_EMBED_KEY"
         )
-        with pytest.raises(OSError, match="TEST_EMBED_KEY"):
+        with pytest.raises(HTTPStatusError, match="TEST_EMBED_KEY"):
             RemoteEmbedder(cfg).embed_batch(["x"])
         assert handler.seen == []
 

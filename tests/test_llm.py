@@ -11,7 +11,6 @@ from email.utils import format_datetime
 from http.server import BaseHTTPRequestHandler
 
 import pytest
-import requests
 
 import transcripts
 from conftest import make_agents, system_of
@@ -19,6 +18,7 @@ from ragroute.cli import main
 from ragroute.corpus import tokenize
 from ragroute.embedding import (
     EmbeddingProviderConfig,
+    HTTPStatusError,
     MalformedReplyError,
     RemoteEmbedder,
     TransportError,
@@ -325,7 +325,7 @@ class TestTransport:
         handler.fail_times, handler.fail_status = 5, 401
         backend = RemoteChatBackend(remote_cfg(url), retry_backoff=0.0)
         message = rf"401 .*Unauthorized for url: {re.escape(url)}"
-        with pytest.raises(requests.HTTPError, match=message):
+        with pytest.raises(HTTPStatusError, match=message):
             backend.chat(user("ping"))
         assert len(handler.seen) == 1
         assert backend.retries_used == 0
@@ -401,29 +401,34 @@ class TestMalformedReplies:
             RemoteEmbedder(cfg, retry_backoff=0.0).embed_batch(["x"])
 
     @pytest.mark.parametrize(
-        "status, reply, message",
+        "status, reply, key, message, sent",
         [
-            (200, b'{"object": "list"}', "lacks data"),
-            (200, b'{"data": [{"embedding": [0.5]}]}', "dim 1"),
-            (200, b'{"data": [{"embedding": [NaN, 0.5, 0.5, 0.5]}]}', "non-finite"),
-            (401, None, "Unauthorized for url: http://127.0.0.1:"),
+            (200, b'{"object": "list"}', "sekrit", "lacks data", 1),
+            (200, b'{"data": [{"embedding": [0.5]}]}', "sekrit", "dim 1", 1),
+            (200, b'{"data": [{"embedding": [NaN, 0.5, 0.5, 0.5]}]}', "sekrit", "non-finite", 1),
+            (401, None, "sekrit", "401 Unauthorized for url: http://127.0.0.1:", 1),
+            (200, None, "sek\nrit", "$TEST_EMBED_KEY holds a line break", 0),
         ],
-        ids=["no-data", "wrong-dim", "row-nan", "unauthorized"],
+        ids=["no-data", "wrong-dim", "row-nan", "unauthorized", "key-with-line-break"],
     )
     def test_build_index_exits_2_with_json_error(
-        self, chat_server, tmp_path, capsys, status, reply, message
+        self, chat_server, tmp_path, capsys, monkeypatch, status, reply, key, message, sent
     ):
         url, handler = chat_server
         handler.reply = reply
         handler.fail_times, handler.fail_status = int(status != 200), status
-        config = embedding_config(tmp_path, url)
+        monkeypatch.setenv("TEST_EMBED_KEY", key)
+        config = embedding_config(tmp_path, url, api_key_env="TEST_EMBED_KEY")
         assert main(["ingest", "--config", str(config)]) == 0
         capsys.readouterr()
         assert main(["build-index", "--config", str(config)]) == 2
-        error = json.loads(capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        error = json.loads(err)
+        assert sorted(error) == ["command", "error"]
         assert error["command"] == "build-index"
         assert message in error["error"]
-        assert len(handler.seen) == 1
+        assert len(handler.seen) == sent
 
     def test_build_index_with_non_ascii_endpoint_path_exits_2(self, tmp_path, capsys):
         config = embedding_config(tmp_path, "http://127.0.0.1:9/v1/caf\u00e9")
@@ -446,7 +451,7 @@ class TestMalformedReplies:
         assert len(handler.seen) == 1
 
 
-def embedding_config(tmp_path, endpoint: str):
+def embedding_config(tmp_path, endpoint: str, api_key_env: str | None = None):
     """A one-agent config whose embeddings go to ``endpoint``, with its corpus."""
     transcripts.write_jsonl(
         tmp_path / "corpus.jsonl",
@@ -457,7 +462,8 @@ def embedding_config(tmp_path, endpoint: str):
     config.write_text(json.dumps({
         "corpus_path": str(tmp_path / "corpus.jsonl"),
         "index_dir": str(tmp_path / "index"),
-        "embedding": {"provider": "remote_http", "model_name": "m", "dim": 4, "endpoint": endpoint},
+        "embedding": {"provider": "remote_http", "model_name": "m", "dim": 4, "endpoint": endpoint,
+                      "api_key_env": api_key_env},
         "chat": {"backend": "scripted_mock", "script_path": str(tmp_path / "script.json")},
         "agents": [{"agent_id": "a", "category": "c"}],
     }), encoding="utf-8")
