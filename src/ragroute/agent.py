@@ -6,12 +6,14 @@ An agent owns its chunk set and indexes; nothing but its generated response
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
 from .corpus import Chunk, ChunkingConfig, chunk_ordinal, tokenize
+from .embedding import IndexFileError
 from .llm import ParsedAgentReply, TokenUsage, parse_agent_reply
 from .prompts import AGENT_ANSWER_MULTI_HOP, AGENT_ANSWER_SINGLE_HOP, render_prompt
 from .retrieval import (
@@ -19,6 +21,7 @@ from .retrieval import (
     DENSE,
     MIXTURE,
     Bm25Index,
+    Cosines,
     DenseIndex,
     RetrievalHit,
     bm25_search,
@@ -63,6 +66,31 @@ class AgentAnswer:
     usage: TokenUsage
 
 
+def _check_chunk_ids(
+    agent_id: str, chunks: list[Chunk], dense_index: DenseIndex, bm25_index: Bm25Index
+) -> None:
+    """Raise IndexFileError, naming the agent and the first differing chunk
+    id, unless the chunks, the dense rows and the BM25 lengths name the same
+    chunks, each once."""
+    files = (
+        ("chunks.jsonl", [c.chunk_id for c in chunks]),
+        ("vectors.manifest.json", dense_index.chunk_ids),
+        ("bm25.json", bm25_index.chunk_ids),
+    )
+    want = set(files[0][1])
+    for name, ids in files:
+        have = set(ids)
+        if len(have) < len(ids):
+            twice = min(c for c, n in Counter(ids).items() if n > 1)
+            raise IndexFileError(f"agent {agent_id}: {name} names chunk {twice!r} twice")
+        if have != want:
+            first = min(have ^ want)
+            holder, other = (name, "chunks.jsonl") if first in have else ("chunks.jsonl", name)
+            raise IndexFileError(
+                f"agent {agent_id}: {holder} names chunk {first!r}, which {other} does not"
+            )
+
+
 class Agent:
     def __init__(
         self,
@@ -73,7 +101,10 @@ class Agent:
         embedder,
         backend,
     ):
+        """Raises IndexFileError when ``chunks``, ``dense_index`` and
+        ``bm25_index`` do not name the same chunks, each once."""
         self.config = config
+        _check_chunk_ids(config.agent_id, chunks, dense_index, bm25_index)
         self.chunks_by_id = {c.chunk_id: c for c in chunks}
         self.dense_index = dense_index
         self.bm25_index = bm25_index
@@ -84,21 +115,24 @@ class Agent:
     def agent_id(self) -> str:
         return self.config.agent_id
 
-    def retrieve(self, question: str, query_vec: np.ndarray) -> list[RetrievalHit]:
+    def retrieve(
+        self, question: str, query_vec: np.ndarray, cosines: Cosines | None = None
+    ) -> list[RetrievalHit]:
         """Top ``retrieval_depth`` hits by the configured method.
 
         ``query_vec`` is the question's embedding, computed once by the caller;
-        retrieval embeds nothing itself.
+        retrieval embeds nothing itself. The dense stage stores the exact
+        cosine of each of its hits in ``cosines``, when given, for ``rerank``.
         """
         depth = self.config.retrieval_depth
         method = self.config.retrieval_method
         if len(self.dense_index) == 0:
             return []
-        if method == DENSE:
-            return dense_search(self.dense_index, query_vec, depth)
         if method == BM25:
             return bm25_search(self.bm25_index, tokenize(question), depth)
-        dense_hits = dense_search(self.dense_index, query_vec, depth)
+        dense_hits = dense_search(self.dense_index, query_vec, depth, cosines)
+        if method == DENSE:
+            return dense_hits
         bm25_hits = bm25_search(self.bm25_index, tokenize(question), depth)
         return mixture_search(dense_hits, bm25_hits, depth)
 
@@ -106,13 +140,16 @@ class Agent:
         self, question: str, query_vec: np.ndarray, min_keep: int | None = None
     ) -> list[RetrievalHit]:
         """Retrieve, then rerank to at least ``min_keep`` chunks (the agent's
-        own ``min_keep`` when None); an empty index selects nothing."""
+        own ``min_keep`` when None; below 1 raises ValueError); an empty index
+        selects nothing. Each chunk's exact cosine is computed once."""
+        cosines = Cosines(self.dense_index, query_vec)
         return rerank(
-            self.retrieve(question, query_vec),
+            self.retrieve(question, query_vec, cosines),
             query_vec,
             self.dense_index,
-            min_keep=min_keep or self.config.min_keep,
+            min_keep=self.config.min_keep if min_keep is None else min_keep,
             keep_threshold=self.config.rerank_threshold,
+            cosines=cosines,
         )
 
     def document_blocks(self, hits: Iterable[RetrievalHit]) -> list[str]:

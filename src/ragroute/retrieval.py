@@ -3,6 +3,8 @@
 Indexes are immutable after build; a search only adds to the BM25 index's
 per-term memo. The dense index is an exhaustive scan (desk-scale corpora, no
 ANN). Ties always break by ascending chunk_id so results are deterministic.
+A ``Cosines`` carries one question's exact cosines from the dense stage to
+``rerank``, so no chunk is scored twice for one question.
 """
 
 from __future__ import annotations
@@ -10,8 +12,10 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from functools import partial
+from itertools import count, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,17 +58,36 @@ def unit_query(query_vec: np.ndarray) -> np.ndarray:
     return q / qn
 
 
-@dataclass(frozen=True)
-class RetrievalHit:
+class RetrievalHit(NamedTuple):
     chunk_id: str
     score: float
     rank: int
     method: str
 
 
+# RetrievalHit._make without its length check: the fields come from a zip of four.
+_new_hit = partial(tuple.__new__, RetrievalHit)
+
+
+def _ranked(chunk_ids, scores, method: str) -> list[RetrievalHit]:
+    """Hits ranked 1, 2, ... in the order given."""
+    return list(map(_new_hit, zip(chunk_ids, scores, count(1), repeat(method))))
+
+
+def _id_ranks(chunk_ids: list[str]) -> np.ndarray:
+    """Each row's place in ascending chunk_id order, for tie breaks; equal
+    ids keep their row order, as in a stable sort."""
+    if sorted(chunk_ids) == chunk_ids:  # as stored files keep them
+        return np.arange(len(chunk_ids))
+    order = sorted(range(len(chunk_ids)), key=chunk_ids.__getitem__)
+    ranks = np.empty(len(chunk_ids), np.intp)
+    ranks[order] = np.arange(len(chunk_ids))
+    return ranks
+
+
 class DenseIndex:
     """Chunk embeddings as float32 rows, as stored, with one float64 L2 norm
-    per row and a parallel chunk_id list.
+    per row, a parallel chunk_id list and each row's place in chunk_id order.
 
     The rows are kept as given, not copied, so they must not be written to
     afterwards. ``unit_rows`` gives float64 unit rows on demand.
@@ -93,6 +116,7 @@ class DenseIndex:
         self._screen_dtype = np.float32 if in_range else np.float64
         self.chunk_ids = list(chunk_ids)
         self.row_of = {cid: i for i, cid in enumerate(self.chunk_ids)}
+        self._rank = _id_ranks(self.chunk_ids)
 
     def __len__(self) -> int:
         return len(self.chunk_ids)
@@ -124,20 +148,56 @@ def _screen_slack(dim: int) -> float:
     return (g / (1.0 - g) if g < 1.0 else math.inf) + 4 * (dim + 2) * _EPS
 
 
-def dense_search(index: DenseIndex, query_vec: np.ndarray, top_n: int) -> list[RetrievalHit]:
+class Cosines:
+    """The exact cosines (``unit_scores`` of ``unit_rows``) of one dense
+    index's chunks to one query, each chunk scored at most once.
+
+    ``dense_search`` stores the score of every hit it returns and ``rerank``
+    scores only the chunks not stored yet; the query becomes a unit vector
+    once, on first use. One instance serves one question in one thread.
+    """
+
+    def __init__(self, index: DenseIndex, query_vec: np.ndarray):
+        self.index = index
+        self.query_vec = query_vec
+        self.by_id: dict[str, float] = {}
+        self._unit_q: np.ndarray | None = None
+
+    @property
+    def unit_q(self) -> np.ndarray:
+        if self._unit_q is None:
+            self._unit_q = unit_query(self.query_vec)
+        return self._unit_q
+
+    def of_ids(self, chunk_ids: list[str]) -> list[float]:
+        """The score of each chunk, computing only those not stored yet."""
+        missing = [c for c in chunk_ids if c not in self.by_id]
+        if missing:
+            rows = [self.index.row_of[c] for c in missing]
+            sims = unit_scores(self.index.unit_rows(rows), self.unit_q).tolist()
+            self.by_id.update(zip(missing, sims))
+        return [self.by_id[c] for c in chunk_ids]
+
+
+def dense_search(
+    index: DenseIndex, query_vec: np.ndarray, top_n: int, cosines: Cosines | None = None
+) -> list[RetrievalHit]:
     """Top-n chunks by cosine similarity; exhaustive scan.
 
     One float32 BLAS product, divided by the row norms, screens every row,
     and ``np.partition`` finds the n-th best screened score. Rows within
     twice the screening error of that cut are scored again with
     ``unit_scores`` and sorted by (-score, chunk_id), so every tie on the cut
-    is kept and broken by chunk_id, as in a full sort.
+    is kept and broken by chunk_id, as in a full sort. The hits' scores are
+    stored in ``cosines`` (the question's, when given) for ``rerank``.
     """
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
     if len(index) == 0:
         return []
-    q = unit_query(query_vec)
+    if cosines is None:
+        cosines = Cosines(index, query_vec)
+    q = cosines.unit_q
     rows = np.arange(len(index))
     if top_n < len(index):
         approx = (index._rows @ q.astype(index._screen_dtype)) / index._norms
@@ -146,13 +206,12 @@ def dense_search(index: DenseIndex, query_vec: np.ndarray, top_n: int) -> list[R
         # at most E above the n-th best exact score, and every row of the
         # exact top n screens at or above cut - 2E.
         rows = np.flatnonzero(approx >= cut - 2 * _screen_slack(q.shape[0]))
-    sims = unit_scores(index.unit_rows(rows), q).tolist()
-    ids = [index.chunk_ids[i] for i in rows.tolist()]
-    order = sorted(range(len(ids)), key=lambda k: (-sims[k], ids[k]))[:top_n]
-    return [
-        RetrievalHit(chunk_id=ids[k], score=sims[k], rank=r, method=DENSE)
-        for r, k in enumerate(order, 1)
-    ]
+    sims = unit_scores(index.unit_rows(rows), q)
+    order = np.lexsort((index._rank[rows], -sims))[:top_n]
+    ids = [index.chunk_ids[i] for i in rows[order].tolist()]
+    scores = sims[order].tolist()
+    cosines.by_id.update(zip(ids, scores))
+    return _ranked(ids, scores, DENSE)
 
 
 class Bm25Index:
@@ -176,14 +235,7 @@ class Bm25Index:
         self.chunk_ids = list(doc_len)
         self.row_of = dict(zip(self.chunk_ids, range(self.n_chunks)))
         self._dl = np.fromiter(doc_len.values(), np.float64, self.n_chunks)
-        # Each row's place in chunk_id order, for tie breaks. bm25.json keeps
-        # its keys sorted, so a loaded index needs no lookups here.
-        by_id = sorted(self.chunk_ids)
-        if by_id == self.chunk_ids:
-            self._rank = np.arange(self.n_chunks)
-        else:
-            self._rank = np.empty(self.n_chunks, np.intp)
-            self._rank[[self.row_of[c] for c in by_id]] = np.arange(self.n_chunks)
+        self._rank = _id_ranks(self.chunk_ids)
         self._terms: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
@@ -275,10 +327,7 @@ def bm25_search(index: Bm25Index, query_tokens: list[str], top_n: int) -> list[R
         cut = np.partition(touched_scores, len(rows) - top_n)[len(rows) - top_n]
         rows = rows[touched_scores >= cut]
     rows = rows[np.lexsort((index._rank[rows], -scores[rows]))][:top_n]
-    return [
-        RetrievalHit(chunk_id=index.chunk_ids[row], score=score, rank=r, method=BM25)
-        for r, (row, score) in enumerate(zip(rows.tolist(), scores[rows].tolist()), 1)
-    ]
+    return _ranked([index.chunk_ids[row] for row in rows.tolist()], scores[rows].tolist(), BM25)
 
 
 def mixture_search(
@@ -289,13 +338,12 @@ def mixture_search(
         raise ValueError("top_n must be >= 1")
     fused: dict[str, float] = {}
     for hits in (dense_hits, bm25_hits):
-        for hit in hits:
-            fused[hit.chunk_id] = fused.get(hit.chunk_id, 0.0) + 1.0 / (RRF_K + hit.rank)
-    ranked = sorted(fused.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [
-        RetrievalHit(chunk_id=cid, score=score, rank=r, method=MIXTURE)
-        for r, (cid, score) in enumerate(ranked[:top_n], 1)
-    ]
+        for chunk_id, _, rank, _ in hits:
+            fused[chunk_id] = fused.get(chunk_id, 0.0) + 1.0 / (RRF_K + rank)
+    # Sorting (-score, chunk_id) pairs orders by (-score, chunk_id); negation
+    # is exact, so negating again gives back each score's bits.
+    ranked = sorted([(-score, cid) for cid, score in fused.items()])[:top_n]
+    return _ranked([cid for _, cid in ranked], [-neg for neg, _ in ranked], MIXTURE)
 
 
 def rerank(
@@ -304,24 +352,27 @@ def rerank(
     index: DenseIndex,
     min_keep: int,
     keep_threshold: float = 0.3,
+    cosines: Cosines | None = None,
 ) -> list[RetrievalHit]:
     """Re-score hits by cosine similarity to the query and drop weak ones.
 
     Keeps every hit scoring >= keep_threshold but never fewer than
-    min(min_keep, len(hits)), taken in descending similarity.
+    min(min_keep, len(hits)), taken in descending similarity. ``cosines``,
+    when given, is the question's, and its stored scores are not computed
+    again.
     """
     if min_keep < 1:
         raise ValueError("min_keep must be >= 1")
     if not hits:
         return []
-    rows = [index.row_of[h.chunk_id] for h in hits]
-    sims = unit_scores(index.unit_rows(rows), unit_query(query_vec)).tolist()
+    if cosines is None:
+        cosines = Cosines(index, query_vec)
+    sims = cosines.of_ids([h.chunk_id for h in hits])
     scored = sorted(zip(sims, hits), key=lambda t: (-t[0], t[1].chunk_id))
     floor = min(min_keep, len(scored))
     kept = [t for t in scored if t[0] >= keep_threshold]
     if len(kept) < floor:
         kept = scored[:floor]
     return [
-        RetrievalHit(chunk_id=h.chunk_id, score=sim, rank=r, method=h.method)
-        for r, (sim, h) in enumerate(kept, 1)
+        RetrievalHit(h.chunk_id, sim, r, h.method) for r, (sim, h) in enumerate(kept, 1)
     ]

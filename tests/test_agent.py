@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import re
+
+import numpy as np
 import pytest
 
 import transcripts
-from ragroute.agent import AgentConfig, AgentError, build_agent
-from ragroute.corpus import ChunkingConfig, Document, chunk_document
+from ragroute.agent import Agent, AgentConfig, AgentError, build_agent
+from ragroute.corpus import Chunk, ChunkingConfig, Document, chunk_document
+from ragroute.embedding import IndexFileError
 from ragroute.llm import ScriptedChatBackend, ScriptEntry
 from ragroute.planner import QARecord
+from ragroute.retrieval import Bm25Index, DenseIndex
 
 
 def agent_from_text(
@@ -82,6 +87,17 @@ class TestAnswerQuestion:
         answer = agent.answer_question("zebra quagga okapi", min_keep=9)
         assert len(answer.hits) == 9
 
+    def test_min_keep_below_1_raises_instead_of_meaning_the_default(self, mock_embedder):
+        backend = ScriptedChatBackend([ScriptEntry("Question:", "Answer: nothing")])
+        agent = agent_from_text("f", "some topic words here", backend, mock_embedder)
+        query_vec = mock_embedder.embed_batch(["topic words"])[0]
+        for min_keep in (0, -1):
+            with pytest.raises(ValueError, match="min_keep must be >= 1"):
+                agent.select_chunks("topic words", query_vec, min_keep)
+            with pytest.raises(ValueError, match="min_keep must be >= 1"):
+                agent.answer_question("topic words", min_keep=min_keep)
+        assert backend.calls == []
+
     def test_prompt_contains_kept_texts_verbatim_and_nothing_else(self, mock_embedder):
         backend = ScriptedChatBackend([ScriptEntry("Question:", "Answer: ok")])
         body = (
@@ -144,3 +160,44 @@ class TestAgentConfig:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             AgentConfig(agent_id="x", retrieval_method="fuzzy")
+
+
+def chunks_named(*ids: str) -> list[Chunk]:
+    return [Chunk(chunk_id=c, doc_id=c.split(":")[0], text=f"text of {c}", token_start=0,
+                  token_len=3) for c in ids]
+
+
+class TestIndexConsistency:
+    """An agent whose chunks, dense rows and BM25 lengths name different
+    chunks is refused when it is built, not once per question."""
+
+    @pytest.mark.parametrize(
+        "chunk_ids, dense_ids, bm25_ids, message",
+        [
+            ("d:2 d:0 d:1", "d:0 d:1 d:2", "d:0 d:1 d:2", None),
+            ("d:2 d:0 d:1", "d:0 d:1 d:19", "d:0 d:1 d:2",
+             "vectors.manifest.json names chunk 'd:19', which chunks.jsonl does not"),
+            ("d:2 d:0 d:1", "d:0 d:1 d:2", "d:0 d:1 d:10",
+             "bm25.json names chunk 'd:10', which chunks.jsonl does not"),
+            ("d:2 d:0 d:1", "d:0 d:1", "d:0 d:1 d:2",
+             "chunks.jsonl names chunk 'd:2', which vectors.manifest.json does not"),
+            ("d:2 d:0 d:1", "d:0 d:1 d:1", "d:0 d:1 d:2",
+             "vectors.manifest.json names chunk 'd:1' twice"),
+            ("d:0 d:1 d:0", "d:0 d:1", "d:0 d:1", "chunks.jsonl names chunk 'd:0' twice"),
+        ],
+    )
+    def test_same_chunk_ids_or_index_file_error(self, chunk_ids, dense_ids, bm25_ids, message):
+        dense_ids = dense_ids.split()
+        args = (
+            AgentConfig(agent_id="a7"),
+            chunks_named(*chunk_ids.split()),
+            DenseIndex(np.ones((len(dense_ids), 4), np.float32), dense_ids),
+            Bm25Index.build(chunks_named(*bm25_ids.split())),
+            None,
+            None,
+        )
+        if message is None:
+            assert Agent(*args).chunks_by_id.keys() == set(dense_ids)
+        else:
+            with pytest.raises(IndexFileError, match=f"^{re.escape(f'agent a7: {message}')}$"):
+                Agent(*args)

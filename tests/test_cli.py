@@ -824,6 +824,29 @@ class TestCorruptionSweep:
         restore(root, snapshot)
         assert escapes == []
 
+    @pytest.mark.parametrize("name", ["chunks.jsonl", "vectors.manifest.json", "bm25.json"])
+    def test_valid_json_naming_other_chunk_ids(self, built_tree, capsys, name):
+        """One file of an agent names another chunk than the other two: every
+        command keeps the contract, and ask and eval refuse the agent at load
+        (exit 2), naming it and the chunk."""
+        root, snapshot = built_tree
+        path = root / "index" / "agents" / "agent0" / name
+        renamed = snapshot[path].replace(b'"doc-t0:00000"', b'"doc-t0:00009"')
+        assert renamed != snapshot[path]
+        for command in sorted(SWEEP_COMMANDS):
+            restore(root, snapshot)
+            path.write_bytes(renamed)
+            assert self.escape(root, command, capsys) is None, command
+        for command in ("ask", "eval"):
+            restore(root, snapshot)
+            path.write_bytes(renamed)
+            extra = [arg.format(root=root) for arg in SWEEP_COMMANDS[command]]
+            capsys.readouterr()
+            assert main([command, "--config", str(root / "config.json"), *extra]) == 2
+            error = json.loads(capsys.readouterr().err)["error"]
+            assert error.startswith("agent agent0: ") and "'doc-t0:00000'" in error
+        restore(root, snapshot)
+
     @pytest.mark.parametrize(
         "doc_id", [["x"], {"k": "v"}, 5], ids=["list", "object", "number"]
     )
