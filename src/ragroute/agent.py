@@ -197,13 +197,3 @@ class Agent:
 
     def doc_ids_for(self, hits: Iterable[RetrievalHit]) -> list[str]:
         return [self.chunks_by_id[h.chunk_id].doc_id for h in hits]
-
-
-def build_agent(config: AgentConfig, chunks: list[Chunk], embedder, backend) -> Agent:
-    """Embed chunks and build both indexes in one step (offline convenience)."""
-    if chunks:
-        matrix = embedder.embed_batch([c.text for c in chunks])
-    else:
-        matrix = np.zeros((0, embedder.dim), dtype=np.float32)
-    dense = DenseIndex(matrix, [c.chunk_id for c in chunks])
-    return Agent(config, chunks, dense, Bm25Index.build(chunks), embedder, backend)

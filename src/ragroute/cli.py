@@ -22,12 +22,15 @@ import numpy as np
 from .agent import Agent, AgentConfig
 from .boundary import build_profile, export_centroids, load_profile, save_profile
 from .corpus import (
+    Chunk,
     ChunkingConfig,
     InputError,
+    TokenizedTexts,
     chunk_document,
     load_chunks,
     load_corpus,
     save_chunks,
+    tokenize,
 )
 from .embedding import EmbeddingProviderConfig, load_vectors, make_embedder, save_vectors
 from .evalharness import (
@@ -203,14 +206,21 @@ def cmd_build_index(cfg: SystemConfig, args: argparse.Namespace) -> int:
         chunks_path = adir / "chunks.jsonl"
         if not chunks_path.exists():
             raise ConfigError(f"no chunks for agent {agent_cfg.agent_id}: run ingest first")
-        chunks = load_chunks(chunks_path)
-        if chunks:
-            matrix = embedder.embed_batch([c.text for c in chunks])
-        else:
-            matrix = np.zeros((0, cfg.embedding.dim), dtype=np.float32)
-        save_vectors(adir / "vectors", matrix, [c.chunk_id for c in chunks])
-        Bm25Index.build(chunks).save(adir / "bm25.json")
+        _build_agent_index(adir, load_chunks(chunks_path), embedder)
     return EXIT_OK
+
+
+def _build_agent_index(adir: Path, chunks: list[Chunk], embedder) -> None:
+    """Write one agent's vectors and BM25 index. Each chunk is tokenized
+    once, for both; the token lists are freed on return, before the next
+    agent's chunks are read."""
+    texts = TokenizedTexts([c.text for c in chunks], [tokenize(c.text) for c in chunks])
+    if chunks:
+        matrix = embedder.embed_batch(texts)
+    else:
+        matrix = np.zeros((0, embedder.dim), dtype=np.float32)
+    save_vectors(adir / "vectors", matrix, [c.chunk_id for c in chunks])
+    Bm25Index.build(chunks, texts.tokens).save(adir / "bm25.json")
 
 
 def cmd_register(cfg: SystemConfig, args: argparse.Namespace) -> int:
@@ -317,6 +327,8 @@ def _answer_trace(result, system: EvalSystem) -> dict:
 
 
 def cmd_ask(cfg: SystemConfig, args: argparse.Namespace) -> int:
+    if not tokenize(args.question):
+        raise ConfigError(f"--question has no tokens: {args.question!r}")
     system = _load_system(cfg, args)
     trace: dict = {"question": args.question, "max_agents": system.max_agents}
     code = EXIT_OK

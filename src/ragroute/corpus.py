@@ -12,11 +12,19 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 
-_TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+# One token: a run of word characters, or one character that is neither a
+# word character nor whitespace. Chunk windows are cut by the same rule.
+_TOKEN = r"\w+|[^\w\s]"
+_TOKEN_RE = re.compile(_TOKEN)
+_SPACE_RE = re.compile(r"\s*")
+# A repeat count must stay below the regex engine's MAXREPEAT (2**32 - 1); no
+# text that fits in memory holds that many tokens.
+_MAX_RUN = 2**32 - 2
+_CHUNK_JSON = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 
 
 class InputError(RuntimeError):
@@ -52,6 +60,10 @@ class ChunkingConfig:
     overlap_tokens: int
 
     def __post_init__(self) -> None:
+        for name in ("chunk_tokens", "overlap_tokens"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"chunking {name} must be an integer, not {value!r}")
         if not (0 <= self.overlap_tokens < self.chunk_tokens):
             raise ValueError(
                 f"invalid chunking config: need 0 <= overlap_tokens < chunk_tokens, "
@@ -71,9 +83,23 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
-def token_spans(text: str) -> list[tuple[int, int]]:
-    """Character (start, end) offsets of each token, in order."""
-    return [(m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
+def _tokens_re(least: int, most: int) -> re.Pattern:
+    """Between ``least`` and ``most`` tokens, each after optional whitespace;
+    greedy, so a match ends at the end of its last token. ``re`` keeps the
+    compiled pattern in its own cache."""
+    return re.compile(rf"(?:\s*(?:{_TOKEN})){{{least},{min(most, _MAX_RUN)}}}")
+
+
+class TokenizedTexts(list):
+    """A list of texts that also holds each text's ``tokenize`` list in
+    ``tokens``, so a reader that counts tokens need not tokenize again. A
+    slice of it is a plain list of texts."""
+
+    def __init__(self, texts: Iterable[str], tokens: list[list[str]]):
+        super().__init__(texts)
+        if len(tokens) != len(self):
+            raise ValueError(f"{len(tokens)} token lists for {len(self)} texts")
+        self.tokens = tokens
 
 
 def make_chunk_id(doc_id: str, ordinal: int) -> str:
@@ -97,23 +123,29 @@ def chunk_document(doc: Document, cfg: ChunkingConfig) -> list[Chunk]:
     its successor by exactly ``cfg.overlap_tokens``. Chunk text is the original
     character span from the first to the last token of the window, so no
     content is lost or reflowed.
+
+    The body is cut into runs of ``cfg.stride`` tokens (the last may be
+    shorter); window i is run i plus the up to ``cfg.overlap_tokens`` tokens
+    that follow it. Only the last run's tokens are counted.
     """
-    spans = token_spans(doc.body)
-    if not spans:
+    runs = list(_tokens_re(1, cfg.stride).finditer(doc.body))
+    if not runs:
         raise ValueError(f"empty document: {doc.doc_id!r}")
-    total = len(spans)
+    total = (len(runs) - 1) * cfg.stride + len(tokenize(runs[-1].group()))
+    overlap = _tokens_re(0, cfg.overlap_tokens)
     chunks: list[Chunk] = []
     for i in range(chunk_count(total, cfg)):
+        run = runs[i]
+        first = _SPACE_RE.match(doc.body, run.start()).end()
+        last = overlap.match(doc.body, run.end()).end()
         start = i * cfg.stride
-        window = spans[start : start + cfg.chunk_tokens]
-        text = doc.body[window[0][0] : window[-1][1]]
         chunks.append(
             Chunk(
                 chunk_id=make_chunk_id(doc.doc_id, i),
                 doc_id=doc.doc_id,
-                text=text,
+                text=doc.body[first:last],
                 token_start=start,
-                token_len=len(window),
+                token_len=min(cfg.chunk_tokens, total - start),
             )
         )
     return chunks
@@ -198,21 +230,19 @@ def save_chunks(path: str | Path, chunks: list[Chunk]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
-        for c in chunks:
-            fh.write(
-                json.dumps(
-                    {
-                        "chunk_id": c.chunk_id,
-                        "doc_id": c.doc_id,
-                        "text": c.text,
-                        "token_start": c.token_start,
-                        "token_len": c.token_len,
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-                + "\n"
+        fh.writelines(
+            _CHUNK_JSON.encode(
+                {
+                    "chunk_id": c.chunk_id,
+                    "doc_id": c.doc_id,
+                    "text": c.text,
+                    "token_start": c.token_start,
+                    "token_len": c.token_len,
+                }
             )
+            + "\n"
+            for c in chunks
+        )
 
 
 def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:

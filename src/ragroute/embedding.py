@@ -28,7 +28,7 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from . import __version__
-from .corpus import InputError, tokenize
+from .corpus import InputError, TokenizedTexts, tokenize
 
 EMBED_MAX_IN_FLIGHT = 4
 # OpenAI's embeddings API takes at most 2048 inputs and 300,000 tokens per
@@ -249,6 +249,7 @@ class MockEmbedder:
     def embed_batch(self, texts: list[str]) -> np.ndarray:
         """One float32 row per text: its token counts divided by their L2
         norm in float64, then rounded; a text with no tokens is a zero row.
+        Texts given as ``TokenizedTexts`` are counted from their tokens.
 
         The counts are small integers, so their squares sum exactly in any
         order and each row has the bits of adding 1.0 per token.
@@ -256,8 +257,9 @@ class MockEmbedder:
         if not texts:
             raise ValueError("texts must be non-empty")
         out = np.zeros((len(texts), self.dim), dtype=np.float32)
-        for row, text in enumerate(texts):
-            axes = np.fromiter(map(self._axes.__getitem__, tokenize(text)), dtype=np.intp)
+        token_lists = texts.tokens if isinstance(texts, TokenizedTexts) else map(tokenize, texts)
+        for row, tokens in enumerate(token_lists):
+            axes = np.fromiter(map(self._axes.__getitem__, tokens), dtype=np.intp)
             counts = np.bincount(axes, minlength=self.dim)
             norm = np.linalg.norm(counts)
             if norm > 0.0:

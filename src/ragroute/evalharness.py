@@ -55,12 +55,23 @@ class EvalItem:
             raise ValueError(f"bad hop type {self.hop!r}")
 
 
+def _strings(key: str, value) -> list[str]:
+    """``value``, or a ValueError naming ``key`` unless it is a list of
+    strings."""
+    if type(value) is not list or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{key} must be a list of strings, not {value!r:.60}")
+    return value
+
+
 def _eval_item(rec: dict) -> EvalItem:
+    question = rec["question"]
+    if not isinstance(question, str) or not tokenize(question):
+        raise ValueError(f"question must be a string with a token, not {question!r:.60}")
     return EvalItem(
-        question=rec["question"],
-        answers=tuple(rec["answers"]),
-        target_doc_ids=frozenset(rec.get("target_doc_ids", [])),
-        target_agent_ids=frozenset(rec.get("target_agent_ids", [])),
+        question=question,
+        answers=tuple(_strings("answers", rec["answers"])),
+        target_doc_ids=frozenset(_strings("target_doc_ids", rec.get("target_doc_ids", []))),
+        target_agent_ids=frozenset(_strings("target_agent_ids", rec.get("target_agent_ids", []))),
         hop=rec.get("hop", SINGLE),
     )
 

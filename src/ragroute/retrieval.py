@@ -239,13 +239,16 @@ class Bm25Index:
         self._terms: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
-    def build(cls, chunks: list[Chunk]) -> "Bm25Index":
+    def build(cls, chunks: list[Chunk], tokens: list[list[str]] | None = None) -> "Bm25Index":
+        """The index of ``chunks``; ``tokens``, when given, holds each chunk's
+        ``tokenize`` list, so the texts are not tokenized again."""
+        if tokens is None:
+            tokens = (tokenize(c.text) for c in chunks)
         postings: dict[str, dict[str, int]] = {}
         doc_len: dict[str, int] = {}
-        for chunk in chunks:
-            terms = [t.lower() for t in tokenize(chunk.text)]
-            doc_len[chunk.chunk_id] = len(terms)
-            for term, tf in Counter(terms).items():
+        for chunk, chunk_tokens in zip(chunks, tokens, strict=True):
+            doc_len[chunk.chunk_id] = len(chunk_tokens)
+            for term, tf in Counter(map(str.lower, chunk_tokens)).items():
                 postings.setdefault(term, {})[chunk.chunk_id] = tf
         return cls(postings, doc_len)
 

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import settings
 
 import transcripts
-from ragroute.agent import Agent, AgentConfig, build_agent
+from ragroute.agent import Agent, AgentConfig
 from ragroute.boundary import build_profile, export_centroids
-from ragroute.corpus import ChunkingConfig, Document, chunk_document
+from ragroute.corpus import Chunk, ChunkingConfig, Document, chunk_document
 from ragroute.embedding import MockEmbedder
 from ragroute.evalharness import EvalSystem
+from ragroute.retrieval import Bm25Index, DenseIndex
 from ragroute.router import RouterRegistry
 
 # Every run tries the same examples, and slow examples are not failures.
@@ -33,6 +34,16 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     if na == 0.0 or nb == 0.0:
         raise ValueError("undefined similarity: zero vector")
     return float(np.dot(a64, b64) / (na * nb))
+
+
+def build_agent(config: AgentConfig, chunks: list[Chunk], embedder, backend) -> Agent:
+    """An agent over ``chunks``, embedded and indexed in memory."""
+    if chunks:
+        matrix = embedder.embed_batch([c.text for c in chunks])
+    else:
+        matrix = np.zeros((0, embedder.dim), dtype=np.float32)
+    dense = DenseIndex(matrix, [c.chunk_id for c in chunks])
+    return Agent(config, chunks, dense, Bm25Index.build(chunks), embedder, backend)
 
 
 def make_agents(

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import transcripts
-from ragroute.agent import Agent, AgentConfig, AgentError, build_agent
+from conftest import build_agent
+from ragroute.agent import Agent, AgentConfig, AgentError
 from ragroute.corpus import Chunk, ChunkingConfig, Document, chunk_document
 from ragroute.embedding import IndexFileError
 from ragroute.llm import ScriptedChatBackend, ScriptEntry

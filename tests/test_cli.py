@@ -237,6 +237,27 @@ class TestLifecycle:
         assert main(["ingest", "--config", str(config), "--overlap-tokens", "300"]) == 2
         assert "overlap_tokens" in json.loads(capsys.readouterr().err.strip())["error"]
 
+    @pytest.mark.parametrize("value", [128.0, True, "128", None])
+    @pytest.mark.parametrize("field", ["chunk_tokens", "overlap_tokens"])
+    @pytest.mark.parametrize("where", ["config", "agent"])
+    def test_chunk_size_not_an_integer_exits_2(self, tmp_path, capsys, where, field, value):
+        chunking = {"chunk_tokens": 16, "overlap_tokens": 2}
+        bad = dict(chunking, **{field: value})
+        agent = {"agent_id": "a", "category": "c"}
+        if where == "agent":
+            agent["chunking"] = bad
+        config = write_config(
+            tmp_path,
+            [{"doc_id": "d", "category": "c", "body": "words " * 40}],
+            [],
+            [agent],
+            chunking=bad if where == "config" else chunking,
+        )
+        assert main(["ingest", "--config", str(config)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["command"] == "ingest"
+        assert field in error["error"]
+
     def test_single_agent_build_leaves_others_untouched(self, tmp_path, capsys):
         corpus = [
             {"doc_id": "d1", "category": "ca", "body": "alpha words " * 10},
@@ -314,6 +335,18 @@ class TestAsk:
         assert len(trace["rounds"]) == 2
         assert len(trace["records"]) == 2
         assert trace["status"] == "answerable"
+
+    @pytest.mark.parametrize("question", ["", "   ", "\t\n"])
+    def test_question_without_tokens_exits_2(self, tmp_path, capsys, question):
+        config = self._setup(tmp_path)
+        build_lifecycle(config)
+        capsys.readouterr()
+        assert main(["ask", "--config", str(config), "--question", question]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["command"] == "ask"
+        assert "--question has no tokens" in error["error"]
 
     def test_ask_without_registry_fails(self, tmp_path, capsys):
         config = self._setup(tmp_path)
@@ -519,6 +552,12 @@ class TestBadLines:
         (b'{"question": "q"}\n', 2),
         (b'{"question": "q", "answers": []}\n', 2),
         (b'\n{"question": "q", "answers": 7}\n', 3),
+        (b'{"question": "q", "answers": "Paris"}\n', 2),
+        (b'{"question": "q", "answers": ["a", 1]}\n', 2),
+        (b'{"question": 42, "answers": ["a"]}\n', 2),
+        (b'{"question": "   ", "answers": ["a"]}\n', 2),
+        (b'{"question": "q", "answers": ["a"], "target_doc_ids": "d1"}\n', 2),
+        (b'{"question": "q", "answers": ["a"], "target_agent_ids": [7]}\n', 2),
     ])
     def test_bad_dataset_line_exits_2(self, tmp_path, capsys, bad, line_no):
         corpus, agents = topic_corpus_and_agents()

@@ -124,6 +124,16 @@ class TestChunkDocument:
         with pytest.raises(ValueError):
             ChunkingConfig(10, -1)
 
+    @pytest.mark.parametrize("sizes", [(128.0, 16), (128, 16.0), (True, 0), (2, False)])
+    def test_sizes_that_are_not_integers_rejected(self, sizes):
+        with pytest.raises(TypeError, match="must be an integer"):
+            ChunkingConfig(*sizes)
+
+    def test_window_beyond_the_regex_repeat_limit(self):
+        # 2**40 tokens per window is more than a regex may repeat a group.
+        chunks = chunk_document(make_doc(10), ChunkingConfig(2**40, 2**39))
+        assert [(c.token_start, c.token_len) for c in chunks] == [(0, 10)]
+
 
 class TestLoadCorpus:
     def test_valid_records(self, tmp_path):

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import cosine_similarity
-from ragroute.corpus import tokenize
+from ragroute.corpus import TokenizedTexts, tokenize
 from ragroute.embedding import (
     DimensionMismatchError,
     EmbeddingProviderConfig,
@@ -283,6 +283,14 @@ class TestRemoteEmbedder:
         assert [len(body["input"]) for body in handler.seen] == [256, 256, 88]
         assert [t for body in handler.seen for t in body["input"]] == texts
         assert np.array_equal(out[:, 0], np.arange(600, dtype=np.float32))
+
+    def test_tokenized_texts_post_the_texts_alone(self, embedding_server):
+        url, handler = embedding_server
+        texts = [str(i) for i in range(300)]
+        cfg = EmbeddingProviderConfig("remote_http", "m", 8, endpoint=url)
+        out = RemoteEmbedder(cfg).embed_batch(TokenizedTexts(texts, [[t] for t in texts]))
+        assert [body["input"] for body in handler.seen] == [texts[:256], texts[256:]]
+        assert np.array_equal(out[:, 0], np.arange(300, dtype=np.float32))
 
     def test_rows_are_placed_by_reply_index(self, embedding_server):
         url, handler = embedding_server
