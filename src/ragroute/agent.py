@@ -6,13 +6,14 @@ An agent owns its chunk set and indexes; nothing but its generated response
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from .corpus import Chunk, ChunkingConfig, chunk_ordinal, tokenize
+from .corpus import Chunk, ChunkingConfig, chunk_ordinal, require_int, tokenize
 from .embedding import IndexFileError
 from .llm import ParsedAgentReply, TokenUsage, parse_agent_reply
 from .prompts import AGENT_ANSWER_MULTI_HOP, AGENT_ANSWER_SINGLE_HOP, render_prompt
@@ -53,6 +54,13 @@ class AgentConfig:
     def __post_init__(self) -> None:
         if self.retrieval_method not in (DENSE, BM25, MIXTURE):
             raise ValueError(f"unknown retrieval method {self.retrieval_method!r}")
+        require_int("retrieval_depth", self.retrieval_depth)
+        require_int("min_keep", self.min_keep)
+        threshold = self.rerank_threshold
+        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
+            raise TypeError(f"rerank_threshold must be a number, not {threshold!r}")
+        if not math.isfinite(threshold):
+            raise ValueError(f"rerank_threshold must be finite, not {threshold!r}")
         if not (self.retrieval_depth >= self.min_keep >= 1):
             raise ValueError("need retrieval_depth >= min_keep >= 1")
 

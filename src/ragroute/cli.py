@@ -29,10 +29,17 @@ from .corpus import (
     chunk_document,
     load_chunks,
     load_corpus,
+    require_int,
     save_chunks,
     tokenize,
 )
-from .embedding import EmbeddingProviderConfig, load_vectors, make_embedder, save_vectors
+from .embedding import (
+    EmbeddingProviderConfig,
+    IndexFileError,
+    load_vectors,
+    make_embedder,
+    save_vectors,
+)
 from .evalharness import (
     AGENTS_ALL,
     AGENTS_RAW_KNOWLEDGE,
@@ -65,10 +72,10 @@ class ConfigError(InputError):
     pass
 
 
-def _count(name: str, value: int | None, default: int = 0) -> int:
-    """``value``, or ``default`` when it is None; ConfigError naming
-    ``name`` when that is below 1."""
-    value = default if value is None else value
+def _count(name: str, value: int) -> int:
+    """``value``; TypeError naming ``name`` when it is not an int (a bool is
+    not), ConfigError when it is below 1."""
+    require_int(name, value)
     if value < 1:
         raise ConfigError(f"{name} must be >= 1")
     return value
@@ -121,18 +128,22 @@ class SystemConfig:
                 chat=chat,
                 agents=agent_cfgs,
                 # an absent key keeps the dataclass default
-                max_agents=int(router_cfg.get("max_agents", cls.max_agents)),
-                parallelism=int(router_cfg.get("parallelism", cls.parallelism)),
+                max_agents=_count(
+                    "router.max_agents", router_cfg.get("max_agents", cls.max_agents)
+                ),
+                parallelism=_count(
+                    "router.parallelism", router_cfg.get("parallelism", cls.parallelism)
+                ),
                 strategy=PlanStrategy(planner_cfg.get("strategy", cls.strategy)),
-                max_rounds=int(planner_cfg.get("max_rounds", cls.max_rounds)),
+                max_rounds=_count(
+                    "planner.max_rounds", planner_cfg.get("max_rounds", cls.max_rounds)
+                ),
             )
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ConfigError(f"bad config: {exc}") from exc
         ids = [a.agent_id for a in cfg.agents]
         if len(ids) != len(set(ids)):
             raise ConfigError("agent_ids must be unique")
-        _count("router.max_agents", cfg.max_agents)
-        _count("planner.max_rounds", cfg.max_rounds)
         return cfg
 
     def agent_dir(self, agent_id: str) -> Path:
@@ -213,14 +224,19 @@ def cmd_build_index(cfg: SystemConfig, args: argparse.Namespace) -> int:
 def _build_agent_index(adir: Path, chunks: list[Chunk], embedder) -> None:
     """Write one agent's vectors and BM25 index. Each chunk is tokenized
     once, for both; the token lists are freed on return, before the next
-    agent's chunks are read."""
+    agent's chunks are read. IndexFileError names ``chunks.jsonl`` when a
+    chunk_id repeats in it."""
     texts = TokenizedTexts([c.text for c in chunks], [tokenize(c.text) for c in chunks])
+    try:
+        bm25 = Bm25Index.build(chunks, texts.tokens)
+    except ValueError as exc:
+        raise IndexFileError(f"{adir / 'chunks.jsonl'}: {exc}") from exc
     if chunks:
         matrix = embedder.embed_batch(texts)
     else:
         matrix = np.zeros((0, embedder.dim), dtype=np.float32)
     save_vectors(adir / "vectors", matrix, [c.chunk_id for c in chunks])
-    Bm25Index.build(chunks, texts.tokens).save(adir / "bm25.json")
+    bm25.save(adir / "bm25.json")
 
 
 def cmd_register(cfg: SystemConfig, args: argparse.Namespace) -> int:
@@ -263,8 +279,9 @@ def _load_system(cfg: SystemConfig, args: argparse.Namespace) -> EvalSystem:
     Raises ConfigError for a count flag below 1, or when there is no
     registry or it names an agent that the config does not list.
     """
-    max_agents = _count("--max-agents", args.max_agents, cfg.max_agents)
-    max_rounds = _count("--max-rounds", getattr(args, "max_rounds", None), cfg.max_rounds)
+    max_agents, max_rounds = args.max_agents, getattr(args, "max_rounds", None)
+    max_agents = _count("--max-agents", cfg.max_agents if max_agents is None else max_agents)
+    max_rounds = _count("--max-rounds", cfg.max_rounds if max_rounds is None else max_rounds)
     if not cfg.registry_json().exists():
         raise ConfigError("no registry: run register first")
     backend = make_chat_backend(cfg.chat)

@@ -54,6 +54,12 @@ class Chunk:
     token_len: int
 
 
+def require_int(name: str, value) -> None:
+    """TypeError naming ``name`` unless ``value`` is an int; a bool is not."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not {value!r}")
+
+
 @dataclass(frozen=True)
 class ChunkingConfig:
     chunk_tokens: int
@@ -61,9 +67,7 @@ class ChunkingConfig:
 
     def __post_init__(self) -> None:
         for name in ("chunk_tokens", "overlap_tokens"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"chunking {name} must be an integer, not {value!r}")
+            require_int(f"chunking {name}", getattr(self, name))
         if not (0 <= self.overlap_tokens < self.chunk_tokens):
             raise ValueError(
                 f"invalid chunking config: need 0 <= overlap_tokens < chunk_tokens, "

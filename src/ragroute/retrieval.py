@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
+import operator
+from collections.abc import Mapping
 from functools import partial
-from itertools import count, repeat
+from itertools import accumulate, chain, count, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .corpus import Chunk, tokenize
 # save_vectors is unused here; perfbench/spans.py traces it by name on this module.
-from .embedding import VectorFileError, load_vectors, read_json, save_vectors
+from .embedding import IndexFileError, VectorFileError, load_vectors, read_json, save_vectors
 
 DENSE = "dense"
 BM25 = "bm25"
@@ -37,6 +38,8 @@ _NORM_BLOCK = 1 << 15
 # Row norms within which a float32 screening product neither overflows nor
 # loses more to underflow than the float64 slack of ``_screen_slack``.
 _F32_SAFE_NORM = (2.0**-64, 2.0**64)
+# The arrays of bm25.bin, in file order: offsets, rows, tf, doc_len.
+_BM25_DTYPES = ("<i8", "<i4", "<i4", "<i4")
 
 
 def unit_scores(unit_rows: np.ndarray, unit_q: np.ndarray) -> np.ndarray:
@@ -214,46 +217,168 @@ def dense_search(
     return _ranked(ids, scores, DENSE)
 
 
+class _Postings(Mapping):
+    """Read-only ``term -> rows``: the rows of the chunks that hold a term, a
+    slice of the index's CSR rows, so its ``len`` is the term's df. ``get``
+    builds no per-posting object; each term's slice is made once and kept,
+    as the benchmark's tracer calls ``get`` inside the timed search."""
+
+    def __init__(self, term_id: dict[str, int], offsets: np.ndarray, rows: np.ndarray):
+        self._term_id = term_id
+        self._offsets = offsets
+        self._rows = rows
+        self._views: dict[str, np.ndarray] = {}
+
+    def get(self, term: str, default=None):
+        view = self._views.get(term)
+        if view is None:
+            i = self._term_id.get(term)
+            if i is None:
+                return default
+            view = self._views[term] = self._rows[self._offsets[i] : self._offsets[i + 1]]
+        return view
+
+    def __getitem__(self, term: str) -> np.ndarray:
+        rows = self.get(term)
+        if rows is None:
+            raise KeyError(term)
+        return rows
+
+    def __iter__(self):
+        return iter(self._term_id)
+
+    def __len__(self) -> int:
+        return len(self._term_id)
+
+
+def _first_unsorted(names: list[str]) -> int | None:
+    """The place of the first name not above the one before it, or None."""
+    if all(map(operator.lt, names, names[1:])):
+        return None
+    return next(i for i in range(1, len(names)) if not names[i - 1] < names[i])
+
+
+def _check_csr(terms, chunk_ids, offsets, rows, tf, doc_len) -> None:
+    """Raise ValueError unless the arrays are an index ``Bm25Index.build``
+    could have made; every check runs over whole arrays."""
+    for what, names in (("terms", terms), ("chunk ids", chunk_ids)):
+        bad = _first_unsorted(names)
+        if bad is not None:
+            raise ValueError(f"{what} are not sorted and unique at {names[bad]!r}")
+    n, p = len(chunk_ids), len(rows)
+    if (len(offsets), len(tf), len(doc_len)) != (len(terms) + 1, p, n):
+        raise ValueError("array lengths do not match the terms and chunk ids")
+    if offsets[0] != 0 or offsets[-1] != p or not (offsets[1:] > offsets[:-1]).all():
+        raise ValueError(f"offsets must start at 0, rise strictly and end at {p}")
+    if p and not (0 <= rows.min() and rows.max() < n):
+        raise ValueError(f"a posting row is outside [0, {n})")
+    rising = rows[1:] > rows[:-1]
+    rising[offsets[1:-1] - 1] = True  # a term's first row follows another term's
+    if not rising.all():
+        term = terms[int(np.searchsorted(offsets, np.argmin(rising) + 1, "right")) - 1]
+        raise ValueError(f"the rows of term {term!r} do not rise strictly")
+    if p and tf.min() < 1:
+        raise ValueError("a term frequency is below 1")
+    sums = np.bincount(rows, tf, n)
+    if not np.array_equal(sums, doc_len):
+        row = int(np.argmax(sums != doc_len))
+        raise ValueError(
+            f"chunk {chunk_ids[row]!r} has length {doc_len[row]}, "
+            f"but its term frequencies sum to {sums[row]:.0f}"
+        )
+
+
 class Bm25Index:
-    """Inverted index with Okapi BM25 scoring (k1=1.2, b=0.75).
+    """Inverted index with Okapi BM25 scoring (k1=1.2, b=0.75), held as
+    compressed rows (CSR), in memory as on disk.
+
+    ``terms`` and ``chunk_ids`` are sorted and unique; a chunk's row is its
+    place in ``chunk_ids``, so rows run in chunk_id order. The postings of
+    ``terms[i]`` are ``rows[offsets[i]:offsets[i + 1]]``, rising, with each
+    one's term frequency at the same place in ``tf``; ``doc_len[row]`` is a
+    chunk's token count, the sum of its term frequencies.
 
     idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)), kept non-negative for
     corpus-dominating terms.
 
-    A chunk's row is its place in ``doc_len``. The row tables are built here
-    and never change. The first search that uses a term stores two arrays for
-    it: the row of each posting's chunk and the posting's BM25 weight, so
-    loading does no per-posting work. Threads that race on a term store equal
-    arrays, so threads may share an index.
+    The first search that uses a term stores two arrays for it: the rows of
+    its chunks and each posting's BM25 weight. Threads that race on a term
+    store equal arrays, so threads may share an index.
     """
 
-    def __init__(self, postings: dict[str, dict[str, int]], doc_len: dict[str, int]):
-        self.postings = postings
+    def __init__(
+        self,
+        terms: list[str],
+        chunk_ids: list[str],
+        offsets: np.ndarray,
+        rows: np.ndarray,
+        tf: np.ndarray,
+        doc_len: np.ndarray,
+    ):
+        """Raises ValueError unless the arrays are a well-formed index. The
+        arrays are kept as given and made read-only."""
+        _check_csr(terms, chunk_ids, offsets, rows, tf, doc_len)
+        for array in (offsets, rows, tf, doc_len):
+            array.flags.writeable = False
+        self.terms = terms
+        self.chunk_ids = chunk_ids
+        self.n_chunks = len(chunk_ids)
         self.doc_len = doc_len
-        self.n_chunks = len(doc_len)
-        self.avg_len = (sum(doc_len.values()) / self.n_chunks) if self.n_chunks else 0.0
-        self.chunk_ids = list(doc_len)
-        self.row_of = dict(zip(self.chunk_ids, range(self.n_chunks)))
-        self._dl = np.fromiter(doc_len.values(), np.float64, self.n_chunks)
-        self._rank = _id_ranks(self.chunk_ids)
-        self._terms: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self.avg_len = int(doc_len.sum(dtype=np.int64)) / self.n_chunks if self.n_chunks else 0.0
+        self._offsets = offsets
+        self._rows = rows
+        self._tf = tf
+        self._term_id = dict(zip(terms, range(len(terms))))
+        self.postings = _Postings(self._term_id, offsets, rows)
+        self._dl = doc_len.astype(np.float64)
+        self._weights: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
     def build(cls, chunks: list[Chunk], tokens: list[list[str]] | None = None) -> "Bm25Index":
         """The index of ``chunks``; ``tokens``, when given, holds each chunk's
-        ``tokenize`` list, so the texts are not tokenized again."""
+        ``tokenize`` list, so the texts are not tokenized again.
+
+        One memo maps each distinct token to the id of its lowercase form,
+        and one ``np.unique`` over ``term * N + row`` gives the postings in
+        (term, chunk_id) order with their term frequencies. Raises ValueError
+        when a chunk_id repeats or the token lists do not match the chunks.
+        """
         if tokens is None:
-            tokens = (tokenize(c.text) for c in chunks)
-        postings: dict[str, dict[str, int]] = {}
-        doc_len: dict[str, int] = {}
-        for chunk, chunk_tokens in zip(chunks, tokens, strict=True):
-            doc_len[chunk.chunk_id] = len(chunk_tokens)
-            for term, tf in Counter(map(str.lower, chunk_tokens)).items():
-                postings.setdefault(term, {})[chunk.chunk_id] = tf
-        return cls(postings, doc_len)
+            tokens = [tokenize(c.text) for c in chunks]
+        if len(tokens) != len(chunks):
+            raise ValueError(f"{len(tokens)} token lists for {len(chunks)} chunks")
+        n = len(chunks)
+        order = sorted(range(n), key=[c.chunk_id for c in chunks].__getitem__)
+        chunk_ids = [chunks[i].chunk_id for i in order]
+        twice = _first_unsorted(chunk_ids)
+        if twice is not None:
+            raise ValueError(f"chunk id {chunk_ids[twice]!r} repeats")
+        row = np.empty(n, np.int64)
+        row[order] = np.arange(n)
+        lengths = np.fromiter(map(len, tokens), np.int64, n)
+        flat = list(chain.from_iterable(tokens))
+        lower_id: dict[str, int] = {}
+        memo = {t: lower_id.setdefault(t.lower(), len(lower_id)) for t in set(flat)}
+        terms = sorted(lower_id)
+        rank = np.empty(len(terms), np.int64)
+        rank[[lower_id[t] for t in terms]] = np.arange(len(terms))
+        term_of = rank[np.fromiter(map(memo.__getitem__, flat), np.int64, len(flat))]
+        keys, tf = np.unique(term_of * n + np.repeat(row, lengths), return_counts=True)
+        term, rows = np.divmod(keys, max(n, 1))
+        offsets = np.zeros(len(terms) + 1, np.int64)
+        np.cumsum(np.bincount(term, minlength=len(terms)), out=offsets[1:])
+        return cls(
+            terms,
+            chunk_ids,
+            offsets,
+            rows.astype(np.int32),
+            tf.astype(np.int32),
+            lengths[order].astype(np.int32),
+        )
 
     def idf(self, term: str) -> float:
-        df = len(self.postings.get(term, {}))
+        i = self._term_id.get(term)
+        df = 0 if i is None else int(self._offsets[i + 1] - self._offsets[i])
         return math.log(1.0 + (self.n_chunks - df + 0.5) / (df + 0.5))
 
     def term_weights(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
@@ -262,44 +387,68 @@ class Bm25Index:
 
         Each weight is ``idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl /
         avg_len))`` taken elementwise in that order, so it has the bits of
-        the same expression on Python floats. Raises ValueError for a posting
-        whose chunk has no length, or a weight that is not finite.
+        the same expression on Python floats.
         """
-        entry = self._terms.get(term)
+        entry = self._weights.get(term)
         if entry is not None:
             return entry
-        posting = self.postings.get(term)
-        if not posting:
+        i = self._term_id.get(term)
+        if i is None:
             return None
-        try:
-            rows = np.fromiter(map(self.row_of.__getitem__, posting), np.intp, len(posting))
-        except KeyError as exc:
-            raise ValueError(
-                f"BM25 posting of {term!r} names chunk {exc.args[0]!r}, which has no length"
-            ) from exc
-        tf = np.fromiter(posting.values(), np.float64, len(posting))
-        with np.errstate(all="ignore"):
-            denom = tf + BM25_K1 * (1.0 - BM25_B + BM25_B * self._dl[rows] / self.avg_len)
-            weights = self.idf(term) * tf * (BM25_K1 + 1.0) / denom
-        if not np.isfinite(weights).all():
-            raise ValueError(f"BM25 weights of {term!r} are not finite (avg_len {self.avg_len})")
-        entry = self._terms[term] = (rows, weights)
+        postings = slice(self._offsets[i], self._offsets[i + 1])
+        rows = self._rows[postings].astype(np.intp)
+        tf = self._tf[postings].astype(np.float64)
+        denom = tf + BM25_K1 * (1.0 - BM25_B + BM25_B * self._dl[rows] / self.avg_len)
+        weights = self.idf(term) * tf * (BM25_K1 + 1.0) / denom
+        entry = self._weights[term] = (rows, weights)
         return entry
 
     def save(self, path: str | Path) -> None:
-        payload = {"postings": self.postings, "doc_len": self.doc_len}
-        Path(path).write_text(
-            json.dumps(payload, sort_keys=True, ensure_ascii=False), encoding="utf-8"
-        )
+        """Write ``path`` (a ``.json`` manifest of the terms, the chunk ids
+        and the posting count) after ``path.with_suffix(".bin")``, which
+        holds offsets, rows, tf and doc_len back to back, little-endian."""
+        path = Path(path)
+        arrays = zip(_BM25_DTYPES, (self._offsets, self._rows, self._tf, self.doc_len))
+        path.with_suffix(".bin").write_bytes(b"".join(a.astype(dt).tobytes() for dt, a in arrays))
+        manifest = {"chunk_ids": self.chunk_ids, "n_postings": len(self._rows), "terms": self.terms}
+        path.write_text(json.dumps(manifest, sort_keys=True, ensure_ascii=False), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "Bm25Index":
-        def parse(payload) -> "Bm25Index":
-            postings = {t: {c: int(tf) for c, tf in post.items()} for t, post in payload["postings"].items()}
-            doc_len = {c: int(n) for c, n in payload["doc_len"].items()}
-            return cls(postings, doc_len)
+        """The index ``save`` wrote to ``path``, as views of one read of its
+        ``.bin``. IndexFileError names the file when the manifest or the
+        arrays are not what ``save`` writes, or the index is in the older
+        JSON format."""
+        path = Path(path)
 
-        return read_json(path, parse)
+        def parse(m) -> tuple[list[str], list[str], int]:
+            if isinstance(m, dict) and "doc_len" in m:
+                raise IndexFileError(
+                    f"{path} is a BM25 index in an older format: re-run build-index"
+                )
+            terms, chunk_ids, p = m["terms"], m["chunk_ids"], m["n_postings"]
+            if not (isinstance(terms, list) and isinstance(chunk_ids, list)
+                    and set(map(type, terms + chunk_ids)) <= {str}):
+                raise TypeError("terms and chunk_ids must be lists of strings")
+            if type(p) is not int or p < 0:
+                raise TypeError(f"n_postings must be a count, not {p!r}")
+            return terms, chunk_ids, p
+
+        terms, chunk_ids, p = read_json(path, parse)
+        bin_path = path.with_suffix(".bin")
+        data = bin_path.read_bytes()
+        counts = (len(terms) + 1, p, p, len(chunk_ids))
+        sizes = [np.dtype(dt).itemsize * k for dt, k in zip(_BM25_DTYPES, counts)]
+        if len(data) != sum(sizes):
+            raise IndexFileError(
+                f"{bin_path} holds {len(data)} bytes; its manifest needs {sum(sizes)}"
+            )
+        starts = accumulate(sizes, initial=0)
+        arrays = [np.frombuffer(data, dt, k, at) for dt, k, at in zip(_BM25_DTYPES, counts, starts)]
+        try:
+            return cls(terms, chunk_ids, *arrays)
+        except ValueError as exc:
+            raise IndexFileError(f"{path} with {bin_path.name}: {exc}") from exc
 
 
 def bm25_search(index: Bm25Index, query_tokens: list[str], top_n: int) -> list[RetrievalHit]:
@@ -329,7 +478,8 @@ def bm25_search(index: Bm25Index, query_tokens: list[str], top_n: int) -> list[R
         touched_scores = scores[rows]
         cut = np.partition(touched_scores, len(rows) - top_n)[len(rows) - top_n]
         rows = rows[touched_scores >= cut]
-    rows = rows[np.lexsort((index._rank[rows], -scores[rows]))][:top_n]
+    # Rows run in chunk_id order, so the row breaks ties.
+    rows = rows[np.lexsort((rows, -scores[rows]))][:top_n]
     return _ranked([index.chunk_ids[row] for row in rows.tolist()], scores[rows].tolist(), BM25)
 
 

@@ -102,7 +102,7 @@ class TestLifecycle:
         assert {e["agent_id"] for e in registry["entries"]} == {"agent0"}
         emptied = tmp_path / "index" / "agents" / "agent1"
         assert sorted(p.name for p in emptied.iterdir()) == [
-            "bm25.json", "chunks.jsonl", "vectors.bin", "vectors.manifest.json"
+            "bm25.bin", "bm25.json", "chunks.jsonl", "vectors.bin", "vectors.manifest.json"
         ]
         assert main(["inspect", "--config", str(config)]) == 0
         summary = json.loads(capsys.readouterr().out)
@@ -689,6 +689,129 @@ class TestIndexFiles:
         assert "agent0" in error["error"]
 
 
+def _swap(seq: list, i: int, j: int) -> None:
+    seq[i], seq[j] = seq[j], seq[i]
+
+
+def _second_row_of_a_term(ix: dict) -> int:
+    """The place of the second posting of the first term with two."""
+    offsets = ix["offsets"]
+    return next(offsets[t] + 1 for t in range(len(offsets) - 1) if offsets[t + 1] - offsets[t] > 1)
+
+
+# One damage per check that loading a BM25 index makes, each with the words
+# of the refusal it must cause.
+BM25_DAMAGE = {
+    "size": (lambda ix: ix.update(n_postings=len(ix["rows"]) + 1), "its manifest needs"),
+    "offsets-start": (lambda ix: ix["offsets"].__setitem__(0, 1), "offsets must start at 0"),
+    "offsets-end": (
+        lambda ix: ix["offsets"].__setitem__(-1, ix["offsets"][-1] - 1), "end at "
+    ),
+    "offsets-flat": (lambda ix: ix["offsets"].__setitem__(1, 0), "rise strictly"),
+    "row-outside": (
+        lambda ix: ix["rows"].__setitem__(-1, len(ix["chunk_ids"])), "is outside [0, "
+    ),
+    "rows-falling": (
+        lambda ix: _swap(ix["rows"], _second_row_of_a_term(ix) - 1, _second_row_of_a_term(ix)),
+        "do not rise strictly",
+    ),
+    "tf-zero": (lambda ix: ix["tf"].__setitem__(0, 0), "term frequency is below 1"),
+    "doc-len": (
+        lambda ix: ix["doc_len"].__setitem__(0, ix["doc_len"][0] + 1), "term frequencies sum to"
+    ),
+    "terms-unsorted": (lambda ix: _swap(ix["terms"], 0, 1), "terms are not sorted and unique"),
+    "chunk-ids-repeated": (
+        lambda ix: ix["chunk_ids"].__setitem__(1, ix["chunk_ids"][0]),
+        "chunk ids are not sorted and unique",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def bm25_tree(tmp_path_factory):
+    """A built two-agent index whose agent0 holds four chunks, with the
+    bytes of agent0's BM25 manifest and arrays as built."""
+    root = tmp_path_factory.mktemp("bm25")
+    corpus, agents = topic_corpus_and_agents(2)
+    chunking = {"chunk_tokens": 4, "overlap_tokens": 1}
+    config = write_config(root, corpus, catch_all_script(), agents, chunking=chunking)
+    build_lifecycle(config)
+    path = root / "index" / "agents" / "agent0" / "bm25.json"
+    return config, path, path.read_bytes(), path.with_suffix(".bin").read_bytes()
+
+
+class TestBm25Store:
+    @staticmethod
+    def arrays(manifest: bytes, binary: bytes) -> dict:
+        """The manifest and arrays of a BM25 index, as plain lists."""
+        ix = json.loads(manifest)
+        v, p, n = len(ix["terms"]), ix["n_postings"], len(ix["chunk_ids"])
+        at = 8 * (v + 1)
+        ix["offsets"] = np.frombuffer(binary, "<i8", v + 1).tolist()
+        for k, name in enumerate(("rows", "tf")):
+            ix[name] = np.frombuffer(binary, "<i4", p, at + 4 * p * k).tolist()
+        ix["doc_len"] = np.frombuffer(binary, "<i4", n, at + 8 * p).tolist()
+        return ix
+
+    @staticmethod
+    def ask_error(config: Path, capsys) -> dict:
+        capsys.readouterr()
+        assert main(["ask", "--config", str(config), "--question", "topic0word0?"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert sorted(error) == ["command", "error"] and error["command"] == "ask"
+        return error
+
+    @pytest.mark.parametrize("damage", sorted(BM25_DAMAGE))
+    def test_damaged_index_exits_2_naming_the_file(self, bm25_tree, capsys, damage):
+        config, path, manifest, binary = bm25_tree
+        ix = self.arrays(manifest, binary)
+        assert len(ix["chunk_ids"]) == 4 and len(ix["rows"]) > len(ix["terms"])
+        change, words = BM25_DAMAGE[damage]
+        change(ix)
+        arrays = zip(("<i8", "<i4", "<i4", "<i4"), ("offsets", "rows", "tf", "doc_len"))
+        try:
+            path.with_suffix(".bin").write_bytes(
+                b"".join(np.asarray(ix.pop(name), dt).tobytes() for dt, name in arrays)
+            )
+            path.write_text(json.dumps(ix), encoding="utf-8")
+            error = self.ask_error(config, capsys)["error"]
+        finally:
+            path.write_bytes(manifest)
+            path.with_suffix(".bin").write_bytes(binary)
+        assert str(path.with_suffix(".bin" if damage == "size" else ".json")) in error
+        assert words in error
+
+    def test_index_in_the_older_json_format_exits_2_naming_build_index(self, bm25_tree, capsys):
+        config, path, manifest, binary = bm25_tree
+        older = {"doc_len": {"doc-t0:00000": 1}, "postings": {"topic0word0": {"doc-t0:00000": 1}}}
+        try:
+            path.write_text(json.dumps(older), encoding="utf-8")
+            error = self.ask_error(config, capsys)["error"]
+        finally:
+            path.write_bytes(manifest)
+        assert error == f"{path} is a BM25 index in an older format: re-run build-index"
+
+    def test_undamaged_index_answers(self, bm25_tree, capsys):
+        config, _, _, _ = bm25_tree
+        assert main(["ask", "--config", str(config), "--question", "topic0word0?"]) == 0
+
+    def test_build_index_refuses_a_chunk_id_twice(self, tmp_path, capsys):
+        corpus, agents = topic_corpus_and_agents(2)
+        config = write_config(tmp_path, corpus, catch_all_script(), agents)
+        assert main(["ingest", "--config", str(config)]) == 0
+        chunks = tmp_path / "index" / "agents" / "agent0" / "chunks.jsonl"
+        chunks.write_bytes(chunks.read_bytes() * 2)
+        capsys.readouterr()
+        assert main(["build-index", "--config", str(config)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error == {
+            "command": "build-index",
+            "error": f"{chunks}: chunk id 'doc-t0:00000' repeats",
+        }
+
+
 class TestInspect:
     def test_summary_lists_agents_and_registry(self, tmp_path, capsys):
         corpus, agents = topic_corpus_and_agents(2)
@@ -741,6 +864,44 @@ class TestConfigValidation:
         assert main(["inspect", "--config", str(config)]) == 2
         error = json.loads(capsys.readouterr().err)
         assert error == {"command": "inspect", "error": f"{section}.{key} must be >= 1"}
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("router", "parallelism", 0, "router.parallelism must be >= 1"),
+            ("router", "parallelism", -3, "router.parallelism must be >= 1"),
+            ("router", "max_agents", 2.7, "router.max_agents must be an integer, not 2.7"),
+            ("router", "max_agents", True, "router.max_agents must be an integer, not True"),
+            ("router", "max_agents", "5", "router.max_agents must be an integer, not '5'"),
+            ("router", "parallelism", None, "router.parallelism must be an integer, not None"),
+            ("planner", "max_rounds", 1.5, "planner.max_rounds must be an integer, not 1.5"),
+            ("agent", "retrieval_depth", 20.5, "retrieval_depth must be an integer, not 20.5"),
+            ("agent", "min_keep", True, "min_keep must be an integer, not True"),
+            ("agent", "rerank_threshold", "0.3", "rerank_threshold must be a number, not '0.3'"),
+            ("agent", "rerank_threshold", True, "rerank_threshold must be a number, not True"),
+            ("agent", "rerank_threshold", float("nan"), "rerank_threshold must be finite, not nan"),
+            ("agent", "rerank_threshold", float("inf"), "rerank_threshold must be finite, not inf"),
+        ],
+    )
+    def test_count_or_threshold_of_the_wrong_type_rejected_at_load(
+        self, tmp_path, capsys, section, key, value, message
+    ):
+        agent = {"agent_id": "a", "category": "c"}
+        sections = {}
+        if section == "agent":
+            agent[key] = value
+        else:
+            sections[section] = {key: value}
+        config = write_config(tmp_path, [], [], [agent], **sections)
+        assert main(["inspect", "--config", str(config)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["command"] == "inspect"
+        assert message in error["error"]
+
+    def test_integral_threshold_accepted(self, tmp_path, capsys):
+        agents = [{"agent_id": "a", "category": "c", "rerank_threshold": 0}]
+        config = write_config(tmp_path, [], [], agents)
+        assert main(["inspect", "--config", str(config)]) == 0
 
     @pytest.mark.parametrize(
         "command, flag, value",

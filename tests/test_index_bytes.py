@@ -35,8 +35,10 @@ AGENTS = [
 ]
 
 PINNED = {
+    "agents/alpha/bm25.bin":
+        "9603917039eb53daaa6a6a994e8c8781dea4d05a43303bc024cee6d48eb86708",
     "agents/alpha/bm25.json":
-        "ac277f442f61d1b307a08e2a1e3ca67b28307cda3d6ccdff3ade3528141424c7",
+        "7c6a60adafca439e2b7cb9ce0d735b9fa7d1c93a36a3fc2d054b74878c6319e3",
     "agents/alpha/centroids.bin":
         "7908f48d5430a6528ee5e891aee44cd01b52c74fc8a9f5dffac7c389c3dc6f14",
     "agents/alpha/centroids.manifest.json":
@@ -49,8 +51,10 @@ PINNED = {
         "9bec0a0fc54c08f7aa74da750ab80a22e5a8e7f1334a3ef0ab5406aaf33caa3e",
     "agents/alpha/vectors.manifest.json":
         "d7189fdd16dd1fbcec744d9072ba58382470fa5b81cee9f6a45bb49f3fdce5c6",
+    "agents/beta/bm25.bin":
+        "24807aa865c2cf1508bf91e40ec83c2706d97d592394ade931a43532ca9b55f6",
     "agents/beta/bm25.json":
-        "0549777c3357fe910514233d2600beb2b06c885495417dc0cd85711a8f03f282",
+        "281cada5d107792ff4cecf7621f3662c88a57c6e3034363a0757104ee2bf8f2d",
     "agents/beta/centroids.bin":
         "7e6970b0b00444faeecb9a65b72062b6f498796894a153c58cff7fbebb7324ba",
     "agents/beta/centroids.manifest.json":
@@ -63,8 +67,10 @@ PINNED = {
         "b9e2fe4de71fd5bdf000aea6f2406f2a9cc2d2c69b56a83904c3777cae410c24",
     "agents/beta/vectors.manifest.json":
         "1323ee6c983d335044307e7e9bbe360c0339783a4a655aafcff5280f6fc32596",
+    "agents/gamma/bm25.bin":
+        "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
     "agents/gamma/bm25.json":
-        "d0a9e9b8b5abecc044d66636800be28faaf4def2c7a8a16ce66796695b5114f1",
+        "346e4374febad7552010836f37690f4c2284774f865fee34a4e2b5593b76d02f",
     "agents/gamma/chunks.jsonl":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "agents/gamma/vectors.bin":

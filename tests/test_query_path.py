@@ -57,11 +57,8 @@ def oracle_dense_search(index: DenseIndex, query_vec: np.ndarray, top_n: int) ->
 
 
 def oracle_id_rank(index: Bm25Index) -> np.ndarray:
-    by_id = sorted(index.chunk_ids)
-    if by_id == index.chunk_ids:
-        return np.arange(index.n_chunks)
     rank = np.empty(index.n_chunks, np.intp)
-    rank[[index.row_of[c] for c in by_id]] = np.arange(index.n_chunks)
+    rank[sorted(range(index.n_chunks), key=index.chunk_ids.__getitem__)] = np.arange(index.n_chunks)
     return rank
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 import struct
@@ -7,6 +8,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import cosine_similarity
 from ragroute.corpus import Chunk, tokenize
-from ragroute.embedding import save_vectors
+from ragroute.embedding import IndexFileError, save_vectors
 from ragroute.retrieval import (
     BM25_B,
     BM25_K1,
@@ -311,27 +313,51 @@ class TestBm25Search:
         assert [h.chunk_id for h in hits] == ["d:00000", "d:00001"]
 
 
-def dict_bm25_search(index: Bm25Index, query_tokens: list[str], top_n: int) -> list[RetrievalHit]:
-    """Oracle: BM25 as it ran posting by posting over the index's dicts,
+def dict_postings(chunks: list[Chunk]) -> tuple[dict[str, dict[str, int]], dict[str, int]]:
+    """Oracle: the BM25 index as term -> {chunk_id: tf} and chunk_id ->
+    token count, built chunk by chunk with a Counter of lowered tokens."""
+    postings: dict[str, dict[str, int]] = {}
+    doc_len: dict[str, int] = {}
+    for chunk in chunks:
+        terms = [t.lower() for t in tokenize(chunk.text)]
+        doc_len[chunk.chunk_id] = len(terms)
+        for term, tf in Counter(terms).items():
+            postings.setdefault(term, {})[chunk.chunk_id] = tf
+    return postings, doc_len
+
+
+def dict_bm25_search(
+    dicts: tuple[dict[str, dict[str, int]], dict[str, int]], query_tokens: list[str], top_n: int
+) -> list[RetrievalHit]:
+    """Oracle: BM25 as it ran posting by posting over ``dict_postings``,
     summing each chunk's score in a dict and sorting by (-score, chunk_id)."""
-    terms = [t.lower() for t in query_tokens]
-    if not terms:
-        return []
+    postings, doc_len = dicts
+    n = len(doc_len)
+    avg_len = sum(doc_len.values()) / n
     scores: dict[str, float] = {}
-    for term in terms:
-        posting = index.postings.get(term)
+    for term in (t.lower() for t in query_tokens):
+        posting = postings.get(term)
         if not posting:
             continue
-        idf = index.idf(term)
+        idf = math.log(1.0 + (n - len(posting) + 0.5) / (len(posting) + 0.5))
         for chunk_id, tf in posting.items():
-            dl = index.doc_len[chunk_id]
-            denom = tf + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / index.avg_len)
+            dl = doc_len[chunk_id]
+            denom = tf + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / avg_len)
             scores[chunk_id] = scores.get(chunk_id, 0.0) + idf * tf * (BM25_K1 + 1.0) / denom
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
     return [
         RetrievalHit(chunk_id=cid, score=score, rank=r, method="bm25")
         for r, (cid, score) in enumerate(ranked[:top_n], 1)
     ]
+
+
+def write_bm25(path: Path, terms, chunk_ids, offsets, rows, tf, doc_len, n_postings=None) -> None:
+    """Write a BM25 manifest and ``.bin`` as given, unchecked."""
+    arrays = zip(("<i8", "<i4", "<i4", "<i4"), (offsets, rows, tf, doc_len))
+    path.with_suffix(".bin").write_bytes(b"".join(np.asarray(a, dt).tobytes() for dt, a in arrays))
+    manifest = {"chunk_ids": chunk_ids, "terms": terms,
+                "n_postings": len(rows) if n_postings is None else n_postings}
+    path.write_text(json.dumps(manifest), encoding="utf-8")
 
 
 _BM25_VOCAB = ["alpha", "Beta", "gamma", "delta", "eps", "zeta", "eta", ".", ","]
@@ -364,7 +390,7 @@ class TestBm25ArraysAgainstDictOracle:
         top_n = data.draw(top_ns(len(chunks)))
         for q in (query, second, query):
             assert hit_bits(bm25_search(index, q, top_n)) == hit_bits(
-                dict_bm25_search(index, q, top_n)
+                dict_bm25_search(dict_postings(chunks), q, top_n)
             )
 
     @given(bm25_corpora(), bm25_queries(), st.data())
@@ -373,10 +399,15 @@ class TestBm25ArraysAgainstDictOracle:
         with tempfile.TemporaryDirectory() as tmp:
             built.save(Path(tmp) / "bm25.json")
             loaded = Bm25Index.load(Path(tmp) / "bm25.json")
-        # bm25.json sorts its keys, so the loaded rows are in chunk_id order
-        assert list(loaded.doc_len) == sorted(built.doc_len)
+        postings, doc_len = dict_postings(chunks)
+        assert loaded.chunk_ids == built.chunk_ids == sorted(doc_len)
+        assert loaded.doc_len.tolist() == [doc_len[c] for c in loaded.chunk_ids]
+        assert list(loaded.postings) == sorted(postings)
+        for term, posting in postings.items():
+            rows = loaded.postings.get(term)
+            assert [loaded.chunk_ids[r] for r in rows] == sorted(posting)
         top_n = data.draw(top_ns(len(chunks)))
-        want = hit_bits(dict_bm25_search(built, query, top_n))
+        want = hit_bits(dict_bm25_search((postings, doc_len), query, top_n))
         assert hit_bits(bm25_search(loaded, query, top_n)) == want
         assert hit_bits(bm25_search(built, query, top_n)) == want
 
@@ -384,9 +415,9 @@ class TestBm25ArraysAgainstDictOracle:
         chunks = [make_chunk("d:00001", "a b c"), make_chunk("d:00000", "b c d")]
         Bm25Index.build(chunks).save(tmp_path / "bm25.json")
         index = Bm25Index.load(tmp_path / "bm25.json")
-        assert index._terms == {}
+        assert index._weights == {}
         bm25_search(index, ["B", "zzz", "b"], top_n=2)
-        assert set(index._terms) == {"b"}
+        assert set(index._weights) == {"b"}
 
     def test_threads_sharing_a_fresh_index_get_the_sequential_hits(self):
         rng = random.Random(11)
@@ -420,16 +451,32 @@ class TestBm25ArraysAgainstDictOracle:
         assert not any(t.is_alive() for t in threads)
         assert got == [want] * 8
 
-    def test_posting_naming_a_chunk_without_length_raises(self):
-        index = Bm25Index({"a": {"c:00000": 1, "ghost": 2}}, {"c:00000": 3})
-        with pytest.raises(ValueError, match="ghost"):
-            bm25_search(index, ["a"], top_n=5)
+    def test_routed_size_index_matches_bit_for_bit(self, tmp_path):
+        """One agent of the routed single-hop benchmark's size: 250 chunks of
+        128 tokens over a 1500-word vocabulary, 60 questions."""
+        rng = random.Random(16)
+        vocab = [f"w{i}" for i in range(1500)] + ["W7", ".", ",", "?", "Caf\xe9"]
+        chunks = [
+            make_chunk(f"d{i // 10:02d}:{i % 10:05d}", " ".join(rng.choices(vocab, k=128)))
+            for i in rng.sample(range(250), 250)
+        ]
+        Bm25Index.build(chunks).save(tmp_path / "bm25.json")
+        loaded = Bm25Index.load(tmp_path / "bm25.json")
+        dicts = dict_postings(chunks)
+        for _ in range(60):
+            query = rng.choices(vocab, k=rng.randint(1, 12))
+            want = hit_bits(dict_bm25_search(dicts, query, 20))
+            assert hit_bits(bm25_search(loaded, query, 20)) == want
 
-    def test_zero_average_length_raises_instead_of_ranking_nan(self):
-        index = Bm25Index({"a": {"c:00000": 1}}, {"c:00000": 0})
-        assert index.avg_len == 0.0
-        with pytest.raises(ValueError, match="not finite"):
-            bm25_search(index, ["a"], top_n=5)
+    def test_posting_naming_a_chunk_without_length_raises(self, tmp_path):
+        write_bm25(tmp_path / "bm25.json", ["a"], ["c:00000"], [0, 2], [0, 1], [1, 2], [3])
+        with pytest.raises(IndexFileError, match=r"bm25\.json with bm25\.bin: .*outside \[0, 1\)"):
+            Bm25Index.load(tmp_path / "bm25.json")
+
+    def test_zero_average_length_raises_instead_of_ranking_nan(self, tmp_path):
+        write_bm25(tmp_path / "bm25.json", ["a"], ["c:00000"], [0, 1], [0], [1], [0])
+        with pytest.raises(IndexFileError, match="'c:00000' has length 0, .* sum to 1"):
+            Bm25Index.load(tmp_path / "bm25.json")
 
 
 def hit(chunk_id: str, rank: int, method: str = "dense", score: float | None = None) -> RetrievalHit:

@@ -13,6 +13,7 @@ import json
 import math
 import random
 import re
+import struct
 from collections import Counter
 
 import pytest
@@ -49,9 +50,10 @@ def token_spans_chunks(doc: Document, cfg: ChunkingConfig) -> list[Chunk]:
     return chunks
 
 
-def oracle_bm25_json(chunks: list[Chunk]) -> bytes:
-    """Oracle: the bytes ``Bm25Index.save`` wrote when the build tokenized
-    each chunk itself and lowered the tokens in a list."""
+def oracle_bm25_files(chunks: list[Chunk]) -> tuple[bytes, bytes]:
+    """Oracle: the bytes of ``bm25.json`` and ``bm25.bin`` for ``chunks``,
+    from dict postings that tokenize each chunk itself and lower the tokens
+    in a list, laid out term by term and chunk by chunk in plain loops."""
     postings: dict[str, dict[str, int]] = {}
     doc_len: dict[str, int] = {}
     for chunk in chunks:
@@ -59,8 +61,27 @@ def oracle_bm25_json(chunks: list[Chunk]) -> bytes:
         doc_len[chunk.chunk_id] = len(terms)
         for term, tf in Counter(terms).items():
             postings.setdefault(term, {})[chunk.chunk_id] = tf
-    payload = {"postings": postings, "doc_len": doc_len}
-    return json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")
+    chunk_ids = sorted(doc_len)
+    row_of = {chunk_id: row for row, chunk_id in enumerate(chunk_ids)}
+    offsets, rows, tfs = [0], [], []
+    for term in sorted(postings):
+        for chunk_id in sorted(postings[term]):
+            rows.append(row_of[chunk_id])
+            tfs.append(postings[term][chunk_id])
+        offsets.append(len(rows))
+    lengths = [doc_len[c] for c in chunk_ids]
+    binary = b"".join([
+        struct.pack(f"<{len(offsets)}q", *offsets),
+        struct.pack(f"<{len(rows)}i", *rows),
+        struct.pack(f"<{len(tfs)}i", *tfs),
+        struct.pack(f"<{len(lengths)}i", *lengths),
+    ])
+    manifest = {"chunk_ids": chunk_ids, "n_postings": len(rows), "terms": sorted(postings)}
+    return json.dumps(manifest, sort_keys=True, ensure_ascii=False).encode("utf-8"), binary
+
+
+def bm25_files(path) -> tuple[bytes, bytes]:
+    return path.read_bytes(), path.with_suffix(".bin").read_bytes()
 
 
 def oracle_chunks_jsonl(chunks: list[Chunk]) -> bytes:
@@ -137,14 +158,21 @@ def make_chunks(texts: list[str]) -> list[Chunk]:
 
 
 class TestSharedTokens:
-    @given(st.lists(BODIES, max_size=12))
-    def test_bm25_from_shared_tokens_saves_the_oracle_bytes(self, tmp_path_factory, texts):
-        chunks = make_chunks(texts)
+    @given(st.lists(BODIES, max_size=12).flatmap(
+        lambda texts: st.tuples(st.just(texts), st.permutations(range(len(texts))))
+    ))
+    def test_bm25_from_shared_tokens_saves_the_oracle_bytes(self, tmp_path_factory, texts_ids):
+        """Chunk ids run against build order, so the build must sort them."""
+        texts, ids = texts_ids
+        chunks = [
+            Chunk(f"d:{i:05d}", c.doc_id, c.text, c.token_start, c.token_len)
+            for i, c in zip(ids, make_chunks(texts))
+        ]
         path = tmp_path_factory.getbasetemp() / "bm25.json"
         Bm25Index.build(chunks, [tokenize(c.text) for c in chunks]).save(path)
-        assert path.read_bytes() == oracle_bm25_json(chunks)
+        assert bm25_files(path) == oracle_bm25_files(chunks)
         Bm25Index.build(chunks).save(path)
-        assert path.read_bytes() == oracle_bm25_json(chunks)
+        assert bm25_files(path) == oracle_bm25_files(chunks)
 
     def test_bm25_rejects_a_token_list_per_chunk_missing(self):
         chunks = make_chunks(["a b", "c"])
@@ -217,7 +245,7 @@ def test_routed_size_set_up_writes_the_oracle_bytes(tmp_path, capsys):
                 chunks.extend(token_spans_chunks(doc, cfg))
         sizes.append(len(chunks))
         assert (adir / "chunks.jsonl").read_bytes() == oracle_chunks_jsonl(chunks)
-        assert (adir / "bm25.json").read_bytes() == oracle_bm25_json(chunks)
+        assert bm25_files(adir / "bm25.json") == oracle_bm25_files(chunks)
         rows = embedder.embed_batch([c.text for c in chunks]).astype("<f4")
         assert (adir / "vectors.bin").read_bytes() == rows.tobytes()
     assert sizes == [250] * 16

@@ -7,14 +7,18 @@ entered."""
 from __future__ import annotations
 
 import importlib
+import random
+import tracemalloc
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ragroute import agent as agent_module
 from ragroute.agent import Agent, AgentConfig
-from ragroute.corpus import Chunk
+from ragroute.corpus import Chunk, tokenize
 from ragroute.retrieval import Bm25Index, DenseIndex, RetrievalHit
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -83,3 +87,35 @@ def test_retrieval_hit_is_an_immutable_record_with_an_unchanged_repr():
     assert repr(hit) == "RetrievalHit(chunk_id='d:00001', score=0.25, rank=1, method='mixture')"
     with pytest.raises(AttributeError):
         hit.rank = 2
+
+
+def test_benchmark_counts_each_query_terms_df_without_per_posting_objects(monkeypatch, tmp_path):
+    """The tracer's ``retrieval.bm25_postings_per_question`` counts, inside
+    the timed ``bm25_search`` span, ``len(index.postings.get(term, ()))`` per
+    query token. On a built and on a loaded index that must be the term's df,
+    found without building an object per posting."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    rng = random.Random(5)
+    vocab = [f"w{i}" for i in range(40)] + ["W1"]
+    chunks = [
+        Chunk(f"d:{i:05d}", "d", " ".join(rng.choices(vocab, k=50)), 0, 50) for i in range(2000)
+    ]
+    df = Counter(term for c in chunks for term in {t.lower() for t in tokenize(c.text)})
+    query = ["W1", "w2", "zzz", "w1", "?", "w3"]
+    want = sum(df[t.lower()] for t in query)
+    assert want > 5000
+    built = Bm25Index.build(chunks)
+    built.save(tmp_path / "bm25.json")
+    loaded = Bm25Index.load(tmp_path / "bm25.json")
+    for index in (built, loaded):
+        span = SimpleNamespace(counts={})
+        tracemalloc.start()
+        try:
+            spans._count_postings(span, (index, query, 10), {}, [])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert span.counts == {"postings": want}
+        # a list, dict or int32 copy of one term's postings alone takes more
+        assert peak < 2048
