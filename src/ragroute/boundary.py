@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import load_vectors, read_json, save_vectors
+# Unused here; perfbench/spans.py traces them by name on this module.
+from .embedding import load_vectors, save_vectors
 
 
 @dataclass(frozen=True)
@@ -158,47 +159,18 @@ def export_centroids(profile: AgentProfile) -> list[CentroidEntry]:
     ]
 
 
-def save_profile(profile: AgentProfile, json_path: str | Path, vectors_base: str | Path) -> None:
-    """Persist the profile manifest plus its centroid vector file."""
-    matrix = np.stack([c.centroid for c in profile.clusters])
-    ids = [str(c.cluster_id) for c in profile.clusters]
-    save_vectors(vectors_base, matrix, ids)
+def save_profile(profile: AgentProfile, json_path: str | Path) -> None:
+    """Write the profile manifest: the counts and each cluster's members.
+    The centroids themselves are stored once, in the registry."""
     manifest = {
         "agent_id": profile.agent_id,
         "m": profile.num_chunks,
         "n": profile.num_clusters,
         "clusters": [
-            {
-                "cluster_id": c.cluster_id,
-                "member_chunk_ids": list(c.member_chunk_ids),
-                "centroid_ref": str(c.cluster_id),
-            }
+            {"cluster_id": c.cluster_id, "member_chunk_ids": list(c.member_chunk_ids)}
             for c in profile.clusters
         ],
     }
     Path(json_path).write_text(
         json.dumps(manifest, sort_keys=True, ensure_ascii=False), encoding="utf-8"
     )
-
-
-def load_profile(json_path: str | Path, vectors_base: str | Path) -> AgentProfile:
-    matrix, ids = load_vectors(vectors_base)
-    by_ref = {ref: matrix[i] for i, ref in enumerate(ids)}
-
-    def parse(manifest) -> AgentProfile:
-        clusters = tuple(
-            Cluster(
-                cluster_id=int(rec["cluster_id"]),
-                member_chunk_ids=tuple(rec["member_chunk_ids"]),
-                centroid=by_ref[rec["centroid_ref"]],
-            )
-            for rec in manifest["clusters"]
-        )
-        return AgentProfile(
-            agent_id=manifest["agent_id"],
-            num_chunks=int(manifest["m"]),
-            num_clusters=int(manifest["n"]),
-            clusters=clusters,
-        )
-
-    return read_json(json_path, parse)

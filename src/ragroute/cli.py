@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .agent import Agent, AgentConfig
-from .boundary import build_profile, export_centroids, load_profile, save_profile
+from .boundary import build_profile, export_centroids, save_profile
 from .corpus import (
     Chunk,
     ChunkingConfig,
@@ -38,6 +38,7 @@ from .embedding import (
     IndexFileError,
     load_vectors,
     make_embedder,
+    read_json,
     save_vectors,
 )
 from .evalharness import (
@@ -254,13 +255,15 @@ def cmd_register(cfg: SystemConfig, args: argparse.Namespace) -> int:
         if not (adir / "vectors.manifest.json").exists():
             raise ConfigError(f"no index for agent {agent_cfg.agent_id}: run build-index first")
         matrix, chunk_ids = load_vectors(adir / "vectors")
+        # centroid files that older versions wrote beside the profile
+        for stale in ("centroids.bin", "centroids.manifest.json"):
+            (adir / stale).unlink(missing_ok=True)
         if not chunk_ids:
             registry.unregister(agent_cfg.agent_id)
-            for stale in ("profile.json", "centroids.bin", "centroids.manifest.json"):
-                (adir / stale).unlink(missing_ok=True)
+            (adir / "profile.json").unlink(missing_ok=True)
             continue
         profile = build_profile(agent_cfg.agent_id, chunk_ids, matrix)
-        save_profile(profile, adir / "profile.json", adir / "centroids")
+        save_profile(profile, adir / "profile.json")
         registry.register(export_centroids(profile))
     registry.save(registry_path, cfg.registry_vectors())
     print(
@@ -403,9 +406,9 @@ def cmd_inspect(cfg: SystemConfig, args: argparse.Namespace) -> int:
         entry = {"agent_id": agent_cfg.agent_id, "category": agent_cfg.category}
         profile_path = cfg.agent_dir(agent_cfg.agent_id) / "profile.json"
         if profile_path.exists():
-            profile = load_profile(profile_path, cfg.agent_dir(agent_cfg.agent_id) / "centroids")
-            entry["chunks"] = profile.num_chunks
-            entry["clusters"] = profile.num_clusters
+            entry["chunks"], entry["clusters"] = read_json(
+                profile_path, lambda p: (int(p["m"]), int(p["n"]))
+            )
         summary["agents"].append(entry)
     print(json.dumps(summary, sort_keys=True, indent=2))
     return EXIT_OK

@@ -2,17 +2,20 @@
 
 A chunk is one sliding window of ``chunk_tokens`` tokens with consecutive
 windows overlapping by ``overlap_tokens``. The final window keeps whatever
-tokens remain; tail content is never discarded.
+tokens remain; tail content is never discarded. An agent's chunks are stored
+as one JSON object of columns, one list per ``Chunk`` field.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 T = TypeVar("T")
 
@@ -24,7 +27,6 @@ _SPACE_RE = re.compile(r"\s*")
 # A repeat count must stay below the regex engine's MAXREPEAT (2**32 - 1); no
 # text that fits in memory holds that many tokens.
 _MAX_RUN = 2**32 - 2
-_CHUNK_JSON = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 
 
 class InputError(RuntimeError):
@@ -37,6 +39,11 @@ class LineError(InputError):
     message names the file and the line."""
 
 
+class ChunkFileError(InputError):
+    """A chunk file is not what ``save_chunks`` writes; the message names the
+    file and, for a bad column, the column."""
+
+
 @dataclass(frozen=True)
 class Document:
     doc_id: str
@@ -45,13 +52,24 @@ class Document:
     body: str
 
 
-@dataclass(frozen=True)
-class Chunk:
+class Chunk(NamedTuple):
     chunk_id: str
     doc_id: str
     text: str
     token_start: int
     token_len: int
+
+
+# Chunk._make without its length check: the fields come from a zip of five.
+_new_chunk = partial(tuple.__new__, Chunk)
+# The type every element of a chunk file's column must have, with its name.
+_COLUMN_TYPES = {
+    "chunk_id": (str, "a string"),
+    "doc_id": (str, "a string"),
+    "text": (str, "a string"),
+    "token_start": (int, "an integer"),
+    "token_len": (int, "an integer"),
+}
 
 
 def require_int(name: str, value) -> None:
@@ -230,23 +248,27 @@ def load_corpus(path: str | Path) -> tuple[list[Document], list[RecordError]]:
     return docs, errors
 
 
+def write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path``, then move it over
+    ``path``: a write that fails leaves the previous file whole and removes
+    its temp file."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_chunks(path: str | Path, chunks: list[Chunk]) -> None:
+    """Write ``chunks`` as one JSON object on one line: each ``Chunk`` field
+    name keys the list of that field's values, in chunk order."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.writelines(
-            _CHUNK_JSON.encode(
-                {
-                    "chunk_id": c.chunk_id,
-                    "doc_id": c.doc_id,
-                    "text": c.text,
-                    "token_start": c.token_start,
-                    "token_len": c.token_len,
-                }
-            )
-            + "\n"
-            for c in chunks
-        )
+    columns = list(zip(*chunks)) or [()] * len(Chunk._fields)
+    record = json.dumps(dict(zip(Chunk._fields, columns)), ensure_ascii=False, sort_keys=True)
+    write_atomic(path, (record + "\n").encode("utf-8"))
 
 
 def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
@@ -278,6 +300,60 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
     return out
 
 
+def _chunk_columns(record) -> list[list]:
+    """The columns of a decoded chunk file, in ``Chunk`` field order.
+
+    TypeError or ValueError names the column when ``record`` is not an
+    object keyed by exactly the ``Chunk`` fields, holding lists of one
+    length, with strings in the id and text columns and integers (a bool is
+    not one, as in ``require_int``) in the token columns.
+    """
+    if type(record) is not dict:
+        raise TypeError(f"holds {record!r:.40}, not an object")
+    if record.keys() != set(Chunk._fields):
+        raise ValueError(f"has keys {sorted(record)}, not {sorted(Chunk._fields)}")
+    for name, (kind, kind_name) in _COLUMN_TYPES.items():
+        column = record[name]
+        if type(column) is not list:
+            raise TypeError(f"column {name!r} is {column!r:.40}, not a list")
+        if not set(map(type, column)) <= {kind}:
+            bad = next(v for v in column if type(v) is not kind)
+            raise TypeError(f"column {name!r} holds {bad!r}, not {kind_name}")
+    lengths = {name: len(record[name]) for name in Chunk._fields}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"columns have unequal lengths {lengths}")
+    return [record[name] for name in Chunk._fields]
+
+
+def _per_line_chunk_file(text: str) -> bool:
+    """Whether ``text`` is in the older format, one chunk object per line:
+    blank (no chunks), or starting with an object whose chunk_id is a
+    string."""
+    try:
+        first, _ = json.JSONDecoder().raw_decode(text.lstrip())
+    except ValueError:
+        return not text.strip()
+    return type(first) is dict and type(first.get("chunk_id")) is str
+
+
 def load_chunks(path: str | Path) -> list[Chunk]:
-    """The chunks ``save_chunks`` wrote; LineError names a bad line."""
-    return read_jsonl(path, lambda rec: Chunk(**rec))
+    """The chunks ``save_chunks`` wrote: one read, one JSON decode, whole
+    columns checked. ChunkFileError names the file, and the column when one
+    is bad; a file in the older one-chunk-per-line format is refused with
+    the advice to re-run ingest."""
+    path = Path(path)
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ChunkFileError(f"{path} is not UTF-8: {exc}") from exc
+    try:
+        columns = _chunk_columns(json.loads(text))
+    except (TypeError, ValueError) as exc:
+        if _per_line_chunk_file(text):
+            raise ChunkFileError(
+                f"{path} is a chunk file in an older format: re-run ingest"
+            ) from exc
+        if isinstance(exc, json.JSONDecodeError):
+            raise ChunkFileError(f"{path} is not valid JSON: {exc}") from exc
+        raise ChunkFileError(f"{path} {exc}") from exc
+    return list(map(_new_chunk, zip(*columns)))

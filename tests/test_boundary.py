@@ -18,7 +18,6 @@ from ragroute.boundary import (
     cluster_count,
     cluster_indices,
     export_centroids,
-    load_profile,
     save_profile,
 )
 from conftest import cosine_similarity
@@ -356,11 +355,15 @@ class TestProfilePersistence:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(21)
         profile = build_profile("aX", [f"c{i}" for i in range(6)], rng.normal(size=(6, 5)))
-        save_profile(profile, tmp_path / "profile.json", tmp_path / "centroids")
-        loaded = load_profile(tmp_path / "profile.json", tmp_path / "centroids")
-        assert loaded.agent_id == profile.agent_id
-        assert loaded.num_chunks == profile.num_chunks
-        assert loaded.num_clusters == profile.num_clusters
-        for a, b in zip(loaded.clusters, profile.clusters):
-            assert a.member_chunk_ids == b.member_chunk_ids
-            assert np.array_equal(a.centroid, b.centroid)
+        save_profile(profile, tmp_path / "profile.json")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["profile.json"]
+        saved = json.loads((tmp_path / "profile.json").read_text(encoding="utf-8"))
+        assert saved == {
+            "agent_id": profile.agent_id,
+            "m": profile.num_chunks,
+            "n": profile.num_clusters,
+            "clusters": [
+                {"cluster_id": c.cluster_id, "member_chunk_ids": list(c.member_chunk_ids)}
+                for c in profile.clusters
+            ],
+        }

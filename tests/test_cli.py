@@ -12,7 +12,9 @@ import pytest
 
 import ragroute
 import transcripts
+from test_corpus import per_line_bytes
 from ragroute.cli import main
+from ragroute.corpus import Chunk, load_chunks, save_chunks
 
 
 def write_config(
@@ -177,8 +179,8 @@ class TestLifecycle:
         summary = json.loads(capsys.readouterr().out.strip())
         assert summary["documents"] == 2
         assert [e["line"] for e in summary["record_errors"]] == [2, 3]
-        chunks = (tmp_path / "index" / "agents" / "a" / "chunks.jsonl").read_text()
-        assert [json.loads(line)["doc_id"] for line in chunks.splitlines()] == ["good", "last"]
+        chunks = load_chunks(tmp_path / "index" / "agents" / "a" / "chunks.jsonl")
+        assert [c.doc_id for c in chunks] == ["good", "last"]
 
     def test_doc_id_or_body_not_a_string_is_a_record_error(self, tmp_path, capsys):
         corpus = [
@@ -192,8 +194,8 @@ class TestLifecycle:
         summary = json.loads(capsys.readouterr().out.strip())
         assert summary["documents"] == 1
         assert [e["line"] for e in summary["record_errors"]] == [2, 3, 4]
-        chunks = (tmp_path / "index" / "agents" / "a" / "chunks.jsonl").read_text()
-        assert [json.loads(line)["text"] for line in chunks.splitlines()] == ["the string id"]
+        chunks = load_chunks(tmp_path / "index" / "agents" / "a" / "chunks.jsonl")
+        assert [c.text for c in chunks] == ["the string id"]
 
     def test_register_before_index_fails_cleanly(self, tmp_path, capsys):
         config = write_config(tmp_path, [{"doc_id": "d", "category": "c", "body": "words"}],
@@ -222,10 +224,9 @@ class TestLifecycle:
             chunking={"chunk_tokens": chunking[0], "overlap_tokens": chunking[1]},
         )
         assert main(["ingest", "--config", str(config), *flags]) == 0
-        chunks = (tmp_path / "index" / "agents" / "a" / "chunks.jsonl").read_text()
-        records = [json.loads(line) for line in chunks.splitlines()]
+        records = load_chunks(tmp_path / "index" / "agents" / "a" / "chunks.jsonl")
         assert len(records) == 3
-        assert records[0]["token_len"] == 16
+        assert records[0].token_len == 16
 
     def test_invalid_chunking_flags_exit_2(self, tmp_path, capsys):
         config = write_config(
@@ -545,8 +546,9 @@ BAD_LINES = [
 
 
 class TestBadLines:
-    """A bad line of a dataset or chunk file exits 2 naming the file and the
-    line; a good first line is read, and blank lines are counted."""
+    """A bad line of a dataset file exits 2 naming the file and the line; a
+    good first line is read, and blank lines are counted. The same bytes
+    after a chunk file's one record exit 2 naming the file."""
 
     @pytest.mark.parametrize("bad, line_no", BAD_LINES + [
         (b'{"question": "q"}\n', 2),
@@ -585,7 +587,7 @@ class TestBadLines:
         assert main([command, "--config", str(config), *command_args(tmp_path, command)]) == 2
         error = json.loads(capsys.readouterr().err)
         assert error["command"] == command
-        assert f"{chunks} line {line_no}:" in error["error"]
+        assert error["error"].startswith(f"{chunks} ")
 
 
 def command_args(tmp_path: Path, command: str) -> list[str]:
@@ -597,6 +599,107 @@ def command_args(tmp_path: Path, command: str) -> list[str]:
     if command == "register":  # only a one-agent register reads the saved registry
         return ["--agent", "agent0"]
     return []
+
+
+@pytest.fixture
+def one_agent_tree(tmp_path):
+    """A built one-agent, two-document index: (config, its chunks.jsonl)."""
+    corpus = [
+        {"doc_id": "d1", "category": "c", "body": "alpha beta gamma"},
+        {"doc_id": "d2", "category": "c", "body": "delta epsilon"},
+    ]
+    config = write_config(tmp_path, corpus, catch_all_script(), [{"agent_id": "a", "category": "c"}])
+    build_lifecycle(config)
+    return config, tmp_path / "index" / "agents" / "a" / "chunks.jsonl"
+
+
+def _with(name, value):
+    return lambda columns: {**columns, name: value}
+
+
+def _with_first(name, value):
+    return lambda columns: {**columns, name: [value, *columns[name][1:]]}
+
+
+class TestChunkFile:
+    """``chunks.jsonl`` holds one JSON object of columns. A file that is not
+    that object, with typed columns of one length, exits 2 naming the file
+    and the column, never in a traceback."""
+
+    def test_text_not_a_string_exits_2_at_build_index(self, one_agent_tree, capsys):
+        config, path = one_agent_tree
+        first, *rest = load_chunks(path)
+        save_chunks(path, [Chunk(first.chunk_id, first.doc_id, 5, first.token_start,
+                                 first.token_len), *rest])
+        capsys.readouterr()
+        assert main(["build-index", "--config", str(config)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "command": "build-index",
+            "error": f"{path} column 'text' holds 5, not a string",
+        }
+
+    def test_chunk_id_not_a_string_exits_2_at_ask(self, one_agent_tree, capsys):
+        config, path = one_agent_tree
+        first, *rest = load_chunks(path)
+        save_chunks(path, [Chunk(5, first.doc_id, first.text, first.token_start,
+                                 first.token_len), *rest])
+        capsys.readouterr()
+        assert main(["ask", "--config", str(config), "--question", "alpha?"]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "command": "ask",
+            "error": f"{path} column 'chunk_id' holds 5, not a string",
+        }
+
+    @pytest.mark.parametrize("command", ["ask", "build-index", "eval"])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_older_per_line_format_exits_2_naming_ingest(self, one_agent_tree, capsys,
+                                                         command, n):
+        config, path = one_agent_tree
+        path.write_bytes(per_line_bytes(load_chunks(path)[:n]))
+        capsys.readouterr()
+        assert main([command, "--config", str(config),
+                     *command_args(path.parents[3], command)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "command": command,
+            "error": f"{path} is a chunk file in an older format: re-run ingest",
+        }
+
+    @pytest.mark.parametrize("command", ["ask", "build-index"])
+    @pytest.mark.parametrize(
+        "edit, words",
+        [
+            (lambda columns: [], "holds [], not an object"),
+            (lambda columns: None, "holds None, not an object"),
+            (lambda columns: "columns", "holds 'columns', not an object"),
+            (lambda columns: {"x": []}, "has keys ['x']"),
+            (lambda columns: {k: v for k, v in columns.items() if k != "token_len"},
+             "has keys ['chunk_id', 'doc_id', 'text', 'token_start']"),
+            (_with("title", ["", ""]), "has keys ['chunk_id', 'doc_id', 'text', 'title'"),
+            (_with("doc_id", "d1"), "column 'doc_id' is 'd1', not a list"),
+            (_with("token_start", {"0": 0}), "column 'token_start' is {'0': 0}, not a list"),
+            (_with("text", ["alpha beta gamma"]), "columns have unequal lengths"),
+            (_with_first("chunk_id", ["d1:00000"]),
+             "column 'chunk_id' holds ['d1:00000'], not a string"),
+            (_with_first("doc_id", None), "column 'doc_id' holds None, not a string"),
+            (_with_first("text", 5), "column 'text' holds 5, not a string"),
+            (_with_first("token_start", "0"), "column 'token_start' holds '0', not an integer"),
+            (_with_first("token_len", True), "column 'token_len' holds True, not an integer"),
+            (_with_first("token_len", 3.0), "column 'token_len' holds 3.0, not an integer"),
+        ],
+        ids=["list", "null", "string", "other-keys", "lacks-a-key", "extra-key", "str-column",
+             "object-column", "unequal-lengths", "list-id", "null-doc-id", "number-text",
+             "string-start", "bool-len", "float-len"],
+    )
+    def test_bad_record_exits_2_naming_file_and_column(self, one_agent_tree, capsys, command,
+                                                       edit, words):
+        config, path = one_agent_tree
+        path.write_text(json.dumps(edit(json.loads(path.read_bytes()))), encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, "--config", str(config),
+                     *command_args(path.parents[3], command)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["command"] == command
+        assert error["error"].startswith(f"{path} {words}")
 
 
 class TestIndexFiles:
@@ -802,7 +905,8 @@ class TestBm25Store:
         config = write_config(tmp_path, corpus, catch_all_script(), agents)
         assert main(["ingest", "--config", str(config)]) == 0
         chunks = tmp_path / "index" / "agents" / "agent0" / "chunks.jsonl"
-        chunks.write_bytes(chunks.read_bytes() * 2)
+        columns = json.loads(chunks.read_bytes())
+        chunks.write_text(json.dumps({name: col * 2 for name, col in columns.items()}))
         capsys.readouterr()
         assert main(["build-index", "--config", str(config)]) == 2
         error = json.loads(capsys.readouterr().err)

@@ -1,16 +1,26 @@
 from __future__ import annotations
 
+import errno
+import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ragroute.corpus import (
+    Chunk,
+    ChunkFileError,
     ChunkingConfig,
     Document,
     chunk_count,
     chunk_document,
     chunk_ordinal,
+    load_chunks,
     load_corpus,
+    save_chunks,
     tokenize,
 )
 
@@ -230,3 +240,96 @@ class TestLoadCorpus:
     def test_unreadable_path(self, tmp_path):
         with pytest.raises(OSError):
             load_corpus(tmp_path / "missing.jsonl")
+
+
+# Characters a line-oriented or escaping writer could get wrong: line and
+# record separators, JSON's escapes, and characters outside the BMP.
+_AWKWARD = ["\u2028", "\u2029", "\x85", "\x1c", "\x1d", "\x1e", "\x1f", "\r", "\n",
+            "\x00", '"', "\\", "/", "\U0001f600", "\U0010ffff", "\u00e9", "\u6771"]
+_texts = st.text(st.one_of(st.sampled_from(_AWKWARD), st.characters()), max_size=12)
+_chunks = st.lists(st.builds(Chunk, _texts, _texts, _texts, st.integers(), st.integers()),
+                   max_size=6)
+
+
+def per_line_bytes(chunks: list[Chunk]) -> bytes:
+    """A chunk file in the older format: one JSON object per chunk, per line."""
+    return "".join(
+        json.dumps(c._asdict(), ensure_ascii=False, sort_keys=True) + "\n" for c in chunks
+    ).encode("utf-8")
+
+
+class _DiskFull:
+    """A file whose write puts down half of what it is given, then fails as
+    a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+class TestChunkStore:
+    @given(_chunks)
+    @example([])
+    def test_round_trip(self, chunks):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "chunks.jsonl"
+            save_chunks(path, chunks)
+            assert path.read_bytes().count(b"\n") == 1
+            assert load_chunks(path) == chunks
+
+    def test_chunk_repr_and_immutability(self):
+        chunk = Chunk(chunk_id="d:00000", doc_id="d", text="t", token_start=0, token_len=1)
+        assert repr(chunk) == (
+            "Chunk(chunk_id='d:00000', doc_id='d', text='t', token_start=0, token_len=1)"
+        )
+        with pytest.raises(AttributeError):
+            chunk.text = "u"
+
+    def test_one_json_decode_per_file(self, tmp_path, monkeypatch):
+        paths = [tmp_path / f"agent{i}" / "chunks.jsonl" for i in range(3)]
+        for path in paths:
+            save_chunks(path, [Chunk(f"d:{j:05d}", "d", f"text {j}", j, 2) for j in range(40)])
+        decodes = []
+        raw_decode = json.JSONDecoder.raw_decode
+
+        def counted(self, text, idx=0):
+            decodes.append(idx)
+            return raw_decode(self, text, idx)
+
+        monkeypatch.setattr(json.JSONDecoder, "raw_decode", counted)
+        assert [len(load_chunks(path)) for path in paths] == [40, 40, 40]
+        assert len(decodes) == len(paths)
+
+    def test_failed_write_leaves_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "chunks.jsonl"
+        before = [Chunk("d:00000", "d", "old text", 0, 2)]
+        save_chunks(path, before)
+        after = [Chunk(f"d:{j:05d}", "d", "new text " * 50, j, 100) for j in range(3)]
+        path_open = Path.open
+        monkeypatch.setattr(Path, "open", lambda self, *a, **k: _DiskFull(path_open(self, *a, **k)))
+        with pytest.raises(OSError, match="No space left"):
+            save_chunks(path, after)
+        monkeypatch.undo()
+        assert load_chunks(path) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["chunks.jsonl"]
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_older_per_line_format_is_refused(self, tmp_path, n):
+        path = tmp_path / "chunks.jsonl"
+        path.write_bytes(per_line_bytes([Chunk(f"d:{j:05d}", "d", "text", j, 1) for j in range(n)]))
+        with pytest.raises(ChunkFileError) as info:
+            load_chunks(path)
+        assert str(info.value) == f"{path} is a chunk file in an older format: re-run ingest"

@@ -39,14 +39,10 @@ PINNED = {
         "9603917039eb53daaa6a6a994e8c8781dea4d05a43303bc024cee6d48eb86708",
     "agents/alpha/bm25.json":
         "7c6a60adafca439e2b7cb9ce0d735b9fa7d1c93a36a3fc2d054b74878c6319e3",
-    "agents/alpha/centroids.bin":
-        "7908f48d5430a6528ee5e891aee44cd01b52c74fc8a9f5dffac7c389c3dc6f14",
-    "agents/alpha/centroids.manifest.json":
-        "56232d9b048321fdf51cc392b6dc8eb79e6541a3a099766e976191a08e639c93",
     "agents/alpha/chunks.jsonl":
-        "3f33a3a822c98969432d11a3f0f9b041575af82d562c38e5cd2ad191f57536d3",
+        "3ef888bf4feb545c0e3685d9445764f991d307e95dc480e4ce3bda0d2ff1449b",
     "agents/alpha/profile.json":
-        "5f9c3b4dc0219788796bef13cc954ef9dc043085ea84e2056f6c338128479917",
+        "ae07bbcbf17b77850659acaaec78efdbf8e9a2f77cbafc26827890c1fa0f63a8",
     "agents/alpha/vectors.bin":
         "9bec0a0fc54c08f7aa74da750ab80a22e5a8e7f1334a3ef0ab5406aaf33caa3e",
     "agents/alpha/vectors.manifest.json":
@@ -55,14 +51,10 @@ PINNED = {
         "24807aa865c2cf1508bf91e40ec83c2706d97d592394ade931a43532ca9b55f6",
     "agents/beta/bm25.json":
         "281cada5d107792ff4cecf7621f3662c88a57c6e3034363a0757104ee2bf8f2d",
-    "agents/beta/centroids.bin":
-        "7e6970b0b00444faeecb9a65b72062b6f498796894a153c58cff7fbebb7324ba",
-    "agents/beta/centroids.manifest.json":
-        "56232d9b048321fdf51cc392b6dc8eb79e6541a3a099766e976191a08e639c93",
     "agents/beta/chunks.jsonl":
-        "a0552f448d8c668ca9e67f186c7a101a8be7bb19ac6bf09f8afd99013ab750d8",
+        "6ace2e6779c6093bf8433ad3e519b4784175737ecf925d80ebb98e90e96e6918",
     "agents/beta/profile.json":
-        "6068864755136886a3c383d04dc983d7d05446d3ec84bbc31c72ca7579b8b722",
+        "e0f59742f119fedfe03ce5a385218fbf75f1645bed5f120937b053455c133034",
     "agents/beta/vectors.bin":
         "b9e2fe4de71fd5bdf000aea6f2406f2a9cc2d2c69b56a83904c3777cae410c24",
     "agents/beta/vectors.manifest.json":
@@ -72,7 +64,7 @@ PINNED = {
     "agents/gamma/bm25.json":
         "346e4374febad7552010836f37690f4c2284774f865fee34a4e2b5593b76d02f",
     "agents/gamma/chunks.jsonl":
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "c658e70575f4e9ac7d6efec4c831e93477713aa499dfb007c15a7fcd1b328e16",
     "agents/gamma/vectors.bin":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "agents/gamma/vectors.manifest.json":

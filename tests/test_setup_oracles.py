@@ -85,18 +85,16 @@ def bm25_files(path) -> tuple[bytes, bytes]:
 
 
 def oracle_chunks_jsonl(chunks: list[Chunk]) -> bytes:
-    """Oracle: the bytes ``save_chunks`` wrote with one ``json.dumps`` per line."""
-    lines = [
-        json.dumps(
-            {"chunk_id": c.chunk_id, "doc_id": c.doc_id, "text": c.text,
-             "token_start": c.token_start, "token_len": c.token_len},
-            ensure_ascii=False,
-            sort_keys=True,
-        )
-        + "\n"
-        for c in chunks
-    ]
-    return "".join(lines).encode("utf-8")
+    """Oracle: the bytes of ``save_chunks``, one ``json.dumps`` of one list
+    per field."""
+    columns = {
+        "chunk_id": [c.chunk_id for c in chunks],
+        "doc_id": [c.doc_id for c in chunks],
+        "text": [c.text for c in chunks],
+        "token_len": [c.token_len for c in chunks],
+        "token_start": [c.token_start for c in chunks],
+    }
+    return (json.dumps(columns, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
 
 
 # Whitespace that str.split and the tokenizer both skip (\x1c-\x1f, NEL, NBSP,
