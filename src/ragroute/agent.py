@@ -14,7 +14,6 @@ from typing import Iterable
 import numpy as np
 
 from .corpus import Chunk, ChunkingConfig, chunk_ordinal, require_int, tokenize
-from .embedding import IndexFileError
 from .llm import ParsedAgentReply, TokenUsage, parse_agent_reply
 from .prompts import AGENT_ANSWER_MULTI_HOP, AGENT_ANSWER_SINGLE_HOP, render_prompt
 from .retrieval import (
@@ -30,6 +29,7 @@ from .retrieval import (
     mixture_search,
     rerank,
 )
+from .store import IndexFileError
 
 SINGLE_HOP = "single_hop"
 MULTI_HOP = "multi_hop"

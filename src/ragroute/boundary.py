@@ -17,15 +17,14 @@ stays local.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-# Unused here; perfbench/spans.py traces them by name on this module.
-from .embedding import load_vectors, save_vectors
+# load_vectors and save_vectors are unused; perfbench/spans.py traces them here.
+from .store import load_vectors, save_vectors, write_json
 
 
 @dataclass(frozen=True)
@@ -171,6 +170,4 @@ def save_profile(profile: AgentProfile, json_path: str | Path) -> None:
             for c in profile.clusters
         ],
     }
-    Path(json_path).write_text(
-        json.dumps(manifest, sort_keys=True, ensure_ascii=False), encoding="utf-8"
-    )
+    write_json(json_path, manifest)

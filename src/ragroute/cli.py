@@ -24,7 +24,6 @@ from .boundary import build_profile, export_centroids, save_profile
 from .corpus import (
     Chunk,
     ChunkingConfig,
-    InputError,
     TokenizedTexts,
     chunk_document,
     load_chunks,
@@ -33,14 +32,7 @@ from .corpus import (
     save_chunks,
     tokenize,
 )
-from .embedding import (
-    EmbeddingProviderConfig,
-    IndexFileError,
-    load_vectors,
-    make_embedder,
-    read_json,
-    save_vectors,
-)
+from .embedding import EmbeddingProviderConfig, make_embedder
 from .evalharness import (
     AGENTS_ALL,
     AGENTS_RAW_KNOWLEDGE,
@@ -57,6 +49,8 @@ from .planner import PlanResult, PlanStrategy
 from .prompts import TEMPLATES
 from .retrieval import Bm25Index, DenseIndex
 from .router import RouterRegistry
+from .store import IndexFileError, InputError, load_vectors, read_json, save_vectors
+from .store import write_atomic, write_json
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -101,7 +95,7 @@ class SystemConfig:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
-        except ValueError as exc:  # not UTF-8, or not JSON
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
             raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a JSON object, not {type(raw).__name__}")
@@ -361,10 +355,7 @@ def cmd_ask(cfg: SystemConfig, args: argparse.Namespace) -> int:
         code = _fail("ask", str(exc), EXIT_PARTIAL)
     trace["prompt_sha256"] = [call.prompt_sha256 for call in getattr(system.backend, "calls", [])]
     if args.trace_path:
-        Path(args.trace_path).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.trace_path).write_text(
-            json.dumps(trace, sort_keys=True, ensure_ascii=False, indent=2), encoding="utf-8"
-        )
+        write_json(args.trace_path, trace, indent=2)
     return code
 
 
@@ -379,12 +370,8 @@ def cmd_eval(cfg: SystemConfig, args: argparse.Namespace) -> int:
         judge_backend=system.backend if args.judge else None,
     )
     out = Path(args.report)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.with_suffix(".json").write_text(
-        json.dumps(report.to_json(), sort_keys=True, ensure_ascii=False, indent=2),
-        encoding="utf-8",
-    )
-    out.with_suffix(".txt").write_text(report.table() + "\n", encoding="utf-8")
+    write_json(out.with_suffix(".json"), report.to_json(), indent=2)
+    write_atomic(out.with_suffix(".txt"), (report.table() + "\n").encode("utf-8"))
     print(report.table())
     hard_failures = sum(
         1 for outcomes in report.outcomes.values() for o in outcomes if o.error is not None

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import re
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, TypeVar
+
+from .store import IndexFileError, InputError, write_atomic
 
 T = TypeVar("T")
 
@@ -29,19 +30,9 @@ _SPACE_RE = re.compile(r"\s*")
 _MAX_RUN = 2**32 - 2
 
 
-class InputError(RuntimeError):
-    """An operator fault: a config, input file, index file or endpoint that
-    is not what the program needs. The CLI exits 2 on every one."""
-
-
 class LineError(InputError):
     """A line of a JSON-lines file is not the record the file must hold; the
     message names the file and the line."""
-
-
-class ChunkFileError(InputError):
-    """A chunk file is not what ``save_chunks`` writes; the message names the
-    file and, for a bad column, the column."""
 
 
 @dataclass(frozen=True)
@@ -209,7 +200,7 @@ def load_corpus(path: str | Path) -> tuple[list[Document], list[RecordError]]:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 errors.append(RecordError(line_no, f"malformed JSON: {exc}"))
                 continue
             if not isinstance(rec, dict):
@@ -233,6 +224,12 @@ def load_corpus(path: str | Path) -> tuple[list[Document], list[RecordError]]:
             if not body.strip():
                 errors.append(RecordError(line_no, f"blank body (doc_id={doc_id!r})"))
                 continue
+            try:  # an escape such as \ud800 decodes to a lone surrogate
+                (doc_id + body).encode("utf-8")
+            except UnicodeEncodeError as exc:
+                reason = f"not UTF-8: lone surrogate U+{ord(exc.object[exc.start]):04X}"
+                errors.append(RecordError(line_no, f"{reason} (doc_id={doc_id!r})"))
+                continue
             if doc_id in seen:
                 errors.append(RecordError(line_no, f"duplicate doc_id {doc_id!r}"))
                 continue
@@ -248,24 +245,9 @@ def load_corpus(path: str | Path) -> tuple[list[Document], list[RecordError]]:
     return docs, errors
 
 
-def write_atomic(path: Path, data: bytes) -> None:
-    """Write ``data`` to a temp file beside ``path``, then move it over
-    ``path``: a write that fails leaves the previous file whole and removes
-    its temp file."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def save_chunks(path: str | Path, chunks: list[Chunk]) -> None:
     """Write ``chunks`` as one JSON object on one line: each ``Chunk`` field
     name keys the list of that field's values, in chunk order."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     columns = list(zip(*chunks)) or [()] * len(Chunk._fields)
     record = json.dumps(dict(zip(Chunk._fields, columns)), ensure_ascii=False, sort_keys=True)
     write_atomic(path, (record + "\n").encode("utf-8"))
@@ -295,7 +277,7 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
                 except UnicodeDecodeError as line_exc:
                     raise LineError(f"{path} line {line_no}: not UTF-8: {line_exc}") from exc
             raise LineError(f"{path} is not UTF-8: {exc}") from exc
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:
             raise LineError(f"{path} line {line_no}: {exc!r}") from exc
     return out
 
@@ -331,29 +313,29 @@ def _per_line_chunk_file(text: str) -> bool:
     string."""
     try:
         first, _ = json.JSONDecoder().raw_decode(text.lstrip())
-    except ValueError:
+    except (ValueError, RecursionError):
         return not text.strip()
     return type(first) is dict and type(first.get("chunk_id")) is str
 
 
 def load_chunks(path: str | Path) -> list[Chunk]:
     """The chunks ``save_chunks`` wrote: one read, one JSON decode, whole
-    columns checked. ChunkFileError names the file, and the column when one
+    columns checked. IndexFileError names the file, and the column when one
     is bad; a file in the older one-chunk-per-line format is refused with
     the advice to re-run ingest."""
     path = Path(path)
     try:
         text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ChunkFileError(f"{path} is not UTF-8: {exc}") from exc
+        raise IndexFileError(f"{path} is not UTF-8: {exc}") from exc
     try:
         columns = _chunk_columns(json.loads(text))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         if _per_line_chunk_file(text):
-            raise ChunkFileError(
+            raise IndexFileError(
                 f"{path} is a chunk file in an older format: re-run ingest"
             ) from exc
-        if isinstance(exc, json.JSONDecodeError):
-            raise ChunkFileError(f"{path} is not valid JSON: {exc}") from exc
-        raise ChunkFileError(f"{path} {exc}") from exc
+        if isinstance(exc, (json.JSONDecodeError, RecursionError)):
+            raise IndexFileError(f"{path} is not valid JSON: {exc}") from exc
+        raise IndexFileError(f"{path} {exc}") from exc
     return list(map(_new_chunk, zip(*columns)))

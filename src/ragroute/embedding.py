@@ -1,11 +1,9 @@
-"""Embedding providers and vector files.
+"""Embedding providers and their HTTP transport.
 
 Two providers sit behind one contract: a deterministic offline mock (bag of
 hashed token directions, L2-normalized) and a remote HTTP provider speaking
 the common embeddings wire shape ``{model, input: [...]}`` ->
 ``{data: [{index, embedding: [...]}]}`` (``index`` optional).
-
-Vectors are stored as little-endian float32 rows.
 """
 
 from __future__ import annotations
@@ -21,14 +19,14 @@ import zlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from email.utils import parsedate_to_datetime
-from pathlib import Path
 from typing import Callable
 from urllib.parse import urlsplit
 
 import numpy as np
 
 from . import __version__
-from .corpus import InputError, TokenizedTexts, tokenize
+from .corpus import TokenizedTexts, tokenize
+from .store import InputError
 
 EMBED_MAX_IN_FLIGHT = 4
 # OpenAI's embeddings API takes at most 2048 inputs and 300,000 tokens per
@@ -46,33 +44,8 @@ class MalformedReplyError(InputError):
     requires; not retryable."""
 
 
-class IndexFileError(InputError):
-    """A stored index file cannot be read back as what its writer wrote."""
-
-
-class VectorFileError(IndexFileError):
-    """A stored vector file disagrees with its manifest."""
-
-
 class HTTPStatusError(InputError):
     """A remote endpoint refused a request, or its API key cannot be sent."""
-
-
-def read_json(path: str | Path, parse: Callable):
-    """Parse a stored JSON file and return ``parse`` of its payload.
-
-    IndexFileError names the file when it is not valid UTF-8 JSON, or when
-    ``parse`` finds a field missing or of the wrong type.
-    """
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise IndexFileError(f"{path} is not valid JSON: {exc}") from exc
-    try:
-        return parse(payload)
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
-        raise IndexFileError(f"{path} is valid JSON of the wrong shape: {exc!r}") from exc
 
 
 def endpoint_address(endpoint: str) -> tuple[tuple[str, str, int], str]:
@@ -185,7 +158,7 @@ def post_json(
             if resp.getheader("Content-Encoding", "").strip().lower() == "gzip":
                 raw = gzip.decompress(raw)
             return json.loads(raw)
-        except (OSError, EOFError, zlib.error, ValueError) as exc:
+        except (OSError, EOFError, zlib.error, ValueError, RecursionError) as exc:
             raise MalformedReplyError(f"reply from {endpoint} is not JSON: {exc}") from exc
     raise TransportError(f"request to {endpoint} failed after {max_retries} retries: {last_exc}")
 
@@ -346,46 +319,3 @@ def make_embedder(cfg: EmbeddingProviderConfig):
     if cfg.provider == "deterministic_mock":
         return MockEmbedder(cfg.dim)
     return RemoteEmbedder(cfg)
-
-
-def save_vectors(base_path: str | Path, matrix: np.ndarray, ids: list[str]) -> None:
-    """Persist a vector matrix as little-endian float32 rows plus a manifest.
-
-    Writes ``<base>.bin`` and ``<base>.manifest.json`` with
-    ``{dim, count, chunk_ids}``.
-    """
-    base = Path(base_path)
-    base.parent.mkdir(parents=True, exist_ok=True)
-    mat = np.ascontiguousarray(np.asarray(matrix, dtype="<f4"))
-    if mat.ndim != 2:
-        raise ValueError("matrix must be 2-D")
-    if mat.shape[0] != len(ids):
-        raise ValueError("one id per row required")
-    base.with_suffix(".bin").write_bytes(mat.tobytes(order="C"))
-    manifest = {"dim": int(mat.shape[1]), "count": int(mat.shape[0]), "chunk_ids": list(ids)}
-    base.with_suffix(".manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, ensure_ascii=False), encoding="utf-8"
-    )
-
-
-def load_vectors(base_path: str | Path) -> tuple[np.ndarray, list[str]]:
-    """Read what ``save_vectors`` wrote, as one float32 array.
-
-    Raises IndexFileError when the manifest is not valid JSON or lacks a
-    field, and VectorFileError when the ``.bin`` size is not
-    ``count * dim * 4`` bytes or the manifest does not list ``count`` ids.
-    """
-    base = Path(base_path)
-    count, dim, ids = read_json(
-        base.with_suffix(".manifest.json"),
-        lambda m: (int(m["count"]), int(m["dim"]), list(m["chunk_ids"])),
-    )
-    bin_path = base.with_suffix(".bin")
-    size = bin_path.stat().st_size
-    if size != count * dim * 4:
-        raise VectorFileError(
-            f"{bin_path} holds {size} bytes; its manifest needs {count} x {dim} x 4"
-        )
-    if len(ids) != count:
-        raise VectorFileError(f"{bin_path}: manifest lists {len(ids)} ids for {count} rows")
-    return np.fromfile(bin_path, dtype="<f4").reshape(count, dim), ids

@@ -18,7 +18,8 @@ from pathlib import Path
 from typing import Callable, TypeVar
 
 from .corpus import tokenize
-from .embedding import MalformedReplyError, endpoint_address, post_json, read_json
+from .embedding import MalformedReplyError, endpoint_address, post_json
+from .store import read_json
 
 CHAT_TIMEOUT_S = 120.0
 

@@ -9,20 +9,20 @@ A ``Cosines`` carries one question's exact cosines from the dense stage to
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from collections.abc import Mapping
 from functools import partial
-from itertools import accumulate, chain, count, repeat
+from itertools import chain, count, repeat
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import Chunk, tokenize
+from .store import IndexFileError, VectorFileError, read_arrays, read_json, write_arrays, write_json
 # save_vectors is unused here; perfbench/spans.py traces it by name on this module.
-from .embedding import IndexFileError, VectorFileError, load_vectors, read_json, save_vectors
+from .store import load_vectors, save_vectors
 
 DENSE = "dense"
 BM25 = "bm25"
@@ -408,10 +408,10 @@ class Bm25Index:
         and the posting count) after ``path.with_suffix(".bin")``, which
         holds offsets, rows, tf and doc_len back to back, little-endian."""
         path = Path(path)
-        arrays = zip(_BM25_DTYPES, (self._offsets, self._rows, self._tf, self.doc_len))
-        path.with_suffix(".bin").write_bytes(b"".join(a.astype(dt).tobytes() for dt, a in arrays))
+        arrays = (self._offsets, self._rows, self._tf, self.doc_len)
+        write_arrays(path.with_suffix(".bin"), zip(_BM25_DTYPES, arrays))
         manifest = {"chunk_ids": self.chunk_ids, "n_postings": len(self._rows), "terms": self.terms}
-        path.write_text(json.dumps(manifest, sort_keys=True, ensure_ascii=False), encoding="utf-8")
+        write_json(path, manifest)
 
     @classmethod
     def load(cls, path: str | Path) -> "Bm25Index":
@@ -436,15 +436,8 @@ class Bm25Index:
 
         terms, chunk_ids, p = read_json(path, parse)
         bin_path = path.with_suffix(".bin")
-        data = bin_path.read_bytes()
         counts = (len(terms) + 1, p, p, len(chunk_ids))
-        sizes = [np.dtype(dt).itemsize * k for dt, k in zip(_BM25_DTYPES, counts)]
-        if len(data) != sum(sizes):
-            raise IndexFileError(
-                f"{bin_path} holds {len(data)} bytes; its manifest needs {sum(sizes)}"
-            )
-        starts = accumulate(sizes, initial=0)
-        arrays = [np.frombuffer(data, dt, k, at) for dt, k, at in zip(_BM25_DTYPES, counts, starts)]
+        arrays = read_arrays(bin_path, list(zip(_BM25_DTYPES, counts)))
         try:
             return cls(terms, chunk_ids, *arrays)
         except ValueError as exc:

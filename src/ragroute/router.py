@@ -7,7 +7,6 @@ the ``max_agents`` agents with the best centroid scores.
 
 from __future__ import annotations
 
-import json
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -18,7 +17,6 @@ import numpy as np
 
 from .agent import MULTI_HOP, SINGLE_HOP, Agent, AgentAnswer, AgentError
 from .boundary import CentroidEntry
-from .embedding import load_vectors, read_json, save_vectors
 from .llm import ParsedAgentReply, TokenUsage, _label_matches, ask_parsed, parse_agent_reply
 from .prompts import (
     AGENT_ANSWER_SINGLE_HOP,
@@ -28,6 +26,7 @@ from .prompts import (
 )
 # rerank is unused here; perfbench/spans.py traces it by name on this module.
 from .retrieval import rerank, unit_query, unit_scores
+from .store import VectorFileError, load_vectors, read_json, save_vectors, write_json
 
 if TYPE_CHECKING:
     from .evalharness import EvalSystem
@@ -51,7 +50,8 @@ class RouterRegistry:
 
     def _index_entries(self) -> None:
         """Cache what selection needs: one float64 unit row per entry and,
-        per row, the position of its agent in ``agent_ids``."""
+        per row, the position of its agent in ``agent_ids``. ValueError names
+        an entry whose centroid is zero or not finite."""
         self._agent_ids = sorted({e.agent_id for e in self.entries})
         position = {agent_id: i for i, agent_id in enumerate(self._agent_ids)}
         self._agent_of_row = np.array([position[e.agent_id] for e in self.entries], dtype=np.intp)
@@ -59,7 +59,12 @@ class RouterRegistry:
             self._unit = np.zeros((0, 0))
             return
         matrix = np.stack([e.centroid for e in self.entries]).astype(np.float64)
-        self._unit = matrix / np.linalg.norm(matrix, axis=1)[:, None]
+        norms = np.linalg.norm(matrix, axis=1)
+        usable = (norms > 0.0) & (norms < np.inf)
+        if not usable.all():
+            e = self.entries[int(np.argmin(usable))]
+            raise ValueError(f"centroid {e.agent_id}#{e.cluster_id} is zero or not finite")
+        self._unit = matrix / norms[:, None]
 
     @property
     def agent_ids(self) -> list[str]:
@@ -92,9 +97,7 @@ class RouterRegistry:
                 for i, e in enumerate(order)
             ]
         }
-        Path(json_path).write_text(
-            json.dumps(payload, sort_keys=True, ensure_ascii=False), encoding="utf-8"
-        )
+        write_json(json_path, payload)
 
     def unregister(self, agent_id: str) -> None:
         """Drop every entry of ``agent_id``, e.g. when its chunk set empties."""
@@ -103,28 +106,28 @@ class RouterRegistry:
 
     @classmethod
     def load(cls, json_path: str | Path, vectors_base: str | Path) -> "RouterRegistry":
-        matrix, _ = load_vectors(vectors_base)
+        """The registry ``save`` wrote. IndexFileError names ``json_path`` unless
+        its entries name the vectors' manifest ids (``agent_id#cluster_id``) row
+        for row, and the ``.bin`` when a centroid is zero or not finite."""
+        matrix, ids = load_vectors(vectors_base)
 
-        def parse(payload) -> list[CentroidEntry]:
-            rows = [rec["row"] for rec in payload["entries"]]
-            for row in rows:
-                if type(row) is not int or not 0 <= row < len(matrix):
-                    raise ValueError(f"row {row!r} is not an integer in [0, {len(matrix)})")
-            if len(set(rows)) < len(rows):
-                raise ValueError("two entries share one centroid row")
-            return [
-                CentroidEntry(
-                    agent_id=rec["agent_id"],
-                    cluster_id=int(rec["cluster_id"]),
-                    centroid=matrix[row],
-                )
-                for rec, row in zip(payload["entries"], rows)
+        def parse(payload) -> RouterRegistry:
+            recs = payload["entries"]
+            named = [(rec["row"], f"{rec['agent_id']}#{int(rec['cluster_id'])}") for rec in recs]
+            if named != list(enumerate(ids)):
+                raise ValueError("its entries are not the rows of the vectors' manifest, in order")
+            registry = cls()
+            registry.entries = [
+                CentroidEntry(rec["agent_id"], int(rec["cluster_id"]), centroid)
+                for rec, centroid in zip(recs, matrix)
             ]
+            try:
+                registry._index_entries()
+            except ValueError as exc:
+                raise VectorFileError(f"{Path(vectors_base).with_suffix('.bin')}: {exc}") from exc
+            return registry
 
-        entries = read_json(json_path, parse)
-        registry = cls()
-        registry.register(entries)
-        return registry
+        return read_json(json_path, parse)
 
 
 def select_agents(registry: RouterRegistry, query_vec: np.ndarray, max_agents: int) -> list[str]:

@@ -1,0 +1,106 @@
+"""Index files: how each is written, read back and checked (stdlib and numpy
+only). Every file goes to a temp file beside it, then ``os.replace``s it;
+with no fsync, that is safe against a failed or killed process, not power
+loss. An array file (``.bin``) holds little-endian arrays back to back, sized
+by its JSON manifest, which is written after it."""
+
+from __future__ import annotations
+
+import json
+import os
+from itertools import accumulate
+from pathlib import Path
+from typing import Callable, Iterable
+
+import numpy as np
+
+
+class InputError(RuntimeError):
+    """An operator fault: a config, input file, index file or endpoint that
+    is not what the program needs. The CLI exits 2 on every one."""
+
+
+class IndexFileError(InputError):
+    """A stored index file cannot be read back as what its writer wrote."""
+
+
+class VectorFileError(IndexFileError):
+    """An array file disagrees with its manifest, or holds a zero or non-finite
+    vector."""
+
+
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write ``data`` over ``path`` through a temp file beside it, making the
+    directory; a write that fails leaves the previous file whole."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path: str | Path, payload, indent: int | None = None) -> None:
+    text = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=indent)
+    write_atomic(path, text.encode("utf-8"))
+
+
+def read_json(path: str | Path, parse: Callable):
+    """``parse`` of a stored JSON file's payload. IndexFileError names the
+    file when it is not UTF-8 JSON, nests too deeply to decode, or ``parse``
+    finds a field missing or of the wrong type."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise IndexFileError(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        return parse(payload)
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise IndexFileError(f"{path} is valid JSON of the wrong shape: {exc!r}") from exc
+
+
+def write_arrays(path: Path, arrays: Iterable[tuple[str, np.ndarray]]) -> None:
+    """Write each ``(dtype, array)`` to ``path`` as that dtype, back to back."""
+    write_atomic(path, b"".join(np.asarray(a, dt).tobytes() for dt, a in arrays))
+
+
+def read_arrays(path: Path, layout: list[tuple[str, int]]) -> list[np.ndarray]:
+    """The arrays of ``layout``'s ``(dtype, count)`` pairs, as read-only views
+    of one read of ``path``; VectorFileError when its size does not fit."""
+    data = path.read_bytes()
+    sizes = [np.dtype(dt).itemsize * count for dt, count in layout]
+    if len(data) != sum(sizes):
+        raise VectorFileError(f"{path} holds {len(data)} bytes; its manifest needs {sum(sizes)}")
+    starts = accumulate(sizes, initial=0)
+    return [np.frombuffer(data, dt, count, at) for (dt, count), at in zip(layout, starts)]
+
+
+def save_vectors(base_path: str | Path, matrix: np.ndarray, ids: list[str]) -> None:
+    """Write a matrix's rows as little-endian float32 to ``<base>.bin``,
+    then ``<base>.manifest.json`` with ``{dim, count, chunk_ids}``."""
+    base = Path(base_path)
+    mat = np.asarray(matrix, dtype="<f4")
+    if mat.ndim != 2 or mat.shape[0] != len(ids):
+        raise ValueError("matrix must be 2-D, with one id per row")
+    write_arrays(base.with_suffix(".bin"), [("<f4", mat)])
+    manifest = {"dim": int(mat.shape[1]), "count": int(mat.shape[0]), "chunk_ids": list(ids)}
+    write_json(base.with_suffix(".manifest.json"), manifest)
+
+
+def load_vectors(base_path: str | Path) -> tuple[np.ndarray, list[str]]:
+    """What ``save_vectors`` wrote: a read-only float32 array and the ids.
+    VectorFileError when the manifest lists other than ``count`` ids or a
+    negative ``dim``, or the ``.bin`` is not ``count * dim`` floats."""
+    base = Path(base_path)
+    count, dim, ids = read_json(
+        base.with_suffix(".manifest.json"),
+        lambda m: (int(m["count"]), int(m["dim"]), list(m["chunk_ids"])),
+    )
+    bin_path = base.with_suffix(".bin")
+    if len(ids) != count or dim < 0:
+        raise VectorFileError(f"{bin_path}: manifest has {len(ids)} ids for {count} rows of {dim}")
+    [flat] = read_arrays(bin_path, [("<f4", count * dim)])
+    return flat.reshape(count, dim), ids

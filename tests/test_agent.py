@@ -9,10 +9,10 @@ import transcripts
 from conftest import build_agent
 from ragroute.agent import Agent, AgentConfig, AgentError
 from ragroute.corpus import Chunk, ChunkingConfig, Document, chunk_document
-from ragroute.embedding import IndexFileError
 from ragroute.llm import ScriptedChatBackend, ScriptEntry
 from ragroute.planner import QARecord
 from ragroute.retrieval import Bm25Index, DenseIndex
+from ragroute.store import IndexFileError
 
 
 def agent_from_text(

@@ -725,9 +725,15 @@ class TestIndexFiles:
             # a row outside the centroid matrix, two entries on one row, and a
             # row that is not an integer
             registry = json.loads((tmp_path / "index" / relpath).read_text(encoding="utf-8"))
-            for row in (-1, registry["entries"][1]["row"], 0.5):
-                registry["entries"][0]["row"] = row
+            entries = registry["entries"]
+            first_row = entries[0]["row"]
+            for row in (-1, entries[1]["row"], 0.5):
+                entries[0]["row"] = row
                 cases.append((json.dumps(registry), "is valid JSON of the wrong shape"))
+            # two agents' centroid rows swapped: each row names the other agent
+            other = next(e for e in entries if e["agent_id"] != entries[0]["agent_id"])
+            entries[0]["row"], other["row"] = other["row"], first_row
+            cases.append((json.dumps(registry), "is valid JSON of the wrong shape"))
         for content, problem in cases:
             (tmp_path / "index" / relpath).write_text(content, encoding="utf-8")
             capsys.readouterr()
@@ -736,13 +742,19 @@ class TestIndexFiles:
             assert error["command"] == command
             assert f"{Path(relpath).name} {problem}" in error["error"]
 
+    @pytest.mark.parametrize(
+        "relpath, names_row",
+        [("agents/agent0/vectors.bin", "row 0 "), ("registry_vectors.bin", "centroid agent0#0 ")],
+    )
     @pytest.mark.parametrize("command", ["ask", "eval"])
     @pytest.mark.parametrize("value", [float("nan"), 0.0])
-    def test_vector_row_nan_or_zero_exits_2_naming_the_bin(self, tmp_path, capsys, command, value):
+    def test_vector_row_nan_or_zero_exits_2_naming_the_bin(
+        self, tmp_path, capsys, relpath, names_row, command, value
+    ):
         corpus, agents = topic_corpus_and_agents()
         config = write_config(tmp_path, corpus, catch_all_script(), agents)
         build_lifecycle(config)
-        bin_path = tmp_path / "index" / "agents" / "agent0" / "vectors.bin"
+        bin_path = tmp_path / "index" / relpath
         rows = np.fromfile(bin_path, dtype="<f4").reshape(-1, transcripts.MOCK_DIM)
         rows[0, 0 if np.isnan(value) else slice(None)] = value
         rows.tofile(bin_path)
@@ -752,7 +764,7 @@ class TestIndexFiles:
         assert captured.out == ""
         error = json.loads(captured.err)
         assert error["command"] == command
-        assert f"{bin_path}: row 0 " in error["error"]
+        assert f"{bin_path}: {names_row}" in error["error"]
         assert "zero or not finite" in error["error"]
 
     @pytest.mark.parametrize(
@@ -1050,6 +1062,7 @@ CORRUPTIONS = {
     "bom": lambda data: b"\xff\xfe" + data,
     "half": lambda data: data[: len(data) // 2],
     "flip": _flip_middle_byte,
+    "nested": lambda data: b"[" * 200_000,
 }
 
 SWEEP_COMMANDS = {
@@ -1083,7 +1096,7 @@ def restore(root: Path, snapshot: dict[Path, bytes]) -> None:
 
 
 class TestCorruptionSweep:
-    """Every input file and every file of a built index, damaged six ways,
+    """Every input file and every file of a built index, damaged seven ways,
     under every command: each run exits 0, 1 or 2, prints a one-line JSON
     ``{"command", "error"}`` on stderr when it does not exit 0, and never
     raises."""

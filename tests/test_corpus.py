@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from ragroute.corpus import (
     Chunk,
-    ChunkFileError,
     ChunkingConfig,
     Document,
     chunk_count,
@@ -23,6 +22,7 @@ from ragroute.corpus import (
     save_chunks,
     tokenize,
 )
+from ragroute.store import IndexFileError
 
 
 def oracle_windows(total: int, cfg: ChunkingConfig) -> list[tuple[int, int]]:
@@ -211,6 +211,17 @@ class TestLoadCorpus:
         assert [e.line_no for e in errors] == [2]
         assert "not UTF-8: byte 0xe9 at column 33" in errors[0].reason
 
+    def test_lone_surrogate_escape_reported_not_raised(self, tmp_path):
+        """The line is ASCII, but its body decodes to a lone surrogate, which
+        no chunk file can hold as UTF-8."""
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"doc_id": "d", "body": "\\ud800 text"}\n')
+        docs, errors = load_corpus(path)
+        assert docs == []
+        assert [(e.line_no, e.reason) for e in errors] == [
+            (1, "not UTF-8: lone surrogate U+D800 (doc_id='d')")
+        ]
+
     @pytest.mark.parametrize("line", ["[]", "null", "7", '"text"'])
     def test_record_not_an_object_reported(self, tmp_path, line):
         path = tmp_path / "corpus.jsonl"
@@ -330,6 +341,6 @@ class TestChunkStore:
     def test_older_per_line_format_is_refused(self, tmp_path, n):
         path = tmp_path / "chunks.jsonl"
         path.write_bytes(per_line_bytes([Chunk(f"d:{j:05d}", "d", "text", j, 1) for j in range(n)]))
-        with pytest.raises(ChunkFileError) as info:
+        with pytest.raises(IndexFileError) as info:
             load_chunks(path)
         assert str(info.value) == f"{path} is a chunk file in an older format: re-run ingest"

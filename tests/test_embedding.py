@@ -21,11 +21,8 @@ from ragroute.embedding import (
     MockEmbedder,
     RemoteEmbedder,
     TransportError,
-    VectorFileError,
     _token_axis,
-    load_vectors,
     make_embedder,
-    save_vectors,
 )
 
 
@@ -311,40 +308,3 @@ class TestRemoteEmbedder:
         cfg = EmbeddingProviderConfig("remote_http", "m", 8, endpoint=url)
         with pytest.raises(MalformedReplyError, match="permutation"):
             RemoteEmbedder(cfg).embed_batch(["0", "1", "2"])
-
-
-class TestVectorFile:
-    def test_round_trip(self, tmp_path):
-        matrix = np.random.default_rng(0).normal(size=(5, 12)).astype(np.float32)
-        ids = [f"c{i}" for i in range(5)]
-        save_vectors(tmp_path / "vecs", matrix, ids)
-        loaded, loaded_ids = load_vectors(tmp_path / "vecs")
-        assert np.array_equal(loaded, matrix)
-        assert loaded_ids == ids
-
-    def test_manifest_fields(self, tmp_path):
-        save_vectors(tmp_path / "v", np.zeros((2, 3), np.float32), ["a", "b"])
-        manifest = json.loads((tmp_path / "v.manifest.json").read_text())
-        assert manifest == {"dim": 3, "count": 2, "chunk_ids": ["a", "b"]}
-
-    @pytest.mark.parametrize(
-        "damage",
-        [
-            lambda base: base.with_suffix(".bin").write_bytes(b"\0" * 44),
-            lambda base: base.with_suffix(".manifest.json").write_text(
-                json.dumps({"dim": 4, "count": 3, "chunk_ids": ["a", "b"]})
-            ),
-        ],
-        ids=["truncated-bin", "ids-short"],
-    )
-    def test_disagreeing_files_raise_typed_error(self, tmp_path, damage):
-        save_vectors(tmp_path / "v", np.ones((3, 4), np.float32), ["a", "b", "c"])
-        damage(tmp_path / "v")
-        with pytest.raises(VectorFileError):
-            load_vectors(tmp_path / "v")
-
-    def test_little_endian_layout(self, tmp_path):
-        matrix = np.array([[1.0, 2.0]], dtype=np.float32)
-        save_vectors(tmp_path / "v", matrix, ["a"])
-        raw = (tmp_path / "v.bin").read_bytes()
-        assert raw == np.array([1.0, 2.0], dtype="<f4").tobytes()

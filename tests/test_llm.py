@@ -355,10 +355,11 @@ class TestMalformedReplies:
             b'{"choices": [{"message": {"content": "pong"}}], "usage": {"completion_tokens": -3}}',
             b'{"choices": [{"message": {"content": "pong"}}], "usage": {"prompt_tokens": 1.5}}',
             b'{"choices": [{"message": {"content": "pong"}}], "usage": {"prompt_tokens": true}}',
+            b"[" * 200_000,
         ],
         ids=["no-choices", "empty-choices", "no-message", "not-json", "null-content",
              "number-content", "null-usage", "list-usage", "string-count", "negative-count",
-             "float-count", "bool-count"],
+             "float-count", "bool-count", "nested"],
     )
     def test_chat_reply_is_typed_error(self, chat_server, reply):
         url, handler = chat_server

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from conftest import cosine_similarity
 from ragroute.corpus import Chunk, tokenize
-from ragroute.embedding import IndexFileError, save_vectors
 from ragroute.retrieval import (
     BM25_B,
     BM25_K1,
@@ -32,6 +31,7 @@ from ragroute.retrieval import (
     unit_query,
     unit_scores,
 )
+from ragroute.store import IndexFileError, save_vectors
 
 
 def make_chunk(chunk_id: str, text: str) -> Chunk:

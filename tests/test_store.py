@@ -1,0 +1,227 @@
+"""The index store: vector files round-trip, only ``ragroute.store`` writes
+files, and a set-up command that fails part way leaves an index that ``ask``
+either answers from as before or refuses with exit 2, never a mixed one."""
+
+from __future__ import annotations
+
+import ast
+import json
+import os
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import ragroute
+from ragroute.cli import main
+from ragroute.store import VectorFileError, load_vectors, save_vectors
+from test_cli import catch_all_script, restore, topic_corpus_and_agents, write_config
+
+PACKAGE = Path(ragroute.__file__).parent
+# Attribute calls that write or replace a file, or read one past the store.
+WRITERS = {"write_text", "write_bytes", "tofile", "fromfile"}
+
+
+def _writes_mode(call: ast.Call) -> bool:
+    """Whether an ``open`` call may write: its mode holds w, a, x or +, or
+    is not a string constant."""
+    mode = next((k.value for k in call.keywords if k.arg == "mode"), None)
+    place = 0 if isinstance(call.func, ast.Attribute) else 1  # path.open(mode), open(path, mode)
+    if mode is None and len(call.args) > place:
+        mode = call.args[place]
+    if mode is None:
+        return False
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def file_writes(source: str) -> list[str]:
+    """``line: call`` for each call in ``source`` that writes a file."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        owner = getattr(func.value, "id", None) if isinstance(func, ast.Attribute) else None
+        if (name in WRITERS or (owner, name) == ("os", "replace")
+                or (name == "open" and _writes_mode(node))):
+            found.append(f"{node.lineno}: {ast.unparse(func)}")
+    return found
+
+
+class TestVectorFile:
+    def test_round_trip(self, tmp_path):
+        matrix = np.random.default_rng(0).normal(size=(5, 12)).astype(np.float32)
+        ids = [f"c{i}" for i in range(5)]
+        save_vectors(tmp_path / "vecs", matrix, ids)
+        loaded, loaded_ids = load_vectors(tmp_path / "vecs")
+        assert np.array_equal(loaded, matrix)
+        assert loaded_ids == ids
+
+    def test_manifest_fields(self, tmp_path):
+        save_vectors(tmp_path / "v", np.zeros((2, 3), np.float32), ["a", "b"])
+        manifest = json.loads((tmp_path / "v.manifest.json").read_text())
+        assert manifest == {"dim": 3, "count": 2, "chunk_ids": ["a", "b"]}
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda base: base.with_suffix(".bin").write_bytes(b"\0" * 44),
+            lambda base: base.with_suffix(".manifest.json").write_text(
+                json.dumps({"dim": 4, "count": 3, "chunk_ids": ["a", "b"]})
+            ),
+            lambda base: (
+                base.with_suffix(".manifest.json").write_text(
+                    json.dumps({"dim": -4, "count": 0, "chunk_ids": []})
+                ),
+                base.with_suffix(".bin").write_bytes(b""),
+            ),
+        ],
+        ids=["truncated-bin", "ids-short", "no-rows-negative-dim"],
+    )
+    def test_disagreeing_files_raise_typed_error(self, tmp_path, damage):
+        save_vectors(tmp_path / "v", np.ones((3, 4), np.float32), ["a", "b", "c"])
+        damage(tmp_path / "v")
+        with pytest.raises(VectorFileError):
+            load_vectors(tmp_path / "v")
+
+    def test_little_endian_layout(self, tmp_path):
+        matrix = np.array([[1.0, 2.0]], dtype=np.float32)
+        save_vectors(tmp_path / "v", matrix, ["a"])
+        raw = (tmp_path / "v.bin").read_bytes()
+        assert raw == np.array([1.0, 2.0], dtype="<f4").tobytes()
+
+
+def test_only_the_store_writes_files():
+    writes = {
+        path.name: file_writes(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert writes.pop("store.py"), "the guard finds no write in store.py"
+    assert {name: calls for name, calls in writes.items() if calls} == {}
+
+
+@pytest.mark.parametrize(
+    "source, writes",
+    [
+        ("p.write_text('x')", True),
+        ("np.fromfile(p)", True),
+        ("a.tofile(p)", True),
+        ("os.replace(a, b)", True),
+        ("open(p, 'w')", True),
+        ("open(p, mode='ab')", True),
+        ("p.open('r+')", True),
+        ("p.open(mode)", True),
+        ("open(p)", False),
+        ("p.open('r', encoding='utf-8')", False),
+        ("text.replace('a', 'b')", False),
+    ],
+)
+def test_guard_tells_writes_from_reads(source, writes):
+    assert bool(file_writes(source)) is writes
+
+
+# The question names topic 0's words. The old corpus gives them to agent0
+# alone. The new one gives agent1 four chunks of them, and agent0 two chunks
+# of topic 2 (its cluster 0) and two that mix topics 0 and 3 (its cluster 1),
+# so the selection flips, and also flips when agent1 is read with agent0's
+# cluster 1. Every agent gets other chunk ids and two clusters in place of one.
+QUESTION = "topic0word0 topic0word3?"
+
+
+def _topic_doc(doc_id: str, category: str, *topics: int) -> dict:
+    words = " ".join(f"topic{t}word{w}" for t in topics for w in range(6))
+    return {"doc_id": doc_id, "category": category, "body": f"{words} {words}"}
+
+
+def new_corpus() -> list[dict]:
+    topics = {"cat0": [(2,), (2,), (0, 3), (0, 3)], "cat1": [(0,)] * 4}
+    return [
+        _topic_doc(f"new-{category}-{i}", category, *mix)
+        for category, mixes in topics.items()
+        for i, mix in enumerate(mixes)
+    ]
+
+
+def ask(root: Path, capsys) -> tuple[int, str, list[str] | None]:
+    """``ask``'s exit code, its stdout and the agents its trace selected;
+    the run must keep the CLI's contract: exit 0, or exit 2 with one JSON
+    error line."""
+    trace = root / "trace.json"
+    trace.unlink(missing_ok=True)
+    capsys.readouterr()
+    code = main(["ask", "--config", str(root / "config.json"), "--question", QUESTION,
+                 "--trace", str(trace)])
+    captured = capsys.readouterr()
+    if code != 0:
+        assert code == 2, captured.err
+        assert json.loads(captured.err)["command"] == "ask"
+        assert len(captured.err.splitlines()) == 1
+        return code, captured.out, None
+    return code, captured.out, json.loads(trace.read_text(encoding="utf-8"))["selected_agents"]
+
+
+class FailingReplace:
+    """``os.replace`` that raises on its ``fail_at``-th call; ``store``'s
+    ``write_atomic`` is the one caller in the package, so this fails that
+    write after its temp file is written."""
+
+    def __init__(self, fail_at: int | None):
+        self.fail_at = fail_at
+        self.calls = 0
+        self.replace = os.replace
+
+    def __call__(self, src, dst):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise OSError(28, "No space left on device")
+        self.replace(src, dst)
+
+
+@pytest.mark.parametrize("command", ["ingest", "build-index", "register"])
+def test_interrupted_setup_command_leaves_no_mixed_index(tmp_path, capsys, monkeypatch, command):
+    corpus, agents = topic_corpus_and_agents(2)
+    config = write_config(tmp_path, corpus, catch_all_script(), agents)
+    for step in ("ingest", "build-index", "register"):
+        assert main([step, "--config", str(config)]) == 0
+    old = ask(tmp_path, capsys)
+    assert old[0] == 0 and old[2] == ["agent0", "agent1"]
+
+    # the new corpus, and the steps before the one that is interrupted
+    (tmp_path / "corpus.jsonl").write_text(
+        "".join(json.dumps(doc) + "\n" for doc in new_corpus()), encoding="utf-8"
+    )
+    steps = ["ingest", "build-index", "register"]
+    for step in steps[: steps.index(command)]:
+        assert main([step, "--config", str(config)]) == 0
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+    # a whole run writes every file anew, so the old and new bytes differ
+    counter = FailingReplace(None)
+    monkeypatch.setattr(os, "replace", counter)
+    assert main([command, "--config", str(config)]) == 0
+    monkeypatch.undo()
+    changed = [p for p, data in before.items() if p.read_bytes() != data]
+    assert counter.calls == len(changed) >= 2
+    if command == "register":
+        assert ask(tmp_path, capsys)[2] == ["agent1", "agent0"]
+
+    codes = []
+    for k in range(1, counter.calls + 1):
+        restore(tmp_path, before)
+        monkeypatch.setattr(os, "replace", FailingReplace(k))
+        capsys.readouterr()
+        code = main([command, "--config", str(config)])
+        monkeypatch.undo()
+        error = json.loads(capsys.readouterr().err)
+        assert (code, error["command"]) == (2, command), k
+        assert "No space left on device" in error["error"]
+        assert sorted(tmp_path.rglob(".*.tmp")) == [], k
+        outcome = ask(tmp_path, capsys)
+        assert outcome[0] == 2 or outcome == old, (k, outcome)
+        codes.append(outcome[0])
+    restore(tmp_path, before)
+    # new chunks beside old vectors never load, so only build-index always
+    # ends in exit 2
+    assert 2 in codes and (0 in codes) is (command != "build-index"), codes
