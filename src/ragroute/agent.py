@@ -203,5 +203,5 @@ class Agent:
             raise AgentError(self.agent_id, str(exc)) from exc
         return AgentAnswer(self.agent_id, parse_agent_reply(text), text, tuple(kept), usage)
 
-    def doc_ids_for(self, hits: Iterable[RetrievalHit]) -> list[str]:
-        return [self.chunks_by_id[h.chunk_id].doc_id for h in hits]
+    def doc_ids_for(self, hits: Iterable[RetrievalHit]) -> tuple[str, ...]:
+        return tuple(self.chunks_by_id[h.chunk_id].doc_id for h in hits)

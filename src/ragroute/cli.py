@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .agent import Agent, AgentConfig
-from .boundary import build_profile, export_centroids, save_profile
+from .boundary import CentroidEntry, build_profile, export_centroids, save_profile
 from .corpus import (
     Chunk,
     ChunkingConfig,
@@ -29,6 +29,7 @@ from .corpus import (
     load_chunks,
     load_corpus,
     require_int,
+    require_utf8,
     save_chunks,
     tokenize,
 )
@@ -235,30 +236,33 @@ def _build_agent_index(adir: Path, chunks: list[Chunk], embedder) -> None:
 
 
 def cmd_register(cfg: SystemConfig, args: argparse.Namespace) -> int:
-    """Cluster each selected agent and push its centroids. A full register
-    starts from an empty registry; ``--agent`` merges into the saved one and
-    drops entries of agents the config no longer lists."""
-    registry = RouterRegistry()
+    """Cluster each selected agent and save one registry of the centroids.
+    A full register holds only these; ``--agent`` also keeps the saved
+    entries of the other agents that the config still lists."""
+    entries: list[CentroidEntry] = []
     registry_path = cfg.registry_json()
     if args.agent is not None and registry_path.exists():
         saved = RouterRegistry.load(registry_path, cfg.registry_vectors())
-        configured = {a.agent_id for a in cfg.agents}
-        registry.register(e for e in saved.entries if e.agent_id in configured)
+        kept = {a.agent_id for a in cfg.agents} - {args.agent}
+        entries = [e for e in saved.entries if e.agent_id in kept]
+        if entries:
+            _check_dim(cfg, cfg.registry_vectors(), entries[0].centroid.shape[0])
     for agent_cfg in _select_agent_cfgs(cfg, args.agent):
         adir = cfg.agent_dir(agent_cfg.agent_id)
         if not (adir / "vectors.manifest.json").exists():
             raise ConfigError(f"no index for agent {agent_cfg.agent_id}: run build-index first")
         matrix, chunk_ids = load_vectors(adir / "vectors")
+        _check_dim(cfg, adir / "vectors", matrix.shape[1])
         # centroid files that older versions wrote beside the profile
         for stale in ("centroids.bin", "centroids.manifest.json"):
             (adir / stale).unlink(missing_ok=True)
         if not chunk_ids:
-            registry.unregister(agent_cfg.agent_id)
             (adir / "profile.json").unlink(missing_ok=True)
             continue
         profile = build_profile(agent_cfg.agent_id, chunk_ids, matrix)
         save_profile(profile, adir / "profile.json")
-        registry.register(export_centroids(profile))
+        entries.extend(export_centroids(profile))
+    registry = RouterRegistry(entries)
     registry.save(registry_path, cfg.registry_vectors())
     print(
         json.dumps(
@@ -268,13 +272,25 @@ def cmd_register(cfg: SystemConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_dim(cfg: SystemConfig, vectors_base: Path, dim: int) -> None:
+    """InputError naming the vectors' manifest when they are not of the
+    config's ``embedding.dim``, i.e. were built under another config."""
+    if dim != cfg.embedding.dim:
+        raise InputError(
+            f"{vectors_base.with_suffix('.manifest.json')} holds vectors of dim {dim},"
+            f" not the configured embedding.dim {cfg.embedding.dim}"
+        )
+
+
 def _load_system(cfg: SystemConfig, args: argparse.Namespace) -> EvalSystem:
     """The system ``ask`` and ``eval`` answer with, with the command's
     ``--retrieval``, ``--max-agents``, ``--strategy``, ``--max-rounds`` and
     ``--agent-mode`` applied over the config.
 
     Raises ConfigError for a count flag below 1, or when there is no
-    registry or it names an agent that the config does not list.
+    registry or it names an agent that the config does not list, and
+    InputError when its vectors or an agent's are not of the configured
+    ``embedding.dim``.
     """
     max_agents, max_rounds = args.max_agents, getattr(args, "max_rounds", None)
     max_agents = _count("--max-agents", cfg.max_agents if max_agents is None else max_agents)
@@ -288,6 +304,8 @@ def _load_system(cfg: SystemConfig, args: argparse.Namespace) -> EvalSystem:
     unknown = [a for a in registry.agent_ids if a not in configured]
     if unknown:
         raise ConfigError(f"registry names agents missing from the config: {', '.join(unknown)}")
+    if registry.entries:
+        _check_dim(cfg, cfg.registry_vectors(), registry.entries[0].centroid.shape[0])
     retrieval = getattr(args, "retrieval", None)
     agents: dict[str, Agent] = {}
     for agent_cfg in cfg.agents:
@@ -296,6 +314,7 @@ def _load_system(cfg: SystemConfig, args: argparse.Namespace) -> EvalSystem:
         adir = cfg.agent_dir(agent_cfg.agent_id)
         chunks = load_chunks(adir / "chunks.jsonl")
         dense = DenseIndex.load(adir / "vectors")
+        _check_dim(cfg, adir / "vectors", dense.dim)
         bm25 = Bm25Index.load(adir / "bm25.json")
         agents[agent_cfg.agent_id] = Agent(agent_cfg, chunks, dense, bm25, embedder, backend)
     return EvalSystem(
@@ -341,6 +360,10 @@ def _answer_trace(result, system: EvalSystem) -> dict:
 
 
 def cmd_ask(cfg: SystemConfig, args: argparse.Namespace) -> int:
+    try:
+        require_utf8("--question", args.question)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if not tokenize(args.question):
         raise ConfigError(f"--question has no tokens: {args.question!r}")
     system = _load_system(cfg, args)

@@ -69,6 +69,16 @@ def require_int(name: str, value) -> None:
         raise TypeError(f"{name} must be an integer, not {value!r}")
 
 
+def require_utf8(name: str, text: str) -> None:
+    """ValueError naming ``name`` when ``text`` holds a lone surrogate, which
+    UTF-8 cannot encode: argv decodes bytes that are not UTF-8 to one, and
+    JSON decodes an escape such as ``\\udcff`` to one."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"{name} is not UTF-8: lone surrogate U+{ord(text[exc.start]):04X}") from None
+
+
 @dataclass(frozen=True)
 class ChunkingConfig:
     chunk_tokens: int

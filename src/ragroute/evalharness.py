@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .agent import Agent
-from .corpus import read_jsonl, tokenize
+from .corpus import read_jsonl, require_utf8, tokenize
 from .llm import ChatMessage, TokenUsage, ask_parsed
 from .planner import PlanStrategy, run_plan
 from .prompts import (
@@ -60,6 +60,8 @@ def _strings(key: str, value) -> list[str]:
     strings."""
     if type(value) is not list or not all(isinstance(v, str) for v in value):
         raise ValueError(f"{key} must be a list of strings, not {value!r:.60}")
+    for v in value:
+        require_utf8(key, v)
     return value
 
 
@@ -67,6 +69,7 @@ def _eval_item(rec: dict) -> EvalItem:
     question = rec["question"]
     if not isinstance(question, str) or not tokenize(question):
         raise ValueError(f"question must be a string with a token, not {question!r:.60}")
+    require_utf8("question", question)
     return EvalItem(
         question=question,
         answers=tuple(_strings("answers", rec["answers"])),
@@ -304,7 +307,7 @@ def _run_with_rag(item: EvalItem, system: EvalSystem) -> ItemOutcome:
         item=item,
         final_answer=result.final_answer,
         selected_agent_ids=result.selected_agent_ids,
-        retrieved_doc_slots=result.doc_slots(system.agents),
+        retrieved_doc_slots=result.doc_slots,
         usage=result.usage,
     )
 

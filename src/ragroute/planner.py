@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .agent import MULTI_HOP, Agent
+from .agent import MULTI_HOP
 from .llm import (
     ParsedJudgment,
     ReplyParseError,
@@ -96,9 +96,10 @@ class PlanResult:
         """Agents in order of first selection across rounds."""
         return tuple(dict.fromkeys(a for r in self.rounds for a in r.selected_agent_ids))
 
-    def doc_slots(self, agents: dict[str, Agent]) -> dict[str, tuple[str, ...]]:
+    @property
+    def doc_slots(self) -> dict[str, tuple[str, ...]]:
         """Each selected agent's retrieved doc ids, concatenated in round
-        order; ``agents`` is unused and kept to match ``RoutedAnswer``."""
+        order."""
         return {
             agent_id: tuple(d for r in self.rounds for d in r.retrieved_doc_slots.get(agent_id, ()))
             for agent_id in self.selected_agent_ids
@@ -233,7 +234,7 @@ def run_plan(system: EvalSystem, query: str) -> PlanResult:
         rounds.append(
             RoundTrace(
                 number, question, routed.final_answer, routed.selected_agent_ids,
-                routed.verdicts, routed.doc_slots(system.agents),
+                routed.verdicts, routed.doc_slots,
             )
         )
         return routed.final_answer

@@ -113,6 +113,7 @@ class DenseIndex:
             raise ValueError(f"row {row} ({chunk_ids[row]!r}) is zero or not finite")
         self._rows = rows
         self._norms = norms
+        self.dim = rows.shape[1]
         # A float32 product of a row whose norm is far from 1 can overflow or
         # lose its low bits to underflow; such an index is screened in float64.
         in_range = np.all((norms >= _F32_SAFE_NORM[0]) & (norms <= _F32_SAFE_NORM[1]))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .agent import MULTI_HOP, SINGLE_HOP, Agent, AgentAnswer, AgentError
 from .boundary import CentroidEntry
-from .llm import ParsedAgentReply, TokenUsage, _label_matches, ask_parsed, parse_agent_reply
+from .llm import TokenUsage, _label_matches, ask_parsed, parse_agent_reply
 from .prompts import (
     AGENT_ANSWER_SINGLE_HOP,
     ROUTER_FINALIZE_MULTI_HOP,
@@ -41,17 +41,19 @@ class RouterError(RuntimeError):
 
 
 class RouterRegistry:
-    """Registry of exported centroids; re-registering an agent replaces all
-    of its previous entries (cluster counts may shrink between builds)."""
+    """The exported centroids, in (agent_id, cluster_id) order, and what
+    selection needs, built once from them: the sorted agent ids, each row's
+    position among them and one float64 unit row per entry.
 
-    def __init__(self) -> None:
-        self.entries: list[CentroidEntry] = []
-        self._index_entries()
+    RouterError when the centroids differ in dimension; ValueError names an
+    entry whose centroid is zero or not finite.
+    """
 
-    def _index_entries(self) -> None:
-        """Cache what selection needs: one float64 unit row per entry and,
-        per row, the position of its agent in ``agent_ids``. ValueError names
-        an entry whose centroid is zero or not finite."""
+    def __init__(self, entries: Iterable[CentroidEntry] = ()) -> None:
+        self.entries = tuple(sorted(entries, key=lambda e: (e.agent_id, e.cluster_id)))
+        dims = sorted({e.centroid.shape[0] for e in self.entries})
+        if len(dims) > 1:
+            raise RouterError(f"centroid dimension mismatch: {dims}")
         self._agent_ids = sorted({e.agent_id for e in self.entries})
         position = {agent_id: i for i, agent_id in enumerate(self._agent_ids)}
         self._agent_of_row = np.array([position[e.agent_id] for e in self.entries], dtype=np.intp)
@@ -74,35 +76,17 @@ class RouterRegistry:
     def agent_count(self) -> int:
         return len(self._agent_ids)
 
-    def register(self, entries: Iterable[CentroidEntry]) -> None:
-        new = list(entries)
-        if not new:
-            return
-        dims = {e.centroid.shape[0] for e in new} | {e.centroid.shape[0] for e in self.entries}
-        if len(dims) > 1:
-            raise RouterError(f"centroid dimension mismatch: {sorted(dims)}")
-        incoming_agents = {e.agent_id for e in new}
-        self.entries = [e for e in self.entries if e.agent_id not in incoming_agents]
-        self.entries.extend(new)
-        self._index_entries()
-
     def save(self, json_path: str | Path, vectors_base: str | Path) -> None:
-        order = sorted(self.entries, key=lambda e: (e.agent_id, e.cluster_id))
-        matrix = np.stack([e.centroid for e in order]) if order else np.zeros((0, 0), np.float32)
-        ids = [f"{e.agent_id}#{e.cluster_id}" for e in order]
-        save_vectors(vectors_base, matrix, ids)
+        entries = self.entries
+        matrix = np.stack([e.centroid for e in entries]) if entries else np.zeros((0, 0), np.float32)
+        save_vectors(vectors_base, matrix, [f"{e.agent_id}#{e.cluster_id}" for e in entries])
         payload = {
             "entries": [
                 {"agent_id": e.agent_id, "cluster_id": e.cluster_id, "row": i}
-                for i, e in enumerate(order)
+                for i, e in enumerate(entries)
             ]
         }
         write_json(json_path, payload)
-
-    def unregister(self, agent_id: str) -> None:
-        """Drop every entry of ``agent_id``, e.g. when its chunk set empties."""
-        self.entries = [e for e in self.entries if e.agent_id != agent_id]
-        self._index_entries()
 
     @classmethod
     def load(cls, json_path: str | Path, vectors_base: str | Path) -> "RouterRegistry":
@@ -116,16 +100,14 @@ class RouterRegistry:
             named = [(rec["row"], f"{rec['agent_id']}#{int(rec['cluster_id'])}") for rec in recs]
             if named != list(enumerate(ids)):
                 raise ValueError("its entries are not the rows of the vectors' manifest, in order")
-            registry = cls()
-            registry.entries = [
+            entries = [
                 CentroidEntry(rec["agent_id"], int(rec["cluster_id"]), centroid)
                 for rec, centroid in zip(recs, matrix)
             ]
             try:
-                registry._index_entries()
+                return cls(entries)
             except ValueError as exc:
                 raise VectorFileError(f"{Path(vectors_base).with_suffix('.bin')}: {exc}") from exc
-            return registry
 
         return read_json(json_path, parse)
 
@@ -156,13 +138,8 @@ class RoutedAnswer:
     selected_agent_ids: tuple[str, ...]
     verdicts: dict[str, str]
     usage: TokenUsage
-    agent_answers: tuple[AgentAnswer, ...] = ()
-
-    def doc_slots(self, agents: dict[str, Agent]) -> dict[str, tuple[str, ...]]:
-        """Each answering agent's retrieved doc ids, in hit order."""
-        return {
-            a.agent_id: tuple(agents[a.agent_id].doc_ids_for(a.hits)) for a in self.agent_answers
-        }
+    # each answering agent's retrieved doc ids, in hit order
+    doc_slots: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
 
 _BULLET_INDEX_RE = re.compile(r"respon\w*\s+((?:\d+[\s,]*(?:and|&)?[\s,]*)+)", re.I)
@@ -239,7 +216,6 @@ def evaluate_and_curate(
         selected_agent_ids=tuple(a.agent_id for a in answers),
         verdicts=verdicts,
         usage=usage,
-        agent_answers=tuple(answers),
     )
 
 
@@ -301,6 +277,7 @@ def route_and_answer(
         selected_agent_ids=tuple(selected),
         verdicts={**routed.verdicts, **dict.fromkeys(failed, UNHELPFUL)},
         usage=sum((a.usage for a in answers), routed.usage),
+        doc_slots={a.agent_id: system.agents[a.agent_id].doc_ids_for(a.hits) for a in answers},
     )
 
 
@@ -311,12 +288,12 @@ def route_raw_knowledge(system: EvalSystem, question: str) -> RoutedAnswer:
     query_vec = system.embedder.embed_batch([question])[0]
     selected = select_agents(system.registry, query_vec, system.max_agents)
     blocks: list[str] = []
-    answers: list[AgentAnswer] = []
+    doc_slots: dict[str, tuple[str, ...]] = {}
     for agent_id in selected:
         agent = system.agents[agent_id]
         kept = agent.select_chunks(question, query_vec)
         blocks.extend(agent.document_blocks(kept))
-        answers.append(AgentAnswer(agent_id, ParsedAgentReply("", "", False), "", tuple(kept), TokenUsage()))
+        doc_slots[agent_id] = agent.doc_ids_for(kept)
     text, usage = system.backend.chat(
         render_prompt(
             AGENT_ANSWER_SINGLE_HOP, {"question": question, "documents": blocks, "history": []}
@@ -327,5 +304,5 @@ def route_raw_knowledge(system: EvalSystem, question: str) -> RoutedAnswer:
         selected_agent_ids=tuple(selected),
         verdicts={},
         usage=usage,
-        agent_answers=tuple(answers),
+        doc_slots=doc_slots,
     )

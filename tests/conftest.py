@@ -63,7 +63,7 @@ def make_agents(
         doc = Document(rec["doc_id"], rec.get("title", ""), rec["category"], rec["body"])
         docs_by_category.setdefault(doc.category, []).append(doc)
     agents: dict[str, Agent] = {}
-    registry = RouterRegistry()
+    entries = []
     for agent_id, category in zip(agent_ids, categories):
         chunks = []
         for doc in docs_by_category.get(category, []):
@@ -81,8 +81,8 @@ def make_agents(
         if chunks:
             matrix = embedder.embed_batch([c.text for c in chunks])
             profile = build_profile(agent_id, [c.chunk_id for c in chunks], matrix)
-            registry.register(export_centroids(profile))
-    return agents, registry
+            entries.extend(export_centroids(profile))
+    return agents, RouterRegistry(entries)
 
 
 def system_of(agents: dict[str, Agent], registry: RouterRegistry, backend, embedder, **settings):

@@ -92,13 +92,15 @@ class TestLifecycle:
         assert len(registry["entries"]) == profile_a["n"] + profile_b["n"]
         assert '"agents": 2' in out
 
-    def test_register_drops_an_agent_whose_chunks_are_gone(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flags", [[], ["--agent", "agent1"]], ids=["all", "one"])
+    def test_register_drops_an_agent_whose_chunks_are_gone(self, tmp_path, capsys, flags):
         corpus, agents = topic_corpus_and_agents(2)
         config = write_config(tmp_path, corpus, [], agents)
         build_lifecycle(config)
         transcripts.write_jsonl(tmp_path / "corpus.jsonl", corpus[:1])
         capsys.readouterr()
-        build_lifecycle(config)
+        for command in ("ingest", "build-index", "register"):
+            assert main([command, "--config", str(config), *flags]) == 0
         assert json.loads(capsys.readouterr().out.splitlines()[-1])["agents"] == 1
         registry = json.loads((tmp_path / "index" / "registry.json").read_text())
         assert {e["agent_id"] for e in registry["entries"]} == {"agent0"}
@@ -126,6 +128,32 @@ class TestLifecycle:
         registry = json.loads((tmp_path / "index" / "registry.json").read_text())
         assert {e["agent_id"] for e in registry["entries"]} == {"agent0"}
         assert main(["ask", "--config", str(config), "--question", "topic0word0?"]) == 0
+
+    def test_register_one_agent_replaces_its_entries(self, tmp_path, capsys):
+        words = " ".join(f"topic0word{w}" for w in range(40))
+        corpus, agents = topic_corpus_and_agents(2)
+        corpus[0]["body"] = words
+        config = write_config(
+            tmp_path, corpus, [], agents, chunking={"chunk_tokens": 4, "overlap_tokens": 0}
+        )
+        build_lifecycle(config)
+        index = tmp_path / "index"
+
+        def registry_rows(agent_id):
+            entries = json.loads((index / "registry.json").read_text())["entries"]
+            rows = np.fromfile(index / "registry_vectors.bin", "<f4").reshape(len(entries), -1)
+            return [(e["cluster_id"], rows[e["row"]].tolist()) for e in entries
+                    if e["agent_id"] == agent_id]
+
+        assert len(registry_rows("agent0")) == 3  # 10 chunks: isqrt(10) clusters
+        others = registry_rows("agent1")
+        corpus[0]["body"] = " ".join(words.split()[:4])
+        transcripts.write_jsonl(tmp_path / "corpus.jsonl", corpus)
+        for command in ("ingest", "build-index", "register"):
+            assert main([command, "--config", str(config), "--agent", "agent0"]) == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[-1]) == {"agents": 2, "centroids": 2}
+        assert [c for c, _ in registry_rows("agent0")] == [0]
+        assert registry_rows("agent1") == others
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         corpus = [
@@ -349,6 +377,20 @@ class TestAsk:
         assert error["command"] == "ask"
         assert "--question has no tokens" in error["error"]
 
+    def test_question_not_utf8_exits_2(self, tmp_path, capsys):
+        """Bytes that are not UTF-8 reach argv as lone surrogates."""
+        config = self._setup(tmp_path)
+        build_lifecycle(config)
+        capsys.readouterr()
+        trace = tmp_path / "trace.json"
+        args = ["ask", "--config", str(config), "--question", "alpha beta \udcff"]
+        assert main([*args, "--trace", str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error == {"command": "ask", "error": "--question is not UTF-8: lone surrogate U+DCFF"}
+        assert not trace.exists()
+
     def test_ask_without_registry_fails(self, tmp_path, capsys):
         config = self._setup(tmp_path)
         assert main(["ask", "--config", str(config), "--question", "hi"]) == 2
@@ -545,6 +587,49 @@ BAD_LINES = [
 ]
 
 
+class TestEmbeddingDim:
+    """Vectors built under another ``embedding.dim`` exit 2 naming their
+    manifest and both dims: here agent0 is rebuilt at twice the dim of the
+    registry and of agent1."""
+
+    @pytest.fixture
+    def configs(self, tmp_path):
+        """(the config the tree was built with, the one agent0 was rebuilt with)"""
+        corpus, agents = topic_corpus_and_agents(2)
+        narrow = write_config(tmp_path, corpus, catch_all_script(), agents)
+        build_lifecycle(narrow)
+        raw = json.loads(narrow.read_text())
+        raw["embedding"]["dim"] = 2 * transcripts.MOCK_DIM
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["build-index", "--config", str(wide), "--agent", "agent0"]) == 0
+        return narrow, wide
+
+    def expected_errors(self, tmp_path, configs):
+        index = tmp_path / "index"
+        dim = transcripts.MOCK_DIM
+        return [
+            (configs[0], index / "agents" / "agent0" / "vectors.manifest.json", 2 * dim, dim),
+            (configs[1], index / "registry_vectors.manifest.json", dim, 2 * dim),
+        ]
+
+    @pytest.mark.parametrize("command", ["register", "ask"])
+    def test_mismatch_exits_2_naming_the_file(self, tmp_path, capsys, configs, command):
+        args = {"register": ["--agent", "agent0"], "ask": ["--question", "topic0word0?"]}[command]
+        registry = file_hashes(tmp_path / "index")
+        for config, manifest, held, configured in self.expected_errors(tmp_path, configs):
+            capsys.readouterr()
+            assert main([command, "--config", str(config), *args]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert json.loads(captured.err) == {
+                "command": command,
+                "error": f"{manifest} holds vectors of dim {held},"
+                f" not the configured embedding.dim {configured}",
+            }
+        assert file_hashes(tmp_path / "index") == registry
+
+
 class TestBadLines:
     """A bad line of a dataset file exits 2 naming the file and the line; a
     good first line is read, and blank lines are counted. The same bytes
@@ -560,6 +645,8 @@ class TestBadLines:
         (b'{"question": "   ", "answers": ["a"]}\n', 2),
         (b'{"question": "q", "answers": ["a"], "target_doc_ids": "d1"}\n', 2),
         (b'{"question": "q", "answers": ["a"], "target_agent_ids": [7]}\n', 2),
+        (b'{"question": "alpha beta \\udcff", "answers": ["a"]}\n', 2),
+        (b'{"question": "q", "answers": ["a", "\\ud800"]}\n', 2),
     ])
     def test_bad_dataset_line_exits_2(self, tmp_path, capsys, bad, line_no):
         corpus, agents = topic_corpus_and_agents()

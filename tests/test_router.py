@@ -29,13 +29,11 @@ def entry(agent_id: str, cluster_id: int, vec) -> CentroidEntry:
 
 
 def random_registry(rng: np.random.Generator, n_agents: int, max_clusters: int, dim: int = 8):
-    registry = RouterRegistry()
+    entries = []
     for a in range(n_agents):
         n_clusters = int(rng.integers(1, max_clusters + 1))
-        registry.register(
-            [entry(f"ag{a:03d}", c, rng.normal(size=dim)) for c in range(n_clusters)]
-        )
-    return registry
+        entries.extend(entry(f"ag{a:03d}", c, rng.normal(size=dim)) for c in range(n_clusters))
+    return RouterRegistry(entries)
 
 
 @st.composite
@@ -47,10 +45,11 @@ def tied_selections(draw):
     base = rng.normal(size=(draw(st.integers(1, 3)), dim))
     picks = st.tuples(st.integers(0, len(base) - 1), st.integers(0, 3))
     n_agents = draw(st.integers(1, 8))
-    registry = RouterRegistry()
+    entries = []
     for a in range(n_agents):
         copies = draw(st.lists(picks, min_size=1, max_size=4))
-        registry.register([entry(f"ag{a}", c, base[b] * 2.0**k) for c, (b, k) in enumerate(copies)])
+        entries.extend(entry(f"ag{a}", c, base[b] * 2.0**k) for c, (b, k) in enumerate(copies))
+    registry = RouterRegistry(entries)
     on_a_copy = draw(st.booleans())
     query = base[draw(st.integers(0, len(base) - 1))] if on_a_copy else rng.normal(size=dim)
     return registry, query, draw(st.integers(1, n_agents))
@@ -74,32 +73,36 @@ def selection_oracle(registry: RouterRegistry, query: np.ndarray, max_agents: in
 
 
 class TestRegistry:
-    def test_register_counts_one_agent(self):
-        registry = RouterRegistry()
-        registry.register([entry("a", c, [1.0, float(c)]) for c in range(3)])
+    def test_one_agent_counts_once(self):
+        registry = RouterRegistry([entry("a", c, [1.0, float(c)]) for c in range(3)])
         assert registry.agent_count == 1
         assert len(registry.entries) == 3
 
-    def test_reregister_replaces_old_entries(self):
-        registry = RouterRegistry()
-        registry.register([entry("a", c, [1.0, float(c)]) for c in range(3)])
-        registry.register([entry("a", c, [2.0, float(c)]) for c in range(2)])
-        assert registry.agent_count == 1
-        assert len(registry.entries) == 2
-        assert all(e.centroid[0] == 2.0 for e in registry.entries)
+    def test_entries_are_held_in_agent_then_cluster_order(self):
+        registry = RouterRegistry(
+            [entry("b", 1, [1.0, 0.0]), entry("a", 1, [0.0, 1.0]), entry("b", 0, [1.0, 1.0])]
+        )
+        assert [(e.agent_id, e.cluster_id) for e in registry.entries] == [
+            ("a", 1), ("b", 0), ("b", 1)
+        ]
+        assert registry.agent_ids == ["a", "b"]
 
     def test_two_agents_additive(self):
-        registry = RouterRegistry()
-        registry.register([entry("a1", c, [1.0, 0.0]) for c in range(3)])
-        registry.register([entry("a2", c, [0.0, 1.0]) for c in range(2)])
+        registry = RouterRegistry(
+            [entry("a1", c, [1.0, 0.0]) for c in range(3)]
+            + [entry("a2", c, [0.0, 1.0]) for c in range(2)]
+        )
         assert len(registry.entries) == 5
         assert registry.agent_count == 2
 
     def test_dimension_mismatch_rejected(self):
-        registry = RouterRegistry()
-        registry.register([entry("a", 0, [1.0, 0.0])])
         with pytest.raises(RouterError, match="dimension"):
-            registry.register([entry("b", 0, [1.0, 0.0, 0.0])])
+            RouterRegistry([entry("a", 0, [1.0, 0.0]), entry("b", 0, [1.0, 0.0, 0.0])])
+
+    @pytest.mark.parametrize("bad", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0]])
+    def test_zero_or_non_finite_centroid_named(self, bad):
+        with pytest.raises(ValueError, match=r"centroid b#1 is zero or not finite"):
+            RouterRegistry([entry("a", 0, [1.0, 0.0]), entry("b", 1, bad)])
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -116,8 +119,7 @@ class TestRegistry:
 
 class TestSelectAgents:
     def test_single_agent_always_selected(self):
-        registry = RouterRegistry()
-        registry.register([entry("only", 0, [0.2, 0.9])])
+        registry = RouterRegistry([entry("only", 0, [0.2, 0.9])])
         assert select_agents(registry, np.array([1.0, 0.0]), 5) == ["only"]
 
     def test_query_equal_to_centroid(self):
@@ -444,5 +446,6 @@ class TestEmbedOnce:
         system = system_of(agents, registry, backend, counter, max_agents=3)
         routed = route_raw_knowledge(system, transcripts.WD_QUESTION)
         assert len(routed.selected_agent_ids) == 3
-        assert all(a.hits for a in routed.agent_answers)
+        assert list(routed.doc_slots) == list(routed.selected_agent_ids)
+        assert all(routed.doc_slots.values())
         assert counter.calls == 1
