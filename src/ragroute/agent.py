@@ -20,14 +20,17 @@ from .retrieval import (
     BM25,
     DENSE,
     MIXTURE,
+    NO_HITS,
     Bm25Index,
-    Cosines,
     DenseIndex,
+    Ranked,
     RetrievalHit,
+    UnitQuery,
     bm25_search,
     dense_search,
     mixture_search,
     rerank,
+    unscored,
 )
 from .store import IndexFileError
 
@@ -124,41 +127,52 @@ class Agent:
         return self.config.agent_id
 
     def retrieve(
-        self, question: str, query_vec: np.ndarray, cosines: Cosines | None = None
-    ) -> list[RetrievalHit]:
-        """Top ``retrieval_depth`` hits by the configured method.
+        self,
+        question: str,
+        query_vec: UnitQuery | np.ndarray,
+        cosines: np.ndarray | None = None,
+    ) -> Ranked:
+        """Top ``retrieval_depth`` rows by the configured method.
 
         ``query_vec`` is the question's embedding, computed once by the caller;
         retrieval embeds nothing itself. The dense stage stores the exact
-        cosine of each of its hits in ``cosines``, when given, for ``rerank``.
+        cosines it computes in ``cosines``, when given, for ``rerank``.
         """
         depth = self.config.retrieval_depth
         method = self.config.retrieval_method
         if len(self.dense_index) == 0:
-            return []
+            return NO_HITS
         if method == BM25:
             return bm25_search(self.bm25_index, tokenize(question), depth)
-        dense_hits = dense_search(self.dense_index, query_vec, depth, cosines)
+        dense = dense_search(self.dense_index, query_vec, depth, cosines)
         if method == DENSE:
-            return dense_hits
-        bm25_hits = bm25_search(self.bm25_index, tokenize(question), depth)
-        return mixture_search(dense_hits, bm25_hits, depth)
+            return dense
+        bm25 = bm25_search(self.bm25_index, tokenize(question), depth)
+        return mixture_search(dense, bm25, depth)
 
     def select_chunks(
-        self, question: str, query_vec: np.ndarray, min_keep: int | None = None
+        self, question: str, query_vec: UnitQuery | np.ndarray, min_keep: int | None = None
     ) -> list[RetrievalHit]:
         """Retrieve, then rerank to at least ``min_keep`` chunks (the agent's
         own ``min_keep`` when None; below 1 raises ValueError); an empty index
-        selects nothing. Each chunk's exact cosine is computed once."""
-        cosines = Cosines(self.dense_index, query_vec)
-        return rerank(
-            self.retrieve(question, query_vec, cosines),
-            query_vec,
+        selects nothing. Each chunk's exact cosine is computed once, and a
+        hit is made only for each kept chunk, ranked from 1, its score that
+        cosine and its method the agent's retrieval method."""
+        query = UnitQuery.of(query_vec)
+        cosines = unscored(self.dense_index)
+        kept = rerank(
+            self.retrieve(question, query, cosines).rows,
+            query,
             self.dense_index,
             min_keep=self.config.min_keep if min_keep is None else min_keep,
             keep_threshold=self.config.rerank_threshold,
             cosines=cosines,
         )
+        ids, method = self.bm25_index.chunk_ids, self.config.retrieval_method
+        return [
+            RetrievalHit(ids[row], score, rank, method)
+            for rank, (row, score) in enumerate(zip(kept.tolist(), cosines[kept].tolist()), 1)
+        ]
 
     def document_blocks(self, hits: Iterable[RetrievalHit]) -> list[str]:
         blocks = []
@@ -174,15 +188,16 @@ class Agent:
         mode: str = SINGLE_HOP,
         history: Iterable = (),
         min_keep: int | None = None,
-        query_vec: np.ndarray | None = None,
+        query_vec: UnitQuery | np.ndarray | None = None,
     ) -> AgentAnswer:
         """Retrieve, rerank to at least min_keep chunks, and generate a reply.
 
-        ``query_vec`` is the question's embedding; the router passes the one
-        it selected agents with. Only without it does the agent embed the
-        question, once, for both retrieval and rerank. An agent with an empty
-        index answers "I don't know." without touching the embedder or the
-        backend. Backend hard failures are re-raised tagged with the agent id.
+        ``query_vec`` is the question's embedding; the router passes the
+        ``UnitQuery`` it selected agents with. Only without it does the agent
+        embed the question, once, for both retrieval and rerank. An agent
+        with an empty index answers "I don't know." without touching the
+        embedder or the backend. Backend hard failures are re-raised tagged
+        with the agent id.
         """
         if len(self.dense_index) == 0:
             unknown = ParsedAgentReply(analysis="", answer="I don't know.", is_unknown=True)

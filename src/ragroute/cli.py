@@ -50,6 +50,7 @@ from .planner import PlanResult, PlanStrategy
 from .prompts import TEMPLATES
 from .retrieval import Bm25Index, DenseIndex
 from .router import RouterRegistry
+# load_vectors is unused here; perfbench/spans.py traces it by name on this module.
 from .store import IndexFileError, InputError, load_vectors, read_json, save_vectors
 from .store import write_atomic, write_json
 
@@ -251,15 +252,15 @@ def cmd_register(cfg: SystemConfig, args: argparse.Namespace) -> int:
         adir = cfg.agent_dir(agent_cfg.agent_id)
         if not (adir / "vectors.manifest.json").exists():
             raise ConfigError(f"no index for agent {agent_cfg.agent_id}: run build-index first")
-        matrix, chunk_ids = load_vectors(adir / "vectors")
-        _check_dim(cfg, adir / "vectors", matrix.shape[1])
+        dense = DenseIndex.load(adir / "vectors")
+        _check_dim(cfg, adir / "vectors", dense.dim)
         # centroid files that older versions wrote beside the profile
         for stale in ("centroids.bin", "centroids.manifest.json"):
             (adir / stale).unlink(missing_ok=True)
-        if not chunk_ids:
+        if not dense.chunk_ids:
             (adir / "profile.json").unlink(missing_ok=True)
             continue
-        profile = build_profile(agent_cfg.agent_id, chunk_ids, matrix)
+        profile = build_profile(agent_cfg.agent_id, dense.chunk_ids, dense.rows)
         save_profile(profile, adir / "profile.json")
         entries.extend(export_centroids(profile))
     registry = RouterRegistry(entries)

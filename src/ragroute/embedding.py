@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import gzip
 import hashlib
-import http.client
 import json
 import os
 import threading
@@ -18,7 +17,6 @@ import time
 import zlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from email.utils import parsedate_to_datetime
 from typing import Callable
 from urllib.parse import urlsplit
 
@@ -71,6 +69,10 @@ def _exchange(
 ) -> tuple[http.client.HTTPResponse, bytes]:
     """Send one POST on a new connection, read the whole reply and close the
     connection."""
+    # http.client (with email and ssl) is imported here, not with the module:
+    # only the remote backends use it, and it costs a cold start ~20-30 ms.
+    import http.client
+
     scheme, host, port = address
     cls = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
     conn = cls(host, port, timeout=timeout)
@@ -91,6 +93,8 @@ def _retry_after(value: str | None, cap: float) -> float | None:
     if value.isascii() and value.isdigit():
         seconds = float(value)
     else:
+        from email.utils import parsedate_to_datetime
+
         try:
             when = parsedate_to_datetime(value)
         except (TypeError, ValueError):
@@ -123,6 +127,8 @@ def post_json(
     and a reply that is not JSON (or not valid gzip) raises
     MalformedReplyError.
     """
+    import http.client
+
     address, target = endpoint_address(endpoint)
     data = json.dumps(body, allow_nan=False).encode("utf-8")
     headers = {

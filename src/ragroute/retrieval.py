@@ -2,9 +2,14 @@
 
 Indexes are immutable after build; a search only adds to the BM25 index's
 per-term memo. The dense index is an exhaustive scan (desk-scale corpora, no
-ANN). Ties always break by ascending chunk_id so results are deterministic.
-A ``Cosines`` carries one question's exact cosines from the dense stage to
-``rerank``, so no chunk is scored twice for one question.
+ANN). An agent's chunks have one row space, their place in chunk_id order,
+which is the BM25 row; ``DenseIndex`` maps its own rows into it. The stages
+hand each other ``Ranked`` arrays of those rows, best first, ties broken by
+ascending row, i.e. by chunk_id, so results are deterministic. One float64
+array by row carries a question's exact cosines from the dense stage to
+``rerank``, so no chunk is scored twice for one question, and a
+``UnitQuery`` makes the question's unit vector once for every index it
+reaches.
 """
 
 from __future__ import annotations
@@ -12,8 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Mapping
-from functools import partial
-from itertools import chain, count, repeat
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -61,6 +65,37 @@ def unit_query(query_vec: np.ndarray) -> np.ndarray:
     return q / qn
 
 
+class UnitQuery:
+    """One question's embedding as the float64 unit vector that scores rows
+    exactly (``unit``) and that vector rounded to float32, which screens
+    them. Each is made once, on first use, however many indexes the question
+    reaches; threads that race on one make equal arrays.
+    """
+
+    def __init__(self, query_vec: np.ndarray):
+        self.query_vec = query_vec
+        self._unit: np.ndarray | None = None
+        self._f32: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, query: UnitQuery | np.ndarray) -> UnitQuery:
+        return query if isinstance(query, cls) else cls(query)
+
+    @property
+    def unit(self) -> np.ndarray:
+        if self._unit is None:
+            self._unit = unit_query(self.query_vec)
+        return self._unit
+
+    def in_dtype(self, dtype) -> np.ndarray:
+        """The unit query in ``dtype``, float32 or float64."""
+        if dtype is np.float64:
+            return self.unit
+        if self._f32 is None:
+            self._f32 = self.unit.astype(np.float32)
+        return self._f32
+
+
 class RetrievalHit(NamedTuple):
     chunk_id: str
     score: float
@@ -68,32 +103,41 @@ class RetrievalHit(NamedTuple):
     method: str
 
 
-# RetrievalHit._make without its length check: the fields come from a zip of four.
-_new_hit = partial(tuple.__new__, RetrievalHit)
+class Ranked(NamedTuple):
+    """Hits best first: ``rows`` in an agent's chunk_id-order row space and
+    each one's float64 score; a hit's rank is its place plus one."""
+
+    rows: np.ndarray
+    scores: np.ndarray
 
 
-def _ranked(chunk_ids, scores, method: str) -> list[RetrievalHit]:
-    """Hits ranked 1, 2, ... in the order given."""
-    return list(map(_new_hit, zip(chunk_ids, scores, count(1), repeat(method))))
+NO_HITS = Ranked(np.empty(0, np.intp), np.empty(0))
 
 
-def _id_ranks(chunk_ids: list[str]) -> np.ndarray:
-    """Each row's place in ascending chunk_id order, for tie breaks; equal
-    ids keep their row order, as in a stable sort."""
-    if sorted(chunk_ids) == chunk_ids:  # as stored files keep them
-        return np.arange(len(chunk_ids))
-    order = sorted(range(len(chunk_ids)), key=chunk_ids.__getitem__)
-    ranks = np.empty(len(chunk_ids), np.intp)
-    ranks[order] = np.arange(len(chunk_ids))
-    return ranks
+def _ranked(rows: np.ndarray, scores: np.ndarray, top_n: int) -> Ranked:
+    """The ``top_n`` best of ``rows`` by (-score, row); rows are distinct."""
+    order = np.lexsort((rows, -scores))[:top_n]
+    return Ranked(rows[order], scores[order])
+
+
+class UnusableRowError(ValueError):
+    """A dense row that is zero or not finite, so it has no cosine."""
+
+    def __init__(self, row: int, row_id: str):
+        super().__init__(f"row {row} ({row_id!r}) is zero or not finite")
+        self.row_id = row_id
 
 
 class DenseIndex:
     """Chunk embeddings as float32 rows, as stored, with one float64 L2 norm
-    per row, a parallel chunk_id list and each row's place in chunk_id order.
+    per row, a parallel chunk_id list, each row's place in chunk_id order
+    (``_rank``) and the row at each place (``_row_at``).
 
     The rows are kept as given, not copied, so they must not be written to
-    afterwards. ``unit_rows`` gives float64 unit rows on demand.
+    afterwards. ``unit_rows`` gives float64 unit rows on demand, ``exact``
+    a question's cosines to them, and ``screen`` every row's cosine within
+    ``slack`` of that. UnusableRowError names a row that is zero or not
+    finite.
     """
 
     def __init__(self, matrix: np.ndarray, chunk_ids: list[str]):
@@ -110,17 +154,23 @@ class DenseIndex:
         usable = (norms > 0.0) & (norms < math.inf)
         if not usable.all():
             row = int(np.flatnonzero(~usable)[0])
-            raise ValueError(f"row {row} ({chunk_ids[row]!r}) is zero or not finite")
-        self._rows = rows
+            raise UnusableRowError(row, chunk_ids[row])
+        self.rows = rows
         self._norms = norms
         self.dim = rows.shape[1]
+        self.slack = _screen_slack(self.dim)
         # A float32 product of a row whose norm is far from 1 can overflow or
         # lose its low bits to underflow; such an index is screened in float64.
         in_range = np.all((norms >= _F32_SAFE_NORM[0]) & (norms <= _F32_SAFE_NORM[1]))
         self._screen_dtype = np.float32 if in_range else np.float64
         self.chunk_ids = list(chunk_ids)
-        self.row_of = {cid: i for i, cid in enumerate(self.chunk_ids)}
-        self._rank = _id_ranks(self.chunk_ids)
+        # Equal ids keep their row order, as in a stable sort.
+        if sorted(self.chunk_ids) == self.chunk_ids:  # as stored files keep them
+            self._row_at = np.arange(len(rows))
+        else:
+            self._row_at = np.array(sorted(range(len(rows)), key=chunk_ids.__getitem__), np.intp)
+        self._rank = np.empty(len(rows), np.intp)
+        self._rank[self._row_at] = np.arange(len(rows))
 
     def __len__(self) -> int:
         return len(self.chunk_ids)
@@ -129,7 +179,19 @@ class DenseIndex:
         """Rows ``rows`` (a list or array of row indexes) as float64 unit
         vectors, the bits of dividing each float32 row, widened, by its
         float64 norm."""
-        return self._rows[rows] / self._norms[rows][:, None]
+        return self.rows[rows] / self._norms[rows][:, None]
+
+    def screen(self, query: UnitQuery) -> np.ndarray:
+        """Every row's cosine to the query, each within ``slack`` of its
+        ``exact`` score: one product in the screening dtype, divided by the
+        row norms into a new float64 array (an in-place division would round
+        back to float32, an error ``slack`` does not cover)."""
+        return (self.rows @ query.in_dtype(self._screen_dtype)) / self._norms
+
+    def exact(self, rows: np.ndarray, query: UnitQuery) -> np.ndarray:
+        """The exact cosines of rows ``rows`` to the query: ``unit_scores``
+        of their unit rows, so a row scores the same bits in any batch."""
+        return unit_scores(self.unit_rows(rows), query.unit)
 
     @classmethod
     def load(cls, base_path: str | Path) -> "DenseIndex":
@@ -152,70 +214,45 @@ def _screen_slack(dim: int) -> float:
     return (g / (1.0 - g) if g < 1.0 else math.inf) + 4 * (dim + 2) * _EPS
 
 
-class Cosines:
-    """The exact cosines (``unit_scores`` of ``unit_rows``) of one dense
-    index's chunks to one query, each chunk scored at most once.
-
-    ``dense_search`` stores the score of every hit it returns and ``rerank``
-    scores only the chunks not stored yet; the query becomes a unit vector
-    once, on first use. One instance serves one question in one thread.
-    """
-
-    def __init__(self, index: DenseIndex, query_vec: np.ndarray):
-        self.index = index
-        self.query_vec = query_vec
-        self.by_id: dict[str, float] = {}
-        self._unit_q: np.ndarray | None = None
-
-    @property
-    def unit_q(self) -> np.ndarray:
-        if self._unit_q is None:
-            self._unit_q = unit_query(self.query_vec)
-        return self._unit_q
-
-    def of_ids(self, chunk_ids: list[str]) -> list[float]:
-        """The score of each chunk, computing only those not stored yet."""
-        missing = [c for c in chunk_ids if c not in self.by_id]
-        if missing:
-            rows = [self.index.row_of[c] for c in missing]
-            sims = unit_scores(self.index.unit_rows(rows), self.unit_q).tolist()
-            self.by_id.update(zip(missing, sims))
-        return [self.by_id[c] for c in chunk_ids]
+def unscored(index: DenseIndex) -> np.ndarray:
+    """A question's cosine array for ``index``: one float64 per chunk_id-order
+    row, NaN until the row's exact cosine is stored."""
+    return np.full(len(index), np.nan)
 
 
 def dense_search(
-    index: DenseIndex, query_vec: np.ndarray, top_n: int, cosines: Cosines | None = None
-) -> list[RetrievalHit]:
+    index: DenseIndex,
+    query_vec: UnitQuery | np.ndarray,
+    top_n: int,
+    cosines: np.ndarray | None = None,
+) -> Ranked:
     """Top-n chunks by cosine similarity; exhaustive scan.
 
-    One float32 BLAS product, divided by the row norms, screens every row,
-    and ``np.partition`` finds the n-th best screened score. Rows within
-    twice the screening error of that cut are scored again with
-    ``unit_scores`` and sorted by (-score, chunk_id), so every tie on the cut
-    is kept and broken by chunk_id, as in a full sort. The hits' scores are
-    stored in ``cosines`` (the question's, when given) for ``rerank``.
+    ``DenseIndex.screen`` scores every row, and ``np.partition`` finds the
+    n-th best screened score. Rows within twice the screening error of that
+    cut are scored again exactly and ranked by (-score, chunk_id), so every
+    tie on the cut is kept and broken by chunk_id, as in a full sort. Their
+    exact cosines are stored in ``cosines`` (the question's, when given) for
+    ``rerank``.
     """
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
     if len(index) == 0:
-        return []
-    if cosines is None:
-        cosines = Cosines(index, query_vec)
-    q = cosines.unit_q
+        return NO_HITS
+    query = UnitQuery.of(query_vec)
     rows = np.arange(len(index))
     if top_n < len(index):
-        approx = (index._rows @ q.astype(index._screen_dtype)) / index._norms
+        approx = index.screen(query)
         cut = np.partition(approx, len(approx) - top_n)[len(approx) - top_n]
         # Every screened score is within E of its exact score, so the cut is
         # at most E above the n-th best exact score, and every row of the
         # exact top n screens at or above cut - 2E.
-        rows = np.flatnonzero(approx >= cut - 2 * _screen_slack(q.shape[0]))
-    sims = unit_scores(index.unit_rows(rows), q)
-    order = np.lexsort((index._rank[rows], -sims))[:top_n]
-    ids = [index.chunk_ids[i] for i in rows[order].tolist()]
-    scores = sims[order].tolist()
-    cosines.by_id.update(zip(ids, scores))
-    return _ranked(ids, scores, DENSE)
+        rows = np.flatnonzero(approx >= cut - 2 * index.slack)
+    sims = index.exact(rows, query)
+    ranks = index._rank[rows]
+    if cosines is not None:
+        cosines[ranks] = sims
+    return _ranked(ranks, sims, top_n)
 
 
 class _Postings(Mapping):
@@ -445,7 +482,7 @@ class Bm25Index:
             raise IndexFileError(f"{path} with {bin_path.name}: {exc}") from exc
 
 
-def bm25_search(index: Bm25Index, query_tokens: list[str], top_n: int) -> list[RetrievalHit]:
+def bm25_search(index: Bm25Index, query_tokens: list[str], top_n: int) -> Ranked:
     """Okapi BM25 ranking; chunks sharing no query term are excluded.
 
     Query terms are scored with multiplicity, so a duplicated term counts
@@ -453,14 +490,14 @@ def bm25_search(index: Bm25Index, query_tokens: list[str], top_n: int) -> list[R
     weights are added into one score vector in query order, so every chunk
     sums the same floats in the same order as a posting-by-posting loop.
     Every touched chunk scoring at or above the n-th best score is kept and
-    sorted by (-score, chunk_id).
+    ranked by (-score, chunk_id).
     """
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
     entries = [index.term_weights(t.lower()) for t in query_tokens]
     entries = [e for e in entries if e is not None]
     if not entries:
-        return []
+        return NO_HITS
     scores = np.zeros(index.n_chunks)
     touched = np.zeros(index.n_chunks, dtype=bool)
     for rows, weights in entries:
@@ -473,53 +510,52 @@ def bm25_search(index: Bm25Index, query_tokens: list[str], top_n: int) -> list[R
         cut = np.partition(touched_scores, len(rows) - top_n)[len(rows) - top_n]
         rows = rows[touched_scores >= cut]
     # Rows run in chunk_id order, so the row breaks ties.
-    rows = rows[np.lexsort((rows, -scores[rows]))][:top_n]
-    return _ranked([index.chunk_ids[row] for row in rows.tolist()], scores[rows].tolist(), BM25)
+    return _ranked(rows, scores[rows], top_n)
 
 
-def mixture_search(
-    dense_hits: list[RetrievalHit], bm25_hits: list[RetrievalHit], top_n: int
-) -> list[RetrievalHit]:
-    """Reciprocal-rank fusion of two hit lists: score = sum of 1/(60 + rank)."""
+def mixture_search(dense: Ranked, bm25: Ranked, top_n: int) -> Ranked:
+    """Reciprocal-rank fusion of two rankings of one row space: score = sum
+    of 1/(60 + rank). ``np.bincount`` adds each row's terms into one score
+    array by row, starting from 0.0, in list order: the dense term first, as
+    a float sum over the two lists in that order."""
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
-    fused: dict[str, float] = {}
-    for hits in (dense_hits, bm25_hits):
-        for chunk_id, _, rank, _ in hits:
-            fused[chunk_id] = fused.get(chunk_id, 0.0) + 1.0 / (RRF_K + rank)
-    # Sorting (-score, chunk_id) pairs orders by (-score, chunk_id); negation
-    # is exact, so negating again gives back each score's bits.
-    ranked = sorted([(-score, cid) for cid, score in fused.items()])[:top_n]
-    return _ranked([cid for _, cid in ranked], [-neg for neg, _ in ranked], MIXTURE)
+    rows = np.concatenate((dense.rows, bm25.rows))
+    if not len(rows):
+        return NO_HITS
+    ranks = np.concatenate((np.arange(1, len(dense.rows) + 1), np.arange(1, len(bm25.rows) + 1)))
+    fused = np.bincount(rows, 1.0 / (RRF_K + ranks))
+    rows = np.flatnonzero(fused)  # every fused score is above 0
+    return _ranked(rows, fused[rows], top_n)
 
 
 def rerank(
-    hits: list[RetrievalHit],
-    query_vec: np.ndarray,
+    rows: np.ndarray,
+    query_vec: UnitQuery | np.ndarray,
     index: DenseIndex,
     min_keep: int,
     keep_threshold: float = 0.3,
-    cosines: Cosines | None = None,
-) -> list[RetrievalHit]:
-    """Re-score hits by cosine similarity to the query and drop weak ones.
+    cosines: np.ndarray | None = None,
+) -> np.ndarray:
+    """Re-score hit rows by cosine similarity to the query and drop weak ones.
 
-    Keeps every hit scoring >= keep_threshold but never fewer than
-    min(min_keep, len(hits)), taken in descending similarity. ``cosines``,
-    when given, is the question's, and its stored scores are not computed
+    Keeps every row scoring >= keep_threshold but never fewer than
+    min(min_keep, len(rows)), taken by (-similarity, chunk_id), and returns
+    them in that order. Their exact cosines are in ``cosines`` afterwards:
+    the question's array, when given, whose stored scores are not computed
     again.
     """
     if min_keep < 1:
         raise ValueError("min_keep must be >= 1")
-    if not hits:
-        return []
+    if not len(rows):
+        return rows
     if cosines is None:
-        cosines = Cosines(index, query_vec)
-    sims = cosines.of_ids([h.chunk_id for h in hits])
-    scored = sorted(zip(sims, hits), key=lambda t: (-t[0], t[1].chunk_id))
-    floor = min(min_keep, len(scored))
-    kept = [t for t in scored if t[0] >= keep_threshold]
-    if len(kept) < floor:
-        kept = scored[:floor]
-    return [
-        RetrievalHit(h.chunk_id, sim, r, h.method) for r, (sim, h) in enumerate(kept, 1)
-    ]
+        cosines = unscored(index)
+    missing = rows[np.isnan(cosines[rows])]
+    if len(missing):
+        cosines[missing] = index.exact(index._row_at[missing], UnitQuery.of(query_vec))
+    sims = cosines[rows]
+    order = np.lexsort((rows, -sims))
+    # Sorted by -similarity, the rows at or above the threshold come first.
+    keep = max(int(np.count_nonzero(sims >= keep_threshold)), min(min_keep, len(rows)))
+    return rows[order[:keep]]

@@ -1,8 +1,8 @@
 """Centroid registry, top-k agent selection, response evaluation, curation.
 
 The router only ever sees cluster centroids, never chunk text. Selection
-scores every registered centroid by cosine similarity to the query and keeps
-the ``max_agents`` agents with the best centroid scores.
+ranks agents by their best centroid's cosine similarity to the query and
+keeps the ``max_agents`` best.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .prompts import (
     render_prompt,
 )
 # rerank is unused here; perfbench/spans.py traces it by name on this module.
-from .retrieval import rerank, unit_query, unit_scores
+from .retrieval import DenseIndex, UnitQuery, UnusableRowError, rerank
 from .store import VectorFileError, load_vectors, read_json, save_vectors, write_json
 
 if TYPE_CHECKING:
@@ -42,8 +42,10 @@ class RouterError(RuntimeError):
 
 class RouterRegistry:
     """The exported centroids, in (agent_id, cluster_id) order, and what
-    selection needs, built once from them: the sorted agent ids, each row's
-    position among them and one float64 unit row per entry.
+    selection needs, built once from them: the sorted agent ids, the first
+    row of each agent's run of rows, each row's agent and the centroids as a
+    ``DenseIndex`` (float32 rows, float64 norms), whose ids are
+    ``agent_id#cluster_id``.
 
     RouterError when the centroids differ in dimension; ValueError names an
     entry whose centroid is zero or not finite.
@@ -57,16 +59,13 @@ class RouterRegistry:
         self._agent_ids = sorted({e.agent_id for e in self.entries})
         position = {agent_id: i for i, agent_id in enumerate(self._agent_ids)}
         self._agent_of_row = np.array([position[e.agent_id] for e in self.entries], dtype=np.intp)
-        if not self.entries:
-            self._unit = np.zeros((0, 0))
-            return
-        matrix = np.stack([e.centroid for e in self.entries]).astype(np.float64)
-        norms = np.linalg.norm(matrix, axis=1)
-        usable = (norms > 0.0) & (norms < np.inf)
-        if not usable.all():
-            e = self.entries[int(np.argmin(usable))]
-            raise ValueError(f"centroid {e.agent_id}#{e.cluster_id} is zero or not finite")
-        self._unit = matrix / norms[:, None]
+        self._starts = np.searchsorted(self._agent_of_row, np.arange(len(self._agent_ids)))
+        matrix = np.stack([e.centroid for e in self.entries]) if self.entries else np.zeros((0, 0))
+        ids = [f"{e.agent_id}#{e.cluster_id}" for e in self.entries]
+        try:
+            self._centroids = DenseIndex(matrix, ids)
+        except UnusableRowError as exc:
+            raise ValueError(f"centroid {exc.row_id} is zero or not finite") from None
 
     @property
     def agent_ids(self) -> list[str]:
@@ -77,13 +76,11 @@ class RouterRegistry:
         return len(self._agent_ids)
 
     def save(self, json_path: str | Path, vectors_base: str | Path) -> None:
-        entries = self.entries
-        matrix = np.stack([e.centroid for e in entries]) if entries else np.zeros((0, 0), np.float32)
-        save_vectors(vectors_base, matrix, [f"{e.agent_id}#{e.cluster_id}" for e in entries])
+        save_vectors(vectors_base, self._centroids.rows, self._centroids.chunk_ids)
         payload = {
             "entries": [
                 {"agent_id": e.agent_id, "cluster_id": e.cluster_id, "row": i}
-                for i, e in enumerate(entries)
+                for i, e in enumerate(self.entries)
             ]
         }
         write_json(json_path, payload)
@@ -112,24 +109,38 @@ class RouterRegistry:
         return read_json(json_path, parse)
 
 
-def select_agents(registry: RouterRegistry, query_vec: np.ndarray, max_agents: int) -> list[str]:
+def select_agents(
+    registry: RouterRegistry, query_vec: UnitQuery | np.ndarray, max_agents: int
+) -> list[str]:
     """Distinct agents by descending best-centroid score, capped at max_agents.
 
-    Every centroid is scored against the query in one product over the
-    registry's cached unit-centroid matrix. An agent's score is its best
-    centroid's; agents come out by (-score, agent_id), the order in which a
-    scan of centroids sorted by (-score, agent_id, cluster_id) first meets
-    each agent.
+    An agent's score is its best centroid's exact cosine to the query;
+    agents come out by (-score, agent_id), the order in which a scan of
+    centroids sorted by (-score, agent_id, cluster_id) first meets each
+    agent. One screening product scores every centroid within E (the
+    centroid index's ``slack``) of its exact cosine, so each agent's best
+    screened score is within E of its score. Only the centroids within 2E of
+    their agent's best screened score, of the agents within 2E of the
+    ``max_agents``-th best, are scored exactly: no other agent can be among
+    the first ``max_agents``, and no other centroid can be its agent's best.
     """
     if not registry.entries:
         raise RouterError("no agents registered")
     if max_agents < 1:
         raise ValueError("max_agents must be >= 1")
-    sims = unit_scores(registry._unit, unit_query(query_vec))
-    best = np.full(len(registry._agent_ids), -np.inf)
-    np.maximum.at(best, registry._agent_of_row, sims)
+    query = UnitQuery.of(query_vec)
+    centroids, agent_of_row = registry._centroids, registry._agent_of_row
+    approx = centroids.screen(query)
+    screened = np.maximum.reduceat(approx, registry._starts)
+    cap = len(screened) - min(max_agents, len(screened))
+    near = screened >= np.partition(screened, cap)[cap] - 2 * centroids.slack
+    rows = np.flatnonzero(
+        near[agent_of_row] & (approx >= screened[agent_of_row] - 2 * centroids.slack)
+    )
+    best = np.full(len(screened), -np.inf)
+    np.maximum.at(best, agent_of_row[rows], centroids.exact(rows, query))
     order = np.argsort(-best, kind="stable")[:max_agents]
-    return [registry._agent_ids[i] for i in order]
+    return [registry._agent_ids[i] for i in order.tolist()]
 
 
 @dataclass(frozen=True)
@@ -221,7 +232,7 @@ def evaluate_and_curate(
 
 def _fan_out(
     question: str,
-    query_vec: np.ndarray,
+    query: UnitQuery,
     agents: list[Agent],
     mode: str,
     history: Iterable,
@@ -231,7 +242,7 @@ def _fan_out(
     def ask(agent: Agent):
         try:
             return agent.answer_question(
-                question, mode=mode, history=history, min_keep=min_keep, query_vec=query_vec
+                question, mode=mode, history=history, min_keep=min_keep, query_vec=query
             )
         except AgentError as exc:
             return exc
@@ -253,20 +264,20 @@ def route_and_answer(
     """Select up to ``system.max_agents`` agents, fan the question out over
     ``system.parallelism`` threads, and curate one final answer.
 
-    The question is embedded once; that vector selects the agents and every
-    selected agent retrieves and reranks with it. Agents that hard-fail are
-    recorded as unhelpful with an error note; the query proceeds with the
-    answers that did arrive. ``selected_override`` bypasses centroid
+    The question is embedded once, as one ``UnitQuery``; that selects the
+    agents and every selected agent retrieves and reranks with it. Agents
+    that hard-fail are recorded as unhelpful with an error note; the query
+    proceeds with the answers that did arrive. ``selected_override`` bypasses centroid
     selection (used by the all-agents baseline).
     """
-    query_vec = system.embedder.embed_batch([question])[0]
+    query = UnitQuery(system.embedder.embed_batch([question])[0])
     if selected_override is not None:
         selected = list(selected_override)
     else:
-        selected = select_agents(system.registry, query_vec, system.max_agents)
+        selected = select_agents(system.registry, query, system.max_agents)
     history = list(history)
     agents = [system.agents[a] for a in selected]
-    results = _fan_out(question, query_vec, agents, mode, history, min_keep, system.parallelism)
+    results = _fan_out(question, query, agents, mode, history, min_keep, system.parallelism)
     answers = [r for r in results if isinstance(r, AgentAnswer)]
     failed = {r.agent_id: str(r) for r in results if isinstance(r, AgentError)}
     if not answers:
@@ -285,13 +296,13 @@ def route_raw_knowledge(system: EvalSystem, question: str) -> RoutedAnswer:
     """Baseline variant: selected agents only select chunks; those are
     forwarded to one single-hop generation call instead of per-agent answers.
     The question is embedded once, for selection, retrieval and rerank."""
-    query_vec = system.embedder.embed_batch([question])[0]
-    selected = select_agents(system.registry, query_vec, system.max_agents)
+    query = UnitQuery(system.embedder.embed_batch([question])[0])
+    selected = select_agents(system.registry, query, system.max_agents)
     blocks: list[str] = []
     doc_slots: dict[str, tuple[str, ...]] = {}
     for agent_id in selected:
         agent = system.agents[agent_id]
-        kept = agent.select_chunks(question, query_vec)
+        kept = agent.select_chunks(question, query)
         blocks.extend(agent.document_blocks(kept))
         doc_slots[agent_id] = agent.doc_ids_for(kept)
     text, usage = system.backend.chat(

@@ -833,7 +833,7 @@ class TestIndexFiles:
         "relpath, names_row",
         [("agents/agent0/vectors.bin", "row 0 "), ("registry_vectors.bin", "centroid agent0#0 ")],
     )
-    @pytest.mark.parametrize("command", ["ask", "eval"])
+    @pytest.mark.parametrize("command", ["ask", "eval", "register"])
     @pytest.mark.parametrize("value", [float("nan"), 0.0])
     def test_vector_row_nan_or_zero_exits_2_naming_the_bin(
         self, tmp_path, capsys, relpath, names_row, command, value
@@ -1130,6 +1130,21 @@ def test_cli_import_does_not_load_requests():
     """The package runs on numpy and the standard library: importing the CLI
     in a fresh interpreter loads no ``requests`` module."""
     probe = "import sys, ragroute.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'requests'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(ragroute.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
+
+
+def test_cli_import_does_not_load_http_client():
+    """Only the remote backends talk HTTP: importing the CLI in a fresh
+    interpreter loads neither ``http.client`` nor ``email.utils``, which
+    with ``ssl`` cost a cold start ~30 ms."""
+    probe = (
+        "import sys, ragroute.cli; "
+        "print([m for m in ('http.client', 'email.utils') if m in sys.modules])"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(ragroute.__file__).parents[1]))
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True

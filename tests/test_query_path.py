@@ -1,6 +1,8 @@
 """``Agent.select_chunks`` against the retrieve -> fuse -> rerank composition
 it replaced, kept here as the oracle: each stage's own body, one stage after
-another, every stage scoring from scratch, with frozen-dataclass hits."""
+another, every stage scoring from scratch, with frozen-dataclass hits. The
+program's stages hand each other row arrays; ``ranked_hits`` turns those
+into (chunk_id, score, rank, method) to compare."""
 
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from ragroute.retrieval import (
     RRF_K,
     Bm25Index,
     DenseIndex,
+    Ranked,
     _screen_slack,
     unit_query,
     unit_scores,
@@ -44,7 +47,7 @@ def oracle_dense_search(index: DenseIndex, query_vec: np.ndarray, top_n: int) ->
     q = unit_query(query_vec)
     rows = np.arange(len(index))
     if top_n < len(index):
-        approx = (index._rows @ q.astype(index._screen_dtype)) / index._norms
+        approx = (index.rows @ q.astype(index._screen_dtype)) / index._norms
         cut = np.partition(approx, len(approx) - top_n)[len(approx) - top_n]
         rows = np.flatnonzero(approx >= cut - 2 * _screen_slack(q.shape[0]))
     sims = unit_scores(index.unit_rows(rows), q).tolist()
@@ -108,7 +111,8 @@ def oracle_rerank(
         raise ValueError("min_keep must be >= 1")
     if not hits:
         return []
-    rows = [index.row_of[h.chunk_id] for h in hits]
+    row_of = {cid: row for row, cid in enumerate(index.chunk_ids)}
+    rows = [row_of[h.chunk_id] for h in hits]
     sims = unit_scores(index.unit_rows(rows), unit_query(query_vec)).tolist()
     scored = sorted(zip(sims, hits), key=lambda t: (-t[0], t[1].chunk_id))
     floor = min(min_keep, len(scored))
@@ -149,8 +153,18 @@ def hit_bits(hits) -> list[tuple]:
     return [(h.chunk_id, struct.pack("<d", h.score), h.rank, h.method) for h in hits]
 
 
+def ranked_hits(chunk_ids: list[str], ranked: Ranked, method: str) -> list[OracleHit]:
+    """A stage's rows, in an agent's chunk_id-order row space, as hits."""
+    return [
+        OracleHit(chunk_id=chunk_ids[row], score=score, rank=r, method=method)
+        for r, (row, score) in enumerate(zip(ranked.rows.tolist(), ranked.scores.tolist()), 1)
+    ]
+
+
 def assert_same_as_oracle(agent: Agent, question: str, query_vec: np.ndarray, min_keep) -> None:
-    assert hit_bits(agent.retrieve(question, query_vec)) == hit_bits(
+    retrieved = agent.retrieve(question, query_vec)
+    ids, method = sorted(agent.dense_index.chunk_ids), agent.config.retrieval_method
+    assert hit_bits(ranked_hits(ids, retrieved, method)) == hit_bits(
         oracle_retrieve(agent, question, query_vec)
     )
     assert hit_bits(agent.select_chunks(question, query_vec, min_keep)) == hit_bits(
@@ -267,3 +281,60 @@ class TestOneCosinePerChunk:
         assert len(kept) == 20
         assert len(scored) == len(set(scored)) >= 20
         assert len(normed) == 1
+
+
+class TestSelectChunksAtSize:
+    """Agents of 2,000 rows, against the oracle, for every method."""
+
+    N, DIM = 2000, 48
+
+    @classmethod
+    def indexes(cls, seed: int, far_rows: bool):
+        """Rows drawn from 1,400 base vectors, each scaled by a power of two,
+        so many rows repeat one direction; the first eight rows repeat one
+        base vector, so a query on it ties on any cut below nine. With
+        ``far_rows``, 50 rows sit at 2**70 scale, so the index screens in
+        float64. Dense ids run shuffled against row order and the BM25 index
+        is built in a third order. Texts come from a pool of 1,300 with
+        mixed-case words, so BM25 scores tie too."""
+        rng = np.random.default_rng(seed)
+        n, dim = cls.N, cls.DIM
+        base = rng.normal(size=(1400, dim)).astype(np.float32)
+        picks = np.concatenate([np.zeros(8, np.intp), rng.integers(0, len(base), n - 8)])
+        scales = 2.0 ** rng.integers(-2, 4, n)
+        if far_rows:
+            scales[rng.choice(n, 50, replace=False)] = 2.0**70
+        matrix = base[picks] * scales[:, None].astype(np.float32)
+        vocab = [f"w{i}" for i in range(400)]
+        pool = [
+            " ".join(w.upper() if rng.random() < 0.2 else w for w in rng.choice(vocab, size=24))
+            for _ in range(1300)
+        ]
+        texts = [pool[k] for k in rng.integers(0, len(pool), n)]
+        ids = [f"d{i // 10:04d}:{i % 10:05d}" for i in rng.permutation(n)]
+        chunks = [make_chunk(cid, text) for cid, text in zip(ids, texts)]
+        dense = DenseIndex(matrix, ids)
+        assert dense._screen_dtype == (np.float64 if far_rows else np.float32)
+        bm25 = Bm25Index.build([chunks[k] for k in rng.permutation(n)])
+        questions = [
+            ("w1 W1 w1 w7 W300 w7?", base[0].astype(np.float64)),
+            ("W12 w12 w12 w12 w5 w399?", rng.normal(size=dim)),
+            ("w3 w4 w5 W6 w7 w8 w9 w10 w11?", 3.0 * base[picks[100]]),
+            ("nothing Here matches?", matrix[17].astype(np.float64)),
+            ("W2 W2 W250 W250?", matrix[0] * 2.0**-50),
+        ]
+        return chunks, dense, bm25, questions
+
+    @pytest.mark.parametrize("far_rows", [False, True])
+    @pytest.mark.parametrize("method", [DENSE, BM25, MIXTURE])
+    def test_same_hits_scores_ranks_and_methods(self, method, far_rows):
+        chunks, dense, bm25, questions = self.indexes(2000 + far_rows, far_rows)
+        n = self.N
+        for depth, overrides in ((3, (None, 1, 3)), (20, (None, 1, 12, 20)), (n, (None, 25, n)),
+                                 (n + 5, (None, n + 5))):
+            config = AgentConfig(agent_id="a", retrieval_method=method, retrieval_depth=depth,
+                                 min_keep=min(5, depth))
+            agent = Agent(config, chunks, dense, bm25, None, None)
+            for question, query_vec in questions:
+                for min_keep in overrides:
+                    assert_same_as_oracle(agent, question, query_vec, min_keep)

@@ -21,8 +21,10 @@ from ragroute.corpus import Chunk, tokenize
 from ragroute.retrieval import (
     BM25_B,
     BM25_K1,
+    NO_HITS,
     Bm25Index,
     DenseIndex,
+    Ranked,
     RetrievalHit,
     bm25_search,
     dense_search,
@@ -30,6 +32,7 @@ from ragroute.retrieval import (
     rerank,
     unit_query,
     unit_scores,
+    unscored,
 )
 from ragroute.store import IndexFileError, save_vectors
 
@@ -45,6 +48,24 @@ def random_index(
     """A random index and the matrix it was built from."""
     matrix = rng.normal(size=(n, dim)).astype(np.float32)
     return DenseIndex(matrix, [f"c:{i:05d}" for i in range(n)]), matrix
+
+
+def as_hits(chunk_ids: list[str], ranked: Ranked, method: str) -> list[RetrievalHit]:
+    """A stage's rows as hits; ``chunk_ids`` lists the row space in row order."""
+    return [
+        RetrievalHit(chunk_ids[row], score, r, method)
+        for r, (row, score) in enumerate(zip(ranked.rows.tolist(), ranked.scores.tolist()), 1)
+    ]
+
+
+def dense_hits(index: DenseIndex, query: np.ndarray, top_n: int) -> list[RetrievalHit]:
+    """``dense_search`` as hits: its rows are places in chunk_id order."""
+    return as_hits(sorted(index.chunk_ids), dense_search(index, query, top_n), "dense")
+
+
+def bm25_hits(index: Bm25Index, query_tokens: list[str], top_n: int) -> list[RetrievalHit]:
+    """``bm25_search`` as hits: its rows are the index's rows."""
+    return as_hits(index.chunk_ids, bm25_search(index, query_tokens, top_n), "bm25")
 
 
 def full_scan_oracle(
@@ -160,7 +181,7 @@ class TestDenseIndex:
 class TestDenseSearch:
     def test_single_chunk_index(self):
         index = DenseIndex(np.array([[1.0, 2.0]], np.float32), ["only:00000"])
-        hits = dense_search(index, np.array([0.5, 0.1]), top_n=3)
+        hits = dense_hits(index, np.array([0.5, 0.1]), top_n=3)
         assert [h.chunk_id for h in hits] == ["only:00000"]
         assert hits[0].rank == 1
 
@@ -168,7 +189,7 @@ class TestDenseSearch:
         rng = np.random.default_rng(3)
         index, matrix = random_index(rng, 10)
         query = matrix[4]
-        hits = dense_search(index, query, top_n=1)
+        hits = dense_hits(index, query, top_n=1)
         assert hits[0].chunk_id == index.chunk_ids[4]
         assert hits[0].score == pytest.approx(1.0, abs=1e-6)
 
@@ -177,26 +198,26 @@ class TestDenseSearch:
         for _ in range(20):
             index, matrix = random_index(rng, 50)
             query = rng.normal(size=8)
-            got = [h.chunk_id for h in dense_search(index, query, top_n=10)]
+            got = [h.chunk_id for h in dense_hits(index, query, top_n=10)]
             assert got == full_scan_oracle(matrix, index.chunk_ids, query, 10)
 
     def test_oracle_equivalence_up_to_thousand_chunks(self):
         rng = np.random.default_rng(23)
         index, matrix = random_index(rng, 1000)
         query = rng.normal(size=8)
-        got = [h.chunk_id for h in dense_search(index, query, top_n=25)]
+        got = [h.chunk_id for h in dense_hits(index, query, top_n=25)]
         assert got == full_scan_oracle(matrix, index.chunk_ids, query, 25)
 
     @given(tied_indexes())
     def test_ties_on_the_cut_match_oracle(self, case):
         matrix, ids, query, top_n = case
-        got = [h.chunk_id for h in dense_search(DenseIndex(matrix, ids), query, top_n)]
+        got = [h.chunk_id for h in dense_hits(DenseIndex(matrix, ids), query, top_n)]
         assert got == full_scan_oracle(matrix, ids, query, top_n)
 
     @given(near_tied_indexes())
     def test_same_hits_and_score_bits_as_float64_unit_matrix(self, case):
         matrix, ids, query, top_n = case
-        got = dense_search(DenseIndex(matrix, ids), query, top_n)
+        got = dense_hits(DenseIndex(matrix, ids), query, top_n)
         assert hit_bits(got) == hit_bits(f64_dense_search(matrix, ids, query, top_n))
 
     @pytest.mark.parametrize("top_n", [1, 2])
@@ -204,18 +225,18 @@ class TestDenseSearch:
         matrix = np.array([[3e38, 3e38], [1.0, 0.9], [0.1, 1.0]], np.float32)
         ids = ["c:00000", "c:00001", "c:00002"]
         query = np.array([1.0, 0.9])
-        got = dense_search(DenseIndex(matrix, ids), query, top_n)
+        got = dense_hits(DenseIndex(matrix, ids), query, top_n)
         assert got[0].chunk_id == "c:00001"
         assert hit_bits(got) == hit_bits(f64_dense_search(matrix, ids, query, top_n))
 
     def test_empty_index(self):
         index = DenseIndex(np.zeros((0, 4), np.float32), [])
-        assert dense_search(index, np.ones(4), top_n=5) == []
+        assert dense_hits(index, np.ones(4), top_n=5) == []
 
     def test_scores_non_increasing_ranks_gapless(self):
         rng = np.random.default_rng(5)
         index, _ = random_index(rng, 30)
-        hits = dense_search(index, rng.normal(size=8), top_n=30)
+        hits = dense_hits(index, rng.normal(size=8), top_n=30)
         assert [h.rank for h in hits] == list(range(1, 31))
         assert all(a.score >= b.score for a, b in zip(hits, hits[1:]))
 
@@ -231,15 +252,15 @@ def hand_bm25_single_doc(tf: int, doc_len: int, n_query_occurrences: int = 1) ->
 class TestBm25Search:
     def test_absent_term_returns_empty(self):
         index = Bm25Index.build([make_chunk("d:00000", "a b c")])
-        assert bm25_search(index, ["zzz"], top_n=5) == []
+        assert bm25_hits(index, ["zzz"], top_n=5) == []
 
     def test_empty_query_returns_empty(self):
         index = Bm25Index.build([make_chunk("d:00000", "a b")])
-        assert bm25_search(index, [], top_n=5) == []
+        assert bm25_hits(index, [], top_n=5) == []
 
     def test_single_chunk_hand_computed_score(self):
         index = Bm25Index.build([make_chunk("d:00000", "a b")])
-        hits = bm25_search(index, ["a"], top_n=5)
+        hits = bm25_hits(index, ["a"], top_n=5)
         assert len(hits) == 1
         assert hits[0].score == pytest.approx(hand_bm25_single_doc(tf=1, doc_len=2), rel=1e-12)
 
@@ -247,8 +268,8 @@ class TestBm25Search:
         index = Bm25Index.build(
             [make_chunk("d:00000", "a b c"), make_chunk("d:00001", "a a b")]
         )
-        once = bm25_search(index, ["a"], top_n=5)
-        twice = bm25_search(index, ["a", "a"], top_n=5)
+        once = bm25_hits(index, ["a"], top_n=5)
+        twice = bm25_hits(index, ["a", "a"], top_n=5)
         assert [h.chunk_id for h in once] == [h.chunk_id for h in twice]
         for h1, h2 in zip(once, twice):
             assert h2.score == pytest.approx(2 * h1.score, rel=1e-12)
@@ -281,7 +302,7 @@ class TestBm25Search:
             ((naive_score(c), c.chunk_id) for c in chunks if naive_score(c) > 0),
             key=lambda t: (-t[0], t[1]),
         )
-        got = bm25_search(index, query, top_n=5)
+        got = bm25_hits(index, query, top_n=5)
         assert [h.chunk_id for h in got] == [cid for _, cid in expected]
         for hit, (score, _) in zip(got, expected):
             assert hit.score == pytest.approx(score, rel=1e-12)
@@ -294,10 +315,10 @@ class TestBm25Search:
         # equal the old average so avgdl stays fixed too.
         base = [make_chunk("d:00000", "apple banana"), make_chunk("d:00001", "apple pear")]
         extended = base + [make_chunk("d:00002", "zebra yak"), make_chunk("d:00003", "newt gar")]
-        before = {h.chunk_id: h.score for h in bm25_search(Bm25Index.build(base), ["apple"], 5)}
+        before = {h.chunk_id: h.score for h in bm25_hits(Bm25Index.build(base), ["apple"], 5)}
         after = {
             h.chunk_id: h.score
-            for h in bm25_search(Bm25Index.build(extended), ["apple"], 5)
+            for h in bm25_hits(Bm25Index.build(extended), ["apple"], 5)
         }
         assert set(before) == set(after)
         idf_ratio = Bm25Index.build(extended).idf("apple") / Bm25Index.build(base).idf("apple")
@@ -309,7 +330,7 @@ class TestBm25Search:
 
     def test_ties_break_by_chunk_id(self):
         index = Bm25Index.build([make_chunk("d:00001", "a b"), make_chunk("d:00000", "a b")])
-        hits = bm25_search(index, ["a"], top_n=2)
+        hits = bm25_hits(index, ["a"], top_n=2)
         assert [h.chunk_id for h in hits] == ["d:00000", "d:00001"]
 
 
@@ -389,7 +410,7 @@ class TestBm25ArraysAgainstDictOracle:
         index = Bm25Index.build(chunks)
         top_n = data.draw(top_ns(len(chunks)))
         for q in (query, second, query):
-            assert hit_bits(bm25_search(index, q, top_n)) == hit_bits(
+            assert hit_bits(bm25_hits(index, q, top_n)) == hit_bits(
                 dict_bm25_search(dict_postings(chunks), q, top_n)
             )
 
@@ -408,15 +429,15 @@ class TestBm25ArraysAgainstDictOracle:
             assert [loaded.chunk_ids[r] for r in rows] == sorted(posting)
         top_n = data.draw(top_ns(len(chunks)))
         want = hit_bits(dict_bm25_search((postings, doc_len), query, top_n))
-        assert hit_bits(bm25_search(loaded, query, top_n)) == want
-        assert hit_bits(bm25_search(built, query, top_n)) == want
+        assert hit_bits(bm25_hits(loaded, query, top_n)) == want
+        assert hit_bits(bm25_hits(built, query, top_n)) == want
 
     def test_load_builds_no_term_arrays_and_a_query_only_its_own(self, tmp_path):
         chunks = [make_chunk("d:00001", "a b c"), make_chunk("d:00000", "b c d")]
         Bm25Index.build(chunks).save(tmp_path / "bm25.json")
         index = Bm25Index.load(tmp_path / "bm25.json")
         assert index._weights == {}
-        bm25_search(index, ["B", "zzz", "b"], top_n=2)
+        bm25_hits(index, ["B", "zzz", "b"], top_n=2)
         assert set(index._weights) == {"b"}
 
     def test_threads_sharing_a_fresh_index_get_the_sequential_hits(self):
@@ -427,7 +448,7 @@ class TestBm25ArraysAgainstDictOracle:
             for i in rng.sample(range(400), 400)
         ]
         queries = [rng.choices(vocab, k=rng.randint(1, 6)) for _ in range(40)]
-        want = [hit_bits(bm25_search(Bm25Index.build(chunks), q, 10)) for q in queries]
+        want = [hit_bits(bm25_hits(Bm25Index.build(chunks), q, 10)) for q in queries]
         shared = Bm25Index.build(chunks)
         start = threading.Barrier(8, timeout=60)
         got: list = [None] * 8
@@ -436,7 +457,7 @@ class TestBm25ArraysAgainstDictOracle:
             # Every thread asks the same questions in the same order, so they
             # race to store each term's arrays.
             start.wait()
-            got[k] = [hit_bits(bm25_search(shared, q, 10)) for q in queries]
+            got[k] = [hit_bits(bm25_hits(shared, q, 10)) for q in queries]
 
         threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
         interval = sys.getswitchinterval()
@@ -466,7 +487,7 @@ class TestBm25ArraysAgainstDictOracle:
         for _ in range(60):
             query = rng.choices(vocab, k=rng.randint(1, 12))
             want = hit_bits(dict_bm25_search(dicts, query, 20))
-            assert hit_bits(bm25_search(loaded, query, 20)) == want
+            assert hit_bits(bm25_hits(loaded, query, 20)) == want
 
     def test_posting_naming_a_chunk_without_length_raises(self, tmp_path):
         write_bm25(tmp_path / "bm25.json", ["a"], ["c:00000"], [0, 2], [0, 1], [1, 2], [3])
@@ -479,44 +500,48 @@ class TestBm25ArraysAgainstDictOracle:
             Bm25Index.load(tmp_path / "bm25.json")
 
 
-def hit(chunk_id: str, rank: int, method: str = "dense", score: float | None = None) -> RetrievalHit:
-    return RetrievalHit(chunk_id=chunk_id, score=score if score is not None else 1.0 / rank,
-                        rank=rank, method=method)
+def fuse(dense_ids: list[str], sparse_ids: list[str], top_n: int) -> list[RetrievalHit]:
+    """``mixture_search`` over two rankings of chunk ids, each best first,
+    as hits; the row space is the ids in sorted order."""
+    space = sorted(set(dense_ids) | set(sparse_ids))
+    row = {cid: r for r, cid in enumerate(space)}
+
+    def ranked(ids):
+        return Ranked(np.array([row[c] for c in ids], np.intp), np.ones(len(ids)))
+
+    return as_hits(space, mixture_search(ranked(dense_ids), ranked(sparse_ids), top_n), "mixture")
 
 
 class TestMixtureSearch:
     def test_identical_lists_double_score(self):
-        hits = [hit("a", 1), hit("b", 2), hit("c", 3)]
-        fused = mixture_search(hits, [h for h in hits], top_n=3)
+        ids = ["a", "b", "c"]
+        fused = fuse(ids, ids, top_n=3)
         assert [h.chunk_id for h in fused] == ["a", "b", "c"]
-        for h, orig in zip(fused, hits):
-            assert h.score == pytest.approx(2.0 / (60 + orig.rank), rel=1e-12)
+        for h, rank in zip(fused, (1, 2, 3)):
+            assert h.score == pytest.approx(2.0 / (60 + rank), rel=1e-12)
             assert h.method == "mixture"
 
     def test_doubly_ranked_chunk_beats_single_rank_one(self):
-        dense = [hit("solo", 1), hit("both", 2)]
-        sparse = [hit("both", 2, method="bm25"), hit("other", 1, method="bm25")]
-        fused = mixture_search(dense, sparse, top_n=3)
+        fused = fuse(["solo", "both"], ["other", "both"], top_n=3)
         assert fused[0].chunk_id == "both"
         assert fused[0].score == pytest.approx(2 / 62, rel=1e-12)
         assert 1 / 61 < 2 / 62
 
     def test_one_empty_list_preserves_other_order(self):
-        dense = [hit("x", 1), hit("y", 2), hit("z", 3)]
-        fused = mixture_search(dense, [], top_n=3)
+        fused = fuse(["x", "y", "z"], [], top_n=3)
         assert [h.chunk_id for h in fused] == ["x", "y", "z"]
+        assert mixture_search(NO_HITS, NO_HITS, 3) is NO_HITS
 
     def test_input_list_order_is_irrelevant(self):
-        dense = [hit("a", 1), hit("b", 2)]
-        sparse = [hit("b", 1, method="bm25"), hit("c", 2, method="bm25")]
-        assert mixture_search(dense, sparse, 3) == mixture_search(sparse, dense, 3)
+        dense, sparse = ["a", "b"], ["b", "c"]
+        assert hit_bits(fuse(dense, sparse, 3)) == hit_bits(fuse(sparse, dense, 3))
 
-    def test_item_order_within_lists_is_irrelevant(self):
-        # fusion reads the rank field, not list position
-        dense = [hit("a", 1), hit("b", 2), hit("c", 3)]
-        shuffled = [dense[2], dense[0], dense[1]]
-        sparse = [hit("c", 1, method="bm25"), hit("a", 2, method="bm25")]
-        assert mixture_search(dense, sparse, 3) == mixture_search(shuffled, sparse, 3)
+    def test_rank_is_the_place_in_the_list_not_the_row(self):
+        # rows 2, 0, 1 ranked in that order: the row number plays no part
+        fused = fuse(["c", "a", "b"], [], 3)
+        assert [(h.chunk_id, h.score) for h in fused] == [
+            ("c", 1.0 / 61), ("a", 1.0 / 62), ("b", 1.0 / 63)
+        ]
 
     def test_direct_arithmetic_oracle(self):
         rng = random.Random(99)
@@ -524,17 +549,27 @@ class TestMixtureSearch:
             ids = [f"c{i}" for i in range(rng.randint(1, 12))]
             dense_ids = rng.sample(ids, k=rng.randint(0, len(ids)))
             sparse_ids = rng.sample(ids, k=rng.randint(0, len(ids)))
-            dense = [hit(c, r) for r, c in enumerate(dense_ids, 1)]
-            sparse = [hit(c, r, method="bm25") for r, c in enumerate(sparse_ids, 1)]
             expected: dict[str, float] = {}
             for lst in (dense_ids, sparse_ids):
                 for r, c in enumerate(lst, 1):
                     expected[c] = expected.get(c, 0.0) + 1.0 / (60 + r)
             want = sorted(expected.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
-            got = mixture_search(dense, sparse, top_n=5)
-            assert [(h.chunk_id, pytest.approx(h.score)) for h in got] == [
-                (c, pytest.approx(s)) for c, s in want
-            ]
+            got = fuse(dense_ids, sparse_ids, top_n=5)
+            assert [(h.chunk_id, h.score) for h in got] == want
+
+
+def rerank_hits(
+    index: DenseIndex, query: np.ndarray, chunk_ids: list[str], min_keep: int,
+    keep_threshold: float = 0.3,
+) -> list[RetrievalHit]:
+    """``rerank`` of the hits ``chunk_ids``, best first, as hits scored from
+    the cosine array it fills."""
+    space = sorted(index.chunk_ids)
+    row = {cid: r for r, cid in enumerate(space)}
+    cosines = unscored(index)
+    kept = rerank(np.array([row[c] for c in chunk_ids], np.intp), query, index, min_keep,
+                  keep_threshold, cosines)
+    return as_hits(space, Ranked(kept, cosines[kept]), "dense")
 
 
 class TestRerank:
@@ -546,16 +581,14 @@ class TestRerank:
 
     def test_all_above_threshold_kept_in_similarity_order(self):
         index, query = self._index_and_query([0.9, 0.5, 0.7])
-        hits = [hit(cid, r) for r, cid in enumerate(index.chunk_ids, 1)]
-        kept = rerank(hits, query, index, min_keep=1, keep_threshold=0.3)
+        kept = rerank_hits(index, query, index.chunk_ids, min_keep=1, keep_threshold=0.3)
         assert [h.chunk_id for h in kept] == ["c:00000", "c:00002", "c:00001"]
         assert [h.rank for h in kept] == [1, 2, 3]
 
     def test_floor_rule_when_all_below_threshold(self):
         sims = [0.1, 0.05, 0.2, 0.15, 0.12, 0.01, 0.08, 0.18]
         index, query = self._index_and_query(sims)
-        hits = [hit(cid, r) for r, cid in enumerate(index.chunk_ids, 1)]
-        kept = rerank(hits, query, index, min_keep=5, keep_threshold=0.3)
+        kept = rerank_hits(index, query, index.chunk_ids, min_keep=5, keep_threshold=0.3)
         assert len(kept) == 5
         top5 = sorted(range(len(sims)), key=lambda i: (-sims[i], f"c:{i:05d}"))[:5]
         assert [h.chunk_id for h in kept] == [f"c:{i:05d}" for i in top5]
@@ -565,9 +598,8 @@ class TestRerank:
         for _ in range(50):
             sims = [round(rng.uniform(0, 1), 3) for _ in range(rng.randint(1, 12))]
             index, query = self._index_and_query(sims)
-            hits = [hit(cid, r) for r, cid in enumerate(index.chunk_ids, 1)]
             min_keep = rng.randint(1, 8)
-            got = rerank(hits, query, index, min_keep=min_keep, keep_threshold=0.3)
+            got = rerank_hits(index, query, index.chunk_ids, min_keep=min_keep, keep_threshold=0.3)
             ranked = sorted(
                 ((sims[i], f"c:{i:05d}") for i in range(len(sims))),
                 key=lambda t: (-t[0], t[1]),
@@ -577,15 +609,21 @@ class TestRerank:
             expected = passing if len(passing) >= floor else [c for _, c in ranked[:floor]]
             assert [h.chunk_id for h in got] == expected
 
+    def test_a_score_equal_to_the_threshold_is_kept(self):
+        index = DenseIndex(np.array([[1, 0], [2, 0], [0, 1]], np.float32),
+                           ["c:00000", "c:00001", "c:00002"])
+        kept = rerank_hits(index, np.array([3.0, 0.0]), index.chunk_ids, min_keep=1,
+                           keep_threshold=1.0)
+        assert [(h.chunk_id, h.score) for h in kept] == [("c:00000", 1.0), ("c:00001", 1.0)]
+
     def test_never_fewer_than_floor(self):
         index, query = self._index_and_query([0.0, 0.0, 0.0])
-        hits = [hit(cid, r) for r, cid in enumerate(index.chunk_ids, 1)]
-        assert len(rerank(hits, query, index, min_keep=5, keep_threshold=0.3)) == 3
-        assert len(rerank(hits, query, index, min_keep=2, keep_threshold=0.3)) == 2
+        assert len(rerank_hits(index, query, index.chunk_ids, min_keep=5)) == 3
+        assert len(rerank_hits(index, query, index.chunk_ids, min_keep=2)) == 2
 
     def test_empty_hits(self):
         index, query = self._index_and_query([0.5])
-        assert rerank([], query, index, min_keep=3) == []
+        assert len(rerank(np.empty(0, np.intp), query, index, min_keep=3)) == 0
 
     @given(
         st.integers(1, 1024),
@@ -598,6 +636,6 @@ class TestRerank:
         matrix = rng.normal(size=(n, dim)).astype(np.float32)
         index = DenseIndex(matrix, [f"c:{i:05d}" for i in rng.permutation(n)])
         query = rng.normal(size=dim)
-        hits = dense_search(index, query, top_n)
-        kept = rerank(hits, query, index, min_keep=len(hits))
+        hits = dense_hits(index, query, top_n)
+        kept = rerank_hits(index, query, [h.chunk_id for h in hits], min_keep=len(hits))
         assert {h.chunk_id: h.score for h in kept} == {h.chunk_id: h.score for h in hits}

@@ -9,6 +9,7 @@ import transcripts
 from ragroute.agent import AgentAnswer
 from ragroute.boundary import CentroidEntry
 from ragroute.llm import ScriptedChatBackend, ScriptEntry, TokenUsage
+from ragroute.retrieval import UnitQuery, unit_query, unit_scores
 from conftest import cosine_similarity, count_embeds, system_of
 from ragroute.router import (
     CONJECTURE,
@@ -176,6 +177,83 @@ class TestSelectAgents:
             got = select_agents(registry, query, cap)
             assert len(got) == min(cap, registry.agent_count)
             assert got == select_agents(registry, query, cap)
+
+
+def exact_select_agents(
+    registry: RouterRegistry, query_vec: np.ndarray, max_agents: int
+) -> list[str]:
+    """Oracle: selection as it scored every centroid exactly, in one product
+    over a float64 unit-centroid matrix, before centroids were screened."""
+    matrix = np.stack([e.centroid for e in registry.entries]).astype(np.float64)
+    norms = np.linalg.norm(matrix, axis=1)
+    unit = matrix / norms[:, None]
+    agent_ids = sorted({e.agent_id for e in registry.entries})
+    position = {agent_id: i for i, agent_id in enumerate(agent_ids)}
+    agent_of_row = np.array([position[e.agent_id] for e in registry.entries], dtype=np.intp)
+    sims = unit_scores(unit, unit_query(query_vec))
+    best = np.full(len(agent_ids), -np.inf)
+    np.maximum.at(best, agent_of_row, sims)
+    order = np.argsort(-best, kind="stable")[:max_agents]
+    return [agent_ids[i] for i in order]
+
+
+@st.composite
+def screened_selections(draw):
+    """Registries of 1, 3 or up to 10 agents, each with one to five
+    centroids copied from a few base vectors shared by all agents and scaled
+    by powers of two, so agents tie, often across the ``max_agents`` cap;
+    some copies are moved one float32 ulp on one axis, so the screen can
+    order two centroids other than their exact cosines do. Now and then
+    every centroid sits far from unit scale, or a few at 2**70, where the
+    registry screens in float64. The query lies on a base vector or off
+    them, and ``max_agents`` runs past the agent count."""
+    dim = draw(st.one_of(st.integers(1, 48), st.sampled_from([384, 1024])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.normal(size=(draw(st.integers(1, 4)), dim)).astype(np.float32)
+    n_agents = draw(st.one_of(st.sampled_from([1, 3]), st.integers(1, 10)))
+    scale = draw(st.sampled_from([1.0] * 5 + [2.0**-140, 2.0**100]))
+    far = draw(st.booleans()) and scale == 1.0
+    picks = st.tuples(
+        st.integers(0, len(base) - 1), st.integers(-2, 3), st.booleans(), st.booleans()
+    )
+    entries = []
+    for a in range(n_agents):
+        for c, (b, k, at_70, nudge) in enumerate(draw(st.lists(picks, min_size=1, max_size=5))):
+            factor = 2.0**70 if far and at_70 else scale * 2.0**k
+            centroid = base[b] * np.float32(factor)
+            if nudge:
+                axis = draw(st.integers(0, dim - 1))
+                centroid[axis] = np.nextafter(centroid[axis], np.float32(np.inf), dtype=np.float32)
+            entries.append(entry(f"ag{a}", c, centroid))
+    on_a_copy = draw(st.booleans())
+    query = base[draw(st.integers(0, len(base) - 1))] if on_a_copy else rng.normal(size=dim)
+    return RouterRegistry(entries), query, draw(st.integers(1, n_agents + 2))
+
+
+class TestScreenedSelectionAgainstExactScan:
+    @given(screened_selections())
+    def test_same_agents_in_the_same_order(self, case):
+        registry, query, max_agents = case
+        want = exact_select_agents(registry, query, max_agents)
+        assert select_agents(registry, query, max_agents) == want
+        assert select_agents(registry, UnitQuery(query), max_agents) == want
+
+    def test_routed_1hop_scale(self):
+        """16 agents of 15 centroids of 1024 dimensions, as the routed-1hop
+        benchmark registers; some centroids repeat across agents."""
+        rng = np.random.default_rng(20251019)
+        vectors = rng.normal(size=(16 * 15, 1024)).astype(np.float32)
+        vectors[200:] = vectors[rng.integers(0, 200, size=40)]
+        registry = RouterRegistry(
+            entry(f"area{i // 15:02d}", i % 15, v) for i, v in enumerate(vectors)
+        )
+        queries = [rng.normal(size=1024) for _ in range(30)]
+        queries += [vectors[k].astype(np.float64) for k in (0, 7, 210, 239)]
+        for query in queries:
+            for max_agents in (1, 5, 16, 20):
+                assert select_agents(registry, query, max_agents) == exact_select_agents(
+                    registry, query, max_agents
+                )
 
 
 def make_answer(agent_id: str, text: str) -> AgentAnswer:
