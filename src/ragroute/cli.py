@@ -219,13 +219,15 @@ def cmd_build_index(cfg: SystemConfig, args: argparse.Namespace) -> int:
 
 
 def _build_agent_index(adir: Path, chunks: list[Chunk], embedder) -> None:
-    """Write one agent's vectors and BM25 index. Each chunk is tokenized
-    once, for both; the token lists are freed on return, before the next
-    agent's chunks are read. IndexFileError names ``chunks.jsonl`` when a
-    chunk_id repeats in it."""
-    texts = TokenizedTexts([c.text for c in chunks], [tokenize(c.text) for c in chunks])
+    """Write one agent's vectors and BM25 index. The chunk texts are read
+    once, into one ``corpus.TermTable`` (each distinct whitespace piece
+    tokenized once, no string per token), which both the BM25 build and the
+    mock embedder count from; a remote embedder is posted the texts. The
+    table is freed on return, before the next agent's chunks are read.
+    IndexFileError names ``chunks.jsonl`` when a chunk_id repeats in it."""
+    texts = TokenizedTexts(c.text for c in chunks)
     try:
-        bm25 = Bm25Index.build(chunks, texts.tokens)
+        bm25 = Bm25Index.build(chunks, texts.table)
     except ValueError as exc:
         raise IndexFileError(f"{adir / 'chunks.jsonl'}: {exc}") from exc
     if chunks:

@@ -3,7 +3,9 @@
 A chunk is one sliding window of ``chunk_tokens`` tokens with consecutive
 windows overlapping by ``overlap_tokens``. The final window keeps whatever
 tokens remain; tail content is never discarded. An agent's chunks are stored
-as one JSON object of columns, one list per ``Chunk`` field.
+as one JSON object of columns, one list per ``Chunk`` field. ``term_table``
+reads an agent's chunk texts once into integer term ids, for its BM25 index
+and the mock embedder alike.
 """
 
 from __future__ import annotations
@@ -13,8 +15,11 @@ import math
 import re
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, TypeVar
+
+import numpy as np
 
 from .store import IndexFileError, InputError, write_atomic
 
@@ -113,16 +118,83 @@ def _tokens_re(least: int, most: int) -> re.Pattern:
     return re.compile(rf"(?:\s*(?:{_TOKEN})){{{least},{min(most, _MAX_RUN)}}}")
 
 
-class TokenizedTexts(list):
-    """A list of texts that also holds each text's ``tokenize`` list in
-    ``tokens``, so a reader that counts tokens need not tokenize again. A
-    slice of it is a plain list of texts."""
+class PieceMemo(dict):
+    """Whitespace piece -> the tuple of ``term_ids[t.lower()]`` over its
+    tokens ``t``, each distinct piece tokenized on first sight."""
 
-    def __init__(self, texts: Iterable[str], tokens: list[list[str]]):
+    def __init__(self, term_ids: dict[str, int]):
+        super().__init__()
+        self.term_ids = term_ids
+
+    def __missing__(self, piece: str) -> tuple[int, ...]:
+        if piece.isalnum():  # one \w+ token: \w is str.isalnum or "_"
+            ids = (self.term_ids[piece.lower()],)
+        else:
+            tokens = map(str.lower, _TOKEN_RE.findall(piece))
+            ids = tuple(map(self.term_ids.__getitem__, tokens))
+        self[piece] = ids
+        return ids
+
+
+class _FirstSeen(dict):
+    """Term -> its place in the order terms were first looked up."""
+
+    def __missing__(self, term: str) -> int:
+        place = self[term] = len(self)
+        return place
+
+
+def read_pieces(texts: Iterable[str], memo: PieceMemo) -> tuple[np.ndarray, np.ndarray]:
+    """``memo``'s ids for every token of ``texts``, text after text, and each
+    text's token count.
+
+    A text's tokens are those of its ``str.split`` pieces, in order: ``re``'s
+    ``\\s`` is exactly ``str.isspace``, and no ``\\w`` character is
+    whitespace, so no token holds whitespace or runs across it. Each
+    distinct piece is tokenized once per memo (a piece that is all
+    ``str.isalnum`` is one token without the regex), and no token is kept
+    as a string.
+    """
+    ids: list[int] = []
+    lengths: list[int] = []
+    ids_of = memo.__getitem__
+    for text in texts:
+        before = len(ids)
+        ids.extend(chain.from_iterable(map(ids_of, text.split())))
+        lengths.append(len(ids) - before)
+    return np.array(ids, np.intp), np.array(lengths, np.intp)
+
+
+class TermTable(NamedTuple):
+    """Texts read as term ids: ``terms`` holds each distinct lowercase token
+    once, sorted; ``ids`` holds one term id (a place in ``terms``) per token,
+    text after text, in text order; ``lengths`` each text's token count."""
+
+    terms: list[str]
+    ids: np.ndarray
+    lengths: np.ndarray
+
+
+def term_table(texts: Iterable[str]) -> TermTable:
+    """The ``TermTable`` of ``texts``: the lowercase ``tokenize`` of every
+    text, without one string per token."""
+    first_seen = _FirstSeen()
+    ids, lengths = read_pieces(texts, PieceMemo(first_seen))
+    terms = sorted(first_seen)
+    order = np.fromiter(map(first_seen.__getitem__, terms), np.intp, len(terms))
+    rank = np.empty(len(terms), np.intp)
+    rank[order] = np.arange(len(terms))
+    return TermTable(terms, rank[ids], lengths)
+
+
+class TokenizedTexts(list):
+    """A list of texts that also holds their ``term_table`` in ``table``, so
+    a reader that counts tokens need not tokenize again. A slice of it is a
+    plain list of texts."""
+
+    def __init__(self, texts: Iterable[str]):
         super().__init__(texts)
-        if len(tokens) != len(self):
-            raise ValueError(f"{len(tokens)} token lists for {len(self)} texts")
-        self.tokens = tokens
+        self.table = term_table(self)
 
 
 def make_chunk_id(doc_id: str, ordinal: int) -> str:

@@ -11,19 +11,21 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
+import math
 import os
 import threading
 import time
 import zlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import accumulate, pairwise
 from typing import Callable
 from urllib.parse import urlsplit
 
 import numpy as np
 
 from . import __version__
-from .corpus import TokenizedTexts, tokenize
+from .corpus import PieceMemo, TokenizedTexts, read_pieces
 from .store import InputError
 
 EMBED_MAX_IN_FLIGHT = 4
@@ -198,16 +200,36 @@ def _token_axis(token: str, dim: int) -> int:
 
 
 class _AxisMemo(dict):
-    """Token (as tokenized) -> ``_token_axis`` of its lowercase form, hashed
-    on first sight."""
+    """Lowercase term -> ``_token_axis``, hashed on first sight."""
 
     def __init__(self, dim: int):
         super().__init__()
         self.dim = dim
 
-    def __missing__(self, token: str) -> int:
-        axis = self[token] = _token_axis(token.lower(), self.dim)
+    def __missing__(self, term: str) -> int:
+        axis = self[term] = _token_axis(term, self.dim)
         return axis
+
+
+def _count_rows(axes: np.ndarray, lengths: np.ndarray, dim: int) -> np.ndarray:
+    """One float32 row per text: its axis counts divided by their L2 norm in
+    float64, then rounded; a text with no tokens is a zero row. ``axes``
+    holds each token's axis, text after text, and ``lengths`` each text's
+    token count.
+
+    The counts are small integers, added as 1.0 per token, so they and
+    their squares sum exactly in any order and each row has the bits of
+    dividing the integer counts by their norm.
+    """
+    out = np.zeros((len(lengths), dim), np.float32)
+    ones = np.ones(len(axes))
+    ends = accumulate(lengths.tolist(), initial=0)
+    for row, (start, stop) in enumerate(pairwise(ends)):
+        counts = np.bincount(axes[start:stop], ones[start:stop], minlength=dim)
+        norm = math.sqrt(counts @ counts)
+        if norm:
+            np.divide(counts, norm, out=out[row])
+    return out
 
 
 class MockEmbedder:
@@ -217,6 +239,9 @@ class MockEmbedder:
     stable hash of the token, so texts sharing vocabulary score high cosine
     similarity and vocabulary-disjoint texts score (up to hash collisions)
     exactly zero. Pure function of (text, dim).
+
+    Each instance memoises every lowercase term's axis, and every
+    whitespace piece of the plain texts it embeds as the axes of its tokens.
     """
 
     def __init__(self, dim: int):
@@ -224,26 +249,20 @@ class MockEmbedder:
             raise ValueError("dim must be positive")
         self.dim = dim
         self._axes = _AxisMemo(dim)
+        self._pieces = PieceMemo(self._axes)
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
-        """One float32 row per text: its token counts divided by their L2
-        norm in float64, then rounded; a text with no tokens is a zero row.
-        Texts given as ``TokenizedTexts`` are counted from their tokens.
-
-        The counts are small integers, so their squares sum exactly in any
-        order and each row has the bits of adding 1.0 per token.
-        """
+        """One float32 row per text, from its token axes by ``_count_rows``.
+        Texts given as ``TokenizedTexts`` are counted from their term table;
+        other texts are read through this embedder's piece memo."""
         if not texts:
             raise ValueError("texts must be non-empty")
-        out = np.zeros((len(texts), self.dim), dtype=np.float32)
-        token_lists = texts.tokens if isinstance(texts, TokenizedTexts) else map(tokenize, texts)
-        for row, tokens in enumerate(token_lists):
-            axes = np.fromiter(map(self._axes.__getitem__, tokens), dtype=np.intp)
-            counts = np.bincount(axes, minlength=self.dim)
-            norm = np.linalg.norm(counts)
-            if norm > 0.0:
-                out[row] = counts / norm
-        return out
+        if isinstance(texts, TokenizedTexts):
+            terms, ids, lengths = texts.table
+            axes = np.fromiter(map(self._axes.__getitem__, terms), np.intp, len(terms))[ids]
+        else:
+            axes, lengths = read_pieces(texts, self._pieces)
+        return _count_rows(axes, lengths, self.dim)
 
 
 class RemoteEmbedder:

@@ -17,13 +17,12 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Mapping
-from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Chunk, tokenize
+from .corpus import Chunk, TermTable, term_table
 from .store import IndexFileError, VectorFileError, read_arrays, read_json, write_arrays, write_json
 # save_vectors is unused here; perfbench/spans.py traces it by name on this module.
 from .store import load_vectors, save_vectors
@@ -372,46 +371,37 @@ class Bm25Index:
         self._weights: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
-    def build(cls, chunks: list[Chunk], tokens: list[list[str]] | None = None) -> "Bm25Index":
-        """The index of ``chunks``; ``tokens``, when given, holds each chunk's
-        ``tokenize`` list, so the texts are not tokenized again.
+    def build(cls, chunks: list[Chunk], table: TermTable | None = None) -> "Bm25Index":
+        """The index of ``chunks``; ``table``, when given, is the
+        ``term_table`` of their texts, so the texts are not read again.
 
-        One memo maps each distinct token to the id of its lowercase form,
-        and one ``np.unique`` over ``term * N + row`` gives the postings in
+        One ``np.unique`` over ``term * N + row`` gives the postings in
         (term, chunk_id) order with their term frequencies. Raises ValueError
-        when a chunk_id repeats or the token lists do not match the chunks.
+        when a chunk_id repeats or the table does not hold one text per chunk.
         """
-        if tokens is None:
-            tokens = [tokenize(c.text) for c in chunks]
-        if len(tokens) != len(chunks):
-            raise ValueError(f"{len(tokens)} token lists for {len(chunks)} chunks")
+        if table is None:
+            table = term_table(c.text for c in chunks)
+        if len(table.lengths) != len(chunks):
+            raise ValueError(f"{len(table.lengths)} texts in the term table for {len(chunks)} chunks")
         n = len(chunks)
         order = sorted(range(n), key=[c.chunk_id for c in chunks].__getitem__)
         chunk_ids = [chunks[i].chunk_id for i in order]
         twice = _first_unsorted(chunk_ids)
         if twice is not None:
             raise ValueError(f"chunk id {chunk_ids[twice]!r} repeats")
-        row = np.empty(n, np.int64)
+        row = np.empty(n, np.intp)
         row[order] = np.arange(n)
-        lengths = np.fromiter(map(len, tokens), np.int64, n)
-        flat = list(chain.from_iterable(tokens))
-        lower_id: dict[str, int] = {}
-        memo = {t: lower_id.setdefault(t.lower(), len(lower_id)) for t in set(flat)}
-        terms = sorted(lower_id)
-        rank = np.empty(len(terms), np.int64)
-        rank[[lower_id[t] for t in terms]] = np.arange(len(terms))
-        term_of = rank[np.fromiter(map(memo.__getitem__, flat), np.int64, len(flat))]
-        keys, tf = np.unique(term_of * n + np.repeat(row, lengths), return_counts=True)
+        keys, tf = np.unique(table.ids * n + np.repeat(row, table.lengths), return_counts=True)
         term, rows = np.divmod(keys, max(n, 1))
-        offsets = np.zeros(len(terms) + 1, np.int64)
-        np.cumsum(np.bincount(term, minlength=len(terms)), out=offsets[1:])
+        offsets = np.zeros(len(table.terms) + 1, np.int64)
+        np.cumsum(np.bincount(term, minlength=len(table.terms)), out=offsets[1:])
         return cls(
-            terms,
+            table.terms,
             chunk_ids,
             offsets,
             rows.astype(np.int32),
             tf.astype(np.int32),
-            lengths[order].astype(np.int32),
+            table.lengths[order].astype(np.int32),
         )
 
     def idf(self, term: str) -> float:

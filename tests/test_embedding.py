@@ -285,7 +285,7 @@ class TestRemoteEmbedder:
         url, handler = embedding_server
         texts = [str(i) for i in range(300)]
         cfg = EmbeddingProviderConfig("remote_http", "m", 8, endpoint=url)
-        out = RemoteEmbedder(cfg).embed_batch(TokenizedTexts(texts, [[t] for t in texts]))
+        out = RemoteEmbedder(cfg).embed_batch(TokenizedTexts(texts))
         assert [body["input"] for body in handler.seen] == [texts[:256], texts[256:]]
         assert np.array_equal(out[:, 0], np.arange(300, dtype=np.float32))
 

@@ -6,12 +6,14 @@ into (chunk_id, score, rank, method) to compare."""
 
 from __future__ import annotations
 
+import math
 import struct
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ragroute import retrieval
@@ -19,6 +21,8 @@ from ragroute.agent import Agent, AgentConfig
 from ragroute.corpus import Chunk, tokenize
 from ragroute.retrieval import (
     BM25,
+    BM25_B,
+    BM25_K1,
     DENSE,
     MIXTURE,
     RRF_K,
@@ -26,6 +30,8 @@ from ragroute.retrieval import (
     DenseIndex,
     Ranked,
     _screen_slack,
+    bm25_search,
+    dense_search,
     unit_query,
     unit_scores,
 )
@@ -338,3 +344,98 @@ class TestSelectChunksAtSize:
             for question, query_vec in questions:
                 for min_keep in overrides:
                     assert_same_as_oracle(agent, question, query_vec, min_keep)
+
+
+def brute_dense_search(index: DenseIndex, query_vec: np.ndarray, top_n: int) -> list[OracleHit]:
+    """Brute force: every row's exact cosine, no screen, in one full sort by
+    (-score, chunk_id)."""
+    sims = unit_scores(index.unit_rows(np.arange(len(index))), unit_query(query_vec)).tolist()
+    ids = index.chunk_ids
+    order = sorted(range(len(ids)), key=lambda k: (-sims[k], ids[k]))[:top_n]
+    return [OracleHit(ids[k], sims[k], r, DENSE) for r, k in enumerate(order, 1)]
+
+
+def brute_bm25_search(chunks: list[Chunk], query_tokens: list[str], top_n: int) -> list[OracleHit]:
+    """Brute force from the texts: each chunk's Okapi BM25 score in Python
+    floats, its terms counted from its own ``tokenize``, the query tokens'
+    weights added in query order; chunks sharing no query term are left out,
+    the rest fully sorted by (-score, chunk_id)."""
+    tfs = {c.chunk_id: Counter(t.lower() for t in tokenize(c.text)) for c in chunks}
+    n = len(tfs)
+    avg_len = sum(sum(tf.values()) for tf in tfs.values()) / n
+    df = Counter(term for tf in tfs.values() for term in tf)
+    scores: dict[str, float] = {}
+    for term in (t.lower() for t in query_tokens):
+        if not df[term]:
+            continue
+        idf = math.log(1.0 + (n - df[term] + 0.5) / (df[term] + 0.5))
+        for chunk_id, tf in tfs.items():
+            f = tf.get(term)
+            if f:
+                dl = sum(tf.values())
+                denom = f + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / avg_len)
+                scores[chunk_id] = scores.get(chunk_id, 0.0) + idf * f * (BM25_K1 + 1.0) / denom
+    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:top_n]
+    return [OracleHit(cid, score, r, BM25) for r, (cid, score) in enumerate(ranked, 1)]
+
+
+@st.composite
+def searches_at_size(draw):
+    """2,000 to 2,400 chunks. Dense rows are copies of a few hundred base
+    vectors, some scaled by a power of two, so many rows tie exactly, and
+    some copies are one float32 step off, so they nearly tie; chunk
+    texts come from a pool of a few hundred, so BM25 scores tie too. Dense
+    ids run shuffled against row order, and the BM25 index is built in a
+    third order. The query lies on a base vector or off them, and its tokens
+    may repeat, change case or match nothing."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2000, 2400))
+    dim = draw(st.sampled_from([2, 16, 48, 256]))
+    base = rng.normal(size=(draw(st.integers(50, 600)), dim)).astype(np.float32)
+    picks = rng.integers(0, len(base), n)
+    scales = 2.0 ** rng.integers(-3, 4, n)
+    matrix = base[picks] * scales[:, None].astype(np.float32)
+    # a tenth of the rows one float32 step off a copy, so exact scores
+    # nearly tie and the float32 screen may order them wrongly
+    nudged = rng.choice(n, n // 10, replace=False)
+    cols = rng.integers(0, dim, len(nudged))
+    matrix[nudged, cols] = np.nextafter(matrix[nudged, cols], np.float32(np.inf))
+    vocab = [f"w{i}" for i in range(draw(st.integers(20, 400)))]
+    pool = [" ".join(w.upper() if rng.random() < 0.2 else w for w in rng.choice(vocab, size=k))
+            for k in rng.integers(1, 30, draw(st.integers(40, 500)))]
+    texts = [pool[k] for k in rng.integers(0, len(pool), n)]
+    ids = [f"d{i // 10:04d}:{i % 10:05d}" for i in rng.permutation(n)]
+    chunks = [make_chunk(cid, text) for cid, text in zip(ids, texts)]
+    words = st.sampled_from(vocab[:5] + [vocab[-1].upper(), "zzz", "?"])
+    question = " ".join(draw(st.lists(words, min_size=1, max_size=8)))
+    if draw(st.booleans()):
+        query_vec = base[draw(st.integers(0, len(base) - 1))].astype(np.float64)
+    else:
+        query_vec = rng.normal(size=dim)
+    top_n = draw(st.sampled_from([1, 2, 10, 100, n - 1, n, n + 5]))
+    return chunks, matrix, rng.permutation(n), question, query_vec, top_n
+
+
+class TestSearchAtSize:
+    """``dense_search`` and ``bm25_search`` alone, at 2,000 rows and more,
+    against brute force, bit for bit."""
+
+    @settings(max_examples=12)
+    @given(searches_at_size())
+    def test_dense_search_is_the_brute_force_top_n(self, case):
+        chunks, matrix, _, _, query_vec, top_n = case
+        index = DenseIndex(matrix, [c.chunk_id for c in chunks])
+        ranked = dense_search(index, query_vec, top_n)
+        assert hit_bits(ranked_hits(sorted(index.chunk_ids), ranked, DENSE)) == hit_bits(
+            brute_dense_search(index, query_vec, top_n)
+        )
+
+    @settings(max_examples=12)
+    @given(searches_at_size())
+    def test_bm25_search_is_the_brute_force_top_n(self, case):
+        chunks, _, build_order, question, _, top_n = case
+        index = Bm25Index.build([chunks[k] for k in build_order])
+        ranked = bm25_search(index, tokenize(question), top_n)
+        assert hit_bits(ranked_hits(index.chunk_ids, ranked, BM25)) == hit_bits(
+            brute_bm25_search(chunks, tokenize(question), top_n)
+        )

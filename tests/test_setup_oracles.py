@@ -1,10 +1,14 @@
 """Set-up against the code it replaced.
 
-``build-index`` tokenizes each chunk once and hands the token lists to both
-the mock embedder and the BM25 build, and the chunker cuts windows from
-regex runs of tokens. The oracles here are the earlier forms: a chunker that
-keeps one (start, end) span per token, and a BM25 build and a mock embedder
-that each tokenize every text themselves. Every output must keep its bits.
+``build-index`` reads each agent's chunk texts once into one term table
+(``corpus.term_table``: each distinct whitespace piece tokenized once, one
+integer term id per token) and builds both the BM25 index and the mock
+embedder's rows from it, and the chunker cuts windows from regex runs of
+tokens. The oracles here are independent of that: an exhaustive check of
+the character classes the piece split relies on, ``tokenize`` on every
+whole text, a chunker that keeps one (start, end) span per token, a BM25
+file writer over dict postings, and the mock embedder's earlier per-text
+loop, kept verbatim. Every output must keep its bits.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import re
 import struct
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -27,9 +32,10 @@ from ragroute.corpus import (
     Document,
     TokenizedTexts,
     chunk_document,
+    term_table,
     tokenize,
 )
-from ragroute.embedding import MockEmbedder
+from ragroute.embedding import MockEmbedder, _token_axis
 from ragroute.retrieval import Bm25Index
 
 _ORACLE_TOKEN = re.compile(r"\w+|[^\w\s]")
@@ -155,11 +161,79 @@ def make_chunks(texts: list[str]) -> list[Chunk]:
     return [Chunk(f"d:{i:05d}", "d", text, 0, len(tokenize(text))) for i, text in enumerate(texts)]
 
 
-class TestSharedTokens:
+def oracle_mock_rows(texts: list[str], dim: int) -> np.ndarray:
+    """Oracle: the mock embedder's rows as its per-text loop made them,
+    verbatim but for the token source: each text tokenized whole and each
+    token hashed by ``_token_axis`` of its lowercase form."""
+    out = np.zeros((len(texts), dim), dtype=np.float32)
+    for row, tokens in enumerate(map(tokenize, texts)):
+        axes = np.fromiter((_token_axis(t.lower(), dim) for t in tokens), dtype=np.intp)
+        counts = np.bincount(axes, minlength=dim)
+        norm = np.linalg.norm(counts)
+        if norm > 0.0:
+            out[row] = counts / norm
+    return out
+
+
+# Every code point, lone surrogates included.
+_ALL_CHARS = "".join(map(chr, range(0x110000)))
+
+
+def test_whitespace_pieces_cut_no_token():
+    """``read_pieces`` tokenizes a text's ``str.split`` pieces, not the
+    text, and takes a piece that is all ``str.isalnum`` as one token. That
+    gives ``tokenize``'s tokens only because ``re``'s ``\\s`` and
+    ``str.split`` both take exactly the ``str.isspace`` characters as
+    whitespace, no ``\\w`` character is one, and ``\\w`` is exactly
+    ``str.isalnum`` or the underscore."""
+    spaces = "".join(filter(str.isspace, _ALL_CHARS))
+    assert len(spaces) > 20
+    assert "".join(re.findall(r"\s", _ALL_CHARS)) == spaces
+    assert "".join(_ALL_CHARS.split()) == "".join(c for c in _ALL_CHARS if not c.isspace())
+    words = "".join(re.findall(r"\w", _ALL_CHARS))
+    assert not any(map(str.isspace, words))
+    assert words == "".join(c for c in _ALL_CHARS if c.isalnum() or c == "_")
+
+
+TEXTS = st.lists(BODIES, max_size=12)
+
+
+class TestTermTable:
+    @given(TEXTS)
+    def test_holds_the_lowercase_tokens_of_each_text(self, texts):
+        table = term_table(texts)
+        want = [[t.lower() for t in tokenize(text)] for text in texts]
+        assert table.terms == sorted({t for tokens in want for t in tokens})
+        assert table.lengths.tolist() == list(map(len, want))
+        assert [table.terms[i] for i in table.ids.tolist()] == [t for ts in want for t in ts]
+        assert table.ids.dtype == table.lengths.dtype == np.intp
+
+    def test_reads_the_characters_that_split_alone_might_get_wrong(self):
+        """Whitespace that only Unicode knows, a word character that is not
+        alphanumeric, a capital whose lowercase form is two characters (the
+        second a combining mark, which would be a token of its own were the
+        text lowered before it was tokenized) and a combining mark after a
+        letter."""
+        text = "a\x1cb\x85c\xa0d\u3000e_f \u0130X e\u0301. \u0301"
+        table = term_table([text, "", "  \n"])
+        tokens = [t.lower() for t in tokenize(text)]
+        assert tokens == ["a", "b", "c", "d", "e_f", "i\u0307x", "e", "\u0301", ".", "\u0301"]
+        assert [table.terms[i] for i in table.ids.tolist()] == tokens
+        assert table.lengths.tolist() == [10, 0, 0]
+
+    def test_tokenized_texts_carry_the_table_and_slice_to_plain_lists(self):
+        tokenized = TokenizedTexts(["a b", "c A"])
+        assert tokenized == ["a b", "c A"]
+        assert tokenized.table.terms == ["a", "b", "c"]
+        assert tokenized.table.ids.tolist() == [0, 1, 2, 0]
+        assert type(tokenized[:1]) is list and tokenized[:1] == ["a b"]
+
+
+class TestSharedTable:
     @given(st.lists(BODIES, max_size=12).flatmap(
         lambda texts: st.tuples(st.just(texts), st.permutations(range(len(texts))))
     ))
-    def test_bm25_from_shared_tokens_saves_the_oracle_bytes(self, tmp_path_factory, texts_ids):
+    def test_bm25_from_the_term_table_saves_the_oracle_bytes(self, tmp_path_factory, texts_ids):
         """Chunk ids run against build order, so the build must sort them."""
         texts, ids = texts_ids
         chunks = [
@@ -167,28 +241,28 @@ class TestSharedTokens:
             for i, c in zip(ids, make_chunks(texts))
         ]
         path = tmp_path_factory.getbasetemp() / "bm25.json"
-        Bm25Index.build(chunks, [tokenize(c.text) for c in chunks]).save(path)
+        Bm25Index.build(chunks, term_table(c.text for c in chunks)).save(path)
         assert bm25_files(path) == oracle_bm25_files(chunks)
         Bm25Index.build(chunks).save(path)
         assert bm25_files(path) == oracle_bm25_files(chunks)
 
-    def test_bm25_rejects_a_token_list_per_chunk_missing(self):
+    def test_bm25_rejects_a_table_of_other_texts(self):
         chunks = make_chunks(["a b", "c"])
-        with pytest.raises(ValueError):
-            Bm25Index.build(chunks, [["a", "b"]])
+        with pytest.raises(ValueError, match="1 texts in the term table for 2 chunks"):
+            Bm25Index.build(chunks, term_table(["a b"]))
 
-    @given(st.lists(BODIES, min_size=1, max_size=12), st.integers(1, 2048))
-    def test_mock_rows_from_shared_tokens_are_bit_equal(self, texts, dim):
-        tokenized = TokenizedTexts(texts, [tokenize(t) for t in texts])
-        assert tokenized == texts
-        shared = MockEmbedder(dim).embed_batch(tokenized)
-        assert shared.tobytes() == MockEmbedder(dim).embed_batch(texts).tobytes()
-
-    def test_a_slice_of_tokenized_texts_is_a_plain_list(self):
-        tokenized = TokenizedTexts(["a b", "c"], [["a", "b"], ["c"]])
-        assert type(tokenized[:1]) is list and tokenized[:1] == ["a b"]
-        with pytest.raises(ValueError, match="1 token lists for 2 texts"):
-            TokenizedTexts(["a b", "c"], [["a", "b"]])
+    @given(st.lists(st.one_of(BODIES, st.sampled_from(["", " \x85 ", "?"])), min_size=1,
+                    max_size=12), st.one_of(st.integers(1, 8), st.integers(9, 2048)))
+    def test_mock_rows_are_bit_equal_to_the_per_text_loop(self, texts, dim):
+        """From the term table, from plain texts, and again from plain texts
+        once the embedder's memos hold every piece; a ``dim`` of 1 to 8 puts
+        many terms on one axis, and texts with no tokens are zero rows."""
+        want = oracle_mock_rows(texts, dim).tobytes()
+        embedder = MockEmbedder(dim)
+        assert embedder.embed_batch(TokenizedTexts(texts)).tobytes() == want
+        assert embedder.embed_batch(texts).tobytes() == want
+        assert embedder.embed_batch(texts).tobytes() == want
+        assert b"".join(embedder.embed_batch([t]).tobytes() for t in texts) == want
 
 
 def routed_size_corpus(seed: int) -> list[dict]:
@@ -214,8 +288,8 @@ def routed_size_corpus(seed: int) -> list[dict]:
 
 def test_routed_size_set_up_writes_the_oracle_bytes(tmp_path, capsys):
     """ingest and build-index at benchmark size write the chunk, vector and
-    BM25 files that the per-token-span chunker, a mock embedder tokenizing
-    each text and the self-tokenizing BM25 build give."""
+    BM25 files that the per-token-span chunker, the per-text mock loop and
+    the dict-postings BM25 writer give."""
     corpus = routed_size_corpus(16)
     with (tmp_path / "corpus.jsonl").open("w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(rec) + "\n" for rec in corpus)
@@ -232,7 +306,6 @@ def test_routed_size_set_up_writes_the_oracle_bytes(tmp_path, capsys):
     assert main(["ingest", "--config", str(tmp_path / "config.json")]) == 0
     assert main(["build-index", "--config", str(tmp_path / "config.json")]) == 0
     cfg = ChunkingConfig(128, 16)
-    embedder = MockEmbedder(1024)
     sizes = []
     for category in categories:
         adir = tmp_path / "index" / "agents" / category
@@ -244,6 +317,6 @@ def test_routed_size_set_up_writes_the_oracle_bytes(tmp_path, capsys):
         sizes.append(len(chunks))
         assert (adir / "chunks.jsonl").read_bytes() == oracle_chunks_jsonl(chunks)
         assert bm25_files(adir / "bm25.json") == oracle_bm25_files(chunks)
-        rows = embedder.embed_batch([c.text for c in chunks]).astype("<f4")
+        rows = oracle_mock_rows([c.text for c in chunks], 1024).astype("<f4")
         assert (adir / "vectors.bin").read_bytes() == rows.tobytes()
     assert sizes == [250] * 16

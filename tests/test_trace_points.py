@@ -7,6 +7,7 @@ entered."""
 from __future__ import annotations
 
 import importlib
+import json
 import random
 import tracemalloc
 from collections import Counter
@@ -18,7 +19,8 @@ import pytest
 
 from ragroute import agent as agent_module
 from ragroute.agent import Agent, AgentConfig
-from ragroute.corpus import Chunk, tokenize
+from ragroute.cli import main
+from ragroute.corpus import Chunk, load_chunks, tokenize
 from ragroute.retrieval import Bm25Index, DenseIndex, RetrievalHit
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -80,6 +82,52 @@ def test_select_chunks_enters_each_traced_stage_once(monkeypatch, method, stages
         assert args["bm25_search"][1] == ["alpha", "w3", "?"]
     assert len(args["rerank"][0]) == 10
     assert 3 <= len(kept) <= 10
+
+
+def test_build_index_enters_the_bm25_build_and_the_bulk_embed_once_per_agent(
+    monkeypatch, tmp_path
+):
+    """The tracer's ``retrieval.bm25_build_s`` and ``embedding.bulk_embed_s``
+    total the set-up spans around ``Bm25Index.build`` and the embedder's
+    ``embed_batch``, and it counts each embed's texts. For them to keep
+    timing one agent's whole build and embed, ``build-index`` must enter
+    each once per agent, the embedder with all of that agent's chunk
+    texts."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    rng = random.Random(7)
+    words = [f"w{i}" for i in range(60)]
+    corpus = [
+        {"doc_id": f"{area}-{d}", "category": area,
+         "body": " ".join(rng.choice(words) + rng.choice([" ", ". "]) for _ in range(size))}
+        for area, docs, size in (("a0", 1, 30), ("a1", 3, 70), ("a2", 2, 45))
+        for d in range(docs)
+    ]
+    (tmp_path / "corpus.jsonl").write_text(
+        "".join(json.dumps(rec) + "\n" for rec in corpus), encoding="utf-8"
+    )
+    config = {
+        "corpus_path": str(tmp_path / "corpus.jsonl"),
+        "index_dir": str(tmp_path / "index"),
+        "chunking": {"chunk_tokens": 16, "overlap_tokens": 4},
+        "embedding": {"provider": "deterministic_mock", "model_name": "mock", "dim": 32},
+        "chat": {"backend": "scripted_mock", "script_path": str(tmp_path / "script.json")},
+        "agents": [{"agent_id": area, "category": area} for area in ("a0", "a1", "a2")],
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["ingest", "--config", str(tmp_path / "config.json")]) == 0
+    sizes = [
+        len(load_chunks(tmp_path / "index" / "agents" / area / "chunks.jsonl"))
+        for area in ("a0", "a1", "a2")
+    ]
+    recorder = spans.Recorder()
+    with spans.patched(recorder), recorder.scope("setup"):
+        assert main(["build-index", "--config", str(tmp_path / "config.json")]) == 0
+    names = [s.name for s in recorder.spans]
+    assert names.count("retrieval.bm25_build") == 3
+    embeds = [s for s in recorder.spans if s.name == "embedding.embed"]
+    assert [s.counts["texts"] for s in embeds] == sizes
+    assert len(set(sizes)) == 3 and min(sizes) > 1
 
 
 def test_retrieval_hit_is_an_immutable_record_with_an_unchanged_repr():
