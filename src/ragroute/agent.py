@@ -1,14 +1,17 @@
 """One retrieval-augmented agent: retrieve, rerank, generate Analysis/Answer.
 
 An agent owns its chunk set and indexes; nothing but its generated response
-(and, for bookkeeping, which chunks it used) ever leaves it.
+(and, for bookkeeping, which chunks it used) ever leaves it. Its chunks,
+dense rows and BM25 rows run in one order, chunk_id order, so a row number
+names one chunk in all three; the query path hands rows from stage to stage
+and reads the chunks at the rows it keeps.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Iterable
 
 import numpy as np
@@ -21,10 +24,10 @@ from .retrieval import (
     DENSE,
     MIXTURE,
     NO_HITS,
+    OUT_OF_ORDER,
     Bm25Index,
     DenseIndex,
     Ranked,
-    RetrievalHit,
     UnitQuery,
     bm25_search,
     dense_search,
@@ -55,6 +58,11 @@ class AgentConfig:
     rerank_threshold: float = 0.3
 
     def __post_init__(self) -> None:
+        for name in ("agent_id", "category"):
+            if not isinstance(getattr(self, name), str):
+                raise TypeError(f"{name} must be a string, not {getattr(self, name)!r}")
+        if self.agent_id in ("", ".", "..") or any(c in self.agent_id for c in "/\\\0"):
+            raise ValueError(f"agent_id must name one directory, not {self.agent_id!r}")
         if self.retrieval_method not in (DENSE, BM25, MIXTURE):
             raise ValueError(f"unknown retrieval method {self.retrieval_method!r}")
         require_int("retrieval_depth", self.retrieval_depth)
@@ -73,33 +81,30 @@ class AgentAnswer:
     agent_id: str
     reply: ParsedAgentReply
     raw_text: str
-    hits: tuple[RetrievalHit, ...]
+    kept: Ranked
     usage: TokenUsage
 
 
-def _check_chunk_ids(
-    agent_id: str, chunks: list[Chunk], dense_index: DenseIndex, bm25_index: Bm25Index
-) -> None:
-    """Raise IndexFileError, naming the agent and the first differing chunk
-    id, unless the chunks, the dense rows and the BM25 lengths name the same
-    chunks, each once."""
-    files = (
-        ("chunks.jsonl", [c.chunk_id for c in chunks]),
-        ("vectors.manifest.json", dense_index.chunk_ids),
-        ("bm25.json", bm25_index.chunk_ids),
-    )
-    want = set(files[0][1])
-    for name, ids in files:
-        have = set(ids)
-        if len(have) < len(ids):
-            twice = min(c for c, n in Counter(ids).items() if n > 1)
-            raise IndexFileError(f"agent {agent_id}: {name} names chunk {twice!r} twice")
-        if have != want:
-            first = min(have ^ want)
-            holder, other = (name, "chunks.jsonl") if first in have else ("chunks.jsonl", name)
-            raise IndexFileError(
-                f"agent {agent_id}: {holder} names chunk {first!r}, which {other} does not"
-            )
+def _check_rows(agent_id: str, name: str, ids: list[str], want: list[str]) -> None:
+    """Raise IndexFileError, naming the agent, the file ``name`` and the
+    first chunk id that differs, unless ``ids`` are ``want`` (bm25.json's
+    chunk ids, strictly rising) row for row."""
+    if ids == want:
+        return
+    row = next(i for i, (a, b) in enumerate(zip_longest(ids, want)) if a != b)
+    got = ids[row] if row < len(ids) else None
+    there = want[row] if row < len(want) else None
+    if got in ids[:row]:
+        problem = f"chunk id {got!r} repeats"
+    elif got is not None and got not in set(want):
+        problem = f"chunk id {got!r} is not in bm25.json"
+        if there is not None:
+            problem += f", whose row {row} is {there!r}"
+    elif there not in set(ids):
+        problem = f"chunk id {there!r} of bm25.json is missing"
+    else:
+        problem = f"chunk id {got!r} {OUT_OF_ORDER}"
+    raise IndexFileError(f"agent {agent_id}: {name}: {problem}")
 
 
 class Agent:
@@ -112,11 +117,13 @@ class Agent:
         embedder,
         backend,
     ):
-        """Raises IndexFileError when ``chunks``, ``dense_index`` and
-        ``bm25_index`` do not name the same chunks, each once."""
+        """Raises IndexFileError unless ``chunks`` and ``dense_index`` name
+        ``bm25_index``'s chunks row for row, in chunk_id order."""
         self.config = config
-        _check_chunk_ids(config.agent_id, chunks, dense_index, bm25_index)
-        self.chunks_by_id = {c.chunk_id: c for c in chunks}
+        want = bm25_index.chunk_ids
+        _check_rows(config.agent_id, "chunks.jsonl", [c.chunk_id for c in chunks], want)
+        _check_rows(config.agent_id, "vectors.manifest.json", dense_index.chunk_ids, want)
+        self.chunks = list(chunks)
         self.dense_index = dense_index
         self.bm25_index = bm25_index
         self.embedder = embedder
@@ -126,17 +133,13 @@ class Agent:
     def agent_id(self) -> str:
         return self.config.agent_id
 
-    def retrieve(
-        self,
-        question: str,
-        query_vec: UnitQuery | np.ndarray,
-        cosines: np.ndarray | None = None,
-    ) -> Ranked:
+    def retrieve(self, question: str, query: UnitQuery, cosines: np.ndarray) -> Ranked:
         """Top ``retrieval_depth`` rows by the configured method.
 
-        ``query_vec`` is the question's embedding, computed once by the caller;
+        ``query`` is the question's embedding, computed once by the caller;
         retrieval embeds nothing itself. The dense stage stores the exact
-        cosines it computes in ``cosines``, when given, for ``rerank``.
+        cosines it computes in ``cosines``, the question's array, for
+        ``rerank``.
         """
         depth = self.config.retrieval_depth
         method = self.config.retrieval_method
@@ -144,40 +147,34 @@ class Agent:
             return NO_HITS
         if method == BM25:
             return bm25_search(self.bm25_index, tokenize(question), depth)
-        dense = dense_search(self.dense_index, query_vec, depth, cosines)
+        dense = dense_search(self.dense_index, query, depth, cosines)
         if method == DENSE:
             return dense
         bm25 = bm25_search(self.bm25_index, tokenize(question), depth)
         return mixture_search(dense, bm25, depth)
 
     def select_chunks(
-        self, question: str, query_vec: UnitQuery | np.ndarray, min_keep: int | None = None
-    ) -> list[RetrievalHit]:
-        """Retrieve, then rerank to at least ``min_keep`` chunks (the agent's
-        own ``min_keep`` when None; below 1 raises ValueError); an empty index
-        selects nothing. Each chunk's exact cosine is computed once, and a
-        hit is made only for each kept chunk, ranked from 1, its score that
-        cosine and its method the agent's retrieval method."""
-        query = UnitQuery.of(query_vec)
+        self, question: str, query: UnitQuery, min_keep: int | None = None
+    ) -> Ranked:
+        """Retrieve, then rerank to at least ``min_keep`` rows (the agent's
+        own ``min_keep`` when None; below 1 raises ValueError): the kept
+        rows, best first, and their exact cosines, each computed once. An
+        empty index keeps nothing."""
         cosines = unscored(self.dense_index)
         kept = rerank(
             self.retrieve(question, query, cosines).rows,
             query,
             self.dense_index,
-            min_keep=self.config.min_keep if min_keep is None else min_keep,
-            keep_threshold=self.config.rerank_threshold,
-            cosines=cosines,
+            self.config.min_keep if min_keep is None else min_keep,
+            self.config.rerank_threshold,
+            cosines,
         )
-        ids, method = self.bm25_index.chunk_ids, self.config.retrieval_method
-        return [
-            RetrievalHit(ids[row], score, rank, method)
-            for rank, (row, score) in enumerate(zip(kept.tolist(), cosines[kept].tolist()), 1)
-        ]
+        return Ranked(kept, cosines[kept])
 
-    def document_blocks(self, hits: Iterable[RetrievalHit]) -> list[str]:
+    def document_blocks(self, rows: np.ndarray) -> list[str]:
         blocks = []
-        for hit in hits:
-            chunk = self.chunks_by_id[hit.chunk_id]
+        for row in rows.tolist():
+            chunk = self.chunks[row]
             header = f"[doc:{chunk.doc_id} chunk:{chunk_ordinal(chunk.chunk_id)}]"
             blocks.append(f"{header}\n{chunk.text}")
         return blocks
@@ -188,27 +185,27 @@ class Agent:
         mode: str = SINGLE_HOP,
         history: Iterable = (),
         min_keep: int | None = None,
-        query_vec: UnitQuery | np.ndarray | None = None,
+        query: UnitQuery | None = None,
     ) -> AgentAnswer:
         """Retrieve, rerank to at least min_keep chunks, and generate a reply.
 
-        ``query_vec`` is the question's embedding; the router passes the
-        ``UnitQuery`` it selected agents with. Only without it does the agent
-        embed the question, once, for both retrieval and rerank. An agent
+        ``query`` is the question's embedding; the router passes the one it
+        selected agents with. Only without it does the agent embed the
+        question, once, for both retrieval and rerank. An agent
         with an empty index answers "I don't know." without touching the
         embedder or the backend. Backend hard failures are re-raised tagged
         with the agent id.
         """
         if len(self.dense_index) == 0:
             unknown = ParsedAgentReply(analysis="", answer="I don't know.", is_unknown=True)
-            return AgentAnswer(self.agent_id, unknown, "", (), TokenUsage())
-        if query_vec is None:
-            query_vec = self.embedder.embed_batch([question])[0]
-        kept = self.select_chunks(question, query_vec, min_keep)
+            return AgentAnswer(self.agent_id, unknown, "", NO_HITS, TokenUsage())
+        if query is None:
+            query = UnitQuery(self.embedder.embed_batch([question])[0])
+        kept = self.select_chunks(question, query, min_keep)
         template = AGENT_ANSWER_MULTI_HOP if mode == MULTI_HOP else AGENT_ANSWER_SINGLE_HOP
         slots = {
             "question": question,
-            "documents": self.document_blocks(kept),
+            "documents": self.document_blocks(kept.rows),
             "history": list(history),
         }
         messages = render_prompt(template, slots)
@@ -216,7 +213,7 @@ class Agent:
             text, usage = self.backend.chat(messages)
         except Exception as exc:
             raise AgentError(self.agent_id, str(exc)) from exc
-        return AgentAnswer(self.agent_id, parse_agent_reply(text), text, tuple(kept), usage)
+        return AgentAnswer(self.agent_id, parse_agent_reply(text), text, kept, usage)
 
-    def doc_ids_for(self, hits: Iterable[RetrievalHit]) -> tuple[str, ...]:
-        return tuple(self.chunks_by_id[h.chunk_id].doc_id for h in hits)
+    def doc_ids_for(self, rows: np.ndarray) -> tuple[str, ...]:
+        return tuple(self.chunks[row].doc_id for row in rows.tolist())

@@ -192,6 +192,8 @@ def cmd_ingest(cfg: SystemConfig, args: argparse.Namespace) -> int:
         chunks = []
         for doc in by_category.get(category, []):
             chunks.extend(chunk_document(doc, agent_cfg.chunking))
+        # chunk_id order is the one row order of the agent's files
+        chunks.sort(key=lambda c: c.chunk_id)
         save_chunks(cfg.agent_dir(agent_cfg.agent_id) / "chunks.jsonl", chunks)
         total_chunks += len(chunks)
     summary = {
@@ -224,7 +226,8 @@ def _build_agent_index(adir: Path, chunks: list[Chunk], embedder) -> None:
     tokenized once, no string per token), which both the BM25 build and the
     mock embedder count from; a remote embedder is posted the texts. The
     table is freed on return, before the next agent's chunks are read.
-    IndexFileError names ``chunks.jsonl`` when a chunk_id repeats in it."""
+    IndexFileError names ``chunks.jsonl`` when a chunk_id in it repeats or
+    is out of chunk_id order."""
     texts = TokenizedTexts(c.text for c in chunks)
     try:
         bm25 = Bm25Index.build(chunks, texts.table)
@@ -256,9 +259,6 @@ def cmd_register(cfg: SystemConfig, args: argparse.Namespace) -> int:
             raise ConfigError(f"no index for agent {agent_cfg.agent_id}: run build-index first")
         dense = DenseIndex.load(adir / "vectors")
         _check_dim(cfg, adir / "vectors", dense.dim)
-        # centroid files that older versions wrote beside the profile
-        for stale in ("centroids.bin", "centroids.manifest.json"):
-            (adir / stale).unlink(missing_ok=True)
         if not dense.chunk_ids:
             (adir / "profile.json").unlink(missing_ok=True)
             continue

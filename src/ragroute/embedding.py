@@ -25,7 +25,7 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from . import __version__
-from .corpus import PieceMemo, TokenizedTexts, read_pieces
+from .corpus import PieceMemo, TokenizedTexts, read_pieces, require_int
 from .store import InputError
 
 EMBED_MAX_IN_FLIGHT = 4
@@ -184,6 +184,7 @@ class EmbeddingProviderConfig:
     api_key_env: str | None = None
 
     def __post_init__(self) -> None:
+        require_int("dim", self.dim)
         if self.dim <= 0:
             raise ValueError("dim must be positive")
         if self.provider == "remote_http":

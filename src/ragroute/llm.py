@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, TypeVar
 
-from .corpus import tokenize
+from .corpus import require_int, tokenize
 from .embedding import MalformedReplyError, endpoint_address, post_json
 from .store import read_json
 
@@ -77,6 +77,9 @@ class ChatBackendConfig:
     script_path: str | None = None
 
     def __post_init__(self) -> None:
+        require_int("max_rounds_retry", self.max_rounds_retry)
+        if self.max_rounds_retry < 0:
+            raise ValueError("max_rounds_retry must be >= 0")
         if self.backend == "remote_http":
             if not self.endpoint:
                 raise ValueError("remote_http backend requires an endpoint")

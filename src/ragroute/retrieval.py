@@ -2,14 +2,14 @@
 
 Indexes are immutable after build; a search only adds to the BM25 index's
 per-term memo. The dense index is an exhaustive scan (desk-scale corpora, no
-ANN). An agent's chunks have one row space, their place in chunk_id order,
-which is the BM25 row; ``DenseIndex`` maps its own rows into it. The stages
-hand each other ``Ranked`` arrays of those rows, best first, ties broken by
-ascending row, i.e. by chunk_id, so results are deterministic. One float64
-array by row carries a question's exact cosines from the dense stage to
-``rerank``, so no chunk is scored twice for one question, and a
-``UnitQuery`` makes the question's unit vector once for every index it
-reaches.
+ANN). An agent's chunks, dense rows and BM25 rows run in one order, chunk_id
+order, as ``ingest`` writes them, so a row names the same chunk in every
+index. The stages hand each other ``Ranked`` arrays of those rows, best
+first, ties broken by ascending row, i.e. by chunk_id, so results are
+deterministic. One float64 array by row carries a question's exact cosines
+from the dense stage to ``rerank``, so no chunk is scored twice for one
+question, and a ``UnitQuery`` makes the question's unit vector once for
+every index it reaches.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ _NORM_BLOCK = 1 << 15
 # Row norms within which a float32 screening product neither overflows nor
 # loses more to underflow than the float64 slack of ``_screen_slack``.
 _F32_SAFE_NORM = (2.0**-64, 2.0**64)
+# How a chunk file that ``ingest`` did not sort is refused.
+OUT_OF_ORDER = "is out of chunk_id order: re-run ingest"
 # The arrays of bm25.bin, in file order: offsets, rows, tf, doc_len.
 _BM25_DTYPES = ("<i8", "<i4", "<i4", "<i4")
 
@@ -76,10 +78,6 @@ class UnitQuery:
         self._unit: np.ndarray | None = None
         self._f32: np.ndarray | None = None
 
-    @classmethod
-    def of(cls, query: UnitQuery | np.ndarray) -> UnitQuery:
-        return query if isinstance(query, cls) else cls(query)
-
     @property
     def unit(self) -> np.ndarray:
         if self._unit is None:
@@ -95,16 +93,9 @@ class UnitQuery:
         return self._f32
 
 
-class RetrievalHit(NamedTuple):
-    chunk_id: str
-    score: float
-    rank: int
-    method: str
-
-
 class Ranked(NamedTuple):
-    """Hits best first: ``rows`` in an agent's chunk_id-order row space and
-    each one's float64 score; a hit's rank is its place plus one."""
+    """Hits best first: an agent's ``rows`` and each one's float64 score; a
+    hit's rank is its place plus one."""
 
     rows: np.ndarray
     scores: np.ndarray
@@ -129,8 +120,7 @@ class UnusableRowError(ValueError):
 
 class DenseIndex:
     """Chunk embeddings as float32 rows, as stored, with one float64 L2 norm
-    per row, a parallel chunk_id list, each row's place in chunk_id order
-    (``_rank``) and the row at each place (``_row_at``).
+    per row and a parallel chunk_id list.
 
     The rows are kept as given, not copied, so they must not be written to
     afterwards. ``unit_rows`` gives float64 unit rows on demand, ``exact``
@@ -163,13 +153,6 @@ class DenseIndex:
         in_range = np.all((norms >= _F32_SAFE_NORM[0]) & (norms <= _F32_SAFE_NORM[1]))
         self._screen_dtype = np.float32 if in_range else np.float64
         self.chunk_ids = list(chunk_ids)
-        # Equal ids keep their row order, as in a stable sort.
-        if sorted(self.chunk_ids) == self.chunk_ids:  # as stored files keep them
-            self._row_at = np.arange(len(rows))
-        else:
-            self._row_at = np.array(sorted(range(len(rows)), key=chunk_ids.__getitem__), np.intp)
-        self._rank = np.empty(len(rows), np.intp)
-        self._rank[self._row_at] = np.arange(len(rows))
 
     def __len__(self) -> int:
         return len(self.chunk_ids)
@@ -214,31 +197,30 @@ def _screen_slack(dim: int) -> float:
 
 
 def unscored(index: DenseIndex) -> np.ndarray:
-    """A question's cosine array for ``index``: one float64 per chunk_id-order
-    row, NaN until the row's exact cosine is stored."""
+    """A question's cosine array for ``index``: one float64 per row, NaN
+    until the row's exact cosine is stored."""
     return np.full(len(index), np.nan)
 
 
 def dense_search(
-    index: DenseIndex,
-    query_vec: UnitQuery | np.ndarray,
-    top_n: int,
-    cosines: np.ndarray | None = None,
+    index: DenseIndex, query: UnitQuery, top_n: int, cosines: np.ndarray | None = None
 ) -> Ranked:
-    """Top-n chunks by cosine similarity; exhaustive scan.
+    """Top-n rows by cosine similarity; exhaustive scan.
 
     ``DenseIndex.screen`` scores every row, and ``np.partition`` finds the
     n-th best screened score. Rows within twice the screening error of that
-    cut are scored again exactly and ranked by (-score, chunk_id), so every
-    tie on the cut is kept and broken by chunk_id, as in a full sort. Their
-    exact cosines are stored in ``cosines`` (the question's, when given) for
-    ``rerank``.
+    cut are scored again exactly and ranked by (-score, row), so every tie
+    on the cut is kept and broken by row, as in a full sort. Their exact
+    cosines are stored in ``cosines``, the question's, for ``rerank``.
+    ``cosines`` may be left out, and ``query`` be a bare vector, only for a
+    search on its own (``perfbench/tests`` calls it so).
     """
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
     if len(index) == 0:
         return NO_HITS
-    query = UnitQuery.of(query_vec)
+    if not isinstance(query, UnitQuery):
+        query = UnitQuery(query)
     rows = np.arange(len(index))
     if top_n < len(index):
         approx = index.screen(query)
@@ -248,10 +230,9 @@ def dense_search(
         # exact top n screens at or above cut - 2E.
         rows = np.flatnonzero(approx >= cut - 2 * index.slack)
     sims = index.exact(rows, query)
-    ranks = index._rank[rows]
     if cosines is not None:
-        cosines[ranks] = sims
-    return _ranked(ranks, sims, top_n)
+        cosines[rows] = sims
+    return _ranked(rows, sims, top_n)
 
 
 class _Postings(Mapping):
@@ -372,26 +353,27 @@ class Bm25Index:
 
     @classmethod
     def build(cls, chunks: list[Chunk], table: TermTable | None = None) -> "Bm25Index":
-        """The index of ``chunks``; ``table``, when given, is the
-        ``term_table`` of their texts, so the texts are not read again.
+        """The index of ``chunks``, which run in chunk_id order, each chunk
+        at its row; ``table``, when given, is the ``term_table`` of their
+        texts, so the texts are not read again.
 
         One ``np.unique`` over ``term * N + row`` gives the postings in
-        (term, chunk_id) order with their term frequencies. Raises ValueError
-        when a chunk_id repeats or the table does not hold one text per chunk.
+        (term, row) order with their term frequencies. Raises ValueError
+        naming the first chunk_id that repeats or is out of chunk_id order,
+        or when the table does not hold one text per chunk.
         """
         if table is None:
             table = term_table(c.text for c in chunks)
-        if len(table.lengths) != len(chunks):
-            raise ValueError(f"{len(table.lengths)} texts in the term table for {len(chunks)} chunks")
         n = len(chunks)
-        order = sorted(range(n), key=[c.chunk_id for c in chunks].__getitem__)
-        chunk_ids = [chunks[i].chunk_id for i in order]
-        twice = _first_unsorted(chunk_ids)
-        if twice is not None:
-            raise ValueError(f"chunk id {chunk_ids[twice]!r} repeats")
-        row = np.empty(n, np.intp)
-        row[order] = np.arange(n)
-        keys, tf = np.unique(table.ids * n + np.repeat(row, table.lengths), return_counts=True)
+        if len(table.lengths) != n:
+            raise ValueError(f"{len(table.lengths)} texts in the term table for {n} chunks")
+        chunk_ids = [c.chunk_id for c in chunks]
+        bad = _first_unsorted(chunk_ids)
+        if bad is not None:
+            problem = "repeats" if chunk_ids[bad] in chunk_ids[:bad] else OUT_OF_ORDER
+            raise ValueError(f"chunk id {chunk_ids[bad]!r} {problem}")
+        row = np.repeat(np.arange(n), table.lengths)
+        keys, tf = np.unique(table.ids * n + row, return_counts=True)
         term, rows = np.divmod(keys, max(n, 1))
         offsets = np.zeros(len(table.terms) + 1, np.int64)
         np.cumsum(np.bincount(term, minlength=len(table.terms)), out=offsets[1:])
@@ -401,7 +383,7 @@ class Bm25Index:
             offsets,
             rows.astype(np.int32),
             tf.astype(np.int32),
-            table.lengths[order].astype(np.int32),
+            table.lengths.astype(np.int32),
         )
 
     def idf(self, term: str) -> float:
@@ -521,29 +503,27 @@ def mixture_search(dense: Ranked, bm25: Ranked, top_n: int) -> Ranked:
 
 def rerank(
     rows: np.ndarray,
-    query_vec: UnitQuery | np.ndarray,
+    query: UnitQuery,
     index: DenseIndex,
     min_keep: int,
-    keep_threshold: float = 0.3,
-    cosines: np.ndarray | None = None,
+    keep_threshold: float,
+    cosines: np.ndarray,
 ) -> np.ndarray:
     """Re-score hit rows by cosine similarity to the query and drop weak ones.
 
     Keeps every row scoring >= keep_threshold but never fewer than
-    min(min_keep, len(rows)), taken by (-similarity, chunk_id), and returns
-    them in that order. Their exact cosines are in ``cosines`` afterwards:
-    the question's array, when given, whose stored scores are not computed
+    min(min_keep, len(rows)), taken by (-similarity, row), and returns them
+    in that order. Their exact cosines are in ``cosines``, the question's
+    array, afterwards; the scores already stored there are not computed
     again.
     """
     if min_keep < 1:
         raise ValueError("min_keep must be >= 1")
     if not len(rows):
         return rows
-    if cosines is None:
-        cosines = unscored(index)
     missing = rows[np.isnan(cosines[rows])]
     if len(missing):
-        cosines[missing] = index.exact(index._row_at[missing], UnitQuery.of(query_vec))
+        cosines[missing] = index.exact(missing, query)
     sims = cosines[rows]
     order = np.lexsort((rows, -sims))
     # Sorted by -similarity, the rows at or above the threshold come first.

@@ -109,9 +109,7 @@ class RouterRegistry:
         return read_json(json_path, parse)
 
 
-def select_agents(
-    registry: RouterRegistry, query_vec: UnitQuery | np.ndarray, max_agents: int
-) -> list[str]:
+def select_agents(registry: RouterRegistry, query: UnitQuery, max_agents: int) -> list[str]:
     """Distinct agents by descending best-centroid score, capped at max_agents.
 
     An agent's score is its best centroid's exact cosine to the query;
@@ -128,7 +126,6 @@ def select_agents(
         raise RouterError("no agents registered")
     if max_agents < 1:
         raise ValueError("max_agents must be >= 1")
-    query = UnitQuery.of(query_vec)
     centroids, agent_of_row = registry._centroids, registry._agent_of_row
     approx = centroids.screen(query)
     screened = np.maximum.reduceat(approx, registry._starts)
@@ -242,7 +239,7 @@ def _fan_out(
     def ask(agent: Agent):
         try:
             return agent.answer_question(
-                question, mode=mode, history=history, min_keep=min_keep, query_vec=query
+                question, mode=mode, history=history, min_keep=min_keep, query=query
             )
         except AgentError as exc:
             return exc
@@ -288,7 +285,9 @@ def route_and_answer(
         selected_agent_ids=tuple(selected),
         verdicts={**routed.verdicts, **dict.fromkeys(failed, UNHELPFUL)},
         usage=sum((a.usage for a in answers), routed.usage),
-        doc_slots={a.agent_id: system.agents[a.agent_id].doc_ids_for(a.hits) for a in answers},
+        doc_slots={
+            a.agent_id: system.agents[a.agent_id].doc_ids_for(a.kept.rows) for a in answers
+        },
     )
 
 
@@ -302,7 +301,7 @@ def route_raw_knowledge(system: EvalSystem, question: str) -> RoutedAnswer:
     doc_slots: dict[str, tuple[str, ...]] = {}
     for agent_id in selected:
         agent = system.agents[agent_id]
-        kept = agent.select_chunks(question, query)
+        kept = agent.select_chunks(question, query).rows
         blocks.extend(agent.document_blocks(kept))
         doc_slots[agent_id] = agent.doc_ids_for(kept)
     text, usage = system.backend.chat(

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import struct
 import sys
 import threading
 from http.server import HTTPServer, ThreadingHTTPServer
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from ragroute.boundary import build_profile, export_centroids
 from ragroute.corpus import Chunk, ChunkingConfig, Document, chunk_document
 from ragroute.embedding import MockEmbedder
 from ragroute.evalharness import EvalSystem
-from ragroute.retrieval import Bm25Index, DenseIndex
+from ragroute.retrieval import Bm25Index, DenseIndex, Ranked
 from ragroute.router import RouterRegistry
 
 # Every run tries the same examples, and slow examples are not failures.
@@ -34,6 +36,28 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     if na == 0.0 or nb == 0.0:
         raise ValueError("undefined similarity: zero vector")
     return float(np.dot(a64, b64) / (na * nb))
+
+
+class Hit(NamedTuple):
+    """One ranked chunk, as the oracles give it."""
+
+    chunk_id: str
+    score: float
+    rank: int
+    method: str
+
+
+def ranked_hits(chunk_ids: list[str], ranked: Ranked, method: str) -> list[Hit]:
+    """A stage's rows as hits; ``chunk_ids`` names the rows in row order."""
+    return [
+        Hit(chunk_ids[row], score, r, method)
+        for r, (row, score) in enumerate(zip(ranked.rows.tolist(), ranked.scores.tolist()), 1)
+    ]
+
+
+def hit_bits(hits) -> list[tuple]:
+    """Hits with each score as its float64 bytes, so equal means bit-equal."""
+    return [(h.chunk_id, struct.pack("<d", h.score), h.rank, h.method) for h in hits]
 
 
 def build_agent(config: AgentConfig, chunks: list[Chunk], embedder, backend) -> Agent:
@@ -68,6 +92,7 @@ def make_agents(
         chunks = []
         for doc in docs_by_category.get(category, []):
             chunks.extend(chunk_document(doc, chunking))
+        chunks.sort(key=lambda c: c.chunk_id)  # as ingest writes them
         config = AgentConfig(
             agent_id=agent_id,
             category=category,

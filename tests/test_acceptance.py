@@ -36,6 +36,7 @@ from ragroute.evalharness import AGENTS_ALL, EvalItem, run_eval
 from ragroute.llm import ScriptedChatBackend, ScriptEntry, TokenUsage
 from ragroute.planner import EXHAUSTED, run_plan
 from ragroute.prompts import TEMPLATES
+from ragroute.retrieval import UnitQuery
 from ragroute.router import select_agents
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -85,7 +86,7 @@ def test_c2_routing_oracle_equivalence():
         registry = random_registry(rng, int(rng.integers(1, 21)), 10)
         query = rng.normal(size=8)
         max_agents = int(rng.integers(1, 8))
-        assert select_agents(registry, query, max_agents) == selection_oracle(
+        assert select_agents(registry, UnitQuery(query), max_agents) == selection_oracle(
             registry, query, max_agents
         )
     elapsed = time.perf_counter() - started
@@ -101,9 +102,9 @@ def test_c3_selection_scale_invariance():
     checked = 0
     for _ in range(500):
         query = rng.normal(size=8)
-        base = select_agents(registry, query, 5)
+        base = select_agents(registry, UnitQuery(query), 5)
         for s in (0.01, 1.0, 100.0):
-            assert select_agents(registry, s * query, 5) == base
+            assert select_agents(registry, UnitQuery(s * query), 5) == base
         checked += 1
     assert checked == 500
     _report("criterion 3", "selection invariant under query scaling on 500 queries")

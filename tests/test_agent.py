@@ -11,7 +11,7 @@ from ragroute.agent import Agent, AgentConfig, AgentError
 from ragroute.corpus import Chunk, ChunkingConfig, Document, chunk_document
 from ragroute.llm import ScriptedChatBackend, ScriptEntry
 from ragroute.planner import QARecord
-from ragroute.retrieval import Bm25Index, DenseIndex
+from ragroute.retrieval import Bm25Index, DenseIndex, UnitQuery
 from ragroute.store import IndexFileError
 
 
@@ -42,7 +42,7 @@ class TestAnswerQuestion:
         answer = agents["a4"].answer_question(transcripts.WD_QUESTION)
         assert "Merle Dixon" in answer.reply.answer
         assert not answer.reply.is_unknown
-        assert answer.hits
+        assert len(answer.kept.rows)
 
     def test_out_of_domain_corpus_answers_unknown(self, mock_embedder):
         backend = ScriptedChatBackend(
@@ -60,7 +60,7 @@ class TestAnswerQuestion:
         agent = build_agent(config, [], mock_embedder, backend)
         answer = agent.answer_question("anything?")
         assert answer.reply.is_unknown
-        assert answer.hits == ()
+        assert len(answer.kept.rows) == len(answer.kept.scores) == 0
         assert backend.calls == []
         assert answer.usage.total == 0
 
@@ -74,7 +74,7 @@ class TestAnswerQuestion:
             chunking=ChunkingConfig(8, 2),
         )
         answer = agent.answer_question("zebra quagga okapi")
-        assert len(answer.hits) == 5
+        assert len(answer.kept.rows) == 5
         prompt = backend.calls[0].prompt
         assert prompt.count("[doc:") == 5
 
@@ -86,15 +86,15 @@ class TestAnswerQuestion:
             chunking=ChunkingConfig(8, 2),
         )
         answer = agent.answer_question("zebra quagga okapi", min_keep=9)
-        assert len(answer.hits) == 9
+        assert len(answer.kept.rows) == 9
 
     def test_min_keep_below_1_raises_instead_of_meaning_the_default(self, mock_embedder):
         backend = ScriptedChatBackend([ScriptEntry("Question:", "Answer: nothing")])
         agent = agent_from_text("f", "some topic words here", backend, mock_embedder)
-        query_vec = mock_embedder.embed_batch(["topic words"])[0]
+        query = UnitQuery(mock_embedder.embed_batch(["topic words"])[0])
         for min_keep in (0, -1):
             with pytest.raises(ValueError, match="min_keep must be >= 1"):
-                agent.select_chunks("topic words", query_vec, min_keep)
+                agent.select_chunks("topic words", query, min_keep)
             with pytest.raises(ValueError, match="min_keep must be >= 1"):
                 agent.answer_question("topic words", min_keep=min_keep)
         assert backend.calls == []
@@ -112,19 +112,26 @@ class TestAnswerQuestion:
         )
         answer = agent.answer_question("alpha beta gamma")
         prompt = backend.calls[0].prompt
-        kept_ids = {h.chunk_id for h in answer.hits}
-        for chunk_id, chunk in agent.chunks_by_id.items():
-            if chunk_id in kept_ids:
+        kept = set(answer.kept.rows.tolist())
+        for row, chunk in enumerate(agent.chunks):
+            if row in kept:
                 assert chunk.text in prompt
             else:
                 assert chunk.text not in prompt
 
-    def test_hits_equal_rerank_output_exactly(self, walking_dead_setup):
-        agents, _, _ = walking_dead_setup
-        agent = agents["a2"]
-        answer = agent.answer_question(transcripts.WD_QUESTION)
-        assert list(answer.hits) == sorted(answer.hits, key=lambda h: h.rank)
-        assert [h.rank for h in answer.hits] == list(range(1, len(answer.hits) + 1))
+    def test_kept_rows_are_distinct_and_best_first(self, mock_embedder):
+        """By (-cosine, row): the question shares words with a few chunks, and
+        the rest tie at 0 below the threshold."""
+        body = " ".join(f"filler{i}a filler{i}b filler{i}c" for i in range(60))
+        backend = ScriptedChatBackend([ScriptEntry("Question:", "Answer: nothing")])
+        agent = agent_from_text(
+            "f", body, backend, mock_embedder, retrieval_depth=20, min_keep=8,
+            chunking=ChunkingConfig(8, 2),
+        )
+        kept = agent.answer_question("filler30a filler7b filler7c zebra").kept
+        pairs = list(zip((-kept.scores).tolist(), kept.rows.tolist()))
+        assert pairs == sorted(pairs) and len(set(kept.rows.tolist())) == len(pairs) == 8
+        assert kept.scores[0] > 0 == kept.scores[-1]
 
     def test_multi_hop_history_joins_prompt_turns(self, mock_embedder):
         backend = ScriptedChatBackend([ScriptEntry("collection of knowledge", "Answer: fine")])
@@ -143,7 +150,8 @@ class TestAnswerQuestion:
 
         first, second = run(), run()
         assert first.reply == second.reply
-        assert first.hits == second.hits
+        assert first.kept.rows.tolist() == second.kept.rows.tolist()
+        assert first.kept.scores.tolist() == second.kept.scores.tolist()
         assert first.usage == second.usage
 
     def test_backend_failure_tagged_with_agent_id(self, mock_embedder):
@@ -169,36 +177,35 @@ def chunks_named(*ids: str) -> list[Chunk]:
 
 
 class TestIndexConsistency:
-    """An agent whose chunks, dense rows and BM25 lengths name different
-    chunks is refused when it is built, not once per question."""
+    """An agent whose chunks.jsonl or dense rows do not list bm25.json's chunk
+    ids row for row is refused when it is built, not once per question; the
+    message names the agent, the file and the first chunk id that differs."""
 
     @pytest.mark.parametrize(
-        "chunk_ids, dense_ids, bm25_ids, message",
+        "chunk_ids, dense_ids, message",
         [
-            ("d:2 d:0 d:1", "d:0 d:1 d:2", "d:0 d:1 d:2", None),
-            ("d:2 d:0 d:1", "d:0 d:1 d:19", "d:0 d:1 d:2",
-             "vectors.manifest.json names chunk 'd:19', which chunks.jsonl does not"),
-            ("d:2 d:0 d:1", "d:0 d:1 d:2", "d:0 d:1 d:10",
-             "bm25.json names chunk 'd:10', which chunks.jsonl does not"),
-            ("d:2 d:0 d:1", "d:0 d:1", "d:0 d:1 d:2",
-             "chunks.jsonl names chunk 'd:2', which vectors.manifest.json does not"),
-            ("d:2 d:0 d:1", "d:0 d:1 d:1", "d:0 d:1 d:2",
-             "vectors.manifest.json names chunk 'd:1' twice"),
-            ("d:0 d:1 d:0", "d:0 d:1", "d:0 d:1", "chunks.jsonl names chunk 'd:0' twice"),
+            ("d:0 d:1 d:2", "d:0 d:1 d:2", None),
+            ("d:0 d:2", "d:0 d:1 d:2", "chunks.jsonl: chunk id 'd:1' of bm25.json is missing"),
+            ("d:0 d:1 d:2", "d:0 d:1 d:2 d:3",
+             "vectors.manifest.json: chunk id 'd:3' is not in bm25.json"),
+            ("d:0 d:1 d:2", "d:0 d:1 d:1 d:2", "vectors.manifest.json: chunk id 'd:1' repeats"),
+            ("d:2 d:0 d:1", "d:0 d:1 d:2",
+             "chunks.jsonl: chunk id 'd:2' is out of chunk_id order: re-run ingest"),
         ],
+        ids=["same", "missing", "extra", "twice", "out-of-order"],
     )
-    def test_same_chunk_ids_or_index_file_error(self, chunk_ids, dense_ids, bm25_ids, message):
+    def test_same_rows_or_index_file_error(self, chunk_ids, dense_ids, message):
         dense_ids = dense_ids.split()
         args = (
             AgentConfig(agent_id="a7"),
             chunks_named(*chunk_ids.split()),
             DenseIndex(np.ones((len(dense_ids), 4), np.float32), dense_ids),
-            Bm25Index.build(chunks_named(*bm25_ids.split())),
+            Bm25Index.build(chunks_named("d:0", "d:1", "d:2")),
             None,
             None,
         )
         if message is None:
-            assert Agent(*args).chunks_by_id.keys() == set(dense_ids)
+            assert [c.chunk_id for c in Agent(*args).chunks] == dense_ids
         else:
             with pytest.raises(IndexFileError, match=f"^{re.escape(f'agent a7: {message}')}$"):
                 Agent(*args)

@@ -1015,6 +1015,74 @@ class TestBm25Store:
         }
 
 
+def row_order_corpus() -> list[dict]:
+    """Doc ids out of chunk_id order (d10 sorts before d3, d1 before d2) in
+    two interleaved categories, each doc several chunks long."""
+    return [
+        {"doc_id": doc_id, "category": category,
+         "body": " ".join(f"{doc_id}w{i} topic{category}" for i in range(10))}
+        for doc_id, category in (("d3", "ca"), ("d2", "cb"), ("d10", "ca"), ("d1", "cb"))
+    ]
+
+
+class TestRowOrder:
+    """An agent's chunks.jsonl, vectors and BM25 index list its chunks in one
+    order, chunk_id order, whatever order the corpus holds them in."""
+
+    AGENTS = [{"agent_id": "ca", "category": "ca"}, {"agent_id": "cb", "category": "cb"}]
+    CHUNKING = {"chunk_tokens": 8, "overlap_tokens": 2}
+
+    def build_and_ask(self, root: Path, corpus: list[dict], capsys) -> tuple[dict, str, list]:
+        root.mkdir()
+        config = write_config(root, corpus, catch_all_script(), self.AGENTS, chunking=self.CHUNKING)
+        build_lifecycle(config)
+        capsys.readouterr()
+        trace = root / "trace.json"
+        question = ["--question", "d3w1 topicca d1w2?", "--trace", str(trace)]
+        assert main(["ask", "--config", str(config), *question]) == 0
+        files = {
+            f"{agent}/{name}": (root / "index" / "agents" / agent / name).read_bytes()
+            for agent in ("ca", "cb")
+            for name in ("chunks.jsonl", "vectors.bin", "vectors.manifest.json", "bm25.json",
+                         "bm25.bin")
+        }
+        return files, capsys.readouterr().out, json.loads(trace.read_text())["prompt_sha256"]
+
+    def test_corpus_order_leaves_no_trace_in_the_index_or_the_answer(self, tmp_path, capsys):
+        corpus = row_order_corpus()
+        files, out, prompts = self.build_and_ask(tmp_path / "shuffled", corpus, capsys)
+        for agent, doc_ids in (("ca", ["d10", "d3"]), ("cb", ["d1", "d2"])):
+            ids = json.loads(files[f"{agent}/chunks.jsonl"])["chunk_id"]
+            assert [i.split(":")[0] for i in ids] == sorted(doc_ids * (len(ids) // 2))
+            assert ids == sorted(ids) and len(ids) > 2
+            assert json.loads(files[f"{agent}/vectors.manifest.json"])["chunk_ids"] == ids
+            assert json.loads(files[f"{agent}/bm25.json"])["chunk_ids"] == ids
+        in_order = sorted(corpus, key=lambda rec: rec["doc_id"])
+        assert (files, out, prompts) == self.build_and_ask(tmp_path / "sorted", in_order, capsys)
+
+    def test_chunks_in_corpus_order_are_refused_with_the_advice_to_ingest(self, tmp_path, capsys):
+        """A chunks.jsonl in corpus order, as older versions wrote it, stops
+        both build-index and ask (exit 2), naming the file and ingest."""
+        config = write_config(
+            tmp_path, row_order_corpus(), catch_all_script(), self.AGENTS, chunking=self.CHUNKING
+        )
+        build_lifecycle(config)
+        path = tmp_path / "index" / "agents" / "ca" / "chunks.jsonl"
+        columns = json.loads(path.read_bytes())
+        corpus_order = sorted(range(len(columns["chunk_id"])),
+                              key=lambda i: (columns["doc_id"][i] != "d3", i))
+        path.write_text(json.dumps({k: [v[i] for i in corpus_order] for k, v in columns.items()}))
+        capsys.readouterr()
+        assert main(["ask", "--config", str(config), "--question", "topicca?"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == (
+            "agent ca: chunks.jsonl: chunk id 'd3:00000' is out of chunk_id order: re-run ingest"
+        )
+        assert main(["build-index", "--config", str(config)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == (
+            f"{path}: chunk id 'd10:00000' is out of chunk_id order: re-run ingest"
+        )
+
+
 class TestInspect:
     def test_summary_lists_agents_and_registry(self, tmp_path, capsys):
         corpus, agents = topic_corpus_and_agents(2)
@@ -1100,6 +1168,39 @@ class TestConfigValidation:
         error = json.loads(capsys.readouterr().err)
         assert error["command"] == "inspect"
         assert message in error["error"]
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("embedding", "dim", 2.5, "dim must be an integer, not 2.5"),
+            ("embedding", "dim", True, "dim must be an integer, not True"),
+            ("chat", "max_rounds_retry", "2", "max_rounds_retry must be an integer, not '2'"),
+            ("chat", "max_rounds_retry", -1, "max_rounds_retry must be >= 0"),
+            ("agent", "agent_id", 5, "agent_id must be a string, not 5"),
+            ("agent", "agent_id", "../../escaped",
+             "agent_id must name one directory, not '../../escaped'"),
+            ("agent", "agent_id", "a\\b", "agent_id must name one directory, not 'a\\\\b'"),
+            ("agent", "agent_id", "..", "agent_id must name one directory, not '..'"),
+            ("agent", "agent_id", ".", "agent_id must name one directory, not '.'"),
+            ("agent", "agent_id", "", "agent_id must name one directory, not ''"),
+            ("agent", "category", 5, "category must be a string, not 5"),
+        ],
+    )
+    def test_field_of_the_wrong_type_or_value_exits_2_before_any_write(
+        self, tmp_path, capsys, section, key, value, message
+    ):
+        corpus = [{"doc_id": "d", "category": "c", "body": "words"}]
+        config = write_config(tmp_path, corpus, [], [{"agent_id": "a", "category": "c"}])
+        raw = json.loads(config.read_text(encoding="utf-8"))
+        (raw["agents"][0] if section == "agent" else raw[section])[key] = value
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        for command in ("ingest", "build-index", "register"):
+            assert main([command, "--config", str(config)]) == 2
+            error = json.loads(capsys.readouterr().err)
+            assert error["command"] == command and message in error["error"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "corpus.jsonl", "script.json"
+        ]
 
     def test_integral_threshold_accepted(self, tmp_path, capsys):
         agents = [{"agent_id": "a", "category": "c", "rerank_threshold": 0}]

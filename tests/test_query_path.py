@@ -1,21 +1,21 @@
 """``Agent.select_chunks`` against the retrieve -> fuse -> rerank composition
 it replaced, kept here as the oracle: each stage's own body, one stage after
-another, every stage scoring from scratch, with frozen-dataclass hits. The
+another, every stage scoring from scratch, with one record per hit. The
 program's stages hand each other row arrays; ``ranked_hits`` turns those
 into (chunk_id, score, rank, method) to compare."""
 
 from __future__ import annotations
 
 import math
-import struct
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import Hit as OracleHit
+from conftest import hit_bits, ranked_hits
 from ragroute import retrieval
 from ragroute.agent import Agent, AgentConfig
 from ragroute.corpus import Chunk, tokenize
@@ -28,21 +28,14 @@ from ragroute.retrieval import (
     RRF_K,
     Bm25Index,
     DenseIndex,
-    Ranked,
+    UnitQuery,
     _screen_slack,
     bm25_search,
     dense_search,
     unit_query,
     unit_scores,
+    unscored,
 )
-
-
-@dataclass(frozen=True)
-class OracleHit:
-    chunk_id: str
-    score: float
-    rank: int
-    method: str
 
 
 def oracle_dense_search(index: DenseIndex, query_vec: np.ndarray, top_n: int) -> list[OracleHit]:
@@ -154,26 +147,17 @@ def oracle_select(
     )
 
 
-def hit_bits(hits) -> list[tuple]:
-    """Hits with each score as its float64 bytes, so equal means bit-equal."""
-    return [(h.chunk_id, struct.pack("<d", h.score), h.rank, h.method) for h in hits]
-
-
-def ranked_hits(chunk_ids: list[str], ranked: Ranked, method: str) -> list[OracleHit]:
-    """A stage's rows, in an agent's chunk_id-order row space, as hits."""
-    return [
-        OracleHit(chunk_id=chunk_ids[row], score=score, rank=r, method=method)
-        for r, (row, score) in enumerate(zip(ranked.rows.tolist(), ranked.scores.tolist()), 1)
-    ]
-
-
 def assert_same_as_oracle(agent: Agent, question: str, query_vec: np.ndarray, min_keep) -> None:
-    retrieved = agent.retrieve(question, query_vec)
-    ids, method = sorted(agent.dense_index.chunk_ids), agent.config.retrieval_method
+    """The retrieved and the kept rows, read as the agent's chunk ids, with
+    their scores' bits, ranks and order, equal the oracle's hits."""
+    query = UnitQuery(query_vec)
+    retrieved = agent.retrieve(question, query, unscored(agent.dense_index))
+    ids, method = [c.chunk_id for c in agent.chunks], agent.config.retrieval_method
     assert hit_bits(ranked_hits(ids, retrieved, method)) == hit_bits(
         oracle_retrieve(agent, question, query_vec)
     )
-    assert hit_bits(agent.select_chunks(question, query_vec, min_keep)) == hit_bits(
+    kept = agent.select_chunks(question, query, min_keep)
+    assert hit_bits(ranked_hits(ids, kept, method)) == hit_bits(
         oracle_select(agent, question, query_vec, min_keep)
     )
 
@@ -185,16 +169,14 @@ def make_chunk(chunk_id: str, text: str) -> Chunk:
 
 def make_agent(
     matrix: np.ndarray, ids: list[str], texts: list[str], method: str, depth: int,
-    min_keep: int, threshold: float = 0.3, bm25_order=None,
+    min_keep: int, threshold: float = 0.3,
 ) -> Agent:
-    """An agent whose dense row k and chunk k carry ``ids[k]``; the BM25
-    index is built from the chunks in ``bm25_order``."""
+    """An agent whose dense row k, chunk k and BM25 row k carry ``ids[k]``,
+    which run in chunk_id order."""
     chunks = [make_chunk(cid, text) for cid, text in zip(ids, texts)]
-    order = range(len(chunks)) if bm25_order is None else bm25_order
     config = AgentConfig(agent_id="a", retrieval_method=method, retrieval_depth=depth,
                          min_keep=min_keep, rerank_threshold=threshold)
-    return Agent(config, chunks, DenseIndex(matrix, ids),
-                 Bm25Index.build([chunks[k] for k in order]), None, None)
+    return Agent(config, chunks, DenseIndex(matrix, ids), Bm25Index.build(chunks), None, None)
 
 
 _VOCAB = ["alpha", "Beta", "gamma", "delta", "eps", "zeta", ".", ","]
@@ -205,9 +187,9 @@ _QUERY_VOCAB = _VOCAB + ["ALPHA", "Gamma", "unknown", "zzz"]
 def query_cases(draw):
     """An agent whose dense rows are copies (some scaled by a power of two)
     of a few base vectors and whose chunk texts are a few texts used again,
-    so cosines and BM25 weights tie; ids shuffled against row order and the
-    BM25 index built in a third order; every method; a depth of 1, n - 1, n
-    or n + 5; a question that may match no BM25 term, with its vector on a
+    so cosines and BM25 weights tie; ids in chunk_id order, which
+    interleaves the chunk numbers of three documents; every method; a depth
+    of 1, n - 1, n or n + 5; a question that may match no BM25 term, with its vector on a
     base vector or off them; and a ``min_keep`` override or none."""
     dim = draw(st.one_of(st.integers(1, 24), st.just(64)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -219,14 +201,13 @@ def query_cases(draw):
     words = st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=8).map(" ".join)
     texts = draw(st.lists(words, min_size=1, max_size=4))
     uses = draw(st.lists(st.integers(0, len(texts) - 1), min_size=n, max_size=n))
-    ids = [f"d{i % 3}:{i:05d}" for i in rng.permutation(n)]
+    ids = sorted(f"d{i % 3}:{i:05d}" for i in range(n))
     method = draw(st.sampled_from([DENSE, BM25, MIXTURE]))
     depth = draw(st.sampled_from([1, max(1, n - 1), n, n + 5]))
     agent = make_agent(
         matrix, ids, [texts[u] for u in uses], method, depth,
         min_keep=draw(st.integers(1, depth)),
         threshold=draw(st.sampled_from([0.3, 0.3, -1.0, 0.9])),
-        bm25_order=rng.permutation(n),
     )
     vocab = ["unknown", "zzz"] if draw(st.booleans()) else _QUERY_VOCAB
     question = " ".join(draw(st.lists(st.sampled_from(vocab), max_size=6))) + "?"
@@ -283,8 +264,8 @@ class TestOneCosinePerChunk:
 
         monkeypatch.setattr(DenseIndex, "unit_rows", counting_unit_rows)
         monkeypatch.setattr(retrieval, "unit_query", counting_unit_query)
-        kept = agent.select_chunks("alpha gamma zeta", rng.normal(size=16))
-        assert len(kept) == 20
+        kept = agent.select_chunks("alpha gamma zeta", UnitQuery(rng.normal(size=16)))
+        assert len(kept.rows) == 20
         assert len(scored) == len(set(scored)) >= 20
         assert len(normed) == 1
 
@@ -300,8 +281,7 @@ class TestSelectChunksAtSize:
         so many rows repeat one direction; the first eight rows repeat one
         base vector, so a query on it ties on any cut below nine. With
         ``far_rows``, 50 rows sit at 2**70 scale, so the index screens in
-        float64. Dense ids run shuffled against row order and the BM25 index
-        is built in a third order. Texts come from a pool of 1,300 with
+        float64. Texts come from a pool of 1,300 with
         mixed-case words, so BM25 scores tie too."""
         rng = np.random.default_rng(seed)
         n, dim = cls.N, cls.DIM
@@ -317,11 +297,11 @@ class TestSelectChunksAtSize:
             for _ in range(1300)
         ]
         texts = [pool[k] for k in rng.integers(0, len(pool), n)]
-        ids = [f"d{i // 10:04d}:{i % 10:05d}" for i in rng.permutation(n)]
+        ids = [f"d{i // 10:04d}:{i % 10:05d}" for i in range(n)]
         chunks = [make_chunk(cid, text) for cid, text in zip(ids, texts)]
         dense = DenseIndex(matrix, ids)
         assert dense._screen_dtype == (np.float64 if far_rows else np.float32)
-        bm25 = Bm25Index.build([chunks[k] for k in rng.permutation(n)])
+        bm25 = Bm25Index.build(chunks)
         questions = [
             ("w1 W1 w1 w7 W300 w7?", base[0].astype(np.float64)),
             ("W12 w12 w12 w12 w5 w399?", rng.normal(size=dim)),
@@ -384,9 +364,8 @@ def searches_at_size(draw):
     """2,000 to 2,400 chunks. Dense rows are copies of a few hundred base
     vectors, some scaled by a power of two, so many rows tie exactly, and
     some copies are one float32 step off, so they nearly tie; chunk
-    texts come from a pool of a few hundred, so BM25 scores tie too. Dense
-    ids run shuffled against row order, and the BM25 index is built in a
-    third order. The query lies on a base vector or off them, and its tokens
+    texts come from a pool of a few hundred, so BM25 scores tie too. The
+    query lies on a base vector or off them, and its tokens
     may repeat, change case or match nothing."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2000, 2400))
@@ -404,7 +383,7 @@ def searches_at_size(draw):
     pool = [" ".join(w.upper() if rng.random() < 0.2 else w for w in rng.choice(vocab, size=k))
             for k in rng.integers(1, 30, draw(st.integers(40, 500)))]
     texts = [pool[k] for k in rng.integers(0, len(pool), n)]
-    ids = [f"d{i // 10:04d}:{i % 10:05d}" for i in rng.permutation(n)]
+    ids = [f"d{i // 10:04d}:{i % 10:05d}" for i in range(n)]
     chunks = [make_chunk(cid, text) for cid, text in zip(ids, texts)]
     words = st.sampled_from(vocab[:5] + [vocab[-1].upper(), "zzz", "?"])
     question = " ".join(draw(st.lists(words, min_size=1, max_size=8)))
@@ -413,7 +392,7 @@ def searches_at_size(draw):
     else:
         query_vec = rng.normal(size=dim)
     top_n = draw(st.sampled_from([1, 2, 10, 100, n - 1, n, n + 5]))
-    return chunks, matrix, rng.permutation(n), question, query_vec, top_n
+    return chunks, matrix, question, query_vec, top_n
 
 
 class TestSearchAtSize:
@@ -423,18 +402,18 @@ class TestSearchAtSize:
     @settings(max_examples=12)
     @given(searches_at_size())
     def test_dense_search_is_the_brute_force_top_n(self, case):
-        chunks, matrix, _, _, query_vec, top_n = case
+        chunks, matrix, _, query_vec, top_n = case
         index = DenseIndex(matrix, [c.chunk_id for c in chunks])
-        ranked = dense_search(index, query_vec, top_n)
-        assert hit_bits(ranked_hits(sorted(index.chunk_ids), ranked, DENSE)) == hit_bits(
+        ranked = dense_search(index, UnitQuery(query_vec), top_n, unscored(index))
+        assert hit_bits(ranked_hits(index.chunk_ids, ranked, DENSE)) == hit_bits(
             brute_dense_search(index, query_vec, top_n)
         )
 
     @settings(max_examples=12)
     @given(searches_at_size())
     def test_bm25_search_is_the_brute_force_top_n(self, case):
-        chunks, _, build_order, question, _, top_n = case
-        index = Bm25Index.build([chunks[k] for k in build_order])
+        chunks, _, question, _, top_n = case
+        index = Bm25Index.build(chunks)
         ranked = bm25_search(index, tokenize(question), top_n)
         assert hit_bits(ranked_hits(index.chunk_ids, ranked, BM25)) == hit_bits(
             brute_bm25_search(chunks, tokenize(question), top_n)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
-import struct
+import re
 import sys
 import tempfile
 import threading
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import cosine_similarity
+from conftest import Hit, cosine_similarity, hit_bits, ranked_hits
 from ragroute.corpus import Chunk, tokenize
 from ragroute.retrieval import (
     BM25_B,
@@ -25,7 +25,7 @@ from ragroute.retrieval import (
     Bm25Index,
     DenseIndex,
     Ranked,
-    RetrievalHit,
+    UnitQuery,
     bm25_search,
     dense_search,
     mixture_search,
@@ -50,22 +50,15 @@ def random_index(
     return DenseIndex(matrix, [f"c:{i:05d}" for i in range(n)]), matrix
 
 
-def as_hits(chunk_ids: list[str], ranked: Ranked, method: str) -> list[RetrievalHit]:
-    """A stage's rows as hits; ``chunk_ids`` lists the row space in row order."""
-    return [
-        RetrievalHit(chunk_ids[row], score, r, method)
-        for r, (row, score) in enumerate(zip(ranked.rows.tolist(), ranked.scores.tolist()), 1)
-    ]
+def dense_hits(index: DenseIndex, query: np.ndarray, top_n: int) -> list[Hit]:
+    """``dense_search`` as hits: its rows are the index's rows."""
+    ranked = dense_search(index, UnitQuery(query), top_n, unscored(index))
+    return ranked_hits(index.chunk_ids, ranked, "dense")
 
 
-def dense_hits(index: DenseIndex, query: np.ndarray, top_n: int) -> list[RetrievalHit]:
-    """``dense_search`` as hits: its rows are places in chunk_id order."""
-    return as_hits(sorted(index.chunk_ids), dense_search(index, query, top_n), "dense")
-
-
-def bm25_hits(index: Bm25Index, query_tokens: list[str], top_n: int) -> list[RetrievalHit]:
+def bm25_hits(index: Bm25Index, query_tokens: list[str], top_n: int) -> list[Hit]:
     """``bm25_search`` as hits: its rows are the index's rows."""
-    return as_hits(index.chunk_ids, bm25_search(index, query_tokens, top_n), "bm25")
+    return ranked_hits(index.chunk_ids, bm25_search(index, query_tokens, top_n), "bm25")
 
 
 def full_scan_oracle(
@@ -80,15 +73,14 @@ def full_scan_oracle(
 @st.composite
 def tied_indexes(draw):
     """Rows that are copies (some scaled by a power of two) of a few base
-    vectors, with chunk ids shuffled against row order, so equal scores
-    often straddle ``top_n``."""
+    vectors, in any order, so equal scores often straddle ``top_n``."""
     dim = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     base = rng.normal(size=(draw(st.integers(1, 4)), dim))
     picks = st.tuples(st.integers(0, len(base) - 1), st.integers(0, 3))
     copies = draw(st.lists(picks, min_size=1, max_size=60))
     matrix = np.array([base[b] * 2.0**k for b, k in copies], dtype=np.float32)
-    ids = [f"c:{i:05d}" for i in rng.permutation(len(copies))]
+    ids = [f"c:{i:05d}" for i in range(len(copies))]
     on_a_copy = draw(st.booleans())
     query = base[draw(st.integers(0, len(base) - 1))] if on_a_copy else rng.normal(size=dim)
     return matrix, ids, query, draw(st.integers(1, len(copies) + 2))
@@ -96,7 +88,7 @@ def tied_indexes(draw):
 
 def f64_dense_search(
     matrix: np.ndarray, chunk_ids: list[str], query: np.ndarray, top_n: int
-) -> list[RetrievalHit]:
+) -> list[Hit]:
     """Oracle: dense search as it ran on one float64 unit matrix, screened by
     a float64 BLAS product with 4 * d * eps slack, then re-scored with
     ``unit_scores`` and sorted by (-score, chunk_id)."""
@@ -112,19 +104,14 @@ def f64_dense_search(
     sims = unit_scores(unit, q).tolist()
     ids = [chunk_ids[i] for i in rows]
     order = sorted(range(len(ids)), key=lambda k: (-sims[k], ids[k]))[:top_n]
-    return [RetrievalHit(ids[k], sims[k], r, "dense") for r, k in enumerate(order, 1)]
-
-
-def hit_bits(hits: list[RetrievalHit]) -> list[tuple]:
-    """Hits with each score as its float64 bytes, so equal means bit-equal."""
-    return [(h.chunk_id, struct.pack("<d", h.score), h.rank, h.method) for h in hits]
+    return [Hit(ids[k], sims[k], r, "dense") for r, k in enumerate(order, 1)]
 
 
 @st.composite
 def near_tied_indexes(draw):
     """Copies of a few base vectors, some scaled by a power of two (equal
-    unit rows) and some moved one float32 ulp on one axis, with ids shuffled
-    against row order, a query on a copy or off it, and top_n in
+    unit rows) and some moved one float32 ulp on one axis, in any order, a
+    query on a copy or off it, and top_n in
     {1, n - 1, n, n + 5}. Now and then every row sits far from unit scale
     (subnormal at 2**-140, or at 2**100), where the index screens in
     float64."""
@@ -142,7 +129,7 @@ def near_tied_indexes(draw):
     scale = draw(st.sampled_from([1.0] * 6 + [2.0**-140, 2.0**100]))
     matrix = np.array(rows, dtype=np.float32) * np.float32(scale)
     n = len(rows)
-    ids = [f"c:{i:05d}" for i in rng.permutation(n)]
+    ids = [f"c:{i:05d}" for i in range(n)]
     on_a_copy = draw(st.booleans())
     query = base[draw(st.integers(0, len(base) - 1))] if on_a_copy else rng.normal(size=dim)
     return matrix, ids, query, draw(st.sampled_from([1, max(1, n - 1), n, n + 5]))
@@ -329,9 +316,21 @@ class TestBm25Search:
         assert order_before == order_after
 
     def test_ties_break_by_chunk_id(self):
-        index = Bm25Index.build([make_chunk("d:00001", "a b"), make_chunk("d:00000", "a b")])
+        index = Bm25Index.build([make_chunk("d:00000", "a b"), make_chunk("d:00001", "a b")])
         hits = bm25_hits(index, ["a"], top_n=2)
         assert [h.chunk_id for h in hits] == ["d:00000", "d:00001"]
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            ("d:00001 d:00000", "chunk id 'd:00000' is out of chunk_id order: re-run ingest"),
+            ("d:0 d:2 d:1", "chunk id 'd:1' is out of chunk_id order: re-run ingest"),
+            ("d:00000 d:00001 d:00000", "chunk id 'd:00000' repeats"),
+        ],
+    )
+    def test_build_refuses_chunks_out_of_chunk_id_order(self, ids, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Bm25Index.build([make_chunk(c, "a b") for c in ids.split()])
 
 
 def dict_postings(chunks: list[Chunk]) -> tuple[dict[str, dict[str, int]], dict[str, int]]:
@@ -349,7 +348,7 @@ def dict_postings(chunks: list[Chunk]) -> tuple[dict[str, dict[str, int]], dict[
 
 def dict_bm25_search(
     dicts: tuple[dict[str, dict[str, int]], dict[str, int]], query_tokens: list[str], top_n: int
-) -> list[RetrievalHit]:
+) -> list[Hit]:
     """Oracle: BM25 as it ran posting by posting over ``dict_postings``,
     summing each chunk's score in a dict and sorting by (-score, chunk_id)."""
     postings, doc_len = dicts
@@ -367,7 +366,7 @@ def dict_bm25_search(
             scores[chunk_id] = scores.get(chunk_id, 0.0) + idf * tf * (BM25_K1 + 1.0) / denom
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
     return [
-        RetrievalHit(chunk_id=cid, score=score, rank=r, method="bm25")
+        Hit(chunk_id=cid, score=score, rank=r, method="bm25")
         for r, (cid, score) in enumerate(ranked[:top_n], 1)
     ]
 
@@ -388,12 +387,13 @@ _BM25_QUERY_VOCAB = _BM25_VOCAB + ["ALPHA", "Gamma", "unknown", "zzz"]
 @st.composite
 def bm25_corpora(draw):
     """A few texts, each used by one or more chunks (equal texts score
-    equally and tie), with chunk ids shuffled against build order."""
+    equally and tie), in chunk_id order, which interleaves the chunk
+    numbers of three documents."""
     words = st.lists(st.sampled_from(_BM25_VOCAB), min_size=1, max_size=12)
     texts = draw(st.lists(words.map(" ".join), min_size=1, max_size=6))
     uses = draw(st.lists(st.integers(0, len(texts) - 1), min_size=1, max_size=24))
-    ids = draw(st.permutations(range(len(uses))))
-    return [make_chunk(f"d{i % 3}:{i:05d}", texts[t]) for i, t in zip(ids, uses)]
+    chunks = [make_chunk(f"d{i % 3}:{i:05d}", texts[t]) for i, t in enumerate(uses)]
+    return sorted(chunks, key=lambda c: c.chunk_id)
 
 
 def bm25_queries():
@@ -433,7 +433,7 @@ class TestBm25ArraysAgainstDictOracle:
         assert hit_bits(bm25_hits(built, query, top_n)) == want
 
     def test_load_builds_no_term_arrays_and_a_query_only_its_own(self, tmp_path):
-        chunks = [make_chunk("d:00001", "a b c"), make_chunk("d:00000", "b c d")]
+        chunks = [make_chunk("d:00000", "b c d"), make_chunk("d:00001", "a b c")]
         Bm25Index.build(chunks).save(tmp_path / "bm25.json")
         index = Bm25Index.load(tmp_path / "bm25.json")
         assert index._weights == {}
@@ -443,10 +443,11 @@ class TestBm25ArraysAgainstDictOracle:
     def test_threads_sharing_a_fresh_index_get_the_sequential_hits(self):
         rng = random.Random(11)
         vocab = [f"w{i}" for i in range(60)]
-        chunks = [
-            make_chunk(f"d:{i:05d}", " ".join(rng.choices(vocab, k=rng.randint(1, 30))))
-            for i in rng.sample(range(400), 400)
-        ]
+        chunks = sorted(
+            (make_chunk(f"d:{i:05d}", " ".join(rng.choices(vocab, k=rng.randint(1, 30))))
+             for i in rng.sample(range(400), 400)),
+            key=lambda c: c.chunk_id,
+        )
         queries = [rng.choices(vocab, k=rng.randint(1, 6)) for _ in range(40)]
         want = [hit_bits(bm25_hits(Bm25Index.build(chunks), q, 10)) for q in queries]
         shared = Bm25Index.build(chunks)
@@ -477,10 +478,11 @@ class TestBm25ArraysAgainstDictOracle:
         128 tokens over a 1500-word vocabulary, 60 questions."""
         rng = random.Random(16)
         vocab = [f"w{i}" for i in range(1500)] + ["W7", ".", ",", "?", "Caf\xe9"]
-        chunks = [
-            make_chunk(f"d{i // 10:02d}:{i % 10:05d}", " ".join(rng.choices(vocab, k=128)))
-            for i in rng.sample(range(250), 250)
-        ]
+        chunks = sorted(
+            (make_chunk(f"d{i // 10:02d}:{i % 10:05d}", " ".join(rng.choices(vocab, k=128)))
+             for i in rng.sample(range(250), 250)),
+            key=lambda c: c.chunk_id,
+        )
         Bm25Index.build(chunks).save(tmp_path / "bm25.json")
         loaded = Bm25Index.load(tmp_path / "bm25.json")
         dicts = dict_postings(chunks)
@@ -500,7 +502,7 @@ class TestBm25ArraysAgainstDictOracle:
             Bm25Index.load(tmp_path / "bm25.json")
 
 
-def fuse(dense_ids: list[str], sparse_ids: list[str], top_n: int) -> list[RetrievalHit]:
+def fuse(dense_ids: list[str], sparse_ids: list[str], top_n: int) -> list[Hit]:
     """``mixture_search`` over two rankings of chunk ids, each best first,
     as hits; the row space is the ids in sorted order."""
     space = sorted(set(dense_ids) | set(sparse_ids))
@@ -509,7 +511,8 @@ def fuse(dense_ids: list[str], sparse_ids: list[str], top_n: int) -> list[Retrie
     def ranked(ids):
         return Ranked(np.array([row[c] for c in ids], np.intp), np.ones(len(ids)))
 
-    return as_hits(space, mixture_search(ranked(dense_ids), ranked(sparse_ids), top_n), "mixture")
+    fused = mixture_search(ranked(dense_ids), ranked(sparse_ids), top_n)
+    return ranked_hits(space, fused, "mixture")
 
 
 class TestMixtureSearch:
@@ -561,15 +564,14 @@ class TestMixtureSearch:
 def rerank_hits(
     index: DenseIndex, query: np.ndarray, chunk_ids: list[str], min_keep: int,
     keep_threshold: float = 0.3,
-) -> list[RetrievalHit]:
+) -> list[Hit]:
     """``rerank`` of the hits ``chunk_ids``, best first, as hits scored from
     the cosine array it fills."""
-    space = sorted(index.chunk_ids)
-    row = {cid: r for r, cid in enumerate(space)}
+    row = {cid: r for r, cid in enumerate(index.chunk_ids)}
     cosines = unscored(index)
-    kept = rerank(np.array([row[c] for c in chunk_ids], np.intp), query, index, min_keep,
-                  keep_threshold, cosines)
-    return as_hits(space, Ranked(kept, cosines[kept]), "dense")
+    kept = rerank(np.array([row[c] for c in chunk_ids], np.intp), UnitQuery(query), index,
+                  min_keep, keep_threshold, cosines)
+    return ranked_hits(index.chunk_ids, Ranked(kept, cosines[kept]), "dense")
 
 
 class TestRerank:
@@ -623,7 +625,8 @@ class TestRerank:
 
     def test_empty_hits(self):
         index, query = self._index_and_query([0.5])
-        assert len(rerank(np.empty(0, np.intp), query, index, min_keep=3)) == 0
+        kept = rerank(np.empty(0, np.intp), UnitQuery(query), index, 3, 0.3, unscored(index))
+        assert len(kept) == 0
 
     @given(
         st.integers(1, 1024),
@@ -634,7 +637,7 @@ class TestRerank:
     def test_scores_equal_dense_search_bit_for_bit(self, dim, n, seed, top_n):
         rng = np.random.default_rng(seed)
         matrix = rng.normal(size=(n, dim)).astype(np.float32)
-        index = DenseIndex(matrix, [f"c:{i:05d}" for i in rng.permutation(n)])
+        index = DenseIndex(matrix, [f"c:{i:05d}" for i in range(n)])
         query = rng.normal(size=dim)
         hits = dense_hits(index, query, top_n)
         kept = rerank_hits(index, query, [h.chunk_id for h in hits], min_keep=len(hits))

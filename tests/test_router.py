@@ -121,13 +121,13 @@ class TestRegistry:
 class TestSelectAgents:
     def test_single_agent_always_selected(self):
         registry = RouterRegistry([entry("only", 0, [0.2, 0.9])])
-        assert select_agents(registry, np.array([1.0, 0.0]), 5) == ["only"]
+        assert select_agents(registry, UnitQuery(np.array([1.0, 0.0])), 5) == ["only"]
 
     def test_query_equal_to_centroid(self):
         rng = np.random.default_rng(7)
         registry = random_registry(rng, 6, 3)
         target = registry.entries[4]
-        got = select_agents(registry, target.centroid.astype(np.float64), 1)
+        got = select_agents(registry, UnitQuery(target.centroid.astype(np.float64)), 1)
         assert got == [target.agent_id]
 
     def test_matches_exhaustive_oracle(self):
@@ -136,14 +136,14 @@ class TestSelectAgents:
             registry = random_registry(rng, int(rng.integers(1, 21)), 10)
             query = rng.normal(size=8)
             max_agents = int(rng.integers(1, 6))
-            assert select_agents(registry, query, max_agents) == selection_oracle(
+            assert select_agents(registry, UnitQuery(query), max_agents) == selection_oracle(
                 registry, query, max_agents
             )
 
     @given(tied_selections())
     def test_ties_on_the_cap_match_oracle(self, case):
         registry, query, max_agents = case
-        assert select_agents(registry, query, max_agents) == selection_oracle(
+        assert select_agents(registry, UnitQuery(query), max_agents) == selection_oracle(
             registry, query, max_agents
         )
 
@@ -154,29 +154,30 @@ class TestSelectAgents:
         loaded = RouterRegistry.load(tmp_path / "registry.json", tmp_path / "registry_vectors")
         for _ in range(20):
             query = rng.normal(size=8)
-            assert select_agents(loaded, query, 3) == selection_oracle(registry, query, 3)
+            want = selection_oracle(registry, query, 3)
+            assert select_agents(loaded, UnitQuery(query), 3) == want
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(41)
         registry = random_registry(rng, 10, 4)
         for _ in range(50):
             query = rng.normal(size=8)
-            base = select_agents(registry, query, 5)
+            base = select_agents(registry, UnitQuery(query), 5)
             for s in (0.01, 1.0, 100.0):
-                assert select_agents(registry, s * query, 5) == base
+                assert select_agents(registry, UnitQuery(s * query), 5) == base
 
     def test_empty_registry_rejected(self):
         with pytest.raises(RouterError, match="no agents registered"):
-            select_agents(RouterRegistry(), np.ones(4), 1)
+            select_agents(RouterRegistry(), UnitQuery(np.ones(4)), 1)
 
     def test_cap_respected_and_deterministic(self):
         rng = np.random.default_rng(42)
         registry = random_registry(rng, 12, 3)
         query = rng.normal(size=8)
         for cap in (1, 3, 7, 50):
-            got = select_agents(registry, query, cap)
+            got = select_agents(registry, UnitQuery(query), cap)
             assert len(got) == min(cap, registry.agent_count)
-            assert got == select_agents(registry, query, cap)
+            assert got == select_agents(registry, UnitQuery(query), cap)
 
 
 def exact_select_agents(
@@ -235,7 +236,6 @@ class TestScreenedSelectionAgainstExactScan:
     def test_same_agents_in_the_same_order(self, case):
         registry, query, max_agents = case
         want = exact_select_agents(registry, query, max_agents)
-        assert select_agents(registry, query, max_agents) == want
         assert select_agents(registry, UnitQuery(query), max_agents) == want
 
     def test_routed_1hop_scale(self):
@@ -251,9 +251,8 @@ class TestScreenedSelectionAgainstExactScan:
         queries += [vectors[k].astype(np.float64) for k in (0, 7, 210, 239)]
         for query in queries:
             for max_agents in (1, 5, 16, 20):
-                assert select_agents(registry, query, max_agents) == exact_select_agents(
-                    registry, query, max_agents
-                )
+                want = exact_select_agents(registry, query, max_agents)
+                assert select_agents(registry, UnitQuery(query), max_agents) == want
 
 
 def make_answer(agent_id: str, text: str) -> AgentAnswer:

