@@ -118,11 +118,17 @@ class Agent:
         backend,
     ):
         """Raises IndexFileError unless ``chunks`` and ``dense_index`` name
-        ``bm25_index``'s chunks row for row, in chunk_id order."""
+        ``bm25_index``'s chunks row for row, in chunk_id order, and each
+        chunk_id ends in its ordinal, which is read here, once per row."""
         self.config = config
         want = bm25_index.chunk_ids
-        _check_rows(config.agent_id, "chunks.jsonl", [c.chunk_id for c in chunks], want)
+        chunk_ids = [c.chunk_id for c in chunks]
+        _check_rows(config.agent_id, "chunks.jsonl", chunk_ids, want)
         _check_rows(config.agent_id, "vectors.manifest.json", dense_index.chunk_ids, want)
+        try:
+            self._ordinals = list(map(chunk_ordinal, chunk_ids))
+        except ValueError as exc:
+            raise IndexFileError(f"agent {config.agent_id}: chunks.jsonl: {exc}") from exc
         self.chunks = list(chunks)
         self.dense_index = dense_index
         self.bm25_index = bm25_index
@@ -172,11 +178,12 @@ class Agent:
         return Ranked(kept, cosines[kept])
 
     def document_blocks(self, rows: np.ndarray) -> list[str]:
+        """Each row's ``[doc:… chunk:N]`` header and chunk text, in ``rows``
+        order."""
         blocks = []
         for row in rows.tolist():
             chunk = self.chunks[row]
-            header = f"[doc:{chunk.doc_id} chunk:{chunk_ordinal(chunk.chunk_id)}]"
-            blocks.append(f"{header}\n{chunk.text}")
+            blocks.append(f"[doc:{chunk.doc_id} chunk:{self._ordinals[row]}]\n{chunk.text}")
         return blocks
 
     def answer_question(

@@ -3,7 +3,9 @@
 A chunk is one sliding window of ``chunk_tokens`` tokens with consecutive
 windows overlapping by ``overlap_tokens``. The final window keeps whatever
 tokens remain; tail content is never discarded. An agent's chunks are stored
-as one JSON object of columns, one list per ``Chunk`` field. ``term_table``
+as their texts' UTF-8 bytes back to back in ``chunks.bin`` and one JSON
+object of the other columns in ``chunks.jsonl``, with each text's byte length
+and the crc32 of ``chunks.bin``. ``term_table``
 reads an agent's chunk texts once into integer term ids, for its BM25 index
 and the mock embedder alike.
 """
@@ -13,15 +15,18 @@ from __future__ import annotations
 import json
 import math
 import re
+import zlib
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, TypeVar
 
 import numpy as np
 
-from .store import IndexFileError, InputError, write_atomic
+from .store import (
+    IndexFileError, InputError, VectorFileError, read_arrays, require_int, write_atomic
+)
 
 T = TypeVar("T")
 
@@ -58,20 +63,17 @@ class Chunk(NamedTuple):
 
 # Chunk._make without its length check: the fields come from a zip of five.
 _new_chunk = partial(tuple.__new__, Chunk)
-# The type every element of a chunk file's column must have, with its name.
+# The columns of a chunk file, in ``Chunk`` field order, with the type every
+# element must have and its name: ``text_bytes``, each text's UTF-8 length in
+# the ``.bin``, stands in for ``text``.
 _COLUMN_TYPES = {
     "chunk_id": (str, "a string"),
     "doc_id": (str, "a string"),
-    "text": (str, "a string"),
+    "text_bytes": (int, "an integer"),
     "token_start": (int, "an integer"),
     "token_len": (int, "an integer"),
 }
-
-
-def require_int(name: str, value) -> None:
-    """TypeError naming ``name`` unless ``value`` is an int; a bool is not."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, not {value!r}")
+_CHUNK_FILE_KEYS = {*_COLUMN_TYPES, "crc32"}
 
 
 def require_utf8(name: str, text: str) -> None:
@@ -202,8 +204,13 @@ def make_chunk_id(doc_id: str, ordinal: int) -> str:
 
 
 def chunk_ordinal(chunk_id: str) -> int:
-    """Recover the chunk's position within its document from its id."""
-    return int(chunk_id.rsplit(":", 1)[1])
+    """Recover the chunk's position within its document from its id;
+    ValueError names an id that does not end in one."""
+    _, colon, ordinal = chunk_id.rpartition(":")
+    try:
+        return int(ordinal if colon else "")
+    except ValueError:
+        raise ValueError(f"chunk id {chunk_id!r} does not end in its ordinal") from None
 
 
 def chunk_count(total_tokens: int, cfg: ChunkingConfig) -> int:
@@ -328,11 +335,20 @@ def load_corpus(path: str | Path) -> tuple[list[Document], list[RecordError]]:
 
 
 def save_chunks(path: str | Path, chunks: list[Chunk]) -> None:
-    """Write ``chunks`` as one JSON object on one line: each ``Chunk`` field
-    name keys the list of that field's values, in chunk order."""
-    columns = list(zip(*chunks)) or [()] * len(Chunk._fields)
-    record = json.dumps(dict(zip(Chunk._fields, columns)), ensure_ascii=False, sort_keys=True)
-    write_atomic(path, (record + "\n").encode("utf-8"))
+    """Write the chunk texts' UTF-8 bytes back to back, in chunk order, to
+    ``path.with_suffix(".bin")``, then ``path``: one JSON object on one line
+    in which each ``Chunk`` field but ``text`` keys the list of that field's
+    values, ``text_bytes`` the list of each text's byte length, and
+    ``crc32`` the ``zlib.crc32`` of the ``.bin``."""
+    path = Path(path)
+    texts = [c.text.encode("utf-8") for c in chunks]
+    blob = b"".join(texts)
+    write_atomic(path.with_suffix(".bin"), blob)
+    columns = dict(zip(Chunk._fields, list(zip(*chunks)) or [()] * len(Chunk._fields)))
+    del columns["text"]
+    record = {**columns, "text_bytes": list(map(len, texts)), "crc32": zlib.crc32(blob)}
+    text = json.dumps(record, ensure_ascii=False, sort_keys=True)
+    write_atomic(path, (text + "\n").encode("utf-8"))
 
 
 def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
@@ -365,17 +381,18 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
 
 
 def _chunk_columns(record) -> list[list]:
-    """The columns of a decoded chunk file, in ``Chunk`` field order.
+    """The columns of a decoded chunk file, in ``_COLUMN_TYPES`` order.
 
     TypeError or ValueError names the column when ``record`` is not an
-    object keyed by exactly the ``Chunk`` fields, holding lists of one
-    length, with strings in the id and text columns and integers (a bool is
-    not one, as in ``require_int``) in the token columns.
+    object keyed by exactly the columns and ``crc32``, holding lists of one
+    length, with strings in the id columns and integers (a bool is not one,
+    as in ``require_int``) in the others, no byte length below 0, and a
+    ``crc32`` that is one.
     """
     if type(record) is not dict:
         raise TypeError(f"holds {record!r:.40}, not an object")
-    if record.keys() != set(Chunk._fields):
-        raise ValueError(f"has keys {sorted(record)}, not {sorted(Chunk._fields)}")
+    if record.keys() != _CHUNK_FILE_KEYS:
+        raise ValueError(f"has keys {sorted(record)}, not {sorted(_CHUNK_FILE_KEYS)}")
     for name, (kind, kind_name) in _COLUMN_TYPES.items():
         column = record[name]
         if type(column) is not list:
@@ -383,41 +400,73 @@ def _chunk_columns(record) -> list[list]:
         if not set(map(type, column)) <= {kind}:
             bad = next(v for v in column if type(v) is not kind)
             raise TypeError(f"column {name!r} holds {bad!r}, not {kind_name}")
-    lengths = {name: len(record[name]) for name in Chunk._fields}
+    lengths = {name: len(record[name]) for name in _COLUMN_TYPES}
     if len(set(lengths.values())) > 1:
         raise ValueError(f"columns have unequal lengths {lengths}")
-    return [record[name] for name in Chunk._fields]
+    if min(record["text_bytes"], default=0) < 0:
+        raise ValueError(f"column 'text_bytes' holds {min(record['text_bytes'])}, not a size")
+    crc = record["crc32"]
+    if type(crc) is not int or not 0 <= crc < 2**32:
+        raise TypeError(f"crc32 is {crc!r:.40}, not a crc32")
+    return [record[name] for name in _COLUMN_TYPES]
 
 
-def _per_line_chunk_file(text: str) -> bool:
-    """Whether ``text`` is in the older format, one chunk object per line:
-    blank (no chunks), or starting with an object whose chunk_id is a
-    string."""
+def _older_chunk_file(text: str) -> bool:
+    """Whether ``text`` is a chunk file in an older format: blank (no
+    chunks), one chunk object per line (the first one's chunk_id a string),
+    or one object of columns that holds the texts."""
     try:
         first, _ = json.JSONDecoder().raw_decode(text.lstrip())
     except (ValueError, RecursionError):
         return not text.strip()
-    return type(first) is dict and type(first.get("chunk_id")) is str
+    return type(first) is dict and (type(first.get("chunk_id")) is str or "text" in first)
+
+
+def _read_texts(path: Path, sizes: list[int], crc: int) -> list[str]:
+    """The texts of chunk file ``path``, of ``sizes`` bytes each, decoded
+    from one read-only mapping of its ``.bin``. VectorFileError names both
+    files unless the ``.bin`` is their bytes, with crc32 ``crc``."""
+    bin_path = path.with_suffix(".bin")
+    where = f"{path} with {bin_path.name}"
+    try:
+        [blob] = read_arrays(bin_path, [("u1", sum(sizes))])
+    except VectorFileError as exc:
+        raise VectorFileError(f"{where}: {exc}") from exc
+    if zlib.crc32(blob) != crc:
+        raise VectorFileError(f"{where}: {bin_path} has crc32 {zlib.crc32(blob)}, not {crc}")
+    view = memoryview(blob)
+    ends = list(accumulate(sizes))
+    bounds = zip([0, *ends], ends)
+    try:
+        whole = str(view, "utf-8")
+        if len(whole) == len(view):  # all ASCII: a byte is a character
+            return [whole[start:end] for start, end in bounds]
+        return [str(view[start:end], "utf-8") for start, end in bounds]
+    except UnicodeDecodeError as exc:
+        raise VectorFileError(f"{where}: a text is not UTF-8: {exc}") from exc
 
 
 def load_chunks(path: str | Path) -> list[Chunk]:
-    """The chunks ``save_chunks`` wrote: one read, one JSON decode, whole
-    columns checked. IndexFileError names the file, and the column when one
-    is bad; a file in the older one-chunk-per-line format is refused with
-    the advice to re-run ingest."""
+    """The chunks ``save_chunks`` wrote: one JSON decode of ``path``, whole
+    columns checked, and the texts decoded from its ``.bin``. IndexFileError
+    names the file, and the column when one is bad, or both files when the
+    ``.bin`` is not the one ``path`` describes; a file in an older format is
+    refused with the advice to re-run ingest."""
     path = Path(path)
     try:
         text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise IndexFileError(f"{path} is not UTF-8: {exc}") from exc
     try:
-        columns = _chunk_columns(json.loads(text))
+        record = json.loads(text)
+        columns = _chunk_columns(record)
     except (TypeError, ValueError, RecursionError) as exc:
-        if _per_line_chunk_file(text):
+        if _older_chunk_file(text):
             raise IndexFileError(
                 f"{path} is a chunk file in an older format: re-run ingest"
             ) from exc
         if isinstance(exc, (json.JSONDecodeError, RecursionError)):
             raise IndexFileError(f"{path} is not valid JSON: {exc}") from exc
         raise IndexFileError(f"{path} {exc}") from exc
+    columns[2] = _read_texts(path, columns[2], record["crc32"])
     return list(map(_new_chunk, zip(*columns)))

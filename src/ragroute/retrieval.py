@@ -133,13 +133,19 @@ class DenseIndex:
         rows = np.asarray(matrix, dtype=np.float32)
         if rows.ndim != 2 or rows.shape[0] != len(chunk_ids):
             raise ValueError("matrix rows must match chunk_ids")
-        # np.linalg.norm(rows.astype(np.float64), axis=1) in row blocks: the
-        # same sums, without a float64 copy of the index.
+        # np.linalg.norm(rows.astype(np.float64), axis=1) in row blocks, each
+        # squared in place in one reused float64 buffer: the same sums,
+        # without a float64 copy of the index or a temporary per block.
         norms = np.empty(len(rows))
         step = max(1, _NORM_BLOCK // max(rows.shape[1], 1))
+        buffer = np.empty((min(step, len(rows)), rows.shape[1]))
         for start in range(0, len(rows), step):
-            block = rows[start : start + step].astype(np.float64)
-            norms[start : start + step] = np.sqrt(np.add.reduce(block * block, axis=1))
+            part = rows[start : start + step]
+            block = buffer[: len(part)]
+            block[...] = part
+            np.multiply(block, block, out=block)
+            np.add.reduce(block, axis=1, out=norms[start : start + step])
+        np.sqrt(norms, out=norms)
         usable = (norms > 0.0) & (norms < math.inf)
         if not usable.all():
             row = int(np.flatnonzero(~usable)[0])

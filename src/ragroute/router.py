@@ -26,7 +26,7 @@ from .prompts import (
 )
 # rerank is unused here; perfbench/spans.py traces it by name on this module.
 from .retrieval import DenseIndex, UnitQuery, UnusableRowError, rerank
-from .store import VectorFileError, load_vectors, read_json, save_vectors, write_json
+from .store import VectorFileError, load_vectors, read_json, require_int, save_vectors, write_json
 
 if TYPE_CHECKING:
     from .evalharness import EvalSystem
@@ -88,17 +88,21 @@ class RouterRegistry:
     @classmethod
     def load(cls, json_path: str | Path, vectors_base: str | Path) -> "RouterRegistry":
         """The registry ``save`` wrote. IndexFileError names ``json_path`` unless
-        its entries name the vectors' manifest ids (``agent_id#cluster_id``) row
-        for row, and the ``.bin`` when a centroid is zero or not finite."""
+        its entries, with integer ``row`` and ``cluster_id`` (a bool is not
+        one), name the vectors' manifest ids (``agent_id#cluster_id``) row for
+        row, and the ``.bin`` when a centroid is zero or not finite."""
         matrix, ids = load_vectors(vectors_base)
 
         def parse(payload) -> RouterRegistry:
             recs = payload["entries"]
-            named = [(rec["row"], f"{rec['agent_id']}#{int(rec['cluster_id'])}") for rec in recs]
+            for rec in recs:
+                require_int("row", rec["row"])
+                require_int("cluster_id", rec["cluster_id"])
+            named = [(rec["row"], f"{rec['agent_id']}#{rec['cluster_id']}") for rec in recs]
             if named != list(enumerate(ids)):
                 raise ValueError("its entries are not the rows of the vectors' manifest, in order")
             entries = [
-                CentroidEntry(rec["agent_id"], int(rec["cluster_id"]), centroid)
+                CentroidEntry(rec["agent_id"], rec["cluster_id"], centroid)
                 for rec, centroid in zip(recs, matrix)
             ]
             try:

@@ -2,11 +2,15 @@
 only). Every file goes to a temp file beside it, then ``os.replace``s it;
 with no fsync, that is safe against a failed or killed process, not power
 loss. An array file (``.bin``) holds little-endian arrays back to back, sized
-by its JSON manifest, which is written after it."""
+by its JSON manifest, which is written after it, and is read as views of one
+read-only mapping. Rewriting a mapped file in place is outside the contract
+(the writers here only ``os.replace``): a reader that touches a page past a
+truncation dies of SIGBUS."""
 
 from __future__ import annotations
 
 import json
+import mmap
 import os
 from itertools import accumulate
 from pathlib import Path
@@ -27,6 +31,12 @@ class IndexFileError(InputError):
 class VectorFileError(IndexFileError):
     """An array file disagrees with its manifest, or holds a zero or non-finite
     vector."""
+
+
+def require_int(name: str, value) -> None:
+    """TypeError naming ``name`` unless ``value`` is an int; a bool is not."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not {value!r}")
 
 
 def write_atomic(path: str | Path, data: bytes) -> None:
@@ -68,12 +78,16 @@ def write_arrays(path: Path, arrays: Iterable[tuple[str, np.ndarray]]) -> None:
 
 
 def read_arrays(path: Path, layout: list[tuple[str, int]]) -> list[np.ndarray]:
-    """The arrays of ``layout``'s ``(dtype, count)`` pairs, as read-only views
-    of one read of ``path``; VectorFileError when its size does not fit."""
-    data = path.read_bytes()
+    """The arrays of ``layout``'s ``(dtype, count)`` pairs, as views of one
+    read-only mapping of ``path`` (a zero-byte file maps nothing and gives
+    empty arrays); VectorFileError when its size does not fit. The mapping
+    lives as long as the arrays do; the file may be replaced meanwhile."""
     sizes = [np.dtype(dt).itemsize * count for dt, count in layout]
-    if len(data) != sum(sizes):
-        raise VectorFileError(f"{path} holds {len(data)} bytes; its manifest needs {sum(sizes)}")
+    with path.open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size != sum(sizes):
+            raise VectorFileError(f"{path} holds {size} bytes; its manifest needs {sum(sizes)}")
+        data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if size else b""
     starts = accumulate(sizes, initial=0)
     return [np.frombuffer(data, dt, count, at) for (dt, count), at in zip(layout, starts)]
 
@@ -92,13 +106,17 @@ def save_vectors(base_path: str | Path, matrix: np.ndarray, ids: list[str]) -> N
 
 def load_vectors(base_path: str | Path) -> tuple[np.ndarray, list[str]]:
     """What ``save_vectors`` wrote: a read-only float32 array and the ids.
-    VectorFileError when the manifest lists other than ``count`` ids or a
+    IndexFileError names the manifest when ``count`` or ``dim`` is not an
+    integer; VectorFileError when it lists other than ``count`` ids or a
     negative ``dim``, or the ``.bin`` is not ``count * dim`` floats."""
     base = Path(base_path)
-    count, dim, ids = read_json(
-        base.with_suffix(".manifest.json"),
-        lambda m: (int(m["count"]), int(m["dim"]), list(m["chunk_ids"])),
-    )
+
+    def parse(m) -> tuple[int, int, list[str]]:
+        require_int("count", m["count"])
+        require_int("dim", m["dim"])
+        return m["count"], m["dim"], list(m["chunk_ids"])
+
+    count, dim, ids = read_json(base.with_suffix(".manifest.json"), parse)
     bin_path = base.with_suffix(".bin")
     if len(ids) != count or dim < 0:
         raise VectorFileError(f"{bin_path}: manifest has {len(ids)} ids for {count} rows of {dim}")

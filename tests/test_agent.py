@@ -7,6 +7,7 @@ import pytest
 
 import transcripts
 from conftest import build_agent
+from ragroute import agent as agent_module
 from ragroute.agent import Agent, AgentConfig, AgentError
 from ragroute.corpus import Chunk, ChunkingConfig, Document, chunk_document
 from ragroute.llm import ScriptedChatBackend, ScriptEntry
@@ -77,6 +78,24 @@ class TestAnswerQuestion:
         assert len(answer.kept.rows) == 5
         prompt = backend.calls[0].prompt
         assert prompt.count("[doc:") == 5
+
+    def test_headers_are_made_once_per_agent_not_per_question(self, mock_embedder,
+                                                                monkeypatch):
+        body = " ".join(f"filler{i}a filler{i}b filler{i}c" for i in range(60))
+        backend = ScriptedChatBackend([ScriptEntry("Question:", "Answer: nothing",
+                                                   repeat=True)])
+        agent = agent_from_text(
+            "f", body, backend, mock_embedder, retrieval_depth=20, min_keep=5,
+            chunking=ChunkingConfig(8, 2),
+        )
+        calls = []
+        monkeypatch.setattr(agent_module, "chunk_ordinal",
+                            lambda chunk_id: calls.append(chunk_id) or 0)
+        for question in ("zebra quagga okapi", "filler3a filler7b?"):
+            answer = agent.answer_question(question)
+        assert len(answer.kept.rows) >= 5 and calls == []
+        headers = re.findall(r"\[doc:f-doc chunk:(\d+)\]", backend.calls[-1].prompt)
+        assert headers == [str(row) for row in answer.kept.rows.tolist()]
 
     def test_min_keep_override(self, mock_embedder):
         body = " ".join(f"filler{i}a filler{i}b filler{i}c" for i in range(60))
@@ -209,3 +228,13 @@ class TestIndexConsistency:
         else:
             with pytest.raises(IndexFileError, match=f"^{re.escape(f'agent a7: {message}')}$"):
                 Agent(*args)
+
+    @pytest.mark.parametrize("chunk_id", ["d", "d:x", "d:"])
+    def test_chunk_id_without_an_ordinal_is_refused_when_built(self, chunk_id):
+        chunks = chunks_named(chunk_id)
+        with pytest.raises(IndexFileError, match=re.escape(
+            f"agent a7: chunks.jsonl: chunk id {chunk_id!r} does not end in its ordinal"
+        )):
+            Agent(AgentConfig(agent_id="a7"), chunks,
+                  DenseIndex(np.ones((1, 4), np.float32), [chunk_id]),
+                  Bm25Index.build(chunks), None, None)

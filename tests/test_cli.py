@@ -106,7 +106,8 @@ class TestLifecycle:
         assert {e["agent_id"] for e in registry["entries"]} == {"agent0"}
         emptied = tmp_path / "index" / "agents" / "agent1"
         assert sorted(p.name for p in emptied.iterdir()) == [
-            "bm25.bin", "bm25.json", "chunks.jsonl", "vectors.bin", "vectors.manifest.json"
+            "bm25.bin", "bm25.json", "chunks.bin", "chunks.jsonl", "vectors.bin",
+            "vectors.manifest.json"
         ]
         assert main(["inspect", "--config", str(config)]) == 0
         summary = json.loads(capsys.readouterr().out)
@@ -709,20 +710,23 @@ def _with_first(name, value):
 
 
 class TestChunkFile:
-    """``chunks.jsonl`` holds one JSON object of columns. A file that is not
-    that object, with typed columns of one length, exits 2 naming the file
-    and the column, never in a traceback."""
+    """``chunks.jsonl`` holds one JSON object of columns, and ``chunks.bin``
+    the texts. A file that is not that object, with typed columns of one
+    length, exits 2 naming the file and the column, never in a traceback."""
 
-    def test_text_not_a_string_exits_2_at_build_index(self, one_agent_tree, capsys):
+    @pytest.mark.parametrize("command", ["ask", "build-index"])
+    def test_texts_in_the_json_exit_2_naming_ingest(self, one_agent_tree, capsys, command):
+        """The columns as older versions wrote them, texts and all."""
         config, path = one_agent_tree
-        first, *rest = load_chunks(path)
-        save_chunks(path, [Chunk(first.chunk_id, first.doc_id, 5, first.token_start,
-                                 first.token_len), *rest])
+        chunks = load_chunks(path)
+        path.write_text(json.dumps({name: [getattr(c, name) for c in chunks]
+                                    for name in Chunk._fields}), encoding="utf-8")
         capsys.readouterr()
-        assert main(["build-index", "--config", str(config)]) == 2
+        assert main([command, "--config", str(config),
+                     *command_args(path.parents[3], command)]) == 2
         assert json.loads(capsys.readouterr().err) == {
-            "command": "build-index",
-            "error": f"{path} column 'text' holds 5, not a string",
+            "command": command,
+            "error": f"{path} is a chunk file in an older format: re-run ingest",
         }
 
     def test_chunk_id_not_a_string_exits_2_at_ask(self, one_agent_tree, capsys):
@@ -760,22 +764,27 @@ class TestChunkFile:
             (lambda columns: "columns", "holds 'columns', not an object"),
             (lambda columns: {"x": []}, "has keys ['x']"),
             (lambda columns: {k: v for k, v in columns.items() if k != "token_len"},
-             "has keys ['chunk_id', 'doc_id', 'text', 'token_start']"),
-            (_with("title", ["", ""]), "has keys ['chunk_id', 'doc_id', 'text', 'title'"),
+             "has keys ['chunk_id', 'crc32', 'doc_id', 'text_bytes', 'token_start']"),
+            (_with("title", ["", ""]),
+             "has keys ['chunk_id', 'crc32', 'doc_id', 'text_bytes', 'title'"),
             (_with("doc_id", "d1"), "column 'doc_id' is 'd1', not a list"),
             (_with("token_start", {"0": 0}), "column 'token_start' is {'0': 0}, not a list"),
-            (_with("text", ["alpha beta gamma"]), "columns have unequal lengths"),
+            (_with("text_bytes", [16]), "columns have unequal lengths"),
             (_with_first("chunk_id", ["d1:00000"]),
              "column 'chunk_id' holds ['d1:00000'], not a string"),
             (_with_first("doc_id", None), "column 'doc_id' holds None, not a string"),
-            (_with_first("text", 5), "column 'text' holds 5, not a string"),
+            (_with_first("text_bytes", "5"), "column 'text_bytes' holds '5', not an integer"),
+            (_with_first("text_bytes", -1), "column 'text_bytes' holds -1, not a size"),
+            (_with("crc32", None), "crc32 is None, not a crc32"),
+            (_with("crc32", 2**32), "crc32 is 4294967296, not a crc32"),
             (_with_first("token_start", "0"), "column 'token_start' holds '0', not an integer"),
             (_with_first("token_len", True), "column 'token_len' holds True, not an integer"),
             (_with_first("token_len", 3.0), "column 'token_len' holds 3.0, not an integer"),
         ],
         ids=["list", "null", "string", "other-keys", "lacks-a-key", "extra-key", "str-column",
-             "object-column", "unequal-lengths", "list-id", "null-doc-id", "number-text",
-             "string-start", "bool-len", "float-len"],
+             "object-column", "unequal-lengths", "list-id", "null-doc-id", "string-size",
+             "negative-size", "null-crc32", "wide-crc32", "string-start", "bool-len",
+             "float-len"],
     )
     def test_bad_record_exits_2_naming_file_and_column(self, one_agent_tree, capsys, command,
                                                        edit, words):
@@ -1004,8 +1013,7 @@ class TestBm25Store:
         config = write_config(tmp_path, corpus, catch_all_script(), agents)
         assert main(["ingest", "--config", str(config)]) == 0
         chunks = tmp_path / "index" / "agents" / "agent0" / "chunks.jsonl"
-        columns = json.loads(chunks.read_bytes())
-        chunks.write_text(json.dumps({name: col * 2 for name, col in columns.items()}))
+        save_chunks(chunks, load_chunks(chunks) * 2)
         capsys.readouterr()
         assert main(["build-index", "--config", str(config)]) == 2
         error = json.loads(capsys.readouterr().err)
@@ -1068,10 +1076,8 @@ class TestRowOrder:
         )
         build_lifecycle(config)
         path = tmp_path / "index" / "agents" / "ca" / "chunks.jsonl"
-        columns = json.loads(path.read_bytes())
-        corpus_order = sorted(range(len(columns["chunk_id"])),
-                              key=lambda i: (columns["doc_id"][i] != "d3", i))
-        path.write_text(json.dumps({k: [v[i] for i in corpus_order] for k, v in columns.items()}))
+        chunks = load_chunks(path)
+        save_chunks(path, sorted(chunks, key=lambda c: c.doc_id != "d3"))
         capsys.readouterr()
         assert main(["ask", "--config", str(config), "--question", "topicca?"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == (

@@ -4,6 +4,7 @@ import errno
 import json
 import random
 import tempfile
+import zlib
 from pathlib import Path
 
 import pytest
@@ -335,7 +336,41 @@ class TestChunkStore:
             save_chunks(path, after)
         monkeypatch.undo()
         assert load_chunks(path) == before
-        assert [p.name for p in tmp_path.iterdir()] == ["chunks.jsonl"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["chunks.bin", "chunks.jsonl"]
+
+    def test_texts_are_the_bin_and_the_json_holds_their_sizes(self, tmp_path):
+        path = tmp_path / "chunks.jsonl"
+        save_chunks(path, [Chunk("d:00000", "d", "café", 0, 1), Chunk("d:00001", "d", "東京", 1, 1)])
+        assert (tmp_path / "chunks.bin").read_bytes() == "café東京".encode("utf-8")
+        record = json.loads(path.read_bytes())
+        assert (record["text_bytes"], record["crc32"]) == ([5, 6], zlib.crc32("café東京".encode()))
+        assert "text" not in record
+
+    @pytest.mark.parametrize(
+        "damage, words",
+        [
+            (lambda bin_path: bin_path.write_bytes(b"cafe!"), "has crc32"),
+            (lambda bin_path: bin_path.write_bytes(b"cafe"), "holds 4 bytes"),
+            (lambda bin_path: bin_path.write_bytes(b""), "holds 0 bytes"),
+        ],
+        ids=["same-size", "short", "empty"],
+    )
+    def test_a_bin_that_is_not_the_texts_is_refused_naming_both(self, tmp_path, damage, words):
+        path = tmp_path / "chunks.jsonl"
+        save_chunks(path, [Chunk("d:00000", "d", "café", 0, 1)])
+        damage(tmp_path / "chunks.bin")
+        with pytest.raises(IndexFileError) as info:
+            load_chunks(path)
+        assert str(info.value).startswith(f"{path} with chunks.bin: {tmp_path / 'chunks.bin'} ")
+        assert words in str(info.value)
+
+    def test_sizes_that_split_a_character_are_refused(self, tmp_path):
+        path = tmp_path / "chunks.jsonl"
+        save_chunks(path, [Chunk("d:00000", "d", "é", 0, 1), Chunk("d:00001", "d", "a", 1, 1)])
+        record = json.loads(path.read_bytes())
+        path.write_text(json.dumps({**record, "text_bytes": [1, 2]}), encoding="utf-8")
+        with pytest.raises(IndexFileError, match="a text is not UTF-8"):
+            load_chunks(path)
 
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_older_per_line_format_is_refused(self, tmp_path, n):

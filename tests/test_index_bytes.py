@@ -39,8 +39,10 @@ PINNED = {
         "9603917039eb53daaa6a6a994e8c8781dea4d05a43303bc024cee6d48eb86708",
     "agents/alpha/bm25.json":
         "7c6a60adafca439e2b7cb9ce0d735b9fa7d1c93a36a3fc2d054b74878c6319e3",
+    "agents/alpha/chunks.bin":
+        "00200a682823329d83861982e63e23d143ed680e8ad7975c524a1be19809fb20",
     "agents/alpha/chunks.jsonl":
-        "3ef888bf4feb545c0e3685d9445764f991d307e95dc480e4ce3bda0d2ff1449b",
+        "f4175f535cb307d7c977ab6eae31db69b930fe59c4c627d8749208122c2ce16b",
     "agents/alpha/profile.json":
         "ae07bbcbf17b77850659acaaec78efdbf8e9a2f77cbafc26827890c1fa0f63a8",
     "agents/alpha/vectors.bin":
@@ -51,8 +53,10 @@ PINNED = {
         "24807aa865c2cf1508bf91e40ec83c2706d97d592394ade931a43532ca9b55f6",
     "agents/beta/bm25.json":
         "281cada5d107792ff4cecf7621f3662c88a57c6e3034363a0757104ee2bf8f2d",
+    "agents/beta/chunks.bin":
+        "08b2584f54fb8277e487334fc40584c58e7cc0b2d7d92e8bf097b8811e26b6bf",
     "agents/beta/chunks.jsonl":
-        "6ace2e6779c6093bf8433ad3e519b4784175737ecf925d80ebb98e90e96e6918",
+        "3139291a36b301becc41d70b352f782fd78fd9192d7725cd188a87738bdc8f10",
     "agents/beta/profile.json":
         "e0f59742f119fedfe03ce5a385218fbf75f1645bed5f120937b053455c133034",
     "agents/beta/vectors.bin":
@@ -63,8 +67,10 @@ PINNED = {
         "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
     "agents/gamma/bm25.json":
         "346e4374febad7552010836f37690f4c2284774f865fee34a4e2b5593b76d02f",
+    "agents/gamma/chunks.bin":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "agents/gamma/chunks.jsonl":
-        "c658e70575f4e9ac7d6efec4c831e93477713aa499dfb007c15a7fcd1b328e16",
+        "e52d3447163f3e32c39320b5250411720e223ef8574cf40b10e680b8c414ac58",
     "agents/gamma/vectors.bin":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "agents/gamma/vectors.manifest.json":

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,6 +12,7 @@ from ragroute.agent import AgentAnswer
 from ragroute.boundary import CentroidEntry
 from ragroute.llm import ScriptedChatBackend, ScriptEntry, TokenUsage
 from ragroute.retrieval import UnitQuery, unit_query, unit_scores
+from ragroute.store import IndexFileError
 from conftest import cosine_similarity, count_embeds, system_of
 from ragroute.router import (
     CONJECTURE,
@@ -116,6 +119,24 @@ class TestRegistry:
         by_key = {(e.agent_id, e.cluster_id): e.centroid for e in registry.entries}
         for e in loaded.entries:
             assert np.array_equal(e.centroid, by_key[(e.agent_id, e.cluster_id)])
+
+    @pytest.mark.parametrize("field, value", [
+        ("cluster_id", 1.9), ("cluster_id", "1"), ("cluster_id", True), ("row", 1.0),
+        ("row", True),
+    ])
+    def test_integer_fields_are_not_coerced(self, tmp_path, field, value):
+        """Entry 1 is a#1 at row 1; a value that ``int`` would turn into 1
+        is refused, naming the file, not read as 1."""
+        registry = RouterRegistry([entry("a", 0, [1.0, 0.0]), entry("a", 1, [0.0, 1.0]),
+                                   entry("b", 0, [1.0, 1.0])])
+        path = tmp_path / "registry.json"
+        registry.save(path, tmp_path / "registry_vectors")
+        payload = json.loads(path.read_text())
+        payload["entries"][1][field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(IndexFileError, match=f"{field} must be an integer") as info:
+            RouterRegistry.load(path, tmp_path / "registry_vectors")
+        assert str(info.value).startswith(f"{path} ")
 
 
 class TestSelectAgents:

@@ -18,6 +18,7 @@ import math
 import random
 import re
 import struct
+import zlib
 from collections import Counter
 
 import numpy as np
@@ -90,17 +91,21 @@ def bm25_files(path) -> tuple[bytes, bytes]:
     return path.read_bytes(), path.with_suffix(".bin").read_bytes()
 
 
-def oracle_chunks_jsonl(chunks: list[Chunk]) -> bytes:
-    """Oracle: the bytes of ``save_chunks``, one ``json.dumps`` of one list
-    per field."""
+def oracle_chunk_files(chunks: list[Chunk]) -> tuple[bytes, bytes]:
+    """Oracle: the bytes ``save_chunks`` writes to ``chunks.jsonl`` and
+    ``chunks.bin``: one ``json.dumps`` of one list per field, the texts'
+    byte lengths and the crc32 of the texts' UTF-8 bytes, joined."""
+    texts = [c.text.encode("utf-8") for c in chunks]
     columns = {
         "chunk_id": [c.chunk_id for c in chunks],
+        "crc32": zlib.crc32(b"".join(texts)),
         "doc_id": [c.doc_id for c in chunks],
-        "text": [c.text for c in chunks],
+        "text_bytes": [len(t) for t in texts],
         "token_len": [c.token_len for c in chunks],
         "token_start": [c.token_start for c in chunks],
     }
-    return (json.dumps(columns, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
+    record = json.dumps(columns, ensure_ascii=False, sort_keys=True) + "\n"
+    return record.encode("utf-8"), b"".join(texts)
 
 
 # Whitespace that str.split and the tokenizer both skip (\x1c-\x1f, NEL, NBSP,
@@ -321,7 +326,8 @@ def test_routed_size_set_up_writes_the_oracle_bytes(tmp_path, capsys):
                 doc = Document(rec["doc_id"], "", category, rec["body"])
                 chunks.extend(token_spans_chunks(doc, cfg))
         sizes.append(len(chunks))
-        assert (adir / "chunks.jsonl").read_bytes() == oracle_chunks_jsonl(chunks)
+        chunk_files = ((adir / "chunks.jsonl").read_bytes(), (adir / "chunks.bin").read_bytes())
+        assert chunk_files == oracle_chunk_files(chunks)
         assert bm25_files(adir / "bm25.json") == oracle_bm25_files(chunks)
         rows = oracle_mock_rows([c.text for c in chunks], 1024).astype("<f4")
         assert (adir / "vectors.bin").read_bytes() == rows.tobytes()

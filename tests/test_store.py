@@ -1,25 +1,32 @@
 """The index store: vector files round-trip, only ``ragroute.store`` writes
-files, and a set-up command that fails part way leaves an index that ``ask``
-either answers from as before or refuses with exit 2, never a mixed one."""
+or maps files, a loaded system holds its array files as read-only mappings
+that a replaced file leaves as they were, and a set-up command that fails
+part way leaves an index that ``ask`` either answers from as before or
+refuses with exit 2, never a mixed one."""
 
 from __future__ import annotations
 
 import ast
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ragroute
-from ragroute.cli import main
-from ragroute.store import VectorFileError, load_vectors, save_vectors
+from ragroute.cli import SystemConfig, _load_system, build_parser, main
+from ragroute.corpus import Chunk, load_chunks, save_chunks
+from ragroute.evalharness import answer
+from ragroute.retrieval import Bm25Index, DenseIndex
+from ragroute.store import IndexFileError, VectorFileError, load_vectors, save_vectors
 from test_cli import catch_all_script, restore, topic_corpus_and_agents, write_config
 
 PACKAGE = Path(ragroute.__file__).parent
-# Attribute calls that write or replace a file, or read one past the store.
-WRITERS = {"write_text", "write_bytes", "tofile", "fromfile"}
+# Attribute calls that write or replace a file, or read or map one past the
+# store.
+WRITERS = {"write_text", "write_bytes", "tofile", "fromfile", "mmap", "memmap"}
 
 
 def _writes_mode(call: ast.Call) -> bool:
@@ -86,6 +93,18 @@ class TestVectorFile:
         with pytest.raises(VectorFileError):
             load_vectors(tmp_path / "v")
 
+    @pytest.mark.parametrize("field, value", [
+        ("count", "3"), ("count", 3.0), ("count", True), ("dim", "4"), ("dim", 4.0),
+        ("dim", True),
+    ])
+    def test_manifest_counts_must_be_integers(self, tmp_path, field, value):
+        save_vectors(tmp_path / "v", np.ones((3, 4), np.float32), ["a", "b", "c"])
+        manifest = tmp_path / "v.manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), field: value}))
+        with pytest.raises(IndexFileError, match=f"{field} must be an integer") as info:
+            load_vectors(tmp_path / "v")
+        assert str(info.value).startswith(f"{manifest} ")
+
     def test_little_endian_layout(self, tmp_path):
         matrix = np.array([[1.0, 2.0]], dtype=np.float32)
         save_vectors(tmp_path / "v", matrix, ["a"])
@@ -98,7 +117,9 @@ def test_only_the_store_writes_files():
         path.name: file_writes(path.read_text(encoding="utf-8"))
         for path in sorted(PACKAGE.glob("*.py"))
     }
-    assert writes.pop("store.py"), "the guard finds no write in store.py"
+    store_calls = writes.pop("store.py")
+    assert any(call.endswith("os.replace") for call in store_calls), store_calls
+    assert any(call.endswith("mmap.mmap") for call in store_calls), store_calls
     assert {name: calls for name, calls in writes.items() if calls} == {}
 
 
@@ -113,6 +134,10 @@ def test_only_the_store_writes_files():
         ("open(p, mode='ab')", True),
         ("p.open('r+')", True),
         ("p.open(mode)", True),
+        ("mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)", True),
+        ("mmap(fd, 0)", True),
+        ("np.memmap(p, mode='r')", True),
+        ("np.frombuffer(data, 'u1')", False),
         ("open(p)", False),
         ("p.open('r', encoding='utf-8')", False),
         ("text.replace('a', 'b')", False),
@@ -120,6 +145,119 @@ def test_only_the_store_writes_files():
 )
 def test_guard_tells_writes_from_reads(source, writes):
     assert bool(file_writes(source)) is writes
+
+
+class TestMappedFiles:
+    """Array files are read as read-only views of one mapping each, which
+    lives as long as a loaded system holds the arrays, and no longer."""
+
+    def test_an_agent_with_no_chunks_loads_empty(self, tmp_path):
+        save_chunks(tmp_path / "chunks.jsonl", [])
+        save_vectors(tmp_path / "vectors", np.zeros((0, 6), np.float32), [])
+        Bm25Index.build([]).save(tmp_path / "bm25.json")
+        # bm25.bin holds the one offset of no terms
+        assert {p.name: p.stat().st_size for p in tmp_path.glob("*.bin")} == {
+            "bm25.bin": 8, "chunks.bin": 0, "vectors.bin": 0
+        }
+        assert load_chunks(tmp_path / "chunks.jsonl") == []
+        dense = DenseIndex.load(tmp_path / "vectors")
+        assert (len(dense), dense.dim, dense.rows.flags.writeable) == (0, 6, False)
+        assert Bm25Index.load(tmp_path / "bm25.json").n_chunks == 0
+
+    def test_loaded_arrays_are_read_only(self, tmp_path):
+        matrix = np.arange(12, dtype=np.float32).reshape(3, 4) + 1
+        save_vectors(tmp_path / "vectors", matrix, ["d:0", "d:1", "d:2"])
+        chunks = [Chunk(f"d:{i}", "d", f"word{i} shared", 0, 2) for i in range(3)]
+        Bm25Index.build(chunks).save(tmp_path / "bm25.json")
+        bm25 = Bm25Index.load(tmp_path / "bm25.json")
+        arrays = [load_vectors(tmp_path / "vectors")[0], DenseIndex.load(tmp_path / "vectors").rows,
+                  bm25.doc_len, bm25.postings["shared"]]
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_replaced_files_leave_a_loaded_system_answering_as_before(self, tmp_path):
+        corpus, agents = topic_corpus_and_agents(2)
+        config = write_config(tmp_path, corpus, catch_all_script(), agents)
+        for step in ("ingest", "build-index", "register"):
+            assert main([step, "--config", str(config)]) == 0
+        args = build_parser().parse_args(["ask", "--config", str(config), "--question", QUESTION])
+        cfg = SystemConfig.from_file(config)
+
+        def answered(system) -> tuple:
+            before = len(system.backend.calls)
+            result = answer(system, QUESTION)
+            prompts = [call.prompt for call in system.backend.calls[before:]]
+            return result.selected_agent_ids, result.final_answer, prompts
+
+        system = _load_system(cfg, args)
+        old = answered(system)
+        assert old[0] == ("agent0", "agent1")
+        # every index file is written anew, each through os.replace
+        (tmp_path / "corpus.jsonl").write_text(
+            "".join(json.dumps(doc) + "\n" for doc in new_corpus()), encoding="utf-8"
+        )
+        for step in ("ingest", "build-index", "register"):
+            assert main([step, "--config", str(config)]) == 0
+        assert answered(system) == old
+        assert answered(_load_system(cfg, args))[0] == ("agent1", "agent0")
+
+    def test_no_mapping_outlives_the_command(self, tmp_path, capsys):
+        maps = Path("/proc/self/maps")
+        if not maps.exists():
+            pytest.skip("needs /proc/self/maps")
+
+        def mapped() -> list[str]:
+            lines = maps.read_text(encoding="utf-8").splitlines()
+            return sorted({line.split()[-1] for line in lines if str(tmp_path) in line})
+
+        corpus, agents = topic_corpus_and_agents(2)
+        config = write_config(tmp_path, corpus, catch_all_script(), agents)
+        for step in ("ingest", "build-index", "register"):
+            assert main([step, "--config", str(config)]) == 0
+        args = build_parser().parse_args(["ask", "--config", str(config), "--question", QUESTION])
+        system = _load_system(SystemConfig.from_file(config), args)
+        names = {Path(path).relative_to(tmp_path / "index").as_posix() for path in mapped()}
+        assert {"registry_vectors.bin", "agents/agent0/vectors.bin",
+                "agents/agent0/bm25.bin"} <= names
+        assert not {name for name in names if name.endswith("chunks.bin")}
+        del system
+        assert mapped() == []
+        for command in ("ask", "build-index", "register"):
+            extra = ["--question", QUESTION] if command == "ask" else []
+            assert main([command, "--config", str(config), *extra]) == 0
+            assert mapped() == [], command
+
+
+@pytest.mark.parametrize("command", ["ask", "build-index"])
+@pytest.mark.parametrize("same_size", [False, True], ids=["other-size", "same-size"])
+def test_chunk_files_of_two_ingest_runs_exit_2_naming_both(tmp_path, capsys, command,
+                                                           same_size):
+    """A ``chunks.bin`` beside the ``chunks.jsonl`` of another ingest run is
+    refused by its size or, when the texts have the same sizes, its crc32."""
+    corpus, agents = topic_corpus_and_agents(2)
+    config = write_config(tmp_path, corpus, catch_all_script(), agents)
+    for step in ("ingest", "build-index", "register"):
+        assert main([step, "--config", str(config)]) == 0
+    adir = tmp_path / "index" / "agents" / "agent0"
+    shutil.copy(adir / "chunks.bin", tmp_path / "old.bin")
+    corpus[0]["body"] = corpus[0]["body"].replace("word", "wOrd" if same_size else "words")
+    (tmp_path / "corpus.jsonl").write_text(
+        "".join(json.dumps(doc) + "\n" for doc in corpus), encoding="utf-8"
+    )
+    assert main(["ingest", "--config", str(config)]) == 0
+    assert ((adir / "chunks.bin").stat().st_size == (tmp_path / "old.bin").stat().st_size) \
+        is same_size
+    os.replace(tmp_path / "old.bin", adir / "chunks.bin")
+    capsys.readouterr()
+    extra = ["--question", QUESTION] if command == "ask" else []
+    assert main([command, "--config", str(config), *extra]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["command"] == command
+    chunks_jsonl, chunks_bin = adir / "chunks.jsonl", adir / "chunks.bin"
+    assert error["error"].startswith(f"{chunks_jsonl} with chunks.bin: {chunks_bin} ")
+    assert ("has crc32" in error["error"]) is same_size
 
 
 # The question names topic 0's words. The old corpus gives them to agent0
