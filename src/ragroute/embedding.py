@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import threading
 import time
 import zlib
@@ -48,42 +49,206 @@ class HTTPStatusError(InputError):
     """A remote endpoint refused a request, or its API key cannot be sent."""
 
 
-def endpoint_address(endpoint: str) -> tuple[tuple[str, str, int], str]:
-    """Split an http(s) URL into ``((scheme, host, port), request target)``.
+def endpoint_address(endpoint: str) -> tuple[tuple[str, str, int], bytes]:
+    """Split an http(s) URL into ``((scheme, host, port), head)``, where
+    ``head`` is the request line and ``Host`` field of a POST to it.
 
-    Raises ValueError for another scheme, a missing host, a bad port, or a
-    path or query that is not printable ASCII (it is sent as it is written).
+    ``Host`` is written as the standard library's HTTP client writes it:
+    IDNA for a non-ASCII name, brackets around an IPv6 literal, and no port
+    when it is the scheme's default. Raises ValueError for another scheme, a
+    missing host, a bad port, a name IDNA cannot encode, or a path or query
+    that is not printable ASCII (it is sent as it is written).
     """
     url = urlsplit(endpoint)
     if url.scheme not in ("http", "https") or not url.hostname:
         raise ValueError(f"endpoint must be an http:// or https:// URL: {endpoint!r}")
-    port = url.port or (443 if url.scheme == "https" else 80)
+    default_port = 443 if url.scheme == "https" else 80
+    port = url.port or default_port
     target = (url.path or "/") + (f"?{url.query}" if url.query else "")
     if not all(" " < c < "\x7f" for c in target):
         raise ValueError(
             f"endpoint path must be printable ASCII, percent-encode the rest: {endpoint!r}"
         )
-    return (url.scheme, url.hostname, port), target
+    host = url.hostname.encode("ascii" if url.hostname.isascii() else "idna")
+    if b":" in host:
+        host = b"[%s]" % host
+    if port != default_port:
+        host += b":%d" % port
+    head = b"POST %s HTTP/1.1\r\nHost: %s\r\n" % (target.encode("ascii"), host)
+    return (url.scheme, url.hostname, port), head
+
+
+# A reply head (status line and fields), or a line of a chunked body, longer
+# than this is refused.
+REPLY_HEAD_CAP = 64 * 1024
+_RECV_SIZE = 64 * 1024
+# A reply's Content-Length is allocated at once up to this size.
+_BODY_PREALLOC = 16 * 1024 * 1024
+_HEAD_END = re.compile(rb"\n\r?\n")
+_STATUS_LINE = re.compile(r"HTTP/1\.[0-9] ([1-9][0-9][0-9])(?: (.*))?")
+_CHUNK_LINE = re.compile(rb"([0-9A-Fa-f]{1,16})[ \t]*(?:;[^\r\n]*)?\r?\n")
+# What a header value may hold: latin-1 text without control characters
+# other than HTAB (RFC 9110 §5.5).
+_FIELD_VALUE = re.compile("[\t\x20-\x7e\xa0-\xff]*")
 
 
 def _exchange(
-    address: tuple[str, str, int], target: str, data: bytes, headers: dict, timeout: float
-) -> tuple[http.client.HTTPResponse, bytes]:
-    """Send one POST on a new connection, read the whole reply and close the
-    connection."""
-    # http.client (with email and ssl) is imported here, not with the module:
-    # only the remote backends use it, and it costs a cold start ~20-30 ms.
-    import http.client
+    address: tuple[str, str, int], request: bytes, timeout: float
+) -> tuple[int, str, dict[str, str], bytes | bytearray]:
+    """Send one request on a new connection in one write, read the whole
+    reply and close the connection; returns the status, the reason, the
+    header fields (lowercase names) and the body.
+
+    The body is framed as RFC 9112 §6.3 says: chunked when the reply says
+    so, else by ``Content-Length``, else up to EOF. A reply that does not
+    parse, or ends short of its framing, raises TransportError.
+    """
+    # socket (and ssl, for https) is imported here, not with the module: only
+    # the remote backends use it.
+    import socket
 
     scheme, host, port = address
-    cls = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
-    conn = cls(host, port, timeout=timeout)
+    sock = socket.create_connection((host, port), timeout)
     try:
-        conn.request("POST", target, body=data, headers=headers)
-        resp = conn.getresponse()
-        return resp, resp.read()
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if scheme == "https":
+            import ssl
+
+            context = ssl.create_default_context()
+            context.set_alpn_protocols(["http/1.1"])
+            sock = context.wrap_socket(sock, server_hostname=host)
+        sock.sendall(request)
+        return _read_reply(sock)
     finally:
-        conn.close()
+        sock.close()
+
+
+def _read_reply(sock) -> tuple[int, str, dict[str, str], bytes | bytearray]:
+    """Read one reply from ``sock``, skipping interim (1xx) replies."""
+    buf = bytearray()
+    end = 0
+    status = 100
+    while status < 200:
+        start, end = end, _head_end(sock, buf, end)
+        status, reason, fields = _parse_head(buf[start:end].decode("latin-1"))
+    if status in (204, 304):
+        return status, reason, fields, b""
+    coding = fields.get("transfer-encoding")
+    length = fields.get("content-length")
+    if coding is not None and coding.rsplit(",", 1)[-1].strip().lower() == "chunked":
+        body = _read_chunked(sock, buf, end)
+    elif coding is None and length is not None:
+        if not (length.isascii() and length.isdigit()):
+            raise TransportError(f"reply Content-Length is not a number: {length!r:.40}")
+        body = _read_length(sock, buf, end, int(length))
+    else:
+        body = buf[end:]
+        while chunk := sock.recv(_RECV_SIZE):
+            body += chunk
+    return status, reason, fields, body
+
+
+def _head_end(sock, buf: bytearray, start: int) -> int:
+    """Receive into ``buf`` until the reply head that starts at ``start`` is
+    whole; return the offset just past its blank line. ``buf`` never grows
+    past ``REPLY_HEAD_CAP`` here."""
+    scan = start
+    while (match := _HEAD_END.search(buf, scan)) is None:
+        if len(buf) >= REPLY_HEAD_CAP:
+            raise TransportError(f"reply head exceeds {REPLY_HEAD_CAP} bytes")
+        scan = max(start, len(buf) - 2)
+        chunk = sock.recv(REPLY_HEAD_CAP - len(buf))
+        if not chunk:
+            raise TransportError("connection closed before the reply head ended")
+        buf += chunk
+    return match.end()
+
+
+def _parse_head(head: str) -> tuple[int, str, dict[str, str]]:
+    """The status, the reason and the fields of a reply head; a folded line
+    continues the field before it, and a repeated field's values are joined
+    with ", "."""
+    status_line, *lines = head.split("\n")
+    match = _STATUS_LINE.fullmatch(status_line.rstrip("\r"))
+    if match is None:
+        raise TransportError(f"malformed status line: {status_line[:80]!r}")
+    fields: dict[str, str] = {}
+    name = None
+    for line in lines:
+        line = line.rstrip("\r")
+        if not line:
+            break
+        if line[0] in " \t" and name is not None:
+            fields[name] += " " + line.strip(" \t")
+            continue
+        name, colon, value = line.partition(":")
+        if not colon or not name or name != name.strip(" \t"):
+            raise TransportError(f"malformed header line: {line[:80]!r}")
+        name, value = name.lower(), value.strip(" \t")
+        fields[name] = f"{fields[name]}, {value}" if name in fields else value
+    return int(match[1]), match[2] or "", fields
+
+
+def _read_length(sock, buf: bytearray, start: int, length: int) -> bytearray:
+    """The ``length``-byte body that begins at ``buf[start:]``, received into
+    one buffer; bytes past it are dropped. The buffer is allocated whole up
+    to ``_BODY_PREALLOC`` and doubles past that as bytes arrive, so a false
+    length commits no more than twice what arrived."""
+    body = bytearray(min(length, _BODY_PREALLOC))
+    have = min(len(buf) - start, length)
+    body[:have] = buf[start : start + have]
+    while have < length:
+        if have == len(body):
+            body += bytes(min(have, length - have))
+        with memoryview(body) as view:
+            got = sock.recv_into(view[have:])
+        if not got:
+            raise TransportError(f"reply ended {length - have} bytes short of its Content-Length")
+        have += got
+    return body
+
+
+def _read_chunked(sock, buf: bytearray, pos: int) -> bytearray:
+    """The chunked body that begins at ``buf[pos:]`` (RFC 9112 §7.1); chunk
+    extensions and trailer fields are read and dropped."""
+    body = bytearray()
+    while True:
+        end = _line_end(sock, buf, pos)
+        match = _CHUNK_LINE.fullmatch(buf, pos, end)
+        if match is None:
+            raise TransportError(f"malformed chunk size line: {bytes(buf[pos:end])[:40]!r}")
+        size, pos = int(match[1], 16), end
+        if not size:
+            break
+        _fill(sock, buf, pos + size + 2)
+        if buf[pos + size : pos + size + 2] != b"\r\n":
+            raise TransportError("chunk data does not end in CRLF")
+        body += buf[pos : pos + size]
+        pos += size + 2
+    end = _line_end(sock, buf, pos)
+    while buf[pos:end].strip():  # a trailer field, up to the blank line
+        pos, end = end, _line_end(sock, buf, end)
+    return body
+
+
+def _line_end(sock, buf: bytearray, pos: int) -> int:
+    """The offset just past the line that starts at ``buf[pos]``, receiving
+    more as needed; a line longer than ``REPLY_HEAD_CAP`` raises
+    TransportError."""
+    while (end := buf.find(b"\n", pos, pos + REPLY_HEAD_CAP)) < 0:
+        if len(buf) - pos >= REPLY_HEAD_CAP:
+            raise TransportError(f"chunked reply line exceeds {REPLY_HEAD_CAP} bytes")
+        _fill(sock, buf, len(buf) + 1)
+    return end + 1
+
+
+def _fill(sock, buf: bytearray, size: int) -> None:
+    """Receive into ``buf`` until it holds at least ``size`` bytes."""
+    while len(buf) < size:
+        chunk = sock.recv(_RECV_SIZE)
+        if not chunk:
+            raise TransportError("connection closed inside a chunked reply")
+        buf += chunk
 
 
 def _retry_after(value: str | None, cap: float) -> float | None:
@@ -107,6 +272,14 @@ def _retry_after(value: str | None, cap: float) -> float | None:
     return min(max(seconds, 0.0), cap)
 
 
+_FIXED_FIELDS = (
+    "Connection: close\r\n"
+    "Content-Type: application/json\r\n"
+    "Accept-Encoding: gzip\r\n"
+    f"User-Agent: ragroute/{__version__}\r\n"
+).encode("ascii")
+
+
 def post_json(
     endpoint: str,
     body: dict,
@@ -118,31 +291,30 @@ def post_json(
 ) -> dict:
     """POST ``body`` as JSON and return the decoded reply.
 
-    Sends ``Authorization: Bearer <key>`` when ``api_key_env`` names a set
-    environment variable, and accepts a gzipped reply. Each attempt opens
-    and closes its own connection. Server errors (5xx), 429, connection
-    errors and timeouts are retried up to ``max_retries`` times; before
-    retry ``n`` it calls ``on_retry`` and sleeps ``backoff * n`` seconds, or
-    what the reply's ``Retry-After`` asks, at most ``timeout``. Any other
-    status outside 2xx, or a key holding a line break, raises
-    HTTPStatusError at once; exhausted retries raise TransportError,
+    The request is HTTP/1.1 with ``Connection: close``, built once and sent
+    in one write on a new connection per attempt (``_exchange``). It
+    carries ``Authorization: Bearer <key>`` when ``api_key_env`` names a set
+    environment variable, and accepts a gzipped reply. Server errors (5xx),
+    429, connection errors, timeouts and replies that are not well-framed
+    HTTP are retried up to ``max_retries`` times; before retry ``n`` it
+    calls ``on_retry`` and sleeps ``backoff * n`` seconds, or what the
+    reply's ``Retry-After`` asks, at most ``timeout``. Any other status
+    outside 2xx, or a key that cannot go into a header value (a line break,
+    another control character but HTAB, or a character outside latin-1),
+    raises HTTPStatusError at once; exhausted retries raise TransportError,
     and a reply that is not JSON (or not valid gzip) raises
     MalformedReplyError.
     """
-    import http.client
-
-    address, target = endpoint_address(endpoint)
+    address, head = endpoint_address(endpoint)
     data = json.dumps(body, allow_nan=False).encode("utf-8")
-    headers = {
-        "Content-Type": "application/json",
-        "Accept-Encoding": "gzip",
-        "User-Agent": f"ragroute/{__version__}",
-    }
     key = os.environ.get(api_key_env, "") if api_key_env else ""
-    if "\r" in key or "\n" in key:
-        raise HTTPStatusError(f"${api_key_env} holds a line break; it cannot be sent as a header")
-    if key:
-        headers["Authorization"] = f"Bearer {key}"
+    if not _FIELD_VALUE.fullmatch(key):
+        raise HTTPStatusError(
+            f"${api_key_env} holds a line break, a control character or a character outside "
+            "latin-1; it cannot be sent as a header"
+        )
+    auth = b"Authorization: Bearer %s\r\n" % key.encode("latin-1") if key else b""
+    request = b"%sContent-Length: %d\r\n%s%s\r\n%s" % (head, len(data), _FIXED_FIELDS, auth, data)
     last_exc: Exception | None = None
     delay = 0.0
     for attempt in range(max_retries + 1):
@@ -151,19 +323,19 @@ def post_json(
             time.sleep(delay)
         delay = backoff * (attempt + 1)
         try:
-            resp, raw = _exchange(address, target, data, headers, timeout)
-        except (OSError, http.client.HTTPException) as exc:
+            status, reason, fields, raw = _exchange(address, request, timeout)
+        except (OSError, TransportError) as exc:
             last_exc = TransportError(f"{type(exc).__name__}: {exc}")
             continue
-        if resp.status >= 500 or resp.status == 429:
-            last_exc = TransportError(f"HTTP {resp.status} {resp.reason}")
-            wait = _retry_after(resp.getheader("Retry-After"), timeout)
+        if status >= 500 or status == 429:
+            last_exc = TransportError(f"HTTP {status} {reason}")
+            wait = _retry_after(fields.get("retry-after"), timeout)
             delay = delay if wait is None else wait
             continue
-        if not 200 <= resp.status < 300:
-            raise HTTPStatusError(f"{resp.status} {resp.reason} for url: {endpoint}")
+        if not 200 <= status < 300:
+            raise HTTPStatusError(f"{status} {reason} for url: {endpoint}")
         try:
-            if resp.getheader("Content-Encoding", "").strip().lower() == "gzip":
+            if fields.get("content-encoding", "").strip().lower() == "gzip":
                 raw = gzip.decompress(raw)
             return json.loads(raw)
         except (OSError, EOFError, zlib.error, ValueError, RecursionError) as exc:

@@ -2,26 +2,38 @@ from __future__ import annotations
 
 import gc
 import gzip
+import http.client
 import json
+import os
 import re
+import socket
+import ssl
+import subprocess
+import sys
+import threading
 import time
 import warnings
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 from http.server import BaseHTTPRequestHandler
+from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 
+import ragroute
 import transcripts
-from conftest import make_agents, system_of
+from conftest import CountingHTTPServer, make_agents, system_of
 from ragroute.cli import main
 from ragroute.corpus import tokenize
 from ragroute.embedding import (
+    REPLY_HEAD_CAP,
     EmbeddingProviderConfig,
     HTTPStatusError,
     MalformedReplyError,
     RemoteEmbedder,
     TransportError,
+    endpoint_address,
     post_json,
 )
 from ragroute.llm import (
@@ -107,6 +119,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
     encode = None  # applied to the reply bytes, which are then sent as gzip, when set
     seen: list[dict] = []
     reply: bytes | None = None  # sent instead of the chat reply when set
+    wire: bytes | None = None  # sent as the whole reply, status line included, when set
 
     def answer(self, messages: list[ChatMessage]) -> tuple[str, TokenUsage]:
         return "pong", TokenUsage(12, 3)
@@ -124,8 +137,16 @@ class _ChatHandler(BaseHTTPRequestHandler):
         body = json.loads(raw)
         type(self).seen.append(
             {"raw": raw, "body": body, "auth": self.headers.get("Authorization", ""),
-             "accept_encoding": self.headers.get("Accept-Encoding")}
+             "accept_encoding": self.headers.get("Accept-Encoding"),
+             "host": self.headers.get("Host"), "connection": self.headers.get("Connection")}
         )
+        if type(self).wire is not None:
+            self.close_connection = True
+            try:
+                self.wfile.write(type(self).wire)
+            except ConnectionError:  # a client that stops reading early
+                pass
+            return
         if type(self).delay_s:
             time.sleep(type(self).delay_s)
         if type(self).fail_times > 0:
@@ -156,6 +177,11 @@ def chat_handler(protocol: str = "HTTP/1.0", **attrs):
 
 
 CHAT_PATH = "/v1/chat/completions"
+# The handler's chat reply, for tests that frame it by hand.
+PONG = json.dumps({
+    "choices": [{"message": {"role": "assistant", "content": "pong"}}],
+    "usage": {"prompt_tokens": 12, "completion_tokens": 3},
+}).encode()
 
 
 @pytest.fixture
@@ -338,6 +364,234 @@ class TestTransport:
                       backoff=0.0)
         assert len(handler.seen) == 2
 
+    @pytest.mark.parametrize(
+        "endpoint",
+        ["http://127.0.0.1:8080/v1/chat", "http://Example.com/x?y=1", "http://example.com:80/",
+         "https://example.com:443/v1", "https://example.com:8443/v1", "http://[::1]:9000/",
+         "https://[2001:db8::1]/v1", "http://b\u00fccher.de/v1"],
+    )
+    def test_request_line_and_host_as_http_client_writes_them(self, endpoint):
+        (scheme, host, port), head = endpoint_address(endpoint)
+        cls = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
+        conn = cls(host, port)
+        sent: list[bytes] = []
+        conn.sock, conn.send = object(), sent.append  # a socket is set, so nothing connects
+        url = urlsplit(endpoint)
+        conn.request("POST", url.path + (f"?{url.query}" if url.query else ""), body=b"")
+        assert sent[0].split(b"\r\n")[:2] == head.split(b"\r\n")[:2]
+
+    def test_request_is_one_write_with_its_framing(self, chat_server, monkeypatch):
+        url, handler = chat_server
+        writes: list[bytes] = []  # the client's: the server writes from its own thread
+        client, sendall = threading.get_ident(), socket.socket.sendall
+
+        def record(sock, data):
+            if threading.get_ident() == client:
+                writes.append(data)
+            return sendall(sock, data)
+
+        monkeypatch.setattr(socket.socket, "sendall", record)
+        for _ in range(2):
+            post_json(url, {"messages": []}, None, timeout=5.0, max_retries=0, backoff=0.0)
+        assert len(writes) == 2
+        head, _, body = writes[0].partition(b"\r\n\r\n")
+        assert body == handler.seen[0]["raw"] == b'{"messages": []}'
+        port = url.split(":")[2].split("/")[0]
+        assert head.split(b"\r\n")[:4] == [
+            b"POST " + CHAT_PATH.encode() + b" HTTP/1.1",
+            b"Host: 127.0.0.1:" + port.encode(),
+            b"Content-Length: %d" % len(body),
+            b"Connection: close",
+        ]
+        assert handler.seen[0]["connection"] == "close"
+
+    @pytest.mark.parametrize(
+        "wire",
+        [
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"9;ext=1\r\n%s\r\n%x\r\n%s\r\n0\r\nX-Trailer: 1\r\n\r\n"
+            % (PONG[:9], len(PONG) - 9, PONG[9:]),
+            b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n" + PONG,
+            b"HTTP/1.1 103 Early Hints\r\nLink: </a>\r\n\r\n"
+            b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\nX-Folded: a\r\n b\r\n\r\n%s"
+            % (len(PONG), PONG),
+            b"HTTP/1.1 200 OK\nContent-Length: %d\n\n%s" % (len(PONG), PONG),
+        ],
+        ids=["chunked", "http10-to-eof", "interim-and-folded", "bare-lf"],
+    )
+    def test_reply_framings(self, chat_server, wire):
+        url, handler = chat_server
+        handler.wire = wire
+        backend = RemoteChatBackend(remote_cfg(url), retry_backoff=0.0)
+        assert backend.chat(user("ping")) == ("pong", TokenUsage(12, 3))
+        assert backend.retries_used == 0
+
+    def test_body_past_the_preallocation_arrives_whole(self, chat_server):
+        url, handler = chat_server
+        body = PONG + b" " * (20 * 1024 * 1024)  # past the 16 MiB allocated at once
+        handler.wire = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+        reply = post_json(url, {"messages": []}, None, timeout=5.0, max_retries=0, backoff=0.0)
+        assert reply == json.loads(PONG)
+
+    @pytest.mark.parametrize(
+        "wire, message",
+        [
+            (b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(PONG) + 5, PONG),
+             "5 bytes short of its Content-Length"),
+            (b"HTTP/1.1 OK\r\n\r\n", "malformed status line"),
+            (b"ICY 200 OK\r\n\r\n" + PONG, "malformed status line"),
+            (b"HTTP/1.1 200 OK\r\nno colon\r\n\r\n" + PONG, "malformed header line"),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 1e3\r\n\r\n" + PONG, "not a number"),
+            (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", "chunk size"),
+            (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n4\r\n{}", "chunked reply"),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (2**40, PONG),
+             "short of its Content-Length"),
+            (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nffffffffff\r\n" + PONG,
+             "chunked reply"),
+            (b"HTTP/1.1 200 OK\r\n", "before the reply head ended"),
+            (b"", "before the reply head ended"),
+        ],
+        ids=["short-body", "no-status-code", "not-http", "no-colon", "length-not-digits",
+             "chunk-size-not-hex", "chunked-cut-short", "terabyte-length", "terabyte-chunk",
+             "head-cut-short", "no-reply"],
+    )
+    def test_framing_faults_are_retried_then_transport_error(self, chat_server, wire, message):
+        url, handler = chat_server
+        handler.wire = wire
+        backend = RemoteChatBackend(remote_cfg(url, retries=2), retry_backoff=0.0)
+        with pytest.raises(TransportError, match=message):
+            backend.chat(user("ping"))
+        assert len(handler.seen) == 3
+        assert backend.retries_used == 2
+
+    def test_head_over_the_cap_is_refused_without_reading_on(self, chat_server, monkeypatch):
+        url, handler = chat_server
+        handler.wire = b"HTTP/1.1 200 OK\r\n" + b"X-Pad: " + b"a" * (4 * REPLY_HEAD_CAP)
+        received: list[int] = []
+        recv = socket.socket.recv
+
+        def record(sock, size):
+            data = recv(sock, size)
+            received.append(len(data))
+            return data
+
+        monkeypatch.setattr(socket.socket, "recv", record)
+        with pytest.raises(TransportError, match=f"exceeds {REPLY_HEAD_CAP} bytes"):
+            post_json(url, {"messages": []}, None, timeout=5.0, max_retries=1, backoff=0.0)
+        assert len(handler.seen) == 2
+        assert sum(received) <= 2 * REPLY_HEAD_CAP
+
+    def test_ipv6_literal_host_is_bracketed(self):
+        class Server6(CountingHTTPServer):
+            address_family = socket.AF_INET6
+
+        handler = chat_handler()
+        try:
+            server = Server6(("::1", 0), handler)
+        except OSError as exc:
+            pytest.skip(f"cannot bind ::1: {exc}")
+        threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+        try:
+            url = f"http://[::1]:{server.server_port}{CHAT_PATH}"
+            backend = RemoteChatBackend(remote_cfg(url), retry_backoff=0.0)
+            assert backend.chat(user("ping")) == ("pong", TokenUsage(12, 3))
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert handler.seen[0]["host"] == f"[::1]:{server.server_port}"
+
+    @pytest.mark.parametrize("key", ["sek\trit", "sekrité"], ids=["htab", "latin-1"])
+    def test_key_sent_as_its_latin1_bytes(self, chat_server, monkeypatch, key):
+        url, handler = chat_server
+        monkeypatch.setenv("TEST_CHAT_KEY", key)
+        post_json(url, {"messages": []}, "TEST_CHAT_KEY", timeout=5.0, max_retries=0, backoff=0.0)
+        assert handler.seen[0]["auth"] == f"Bearer {key}"
+
+    @pytest.mark.parametrize(
+        "key", ["sek\rrit", "sek\x01rit", "sek\x7frit", "sek\x85rit", "sekrit€"],
+        ids=["cr", "soh", "del", "c1-control", "non-latin-1"],
+    )
+    def test_key_that_cannot_be_a_header_is_refused_before_sending(
+        self, chat_server, monkeypatch, key
+    ):
+        url, handler = chat_server
+        monkeypatch.setenv("TEST_CHAT_KEY", key)
+        with pytest.raises(HTTPStatusError, match=r"\$TEST_CHAT_KEY holds"):
+            post_json(url, {"messages": []}, "TEST_CHAT_KEY", timeout=5.0, max_retries=2,
+                      backoff=0.0)
+        assert handler.seen == []
+
+    @pytest.mark.parametrize("name, answers", [("localhost", True), ("example.com", False)])
+    def test_https_round_trip_checks_the_certificate(
+        self, serve, tmp_path, monkeypatch, name, answers
+    ):
+        cert_file = self_signed_cert(tmp_path, name)
+        server, url = serve(chat_handler())
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(cert_file)
+        # The wrapped socket keeps the descriptor that the running server loop
+        # waits on, so each connection from here on is accepted over TLS.
+        server.socket = context.wrap_socket(server.socket, server_side=True)
+        monkeypatch.setenv("SSL_CERT_FILE", str(cert_file))
+        monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+        endpoint = url.replace("http://127.0.0.1", "https://localhost") + CHAT_PATH
+        if answers:
+            reply = post_json(endpoint, {"messages": []}, None, 5.0, max_retries=0, backoff=0.0)
+            assert reply["choices"][0]["message"]["content"] == "pong"
+        else:
+            with pytest.raises(TransportError, match="certificate"):
+                post_json(endpoint, {"messages": []}, None, 5.0, max_retries=0, backoff=0.0)
+
+    def test_a_post_loads_neither_http_client_nor_email_feedparser(self, chat_server):
+        url, handler = chat_server
+        probe = (
+            "import sys; from ragroute.embedding import post_json; "
+            f"post_json({url!r}, {{'messages': []}}, None, 5.0, 0, 0.0); "
+            "print([m for m in ('http.client', 'email.feedparser') if m in sys.modules])"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(ragroute.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True,
+            timeout=60,
+        )
+        assert done.stdout == "[]\n"
+        assert len(handler.seen) == 1
+
+
+def self_signed_cert(tmp_path, name: str):
+    """A PEM file holding a fresh key and a self-signed certificate for ``name``."""
+    pytest.importorskip("cryptography")
+    from cryptography import x509
+    from cryptography.hazmat.primitives import hashes, serialization
+    from cryptography.hazmat.primitives.asymmetric import ec
+    from cryptography.x509.oid import NameOID
+
+    key = ec.generate_private_key(ec.SECP256R1())
+    subject = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, name)])
+    now = datetime.now(timezone.utc)
+    cert = (
+        x509.CertificateBuilder()
+        .subject_name(subject)
+        .issuer_name(subject)
+        .public_key(key.public_key())
+        .serial_number(x509.random_serial_number())
+        .not_valid_before(now - timedelta(days=1))
+        .not_valid_after(now + timedelta(days=1))
+        .add_extension(x509.SubjectAlternativeName([x509.DNSName(name)]), critical=False)
+        .add_extension(x509.BasicConstraints(ca=True, path_length=None), critical=True)
+        .sign(key, hashes.SHA256())
+    )
+    path = tmp_path / f"{name}.pem"
+    path.write_bytes(
+        key.private_bytes(
+            serialization.Encoding.PEM,
+            serialization.PrivateFormat.PKCS8,
+            serialization.NoEncryption(),
+        )
+        + cert.public_bytes(serialization.Encoding.PEM)
+    )
+    return path
+
 
 class TestMalformedReplies:
     @pytest.mark.parametrize(
@@ -409,8 +663,10 @@ class TestMalformedReplies:
             (200, b'{"data": [{"embedding": [NaN, 0.5, 0.5, 0.5]}]}', "sekrit", "non-finite", 1),
             (401, None, "sekrit", "401 Unauthorized for url: http://127.0.0.1:", 1),
             (200, None, "sek\nrit", "$TEST_EMBED_KEY holds a line break", 0),
+            (200, None, "sekrit\u20ac", "$TEST_EMBED_KEY holds", 0),
         ],
-        ids=["no-data", "wrong-dim", "row-nan", "unauthorized", "key-with-line-break"],
+        ids=["no-data", "wrong-dim", "row-nan", "unauthorized", "key-with-line-break",
+             "key-outside-latin-1"],
     )
     def test_build_index_exits_2_with_json_error(
         self, chat_server, tmp_path, capsys, monkeypatch, status, reply, key, message, sent
