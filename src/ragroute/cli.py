@@ -93,55 +93,48 @@ class SystemConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SystemConfig":
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
-        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
-            raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from exc
+        """The config in ``path``. ConfigError names the file when it is not
+        UTF-8 JSON, a field is missing or of the wrong type or value, or an
+        agent_id repeats; a count below 1 raises ConfigError too."""
+        return read_json(path, cls._parse, ConfigError)
+
+    @classmethod
+    def _parse(cls, raw) -> "SystemConfig":
         if not isinstance(raw, dict):
-            raise ConfigError(f"config must be a JSON object, not {type(raw).__name__}")
-        try:
-            chunking = ChunkingConfig(**raw.get("chunking", {"chunk_tokens": 1024, "overlap_tokens": 40}))
-            embedding = EmbeddingProviderConfig(**raw["embedding"])
-            chat = ChatBackendConfig(**raw["chat"])
-            agent_cfgs = []
-            for rec in raw["agents"]:
-                rec = dict(rec)
-                per_agent_chunking = rec.pop("chunking", None)
-                agent_cfgs.append(
-                    AgentConfig(
-                        chunking=ChunkingConfig(**per_agent_chunking) if per_agent_chunking else chunking,
-                        **rec,
-                    )
-                )
-            router_cfg = raw.get("router", {})
-            planner_cfg = raw.get("planner", {})
-            cfg = cls(
-                corpus_path=Path(raw["corpus_path"]),
-                index_dir=Path(raw["index_dir"]),
-                chunking=chunking,
-                embedding=embedding,
-                chat=chat,
-                agents=agent_cfgs,
-                # an absent key keeps the dataclass default
-                max_agents=_count(
-                    "router.max_agents", router_cfg.get("max_agents", cls.max_agents)
-                ),
-                parallelism=_count(
-                    "router.parallelism", router_cfg.get("parallelism", cls.parallelism)
-                ),
-                strategy=PlanStrategy(planner_cfg.get("strategy", cls.strategy)),
-                max_rounds=_count(
-                    "planner.max_rounds", planner_cfg.get("max_rounds", cls.max_rounds)
-                ),
-            )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise ConfigError(f"bad config: {exc}") from exc
-        ids = [a.agent_id for a in cfg.agents]
+            raise TypeError(f"config must be a JSON object, not {type(raw).__name__}")
+        chunking = ChunkingConfig(**raw.get("chunking", {"chunk_tokens": 1024, "overlap_tokens": 40}))
+        embedding = EmbeddingProviderConfig(**raw["embedding"])
+        chat = ChatBackendConfig(**raw["chat"])
+        agent_cfgs = []
+        for rec in raw["agents"]:
+            rec = dict(rec)
+            own = rec.pop("chunking", None)
+            rec["chunking"] = ChunkingConfig(**own) if own else chunking
+            agent_cfgs.append(AgentConfig(**rec))
+        ids = [a.agent_id for a in agent_cfgs]
         if len(ids) != len(set(ids)):
-            raise ConfigError("agent_ids must be unique")
-        return cfg
+            raise ValueError("agent_ids must be unique")
+        router_cfg = raw.get("router", {})
+        planner_cfg = raw.get("planner", {})
+        return cls(
+            corpus_path=Path(raw["corpus_path"]),
+            index_dir=Path(raw["index_dir"]),
+            chunking=chunking,
+            embedding=embedding,
+            chat=chat,
+            agents=agent_cfgs,
+            # an absent key keeps the dataclass default
+            max_agents=_count(
+                "router.max_agents", router_cfg.get("max_agents", cls.max_agents)
+            ),
+            parallelism=_count(
+                "router.parallelism", router_cfg.get("parallelism", cls.parallelism)
+            ),
+            strategy=PlanStrategy(planner_cfg.get("strategy", cls.strategy)),
+            max_rounds=_count(
+                "planner.max_rounds", planner_cfg.get("max_rounds", cls.max_rounds)
+            ),
+        )
 
     def agent_dir(self, agent_id: str) -> Path:
         return self.index_dir / "agents" / agent_id
@@ -205,7 +198,7 @@ def cmd_ingest(cfg: SystemConfig, args: argparse.Namespace) -> int:
     print(json.dumps(summary, sort_keys=True))
     if record_errors or unassigned:
         message = f"{len(record_errors)} record errors, {len(unassigned)} unassigned categories"
-        return _fail("ingest", message, EXIT_PARTIAL)
+        return _fail("ingest", f"{cfg.corpus_path}: {message}", EXIT_PARTIAL)
     return EXIT_OK
 
 

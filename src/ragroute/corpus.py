@@ -255,10 +255,79 @@ def chunk_document(doc: Document, cfg: ChunkingConfig) -> list[Chunk]:
 
 @dataclass(frozen=True)
 class RecordError:
-    """One rejected corpus record: the line it came from and why."""
+    """One rejected record of a JSON-lines file: the line it came from and why."""
 
     line_no: int
     reason: str
+
+
+def _json_value(line: str):
+    """The JSON value on ``line``, read with ``surrogateescape``; ValueError
+    gives the reason when it is not UTF-8 or not JSON."""
+    # Bytes that are not UTF-8 decode to lone surrogates U+DC80..U+DCFF, which
+    # do not encode back to UTF-8, so such a line is refused alone.
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        byte = ord(line[exc.start]) - 0xDC00
+        raise ValueError(f"not UTF-8: byte 0x{byte:02x} at column {exc.start + 1}") from None
+    try:
+        return json.loads(line.strip())
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"malformed JSON: {exc}") from None
+
+
+def read_jsonl(
+    path: str | Path, parse: Callable[[object], T], errors: list[RecordError] | None = None
+) -> list[T]:
+    """``parse`` of the JSON value on each non-blank line of ``path``, in order.
+
+    A line that is not UTF-8, is not JSON, or whose value ``parse`` refuses
+    with ValueError raises LineError naming the file and the line; given
+    ``errors``, it is left out and its ``RecordError`` appended there instead.
+    """
+    path = Path(path)
+    out: list[T] = []
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, 1):
+            if line.isspace():
+                continue
+            try:
+                out.append(parse(_json_value(line)))
+            except ValueError as exc:
+                if errors is None:
+                    raise LineError(f"{path} line {line_no}: {exc}") from exc
+                errors.append(RecordError(line_no, str(exc)))
+    return out
+
+
+def _document(rec, seen: set[str]) -> Document:
+    """The document of corpus record ``rec``, its ``doc_id`` added to
+    ``seen``; ValueError gives the reason it is refused."""
+    if not isinstance(rec, dict):
+        raise ValueError("not a JSON object")
+    doc_id = rec.get("doc_id")
+    body = rec.get("body")
+    if not doc_id:
+        raise ValueError("missing doc_id")
+    if not isinstance(doc_id, str):
+        raise ValueError(f"doc_id is not a string: {doc_id!r}")
+    if not body:
+        raise ValueError(f"missing body (doc_id={doc_id!r})")
+    if not isinstance(body, str):
+        raise ValueError(f"body is not a string (doc_id={doc_id!r})")
+    # Every character that is not whitespace is part of a token.
+    if not body.strip():
+        raise ValueError(f"blank body (doc_id={doc_id!r})")
+    try:  # an escape such as \ud800 decodes to a lone surrogate
+        (doc_id + body).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        reason = f"not UTF-8: lone surrogate U+{ord(exc.object[exc.start]):04X}"
+        raise ValueError(f"{reason} (doc_id={doc_id!r})") from None
+    if doc_id in seen:
+        raise ValueError(f"duplicate doc_id {doc_id!r}")
+    seen.add(doc_id)
+    return Document(doc_id, str(rec.get("title", "")), str(rec.get("category", "")), body)
 
 
 def load_corpus(path: str | Path) -> tuple[list[Document], list[RecordError]]:
@@ -268,70 +337,8 @@ def load_corpus(path: str | Path) -> tuple[list[Document], list[RecordError]]:
     a string body with tokens, or duplicate an earlier ``doc_id`` are
     rejected with a per-record error, never silently dropped.
     """
-    path = Path(path)
-    docs: list[Document] = []
     errors: list[RecordError] = []
-    seen: set[str] = set()
-    # Bytes that are not UTF-8 decode to lone surrogates U+DC80..U+DCFF, which
-    # do not encode back to UTF-8, so such a line rejects its own record alone.
-    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, 1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                byte = ord(line[exc.start]) - 0xDC00
-                errors.append(
-                    RecordError(line_no, f"not UTF-8: byte 0x{byte:02x} at column {exc.start + 1}")
-                )
-                continue
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                errors.append(RecordError(line_no, f"malformed JSON: {exc}"))
-                continue
-            if not isinstance(rec, dict):
-                errors.append(RecordError(line_no, "not a JSON object"))
-                continue
-            doc_id = rec.get("doc_id")
-            body = rec.get("body")
-            if not doc_id:
-                errors.append(RecordError(line_no, "missing doc_id"))
-                continue
-            if not isinstance(doc_id, str):
-                errors.append(RecordError(line_no, f"doc_id is not a string: {doc_id!r}"))
-                continue
-            if not body:
-                errors.append(RecordError(line_no, f"missing body (doc_id={doc_id!r})"))
-                continue
-            if not isinstance(body, str):
-                errors.append(RecordError(line_no, f"body is not a string (doc_id={doc_id!r})"))
-                continue
-            # Every character that is not whitespace is part of a token.
-            if not body.strip():
-                errors.append(RecordError(line_no, f"blank body (doc_id={doc_id!r})"))
-                continue
-            try:  # an escape such as \ud800 decodes to a lone surrogate
-                (doc_id + body).encode("utf-8")
-            except UnicodeEncodeError as exc:
-                reason = f"not UTF-8: lone surrogate U+{ord(exc.object[exc.start]):04X}"
-                errors.append(RecordError(line_no, f"{reason} (doc_id={doc_id!r})"))
-                continue
-            if doc_id in seen:
-                errors.append(RecordError(line_no, f"duplicate doc_id {doc_id!r}"))
-                continue
-            seen.add(doc_id)
-            docs.append(
-                Document(
-                    doc_id=doc_id,
-                    title=str(rec.get("title", "")),
-                    category=str(rec.get("category", "")),
-                    body=body,
-                )
-            )
-    return docs, errors
+    return read_jsonl(path, partial(_document, seen=set()), errors), errors
 
 
 def save_chunks(path: str | Path, chunks: list[Chunk]) -> None:
@@ -349,35 +356,6 @@ def save_chunks(path: str | Path, chunks: list[Chunk]) -> None:
     record = {**columns, "text_bytes": list(map(len, texts)), "crc32": zlib.crc32(blob)}
     text = json.dumps(record, ensure_ascii=False, sort_keys=True)
     write_atomic(path, (text + "\n").encode("utf-8"))
-
-
-def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
-    """``parse`` of the JSON value on each non-blank line of a UTF-8 file.
-
-    Raises LineError naming the file and the line when a line is not UTF-8
-    or not JSON, or when ``parse`` finds a field missing or of the wrong type
-    or value.
-    """
-    path = Path(path)
-    out: list[T] = []
-    with path.open("r", encoding="utf-8") as fh:
-        try:
-            for line_no, line in enumerate(fh, 1):
-                line = line.strip()
-                if line:
-                    out.append(parse(json.loads(line)))
-        except UnicodeDecodeError as exc:
-            # The text reader decodes whole blocks, so it cannot tell which
-            # line the bad bytes are on; find it in the raw bytes.
-            for line_no, raw in enumerate(path.read_bytes().split(b"\n"), 1):
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError as line_exc:
-                    raise LineError(f"{path} line {line_no}: not UTF-8: {line_exc}") from exc
-            raise LineError(f"{path} is not UTF-8: {exc}") from exc
-        except (KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:
-            raise LineError(f"{path} line {line_no}: {exc!r}") from exc
-    return out
 
 
 def _chunk_columns(record) -> list[list]:

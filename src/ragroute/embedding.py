@@ -8,13 +8,13 @@ the common embeddings wire shape ``{model, input: [...]}`` ->
 
 from __future__ import annotations
 
+import functools
 import gzip
 import hashlib
 import json
 import math
 import os
 import re
-import threading
 import time
 import zlib
 from dataclasses import dataclass
@@ -29,7 +29,6 @@ from . import __version__
 from .corpus import PieceMemo, TokenizedTexts, read_pieces, require_int
 from .store import InputError
 
-EMBED_MAX_IN_FLIGHT = 4
 # OpenAI's embeddings API takes at most 2048 inputs and 300,000 tokens per
 # request; 256 chunks of the default size (1024 tokens) stay under both.
 EMBED_BATCH_SIZE = 256
@@ -92,6 +91,19 @@ _CHUNK_LINE = re.compile(rb"([0-9A-Fa-f]{1,16})[ \t]*(?:;[^\r\n]*)?\r?\n")
 _FIELD_VALUE = re.compile("[\t\x20-\x7e\xa0-\xff]*")
 
 
+@functools.cache
+def _tls_context(cert_file: str | None, cert_dir: str | None):
+    """The client TLS context (ALPN ``http/1.1``) for the trust store that
+    ``SSL_CERT_FILE`` and ``SSL_CERT_DIR`` name, made once per pair of their
+    values: ``ssl.create_default_context`` reads the CA store on every call,
+    which takes far longer than a loopback request."""
+    import ssl
+
+    context = ssl.create_default_context()
+    context.set_alpn_protocols(["http/1.1"])
+    return context
+
+
 def _exchange(
     address: tuple[str, str, int], request: bytes, timeout: float
 ) -> tuple[int, str, dict[str, str], bytes | bytearray]:
@@ -103,8 +115,8 @@ def _exchange(
     so, else by ``Content-Length``, else up to EOF. A reply that does not
     parse, or ends short of its framing, raises TransportError.
     """
-    # socket (and ssl, for https) is imported here, not with the module: only
-    # the remote backends use it.
+    # socket (and ssl, for https, in _tls_context) is imported on the first
+    # request, not with the module: only the remote backends use it.
     import socket
 
     scheme, host, port = address
@@ -112,10 +124,7 @@ def _exchange(
     try:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         if scheme == "https":
-            import ssl
-
-            context = ssl.create_default_context()
-            context.set_alpn_protocols(["http/1.1"])
+            context = _tls_context(os.environ.get("SSL_CERT_FILE"), os.environ.get("SSL_CERT_DIR"))
             sock = context.wrap_socket(sock, server_hostname=host)
         sock.sendall(request)
         return _read_reply(sock)
@@ -439,7 +448,7 @@ class MockEmbedder:
 
 
 class RemoteEmbedder:
-    """HTTP embeddings client; bounds in-flight requests with a semaphore."""
+    """HTTP embeddings client."""
 
     def __init__(
         self, cfg: EmbeddingProviderConfig, max_retries: int = 2, retry_backoff: float = 0.5
@@ -450,7 +459,6 @@ class RemoteEmbedder:
         self.dim = cfg.dim
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
-        self._slots = threading.Semaphore(EMBED_MAX_IN_FLIGHT)
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
         """Embed ``texts`` in order, posting at most ``EMBED_BATCH_SIZE`` per
@@ -473,15 +481,14 @@ class RemoteEmbedder:
         next request is sent; rows are placed by the items' ``index`` when the
         reply carries it, else taken in reply order."""
         body = {"model": self.cfg.model_name, "input": list(texts)}
-        with self._slots:
-            payload = post_json(
-                self.cfg.endpoint,
-                body,
-                self.cfg.api_key_env,
-                timeout=EMBED_TIMEOUT_S,
-                max_retries=self.max_retries,
-                backoff=self.retry_backoff,
-            )
+        payload = post_json(
+            self.cfg.endpoint,
+            body,
+            self.cfg.api_key_env,
+            timeout=EMBED_TIMEOUT_S,
+            max_retries=self.max_retries,
+            backoff=self.retry_backoff,
+        )
         try:
             items = payload["data"]
             rows = [item["embedding"] for item in items]

@@ -65,14 +65,18 @@ def _strings(key: str, value) -> list[str]:
     return value
 
 
-def _eval_item(rec: dict) -> EvalItem:
-    question = rec["question"]
+def _eval_item(rec) -> EvalItem:
+    """The item of dataset record ``rec``; ValueError gives the reason it is
+    refused."""
+    if not isinstance(rec, dict):
+        raise ValueError("not a JSON object")
+    question = rec.get("question")
     if not isinstance(question, str) or not tokenize(question):
         raise ValueError(f"question must be a string with a token, not {question!r:.60}")
     require_utf8("question", question)
     return EvalItem(
         question=question,
-        answers=tuple(_strings("answers", rec["answers"])),
+        answers=tuple(_strings("answers", rec.get("answers"))),
         target_doc_ids=frozenset(_strings("target_doc_ids", rec.get("target_doc_ids", []))),
         target_agent_ids=frozenset(_strings("target_agent_ids", rec.get("target_agent_ids", []))),
         hop=rec.get("hop", SINGLE),
@@ -80,7 +84,7 @@ def _eval_item(rec: dict) -> EvalItem:
 
 
 def load_eval_items(path: str | Path) -> list[EvalItem]:
-    """One item per non-blank line; LineError names a bad line."""
+    """One item per non-blank line; LineError names the file and a bad line."""
     return read_jsonl(path, _eval_item)
 
 

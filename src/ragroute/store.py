@@ -58,18 +58,19 @@ def write_json(path: str | Path, payload, indent: int | None = None) -> None:
     write_atomic(path, text.encode("utf-8"))
 
 
-def read_json(path: str | Path, parse: Callable):
-    """``parse`` of a stored JSON file's payload. IndexFileError names the
-    file when it is not UTF-8 JSON, nests too deeply to decode, or ``parse``
-    finds a field missing or of the wrong type."""
+def read_json(path: str | Path, parse: Callable, error: type[InputError] = IndexFileError):
+    """``parse`` of a stored JSON file's payload. ``error`` (IndexFileError
+    unless given) names the file when it is not UTF-8 JSON, nests too deeply
+    to decode, or ``parse`` finds a field missing or of the wrong type."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:
-        raise IndexFileError(f"{path} is not valid JSON: {exc}") from exc
+        raise error(f"{path} is not valid JSON: {exc}") from exc
     try:
         return parse(payload)
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
-        raise IndexFileError(f"{path} is valid JSON of the wrong shape: {exc!r}") from exc
+        shape = f"{type(exc).__name__}: {exc}"
+        raise error(f"{path} is valid JSON of the wrong shape: {shape}") from exc
 
 
 def write_arrays(path: Path, arrays: Iterable[tuple[str, np.ndarray]]) -> None:

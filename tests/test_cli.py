@@ -190,9 +190,13 @@ class TestLifecycle:
         config = write_config(tmp_path, corpus, [], [{"agent_id": "a", "category": "c"}])
         code = main(["ingest", "--config", str(config)])
         assert code == 1
-        summary = json.loads(capsys.readouterr().out.strip())
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out.strip())
         assert summary["documents"] == 1
         assert len(summary["record_errors"]) == 1
+        assert json.loads(captured.err)["error"] == (
+            f"{tmp_path / 'corpus.jsonl'}: 1 record errors, 0 unassigned categories"
+        )
 
     def test_blank_body_and_non_utf8_line_are_record_errors(self, tmp_path, capsys):
         corpus = [
@@ -636,20 +640,35 @@ class TestBadLines:
     good first line is read, and blank lines are counted. The same bytes
     after a chunk file's one record exit 2 naming the file."""
 
-    @pytest.mark.parametrize("bad, line_no", BAD_LINES + [
-        (b'{"question": "q"}\n', 2),
-        (b'{"question": "q", "answers": []}\n', 2),
-        (b'\n{"question": "q", "answers": 7}\n', 3),
-        (b'{"question": "q", "answers": "Paris"}\n', 2),
-        (b'{"question": "q", "answers": ["a", 1]}\n', 2),
-        (b'{"question": 42, "answers": ["a"]}\n', 2),
-        (b'{"question": "   ", "answers": ["a"]}\n', 2),
-        (b'{"question": "q", "answers": ["a"], "target_doc_ids": "d1"}\n', 2),
-        (b'{"question": "q", "answers": ["a"], "target_agent_ids": [7]}\n', 2),
-        (b'{"question": "alpha beta \\udcff", "answers": ["a"]}\n', 2),
-        (b'{"question": "q", "answers": ["a", "\\ud800"]}\n', 2),
+    @pytest.mark.parametrize("bad, line_no, reason", [
+        (b"{not json\n", 2, "malformed JSON: Expecting property name enclosed in double quotes:"
+         " line 1 column 2 (char 1)"),
+        (b"[]\n", 2, "not a JSON object"),
+        (b"null\n", 2, "not a JSON object"),
+        (b"{}\n", 2, "question must be a string with a token, not None"),
+        (b"\xff\xfe\n", 2, "not UTF-8: byte 0xff at column 1"),
+        (b'{"question": "q"}\n', 2, "answers must be a list of strings, not None"),
+        (b'{"question": "q", "answers": []}\n', 2,
+         "eval item needs at least one groundtruth answer"),
+        (b'\n{"question": "q", "answers": 7}\n', 3, "answers must be a list of strings, not 7"),
+        (b'{"question": "q", "answers": "Paris"}\n', 2,
+         "answers must be a list of strings, not 'Paris'"),
+        (b'{"question": "q", "answers": ["a", 1]}\n', 2,
+         "answers must be a list of strings, not ['a', 1]"),
+        (b'{"question": 42, "answers": ["a"]}\n', 2,
+         "question must be a string with a token, not 42"),
+        (b'{"question": "   ", "answers": ["a"]}\n', 2,
+         "question must be a string with a token, not '   '"),
+        (b'{"question": "q", "answers": ["a"], "target_doc_ids": "d1"}\n', 2,
+         "target_doc_ids must be a list of strings, not 'd1'"),
+        (b'{"question": "q", "answers": ["a"], "target_agent_ids": [7]}\n', 2,
+         "target_agent_ids must be a list of strings, not [7]"),
+        (b'{"question": "alpha beta \\udcff", "answers": ["a"]}\n', 2,
+         "question is not UTF-8: lone surrogate U+DCFF"),
+        (b'{"question": "q", "answers": ["a", "\\ud800"]}\n', 2,
+         "answers is not UTF-8: lone surrogate U+D800"),
     ])
-    def test_bad_dataset_line_exits_2(self, tmp_path, capsys, bad, line_no):
+    def test_bad_dataset_line_exits_2(self, tmp_path, capsys, bad, line_no, reason):
         corpus, agents = topic_corpus_and_agents()
         config = write_config(tmp_path, corpus, catch_all_script(), agents)
         build_lifecycle(config)
@@ -660,8 +679,7 @@ class TestBadLines:
                 "--report", str(tmp_path / "r")]
         assert main(args) == 2
         error = json.loads(capsys.readouterr().err)
-        assert error["command"] == "eval"
-        assert f"{dataset} line {line_no}:" in error["error"]
+        assert error == {"command": "eval", "error": f"{dataset} line {line_no}: {reason}"}
 
     @pytest.mark.parametrize("command", ["eval", "build-index"])
     @pytest.mark.parametrize("bad, line_no", BAD_LINES)
@@ -1132,6 +1150,25 @@ class TestConfigValidation:
         error = json.loads(capsys.readouterr().err)
         assert error["command"] == "ingest"
         assert "config" in error["error"]
+
+    @pytest.mark.parametrize(
+        "content, problem",
+        [
+            (b"{not json", "is not valid JSON: Expecting property name enclosed in double quotes:"
+             " line 1 column 2 (char 1)"),
+            (b"\xff{}", "is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0:"
+             " invalid start byte"),
+            (b"[]", "is valid JSON of the wrong shape: TypeError: config must be a JSON object,"
+             " not list"),
+            (b"{}", "is valid JSON of the wrong shape: KeyError: 'embedding'"),
+        ],
+    )
+    def test_config_error_names_the_file(self, tmp_path, capsys, content, problem):
+        config = tmp_path / "config.json"
+        config.write_bytes(content)
+        assert main(["inspect", "--config", str(config)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error == {"command": "inspect", "error": f"{config} {problem}"}
 
     @pytest.mark.parametrize("value", [0, -1])
     @pytest.mark.parametrize("section, key", [("router", "max_agents"), ("planner", "max_rounds")])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 import transcripts
+from ragroute.corpus import LineError, load_corpus
 from ragroute.evalharness import (
     AGENTS_ALL,
     AGENTS_RAW_KNOWLEDGE,
@@ -386,3 +387,22 @@ class TestLoadEvalItems:
     def test_item_requires_answers(self):
         with pytest.raises(ValueError):
             EvalItem(question="q", answers=())
+
+    @pytest.mark.parametrize(
+        "bad",
+        [b"\xff\xfe", b'{"question": "caf\xe9"}', b"  \t{\x80}", b"{not json", b"[1, 2",
+         b"[" * 100_000, b"[]", b"null", b'"text"', b"7"],
+        ids=["bom", "latin-1", "indented", "not-json", "short", "too-deep", "list", "null",
+             "string", "number"],
+    )
+    def test_a_bad_line_gives_the_reason_ingest_gives(self, tmp_path, bad):
+        """Dataset and corpus files are read by one reader: a line that is
+        not UTF-8, not JSON or not an object is refused for the same reason
+        in both, the dataset naming the file and the line."""
+        path = tmp_path / "lines.jsonl"
+        path.write_bytes(b"\n" + bad + b"\r\n")
+        docs, errors = load_corpus(path)
+        assert docs == [] and [e.line_no for e in errors] == [2]
+        with pytest.raises(LineError) as info:
+            load_eval_items(path)
+        assert str(info.value) == f"{path} line 2: {errors[0].reason}"

@@ -525,22 +525,24 @@ class TestTransport:
     def test_https_round_trip_checks_the_certificate(
         self, serve, tmp_path, monkeypatch, name, answers
     ):
-        cert_file = self_signed_cert(tmp_path, name)
-        server, url = serve(chat_handler())
-        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
-        context.load_cert_chain(cert_file)
-        # The wrapped socket keeps the descriptor that the running server loop
-        # waits on, so each connection from here on is accepted over TLS.
-        server.socket = context.wrap_socket(server.socket, server_side=True)
-        monkeypatch.setenv("SSL_CERT_FILE", str(cert_file))
-        monkeypatch.delenv("SSL_CERT_DIR", raising=False)
-        endpoint = url.replace("http://127.0.0.1", "https://localhost") + CHAT_PATH
+        endpoint = https_endpoint(serve, tmp_path, monkeypatch, name)
         if answers:
             reply = post_json(endpoint, {"messages": []}, None, 5.0, max_retries=0, backoff=0.0)
             assert reply["choices"][0]["message"]["content"] == "pong"
         else:
             with pytest.raises(TransportError, match="certificate"):
                 post_json(endpoint, {"messages": []}, None, 5.0, max_retries=0, backoff=0.0)
+
+    def test_https_posts_share_one_tls_context(self, serve, tmp_path, monkeypatch):
+        """The CA store is read once per trust store, not once per request."""
+        endpoint = https_endpoint(serve, tmp_path, monkeypatch, "localhost")
+        made = []
+        create = ssl.create_default_context
+        monkeypatch.setattr(ssl, "create_default_context", lambda: made.append(1) or create())
+        for _ in range(2):
+            reply = post_json(endpoint, {"messages": []}, None, 5.0, max_retries=0, backoff=0.0)
+            assert reply["choices"][0]["message"]["content"] == "pong"
+        assert len(made) == 1
 
     def test_a_post_loads_neither_http_client_nor_email_feedparser(self, chat_server):
         url, handler = chat_server
@@ -556,6 +558,22 @@ class TestTransport:
         )
         assert done.stdout == "[]\n"
         assert len(handler.seen) == 1
+
+
+def https_endpoint(serve, tmp_path, monkeypatch, name: str) -> str:
+    """The chat endpoint, at ``https://localhost``, of a server that answers
+    over TLS with a fresh self-signed certificate for ``name``, which is the
+    one certificate ``SSL_CERT_FILE`` trusts."""
+    cert_file = self_signed_cert(tmp_path, name)
+    server, url = serve(chat_handler())
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert_file)
+    # The wrapped socket keeps the descriptor that the running server loop
+    # waits on, so each connection from here on is accepted over TLS.
+    server.socket = context.wrap_socket(server.socket, server_side=True)
+    monkeypatch.setenv("SSL_CERT_FILE", str(cert_file))
+    monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+    return url.replace("http://127.0.0.1", "https://localhost") + CHAT_PATH
 
 
 def self_signed_cert(tmp_path, name: str):

@@ -1,8 +1,9 @@
 """The index store: vector files round-trip, only ``ragroute.store`` writes
-or maps files, a loaded system holds its array files as read-only mappings
-that a replaced file leaves as they were, and a set-up command that fails
-part way leaves an index that ``ask`` either answers from as before or
-refuses with exit 2, never a mixed one."""
+or maps files, JSON is decoded in four named places, a loaded system holds
+its array files as read-only mappings that a replaced file leaves as they
+were, and a set-up command that fails part way leaves an index that
+``ask`` either answers from as before or refuses with exit 2, never a
+mixed one."""
 
 from __future__ import annotations
 
@@ -54,6 +55,26 @@ def file_writes(source: str) -> list[str]:
         if (name in WRITERS or (owner, name) == ("os", "replace")
                 or (name == "open" and _writes_mode(node))):
             found.append(f"{node.lineno}: {ast.unparse(func)}")
+    return found
+
+
+def json_decodes(source: str) -> list[str]:
+    """``function: call`` for each call in ``source`` that decodes JSON
+    (``json.load``, ``json.loads`` or a decoder's ``raw_decode``), named by
+    the innermost function around it."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+                owner = getattr(child.func.value, "id", None)
+                if (child.func.attr == "raw_decode"
+                        or (owner, child.func.attr) in {("json", "load"), ("json", "loads")}):
+                    found.append(f"{where}: {ast.unparse(child.func)}")
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else where)
+
+    visit(ast.parse(source), "<module>")
     return found
 
 
@@ -121,6 +142,41 @@ def test_only_the_store_writes_files():
     assert any(call.endswith("os.replace") for call in store_calls), store_calls
     assert any(call.endswith("mmap.mmap") for call in store_calls), store_calls
     assert {name: calls for name, calls in writes.items() if calls} == {}
+
+
+def test_json_is_decoded_in_four_places():
+    """Every file the program reads as JSON goes through ``store.read_json``
+    (index files and the config) or ``corpus.read_jsonl`` (corpus and
+    dataset lines); a chunk file has its own one decode (and a look at
+    whether it is in an older format), and ``post_json`` decodes a reply."""
+    decodes = [
+        f"{path.name}: {call}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for call in json_decodes(path.read_text(encoding="utf-8"))
+    ]
+    assert sorted(decodes) == [
+        "corpus.py: _json_value: json.loads",
+        "corpus.py: _older_chunk_file: json.JSONDecoder().raw_decode",
+        "corpus.py: load_chunks: json.loads",
+        "embedding.py: post_json: json.loads",
+        "store.py: read_json: json.loads",
+    ]
+
+
+@pytest.mark.parametrize(
+    "source, decodes",
+    [
+        ("json.loads(text)", True),
+        ("json.load(fh)", True),
+        ("json.JSONDecoder().raw_decode(text)", True),
+        ("decoder.raw_decode(text)", True),
+        ("json.dumps(payload)", False),
+        ("Bm25Index.load(path)", False),
+        ("blob.decode('utf-8')", False),
+    ],
+)
+def test_guard_tells_decodes_from_other_calls(source, decodes):
+    assert bool(json_decodes(source)) is decodes
 
 
 @pytest.mark.parametrize(
