@@ -69,12 +69,12 @@ class ConfigError(InputError):
     pass
 
 
-def _count(name: str, value: int) -> int:
+def _count(name: str, value: int, error: type[Exception] = ConfigError) -> int:
     """``value``; TypeError naming ``name`` when it is not an int (a bool is
-    not), ConfigError when it is below 1."""
+    not), ``error`` (ConfigError unless given) when it is below 1."""
     require_int(name, value)
     if value < 1:
-        raise ConfigError(f"{name} must be >= 1")
+        raise error(f"{name} must be >= 1")
     return value
 
 
@@ -94,8 +94,8 @@ class SystemConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "SystemConfig":
         """The config in ``path``. ConfigError names the file when it is not
-        UTF-8 JSON, a field is missing or of the wrong type or value, or an
-        agent_id repeats; a count below 1 raises ConfigError too."""
+        UTF-8 JSON, a field is missing or of the wrong type or value (a
+        count below 1 too), or an agent_id repeats."""
         return read_json(path, cls._parse, ConfigError)
 
     @classmethod
@@ -125,14 +125,14 @@ class SystemConfig:
             agents=agent_cfgs,
             # an absent key keeps the dataclass default
             max_agents=_count(
-                "router.max_agents", router_cfg.get("max_agents", cls.max_agents)
+                "router.max_agents", router_cfg.get("max_agents", cls.max_agents), ValueError
             ),
             parallelism=_count(
-                "router.parallelism", router_cfg.get("parallelism", cls.parallelism)
+                "router.parallelism", router_cfg.get("parallelism", cls.parallelism), ValueError
             ),
             strategy=PlanStrategy(planner_cfg.get("strategy", cls.strategy)),
             max_rounds=_count(
-                "planner.max_rounds", planner_cfg.get("max_rounds", cls.max_rounds)
+                "planner.max_rounds", planner_cfg.get("max_rounds", cls.max_rounds), ValueError
             ),
         )
 

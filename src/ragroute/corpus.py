@@ -319,6 +319,10 @@ def _document(rec, seen: set[str]) -> Document:
     # Every character that is not whitespace is part of a token.
     if not body.strip():
         raise ValueError(f"blank body (doc_id={doc_id!r})")
+    title, category = rec.get("title", ""), rec.get("category", "")
+    for name, value in (("title", title), ("category", category)):
+        if not isinstance(value, str):
+            raise ValueError(f"{name} is not a string (doc_id={doc_id!r})")
     try:  # an escape such as \ud800 decodes to a lone surrogate
         (doc_id + body).encode("utf-8")
     except UnicodeEncodeError as exc:
@@ -327,15 +331,16 @@ def _document(rec, seen: set[str]) -> Document:
     if doc_id in seen:
         raise ValueError(f"duplicate doc_id {doc_id!r}")
     seen.add(doc_id)
-    return Document(doc_id, str(rec.get("title", "")), str(rec.get("category", "")), body)
+    return Document(doc_id, title, category, body)
 
 
 def load_corpus(path: str | Path) -> tuple[list[Document], list[RecordError]]:
     """Read a JSONL corpus file (one document object per line).
 
     Records that are not UTF-8 JSON objects, lack a string ``doc_id``, lack
-    a string body with tokens, or duplicate an earlier ``doc_id`` are
-    rejected with a per-record error, never silently dropped.
+    a string body with tokens, have a ``title`` or ``category`` that is not
+    a string, or duplicate an earlier ``doc_id`` are rejected with a
+    per-record error, never silently dropped.
     """
     errors: list[RecordError] = []
     return read_jsonl(path, partial(_document, seen=set()), errors), errors

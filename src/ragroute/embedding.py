@@ -77,13 +77,13 @@ def endpoint_address(endpoint: str) -> tuple[tuple[str, str, int], bytes]:
     return (url.scheme, url.hostname, port), head
 
 
-# A reply head (status line and fields), or a line of a chunked body, longer
-# than this is refused.
+# The reply heads (status lines and fields, interim 1xx heads included), and
+# each line of a chunked body, may take at most this many bytes.
 REPLY_HEAD_CAP = 64 * 1024
-_RECV_SIZE = 64 * 1024
-# A reply's Content-Length is allocated at once up to this size.
-_BODY_PREALLOC = 16 * 1024 * 1024
-_HEAD_END = re.compile(rb"\n\r?\n")
+# A body is read in pieces of at most this size, so a false length commits no
+# more memory than the bytes that arrived and one piece.
+_BODY_PIECE = 16 * 1024 * 1024
+_CHUNKED_CUT = "connection closed inside a chunked reply"
 _STATUS_LINE = re.compile(r"HTTP/1\.[0-9] ([1-9][0-9][0-9])(?: (.*))?")
 _CHUNK_LINE = re.compile(rb"([0-9A-Fa-f]{1,16})[ \t]*(?:;[^\r\n]*)?\r?\n")
 # What a header value may hold: latin-1 text without control characters
@@ -127,50 +127,41 @@ def _exchange(
             context = _tls_context(os.environ.get("SSL_CERT_FILE"), os.environ.get("SSL_CERT_DIR"))
             sock = context.wrap_socket(sock, server_hostname=host)
         sock.sendall(request)
-        return _read_reply(sock)
+        with sock.makefile("rb") as reply:
+            return _read_reply(reply)
     finally:
         sock.close()
 
 
-def _read_reply(sock) -> tuple[int, str, dict[str, str], bytes | bytearray]:
-    """Read one reply from ``sock``, skipping interim (1xx) replies."""
-    buf = bytearray()
-    end = 0
+def _read_reply(reply) -> tuple[int, str, dict[str, str], bytes | bytearray]:
+    """Read one reply from the buffered reader ``reply``, skipping interim (1xx) replies."""
+    heads = bytearray()  # every head read so far, interim ones included
     status = 100
     while status < 200:
-        start, end = end, _head_end(sock, buf, end)
-        status, reason, fields = _parse_head(buf[start:end].decode("latin-1"))
+        start, line = len(heads), b""
+        while line not in (b"\n", b"\r\n"):
+            line = reply.readline(REPLY_HEAD_CAP - len(heads))
+            heads += line
+            if not line.endswith(b"\n"):
+                raise TransportError(
+                    f"reply head exceeds {REPLY_HEAD_CAP} bytes" if len(heads) == REPLY_HEAD_CAP
+                    else "connection closed before the reply head ended"
+                )
+        status, reason, fields = _parse_head(heads[start:].decode("latin-1"))
     if status in (204, 304):
         return status, reason, fields, b""
     coding = fields.get("transfer-encoding")
     length = fields.get("content-length")
     if coding is not None and coding.rsplit(",", 1)[-1].strip().lower() == "chunked":
-        body = _read_chunked(sock, buf, end)
-    elif coding is None and length is not None:
-        if not (length.isascii() and length.isdigit()):
-            raise TransportError(f"reply Content-Length is not a number: {length!r:.40}")
-        body = _read_length(sock, buf, end, int(length))
-    else:
-        body = buf[end:]
-        while chunk := sock.recv(_RECV_SIZE):
-            body += chunk
+        return status, reason, fields, _read_chunked(reply)
+    if coding is not None or length is None:
+        return status, reason, fields, reply.read()
+    if not (length.isascii() and length.isdigit()):
+        raise TransportError(f"reply Content-Length is not a number: {length!r:.40}")
+    body = bytearray()
+    if short := _read_onto(reply, body, int(length)):
+        raise TransportError(f"reply ended {short} bytes short of its Content-Length")
     return status, reason, fields, body
-
-
-def _head_end(sock, buf: bytearray, start: int) -> int:
-    """Receive into ``buf`` until the reply head that starts at ``start`` is
-    whole; return the offset just past its blank line. ``buf`` never grows
-    past ``REPLY_HEAD_CAP`` here."""
-    scan = start
-    while (match := _HEAD_END.search(buf, scan)) is None:
-        if len(buf) >= REPLY_HEAD_CAP:
-            raise TransportError(f"reply head exceeds {REPLY_HEAD_CAP} bytes")
-        scan = max(start, len(buf) - 2)
-        chunk = sock.recv(REPLY_HEAD_CAP - len(buf))
-        if not chunk:
-            raise TransportError("connection closed before the reply head ended")
-        buf += chunk
-    return match.end()
 
 
 def _parse_head(head: str) -> tuple[int, str, dict[str, str]]:
@@ -198,66 +189,45 @@ def _parse_head(head: str) -> tuple[int, str, dict[str, str]]:
     return int(match[1]), match[2] or "", fields
 
 
-def _read_length(sock, buf: bytearray, start: int, length: int) -> bytearray:
-    """The ``length``-byte body that begins at ``buf[start:]``, received into
-    one buffer; bytes past it are dropped. The buffer is allocated whole up
-    to ``_BODY_PREALLOC`` and doubles past that as bytes arrive, so a false
-    length commits no more than twice what arrived."""
-    body = bytearray(min(length, _BODY_PREALLOC))
-    have = min(len(buf) - start, length)
-    body[:have] = buf[start : start + have]
-    while have < length:
-        if have == len(body):
-            body += bytes(min(have, length - have))
-        with memoryview(body) as view:
-            got = sock.recv_into(view[have:])
-        if not got:
-            raise TransportError(f"reply ended {length - have} bytes short of its Content-Length")
-        have += got
-    return body
+def _chunk_line(reply) -> bytes:
+    """The next line of a chunked body, at most ``REPLY_HEAD_CAP`` bytes long."""
+    line = reply.readline(REPLY_HEAD_CAP)
+    if not line.endswith(b"\n"):
+        raise TransportError(
+            f"chunked reply line exceeds {REPLY_HEAD_CAP} bytes" if len(line) == REPLY_HEAD_CAP
+            else _CHUNKED_CUT
+        )
+    return line
 
 
-def _read_chunked(sock, buf: bytearray, pos: int) -> bytearray:
-    """The chunked body that begins at ``buf[pos:]`` (RFC 9112 §7.1); chunk
+def _read_chunked(reply) -> bytearray:
+    """The chunked body that ``reply`` holds next (RFC 9112 §7.1); chunk
     extensions and trailer fields are read and dropped."""
     body = bytearray()
     while True:
-        end = _line_end(sock, buf, pos)
-        match = _CHUNK_LINE.fullmatch(buf, pos, end)
+        line = _chunk_line(reply)
+        match = _CHUNK_LINE.fullmatch(line)
         if match is None:
-            raise TransportError(f"malformed chunk size line: {bytes(buf[pos:end])[:40]!r}")
-        size, pos = int(match[1], 16), end
-        if not size:
+            raise TransportError(f"malformed chunk size line: {line[:40]!r}")
+        if not (size := int(match[1], 16)):
             break
-        _fill(sock, buf, pos + size + 2)
-        if buf[pos + size : pos + size + 2] != b"\r\n":
+        if _read_onto(reply, body, size) or len(crlf := reply.read(2)) < 2:
+            raise TransportError(_CHUNKED_CUT)
+        if crlf != b"\r\n":
             raise TransportError("chunk data does not end in CRLF")
-        body += buf[pos : pos + size]
-        pos += size + 2
-    end = _line_end(sock, buf, pos)
-    while buf[pos:end].strip():  # a trailer field, up to the blank line
-        pos, end = end, _line_end(sock, buf, end)
+    while _chunk_line(reply).strip():  # a trailer field
+        pass
     return body
 
 
-def _line_end(sock, buf: bytearray, pos: int) -> int:
-    """The offset just past the line that starts at ``buf[pos]``, receiving
-    more as needed; a line longer than ``REPLY_HEAD_CAP`` raises
-    TransportError."""
-    while (end := buf.find(b"\n", pos, pos + REPLY_HEAD_CAP)) < 0:
-        if len(buf) - pos >= REPLY_HEAD_CAP:
-            raise TransportError(f"chunked reply line exceeds {REPLY_HEAD_CAP} bytes")
-        _fill(sock, buf, len(buf) + 1)
-    return end + 1
-
-
-def _fill(sock, buf: bytearray, size: int) -> None:
-    """Receive into ``buf`` until it holds at least ``size`` bytes."""
-    while len(buf) < size:
-        chunk = sock.recv(_RECV_SIZE)
-        if not chunk:
-            raise TransportError("connection closed inside a chunked reply")
-        buf += chunk
+def _read_onto(reply, body: bytearray, size: int) -> int:
+    """Append the next ``size`` bytes of ``reply`` to ``body``, read in
+    pieces of at most ``_BODY_PIECE``; returns how many bytes short of
+    ``size`` the reply ended."""
+    while size and (piece := reply.read(min(size, _BODY_PIECE))):
+        body += piece
+        size -= len(piece)
+    return size
 
 
 def _retry_after(value: str | None, cap: float) -> float | None:

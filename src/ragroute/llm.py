@@ -331,14 +331,17 @@ def parse_judgment(text: str) -> ParsedJudgment:
     return ParsedJudgment(justification=justification, answerable=answerable, response=response)
 
 
-_NUMBERED_RE = re.compile(r"^\s*\d+\.\s*(.+?)\s*$")
+_NUMBER = re.compile(r"\s*\d+\.")
 
 
 def extract_numbered_questions(text: str) -> list[str]:
-    """Lines of the form ``<int>. <text>``, in order; [] when none match."""
+    """The text after ``<int>.`` on each line that starts so, in order, with
+    whitespace stripped (text that is all whitespace gives its last
+    character); [] when none match. Time is linear in the text's length."""
     out: list[str] = []
     for line in text.splitlines():
-        m = _NUMBERED_RE.match(line)
-        if m:
-            out.append(m.group(1))
+        if m := _NUMBER.match(line):
+            rest = line[m.end() :]
+            if question := rest.strip() or rest[-1:]:
+                out.append(question)
     return out

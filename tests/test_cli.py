@@ -1177,7 +1177,8 @@ class TestConfigValidation:
         config = write_config(tmp_path, [], [], agents, **{section: {key: value}})
         assert main(["inspect", "--config", str(config)]) == 2
         error = json.loads(capsys.readouterr().err)
-        assert error == {"command": "inspect", "error": f"{section}.{key} must be >= 1"}
+        problem = f"is valid JSON of the wrong shape: ValueError: {section}.{key} must be >= 1"
+        assert error == {"command": "inspect", "error": f"{config} {problem}"}
 
     @pytest.mark.parametrize(
         "section, key, value, message",

@@ -249,6 +249,24 @@ class TestLoadCorpus:
         assert [(d.doc_id, d.body) for d in docs] == [("5", "hello")]
         assert [(e.line_no, e.reason) for e in errors] == [(2, reason)]
 
+    @pytest.mark.parametrize(
+        "fields, reason",
+        [
+            ('"category": null', "category is not a string (doc_id='x')"),
+            ('"category": ["c"]', "category is not a string (doc_id='x')"),
+            ('"title": 5, "category": "c"', "title is not a string (doc_id='x')"),
+            ('"title": {"t": 1}', "title is not a string (doc_id='x')"),
+        ],
+    )
+    def test_title_or_category_not_a_string_reported(self, tmp_path, fields, reason):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(
+            f'{{"doc_id": "5", "body": "hello"}}\n{{"doc_id": "x", {fields}, "body": "words"}}\n'
+        )
+        docs, errors = load_corpus(path)
+        assert [(d.doc_id, d.title, d.category) for d in docs] == [("5", "", "")]
+        assert [(e.line_no, e.reason) for e in errors] == [(2, reason)]
+
     def test_unreadable_path(self, tmp_path):
         with pytest.raises(OSError):
             load_corpus(tmp_path / "missing.jsonl")

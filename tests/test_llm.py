@@ -20,6 +20,8 @@ from pathlib import Path
 from urllib.parse import urlsplit
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ragroute
 import transcripts
@@ -428,7 +430,7 @@ class TestTransport:
 
     def test_body_past_the_preallocation_arrives_whole(self, chat_server):
         url, handler = chat_server
-        body = PONG + b" " * (20 * 1024 * 1024)  # past the 16 MiB allocated at once
+        body = PONG + b" " * (20 * 1024 * 1024)  # past one 16 MiB read
         handler.wire = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
         reply = post_json(url, {"messages": []}, None, timeout=5.0, max_retries=0, backoff=0.0)
         assert reply == json.loads(PONG)
@@ -467,19 +469,37 @@ class TestTransport:
     def test_head_over_the_cap_is_refused_without_reading_on(self, chat_server, monkeypatch):
         url, handler = chat_server
         handler.wire = b"HTTP/1.1 200 OK\r\n" + b"X-Pad: " + b"a" * (4 * REPLY_HEAD_CAP)
-        received: list[int] = []
-        recv = socket.socket.recv
+        received: list[int] = []  # the client's: the server reads from its own thread
+        client = threading.get_ident()
+        recv, recv_into = socket.socket.recv, socket.socket.recv_into
 
         def record(sock, size):
             data = recv(sock, size)
-            received.append(len(data))
+            if threading.get_ident() == client:
+                received.append(len(data))
             return data
 
+        def record_into(sock, buffer, *args):
+            got = recv_into(sock, buffer, *args)
+            if threading.get_ident() == client:
+                received.append(got)
+            return got
+
         monkeypatch.setattr(socket.socket, "recv", record)
+        monkeypatch.setattr(socket.socket, "recv_into", record_into)
         with pytest.raises(TransportError, match=f"exceeds {REPLY_HEAD_CAP} bytes"):
             post_json(url, {"messages": []}, None, timeout=5.0, max_retries=1, backoff=0.0)
         assert len(handler.seen) == 2
-        assert sum(received) <= 2 * REPLY_HEAD_CAP
+        assert 0 < sum(received) <= 2 * REPLY_HEAD_CAP
+
+    def test_interim_heads_share_the_head_cap(self, chat_server):
+        url, handler = chat_server
+        early = b"HTTP/1.1 103 Early Hints\r\nX-Pad: %s\r\n\r\n" % (b"a" * 40 * 1024)
+        handler.wire = early * 2 + b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (
+            len(PONG), PONG,
+        )
+        with pytest.raises(TransportError, match=f"exceeds {REPLY_HEAD_CAP} bytes"):
+            post_json(url, {"messages": []}, None, timeout=5.0, max_retries=0, backoff=0.0)
 
     def test_ipv6_literal_host_is_bracketed(self):
         class Server6(CountingHTTPServer):
@@ -831,3 +851,22 @@ class TestExtractNumberedQuestions:
         questions = extract_numbered_questions(judgment.response)
         assert len(questions) == 2
         assert questions[0].startswith("What were the main allegations made by TechCrunch")
+
+    @pytest.mark.parametrize(
+        "text, questions",
+        [("1.   ", [" "]), ("3.", []), (" 12.\tWho?  \nx. no\n\u0663. Why", ["Who?", "Why"])],
+    )
+    def test_edge_lines(self, text, questions):
+        assert extract_numbered_questions(text) == questions
+
+    @given(st.text(alphabet=" \t\u3000\xa0\x85\n\r12\u0663\xb2.aq", max_size=16))
+    def test_same_as_the_lazy_pattern(self, text):
+        lazy = re.compile(r"^\s*\d+\.\s*(.+?)\s*$")
+        expected = [m[1] for line in text.splitlines() if (m := lazy.match(line))]
+        assert extract_numbered_questions(text) == expected
+
+    def test_time_is_linear_in_a_whitespace_run(self):
+        line = "1. q" + " " * 50_000 + "y"
+        start = time.perf_counter()
+        assert extract_numbered_questions(line) == [line[3:]]
+        assert time.perf_counter() - start < 2.0

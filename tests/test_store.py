@@ -12,6 +12,7 @@ import json
 import os
 import shutil
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -58,24 +59,36 @@ def file_writes(source: str) -> list[str]:
     return found
 
 
-def json_decodes(source: str) -> list[str]:
-    """``function: call`` for each call in ``source`` that decodes JSON
-    (``json.load``, ``json.loads`` or a decoder's ``raw_decode``), named by
-    the innermost function around it."""
+def method_calls(source: str, wanted: Callable[[ast.Attribute], bool]) -> list[str]:
+    """``function: call`` for each method call in ``source`` whose callee
+    ``wanted`` accepts, named by the innermost function around it."""
     found = []
 
     def visit(node: ast.AST, where: str) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
-                owner = getattr(child.func.value, "id", None)
-                if (child.func.attr == "raw_decode"
-                        or (owner, child.func.attr) in {("json", "load"), ("json", "loads")}):
-                    found.append(f"{where}: {ast.unparse(child.func)}")
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and wanted(child.func)):
+                found.append(f"{where}: {ast.unparse(child.func)}")
             is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_def else where)
 
     visit(ast.parse(source), "<module>")
     return found
+
+
+def json_decodes(source: str) -> list[str]:
+    """The calls in ``source`` that decode JSON: ``json.load``,
+    ``json.loads`` or a decoder's ``raw_decode``."""
+    return method_calls(source, lambda func: func.attr == "raw_decode" or (
+        getattr(func.value, "id", None), func.attr) in {("json", "load"), ("json", "loads")})
+
+
+def socket_reads(source: str) -> list[str]:
+    """The calls in ``source`` that read a socket: ``recv`` and its kin
+    (``recv_into``, ``recvfrom``, ...) or ``makefile``."""
+    return method_calls(
+        source, lambda func: func.attr.startswith("recv") or func.attr == "makefile"
+    )
 
 
 class TestVectorFile:
@@ -177,6 +190,35 @@ def test_json_is_decoded_in_four_places():
 )
 def test_guard_tells_decodes_from_other_calls(source, decodes):
     assert bool(json_decodes(source)) is decodes
+
+
+def test_sockets_are_read_in_one_place():
+    """A reply is read through ``_exchange``'s one buffered reader, whose
+    ``readline`` and ``read`` frame it; nothing else receives from a socket
+    or keeps a receive buffer of its own."""
+    reads = [
+        f"{path.name}: {call}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for call in socket_reads(path.read_text(encoding="utf-8"))
+    ]
+    assert reads == ["embedding.py: _exchange: sock.makefile"]
+
+
+@pytest.mark.parametrize(
+    "source, reads",
+    [
+        ("sock.recv(4096)", True),
+        ("sock.recv_into(view)", True),
+        ("sock.recvfrom(4096)", True),
+        ("socket.socket.recv_into(sock, view)", True),
+        ('sock.makefile("rb")', True),
+        ("reply.readline(limit)", False),
+        ("reply.read(size)", False),
+        ("sock.sendall(request)", False),
+    ],
+)
+def test_guard_tells_socket_reads_from_other_calls(source, reads):
+    assert bool(socket_reads(source)) is reads
 
 
 @pytest.mark.parametrize(
