@@ -24,7 +24,6 @@ from .retrieval import (
     DENSE,
     MIXTURE,
     NO_HITS,
-    OUT_OF_ORDER,
     Bm25Index,
     DenseIndex,
     Ranked,
@@ -87,24 +86,15 @@ class AgentAnswer:
 
 def _check_rows(agent_id: str, name: str, ids: list[str], want: list[str]) -> None:
     """Raise IndexFileError, naming the agent, the file ``name`` and the
-    first chunk id that differs, unless ``ids`` are ``want`` (bm25.json's
-    chunk ids, strictly rising) row for row."""
+    first row whose chunk id is not bm25.json's (None past the end of a
+    list), unless ``ids`` are ``want`` row for row."""
     if ids == want:
         return
-    row = next(i for i, (a, b) in enumerate(zip_longest(ids, want)) if a != b)
-    got = ids[row] if row < len(ids) else None
-    there = want[row] if row < len(want) else None
-    if got in ids[:row]:
-        problem = f"chunk id {got!r} repeats"
-    elif got is not None and got not in set(want):
-        problem = f"chunk id {got!r} is not in bm25.json"
-        if there is not None:
-            problem += f", whose row {row} is {there!r}"
-    elif there not in set(ids):
-        problem = f"chunk id {there!r} of bm25.json is missing"
-    else:
-        problem = f"chunk id {got!r} {OUT_OF_ORDER}"
-    raise IndexFileError(f"agent {agent_id}: {name}: {problem}")
+    for row, (got, there) in enumerate(zip_longest(ids, want)):
+        if got != there:
+            raise IndexFileError(
+                f"agent {agent_id}: {name}: row {row} is chunk {got!r}, bm25.json's is {there!r}"
+            )
 
 
 class Agent:

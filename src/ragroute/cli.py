@@ -72,8 +72,7 @@ class ConfigError(InputError):
 def _count(name: str, value: int, error: type[Exception] = ConfigError) -> int:
     """``value``; TypeError naming ``name`` when it is not an int (a bool is
     not), ``error`` (ConfigError unless given) when it is below 1."""
-    require_int(name, value)
-    if value < 1:
+    if require_int(name, value) < 1:
         raise error(f"{name} must be >= 1")
     return value
 
@@ -219,8 +218,8 @@ def _build_agent_index(adir: Path, chunks: list[Chunk], embedder) -> None:
     tokenized once, no string per token), which both the BM25 build and the
     mock embedder count from; a remote embedder is posted the texts. The
     table is freed on return, before the next agent's chunks are read.
-    IndexFileError names ``chunks.jsonl`` when a chunk_id in it repeats or
-    is out of chunk_id order."""
+    IndexFileError names ``chunks.jsonl`` and its first chunk_id that is not
+    above the one before it."""
     texts = TokenizedTexts(c.text for c in chunks)
     try:
         bm25 = Bm25Index.build(chunks, texts.table)
@@ -413,7 +412,7 @@ def cmd_inspect(cfg: SystemConfig, args: argparse.Namespace) -> int:
         profile_path = cfg.agent_dir(agent_cfg.agent_id) / "profile.json"
         if profile_path.exists():
             entry["chunks"], entry["clusters"] = read_json(
-                profile_path, lambda p: (int(p["m"]), int(p["n"]))
+                profile_path, lambda p: (require_int("m", p["m"]), require_int("n", p["n"]))
             )
         summary["agents"].append(entry)
     print(json.dumps(summary, sort_keys=True, indent=2))

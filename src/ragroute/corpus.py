@@ -25,7 +25,7 @@ from typing import Callable, Iterable, NamedTuple, TypeVar
 import numpy as np
 
 from .store import (
-    IndexFileError, InputError, VectorFileError, read_arrays, require_int, write_atomic
+    InputError, VectorFileError, read_arrays, read_json, require_int, write_atomic
 )
 
 T = TypeVar("T")
@@ -363,8 +363,8 @@ def save_chunks(path: str | Path, chunks: list[Chunk]) -> None:
     write_atomic(path, (text + "\n").encode("utf-8"))
 
 
-def _chunk_columns(record) -> list[list]:
-    """The columns of a decoded chunk file, in ``_COLUMN_TYPES`` order.
+def _chunk_columns(record) -> tuple[list[list], int]:
+    """A decoded chunk file's columns, in ``_COLUMN_TYPES`` order, and crc32.
 
     TypeError or ValueError names the column when ``record`` is not an
     object keyed by exactly the columns and ``crc32``, holding lists of one
@@ -373,9 +373,9 @@ def _chunk_columns(record) -> list[list]:
     ``crc32`` that is one.
     """
     if type(record) is not dict:
-        raise TypeError(f"holds {record!r:.40}, not an object")
+        raise TypeError(f"{record!r:.40} is not an object")
     if record.keys() != _CHUNK_FILE_KEYS:
-        raise ValueError(f"has keys {sorted(record)}, not {sorted(_CHUNK_FILE_KEYS)}")
+        raise ValueError(f"its keys are {sorted(record)}, not {sorted(_CHUNK_FILE_KEYS)}")
     for name, (kind, kind_name) in _COLUMN_TYPES.items():
         column = record[name]
         if type(column) is not list:
@@ -391,18 +391,7 @@ def _chunk_columns(record) -> list[list]:
     crc = record["crc32"]
     if type(crc) is not int or not 0 <= crc < 2**32:
         raise TypeError(f"crc32 is {crc!r:.40}, not a crc32")
-    return [record[name] for name in _COLUMN_TYPES]
-
-
-def _older_chunk_file(text: str) -> bool:
-    """Whether ``text`` is a chunk file in an older format: blank (no
-    chunks), one chunk object per line (the first one's chunk_id a string),
-    or one object of columns that holds the texts."""
-    try:
-        first, _ = json.JSONDecoder().raw_decode(text.lstrip())
-    except (ValueError, RecursionError):
-        return not text.strip()
-    return type(first) is dict and (type(first.get("chunk_id")) is str or "text" in first)
+    return [record[name] for name in _COLUMN_TYPES], crc
 
 
 def _read_texts(path: Path, sizes: list[int], crc: int) -> list[str]:
@@ -430,26 +419,11 @@ def _read_texts(path: Path, sizes: list[int], crc: int) -> list[str]:
 
 
 def load_chunks(path: str | Path) -> list[Chunk]:
-    """The chunks ``save_chunks`` wrote: one JSON decode of ``path``, whole
-    columns checked, and the texts decoded from its ``.bin``. IndexFileError
-    names the file, and the column when one is bad, or both files when the
-    ``.bin`` is not the one ``path`` describes; a file in an older format is
-    refused with the advice to re-run ingest."""
+    """The chunks ``save_chunks`` wrote: ``path`` read by ``store.read_json``
+    and checked a whole column at a time, and the texts decoded from its
+    ``.bin``. IndexFileError names the file, and the column when one is bad,
+    or both files when the ``.bin`` is not the one ``path`` describes."""
     path = Path(path)
-    try:
-        text = path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise IndexFileError(f"{path} is not UTF-8: {exc}") from exc
-    try:
-        record = json.loads(text)
-        columns = _chunk_columns(record)
-    except (TypeError, ValueError, RecursionError) as exc:
-        if _older_chunk_file(text):
-            raise IndexFileError(
-                f"{path} is a chunk file in an older format: re-run ingest"
-            ) from exc
-        if isinstance(exc, (json.JSONDecodeError, RecursionError)):
-            raise IndexFileError(f"{path} is not valid JSON: {exc}") from exc
-        raise IndexFileError(f"{path} {exc}") from exc
-    columns[2] = _read_texts(path, columns[2], record["crc32"])
+    columns, crc = read_json(path, _chunk_columns)
+    columns[2] = _read_texts(path, columns[2], crc)
     return list(map(_new_chunk, zip(*columns)))

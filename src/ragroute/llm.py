@@ -140,19 +140,17 @@ class ScriptedChatBackend:
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedChatBackend":
         """The script in a JSON list of ``{match, reply[, repeat]}``
-        objects; IndexFileError names the file when it is not that."""
+        objects, with string ``match`` and ``reply`` and a JSON boolean
+        ``repeat``; IndexFileError names the file when it is not that."""
 
         def parse(raw) -> "ScriptedChatBackend":
             if not isinstance(raw, list):
                 raise TypeError(f"a script is a JSON list, not {type(raw).__name__}")
-            entries = [
-                ScriptEntry(
-                    match=item["match"], reply=item["reply"], repeat=bool(item.get("repeat", False))
-                )
-                for item in raw
-            ]
+            entries = [ScriptEntry(e["match"], e["reply"], e.get("repeat", False)) for e in raw]
             if not all(isinstance(e.match, str) and isinstance(e.reply, str) for e in entries):
                 raise TypeError("every entry's match and reply must be strings")
+            if not all(type(e.repeat) is bool for e in entries):
+                raise TypeError("every entry's repeat must be a JSON boolean")
             return cls(entries)
 
         return read_json(path, parse)

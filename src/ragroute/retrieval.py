@@ -25,7 +25,7 @@ import numpy as np
 from .corpus import Chunk, TermTable, term_table
 from .store import IndexFileError, VectorFileError, read_arrays, read_json, write_arrays, write_json
 # save_vectors is unused here; perfbench/spans.py traces it by name on this module.
-from .store import load_vectors, save_vectors
+from .store import load_vectors, require_strings, save_vectors
 
 DENSE = "dense"
 BM25 = "bm25"
@@ -41,8 +41,6 @@ _NORM_BLOCK = 1 << 15
 # Row norms within which a float32 screening product neither overflows nor
 # loses more to underflow than the float64 slack of ``_screen_slack``.
 _F32_SAFE_NORM = (2.0**-64, 2.0**64)
-# How a chunk file that ``ingest`` did not sort is refused.
-OUT_OF_ORDER = "is out of chunk_id order: re-run ingest"
 # The arrays of bm25.bin, in file order: offsets, rows, tf, doc_len.
 _BM25_DTYPES = ("<i8", "<i4", "<i4", "<i4")
 
@@ -365,19 +363,15 @@ class Bm25Index:
 
         One ``np.unique`` over ``term * N + row`` gives the postings in
         (term, row) order with their term frequencies. Raises ValueError
-        naming the first chunk_id that repeats or is out of chunk_id order,
-        or when the table does not hold one text per chunk.
+        when the table does not hold one text per chunk, or, from the
+        constructor's checks, naming the first chunk_id not above the one
+        before it.
         """
         if table is None:
             table = term_table(c.text for c in chunks)
         n = len(chunks)
         if len(table.lengths) != n:
             raise ValueError(f"{len(table.lengths)} texts in the term table for {n} chunks")
-        chunk_ids = [c.chunk_id for c in chunks]
-        bad = _first_unsorted(chunk_ids)
-        if bad is not None:
-            problem = "repeats" if chunk_ids[bad] in chunk_ids[:bad] else OUT_OF_ORDER
-            raise ValueError(f"chunk id {chunk_ids[bad]!r} {problem}")
         row = np.repeat(np.arange(n), table.lengths)
         keys, tf = np.unique(table.ids * n + row, return_counts=True)
         term, rows = np.divmod(keys, max(n, 1))
@@ -385,7 +379,7 @@ class Bm25Index:
         np.cumsum(np.bincount(term, minlength=len(table.terms)), out=offsets[1:])
         return cls(
             table.terms,
-            chunk_ids,
+            [c.chunk_id for c in chunks],
             offsets,
             rows.astype(np.int32),
             tf.astype(np.int32),
@@ -433,19 +427,13 @@ class Bm25Index:
     def load(cls, path: str | Path) -> "Bm25Index":
         """The index ``save`` wrote to ``path``, as views of one read of its
         ``.bin``. IndexFileError names the file when the manifest or the
-        arrays are not what ``save`` writes, or the index is in the older
-        JSON format."""
+        arrays are not what ``save`` writes."""
         path = Path(path)
 
         def parse(m) -> tuple[list[str], list[str], int]:
-            if isinstance(m, dict) and "doc_len" in m:
-                raise IndexFileError(
-                    f"{path} is a BM25 index in an older format: re-run build-index"
-                )
             terms, chunk_ids, p = m["terms"], m["chunk_ids"], m["n_postings"]
-            if not (isinstance(terms, list) and isinstance(chunk_ids, list)
-                    and set(map(type, terms + chunk_ids)) <= {str}):
-                raise TypeError("terms and chunk_ids must be lists of strings")
+            require_strings("terms", terms)
+            require_strings("chunk_ids", chunk_ids)
             if type(p) is not int or p < 0:
                 raise TypeError(f"n_postings must be a count, not {p!r}")
             return terms, chunk_ids, p

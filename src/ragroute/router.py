@@ -88,9 +88,10 @@ class RouterRegistry:
     @classmethod
     def load(cls, json_path: str | Path, vectors_base: str | Path) -> "RouterRegistry":
         """The registry ``save`` wrote. IndexFileError names ``json_path`` unless
-        its entries, with integer ``row`` and ``cluster_id`` (a bool is not
-        one), name the vectors' manifest ids (``agent_id#cluster_id``) row for
-        row, and the ``.bin`` when a centroid is zero or not finite."""
+        its entries, with a string ``agent_id`` and integer ``row`` and
+        ``cluster_id`` (a bool is not one), name the vectors' manifest ids
+        (``agent_id#cluster_id``) row for row, and the ``.bin`` when a
+        centroid is zero or not finite."""
         matrix, ids = load_vectors(vectors_base)
 
         def parse(payload) -> RouterRegistry:
@@ -98,6 +99,8 @@ class RouterRegistry:
             for rec in recs:
                 require_int("row", rec["row"])
                 require_int("cluster_id", rec["cluster_id"])
+                if type(rec["agent_id"]) is not str:
+                    raise TypeError(f"agent_id must be a string, not {rec['agent_id']!r}")
             named = [(rec["row"], f"{rec['agent_id']}#{rec['cluster_id']}") for rec in recs]
             if named != list(enumerate(ids)):
                 raise ValueError("its entries are not the rows of the vectors' manifest, in order")

@@ -33,10 +33,18 @@ class VectorFileError(IndexFileError):
     vector."""
 
 
-def require_int(name: str, value) -> None:
-    """TypeError naming ``name`` unless ``value`` is an int; a bool is not."""
+def require_int(name: str, value) -> int:
+    """``value``; TypeError naming ``name`` unless it is an int (a bool is not)."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
+def require_strings(name: str, value) -> list[str]:
+    """``value``; TypeError naming ``name`` unless it is a list of strings."""
+    if type(value) is not list or not set(map(type, value)) <= {str}:
+        raise TypeError(f"{name} must be a list of strings, not {value!r:.40}")
+    return value
 
 
 def write_atomic(path: str | Path, data: bytes) -> None:
@@ -107,15 +115,14 @@ def save_vectors(base_path: str | Path, matrix: np.ndarray, ids: list[str]) -> N
 
 def load_vectors(base_path: str | Path) -> tuple[np.ndarray, list[str]]:
     """What ``save_vectors`` wrote: a read-only float32 array and the ids.
-    IndexFileError names the manifest when ``count`` or ``dim`` is not an
-    integer; VectorFileError when it lists other than ``count`` ids or a
-    negative ``dim``, or the ``.bin`` is not ``count * dim`` floats."""
+    IndexFileError names the manifest when a field is not of its type;
+    VectorFileError when it lists other than ``count`` ids or a negative
+    ``dim``, or the ``.bin`` is not ``count * dim`` floats."""
     base = Path(base_path)
 
     def parse(m) -> tuple[int, int, list[str]]:
-        require_int("count", m["count"])
-        require_int("dim", m["dim"])
-        return m["count"], m["dim"], list(m["chunk_ids"])
+        count, dim = require_int("count", m["count"]), require_int("dim", m["dim"])
+        return count, dim, require_strings("chunk_ids", m["chunk_ids"])
 
     count, dim, ids = read_json(base.with_suffix(".manifest.json"), parse)
     bin_path = base.with_suffix(".bin")

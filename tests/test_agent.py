@@ -198,20 +198,23 @@ def chunks_named(*ids: str) -> list[Chunk]:
 class TestIndexConsistency:
     """An agent whose chunks.jsonl or dense rows do not list bm25.json's chunk
     ids row for row is refused when it is built, not once per question; the
-    message names the agent, the file and the first chunk id that differs."""
+    message names the agent, the file, the first row that differs and both
+    chunk ids there (None past the end of a list)."""
 
     @pytest.mark.parametrize(
         "chunk_ids, dense_ids, message",
         [
             ("d:0 d:1 d:2", "d:0 d:1 d:2", None),
-            ("d:0 d:2", "d:0 d:1 d:2", "chunks.jsonl: chunk id 'd:1' of bm25.json is missing"),
+            ("d:0 d:2", "d:0 d:1 d:2", "chunks.jsonl: row 1 is chunk 'd:2', bm25.json's is 'd:1'"),
             ("d:0 d:1 d:2", "d:0 d:1 d:2 d:3",
-             "vectors.manifest.json: chunk id 'd:3' is not in bm25.json"),
-            ("d:0 d:1 d:2", "d:0 d:1 d:1 d:2", "vectors.manifest.json: chunk id 'd:1' repeats"),
+             "vectors.manifest.json: row 3 is chunk 'd:3', bm25.json's is None"),
+            ("d:0 d:1 d:2", "d:0 d:1 d:1 d:2",
+             "vectors.manifest.json: row 2 is chunk 'd:1', bm25.json's is 'd:2'"),
             ("d:2 d:0 d:1", "d:0 d:1 d:2",
-             "chunks.jsonl: chunk id 'd:2' is out of chunk_id order: re-run ingest"),
+             "chunks.jsonl: row 0 is chunk 'd:2', bm25.json's is 'd:0'"),
+            ("d:0 d:1", "d:0 d:1 d:2", "chunks.jsonl: row 2 is chunk None, bm25.json's is 'd:2'"),
         ],
-        ids=["same", "missing", "extra", "twice", "out-of-order"],
+        ids=["same", "missing", "extra", "twice", "out-of-order", "short"],
     )
     def test_same_rows_or_index_file_error(self, chunk_ids, dense_ids, message):
         dense_ids = dense_ids.split()

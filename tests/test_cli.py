@@ -12,9 +12,10 @@ import pytest
 
 import ragroute
 import transcripts
-from test_corpus import per_line_bytes
+from test_corpus import CHUNK_FILE_KEYS, CHUNK_KEYS, per_line_bytes, per_line_refusal
 from ragroute.cli import main
 from ragroute.corpus import Chunk, load_chunks, save_chunks
+from ragroute.store import load_vectors, save_vectors
 
 
 def write_config(
@@ -730,10 +731,11 @@ def _with_first(name, value):
 class TestChunkFile:
     """``chunks.jsonl`` holds one JSON object of columns, and ``chunks.bin``
     the texts. A file that is not that object, with typed columns of one
-    length, exits 2 naming the file and the column, never in a traceback."""
+    length, exits 2 naming the file and the column, never in a traceback;
+    so do the layouts older versions wrote."""
 
     @pytest.mark.parametrize("command", ["ask", "build-index"])
-    def test_texts_in_the_json_exit_2_naming_ingest(self, one_agent_tree, capsys, command):
+    def test_texts_in_the_json_exit_2_naming_the_file(self, one_agent_tree, capsys, command):
         """The columns as older versions wrote them, texts and all."""
         config, path = one_agent_tree
         chunks = load_chunks(path)
@@ -744,7 +746,8 @@ class TestChunkFile:
                      *command_args(path.parents[3], command)]) == 2
         assert json.loads(capsys.readouterr().err) == {
             "command": command,
-            "error": f"{path} is a chunk file in an older format: re-run ingest",
+            "error": f"{path} is valid JSON of the wrong shape: ValueError: its keys are "
+                     f"{CHUNK_KEYS}, not {CHUNK_FILE_KEYS}",
         }
 
     def test_chunk_id_not_a_string_exits_2_at_ask(self, one_agent_tree, capsys):
@@ -756,48 +759,60 @@ class TestChunkFile:
         assert main(["ask", "--config", str(config), "--question", "alpha?"]) == 2
         assert json.loads(capsys.readouterr().err) == {
             "command": "ask",
-            "error": f"{path} column 'chunk_id' holds 5, not a string",
+            "error": f"{path} is valid JSON of the wrong shape: "
+                     "TypeError: column 'chunk_id' holds 5, not a string",
         }
 
     @pytest.mark.parametrize("command", ["ask", "build-index", "eval"])
     @pytest.mark.parametrize("n", [0, 1, 2])
-    def test_older_per_line_format_exits_2_naming_ingest(self, one_agent_tree, capsys,
-                                                         command, n):
+    def test_older_per_line_format_exits_2_naming_the_file(self, one_agent_tree, capsys,
+                                                           command, n):
         config, path = one_agent_tree
-        path.write_bytes(per_line_bytes(load_chunks(path)[:n]))
+        older = per_line_bytes(load_chunks(path)[:n])
+        path.write_bytes(older)
         capsys.readouterr()
         assert main([command, "--config", str(config),
                      *command_args(path.parents[3], command)]) == 2
         assert json.loads(capsys.readouterr().err) == {
             "command": command,
-            "error": f"{path} is a chunk file in an older format: re-run ingest",
+            "error": per_line_refusal(path, n, len(older.split(b"\n")[0]) + 1),
         }
 
     @pytest.mark.parametrize("command", ["ask", "build-index"])
     @pytest.mark.parametrize(
         "edit, words",
         [
-            (lambda columns: [], "holds [], not an object"),
-            (lambda columns: None, "holds None, not an object"),
-            (lambda columns: "columns", "holds 'columns', not an object"),
-            (lambda columns: {"x": []}, "has keys ['x']"),
+            (lambda columns: [], "TypeError: [] is not an object"),
+            (lambda columns: None, "TypeError: None is not an object"),
+            (lambda columns: "columns", "TypeError: 'columns' is not an object"),
+            (lambda columns: {"x": []}, f"ValueError: its keys are ['x'], not {CHUNK_FILE_KEYS}"),
             (lambda columns: {k: v for k, v in columns.items() if k != "token_len"},
-             "has keys ['chunk_id', 'crc32', 'doc_id', 'text_bytes', 'token_start']"),
+             "ValueError: its keys are ['chunk_id', 'crc32', 'doc_id', 'text_bytes', "
+             f"'token_start'], not {CHUNK_FILE_KEYS}"),
             (_with("title", ["", ""]),
-             "has keys ['chunk_id', 'crc32', 'doc_id', 'text_bytes', 'title'"),
-            (_with("doc_id", "d1"), "column 'doc_id' is 'd1', not a list"),
-            (_with("token_start", {"0": 0}), "column 'token_start' is {'0': 0}, not a list"),
-            (_with("text_bytes", [16]), "columns have unequal lengths"),
+             "ValueError: its keys are ['chunk_id', 'crc32', 'doc_id', 'text_bytes', 'title', "
+             f"'token_len', 'token_start'], not {CHUNK_FILE_KEYS}"),
+            (_with("doc_id", "d1"), "TypeError: column 'doc_id' is 'd1', not a list"),
+            (_with("token_start", {"0": 0}),
+             "TypeError: column 'token_start' is {'0': 0}, not a list"),
+            (_with("text_bytes", [16]),
+             "ValueError: columns have unequal lengths {'chunk_id': 2, 'doc_id': 2, "
+             "'text_bytes': 1, 'token_start': 2, 'token_len': 2}"),
             (_with_first("chunk_id", ["d1:00000"]),
-             "column 'chunk_id' holds ['d1:00000'], not a string"),
-            (_with_first("doc_id", None), "column 'doc_id' holds None, not a string"),
-            (_with_first("text_bytes", "5"), "column 'text_bytes' holds '5', not an integer"),
-            (_with_first("text_bytes", -1), "column 'text_bytes' holds -1, not a size"),
-            (_with("crc32", None), "crc32 is None, not a crc32"),
-            (_with("crc32", 2**32), "crc32 is 4294967296, not a crc32"),
-            (_with_first("token_start", "0"), "column 'token_start' holds '0', not an integer"),
-            (_with_first("token_len", True), "column 'token_len' holds True, not an integer"),
-            (_with_first("token_len", 3.0), "column 'token_len' holds 3.0, not an integer"),
+             "TypeError: column 'chunk_id' holds ['d1:00000'], not a string"),
+            (_with_first("doc_id", None), "TypeError: column 'doc_id' holds None, not a string"),
+            (_with_first("text_bytes", "5"),
+             "TypeError: column 'text_bytes' holds '5', not an integer"),
+            (_with_first("text_bytes", -1),
+             "ValueError: column 'text_bytes' holds -1, not a size"),
+            (_with("crc32", None), "TypeError: crc32 is None, not a crc32"),
+            (_with("crc32", 2**32), "TypeError: crc32 is 4294967296, not a crc32"),
+            (_with_first("token_start", "0"),
+             "TypeError: column 'token_start' holds '0', not an integer"),
+            (_with_first("token_len", True),
+             "TypeError: column 'token_len' holds True, not an integer"),
+            (_with_first("token_len", 3.0),
+             "TypeError: column 'token_len' holds 3.0, not an integer"),
         ],
         ids=["list", "null", "string", "other-keys", "lacks-a-key", "extra-key", "str-column",
              "object-column", "unequal-lengths", "list-id", "null-doc-id", "string-size",
@@ -811,9 +826,10 @@ class TestChunkFile:
         capsys.readouterr()
         assert main([command, "--config", str(config),
                      *command_args(path.parents[3], command)]) == 2
-        error = json.loads(capsys.readouterr().err)
-        assert error["command"] == command
-        assert error["error"].startswith(f"{path} {words}")
+        assert json.loads(capsys.readouterr().err) == {
+            "command": command,
+            "error": f"{path} is valid JSON of the wrong shape: {words}",
+        }
 
 
 class TestIndexFiles:
@@ -900,6 +916,48 @@ class TestIndexFiles:
         error = json.loads(capsys.readouterr().err)
         assert error["command"] == "ask"
         assert f"script.json {problem}" in error["error"]
+
+    @pytest.mark.parametrize("renamed", [slice(None), slice(1)], ids=["every", "first"])
+    def test_registry_agent_id_not_a_string_exits_2_naming_it(self, tmp_path, capsys, renamed):
+        """Numeric agent ids in ``renamed`` entries, with the ids of the
+        registry's vectors manifest renamed to match."""
+        corpus, agents = topic_corpus_and_agents()
+        config = write_config(tmp_path, corpus, catch_all_script(), agents)
+        build_lifecycle(config)
+        path = tmp_path / "index" / "registry.json"
+        registry = json.loads(path.read_text(encoding="utf-8"))
+        for entry in registry["entries"][renamed]:
+            entry["agent_id"] = 10 + int(entry["agent_id"].removeprefix("agent"))
+        path.write_text(json.dumps(registry), encoding="utf-8")
+        base = tmp_path / "index" / "registry_vectors"
+        centroids, _ = load_vectors(base)
+        save_vectors(base, centroids,
+                     [f"{e['agent_id']}#{e['cluster_id']}" for e in registry["entries"]])
+        capsys.readouterr()
+        assert main(["ask", "--config", str(config), *command_args(tmp_path, "ask")]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "command": "ask",
+            "error": f"{path} is valid JSON of the wrong shape: "
+                     "TypeError: agent_id must be a string, not 10",
+        }
+
+    @pytest.mark.parametrize("base", ["agents/agent0/vectors", "registry_vectors"])
+    def test_manifest_ids_as_an_object_exit_2_naming_it(self, tmp_path, capsys, base):
+        """An object keyed by the right ids is not taken as its keys."""
+        corpus, agents = topic_corpus_and_agents()
+        config = write_config(tmp_path, corpus, catch_all_script(), agents)
+        build_lifecycle(config)
+        manifest = tmp_path / "index" / f"{base}.manifest.json"
+        fields = json.loads(manifest.read_text(encoding="utf-8"))
+        fields["chunk_ids"] = dict.fromkeys(fields["chunk_ids"], 0)
+        manifest.write_text(json.dumps(fields), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["ask", "--config", str(config), *command_args(tmp_path, "ask")]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "command": "ask",
+            "error": f"{manifest} is valid JSON of the wrong shape: TypeError: "
+                     f"chunk_ids must be a list of strings, not {fields['chunk_ids']!r:.40}",
+        }
 
     @pytest.mark.parametrize("command", ["ask", "eval"])
     def test_registry_agent_missing_from_config_exits_2(self, tmp_path, capsys, command):
@@ -1012,7 +1070,9 @@ class TestBm25Store:
         assert str(path.with_suffix(".bin" if damage == "size" else ".json")) in error
         assert words in error
 
-    def test_index_in_the_older_json_format_exits_2_naming_build_index(self, bm25_tree, capsys):
+    def test_index_in_the_older_json_format_exits_2_naming_the_file(self, bm25_tree, capsys):
+        """JSON postings, as older versions wrote them, lack the manifest's
+        fields."""
         config, path, manifest, binary = bm25_tree
         older = {"doc_len": {"doc-t0:00000": 1}, "postings": {"topic0word0": {"doc-t0:00000": 1}}}
         try:
@@ -1020,7 +1080,7 @@ class TestBm25Store:
             error = self.ask_error(config, capsys)["error"]
         finally:
             path.write_bytes(manifest)
-        assert error == f"{path} is a BM25 index in an older format: re-run build-index"
+        assert error == f"{path} is valid JSON of the wrong shape: KeyError: 'terms'"
 
     def test_undamaged_index_answers(self, bm25_tree, capsys):
         config, _, _, _ = bm25_tree
@@ -1037,7 +1097,7 @@ class TestBm25Store:
         error = json.loads(capsys.readouterr().err)
         assert error == {
             "command": "build-index",
-            "error": f"{chunks}: chunk id 'doc-t0:00000' repeats",
+            "error": f"{chunks}: chunk ids are not sorted and unique at 'doc-t0:00000'",
         }
 
 
@@ -1086,9 +1146,10 @@ class TestRowOrder:
         in_order = sorted(corpus, key=lambda rec: rec["doc_id"])
         assert (files, out, prompts) == self.build_and_ask(tmp_path / "sorted", in_order, capsys)
 
-    def test_chunks_in_corpus_order_are_refused_with_the_advice_to_ingest(self, tmp_path, capsys):
+    def test_chunks_in_corpus_order_are_refused_naming_the_file(self, tmp_path, capsys):
         """A chunks.jsonl in corpus order, as older versions wrote it, stops
-        both build-index and ask (exit 2), naming the file and ingest."""
+        both build-index and ask (exit 2), naming the file and the first
+        chunk out of place."""
         config = write_config(
             tmp_path, row_order_corpus(), catch_all_script(), self.AGENTS, chunking=self.CHUNKING
         )
@@ -1099,12 +1160,45 @@ class TestRowOrder:
         capsys.readouterr()
         assert main(["ask", "--config", str(config), "--question", "topicca?"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == (
-            "agent ca: chunks.jsonl: chunk id 'd3:00000' is out of chunk_id order: re-run ingest"
+            "agent ca: chunks.jsonl: row 0 is chunk 'd3:00000', bm25.json's is 'd10:00000'"
         )
         assert main(["build-index", "--config", str(config)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == (
-            f"{path}: chunk id 'd10:00000' is out of chunk_id order: re-run ingest"
+            f"{path}: chunk ids are not sorted and unique at 'd10:00000'"
         )
+
+    @pytest.mark.parametrize("name", ["chunks.jsonl", "vectors.manifest.json"])
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            ([0, 2, 3, 4, 5], "row 1 is chunk 'd10:00002', bm25.json's is 'd10:00001'"),
+            ([0, 1, 2, 3, 4, 5, 5], "row 6 is chunk 'd3:00002', bm25.json's is None"),
+            ([0, 1, 1, 2, 3, 4, 5], "row 2 is chunk 'd10:00001', bm25.json's is 'd10:00002'"),
+            ([1, 0, 2, 3, 4, 5], "row 0 is chunk 'd10:00001', bm25.json's is 'd10:00000'"),
+            ([0, 1, 2, 3, 4], "row 5 is chunk None, bm25.json's is 'd3:00002'"),
+        ],
+        ids=["missing", "extra", "twice", "out-of-order", "short"],
+    )
+    def test_rows_that_are_not_bm25s_exit_2_naming_the_first(self, tmp_path, capsys, name,
+                                                             order, message):
+        """Agent ca's six rows, re-saved in ``order`` in one file."""
+        config = write_config(
+            tmp_path, row_order_corpus(), catch_all_script(), self.AGENTS, chunking=self.CHUNKING
+        )
+        build_lifecycle(config)
+        adir = tmp_path / "index" / "agents" / "ca"
+        if name == "chunks.jsonl":
+            chunks = load_chunks(adir / "chunks.jsonl")
+            assert len(chunks) == 6
+            save_chunks(adir / name, [chunks[i] for i in order])
+        else:
+            matrix, ids = load_vectors(adir / "vectors")
+            save_vectors(adir / "vectors", matrix[order], [ids[i] for i in order])
+        capsys.readouterr()
+        assert main(["ask", "--config", str(config), "--question", "topicca?"]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "command": "ask", "error": f"agent ca: {name}: {message}"
+        }
 
 
 class TestInspect:
@@ -1118,6 +1212,23 @@ class TestInspect:
         assert summary["registry"]["agents"] == 2
         assert {a["agent_id"] for a in summary["agents"]} == {"agent0", "agent1"}
         assert all("clusters" in a for a in summary["agents"])
+
+    @pytest.mark.parametrize("field, value", [("m", "12"), ("n", 3.9), ("n", True)])
+    def test_counts_that_are_not_integers_exit_2_naming_the_profile(self, tmp_path, capsys,
+                                                                    field, value):
+        corpus, agents = topic_corpus_and_agents(2)
+        config = write_config(tmp_path, corpus, [], agents)
+        build_lifecycle(config)
+        profile = tmp_path / "index" / "agents" / "agent0" / "profile.json"
+        fields = json.loads(profile.read_text(encoding="utf-8"))
+        profile.write_text(json.dumps({**fields, field: value}), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["inspect", "--config", str(config)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "command": "inspect",
+            "error": f"{profile} is valid JSON of the wrong shape: "
+                     f"TypeError: {field} must be an integer, not {value!r}",
+        }
 
 
 class TestConfigValidation:

@@ -288,6 +288,23 @@ def per_line_bytes(chunks: list[Chunk]) -> bytes:
     ).encode("utf-8")
 
 
+# The keys of a chunk file, and of one chunk object as older versions wrote it.
+CHUNK_FILE_KEYS = "['chunk_id', 'crc32', 'doc_id', 'text_bytes', 'token_len', 'token_start']"
+CHUNK_KEYS = "['chunk_id', 'doc_id', 'text', 'token_len', 'token_start']"
+
+
+def per_line_refusal(path: Path, n: int, first_line_chars: int) -> str:
+    """``load_chunks``' refusal of a chunk file at ``path`` that holds ``n``
+    chunk objects, one per line, the first line ``first_line_chars`` long:
+    no JSON, one object of the wrong keys, or JSON with more after it."""
+    if n == 0:
+        return f"{path} is not valid JSON: Expecting value: line 1 column 1 (char 0)"
+    if n == 1:
+        return (f"{path} is valid JSON of the wrong shape: ValueError: its keys are "
+                f"{CHUNK_KEYS}, not {CHUNK_FILE_KEYS}")
+    return f"{path} is not valid JSON: Extra data: line 2 column 1 (char {first_line_chars})"
+
+
 class _DiskFull:
     """A file whose write puts down half of what it is given, then fails as
     a full disk does."""
@@ -392,8 +409,9 @@ class TestChunkStore:
 
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_older_per_line_format_is_refused(self, tmp_path, n):
+        """Refused as any file that is not the one object of columns is."""
         path = tmp_path / "chunks.jsonl"
         path.write_bytes(per_line_bytes([Chunk(f"d:{j:05d}", "d", "text", j, 1) for j in range(n)]))
         with pytest.raises(IndexFileError) as info:
             load_chunks(path)
-        assert str(info.value) == f"{path} is a chunk file in an older format: re-run ingest"
+        assert str(info.value) == per_line_refusal(path, n, 89)

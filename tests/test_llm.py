@@ -53,6 +53,7 @@ from ragroute.llm import (
     parse_judgment,
 )
 from ragroute.router import route_and_answer
+from ragroute.store import IndexFileError
 
 
 def user(text: str) -> list[ChatMessage]:
@@ -111,6 +112,17 @@ class TestScriptedBackend:
         path.write_text(json.dumps([{"match": "m", "reply": "r", "repeat": True}]))
         backend = ScriptedChatBackend.from_file(path)
         assert backend.chat(user("m"))[0] == "r"
+
+    @pytest.mark.parametrize("repeat", ["no", 1, None])
+    def test_from_file_refuses_a_repeat_that_is_not_a_boolean(self, tmp_path, repeat):
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps([{"match": "m", "reply": "r", "repeat": repeat}]))
+        with pytest.raises(IndexFileError) as info:
+            ScriptedChatBackend.from_file(path)
+        assert str(info.value) == (
+            f"{path} is valid JSON of the wrong shape: "
+            "TypeError: every entry's repeat must be a JSON boolean"
+        )
 
 
 class _ChatHandler(BaseHTTPRequestHandler):

@@ -323,9 +323,10 @@ class TestBm25Search:
     @pytest.mark.parametrize(
         "ids, message",
         [
-            ("d:00001 d:00000", "chunk id 'd:00000' is out of chunk_id order: re-run ingest"),
-            ("d:0 d:2 d:1", "chunk id 'd:1' is out of chunk_id order: re-run ingest"),
-            ("d:00000 d:00001 d:00000", "chunk id 'd:00000' repeats"),
+            ("d:00001 d:00000", "chunk ids are not sorted and unique at 'd:00000'"),
+            ("d:0 d:2 d:1", "chunk ids are not sorted and unique at 'd:1'"),
+            ("d:00000 d:00001 d:00000", "chunk ids are not sorted and unique at 'd:00000'"),
+            ("d:00000 d:00000", "chunk ids are not sorted and unique at 'd:00000'"),
         ],
     )
     def test_build_refuses_chunks_out_of_chunk_id_order(self, ids, message):

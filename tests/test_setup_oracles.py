@@ -248,7 +248,8 @@ class TestSharedTable:
         ]
         if ids != sorted(ids):
             first = next(k for k in range(1, len(ids)) if ids[k] < ids[k - 1])
-            with pytest.raises(ValueError, match=f"^chunk id 'd:{ids[first]:05d}' is out of"):
+            message = f"chunk ids are not sorted and unique at 'd:{ids[first]:05d}'"
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 Bm25Index.build(chunks)
             chunks.sort(key=lambda c: c.chunk_id)
         path = tmp_path_factory.getbasetemp() / "bm25.json"

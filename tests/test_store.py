@@ -139,6 +139,22 @@ class TestVectorFile:
             load_vectors(tmp_path / "v")
         assert str(info.value).startswith(f"{manifest} ")
 
+    @pytest.mark.parametrize(
+        "ids", [{"a": 0, "b": 1, "c": 2}, "abc", ["a", "b", 3], None],
+        ids=["object", "string", "an-int", "null"],
+    )
+    def test_manifest_ids_must_be_a_list_of_strings(self, tmp_path, ids):
+        """Not coerced: an object is not its keys, nor a string its characters."""
+        save_vectors(tmp_path / "v", np.ones((3, 4), np.float32), ["a", "b", "c"])
+        manifest = tmp_path / "v.manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "chunk_ids": ids}))
+        with pytest.raises(IndexFileError) as info:
+            load_vectors(tmp_path / "v")
+        assert str(info.value) == (
+            f"{manifest} is valid JSON of the wrong shape: "
+            f"TypeError: chunk_ids must be a list of strings, not {ids!r}"
+        )
+
     def test_little_endian_layout(self, tmp_path):
         matrix = np.array([[1.0, 2.0]], dtype=np.float32)
         save_vectors(tmp_path / "v", matrix, ["a"])
@@ -157,11 +173,11 @@ def test_only_the_store_writes_files():
     assert {name: calls for name, calls in writes.items() if calls} == {}
 
 
-def test_json_is_decoded_in_four_places():
+def test_json_is_decoded_in_three_places():
     """Every file the program reads as JSON goes through ``store.read_json``
-    (index files and the config) or ``corpus.read_jsonl`` (corpus and
-    dataset lines); a chunk file has its own one decode (and a look at
-    whether it is in an older format), and ``post_json`` decodes a reply."""
+    (index files, chunk files included, and the config) or
+    ``corpus.read_jsonl`` (corpus and dataset lines), and ``post_json``
+    decodes a reply."""
     decodes = [
         f"{path.name}: {call}"
         for path in sorted(PACKAGE.glob("*.py"))
@@ -169,8 +185,6 @@ def test_json_is_decoded_in_four_places():
     ]
     assert sorted(decodes) == [
         "corpus.py: _json_value: json.loads",
-        "corpus.py: _older_chunk_file: json.JSONDecoder().raw_decode",
-        "corpus.py: load_chunks: json.loads",
         "embedding.py: post_json: json.loads",
         "store.py: read_json: json.loads",
     ]
