@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .corpus import Chunk, ChunkingConfig, chunk_ordinal, require_int, tokenize
+from .corpus import Chunk, ChunkingConfig, chunk_ordinal, tokenize
 from .llm import ParsedAgentReply, TokenUsage, parse_agent_reply
 from .prompts import AGENT_ANSWER_MULTI_HOP, AGENT_ANSWER_SINGLE_HOP, render_prompt
 from .retrieval import (
@@ -34,7 +34,7 @@ from .retrieval import (
     rerank,
     unscored,
 )
-from .store import IndexFileError
+from .store import IndexFileError, require_int, require_str
 
 SINGLE_HOP = "single_hop"
 MULTI_HOP = "multi_hop"
@@ -58,8 +58,7 @@ class AgentConfig:
 
     def __post_init__(self) -> None:
         for name in ("agent_id", "category"):
-            if not isinstance(getattr(self, name), str):
-                raise TypeError(f"{name} must be a string, not {getattr(self, name)!r}")
+            require_str(name, getattr(self, name))
         if self.agent_id in ("", ".", "..") or any(c in self.agent_id for c in "/\\\0"):
             raise ValueError(f"agent_id must name one directory, not {self.agent_id!r}")
         if self.retrieval_method not in (DENSE, BM25, MIXTURE):

@@ -1,5 +1,5 @@
-"""Knowledge-boundary profiles: cluster an agent's chunk embeddings and
-export per-cluster centroids for routing.
+"""Knowledge-boundary profiles: cluster an agent's chunk embeddings into one
+float32 matrix of per-cluster centroids for routing.
 
 Clustering is complete-linkage agglomerative on distance 1 - cosine, run
 until ``max(1, floor(sqrt(m)))`` clusters remain. It follows Muellner's
@@ -31,27 +31,15 @@ from .store import load_vectors, save_vectors, write_json
 
 
 @dataclass(frozen=True)
-class Cluster:
-    cluster_id: int
-    member_chunk_ids: tuple[str, ...]
-    centroid: np.ndarray
-
-
-@dataclass(frozen=True)
 class AgentProfile:
+    """An agent's clusters: cluster i holds the chunk ids ``members[i]``,
+    and row i of ``centroids`` (float32) is their mean embedding."""
+
     agent_id: str
     num_chunks: int
     num_clusters: int
-    clusters: tuple[Cluster, ...]
-
-
-@dataclass(frozen=True)
-class CentroidEntry:
-    """One exported centroid tagged with its owning agent."""
-
-    agent_id: str
-    cluster_id: int
-    centroid: np.ndarray
+    members: tuple[tuple[str, ...], ...]
+    centroids: np.ndarray
 
 
 def cluster_count(m: int) -> int:
@@ -125,40 +113,24 @@ def cluster_indices(embeddings: np.ndarray, n: int) -> list[list[int]]:
     return sorted((sorted(ms) for ms in members.values()), key=lambda ms: ms[0])
 
 
-def cluster_chunks(chunk_ids: list[str], embeddings: np.ndarray, n: int) -> list[Cluster]:
-    """Cluster chunk embeddings and build Cluster records with mean centroids."""
-    if len(chunk_ids) != len(embeddings):
-        raise ValueError("one chunk_id per embedding required")
-    mat = np.asarray(embeddings, dtype=np.float64)
-    out: list[Cluster] = []
-    for cid, members in enumerate(cluster_indices(mat, n)):
-        centroid = mat[members].mean(axis=0).astype(np.float32)
-        out.append(
-            Cluster(
-                cluster_id=cid,
-                member_chunk_ids=tuple(chunk_ids[i] for i in members),
-                centroid=centroid,
-            )
-        )
-    return out
-
-
 def build_profile(agent_id: str, chunk_ids: list[str], embeddings: np.ndarray) -> AgentProfile:
-    """Cluster an agent's chunks into max(1, floor(sqrt(m))) clusters."""
+    """Cluster an agent's chunks into max(1, floor(sqrt(m))) clusters; each
+    centroid is the float64 mean of its members, rounded to float32."""
     m = len(chunk_ids)
     if m == 0:
         raise ValueError("agent has no chunks")
+    if m != len(embeddings):
+        raise ValueError("one chunk_id per embedding required")
     n = cluster_count(m)
-    clusters = cluster_chunks(chunk_ids, embeddings, n)
-    return AgentProfile(agent_id=agent_id, num_chunks=m, num_clusters=n, clusters=tuple(clusters))
-
-
-def export_centroids(profile: AgentProfile) -> list[CentroidEntry]:
-    """Centroids tagged with the owning agent; never includes chunk text."""
-    return [
-        CentroidEntry(agent_id=profile.agent_id, cluster_id=c.cluster_id, centroid=c.centroid)
-        for c in profile.clusters
-    ]
+    mat = np.asarray(embeddings, dtype=np.float64)
+    parts = cluster_indices(mat, n)
+    return AgentProfile(
+        agent_id=agent_id,
+        num_chunks=m,
+        num_clusters=n,
+        members=tuple(tuple(chunk_ids[i] for i in part) for part in parts),
+        centroids=np.array([mat[part].mean(axis=0) for part in parts], dtype=np.float32),
+    )
 
 
 def save_profile(profile: AgentProfile, json_path: str | Path) -> None:
@@ -169,8 +141,8 @@ def save_profile(profile: AgentProfile, json_path: str | Path) -> None:
         "m": profile.num_chunks,
         "n": profile.num_clusters,
         "clusters": [
-            {"cluster_id": c.cluster_id, "member_chunk_ids": list(c.member_chunk_ids)}
-            for c in profile.clusters
+            {"cluster_id": i, "member_chunk_ids": list(ids)}
+            for i, ids in enumerate(profile.members)
         ],
     }
     write_json(json_path, manifest)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .agent import Agent, AgentConfig
-from .boundary import CentroidEntry, build_profile, export_centroids, save_profile
+from .boundary import build_profile, save_profile
 from .corpus import (
     Chunk,
     ChunkingConfig,
@@ -28,7 +28,6 @@ from .corpus import (
     chunk_document,
     load_chunks,
     load_corpus,
-    require_int,
     require_utf8,
     save_chunks,
     tokenize,
@@ -51,7 +50,7 @@ from .prompts import TEMPLATES
 from .retrieval import Bm25Index, DenseIndex
 from .router import RouterRegistry
 # load_vectors is unused here; perfbench/spans.py traces it by name on this module.
-from .store import IndexFileError, InputError, load_vectors, read_json, save_vectors
+from .store import IndexFileError, InputError, load_vectors, read_json, require_int, save_vectors
 from .store import write_atomic, write_json
 
 EXIT_OK = 0
@@ -108,7 +107,7 @@ class SystemConfig:
         for rec in raw["agents"]:
             rec = dict(rec)
             own = rec.pop("chunking", None)
-            rec["chunking"] = ChunkingConfig(**own) if own else chunking
+            rec["chunking"] = chunking if own is None else ChunkingConfig(**own)
             agent_cfgs.append(AgentConfig(**rec))
         ids = [a.agent_id for a in agent_cfgs]
         if len(ids) != len(set(ids)):
@@ -236,15 +235,15 @@ def _build_agent_index(adir: Path, chunks: list[Chunk], embedder) -> None:
 def cmd_register(cfg: SystemConfig, args: argparse.Namespace) -> int:
     """Cluster each selected agent and save one registry of the centroids.
     A full register holds only these; ``--agent`` also keeps the saved
-    entries of the other agents that the config still lists."""
-    entries: list[CentroidEntry] = []
+    centroids of the other agents that the config still lists."""
+    centroids: dict[str, np.ndarray] = {}
     registry_path = cfg.registry_json()
     if args.agent is not None and registry_path.exists():
         saved = RouterRegistry.load(registry_path, cfg.registry_vectors())
         kept = {a.agent_id for a in cfg.agents} - {args.agent}
-        entries = [e for e in saved.entries if e.agent_id in kept]
-        if entries:
-            _check_dim(cfg, cfg.registry_vectors(), entries[0].centroid.shape[0])
+        centroids = {a: saved.centroids_of(a) for a in saved.agent_ids if a in kept}
+        if centroids:
+            _check_dim(cfg, cfg.registry_vectors(), saved.dim)
     for agent_cfg in _select_agent_cfgs(cfg, args.agent):
         adir = cfg.agent_dir(agent_cfg.agent_id)
         if not (adir / "vectors.manifest.json").exists():
@@ -256,8 +255,12 @@ def cmd_register(cfg: SystemConfig, args: argparse.Namespace) -> int:
             continue
         profile = build_profile(agent_cfg.agent_id, dense.chunk_ids, dense.rows)
         save_profile(profile, adir / "profile.json")
-        entries.extend(export_centroids(profile))
-    registry = RouterRegistry(entries)
+        centroids[agent_cfg.agent_id] = profile.centroids
+    order = sorted(centroids)
+    registry = RouterRegistry(
+        [a for a in order for _ in range(len(centroids[a]))],
+        np.concatenate([centroids[a] for a in order]) if order else None,
+    )
     registry.save(registry_path, cfg.registry_vectors())
     print(
         json.dumps(
@@ -282,10 +285,10 @@ def _load_system(cfg: SystemConfig, args: argparse.Namespace) -> EvalSystem:
     ``--retrieval``, ``--max-agents``, ``--strategy``, ``--max-rounds`` and
     ``--agent-mode`` applied over the config.
 
-    Raises ConfigError for a count flag below 1, or when there is no
-    registry or it names an agent that the config does not list, and
-    InputError when its vectors or an agent's are not of the configured
-    ``embedding.dim``.
+    Raises ConfigError for a count flag below 1, when there is no registry,
+    it names an agent that the config does not list, or an agent with
+    chunks in its index is not in it, and InputError when its vectors or an
+    agent's are not of the configured ``embedding.dim``.
     """
     max_agents, max_rounds = args.max_agents, getattr(args, "max_rounds", None)
     max_agents = _count("--max-agents", cfg.max_agents if max_agents is None else max_agents)
@@ -295,12 +298,12 @@ def _load_system(cfg: SystemConfig, args: argparse.Namespace) -> EvalSystem:
     backend = make_chat_backend(cfg.chat)
     embedder = make_embedder(cfg.embedding)
     registry = RouterRegistry.load(cfg.registry_json(), cfg.registry_vectors())
-    configured = {a.agent_id for a in cfg.agents}
-    unknown = [a for a in registry.agent_ids if a not in configured]
+    configured, registered = {a.agent_id for a in cfg.agents}, set(registry.agent_ids)
+    unknown = sorted(registered - configured)
     if unknown:
         raise ConfigError(f"registry names agents missing from the config: {', '.join(unknown)}")
     if registry.entries:
-        _check_dim(cfg, cfg.registry_vectors(), registry.entries[0].centroid.shape[0])
+        _check_dim(cfg, cfg.registry_vectors(), registry.dim)
     retrieval = getattr(args, "retrieval", None)
     agents: dict[str, Agent] = {}
     for agent_cfg in cfg.agents:
@@ -310,6 +313,10 @@ def _load_system(cfg: SystemConfig, args: argparse.Namespace) -> EvalSystem:
         chunks = load_chunks(adir / "chunks.jsonl")
         dense = DenseIndex.load(adir / "vectors")
         _check_dim(cfg, adir / "vectors", dense.dim)
+        if len(dense) and agent_cfg.agent_id not in registered:
+            raise ConfigError(
+                f"agent {agent_cfg.agent_id} is indexed but not in the registry: run register"
+            )
         bm25 = Bm25Index.load(adir / "bm25.json")
         agents[agent_cfg.agent_id] = Agent(agent_cfg, chunks, dense, bm25, embedder, backend)
     return EvalSystem(

@@ -26,8 +26,8 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from . import __version__
-from .corpus import PieceMemo, TokenizedTexts, read_pieces, require_int
-from .store import InputError
+from .corpus import PieceMemo, TokenizedTexts, read_pieces
+from .store import InputError, require_int, require_str
 
 # OpenAI's embeddings API takes at most 2048 inputs and 300,000 tokens per
 # request; 256 chunks of the default size (1024 tokens) stay under both.
@@ -335,6 +335,10 @@ class EmbeddingProviderConfig:
     api_key_env: str | None = None
 
     def __post_init__(self) -> None:
+        for name in ("provider", "model_name"):
+            require_str(name, getattr(self, name))
+        for name in ("endpoint", "api_key_env"):
+            require_str(name, getattr(self, name), optional=True)
         require_int("dim", self.dim)
         if self.dim <= 0:
             raise ValueError("dim must be positive")

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, TypeVar
 
-from .corpus import require_int, tokenize
+from .corpus import tokenize
 from .embedding import MalformedReplyError, endpoint_address, post_json
-from .store import read_json
+from .store import read_json, require_int, require_str
 
 CHAT_TIMEOUT_S = 120.0
 
@@ -77,6 +77,10 @@ class ChatBackendConfig:
     script_path: str | None = None
 
     def __post_init__(self) -> None:
+        for name in ("backend", "model_name"):
+            require_str(name, getattr(self, name))
+        for name in ("endpoint", "api_key_env", "script_path"):
+            require_str(name, getattr(self, name), optional=True)
         require_int("max_rounds_retry", self.max_rounds_retry)
         if self.max_rounds_retry < 0:
             raise ValueError("max_rounds_retry must be >= 0")

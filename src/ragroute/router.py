@@ -11,12 +11,11 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .agent import MULTI_HOP, SINGLE_HOP, Agent, AgentAnswer, AgentError
-from .boundary import CentroidEntry
 from .llm import TokenUsage, _label_matches, ask_parsed, parse_agent_reply
 from .prompts import (
     AGENT_ANSWER_SINGLE_HOP,
@@ -26,7 +25,8 @@ from .prompts import (
 )
 # rerank is unused here; perfbench/spans.py traces it by name on this module.
 from .retrieval import DenseIndex, UnitQuery, UnusableRowError, rerank
-from .store import VectorFileError, load_vectors, read_json, require_int, save_vectors, write_json
+from .store import VectorFileError, load_vectors, read_json, require_int, require_str, save_vectors
+from .store import write_json
 
 if TYPE_CHECKING:
     from .evalharness import EvalSystem
@@ -41,31 +41,33 @@ class RouterError(RuntimeError):
 
 
 class RouterRegistry:
-    """The exported centroids, in (agent_id, cluster_id) order, and what
-    selection needs, built once from them: the sorted agent ids, the first
-    row of each agent's run of rows, each row's agent and the centroids as a
-    ``DenseIndex`` (float32 rows, float64 norms), whose ids are
-    ``agent_id#cluster_id``.
+    """The agents' centroids as one matrix, its rows run agent by agent in
+    sorted agent_id order; a row's cluster id is its place in its agent's run.
+    Built once, with one ``np.unique`` of ``agent_of_row``: ``entries``, each
+    row's (agent_id, cluster_id); the sorted agent ids; the first row of each
+    agent's run; each row's agent; and the rows, kept as given, as a
+    ``DenseIndex`` whose ids are ``agent_id#cluster_id``.
 
-    RouterError when the centroids differ in dimension; ValueError names an
-    entry whose centroid is zero or not finite.
+    ValueError when the rows are out of that order or ``agent_of_row`` is
+    not one per row, or names a centroid that is zero or not finite.
     """
 
-    def __init__(self, entries: Iterable[CentroidEntry] = ()) -> None:
-        self.entries = tuple(sorted(entries, key=lambda e: (e.agent_id, e.cluster_id)))
-        dims = sorted({e.centroid.shape[0] for e in self.entries})
-        if len(dims) > 1:
-            raise RouterError(f"centroid dimension mismatch: {dims}")
-        self._agent_ids = sorted({e.agent_id for e in self.entries})
-        position = {agent_id: i for i, agent_id in enumerate(self._agent_ids)}
-        self._agent_of_row = np.array([position[e.agent_id] for e in self.entries], dtype=np.intp)
-        self._starts = np.searchsorted(self._agent_of_row, np.arange(len(self._agent_ids)))
-        matrix = np.stack([e.centroid for e in self.entries]) if self.entries else np.zeros((0, 0))
-        ids = [f"{e.agent_id}#{e.cluster_id}" for e in self.entries]
+    def __init__(self, agent_of_row: Sequence[str] = (), centroids: np.ndarray | None = None):
+        names = np.array(agent_of_row, dtype=object)
+        agent_ids, self._starts, self._agent_of_row = np.unique(
+            names, return_index=True, return_inverse=True
+        )
+        if np.any(np.diff(self._agent_of_row) < 0):
+            raise ValueError("centroid rows must run agent by agent, in sorted agent_id order")
+        self._agent_ids = agent_ids.tolist()
+        cluster_of_row = np.arange(len(names)) - self._starts[self._agent_of_row]
+        self.entries = tuple(zip(names.tolist(), cluster_of_row.tolist()))
+        matrix = np.zeros((0, 0), np.float32) if centroids is None else centroids
         try:
-            self._centroids = DenseIndex(matrix, ids)
+            self._centroids = DenseIndex(matrix, [f"{a}#{c}" for a, c in self.entries])
         except UnusableRowError as exc:
             raise ValueError(f"centroid {exc.row_id} is zero or not finite") from None
+        self.dim = self._centroids.dim
 
     @property
     def agent_ids(self) -> list[str]:
@@ -75,23 +77,30 @@ class RouterRegistry:
     def agent_count(self) -> int:
         return len(self._agent_ids)
 
+    def centroids_of(self, agent_id: str) -> np.ndarray:
+        """``agent_id``'s rows, cluster 0 first: a view, not a copy."""
+        i = self._agent_ids.index(agent_id)
+        start, end = np.searchsorted(self._agent_of_row, [i, i + 1])
+        return self._centroids.rows[start:end]
+
     def save(self, json_path: str | Path, vectors_base: str | Path) -> None:
         save_vectors(vectors_base, self._centroids.rows, self._centroids.chunk_ids)
         payload = {
             "entries": [
-                {"agent_id": e.agent_id, "cluster_id": e.cluster_id, "row": i}
-                for i, e in enumerate(self.entries)
+                {"agent_id": agent_id, "cluster_id": cluster_id, "row": i}
+                for i, (agent_id, cluster_id) in enumerate(self.entries)
             ]
         }
         write_json(json_path, payload)
 
     @classmethod
     def load(cls, json_path: str | Path, vectors_base: str | Path) -> "RouterRegistry":
-        """The registry ``save`` wrote. IndexFileError names ``json_path`` unless
-        its entries, with a string ``agent_id`` and integer ``row`` and
-        ``cluster_id`` (a bool is not one), name the vectors' manifest ids
-        (``agent_id#cluster_id``) row for row, and the ``.bin`` when a
-        centroid is zero or not finite."""
+        """The registry ``save`` wrote, over the mapped rows of its vectors.
+        IndexFileError names ``json_path`` unless its entries, with a string
+        ``agent_id`` and integer ``row`` and ``cluster_id`` (a bool is not
+        one), name the vectors' manifest ids (``agent_id#cluster_id``) row
+        for row, in (agent_id, cluster_id 0, 1, ...) order, and the ``.bin``
+        when a centroid is zero or not finite."""
         matrix, ids = load_vectors(vectors_base)
 
         def parse(payload) -> RouterRegistry:
@@ -99,19 +108,18 @@ class RouterRegistry:
             for rec in recs:
                 require_int("row", rec["row"])
                 require_int("cluster_id", rec["cluster_id"])
-                if type(rec["agent_id"]) is not str:
-                    raise TypeError(f"agent_id must be a string, not {rec['agent_id']!r}")
+                require_str("agent_id", rec["agent_id"])
             named = [(rec["row"], f"{rec['agent_id']}#{rec['cluster_id']}") for rec in recs]
             if named != list(enumerate(ids)):
                 raise ValueError("its entries are not the rows of the vectors' manifest, in order")
-            entries = [
-                CentroidEntry(rec["agent_id"], rec["cluster_id"], centroid)
-                for rec, centroid in zip(recs, matrix)
-            ]
             try:
-                return cls(entries)
+                registry = cls(sorted(rec["agent_id"] for rec in recs), matrix)
             except ValueError as exc:
                 raise VectorFileError(f"{Path(vectors_base).with_suffix('.bin')}: {exc}") from exc
+            # entries out of the order the constructor numbers rows in name other ids
+            if registry._centroids.chunk_ids != ids:
+                raise ValueError("its entries are not in (agent_id, cluster_id 0, 1, ...) order")
+            return registry
 
         return read_json(json_path, parse)
 

@@ -40,6 +40,14 @@ def require_int(name: str, value) -> int:
     return value
 
 
+def require_str(name: str, value, optional: bool = False) -> str | None:
+    """``value``; TypeError naming ``name`` unless it is a string, or None
+    when ``optional``."""
+    if not isinstance(value, str) and not (optional and value is None):
+        raise TypeError(f"{name} must be a string, not {value!r}")
+    return value
+
+
 def require_strings(name: str, value) -> list[str]:
     """``value``; TypeError naming ``name`` unless it is a list of strings."""
     if type(value) is not list or not set(map(type, value)) <= {str}:

@@ -12,7 +12,7 @@ from hypothesis import settings
 
 import transcripts
 from ragroute.agent import Agent, AgentConfig
-from ragroute.boundary import build_profile, export_centroids
+from ragroute.boundary import build_profile
 from ragroute.corpus import Chunk, ChunkingConfig, Document, chunk_document
 from ragroute.embedding import MockEmbedder
 from ragroute.evalharness import EvalSystem
@@ -87,7 +87,7 @@ def make_agents(
         doc = Document(rec["doc_id"], rec.get("title", ""), rec["category"], rec["body"])
         docs_by_category.setdefault(doc.category, []).append(doc)
     agents: dict[str, Agent] = {}
-    entries = []
+    rows = []
     for agent_id, category in zip(agent_ids, categories):
         chunks = []
         for doc in docs_by_category.get(category, []):
@@ -106,8 +106,17 @@ def make_agents(
         if chunks:
             matrix = embedder.embed_batch([c.text for c in chunks])
             profile = build_profile(agent_id, [c.chunk_id for c in chunks], matrix)
-            entries.extend(export_centroids(profile))
-    return agents, RouterRegistry(entries)
+            rows.extend((agent_id, centroid) for centroid in profile.centroids)
+    return agents, registry_of(rows)
+
+
+def registry_of(rows) -> RouterRegistry:
+    """A registry of ``(agent_id, centroid)`` rows; each agent's rows keep
+    the order given, so its n-th row is its cluster n."""
+    rows = sorted(rows, key=lambda row: row[0])
+    if not rows:
+        return RouterRegistry()
+    return RouterRegistry([a for a, _ in rows], np.array([v for _, v in rows], np.float32))
 
 
 def system_of(agents: dict[str, Agent], registry: RouterRegistry, backend, embedder, **settings):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import random
@@ -14,14 +13,13 @@ from hypothesis import strategies as st
 from ragroute.boundary import (
     _pairwise_cosine_distance,
     build_profile,
-    cluster_chunks,
     cluster_count,
     cluster_indices,
-    export_centroids,
     save_profile,
 )
 from conftest import cosine_similarity
 from ragroute.embedding import MockEmbedder
+from ragroute.router import RouterRegistry
 
 
 # --- independent oracles -----------------------------------------------------
@@ -253,56 +251,26 @@ class TestClusterIndices:
             cluster_indices(vectors, 0)
 
 
-class TestClusterChunks:
-    def test_singletons_keep_own_embedding_as_centroid(self):
-        rng = np.random.default_rng(2)
-        vectors = rng.normal(size=(4, 5)).astype(np.float32)
-        ids = [f"c{i}" for i in range(4)]
-        clusters = cluster_chunks(ids, vectors, 4)
-        for cluster, cid, vec in zip(clusters, ids, vectors):
-            assert cluster.member_chunk_ids == (cid,)
-            assert np.allclose(cluster.centroid, vec, atol=1e-7)
-
-    def test_centroid_is_arithmetic_mean(self):
-        rng = np.random.default_rng(8)
-        vectors = rng.normal(size=(9, 6)).astype(np.float32)
-        ids = [f"c{i}" for i in range(9)]
-        for cluster in cluster_chunks(ids, vectors, 3):
-            members = [ids.index(c) for c in cluster.member_chunk_ids]
-            mean = vectors[members].astype(np.float64).mean(axis=0)
-            assert np.linalg.norm(cluster.centroid - mean) < 1e-6
-
-    def test_partition_properties(self):
-        rng = np.random.default_rng(13)
-        vectors = rng.normal(size=(20, 6))
-        ids = [f"c{i}" for i in range(20)]
-        clusters = cluster_chunks(ids, vectors, 4)
-        assert len(clusters) == 4
-        seen = [c for cl in clusters for c in cl.member_chunk_ids]
-        assert sorted(seen) == sorted(ids)
-        assert len(set(seen)) == len(ids)
-
-
 class TestBuildProfile:
     def test_single_chunk(self):
         vec = np.array([[0.5, 0.5]], np.float32)
         profile = build_profile("agent", ["c0"], vec)
         assert profile.num_chunks == 1 and profile.num_clusters == 1
-        assert np.allclose(profile.clusters[0].centroid, vec[0])
+        assert np.array_equal(profile.centroids, vec)
 
     def test_four_identical_embeddings_two_clusters(self):
         vec = np.tile(np.array([[1.0, 2.0, 3.0]], np.float32), (4, 1))
         profile = build_profile("agent", ["a", "b", "c", "d"], vec)
         assert profile.num_clusters == 2
-        for cluster in profile.clusters:
-            assert np.allclose(cluster.centroid, vec[0], atol=1e-6)
+        for centroid in profile.centroids:
+            assert np.allclose(centroid, vec[0], atol=1e-6)
 
     def test_three_topics_recovered(self, mock_embedder):
         matrix, labels = separable_embeddings(random.Random(5), [3, 3, 3], mock_embedder)
         ids = [f"c{i}" for i in range(9)]
         profile = build_profile("agent", ids, matrix)
         assert profile.num_clusters == 3
-        got = sorted(tuple(sorted(c.member_chunk_ids)) for c in profile.clusters)
+        got = sorted(tuple(sorted(members)) for members in profile.members)
         want = sorted(
             tuple(sorted(f"c{i}" for i, g in enumerate(labels) if g == topic))
             for topic in range(3)
@@ -313,6 +281,40 @@ class TestBuildProfile:
         with pytest.raises(ValueError):
             build_profile("agent", [], np.zeros((0, 3)))
 
+    def test_one_chunk_id_per_embedding(self):
+        with pytest.raises(ValueError, match="one chunk_id per embedding required"):
+            build_profile("agent", ["c0", "c1"], np.ones((3, 4)))
+
+    def test_a_singleton_keeps_its_row(self):
+        """Three near copies and one far row: the far row is cluster 1 alone,
+        and its centroid is its row, bit for bit."""
+        rng = np.random.default_rng(2)
+        base = rng.normal(size=5)
+        vectors = np.array([base, base + 1e-3, base - 1e-3, -base], np.float32)
+        profile = build_profile("agent", ["c0", "c1", "c2", "c3"], vectors)
+        assert profile.members == (("c0", "c1", "c2"), ("c3",))
+        assert np.array_equal(profile.centroids[1], vectors[3])
+
+    def test_centroid_is_the_float64_mean_rounded_to_float32(self):
+        rng = np.random.default_rng(8)
+        vectors = rng.normal(size=(9, 6)).astype(np.float32)
+        ids = [f"c{i}" for i in range(9)]
+        profile = build_profile("agent", ids, vectors)
+        assert profile.centroids.dtype == np.float32
+        for members, centroid in zip(profile.members, profile.centroids):
+            rows = [ids.index(c) for c in members]
+            mean = vectors[rows].astype(np.float64).mean(axis=0).astype(np.float32)
+            assert np.array_equal(centroid, mean)
+
+    def test_clusters_partition_the_chunks(self):
+        rng = np.random.default_rng(13)
+        ids = [f"c{i}" for i in range(20)]
+        profile = build_profile("agent", ids, rng.normal(size=(20, 6)))
+        assert profile.num_clusters == len(profile.members) == 4
+        seen = [c for members in profile.members for c in members]
+        assert sorted(seen) == sorted(ids)
+        assert len(set(seen)) == len(ids)
+
     def test_cluster_budget_follows_chunk_count(self, mock_embedder):
         rng = random.Random(3)
         for m in (1, 2, 5, 16, 17):
@@ -320,35 +322,29 @@ class TestBuildProfile:
             matrix = mock_embedder.embed_batch(texts)
             profile = build_profile("a", [f"c{i}" for i in range(m)], matrix)
             assert profile.num_clusters == cluster_count(m)
-            assert len(profile.clusters) == profile.num_clusters
+            assert len(profile.members) == len(profile.centroids) == profile.num_clusters
 
 
-class TestExportCentroids:
-    def test_one_entry_per_cluster_tagged_with_agent(self):
+class TestCentroidsInTheRegistry:
+    def test_one_row_per_cluster_numbered_in_its_agents_run(self):
         rng = np.random.default_rng(1)
-        profile = build_profile("agent-7", [f"c{i}" for i in range(9)], rng.normal(size=(9, 4)))
-        entries = export_centroids(profile)
-        assert len(entries) == 3
-        assert all(e.agent_id == "agent-7" for e in entries)
-        assert sorted(e.cluster_id for e in entries) == [0, 1, 2]
-
-    def test_two_agents_additive(self):
-        rng = np.random.default_rng(2)
         p1 = build_profile("a1", [f"c{i}" for i in range(9)], rng.normal(size=(9, 4)))
         p2 = build_profile("a2", [f"c{i}" for i in range(4)], rng.normal(size=(4, 4)))
-        assert len(export_centroids(p1)) + len(export_centroids(p2)) == 3 + 2
+        matrix = np.concatenate([p1.centroids, p2.centroids])
+        registry = RouterRegistry(["a1"] * 3 + ["a2"] * 2, matrix)
+        assert registry.entries == (("a1", 0), ("a1", 1), ("a1", 2), ("a2", 0), ("a2", 1))
+        assert np.array_equal(registry.centroids_of("a1"), p1.centroids)
+        assert np.array_equal(registry.centroids_of("a2"), p2.centroids)
 
-    def test_serialized_entry_carries_no_chunk_text(self):
-        rng = np.random.default_rng(3)
-        profile = build_profile("a", ["c0", "c1"], rng.normal(size=(2, 4)))
-        for entry in export_centroids(profile):
-            record = {
-                f.name: getattr(entry, f.name) for f in dataclasses.fields(entry)
-            }
-            assert set(record) == {"agent_id", "cluster_id", "centroid"}
-            assert "text" not in json.dumps(
-                {k: v for k, v in record.items() if not isinstance(v, np.ndarray)}
-            )
+    def test_no_chunk_id_or_text_reaches_the_registry_files(self, tmp_path, mock_embedder):
+        texts = ["private alpha words", "private beta words"]
+        ids = ["doc-secret:0", "doc-secret:1"]
+        profile = build_profile("a", ids, mock_embedder.embed_batch(texts))
+        registry = RouterRegistry(["a"] * profile.num_clusters, profile.centroids)
+        registry.save(tmp_path / "registry.json", tmp_path / "registry_vectors")
+        for path in tmp_path.iterdir():
+            data = path.read_bytes()
+            assert b"secret" not in data and b"private" not in data, path.name
 
 
 class TestProfilePersistence:
@@ -363,7 +359,7 @@ class TestProfilePersistence:
             "m": profile.num_chunks,
             "n": profile.num_clusters,
             "clusters": [
-                {"cluster_id": c.cluster_id, "member_chunk_ids": list(c.member_chunk_ids)}
-                for c in profile.clusters
+                {"cluster_id": i, "member_chunk_ids": list(members)}
+                for i, members in enumerate(profile.members)
             ],
         }

@@ -157,6 +157,36 @@ class TestLifecycle:
         assert [c for c, _ in registry_rows("agent0")] == [0]
         assert registry_rows("agent1") == others
 
+    @pytest.mark.parametrize("command", ["ask", "eval"])
+    def test_an_indexed_agent_missing_from_the_registry_is_refused(
+        self, tmp_path, capsys, command
+    ):
+        """Agent b is added to the config and indexed after a register of a
+        alone: the commands that route refuse to load, naming b and
+        register, rather than never route to b."""
+        corpus, agents = topic_corpus_and_agents(2)
+        config = write_config(tmp_path, corpus[:1], catch_all_script(), agents[:1])
+        build_lifecycle(config)
+        transcripts.write_jsonl(tmp_path / "corpus.jsonl", corpus)
+        raw = json.loads(config.read_text())
+        raw["agents"] = agents
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        for step in ("ingest", "build-index"):
+            assert main([step, "--config", str(config)]) == 0
+        extra = {
+            "ask": ["--question", "topic1word0?"],
+            "eval": ["--dataset", str(topic_dataset(tmp_path, 2)), "--report",
+                     str(tmp_path / "report"), "--agent-mode", "all"],
+        }[command]
+        capsys.readouterr()
+        assert main([command, "--config", str(config), *extra]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "command": command,
+            "error": "agent agent1 is indexed but not in the registry: run register",
+        }
+        assert main(["register", "--config", str(config)]) == 0
+        assert main([command, "--config", str(config), *extra]) == 0
+
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         corpus = [
             {"doc_id": "d1", "category": "ca", "body": "alpha words " * 30},
@@ -1339,6 +1369,12 @@ class TestConfigValidation:
             ("agent", "agent_id", ".", "agent_id must name one directory, not '.'"),
             ("agent", "agent_id", "", "agent_id must name one directory, not ''"),
             ("agent", "category", 5, "category must be a string, not 5"),
+            ("agent", "chunking", [], "TypeError: ragroute.corpus.ChunkingConfig() argument"),
+            ("agent", "chunking", {}, "TypeError: ChunkingConfig.__init__() missing 2 required"),
+            ("chat", "script_path", 5, "TypeError: script_path must be a string, not 5"),
+            ("chat", "api_key_env", ["K"], "TypeError: api_key_env must be a string, not ['K']"),
+            ("embedding", "api_key_env", 5, "TypeError: api_key_env must be a string, not 5"),
+            ("embedding", "model_name", 7, "TypeError: model_name must be a string, not 7"),
         ],
     )
     def test_field_of_the_wrong_type_or_value_exits_2_before_any_write(
@@ -1353,6 +1389,7 @@ class TestConfigValidation:
             assert main([command, "--config", str(config)]) == 2
             error = json.loads(capsys.readouterr().err)
             assert error["command"] == command and message in error["error"]
+            assert error["error"].startswith(f"{config} is valid JSON of the wrong shape: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "config.json", "corpus.jsonl", "script.json"
         ]

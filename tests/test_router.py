@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 import transcripts
 from ragroute.agent import AgentAnswer
-from ragroute.boundary import CentroidEntry
 from ragroute.llm import ScriptedChatBackend, ScriptEntry, TokenUsage
 from ragroute.retrieval import UnitQuery, unit_query, unit_scores
-from ragroute.store import IndexFileError
-from conftest import cosine_similarity, count_embeds, system_of
+from ragroute.store import IndexFileError, save_vectors
+from conftest import cosine_similarity, count_embeds, registry_of, system_of
 from ragroute.router import (
     CONJECTURE,
     GOOD_RELIABLE,
@@ -28,16 +27,16 @@ from ragroute.router import (
 )
 
 
-def entry(agent_id: str, cluster_id: int, vec) -> CentroidEntry:
-    return CentroidEntry(agent_id, cluster_id, np.asarray(vec, dtype=np.float32))
-
-
 def random_registry(rng: np.random.Generator, n_agents: int, max_clusters: int, dim: int = 8):
-    entries = []
+    rows = []
     for a in range(n_agents):
         n_clusters = int(rng.integers(1, max_clusters + 1))
-        entries.extend(entry(f"ag{a:03d}", c, rng.normal(size=dim)) for c in range(n_clusters))
-    return RouterRegistry(entries)
+        rows.extend((f"ag{a:03d}", rng.normal(size=dim)) for _ in range(n_clusters))
+    return registry_of(rows)
+
+
+def centroid(registry: RouterRegistry, agent_id: str, cluster_id: int) -> np.ndarray:
+    return registry.centroids_of(agent_id)[cluster_id]
 
 
 @st.composite
@@ -49,11 +48,11 @@ def tied_selections(draw):
     base = rng.normal(size=(draw(st.integers(1, 3)), dim))
     picks = st.tuples(st.integers(0, len(base) - 1), st.integers(0, 3))
     n_agents = draw(st.integers(1, 8))
-    entries = []
+    rows = []
     for a in range(n_agents):
         copies = draw(st.lists(picks, min_size=1, max_size=4))
-        entries.extend(entry(f"ag{a}", c, base[b] * 2.0**k) for c, (b, k) in enumerate(copies))
-    registry = RouterRegistry(entries)
+        rows.extend((f"ag{a}", base[b] * 2.0**k) for b, k in copies)
+    registry = registry_of(rows)
     on_a_copy = draw(st.booleans())
     query = base[draw(st.integers(0, len(base) - 1))] if on_a_copy else rng.normal(size=dim)
     return registry, query, draw(st.integers(1, n_agents))
@@ -63,8 +62,8 @@ def selection_oracle(registry: RouterRegistry, query: np.ndarray, max_agents: in
     """Oracle: score with the public cosine primitive, sort, dedupe."""
     scored = sorted(
         (
-            (-cosine_similarity(e.centroid, query), e.agent_id, e.cluster_id)
-            for e in registry.entries
+            (-cosine_similarity(centroid(registry, a, c), query), a, c)
+            for a, c in registry.entries
         )
     )
     out: list[str] = []
@@ -78,47 +77,63 @@ def selection_oracle(registry: RouterRegistry, query: np.ndarray, max_agents: in
 
 class TestRegistry:
     def test_one_agent_counts_once(self):
-        registry = RouterRegistry([entry("a", c, [1.0, float(c)]) for c in range(3)])
+        registry = registry_of([("a", [1.0, float(c)]) for c in range(3)])
         assert registry.agent_count == 1
         assert len(registry.entries) == 3
 
-    def test_entries_are_held_in_agent_then_cluster_order(self):
-        registry = RouterRegistry(
-            [entry("b", 1, [1.0, 0.0]), entry("a", 1, [0.0, 1.0]), entry("b", 0, [1.0, 1.0])]
-        )
-        assert [(e.agent_id, e.cluster_id) for e in registry.entries] == [
-            ("a", 1), ("b", 0), ("b", 1)
-        ]
+    def test_a_row_is_its_cluster_in_its_agents_run(self):
+        matrix = np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 0.0]], np.float32)
+        registry = RouterRegistry(["a", "b", "b"], matrix)
+        assert registry.entries == (("a", 0), ("b", 0), ("b", 1))
         assert registry.agent_ids == ["a", "b"]
+        assert registry.dim == 2
+        assert np.array_equal(registry.centroids_of("b"), matrix[1:])
+
+    @pytest.mark.parametrize("agent_of_row", [["b", "a", "b"], ["a", "b", "a"]])
+    def test_rows_out_of_agent_order_refused(self, agent_of_row):
+        with pytest.raises(ValueError) as info:
+            RouterRegistry(agent_of_row, np.eye(3, dtype=np.float32))
+        assert str(info.value) == "centroid rows must run agent by agent, in sorted agent_id order"
 
     def test_two_agents_additive(self):
-        registry = RouterRegistry(
-            [entry("a1", c, [1.0, 0.0]) for c in range(3)]
-            + [entry("a2", c, [0.0, 1.0]) for c in range(2)]
+        registry = registry_of(
+            [("a1", [1.0, 0.0]) for _ in range(3)] + [("a2", [0.0, 1.0]) for _ in range(2)]
         )
         assert len(registry.entries) == 5
         assert registry.agent_count == 2
 
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(RouterError, match="dimension"):
-            RouterRegistry([entry("a", 0, [1.0, 0.0]), entry("b", 0, [1.0, 0.0, 0.0])])
-
     @pytest.mark.parametrize("bad", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0]])
     def test_zero_or_non_finite_centroid_named(self, bad):
-        with pytest.raises(ValueError, match=r"centroid b#1 is zero or not finite"):
-            RouterRegistry([entry("a", 0, [1.0, 0.0]), entry("b", 1, bad)])
+        with pytest.raises(ValueError) as info:
+            RouterRegistry(["a", "b"], np.array([[1.0, 0.0], bad], np.float32))
+        assert str(info.value) == "centroid b#0 is zero or not finite"
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         registry = random_registry(rng, 4, 3)
         registry.save(tmp_path / "registry.json", tmp_path / "registry_vectors")
         loaded = RouterRegistry.load(tmp_path / "registry.json", tmp_path / "registry_vectors")
-        assert {(e.agent_id, e.cluster_id) for e in loaded.entries} == {
-            (e.agent_id, e.cluster_id) for e in registry.entries
-        }
-        by_key = {(e.agent_id, e.cluster_id): e.centroid for e in registry.entries}
-        for e in loaded.entries:
-            assert np.array_equal(e.centroid, by_key[(e.agent_id, e.cluster_id)])
+        assert loaded.entries == registry.entries
+        for agent_id in registry.agent_ids:
+            assert np.array_equal(loaded.centroids_of(agent_id), registry.centroids_of(agent_id))
+
+    @pytest.mark.parametrize("keys", [
+        [("b", 0), ("a", 0)], [("a", 1)], [("a", 0), ("a", 2)], [("a", 1), ("a", 0)],
+        [("a", 0), ("b", 0), ("a", 1)],
+    ])
+    def test_entries_out_of_order_refused(self, tmp_path, keys):
+        """A file whose entries match its vectors' manifest but not the
+        (agent_id, cluster_id 0, 1, ...) order is refused, naming it."""
+        path, base = tmp_path / "registry.json", tmp_path / "registry_vectors"
+        save_vectors(base, np.eye(len(keys), dtype=np.float32), [f"{a}#{c}" for a, c in keys])
+        entries = [{"agent_id": a, "cluster_id": c, "row": i} for i, (a, c) in enumerate(keys)]
+        path.write_text(json.dumps({"entries": entries}))
+        with pytest.raises(IndexFileError) as info:
+            RouterRegistry.load(path, base)
+        assert str(info.value) == (
+            f"{path} is valid JSON of the wrong shape: ValueError:"
+            " its entries are not in (agent_id, cluster_id 0, 1, ...) order"
+        )
 
     @pytest.mark.parametrize("field, value", [
         ("cluster_id", 1.9), ("cluster_id", "1"), ("cluster_id", True), ("row", 1.0),
@@ -127,8 +142,7 @@ class TestRegistry:
     def test_integer_fields_are_not_coerced(self, tmp_path, field, value):
         """Entry 1 is a#1 at row 1; a value that ``int`` would turn into 1
         is refused, naming the file, not read as 1."""
-        registry = RouterRegistry([entry("a", 0, [1.0, 0.0]), entry("a", 1, [0.0, 1.0]),
-                                   entry("b", 0, [1.0, 1.0])])
+        registry = RouterRegistry(["a", "a", "b"], np.array([[1, 0], [0, 1], [1, 1]], np.float32))
         path = tmp_path / "registry.json"
         registry.save(path, tmp_path / "registry_vectors")
         payload = json.loads(path.read_text())
@@ -141,15 +155,15 @@ class TestRegistry:
 
 class TestSelectAgents:
     def test_single_agent_always_selected(self):
-        registry = RouterRegistry([entry("only", 0, [0.2, 0.9])])
+        registry = registry_of([("only", [0.2, 0.9])])
         assert select_agents(registry, UnitQuery(np.array([1.0, 0.0])), 5) == ["only"]
 
     def test_query_equal_to_centroid(self):
         rng = np.random.default_rng(7)
         registry = random_registry(rng, 6, 3)
-        target = registry.entries[4]
-        got = select_agents(registry, UnitQuery(target.centroid.astype(np.float64)), 1)
-        assert got == [target.agent_id]
+        agent_id, cluster_id = registry.entries[4]
+        target = centroid(registry, agent_id, cluster_id).astype(np.float64)
+        assert select_agents(registry, UnitQuery(target), 1) == [agent_id]
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(40)
@@ -206,12 +220,12 @@ def exact_select_agents(
 ) -> list[str]:
     """Oracle: selection as it scored every centroid exactly, in one product
     over a float64 unit-centroid matrix, before centroids were screened."""
-    matrix = np.stack([e.centroid for e in registry.entries]).astype(np.float64)
+    matrix = np.array([centroid(registry, a, c) for a, c in registry.entries], np.float64)
     norms = np.linalg.norm(matrix, axis=1)
     unit = matrix / norms[:, None]
-    agent_ids = sorted({e.agent_id for e in registry.entries})
+    agent_ids = sorted({a for a, _ in registry.entries})
     position = {agent_id: i for i, agent_id in enumerate(agent_ids)}
-    agent_of_row = np.array([position[e.agent_id] for e in registry.entries], dtype=np.intp)
+    agent_of_row = np.array([position[a] for a, _ in registry.entries], dtype=np.intp)
     sims = unit_scores(unit, unit_query(query_vec))
     best = np.full(len(agent_ids), -np.inf)
     np.maximum.at(best, agent_of_row, sims)
@@ -238,18 +252,18 @@ def screened_selections(draw):
     picks = st.tuples(
         st.integers(0, len(base) - 1), st.integers(-2, 3), st.booleans(), st.booleans()
     )
-    entries = []
+    rows = []
     for a in range(n_agents):
-        for c, (b, k, at_70, nudge) in enumerate(draw(st.lists(picks, min_size=1, max_size=5))):
+        for b, k, at_70, nudge in draw(st.lists(picks, min_size=1, max_size=5)):
             factor = 2.0**70 if far and at_70 else scale * 2.0**k
-            centroid = base[b] * np.float32(factor)
+            vec = base[b] * np.float32(factor)
             if nudge:
                 axis = draw(st.integers(0, dim - 1))
-                centroid[axis] = np.nextafter(centroid[axis], np.float32(np.inf), dtype=np.float32)
-            entries.append(entry(f"ag{a}", c, centroid))
+                vec[axis] = np.nextafter(vec[axis], np.float32(np.inf), dtype=np.float32)
+            rows.append((f"ag{a}", vec))
     on_a_copy = draw(st.booleans())
     query = base[draw(st.integers(0, len(base) - 1))] if on_a_copy else rng.normal(size=dim)
-    return RouterRegistry(entries), query, draw(st.integers(1, n_agents + 2))
+    return registry_of(rows), query, draw(st.integers(1, n_agents + 2))
 
 
 class TestScreenedSelectionAgainstExactScan:
@@ -265,9 +279,7 @@ class TestScreenedSelectionAgainstExactScan:
         rng = np.random.default_rng(20251019)
         vectors = rng.normal(size=(16 * 15, 1024)).astype(np.float32)
         vectors[200:] = vectors[rng.integers(0, 200, size=40)]
-        registry = RouterRegistry(
-            entry(f"area{i // 15:02d}", i % 15, v) for i, v in enumerate(vectors)
-        )
+        registry = RouterRegistry([f"area{i // 15:02d}" for i in range(len(vectors))], vectors)
         queries = [rng.normal(size=1024) for _ in range(30)]
         queries += [vectors[k].astype(np.float64) for k in (0, 7, 210, 239)]
         for query in queries:

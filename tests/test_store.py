@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import json
+import mmap
 import os
 import shutil
 from pathlib import Path
@@ -22,6 +23,7 @@ from ragroute.cli import SystemConfig, _load_system, build_parser, main
 from ragroute.corpus import Chunk, load_chunks, save_chunks
 from ragroute.evalharness import answer
 from ragroute.retrieval import Bm25Index, DenseIndex
+from ragroute.router import RouterRegistry
 from ragroute.store import IndexFileError, VectorFileError, load_vectors, save_vectors
 from test_cli import catch_all_script, restore, topic_corpus_and_agents, write_config
 
@@ -173,6 +175,51 @@ def test_only_the_store_writes_files():
     assert {name: calls for name, calls in writes.items() if calls} == {}
 
 
+def top_level_names(source: str) -> set[str]:
+    """The names a module's own top-level statements bind: its functions,
+    classes and assignment targets. Imports do not count."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def borrowed_imports(sources: dict[str, str]) -> list[str]:
+    """``module: from .m import name`` for each import, within the package,
+    of a name that ``m`` does not define itself (``from . import`` reads
+    ``__init__``)."""
+    defined = {module: top_level_names(source) for module, source in sources.items()}
+    return [
+        f"{module}: from .{node.module or ''} import {alias.name}"
+        for module, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name not in defined[node.module or "__init__"]
+    ]
+
+
+def test_each_imported_name_comes_from_the_module_that_defines_it():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert borrowed_imports(sources) == []
+
+
+def test_guard_tells_borrowed_imports_from_own_definitions():
+    sources = {
+        "__init__": "__version__ = '1'",
+        "a": "from .b import f, C, X\nfrom . import __version__\n",
+        "b": "from .c import g\ndef f(): pass\nclass C: pass\nX: int = 1\n",
+        "c": "def g():\n    from .a import h\n",
+    }
+    assert borrowed_imports(sources) == ["c: from .a import h"]
+    sources["a"] += "from .b import g\n"
+    assert borrowed_imports(sources) == ["a: from .b import g", "c: from .a import h"]
+
+
 def test_json_is_decoded_in_three_places():
     """Every file the program reads as JSON goes through ``store.read_json``
     (index files, chunk files included, and the config) or
@@ -288,6 +335,23 @@ class TestMappedFiles:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
+
+    def test_a_loaded_registry_selects_over_the_mapped_rows(self, tmp_path):
+        """The registry's selection rows are the read-only mapping of
+        ``registry_vectors.bin`` itself, not a copy of it."""
+        keys = [("a", 0), ("a", 1), ("b", 0), ("c", 0)]
+        matrix = np.arange(12, dtype=np.float32).reshape(4, 3) + 1
+        save_vectors(tmp_path / "registry_vectors", matrix, [f"{a}#{c}" for a, c in keys])
+        entries = [{"agent_id": a, "cluster_id": c, "row": i} for i, (a, c) in enumerate(keys)]
+        (tmp_path / "registry.json").write_text(json.dumps({"entries": entries}))
+        registry = RouterRegistry.load(tmp_path / "registry.json", tmp_path / "registry_vectors")
+        rows = registry._centroids.rows
+        assert not rows.flags.writeable
+        assert np.array_equal(rows, matrix)
+        base = rows
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap)
 
     def test_replaced_files_leave_a_loaded_system_answering_as_before(self, tmp_path):
         corpus, agents = topic_corpus_and_agents(2)
