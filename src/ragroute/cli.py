@@ -48,7 +48,7 @@ from .llm import ChatBackendConfig, make_chat_backend
 from .planner import PlanResult, PlanStrategy
 from .prompts import TEMPLATES
 from .retrieval import Bm25Index, DenseIndex
-from .router import RouterRegistry
+from .router import RouterRegistry, UnusableCentroidError
 # load_vectors is unused here; perfbench/spans.py traces it by name on this module.
 from .store import IndexFileError, InputError, load_vectors, read_json, require_int, save_vectors
 from .store import write_atomic, write_json
@@ -243,13 +243,13 @@ def cmd_register(cfg: SystemConfig, args: argparse.Namespace) -> int:
         kept = {a.agent_id for a in cfg.agents} - {args.agent}
         centroids = {a: saved.centroids_of(a) for a in saved.agent_ids if a in kept}
         if centroids:
-            _check_dim(cfg, cfg.registry_vectors(), saved.dim)
+            _check_dim(cfg, registry_path, saved.dim)
     for agent_cfg in _select_agent_cfgs(cfg, args.agent):
         adir = cfg.agent_dir(agent_cfg.agent_id)
         if not (adir / "vectors.manifest.json").exists():
             raise ConfigError(f"no index for agent {agent_cfg.agent_id}: run build-index first")
         dense = DenseIndex.load(adir / "vectors")
-        _check_dim(cfg, adir / "vectors", dense.dim)
+        _check_dim(cfg, adir / "vectors.manifest.json", dense.dim)
         if not dense.chunk_ids:
             (adir / "profile.json").unlink(missing_ok=True)
             continue
@@ -257,10 +257,13 @@ def cmd_register(cfg: SystemConfig, args: argparse.Namespace) -> int:
         save_profile(profile, adir / "profile.json")
         centroids[agent_cfg.agent_id] = profile.centroids
     order = sorted(centroids)
-    registry = RouterRegistry(
-        [a for a in order for _ in range(len(centroids[a]))],
-        np.concatenate([centroids[a] for a in order]) if order else None,
-    )
+    try:
+        registry = RouterRegistry(
+            [a for a in order for _ in range(len(centroids[a]))],
+            np.concatenate([centroids[a] for a in order]) if order else None,
+        )
+    except UnusableCentroidError as exc:
+        raise InputError(f"{cfg.agent_dir(exc.agent_id) / 'vectors.bin'}: {exc}") from None
     registry.save(registry_path, cfg.registry_vectors())
     print(
         json.dumps(
@@ -270,14 +273,11 @@ def cmd_register(cfg: SystemConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_dim(cfg: SystemConfig, vectors_base: Path, dim: int) -> None:
-    """InputError naming the vectors' manifest when they are not of the
-    config's ``embedding.dim``, i.e. were built under another config."""
+def _check_dim(cfg: SystemConfig, manifest: Path, dim: int) -> None:
+    """InputError naming ``manifest`` unless its vectors are of the configured ``embedding.dim``."""
     if dim != cfg.embedding.dim:
-        raise InputError(
-            f"{vectors_base.with_suffix('.manifest.json')} holds vectors of dim {dim},"
-            f" not the configured embedding.dim {cfg.embedding.dim}"
-        )
+        raise InputError(f"{manifest} holds vectors of dim {dim},"
+                         f" not the configured embedding.dim {cfg.embedding.dim}")
 
 
 def _load_system(cfg: SystemConfig, args: argparse.Namespace) -> EvalSystem:
@@ -303,7 +303,7 @@ def _load_system(cfg: SystemConfig, args: argparse.Namespace) -> EvalSystem:
     if unknown:
         raise ConfigError(f"registry names agents missing from the config: {', '.join(unknown)}")
     if registry.entries:
-        _check_dim(cfg, cfg.registry_vectors(), registry.dim)
+        _check_dim(cfg, cfg.registry_json(), registry.dim)
     retrieval = getattr(args, "retrieval", None)
     agents: dict[str, Agent] = {}
     for agent_cfg in cfg.agents:
@@ -312,7 +312,7 @@ def _load_system(cfg: SystemConfig, args: argparse.Namespace) -> EvalSystem:
         adir = cfg.agent_dir(agent_cfg.agent_id)
         chunks = load_chunks(adir / "chunks.jsonl")
         dense = DenseIndex.load(adir / "vectors")
-        _check_dim(cfg, adir / "vectors", dense.dim)
+        _check_dim(cfg, adir / "vectors.manifest.json", dense.dim)
         if len(dense) and agent_cfg.agent_id not in registered:
             raise ConfigError(
                 f"agent {agent_cfg.agent_id} is indexed but not in the registry: run register"

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import zlib
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain
@@ -25,7 +24,7 @@ from typing import Callable, Iterable, NamedTuple, TypeVar
 import numpy as np
 
 from .store import (
-    InputError, VectorFileError, read_arrays, read_json, require_int, write_atomic
+    InputError, VectorFileError, read_arrays, read_json, require_crc32, require_int, write_atomic
 )
 
 T = TypeVar("T")
@@ -351,14 +350,13 @@ def save_chunks(path: str | Path, chunks: list[Chunk]) -> None:
     ``path.with_suffix(".bin")``, then ``path``: one JSON object on one line
     in which each ``Chunk`` field but ``text`` keys the list of that field's
     values, ``text_bytes`` the list of each text's byte length, and
-    ``crc32`` the ``zlib.crc32`` of the ``.bin``."""
+    ``crc32`` the crc32 of the ``.bin``."""
     path = Path(path)
     texts = [c.text.encode("utf-8") for c in chunks]
-    blob = b"".join(texts)
-    write_atomic(path.with_suffix(".bin"), blob)
+    crc = write_atomic(path.with_suffix(".bin"), b"".join(texts))
     columns = dict(zip(Chunk._fields, list(zip(*chunks)) or [()] * len(Chunk._fields)))
     del columns["text"]
-    record = {**columns, "text_bytes": list(map(len, texts)), "crc32": zlib.crc32(blob)}
+    record = {**columns, "text_bytes": list(map(len, texts)), "crc32": crc}
     text = json.dumps(record, ensure_ascii=False, sort_keys=True)
     write_atomic(path, (text + "\n").encode("utf-8"))
 
@@ -388,10 +386,7 @@ def _chunk_columns(record) -> tuple[list[list], int]:
         raise ValueError(f"columns have unequal lengths {lengths}")
     if min(record["text_bytes"], default=0) < 0:
         raise ValueError(f"column 'text_bytes' holds {min(record['text_bytes'])}, not a size")
-    crc = record["crc32"]
-    if type(crc) is not int or not 0 <= crc < 2**32:
-        raise TypeError(f"crc32 is {crc!r:.40}, not a crc32")
-    return [record[name] for name in _COLUMN_TYPES], crc
+    return [record[name] for name in _COLUMN_TYPES], require_crc32(record["crc32"])
 
 
 def _read_texts(path: Path, sizes: list[int], crc: int) -> list[str]:
@@ -401,11 +396,9 @@ def _read_texts(path: Path, sizes: list[int], crc: int) -> list[str]:
     bin_path = path.with_suffix(".bin")
     where = f"{path} with {bin_path.name}"
     try:
-        [blob] = read_arrays(bin_path, [("u1", sum(sizes))])
+        [blob] = read_arrays(bin_path, [("u1", sum(sizes))], crc)
     except VectorFileError as exc:
         raise VectorFileError(f"{where}: {exc}") from exc
-    if zlib.crc32(blob) != crc:
-        raise VectorFileError(f"{where}: {bin_path} has crc32 {zlib.crc32(blob)}, not {crc}")
     view = memoryview(blob)
     ends = list(accumulate(sizes))
     bounds = zip([0, *ends], ends)

@@ -33,6 +33,10 @@ from .store import InputError, require_int, require_str
 # request; 256 chunks of the default size (1024 tokens) stay under both.
 EMBED_BATCH_SIZE = 256
 EMBED_TIMEOUT_S = 60.0
+# The widest embedding a config may name. Common embedding models are a few
+# thousand wide at most; far wider, one row alone needs more memory than a
+# host has (2**40 floats are 4 TiB), and past 2**63 numpy cannot size it.
+MAX_EMBEDDING_DIM = 65536
 
 
 class TransportError(InputError):
@@ -342,6 +346,8 @@ class EmbeddingProviderConfig:
         require_int("dim", self.dim)
         if self.dim <= 0:
             raise ValueError("dim must be positive")
+        if self.dim > MAX_EMBEDDING_DIM:
+            raise ValueError(f"dim must be at most {MAX_EMBEDDING_DIM}, not {self.dim}")
         if self.provider == "remote_http":
             if not self.endpoint:
                 raise ValueError("remote_http provider requires an endpoint")

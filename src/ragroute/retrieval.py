@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Mapping
 from pathlib import Path
 from typing import NamedTuple
 
@@ -113,7 +112,7 @@ class UnusableRowError(ValueError):
 
     def __init__(self, row: int, row_id: str):
         super().__init__(f"row {row} ({row_id!r}) is zero or not finite")
-        self.row_id = row_id
+        self.row = row
 
 
 class DenseIndex:
@@ -239,11 +238,11 @@ def dense_search(
     return _ranked(rows, sims, top_n)
 
 
-class _Postings(Mapping):
-    """Read-only ``term -> rows``: the rows of the chunks that hold a term, a
-    slice of the index's CSR rows, so its ``len`` is the term's df. ``get``
-    builds no per-posting object; each term's slice is made once and kept,
-    as the benchmark's tracer calls ``get`` inside the timed search."""
+class _Postings:
+    """Read-only ``term -> rows`` by ``get`` alone: the rows of the chunks that
+    hold a term, a slice of the index's CSR rows, so its ``len`` is the term's
+    df. ``get`` builds no per-posting object; each term's slice is made once
+    and kept, as the benchmark's tracer calls ``get`` inside the timed search."""
 
     def __init__(self, term_id: dict[str, int], offsets: np.ndarray, rows: np.ndarray):
         self._term_id = term_id
@@ -259,18 +258,6 @@ class _Postings(Mapping):
                 return default
             view = self._views[term] = self._rows[self._offsets[i] : self._offsets[i + 1]]
         return view
-
-    def __getitem__(self, term: str) -> np.ndarray:
-        rows = self.get(term)
-        if rows is None:
-            raise KeyError(term)
-        return rows
-
-    def __iter__(self):
-        return iter(self._term_id)
-
-    def __len__(self) -> int:
-        return len(self._term_id)
 
 
 def _first_unsorted(names: list[str]) -> int | None:

@@ -25,8 +25,9 @@ from .prompts import (
 )
 # rerank is unused here; perfbench/spans.py traces it by name on this module.
 from .retrieval import DenseIndex, UnitQuery, UnusableRowError, rerank
-from .store import VectorFileError, load_vectors, read_json, require_int, require_str, save_vectors
-from .store import write_json
+# load_vectors, save_vectors: unused here; perfbench/spans.py traces them by name on this module.
+from .store import VectorFileError, load_vectors, read_arrays, read_json, require_crc32
+from .store import require_int, require_strings, save_vectors, write_arrays, write_json
 
 if TYPE_CHECKING:
     from .evalharness import EvalSystem
@@ -40,6 +41,14 @@ class RouterError(RuntimeError):
     pass
 
 
+class UnusableCentroidError(ValueError):
+    """A centroid that is zero or not finite; ``agent_id`` is its agent's."""
+
+    def __init__(self, agent_id: str, cluster_id: int):
+        super().__init__(f"centroid {agent_id}#{cluster_id} is zero or not finite")
+        self.agent_id = agent_id
+
+
 class RouterRegistry:
     """The agents' centroids as one matrix, its rows run agent by agent in
     sorted agent_id order; a row's cluster id is its place in its agent's run.
@@ -49,7 +58,8 @@ class RouterRegistry:
     ``DenseIndex`` whose ids are ``agent_id#cluster_id``.
 
     ValueError when the rows are out of that order or ``agent_of_row`` is
-    not one per row, or names a centroid that is zero or not finite.
+    not one per row; UnusableCentroidError names a centroid that is zero or
+    not finite.
     """
 
     def __init__(self, agent_of_row: Sequence[str] = (), centroids: np.ndarray | None = None):
@@ -66,7 +76,7 @@ class RouterRegistry:
         try:
             self._centroids = DenseIndex(matrix, [f"{a}#{c}" for a, c in self.entries])
         except UnusableRowError as exc:
-            raise ValueError(f"centroid {exc.row_id} is zero or not finite") from None
+            raise UnusableCentroidError(*self.entries[exc.row]) from None
         self.dim = self._centroids.dim
 
     @property
@@ -84,42 +94,30 @@ class RouterRegistry:
         return self._centroids.rows[start:end]
 
     def save(self, json_path: str | Path, vectors_base: str | Path) -> None:
-        save_vectors(vectors_base, self._centroids.rows, self._centroids.chunk_ids)
-        payload = {
-            "entries": [
-                {"agent_id": agent_id, "cluster_id": cluster_id, "row": i}
-                for i, (agent_id, cluster_id) in enumerate(self.entries)
-            ]
-        }
-        write_json(json_path, payload)
+        """The rows to ``<vectors_base>.bin``, then the record to ``json_path``."""
+        crc = write_arrays(Path(vectors_base).with_suffix(".bin"), [("<f4", self._centroids.rows)])
+        agent_of_row = [agent_id for agent_id, _ in self.entries]
+        write_json(json_path, {"agent_of_row": agent_of_row, "crc32": crc, "dim": self.dim})
 
     @classmethod
     def load(cls, json_path: str | Path, vectors_base: str | Path) -> "RouterRegistry":
-        """The registry ``save`` wrote, over the mapped rows of its vectors.
-        IndexFileError names ``json_path`` unless its entries, with a string
-        ``agent_id`` and integer ``row`` and ``cluster_id`` (a bool is not
-        one), name the vectors' manifest ids (``agent_id#cluster_id``) row
-        for row, in (agent_id, cluster_id 0, 1, ...) order, and the ``.bin``
-        when a centroid is zero or not finite."""
-        matrix, ids = load_vectors(vectors_base)
+        """The registry ``save`` wrote, over the mapped rows of its ``.bin``.
+        IndexFileError names ``json_path`` when a field is missing or of the
+        wrong type (a bool is not an int), ``dim`` is negative or the rows are
+        out of agent order; VectorFileError names the ``.bin`` unless it is
+        those rows, with that crc32, and none is zero or not finite."""
+        bin_path = Path(vectors_base).with_suffix(".bin")
 
-        def parse(payload) -> RouterRegistry:
-            recs = payload["entries"]
-            for rec in recs:
-                require_int("row", rec["row"])
-                require_int("cluster_id", rec["cluster_id"])
-                require_str("agent_id", rec["agent_id"])
-            named = [(rec["row"], f"{rec['agent_id']}#{rec['cluster_id']}") for rec in recs]
-            if named != list(enumerate(ids)):
-                raise ValueError("its entries are not the rows of the vectors' manifest, in order")
+        def parse(record) -> RouterRegistry:
+            agent_of_row = require_strings("agent_of_row", record["agent_of_row"])
+            crc, dim = require_crc32(record["crc32"]), require_int("dim", record["dim"])
+            if dim < 0:
+                raise ValueError(f"dim is {dim}, not a size")
+            [flat] = read_arrays(bin_path, [("<f4", len(agent_of_row) * dim)], crc)
             try:
-                registry = cls(sorted(rec["agent_id"] for rec in recs), matrix)
-            except ValueError as exc:
-                raise VectorFileError(f"{Path(vectors_base).with_suffix('.bin')}: {exc}") from exc
-            # entries out of the order the constructor numbers rows in name other ids
-            if registry._centroids.chunk_ids != ids:
-                raise ValueError("its entries are not in (agent_id, cluster_id 0, 1, ...) order")
-            return registry
+                return cls(agent_of_row, flat.reshape(len(agent_of_row), dim))
+            except UnusableCentroidError as exc:
+                raise VectorFileError(f"{bin_path}: {exc}") from exc
 
         return read_json(json_path, parse)
 

@@ -2,16 +2,17 @@
 only). Every file goes to a temp file beside it, then ``os.replace``s it;
 with no fsync, that is safe against a failed or killed process, not power
 loss. An array file (``.bin``) holds little-endian arrays back to back, sized
-by its JSON manifest, which is written after it, and is read as views of one
-read-only mapping. Rewriting a mapped file in place is outside the contract
-(the writers here only ``os.replace``): a reader that touches a page past a
-truncation dies of SIGBUS."""
+(and pinned by crc32, where it says so) by its JSON manifest, which is written
+after it, and is read as views of one read-only mapping. Rewriting a mapped
+file in place is outside the contract (the writers here only ``os.replace``):
+a reader that touches a page past a truncation dies of SIGBUS."""
 
 from __future__ import annotations
 
 import json
 import mmap
 import os
+import zlib
 from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Iterable
@@ -29,8 +30,8 @@ class IndexFileError(InputError):
 
 
 class VectorFileError(IndexFileError):
-    """An array file disagrees with its manifest, or holds a zero or non-finite
-    vector."""
+    """An array file disagrees with its manifest (its size or crc32), or holds
+    a zero or non-finite vector."""
 
 
 def require_int(name: str, value) -> int:
@@ -48,6 +49,13 @@ def require_str(name: str, value, optional: bool = False) -> str | None:
     return value
 
 
+def require_crc32(value) -> int:
+    """``value``; TypeError unless it is an int that a crc32 can be."""
+    if type(value) is not int or not 0 <= value < 2**32:
+        raise TypeError(f"crc32 is {value!r:.40}, not a crc32")
+    return value
+
+
 def require_strings(name: str, value) -> list[str]:
     """``value``; TypeError naming ``name`` unless it is a list of strings."""
     if type(value) is not list or not set(map(type, value)) <= {str}:
@@ -55,9 +63,9 @@ def require_strings(name: str, value) -> list[str]:
     return value
 
 
-def write_atomic(path: str | Path, data: bytes) -> None:
+def write_atomic(path: str | Path, data: bytes) -> int:
     """Write ``data`` over ``path`` through a temp file beside it, making the
-    directory; a write that fails leaves the previous file whole."""
+    directory; its crc32. A write that fails leaves the previous file whole."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -67,6 +75,7 @@ def write_atomic(path: str | Path, data: bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return zlib.crc32(data)
 
 
 def write_json(path: str | Path, payload, indent: int | None = None) -> None:
@@ -89,22 +98,25 @@ def read_json(path: str | Path, parse: Callable, error: type[InputError] = Index
         raise error(f"{path} is valid JSON of the wrong shape: {shape}") from exc
 
 
-def write_arrays(path: Path, arrays: Iterable[tuple[str, np.ndarray]]) -> None:
+def write_arrays(path: Path, arrays: Iterable[tuple[str, np.ndarray]]) -> int:
     """Write each ``(dtype, array)`` to ``path`` as that dtype, back to back."""
-    write_atomic(path, b"".join(np.asarray(a, dt).tobytes() for dt, a in arrays))
+    return write_atomic(path, b"".join(np.asarray(a, dt).tobytes() for dt, a in arrays))
 
 
-def read_arrays(path: Path, layout: list[tuple[str, int]]) -> list[np.ndarray]:
+def read_arrays(path: Path, layout: list[tuple[str, int]], crc=None) -> list[np.ndarray]:
     """The arrays of ``layout``'s ``(dtype, count)`` pairs, as views of one
     read-only mapping of ``path`` (a zero-byte file maps nothing and gives
-    empty arrays); VectorFileError when its size does not fit. The mapping
-    lives as long as the arrays do; the file may be replaced meanwhile."""
+    empty arrays); VectorFileError when its size does not fit, or its crc32
+    is not ``crc`` when that is given. The mapping lives as long as the
+    arrays do; the file may be replaced meanwhile."""
     sizes = [np.dtype(dt).itemsize * count for dt, count in layout]
     with path.open("rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size != sum(sizes):
             raise VectorFileError(f"{path} holds {size} bytes; its manifest needs {sum(sizes)}")
         data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if size else b""
+    if crc is not None and zlib.crc32(data) != crc:
+        raise VectorFileError(f"{path} has crc32 {zlib.crc32(data)}, not {crc}")
     starts = accumulate(sizes, initial=0)
     return [np.frombuffer(data, dt, count, at) for (dt, count), at in zip(layout, starts)]
 

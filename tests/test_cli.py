@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -90,8 +91,11 @@ class TestLifecycle:
         # one profile per agent, entries additive across agents
         profile_a = json.loads((tmp_path / "index" / "agents" / "agA" / "profile.json").read_text())
         profile_b = json.loads((tmp_path / "index" / "agents" / "agB" / "profile.json").read_text())
-        assert len(registry["entries"]) == profile_a["n"] + profile_b["n"]
+        assert registry["agent_of_row"] == ["agA"] * profile_a["n"] + ["agB"] * profile_b["n"]
         assert '"agents": 2' in out
+        assert sorted(p.name for p in (tmp_path / "index").iterdir() if p.is_file()) == [
+            "registry.json", "registry_vectors.bin"
+        ]
 
     @pytest.mark.parametrize("flags", [[], ["--agent", "agent1"]], ids=["all", "one"])
     def test_register_drops_an_agent_whose_chunks_are_gone(self, tmp_path, capsys, flags):
@@ -104,7 +108,7 @@ class TestLifecycle:
             assert main([command, "--config", str(config), *flags]) == 0
         assert json.loads(capsys.readouterr().out.splitlines()[-1])["agents"] == 1
         registry = json.loads((tmp_path / "index" / "registry.json").read_text())
-        assert {e["agent_id"] for e in registry["entries"]} == {"agent0"}
+        assert set(registry["agent_of_row"]) == {"agent0"}
         emptied = tmp_path / "index" / "agents" / "agent1"
         assert sorted(p.name for p in emptied.iterdir()) == [
             "bm25.bin", "bm25.json", "chunks.bin", "chunks.jsonl", "vectors.bin",
@@ -128,7 +132,7 @@ class TestLifecycle:
         assert main(["register", "--config", str(config), *flags]) == 0
         assert json.loads(capsys.readouterr().out)["agents"] == 1
         registry = json.loads((tmp_path / "index" / "registry.json").read_text())
-        assert {e["agent_id"] for e in registry["entries"]} == {"agent0"}
+        assert set(registry["agent_of_row"]) == {"agent0"}
         assert main(["ask", "--config", str(config), "--question", "topic0word0?"]) == 0
 
     def test_register_one_agent_replaces_its_entries(self, tmp_path, capsys):
@@ -142,10 +146,9 @@ class TestLifecycle:
         index = tmp_path / "index"
 
         def registry_rows(agent_id):
-            entries = json.loads((index / "registry.json").read_text())["entries"]
-            rows = np.fromfile(index / "registry_vectors.bin", "<f4").reshape(len(entries), -1)
-            return [(e["cluster_id"], rows[e["row"]].tolist()) for e in entries
-                    if e["agent_id"] == agent_id]
+            agent_of_row = json.loads((index / "registry.json").read_text())["agent_of_row"]
+            rows = np.fromfile(index / "registry_vectors.bin", "<f4").reshape(len(agent_of_row), -1)
+            return [row.tolist() for a, row in zip(agent_of_row, rows) if a == agent_id]
 
         assert len(registry_rows("agent0")) == 3  # 10 chunks: isqrt(10) clusters
         others = registry_rows("agent1")
@@ -154,8 +157,22 @@ class TestLifecycle:
         for command in ("ingest", "build-index", "register"):
             assert main([command, "--config", str(config), "--agent", "agent0"]) == 0
         assert json.loads(capsys.readouterr().out.splitlines()[-1]) == {"agents": 2, "centroids": 2}
-        assert [c for c, _ in registry_rows("agent0")] == [0]
+        assert len(registry_rows("agent0")) == 1
         assert registry_rows("agent1") == others
+
+    def test_a_leftover_vectors_manifest_is_neither_read_nor_removed(self, tmp_path, capsys):
+        """Older versions wrote ``registry_vectors.manifest.json`` beside the
+        registry; this one leaves such a file as it is."""
+        corpus, agents = topic_corpus_and_agents(2)
+        config = write_config(tmp_path, corpus, catch_all_script(), agents)
+        leftover = tmp_path / "index" / "registry_vectors.manifest.json"
+        leftover.parent.mkdir(parents=True)
+        leftover.write_bytes(b"{not json")
+        build_lifecycle(config)
+        for command in ("ask", "register", "inspect"):
+            assert main([command, "--config", str(config),
+                         *command_args(tmp_path, command)]) == 0, command
+        assert leftover.read_bytes() == b"{not json"
 
     @pytest.mark.parametrize("command", ["ask", "eval"])
     def test_an_indexed_agent_missing_from_the_registry_is_refused(
@@ -646,7 +663,7 @@ class TestEmbeddingDim:
         dim = transcripts.MOCK_DIM
         return [
             (configs[0], index / "agents" / "agent0" / "vectors.manifest.json", 2 * dim, dim),
-            (configs[1], index / "registry_vectors.manifest.json", dim, 2 * dim),
+            (configs[1], index / "registry.json", dim, 2 * dim),
         ]
 
     @pytest.mark.parametrize("command", ["register", "ask"])
@@ -725,6 +742,14 @@ class TestBadLines:
         error = json.loads(capsys.readouterr().err)
         assert error["command"] == command
         assert error["error"].startswith(f"{chunks} ")
+
+
+def repin_registry(index: Path) -> None:
+    """Rewrite ``registry.json``'s crc32 as that of ``registry_vectors.bin``."""
+    path = index / "registry.json"
+    registry = json.loads(path.read_text(encoding="utf-8"))
+    registry["crc32"] = zlib.crc32((index / "registry_vectors.bin").read_bytes())
+    path.write_text(json.dumps(registry), encoding="utf-8")
 
 
 def command_args(tmp_path: Path, command: str) -> list[str]:
@@ -882,18 +907,14 @@ class TestIndexFiles:
             ("[]", "is valid JSON of the wrong shape"),
         ]
         if relpath == "registry.json":
-            # a row outside the centroid matrix, two entries on one row, and a
-            # row that is not an integer
+            # the format older versions wrote, the first and last rows' agents
+            # swapped (out of agent order), and a dim that is not an integer
             registry = json.loads((tmp_path / "index" / relpath).read_text(encoding="utf-8"))
-            entries = registry["entries"]
-            first_row = entries[0]["row"]
-            for row in (-1, entries[1]["row"], 0.5):
-                entries[0]["row"] = row
-                cases.append((json.dumps(registry), "is valid JSON of the wrong shape"))
-            # two agents' centroid rows swapped: each row names the other agent
-            other = next(e for e in entries if e["agent_id"] != entries[0]["agent_id"])
-            entries[0]["row"], other["row"] = other["row"], first_row
-            cases.append((json.dumps(registry), "is valid JSON of the wrong shape"))
+            agent_of_row = registry["agent_of_row"]
+            swapped = [agent_of_row[-1], *agent_of_row[1:-1], agent_of_row[0]]
+            for edited in ({"entries": []}, {**registry, "agent_of_row": swapped},
+                           {**registry, "dim": 0.5}):
+                cases.append((json.dumps(edited), "is valid JSON of the wrong shape"))
         for content, problem in cases:
             (tmp_path / "index" / relpath).write_text(content, encoding="utf-8")
             capsys.readouterr()
@@ -911,6 +932,8 @@ class TestIndexFiles:
     def test_vector_row_nan_or_zero_exits_2_naming_the_bin(
         self, tmp_path, capsys, relpath, names_row, command, value
     ):
+        """The registry's crc32 is rewritten to match, so the row itself is
+        what is refused."""
         corpus, agents = topic_corpus_and_agents()
         config = write_config(tmp_path, corpus, catch_all_script(), agents)
         build_lifecycle(config)
@@ -918,6 +941,8 @@ class TestIndexFiles:
         rows = np.fromfile(bin_path, dtype="<f4").reshape(-1, transcripts.MOCK_DIM)
         rows[0, 0 if np.isnan(value) else slice(None)] = value
         rows.tofile(bin_path)
+        if relpath == "registry_vectors.bin":
+            repin_registry(tmp_path / "index")
         capsys.readouterr()
         assert main([command, "--config", str(config), *command_args(tmp_path, command)]) == 2
         captured = capsys.readouterr()
@@ -949,45 +974,90 @@ class TestIndexFiles:
 
     @pytest.mark.parametrize("renamed", [slice(None), slice(1)], ids=["every", "first"])
     def test_registry_agent_id_not_a_string_exits_2_naming_it(self, tmp_path, capsys, renamed):
-        """Numeric agent ids in ``renamed`` entries, with the ids of the
-        registry's vectors manifest renamed to match."""
+        """Numeric agent ids for the ``renamed`` rows."""
         corpus, agents = topic_corpus_and_agents()
         config = write_config(tmp_path, corpus, catch_all_script(), agents)
         build_lifecycle(config)
         path = tmp_path / "index" / "registry.json"
         registry = json.loads(path.read_text(encoding="utf-8"))
-        for entry in registry["entries"][renamed]:
-            entry["agent_id"] = 10 + int(entry["agent_id"].removeprefix("agent"))
+        agent_of_row = registry["agent_of_row"]
+        agent_of_row[renamed] = [10 + int(a.removeprefix("agent")) for a in agent_of_row[renamed]]
         path.write_text(json.dumps(registry), encoding="utf-8")
-        base = tmp_path / "index" / "registry_vectors"
-        centroids, _ = load_vectors(base)
-        save_vectors(base, centroids,
-                     [f"{e['agent_id']}#{e['cluster_id']}" for e in registry["entries"]])
         capsys.readouterr()
         assert main(["ask", "--config", str(config), *command_args(tmp_path, "ask")]) == 2
         assert json.loads(capsys.readouterr().err) == {
             "command": "ask",
             "error": f"{path} is valid JSON of the wrong shape: "
-                     "TypeError: agent_id must be a string, not 10",
+                     f"TypeError: agent_of_row must be a list of strings, not {agent_of_row!r:.40}",
         }
 
-    @pytest.mark.parametrize("base", ["agents/agent0/vectors", "registry_vectors"])
-    def test_manifest_ids_as_an_object_exit_2_naming_it(self, tmp_path, capsys, base):
+    @pytest.mark.parametrize(
+        "relpath, field",
+        [("agents/agent0/vectors.manifest.json", "chunk_ids"), ("registry.json", "agent_of_row")],
+        ids=["agents/agent0/vectors", "registry"],
+    )
+    def test_manifest_ids_as_an_object_exit_2_naming_it(self, tmp_path, capsys, relpath, field):
         """An object keyed by the right ids is not taken as its keys."""
         corpus, agents = topic_corpus_and_agents()
         config = write_config(tmp_path, corpus, catch_all_script(), agents)
         build_lifecycle(config)
-        manifest = tmp_path / "index" / f"{base}.manifest.json"
+        manifest = tmp_path / "index" / relpath
         fields = json.loads(manifest.read_text(encoding="utf-8"))
-        fields["chunk_ids"] = dict.fromkeys(fields["chunk_ids"], 0)
+        fields[field] = dict.fromkeys(fields[field], 0)
         manifest.write_text(json.dumps(fields), encoding="utf-8")
         capsys.readouterr()
         assert main(["ask", "--config", str(config), *command_args(tmp_path, "ask")]) == 2
         assert json.loads(capsys.readouterr().err) == {
             "command": "ask",
             "error": f"{manifest} is valid JSON of the wrong shape: TypeError: "
-                     f"chunk_ids must be a list of strings, not {fields['chunk_ids']!r:.40}",
+                     f"{field} must be a list of strings, not {fields[field]!r:.40}",
         }
+
+    def test_rows_that_cancel_out_exit_2_at_register_naming_the_agents_bin(self, tmp_path,
+                                                                           capsys):
+        """Two chunks make one cluster, whose mean is zero when their rows
+        cancel out: there is no centroid to route by, and the registry as it
+        was stays."""
+        corpus = [{"doc_id": f"d{i}", "category": "c", "body": "alpha beta"} for i in range(2)]
+        config = write_config(tmp_path, corpus, catch_all_script(),
+                              [{"agent_id": "a", "category": "c"}])
+        build_lifecycle(config)
+        before = file_hashes(tmp_path / "index")
+        vectors = tmp_path / "index" / "agents" / "a" / "vectors"
+        matrix, ids = load_vectors(vectors)
+        save_vectors(vectors, np.stack([matrix[0], -matrix[0]]), ids)
+        capsys.readouterr()
+        assert main(["register", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "command": "register",
+            "error": f"{vectors}.bin: centroid a#0 is zero or not finite",
+        }
+        after = file_hashes(tmp_path / "index")
+        assert {k: v for k, v in after.items() if k.startswith("registry")} == {
+            k: v for k, v in before.items() if k.startswith("registry")
+        }
+
+    @pytest.mark.parametrize("command", ["ask", "eval", "register"])
+    def test_a_flipped_bit_in_the_registry_bin_exits_2_naming_it(self, tmp_path, capsys,
+                                                                  command):
+        """The lowest bit of the first centroid's first float: a value still
+        finite and not zero, which only the crc32 tells from the one saved."""
+        corpus, agents = topic_corpus_and_agents()
+        config = write_config(tmp_path, corpus, catch_all_script(), agents)
+        build_lifecycle(config)
+        bin_path = tmp_path / "index" / "registry_vectors.bin"
+        data = bytearray(bin_path.read_bytes())
+        data[0] ^= 1
+        bin_path.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main([command, "--config", str(config), *command_args(tmp_path, command)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["command"] == command
+        assert error["error"].startswith(f"{bin_path} has crc32 ")
 
     @pytest.mark.parametrize("command", ["ask", "eval"])
     def test_registry_agent_missing_from_config_exits_2(self, tmp_path, capsys, command):
@@ -1359,6 +1429,9 @@ class TestConfigValidation:
         [
             ("embedding", "dim", 2.5, "dim must be an integer, not 2.5"),
             ("embedding", "dim", True, "dim must be an integer, not True"),
+            ("embedding", "dim", 10**20,
+             "ValueError: dim must be at most 65536, not 100000000000000000000"),
+            ("embedding", "dim", 2**40, "ValueError: dim must be at most 65536, not 1099511627776"),
             ("chat", "max_rounds_retry", "2", "max_rounds_retry must be an integer, not '2'"),
             ("chat", "max_rounds_retry", -1, "max_rounds_retry must be >= 0"),
             ("agent", "agent_id", 5, "agent_id must be a string, not 5"),

@@ -15,6 +15,7 @@ from conftest import cosine_similarity
 from ragroute.corpus import TokenizedTexts, tokenize
 from ragroute.embedding import (
     DimensionMismatchError,
+    MAX_EMBEDDING_DIM,
     EmbeddingProviderConfig,
     HTTPStatusError,
     MalformedReplyError,
@@ -262,6 +263,11 @@ class TestRemoteEmbedder:
     def test_remote_requires_endpoint(self):
         with pytest.raises(ValueError):
             EmbeddingProviderConfig("remote_http", "m", 8)
+
+    def test_dim_is_at_most_the_ceiling(self):
+        assert EmbeddingProviderConfig("deterministic_mock", "m", MAX_EMBEDDING_DIM).dim == 65536
+        with pytest.raises(ValueError, match="^dim must be at most 65536, not 65537$"):
+            EmbeddingProviderConfig("deterministic_mock", "m", MAX_EMBEDDING_DIM + 1)
 
     @pytest.mark.parametrize(
         "endpoint",

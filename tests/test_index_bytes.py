@@ -76,11 +76,9 @@ PINNED = {
     "agents/gamma/vectors.manifest.json":
         "665a54a67242d9741bd199ccc283be17802f251fb3a4db72e50ea44fd0fa3038",
     "registry.json":
-        "9abd22f2c0087d85907f4422aed695f417f597257ad0de94bd105dfb78d57bd4",
+        "8a4692151723177dd35f081c2376625bb4d7a35b9f49e09d46e9e53ffc2574b1",
     "registry_vectors.bin":
         "207a597ec70054b076179d92ae4751bcc79d132d7195e1f25b607a4ef32cb266",
-    "registry_vectors.manifest.json":
-        "f0091affaba00ecebb0768210ea864af0d65656c355cdd468cc4a8c8c891c0d8",
 }
 
 

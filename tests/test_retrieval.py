@@ -424,7 +424,7 @@ class TestBm25ArraysAgainstDictOracle:
         postings, doc_len = dict_postings(chunks)
         assert loaded.chunk_ids == built.chunk_ids == sorted(doc_len)
         assert loaded.doc_len.tolist() == [doc_len[c] for c in loaded.chunk_ids]
-        assert list(loaded.postings) == sorted(postings)
+        assert loaded.terms == sorted(postings)
         for term, posting in postings.items():
             rows = loaded.postings.get(term)
             assert [loaded.chunk_ids[r] for r in rows] == sorted(posting)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import transcripts
 from ragroute.agent import AgentAnswer
 from ragroute.llm import ScriptedChatBackend, ScriptEntry, TokenUsage
 from ragroute.retrieval import UnitQuery, unit_query, unit_scores
-from ragroute.store import IndexFileError, save_vectors
+from ragroute.store import IndexFileError, VectorFileError, save_vectors
 from conftest import cosine_similarity, count_embeds, registry_of, system_of
 from ragroute.router import (
     CONJECTURE,
@@ -19,6 +20,7 @@ from ragroute.router import (
     UNHELPFUL,
     RouterError,
     RouterRegistry,
+    UnusableCentroidError,
     _verdicts_from_evaluation,
     evaluate_and_curate,
     route_and_answer,
@@ -104,9 +106,9 @@ class TestRegistry:
 
     @pytest.mark.parametrize("bad", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0]])
     def test_zero_or_non_finite_centroid_named(self, bad):
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(UnusableCentroidError) as info:
             RouterRegistry(["a", "b"], np.array([[1.0, 0.0], bad], np.float32))
-        assert str(info.value) == "centroid b#0 is zero or not finite"
+        assert (str(info.value), info.value.agent_id) == ("centroid b#0 is zero or not finite", "b")
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -117,40 +119,111 @@ class TestRegistry:
         for agent_id in registry.agent_ids:
             assert np.array_equal(loaded.centroids_of(agent_id), registry.centroids_of(agent_id))
 
-    @pytest.mark.parametrize("keys", [
-        [("b", 0), ("a", 0)], [("a", 1)], [("a", 0), ("a", 2)], [("a", 1), ("a", 0)],
-        [("a", 0), ("b", 0), ("a", 1)],
-    ])
-    def test_entries_out_of_order_refused(self, tmp_path, keys):
-        """A file whose entries match its vectors' manifest but not the
-        (agent_id, cluster_id 0, 1, ...) order is refused, naming it."""
+    def test_saved_files_are_each_rows_agent_and_the_bins_crc32(self, tmp_path):
+        matrix = np.array([[1, 0], [0, 1], [1, 1]], np.float32)
+        RouterRegistry(["a", "a", "b"], matrix).save(
+            tmp_path / "registry.json", tmp_path / "registry_vectors"
+        )
+        data = (tmp_path / "registry_vectors.bin").read_bytes()
+        assert data == matrix.astype("<f4").tobytes()
+        assert json.loads((tmp_path / "registry.json").read_text()) == {
+            "agent_of_row": ["a", "a", "b"], "crc32": zlib.crc32(data), "dim": 2
+        }
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "registry.json", "registry_vectors.bin"
+        ]
+
+    def test_an_empty_registry_round_trips(self, tmp_path):
+        RouterRegistry().save(tmp_path / "registry.json", tmp_path / "registry_vectors")
+        loaded = RouterRegistry.load(tmp_path / "registry.json", tmp_path / "registry_vectors")
+        assert (loaded.entries, loaded.dim) == ((), 0)
+
+    @pytest.mark.parametrize("agent_of_row", [["b", "a"], ["a", "b", "a"]])
+    def test_rows_out_of_agent_order_in_the_file_refused(self, tmp_path, agent_of_row):
+        """A file whose rows match its ``.bin`` but do not run agent by agent
+        in sorted order is refused, naming it."""
         path, base = tmp_path / "registry.json", tmp_path / "registry_vectors"
-        save_vectors(base, np.eye(len(keys), dtype=np.float32), [f"{a}#{c}" for a, c in keys])
-        entries = [{"agent_id": a, "cluster_id": c, "row": i} for i, (a, c) in enumerate(keys)]
-        path.write_text(json.dumps({"entries": entries}))
+        rows = np.eye(len(agent_of_row), dtype=np.float32)
+        save_raw(path, base, agent_of_row, rows)
         with pytest.raises(IndexFileError) as info:
             RouterRegistry.load(path, base)
         assert str(info.value) == (
             f"{path} is valid JSON of the wrong shape: ValueError:"
-            " its entries are not in (agent_id, cluster_id 0, 1, ...) order"
+            " centroid rows must run agent by agent, in sorted agent_id order"
         )
 
-    @pytest.mark.parametrize("field, value", [
-        ("cluster_id", 1.9), ("cluster_id", "1"), ("cluster_id", True), ("row", 1.0),
-        ("row", True),
+    @pytest.mark.parametrize("field, value, words", [
+        ("dim", 2.0, "TypeError: dim must be an integer, not 2.0"),
+        ("dim", True, "TypeError: dim must be an integer, not True"),
+        ("dim", "2", "TypeError: dim must be an integer, not '2'"),
+        ("dim", -2, "ValueError: dim is -2, not a size"),
+        ("crc32", True, "TypeError: crc32 is True, not a crc32"),
+        ("crc32", -1, "TypeError: crc32 is -1, not a crc32"),
+        ("crc32", 2**32, "TypeError: crc32 is 4294967296, not a crc32"),
+        ("agent_of_row", ["a", 1, "b"],
+         "TypeError: agent_of_row must be a list of strings, not ['a', 1, 'b']"),
+        ("agent_of_row", {"a": 0}, "TypeError: agent_of_row must be a list of strings, not"
+         " {'a': 0}"),
     ])
-    def test_integer_fields_are_not_coerced(self, tmp_path, field, value):
-        """Entry 1 is a#1 at row 1; a value that ``int`` would turn into 1
-        is refused, naming the file, not read as 1."""
+    def test_fields_of_the_wrong_type_are_refused_naming_the_file(
+        self, tmp_path, field, value, words
+    ):
+        """A value that ``int`` or ``list`` would turn into the right one is
+        refused, naming the file, not read as it."""
         registry = RouterRegistry(["a", "a", "b"], np.array([[1, 0], [0, 1], [1, 1]], np.float32))
         path = tmp_path / "registry.json"
         registry.save(path, tmp_path / "registry_vectors")
         payload = json.loads(path.read_text())
-        payload["entries"][1][field] = value
+        payload[field] = value
         path.write_text(json.dumps(payload))
-        with pytest.raises(IndexFileError, match=f"{field} must be an integer") as info:
+        with pytest.raises(IndexFileError) as info:
             RouterRegistry.load(path, tmp_path / "registry_vectors")
-        assert str(info.value).startswith(f"{path} ")
+        assert str(info.value) == f"{path} is valid JSON of the wrong shape: {words}"
+
+    def test_the_entries_format_is_refused_naming_the_file(self, tmp_path):
+        """The ``{"entries": ...}`` record older versions wrote, beside its
+        ``.bin`` and vectors manifest."""
+        path, base = tmp_path / "registry.json", tmp_path / "registry_vectors"
+        save_vectors(base, np.eye(2, dtype=np.float32), ["a#0", "b#0"])
+        entries = [{"agent_id": a, "cluster_id": 0, "row": i} for i, a in enumerate("ab")]
+        path.write_text(json.dumps({"entries": entries}))
+        with pytest.raises(IndexFileError) as info:
+            RouterRegistry.load(path, base)
+        assert str(info.value) == (
+            f"{path} is valid JSON of the wrong shape: KeyError: 'agent_of_row'"
+        )
+
+    @pytest.mark.parametrize("damage, words", [
+        (lambda data: data[:-4], "holds 20 bytes; its manifest needs 24"),
+        (lambda data: data + data[:4], "holds 28 bytes; its manifest needs 24"),
+        (lambda data: data[:5] + bytes([data[5] ^ 1]) + data[6:], "has crc32 "),
+    ], ids=["short", "long", "flipped-bit"])
+    def test_a_bin_of_other_bytes_is_refused_naming_it(self, tmp_path, damage, words):
+        path, base = tmp_path / "registry.json", tmp_path / "registry_vectors"
+        RouterRegistry(["a", "a", "b"], np.array([[1, 0], [0, 1], [1, 1]], np.float32)).save(
+            path, base
+        )
+        bin_path = base.with_suffix(".bin")
+        bin_path.write_bytes(damage(bin_path.read_bytes()))
+        with pytest.raises(VectorFileError) as info:
+            RouterRegistry.load(path, base)
+        assert str(info.value).startswith(f"{bin_path} {words}")
+
+    def test_a_zero_centroid_the_crc32_covers_is_refused_naming_the_bin(self, tmp_path):
+        path, base = tmp_path / "registry.json", tmp_path / "registry_vectors"
+        save_raw(path, base, ["a", "b"], np.array([[1, 0], [0, 0]], np.float32))
+        with pytest.raises(VectorFileError) as info:
+            RouterRegistry.load(path, base)
+        assert str(info.value) == f"{base}.bin: centroid b#0 is zero or not finite"
+
+
+def save_raw(path, base, agent_of_row: list, rows: np.ndarray) -> None:
+    """A registry record and ``.bin`` as ``save`` writes them, of rows that
+    the constructor may refuse."""
+    data = rows.astype("<f4").tobytes()
+    base.with_suffix(".bin").write_bytes(data)
+    record = {"agent_of_row": agent_of_row, "crc32": zlib.crc32(data), "dim": rows.shape[1]}
+    path.write_text(json.dumps(record))
 
 
 class TestSelectAgents:

@@ -330,7 +330,7 @@ class TestMappedFiles:
         Bm25Index.build(chunks).save(tmp_path / "bm25.json")
         bm25 = Bm25Index.load(tmp_path / "bm25.json")
         arrays = [load_vectors(tmp_path / "vectors")[0], DenseIndex.load(tmp_path / "vectors").rows,
-                  bm25.doc_len, bm25.postings["shared"]]
+                  bm25.doc_len, bm25.postings.get("shared")]
         for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -339,11 +339,10 @@ class TestMappedFiles:
     def test_a_loaded_registry_selects_over_the_mapped_rows(self, tmp_path):
         """The registry's selection rows are the read-only mapping of
         ``registry_vectors.bin`` itself, not a copy of it."""
-        keys = [("a", 0), ("a", 1), ("b", 0), ("c", 0)]
         matrix = np.arange(12, dtype=np.float32).reshape(4, 3) + 1
-        save_vectors(tmp_path / "registry_vectors", matrix, [f"{a}#{c}" for a, c in keys])
-        entries = [{"agent_id": a, "cluster_id": c, "row": i} for i, (a, c) in enumerate(keys)]
-        (tmp_path / "registry.json").write_text(json.dumps({"entries": entries}))
+        RouterRegistry(["a", "a", "b", "c"], matrix).save(
+            tmp_path / "registry.json", tmp_path / "registry_vectors"
+        )
         registry = RouterRegistry.load(tmp_path / "registry.json", tmp_path / "registry_vectors")
         rows = registry._centroids.rows
         assert not rows.flags.writeable
@@ -491,6 +490,66 @@ class FailingReplace:
         if self.calls == self.fail_at:
             raise OSError(28, "No space left on device")
         self.replace(src, dst)
+
+
+class FailingJsonReplace:
+    """``os.replace`` that raises when it would put a JSON file in the index
+    directory itself (the registry's record) in place; a ``.bin`` goes in."""
+
+    def __init__(self, index: Path):
+        self.index = index
+        self.replace = os.replace
+
+    def __call__(self, src, dst):
+        if Path(dst).parent == self.index and Path(dst).name.endswith(".json"):
+            raise OSError(28, "No space left on device")
+        self.replace(src, dst)
+
+
+def test_register_cut_after_the_registry_bin_leaves_ask_refusing(tmp_path, capsys,
+                                                                 monkeypatch):
+    """agent0 has four chunks (two centroids) and agent1 one, then the other
+    way round: the same three rows, given to other agents. A register that
+    stops once the new ``registry_vectors.bin`` is in place leaves it beside
+    the old record, which ``ask`` refuses, naming the ``.bin``, rather than
+    route by rows read as other agents' centroids."""
+    def corpus(big: str, small: str) -> list[dict]:
+        return [_topic_doc(f"{big}-{i}", big, i) for i in range(4)] + [_topic_doc(small, small, 5)]
+
+    agents = [{"agent_id": "agent0", "category": "cat0"}, {"agent_id": "agent1", "category": "cat1"}]
+    config = write_config(tmp_path, corpus("cat0", "cat1"), catch_all_script(), agents)
+    for step in ("ingest", "build-index", "register"):
+        assert main([step, "--config", str(config)]) == 0
+    index = tmp_path / "index"
+
+    def agent_of_row() -> list[str]:
+        registry = RouterRegistry.load(index / "registry.json", index / "registry_vectors")
+        return [agent_id for agent_id, _ in registry.entries]
+
+    assert agent_of_row() == ["agent0", "agent0", "agent1"]
+    record = (index / "registry.json").read_bytes()
+    old_bin = (index / "registry_vectors.bin").read_bytes()
+    (tmp_path / "corpus.jsonl").write_text(
+        "".join(json.dumps(doc) + "\n" for doc in corpus("cat1", "cat0")), encoding="utf-8"
+    )
+    for step in ("ingest", "build-index"):
+        assert main([step, "--config", str(config)]) == 0
+    monkeypatch.setattr(os, "replace", FailingJsonReplace(index))
+    capsys.readouterr()
+    assert main(["register", "--config", str(config)]) == 2
+    monkeypatch.undo()
+    assert "No space left on device" in json.loads(capsys.readouterr().err)["error"]
+    new_bin = (index / "registry_vectors.bin").read_bytes()
+    assert (index / "registry.json").read_bytes() == record
+    assert len(new_bin) == len(old_bin) and new_bin != old_bin
+    assert main(["ask", "--config", str(config), "--question", QUESTION]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error.startswith(f"{index / 'registry_vectors.bin'} has crc32 ")
+    assert main(["register", "--config", str(config)]) == 0
+    assert agent_of_row() == ["agent0", "agent1", "agent1"]
+    assert ask(tmp_path, capsys)[0] == 0
 
 
 @pytest.mark.parametrize("command", ["ingest", "build-index", "register"])

@@ -19,9 +19,13 @@ import pytest
 
 from ragroute import agent as agent_module
 from ragroute.agent import Agent, AgentConfig
-from ragroute.cli import main
+from ragroute.cli import SystemConfig, _load_system, build_parser, main
 from ragroute.corpus import Chunk, load_chunks, tokenize
+from ragroute.embedding import make_embedder
+from ragroute.evalharness import answer
+from ragroute.llm import make_chat_backend
 from ragroute.retrieval import Bm25Index, DenseIndex, UnitQuery
+from test_cli import catch_all_script, topic_corpus_and_agents, write_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -161,3 +165,27 @@ def test_benchmark_counts_each_query_terms_df_without_per_posting_objects(monkey
         assert span.counts == {"postings": want}
         # a list, dict or int32 copy of one term's postings alone takes more
         assert peak < 2048
+
+
+def test_the_benchmarks_loader_answers_as_the_cli_does(monkeypatch, tmp_path):
+    """``perfbench/run.py``'s ``load`` reads a built index through the public
+    loaders, by path, outside the CLI: an index format it does not follow
+    would end every benchmark run in ``run_failed``. The system it loads
+    must answer as the one ``cli._load_system`` loads."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = importlib.import_module("run")
+    corpus, agents = topic_corpus_and_agents(4)
+    router = {"max_agents": 2, "parallelism": 1}
+    config = write_config(tmp_path, corpus, catch_all_script(), agents, router=router)
+    for step in ("ingest", "build-index", "register"):
+        assert main([step, "--config", str(config)]) == 0
+    question = "topic2word0 topic2word3?"
+    cfg = SystemConfig.from_file(config)
+    args = build_parser().parse_args(["ask", "--config", str(config), "--question", question])
+    want = answer(_load_system(cfg, args), question)
+    system = run.load(config, make_chat_backend(cfg.chat), make_embedder(cfg.embedding))
+    got = answer(system, question)
+    assert (got.final_answer, got.selected_agent_ids) == (
+        want.final_answer, want.selected_agent_ids
+    )
+    assert len(want.selected_agent_ids) == 2 and want.selected_agent_ids[0] == "agent2"
