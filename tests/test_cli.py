@@ -356,6 +356,98 @@ class TestLifecycle:
         assert not (tmp_path / "index" / "agents" / "agB" / "vectors.bin").exists()
 
 
+THE_AGE_ANSWER = transcripts.NR_ROUTER_REPLY_1.rsplit("Answer: ", 1)[1]
+TECHCRUNCH_ANSWER = transcripts.NR_ROUTER_REPLY_2.rsplit("Answer: ", 1)[1]
+POLISHED_QUESTION = "What did TechCrunch allege about Google on December 15, 2023?"
+
+# One scripted transcript per --strategy, all over the news_reports corpus.
+TRACE_SCRIPTS = {
+    "oneshot": [
+        {"match": "collection of knowledge", "reply": transcripts.NR_AGENT_REPLY_1},
+        {"match": "set of respoonses", "reply": transcripts.NR_ROUTER_REPLY_1},
+    ],
+    "presplit": [
+        {"match": "break the question into",
+         "reply": "1. What did The Age report on October 22, 2023?\n"
+                  "2. What did TechCrunch report on December 15, 2023?"},
+        {"match": "collection of knowledge", "reply": transcripts.NR_AGENT_REPLY_1},
+        {"match": "set of respoonses", "reply": transcripts.NR_ROUTER_REPLY_1},
+        {"match": "polish the query", "reply": f"Polished query: {POLISHED_QUESTION}"},
+        {"match": "collection of knowledge", "reply": transcripts.NR_AGENT_REPLY_2},
+        {"match": "set of respoonses", "reply": transcripts.NR_ROUTER_REPLY_2},
+        {"match": "If you need more information", "reply": transcripts.NR_DEFENDER_REPLY},
+    ],
+    "greedy": transcripts.NR_SCRIPT,
+}
+
+# Per strategy: each routed round's (question, answer), then the trace's
+# strategy, status, final answer, usage and the sha256 of every prompt sent.
+TRACE_EXPECTED = {
+    "oneshot": (
+        [(transcripts.NR_QUERY, THE_AGE_ANSWER)],
+        "one_shot", "answerable", THE_AGE_ANSWER,
+        {"prompt_tokens": 1038, "completion_tokens": 423},
+        [
+            "a66b4e99c43c9ec53e3645a4333a4b098ef903aecf18af5befa5adab29bbf7e6",
+            "7108b142a39a0f2f4c5ef172aab740c2bc754a9db5ef0fb69cfbb5da56bf98f7",
+        ],
+    ),
+    "presplit": (
+        [("What did The Age report on October 22, 2023?", THE_AGE_ANSWER),
+         (POLISHED_QUESTION, TECHCRUNCH_ANSWER)],
+        "presplit", "exhausted", transcripts.NR_EXPECTED,
+        {"prompt_tokens": 2708, "completion_tokens": 995},
+        [
+            "96344fb0d4653ab3dbdf85b4c00b1f991f9a845556beffbce61e1f09748598c8",
+            "a6d928bc6e032811fecac9665eb25ea631022e6b8bb23ee37d8012bca102392f",
+            "0e793528920c1ace4c1ea3202dbd4547afa273801bf3aa82a69600acfa10ae91",
+            "332c32a5af7c480efdc94340fc1e0e856ac10306f957b28ff730a9f1e8fcb4ed",
+            "af6d22467a56e384f6c3cec001c5eeef9285e046a15b5c400caf4321dc3d4bcd",
+            "1808110617e1b17c7733fb0a973964c27d61747de9c7e2ceb9e1fae615a5e76d",
+            "72873e47a19e30c4b810f6eaae8c469f99a986d7d0e32fafaddfb0b49b322dd5",
+        ],
+    ),
+    "greedy": (
+        [(transcripts.NR_ROUND1_QUESTION, THE_AGE_ANSWER),
+         (transcripts.NR_ROUND2_QUESTION, TECHCRUNCH_ANSWER)],
+        "greedy", "answerable", transcripts.NR_EXPECTED,
+        {"prompt_tokens": 3765, "completion_tokens": 1383},
+        [
+            "96344fb0d4653ab3dbdf85b4c00b1f991f9a845556beffbce61e1f09748598c8",
+            "ac23730ede2801c2fc84844ba8026fe780b3cc5d0749b7c115ebd1ac86b3c281",
+            "7aa02aa97ffdcf25f8400ed3e76fc6b941b131e4ef8254f8044d8440c7b98a99",
+            "bb20e0ff9d8f3ad9883cb95252950dc240bd156a75d593f68d2bc6397fb7a45f",
+            "079187ac6b586a5fa8e24dd6cbd07af14403f6c412883f07502377bcfb033111",
+            "b67ac144037f0aed38d672f525b6d9953322452c26d41d58acdd259eaf21a2f9",
+            "212ee495363f1a440b7f967795d8139647fddcc20a216bf295ace61888d3846e",
+            "c61d4ea689093c47b3b44c381dc30caa1db1f14b483e847c4d07546bf6655f8a",
+            "468e28051023434e95508eecdc6d3b6c47f2d5ee21ad44d39864a88efae70afc",
+        ],
+    ),
+}
+
+
+def expected_trace(strategy: str) -> dict:
+    """The whole ``ask --multihop --trace`` document for ``strategy``; one-shot
+    routes the query itself and keeps no records."""
+    rounds, name, status, final, usage, prompts = TRACE_EXPECTED[strategy]
+    records = [{"question": q, "answer": a, "round": i} for i, (q, a) in enumerate(rounds, 1)]
+    return {
+        "question": transcripts.NR_QUERY,
+        "max_agents": 5,
+        "mode": "multi_hop",
+        "strategy": name,
+        "status": status,
+        "final_answer": final,
+        "records": [] if name == "one_shot" else records,
+        "rounds": [
+            {**r, "selected_agents": ["tech"], "verdicts": {"tech": "unhelpful"}} for r in records
+        ],
+        "usage": usage,
+        "prompt_sha256": prompts,
+    }
+
+
 class TestAsk:
     def _setup(self, tmp_path) -> Path:
         return write_config(tmp_path, transcripts.WD_CORPUS, transcripts.WD_SCRIPT, wd_agents())
@@ -417,6 +509,21 @@ class TestAsk:
         assert len(trace["rounds"]) == 2
         assert len(trace["records"]) == 2
         assert trace["status"] == "answerable"
+
+    @pytest.mark.parametrize("strategy", sorted(TRACE_SCRIPTS))
+    def test_multihop_trace_of_each_strategy_is_pinned(self, tmp_path, capsys, strategy):
+        config = write_config(
+            tmp_path, transcripts.NR_CORPUS, TRACE_SCRIPTS[strategy],
+            [{"agent_id": "tech", "category": "technology",
+              "retrieval_depth": 50, "min_keep": 10}],
+        )
+        build_lifecycle(config)
+        capsys.readouterr()
+        trace_path = tmp_path / "trace.json"
+        code = main(["ask", "--config", str(config), "--question", transcripts.NR_QUERY,
+                     "--multihop", "--strategy", strategy, "--trace", str(trace_path)])
+        assert code == 0
+        assert json.loads(trace_path.read_text()) == expected_trace(strategy)
 
     @pytest.mark.parametrize("question", ["", "   ", "\t\n"])
     def test_question_without_tokens_exits_2(self, tmp_path, capsys, question):
