@@ -9,14 +9,13 @@ and reads the chunks at the rows it keeps.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable
 
 import numpy as np
 
-from .corpus import Chunk, ChunkingConfig, chunk_ordinal, tokenize
+from .corpus import DEFAULT_CHUNKING, Chunk, ChunkingConfig, chunk_ordinal, tokenize
 from .llm import ParsedAgentReply, TokenUsage, parse_agent_reply
 from .prompts import AGENT_ANSWER_MULTI_HOP, AGENT_ANSWER_SINGLE_HOP, render_prompt
 from .retrieval import (
@@ -34,7 +33,7 @@ from .retrieval import (
     rerank,
     unscored,
 )
-from .store import IndexFileError, require_int, require_str
+from .store import IndexFileError, require_int, require_number, require_str
 
 SINGLE_HOP = "single_hop"
 MULTI_HOP = "multi_hop"
@@ -53,7 +52,7 @@ class AgentConfig:
     retrieval_method: str = MIXTURE
     retrieval_depth: int = 20
     min_keep: int = 5
-    chunking: ChunkingConfig = field(default_factory=lambda: ChunkingConfig(1024, 40))
+    chunking: ChunkingConfig = DEFAULT_CHUNKING
     rerank_threshold: float = 0.3
 
     def __post_init__(self) -> None:
@@ -65,11 +64,7 @@ class AgentConfig:
             raise ValueError(f"unknown retrieval method {self.retrieval_method!r}")
         require_int("retrieval_depth", self.retrieval_depth)
         require_int("min_keep", self.min_keep)
-        threshold = self.rerank_threshold
-        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
-            raise TypeError(f"rerank_threshold must be a number, not {threshold!r}")
-        if not math.isfinite(threshold):
-            raise ValueError(f"rerank_threshold must be finite, not {threshold!r}")
+        require_number("rerank_threshold", self.rerank_threshold)
         if not (self.retrieval_depth >= self.min_keep >= 1):
             raise ValueError("need retrieval_depth >= min_keep >= 1")
 

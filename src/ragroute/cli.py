@@ -22,6 +22,7 @@ import numpy as np
 from .agent import Agent, AgentConfig
 from .boundary import build_profile, save_profile
 from .corpus import (
+    DEFAULT_CHUNKING,
     Chunk,
     ChunkingConfig,
     TokenizedTexts,
@@ -100,7 +101,7 @@ class SystemConfig:
     def _parse(cls, raw) -> "SystemConfig":
         if not isinstance(raw, dict):
             raise TypeError(f"config must be a JSON object, not {type(raw).__name__}")
-        chunking = ChunkingConfig(**raw.get("chunking", {"chunk_tokens": 1024, "overlap_tokens": 40}))
+        chunking = ChunkingConfig(**raw["chunking"]) if "chunking" in raw else DEFAULT_CHUNKING
         embedding = EmbeddingProviderConfig(**raw["embedding"])
         chat = ChatBackendConfig(**raw["chat"])
         agent_cfgs = []
@@ -339,14 +340,17 @@ def _answer_trace(result, system: EvalSystem) -> dict:
             "strategy": system.strategy.value,
             "status": result.status,
             "final_answer": result.final_answer,
-            "records": [asdict(r) for r in result.records],
+            "records": [
+                {"question": r.question, "answer": r.answer, "round": r.round}
+                for r in result.records
+            ],
             "rounds": [
                 {
                     "round": r.round,
                     "question": r.question,
                     "answer": r.answer,
-                    "selected_agents": list(r.selected_agent_ids),
-                    "verdicts": r.verdicts,
+                    "selected_agents": list(r.routed.selected_agent_ids),
+                    "verdicts": r.routed.verdicts,
                 }
                 for r in result.rounds
             ],

@@ -104,6 +104,9 @@ class ChunkingConfig:
         return self.chunk_tokens - self.overlap_tokens
 
 
+DEFAULT_CHUNKING = ChunkingConfig(1024, 40)
+
+
 def tokenize(text: str) -> list[str]:
     """Split text into word and single-character punctuation tokens.
 

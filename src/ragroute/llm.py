@@ -10,7 +10,6 @@ counts of prompt and reply.
 from __future__ import annotations
 
 import hashlib
-import math
 import re
 import threading
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from typing import Callable, TypeVar
 
 from .corpus import tokenize
 from .embedding import MalformedReplyError, endpoint_address, post_json
-from .store import read_json, require_int, require_str
+from .store import read_json, require_int, require_number, require_str
 
 CHAT_TIMEOUT_S = 120.0
 
@@ -82,14 +81,13 @@ class ChatBackendConfig:
         for name in ("endpoint", "api_key_env", "script_path"):
             require_str(name, getattr(self, name), optional=True)
         require_int("max_rounds_retry", self.max_rounds_retry)
+        require_number("temperature", self.temperature)
         if self.max_rounds_retry < 0:
             raise ValueError("max_rounds_retry must be >= 0")
         if self.backend == "remote_http":
             if not self.endpoint:
                 raise ValueError("remote_http backend requires an endpoint")
             endpoint_address(self.endpoint)
-            if not math.isfinite(self.temperature):
-                raise ValueError("temperature must be finite: it is sent as JSON")
         if self.backend == "scripted_mock" and not self.script_path:
             raise ValueError("scripted_mock backend requires a script source")
         if self.backend not in ("remote_http", "scripted_mock"):

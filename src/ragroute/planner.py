@@ -4,7 +4,7 @@ progress, and defend a final answer.
 Three strategies:
 
 * ``greedy``: the full round loop. Split once up front, then per round pick
-  one fresh subquestion, route it, append the (question, answer) record, and
+  one fresh subquestion, route it, record the round (question and answer), and
   ask the judge whether the original query is now answerable; stop on "yes"
   or after ``max_rounds`` routed rounds, and always finish with the defender.
 * ``presplit``: split once, answer every subquestion in order (each refined
@@ -14,7 +14,8 @@ Three strategies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -36,7 +37,7 @@ from .prompts import (
     SPLITTER_FIRST_ROUND,
     render_prompt,
 )
-from .router import route_and_answer
+from .router import RoutedAnswer, route_and_answer
 
 if TYPE_CHECKING:
     from .evalharness import EvalSystem
@@ -60,48 +61,43 @@ ITERATIVE_MIN_KEEP = 10
 
 
 @dataclass(frozen=True)
-class QARecord:
-    question: str
-    answer: str
-    round: int
+class Round:
+    """One routed round: the question asked and the router's answer to it.
+    The rounds so far are the history every later prompt reads."""
 
-
-@dataclass(frozen=True)
-class SelectedQuestion:
-    text: str
-    polished: bool = False
-    warning: bool = False
-
-
-@dataclass(frozen=True)
-class RoundTrace:
     round: int
     question: str
-    answer: str
-    selected_agent_ids: tuple[str, ...]
-    verdicts: dict[str, str]
-    retrieved_doc_slots: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    routed: RoutedAnswer
+
+    @property
+    def answer(self) -> str:
+        return self.routed.final_answer
+
+
+# perfbench/tests builds prompt records by this name; the prompts read any
+# object with ``question`` and ``answer``.
+QARecord = namedtuple("QARecord", "question answer round")
 
 
 @dataclass(frozen=True)
 class PlanResult:
     final_answer: str
-    records: tuple[QARecord, ...]
+    records: tuple[Round, ...]  # the rounds the defender read; () for one-shot
     usage: TokenUsage
     status: str
-    rounds: tuple[RoundTrace, ...] = ()
+    rounds: tuple[Round, ...] = ()
 
     @property
     def selected_agent_ids(self) -> tuple[str, ...]:
         """Agents in order of first selection across rounds."""
-        return tuple(dict.fromkeys(a for r in self.rounds for a in r.selected_agent_ids))
+        return tuple(dict.fromkeys(a for r in self.rounds for a in r.routed.selected_agent_ids))
 
     @property
     def doc_slots(self) -> dict[str, tuple[str, ...]]:
         """Each selected agent's retrieved doc ids, concatenated in round
         order."""
         return {
-            agent_id: tuple(d for r in self.rounds for d in r.retrieved_doc_slots.get(agent_id, ()))
+            agent_id: tuple(d for r in self.rounds for d in r.routed.doc_slots.get(agent_id, ()))
             for agent_id in self.selected_agent_ids
         }
 
@@ -133,7 +129,7 @@ def split_first_round(query: str, backend, meter: UsageMeter | None = None) -> l
 
 
 def judge_and_split(
-    query: str, records: list[QARecord], backend, meter: UsageMeter | None = None
+    query: str, records: list[Round], backend, meter: UsageMeter | None = None
 ) -> ParsedJudgment:
     """Judge answerability from the records; on "no" the response carries the
     next round's candidate subquestions. Re-asks once on a bad parse."""
@@ -157,7 +153,7 @@ def _pairwise_ok(candidate: str, asked: str, backend, meter: UsageMeter) -> bool
 
 
 def polish_query(
-    query: str, records: list[QARecord], backend, meter: UsageMeter | None = None
+    query: str, records: list[Round], backend, meter: UsageMeter | None = None
 ) -> str | None:
     """Rewrite a query against the records; None when the reply is unusable."""
     meter = meter or UsageMeter()
@@ -173,27 +169,24 @@ def polish_query(
 def select_subquestion(
     candidates: list[str],
     asked: list[str],
-    records: list[QARecord],
+    records: list[Round],
     backend,
     meter: UsageMeter | None = None,
-) -> SelectedQuestion:
+) -> str:
     """Pick the first candidate that is fresh and unambiguous.
 
     Each candidate is checked pairwise against every previously asked
     question, short-circuiting on the first failure. If nothing passes, the
-    first candidate is polished against the records; if even that parse
-    fails, it is returned raw with a warning flag.
+    first candidate is polished against the records, or returned raw when
+    the polish reply is unusable.
     """
     if not candidates:
         raise PlanError("no candidate subquestions")
     meter = meter or UsageMeter()
     for candidate in candidates:
         if all(_pairwise_ok(candidate, prior, backend, meter) for prior in asked):
-            return SelectedQuestion(candidate)
-    polished = polish_query(candidates[0], records, backend, meter)
-    if polished is not None:
-        return SelectedQuestion(polished, polished=True)
-    return SelectedQuestion(candidates[0], warning=True)
+            return candidate
+    return polish_query(candidates[0], records, backend, meter) or candidates[0]
 
 
 def _labeled_answer(text: str) -> str | None:
@@ -202,7 +195,7 @@ def _labeled_answer(text: str) -> str | None:
 
 
 def defend(
-    query: str, records: list[QARecord], backend, meter: UsageMeter | None = None
+    query: str, records: list[Round], backend, meter: UsageMeter | None = None
 ) -> str:
     """Final answer from the records; re-asks once on an unlabeled reply."""
     meter = meter or UsageMeter()
@@ -221,27 +214,19 @@ def run_plan(system: EvalSystem, query: str) -> PlanResult:
         raise ValueError("max_rounds must be >= 1")
     backend = system.backend
     meter = UsageMeter()
-    records: list[QARecord] = []
-    rounds: list[RoundTrace] = []
+    records: list[Round] = []
 
     def route(question: str, min_keep: int) -> str:
         """Route one round, charge it to the meter, record it, and return
         its curated answer."""
         routed = route_and_answer(system, question, MULTI_HOP, history=records, min_keep=min_keep)
         meter.total = meter.total + routed.usage
-        number = len(rounds) + 1
-        records.append(QARecord(question, routed.final_answer, number))
-        rounds.append(
-            RoundTrace(
-                number, question, routed.final_answer, routed.selected_agent_ids,
-                routed.verdicts, routed.doc_slots,
-            )
-        )
+        records.append(Round(len(records) + 1, question, routed))
         return routed.final_answer
 
     if strategy is PlanStrategy.ONE_SHOT:
         final = route(query, ONE_SHOT_MIN_KEEP)
-        return PlanResult(final, (), meter.total, ANSWERABLE, tuple(rounds))
+        return PlanResult(final, (), meter.total, ANSWERABLE, tuple(records))
 
     candidates = split_first_round(query, backend, meter)
     status = EXHAUSTED
@@ -250,10 +235,10 @@ def run_plan(system: EvalSystem, query: str) -> PlanResult:
             polished = polish_query(sub, records, backend, meter) if records else None
             route(polished or sub, ITERATIVE_MIN_KEEP)
     else:  # greedy round loop
-        while len(rounds) < system.max_rounds:
+        while len(records) < system.max_rounds:
             asked = [r.question for r in records]
-            selected = select_subquestion(candidates, asked, records, backend, meter)
-            route(selected.text, ITERATIVE_MIN_KEEP)
+            question = select_subquestion(candidates, asked, records, backend, meter)
+            route(question, ITERATIVE_MIN_KEEP)
             judgment = judge_and_split(query, records, backend, meter)
             if judgment.answerable:
                 status = ANSWERABLE
@@ -263,4 +248,4 @@ def run_plan(system: EvalSystem, query: str) -> PlanResult:
                 # Judge said "not answerable" but raised nothing new to ask.
                 break
     final = defend(query, records, backend, meter)
-    return PlanResult(final, tuple(records), meter.total, status, tuple(rounds))
+    return PlanResult(final, tuple(records), meter.total, status, tuple(records))

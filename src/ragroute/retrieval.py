@@ -65,29 +65,17 @@ def unit_query(query_vec: np.ndarray) -> np.ndarray:
 
 class UnitQuery:
     """One question's embedding as the float64 unit vector that scores rows
-    exactly (``unit``) and that vector rounded to float32, which screens
-    them. Each is made once, on first use, however many indexes the question
-    reaches; threads that race on one make equal arrays.
-    """
+    exactly (``unit``) and that vector rounded to float32 (``f32``), which
+    screens them; both are made once, however many indexes the question
+    reaches. ValueError for a zero vector."""
 
     def __init__(self, query_vec: np.ndarray):
-        self.query_vec = query_vec
-        self._unit: np.ndarray | None = None
-        self._f32: np.ndarray | None = None
-
-    @property
-    def unit(self) -> np.ndarray:
-        if self._unit is None:
-            self._unit = unit_query(self.query_vec)
-        return self._unit
+        self.unit = unit_query(query_vec)
+        self.f32 = self.unit.astype(np.float32)
 
     def in_dtype(self, dtype) -> np.ndarray:
         """The unit query in ``dtype``, float32 or float64."""
-        if dtype is np.float64:
-            return self.unit
-        if self._f32 is None:
-            self._f32 = self.unit.astype(np.float32)
-        return self._f32
+        return self.unit if dtype is np.float64 else self.f32
 
 
 class Ranked(NamedTuple):

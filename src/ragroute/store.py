@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import mmap
 import os
+import sys
 import zlib
 from itertools import accumulate
 from pathlib import Path
@@ -38,6 +39,17 @@ def require_int(name: str, value) -> int:
     """``value``; TypeError naming ``name`` unless it is an int (a bool is not)."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
+def require_number(name: str, value) -> int | float:
+    """``value``; TypeError naming ``name`` unless it is an int or float (a
+    bool is not), ValueError unless it is a finite float or an int that
+    converts to one."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"{name} must be a number, not {value!r}")
+    if not -sys.float_info.max <= value <= sys.float_info.max:  # nan compares false
+        raise ValueError(f"{name} must be finite, not {value!r:.40}")
     return value
 
 

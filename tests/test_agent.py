@@ -11,7 +11,6 @@ from ragroute import agent as agent_module
 from ragroute.agent import Agent, AgentConfig, AgentError
 from ragroute.corpus import Chunk, ChunkingConfig, Document, chunk_document
 from ragroute.llm import ScriptedChatBackend, ScriptEntry
-from ragroute.planner import QARecord
 from ragroute.retrieval import Bm25Index, DenseIndex, UnitQuery
 from ragroute.store import IndexFileError
 
@@ -156,7 +155,8 @@ class TestAnswerQuestion:
         backend = ScriptedChatBackend([ScriptEntry("collection of knowledge", "Answer: fine")])
         agent = agent_from_text("h", "some topic words here", backend, mock_embedder)
         agent.answer_question(
-            "next question?", mode="multi_hop", history=[QARecord("prior q?", "prior a.", 1)]
+            "next question?", mode="multi_hop",
+            history=[transcripts.round_of("prior q?", "prior a.", 1)],
         )
         prompt = backend.calls[0].prompt
         assert "prior q?" in prompt and "prior a." in prompt

@@ -14,8 +14,8 @@ import pytest
 import ragroute
 import transcripts
 from test_corpus import CHUNK_FILE_KEYS, CHUNK_KEYS, per_line_bytes, per_line_refusal
-from ragroute.cli import main
-from ragroute.corpus import Chunk, load_chunks, save_chunks
+from ragroute.cli import SystemConfig, main
+from ragroute.corpus import Chunk, ChunkingConfig, load_chunks, save_chunks
 from ragroute.store import load_vectors, save_vectors
 
 
@@ -1514,6 +1514,8 @@ class TestConfigValidation:
             ("agent", "rerank_threshold", True, "rerank_threshold must be a number, not True"),
             ("agent", "rerank_threshold", float("nan"), "rerank_threshold must be finite, not nan"),
             ("agent", "rerank_threshold", float("inf"), "rerank_threshold must be finite, not inf"),
+            pytest.param("agent", "rerank_threshold", 10**400,
+                         "rerank_threshold must be finite, not 1000", id="threshold-huge"),
         ],
     )
     def test_count_or_threshold_of_the_wrong_type_rejected_at_load(
@@ -1555,6 +1557,15 @@ class TestConfigValidation:
             ("chat", "api_key_env", ["K"], "TypeError: api_key_env must be a string, not ['K']"),
             ("embedding", "api_key_env", 5, "TypeError: api_key_env must be a string, not 5"),
             ("embedding", "model_name", 7, "TypeError: model_name must be a string, not 7"),
+            ("chat", "temperature", True, "TypeError: temperature must be a number, not True"),
+            ("chat", "temperature", "x", "TypeError: temperature must be a number, not 'x'"),
+            ("chat", "temperature", [], "TypeError: temperature must be a number, not []"),
+            ("chat", "temperature", {}, "TypeError: temperature must be a number, not {}"),
+            ("chat", "temperature", None, "TypeError: temperature must be a number, not None"),
+            ("chat", "temperature", float("nan"), "ValueError: temperature must be finite, not nan"),
+            ("chat", "temperature", float("inf"), "ValueError: temperature must be finite, not inf"),
+            pytest.param("chat", "temperature", -(10**400),
+                         "ValueError: temperature must be finite, not -100", id="temperature-huge"),
         ],
     )
     def test_field_of_the_wrong_type_or_value_exits_2_before_any_write(
@@ -1573,6 +1584,47 @@ class TestConfigValidation:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "config.json", "corpus.jsonl", "script.json"
         ]
+
+    @pytest.mark.parametrize(
+        "value, problem",
+        [(True, "must be a number, not True"), ("0.5", "must be a number, not '0.5'")],
+        ids=["true", "string"],
+    )
+    def test_remote_temperature_that_is_not_a_number_exits_2(
+        self, tmp_path, capsys, value, problem
+    ):
+        config = write_config(tmp_path, [], [], [{"agent_id": "a", "category": "c"}])
+        raw = json.loads(config.read_text(encoding="utf-8"))
+        raw["chat"] = {"backend": "remote_http", "endpoint": "http://127.0.0.1:9/v1",
+                       "temperature": value}
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["inspect", "--config", str(config)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error == {
+            "command": "inspect",
+            "error": f"{config} is valid JSON of the wrong shape: TypeError: temperature {problem}",
+        }
+
+    def test_integral_remote_temperature_accepted(self, tmp_path, capsys):
+        config = write_config(tmp_path, [], [], [{"agent_id": "a", "category": "c"}])
+        raw = json.loads(config.read_text(encoding="utf-8"))
+        raw["chat"] = {"backend": "remote_http", "endpoint": "http://127.0.0.1:9/v1",
+                       "temperature": 1}
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["inspect", "--config", str(config)]) == 0
+
+    def test_chunking_is_1024_40_when_absent_and_refused_when_empty(self, tmp_path, capsys):
+        config = write_config(tmp_path, [], [], [{"agent_id": "a", "category": "c"}])
+        raw = json.loads(config.read_text(encoding="utf-8"))
+        del raw["chunking"]
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        cfg = SystemConfig.from_file(config)
+        assert cfg.chunking == cfg.agents[0].chunking == ChunkingConfig(1024, 40)
+        raw["chunking"] = {}
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["inspect", "--config", str(config)]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert "TypeError: ChunkingConfig.__init__() missing 2 required" in error
 
     def test_integral_threshold_accepted(self, tmp_path, capsys):
         agents = [{"agent_id": "a", "category": "c", "rerank_threshold": 0}]

@@ -12,7 +12,6 @@ from ragroute.planner import (
     EXHAUSTED,
     PlanError,
     PlanStrategy,
-    QARecord,
     UsageMeter,
     defend,
     judge_and_split,
@@ -69,7 +68,7 @@ class TestSplitFirstRound:
 class TestJudgeAndSplit:
     def test_unanswerable_round_yields_candidates(self):
         backend = backend_of(("justify if the query", transcripts.NR_JUDGER_REPLY_1))
-        records = [QARecord(transcripts.NR_ROUND1_QUESTION, "answer one", 1)]
+        records = [transcripts.round_of(transcripts.NR_ROUND1_QUESTION, "answer one", 1)]
         judgment = judge_and_split(transcripts.NR_QUERY, records, backend)
         assert judgment.answerable is False
         from ragroute.llm import extract_numbered_questions
@@ -109,14 +108,13 @@ class TestSelectSubquestion:
             [],
             backend,
         )
-        assert selected.text == transcripts.NR_ROUND2_QUESTION
-        assert not selected.polished and not selected.warning
-        assert len(backend.calls) == 1
+        assert selected == transcripts.NR_ROUND2_QUESTION
+        assert len(backend.calls) == 1  # one pairwise check, no polish
 
     def test_vacuous_pass_with_empty_asked_makes_no_calls(self):
         backend = backend_of()
         selected = select_subquestion(["only candidate?"], [], [], backend)
-        assert selected.text == "only candidate?"
+        assert selected == "only candidate?"
         assert backend.calls == []
 
     def test_all_duplicates_polish_branch(self):
@@ -128,8 +126,8 @@ class TestSelectSubquestion:
         selected = select_subquestion(
             ["dup one?", "dup two?"], ["asked before?"], [], backend
         )
-        assert selected.polished
-        assert selected.text == "a sharper question?"
+        assert selected == "a sharper question?"
+        assert backend.calls[-1].prompt.startswith(TEMPLATES["polish_query"])
 
     def test_polish_unparseable_returns_raw_with_warning(self):
         backend = backend_of(
@@ -137,8 +135,8 @@ class TestSelectSubquestion:
             ("polish the query", "no polished marker here"),
         )
         selected = select_subquestion(["dup?"], ["dup?"], [], backend)
-        assert selected.warning
-        assert selected.text == "dup?"
+        assert selected == "dup?"
+        assert backend.calls[-1].prompt.startswith(TEMPLATES["polish_query"])
 
     def test_pairwise_short_circuits_on_first_failure(self):
         backend = backend_of(
@@ -151,7 +149,7 @@ class TestSelectSubquestion:
         )
         # candidate 1 fails against asked one (1 call), candidate 2 passes
         # against both asked questions (2 calls)
-        assert selected.text == "fresh?"
+        assert selected == "fresh?"
         assert len(backend.calls) == 3
 
     def test_empty_candidates_rejected(self):
@@ -165,8 +163,8 @@ class TestDefend:
             ("If you need more information", transcripts.NR_DEFENDER_REPLY)
         )
         records = [
-            QARecord(transcripts.NR_ROUND1_QUESTION, "The Age claims...", 1),
-            QARecord(transcripts.NR_ROUND2_QUESTION, "TechCrunch alleges...", 2),
+            transcripts.round_of(transcripts.NR_ROUND1_QUESTION, "The Age claims...", 1),
+            transcripts.round_of(transcripts.NR_ROUND2_QUESTION, "TechCrunch alleges...", 2),
         ]
         assert defend(transcripts.NR_QUERY, records, backend) == transcripts.NR_EXPECTED
 
@@ -180,7 +178,8 @@ class TestDefend:
         backend = backend_of(
             ("If you need more information", "Analysis: record 1 says 7.\nAnswer: Seven.")
         )
-        assert defend("how many?", [QARecord("count?", "Seven.", 1)], backend) == "Seven."
+        records = [transcripts.round_of("count?", "Seven.", 1)]
+        assert defend("how many?", records, backend) == "Seven."
 
     def test_degraded_reply_reasks_then_errors(self):
         backend = backend_of(
@@ -194,10 +193,9 @@ class TestDefend:
 class TestPolishQuery:
     def test_polished_line_extracted(self):
         backend = backend_of(("polish the query", "Polished query: Where was Ada Lovelace born?"))
-        assert (
-            polish_query("where was she born?", [QARecord("who?", "Ada Lovelace", 1)], backend)
-            == "Where was Ada Lovelace born?"
-        )
+        records = [transcripts.round_of("who?", "Ada Lovelace", 1)]
+        polished = polish_query("where was she born?", records, backend)
+        assert polished == "Where was Ada Lovelace born?"
 
     def test_unusable_reply_returns_none(self):
         backend = backend_of(("polish the query", "nothing to see"))

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ragroute.planner import QARecord
+import transcripts
 from ragroute.prompts import (
     AGENT_ANSWER_MULTI_HOP,
     AGENT_ANSWER_SINGLE_HOP,
@@ -83,7 +83,9 @@ class TestRenderPrompt:
             {
                 "question": "q?",
                 "responses": ["r"],
-                "history": [QARecord("q1?", "a1.", 1), QARecord("q2?", "a2.", 2)],
+                "history": [
+                    transcripts.round_of("q1?", "a1.", 1), transcripts.round_of("q2?", "a2.", 2)
+                ],
             },
         )
         roles = [m.role for m in messages]
@@ -93,7 +95,7 @@ class TestRenderPrompt:
 
     def test_records_block_rendering(self):
         messages = render_prompt(
-            JUDGER_SPLITTER, {"query": "why?", "records": [QARecord("sub?", "ans.", 1)]}
+            JUDGER_SPLITTER, {"query": "why?", "records": [transcripts.round_of("sub?", "ans.", 1)]}
         )
         assert messages[-1].content == (
             "Query: why?\n\nRecords:\nRecord 1:\nQuestion: sub?\nAnswer: ans."

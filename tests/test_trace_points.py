@@ -22,7 +22,7 @@ from ragroute.agent import Agent, AgentConfig
 from ragroute.cli import SystemConfig, _load_system, build_parser, main
 from ragroute.corpus import Chunk, load_chunks, tokenize
 from ragroute.embedding import make_embedder
-from ragroute.evalharness import answer
+from ragroute.evalharness import EvalItem, answer, run_eval
 from ragroute.llm import make_chat_backend
 from ragroute.retrieval import Bm25Index, DenseIndex, UnitQuery
 from test_cli import catch_all_script, topic_corpus_and_agents, write_config
@@ -189,3 +189,58 @@ def test_the_benchmarks_loader_answers_as_the_cli_does(monkeypatch, tmp_path):
         want.final_answer, want.selected_agent_ids
     )
     assert len(want.selected_agent_ids) == 2 and want.selected_agent_ids[0] == "agent2"
+
+
+# Every span the tracer counts at, and the keys its counter writes.
+COUNTED_KEYS = {
+    "boundary.build_profile": {"m", "clusters"},
+    "embedding.embed": {"texts"},
+    "retrieval.dense_search": {"rows"},
+    "retrieval.bm25_search": {"postings"},
+    "retrieval.rerank": {"hits", "kept"},
+    "router.select": {"centroids", "agents"},
+    "prompts.render": {"chars"},
+    "agent.answer": {"unknown"},
+    "planner.run_plan": {"rounds"},
+    "llm.chat": {"prompt_tokens", "completion_tokens"},
+}
+
+
+def test_every_counter_reads_a_real_result(monkeypatch, tmp_path):
+    """Each counter in the tracer reads program attributes off a real
+    argument or result (``result.rounds``, ``result.reply.is_unknown``,
+    ``registry.entries``, a profile's sizes, a reply's usage). Build an
+    index through the CLI and ask one single-hop and one multi-hop item the
+    way the benchmark does, all under the tracer: every counted span must
+    be entered and carry its keys."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    run = importlib.import_module("run")
+    corpus = [
+        {"doc_id": "p1", "category": "people",
+         "body": "The founder of zorvex is brin. Zorvex makes lamps in the hills."},
+        {"doc_id": "g1", "category": "places",
+         "body": "The river of brin is tosk. Tosk runs past the old mill."},
+    ]
+    agents = [{"agent_id": c, "category": c} for c in ("people", "places")]
+    config = write_config(tmp_path, corpus, [], agents)
+    items = [
+        EvalItem("What is the founder of zorvex?", ("brin",)),
+        EvalItem("What is the river of the founder of zorvex?", ("tosk",), hop="multi"),
+    ]
+    recorder = spans.Recorder()
+    with spans.patched(recorder):
+        with recorder.scope("setup"):
+            for step in ("ingest", "build-index", "register"):
+                assert main([step, "--config", str(config)]) == 0
+        system = run.load(config, *run.make_clients(config))
+        with recorder.scope("query", question=0):
+            report = run_eval(items, system)
+    assert [(o.error, o.lexical) for o in report.outcomes["with_rag"]] == [(None, True)] * 2
+    assert {name for _, _, name, count in spans.patch_table() if count} == set(COUNTED_KEYS)
+    for name, keys in COUNTED_KEYS.items():
+        entered = [s for s in recorder.spans if s.name == name]
+        assert entered, name
+        assert all(set(s.counts) == keys for s in entered), name
+    (plan,) = [s for s in recorder.spans if s.name == "planner.run_plan"]
+    assert plan.counts["rounds"] >= 1

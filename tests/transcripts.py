@@ -14,7 +14,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from ragroute.llm import ScriptedChatBackend, ScriptEntry
+from ragroute.llm import ScriptedChatBackend, ScriptEntry, TokenUsage
+from ragroute.planner import Round
+from ragroute.router import RoutedAnswer
 
 MOCK_DIM = 384
 
@@ -419,3 +421,8 @@ def script_backend(entries: list[dict]) -> ScriptedChatBackend:
             for e in entries
         ]
     )
+
+
+def round_of(question: str, answer: str, number: int) -> Round:
+    """Routed round ``number``, whose curated answer is ``answer``, as history."""
+    return Round(number, question, RoutedAnswer(answer, (), {}, TokenUsage()))
