@@ -402,6 +402,72 @@ class TestRunPlanPresplit:
             assert TEMPLATES["judger_splitter"] not in call.prompt
 
 
+_AGENT_OK = "Analysis: docs\nAnswer: Alpha."
+_CURATED_OK = "Evaluation: \n- Response 1 is reliable.\nAnalysis: ok\nAnswer: Alpha."
+
+# Each strategy's script and the number of chat calls its plan makes. The
+# greedy script re-asks the split, the first judgment and the defence, and
+# polishes the second round's candidate after a pairwise "no".
+_USAGE_SCRIPTS = {
+    "greedy": (
+        [
+            ("break the question into", "no numbering at all"),
+            ("break the question into", "1. Sub one?\n2. Sub two?"),
+            ("collection of knowledge", _AGENT_OK),
+            ("set of respoonses", _CURATED_OK),
+            ("justify if the query", "word salad"),
+            ("justify if the query", "Justification: x\nAnswerable: no\nResponse: 1. Sub three?"),
+            ("assess whether Question 2", "Explanation: same.\nMeets both requirements: no"),
+            ("polish the query", "Polished query: Sub three, sharper?"),
+            ("collection of knowledge", _AGENT_OK),
+            ("set of respoonses", _CURATED_OK),
+            ("justify if the query", "Justification: y\nAnswerable: yes\nResponse: Alpha."),
+            ("If you need more information", "no labels"),
+            ("If you need more information", "Analysis: combine\nAnswer: Alpha."),
+        ],
+        13,
+    ),
+    "presplit": (
+        [
+            ("break the question into", "1. Sub A?\n2. Sub B?"),
+            ("collection of knowledge", _AGENT_OK),
+            ("set of respoonses", _CURATED_OK),
+            ("polish the query", "Polished query: Sub B, given Alpha?"),
+            ("collection of knowledge", _AGENT_OK),
+            ("set of respoonses", _CURATED_OK),
+            ("If you need more information", "Analysis: combine\nAnswer: Alpha."),
+        ],
+        7,
+    ),
+    "one_shot": (
+        [("collection of knowledge", _AGENT_OK), ("set of respoonses", _CURATED_OK)],
+        2,
+    ),
+}
+
+
+class TestPlanUsage:
+    @pytest.mark.parametrize("strategy", sorted(_USAGE_SCRIPTS))
+    def test_usage_is_every_chat_call_once(self, strategy, mock_embedder):
+        from conftest import make_agents
+
+        entries, n_calls = _USAGE_SCRIPTS[strategy]
+        backend = backend_of(*entries)
+        agents, registry = make_agents(
+            [{"doc_id": "d", "category": "c", "body": "sub one two three alpha words"}],
+            ["a"],
+            ["c"],
+            backend,
+            mock_embedder,
+        )
+        system = system_of(agents, registry, backend, mock_embedder, strategy=strategy)
+        result = run_plan(system, "alpha?")
+        assert result.final_answer == "Alpha."
+        assert all(entry.consumed for entry in backend.entries)
+        assert len(backend.calls) == n_calls
+        assert result.usage == sum((c.usage for c in backend.calls), TokenUsage())
+
+
 class TestTerminationBound:
     def test_randomized_never_answerable_scripts(self, mock_embedder):
         from conftest import make_agents

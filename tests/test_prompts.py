@@ -127,3 +127,90 @@ class TestRenderPrompt:
             )
             assert rendered not in seen, f"collision between {slots} and {seen[rendered]}"
             seen[rendered] = slots
+
+
+# Every slot any template reads, each list two items long; a template ignores
+# the slots it does not read.
+_RICH_SLOTS = {
+    "question": "Who founded Alpha?",
+    "documents": ["Alpha was founded by Ada.", "Ada was born in London."],
+    "history": [
+        transcripts.round_of("Who is Ada?", "Ada is a chemist.", 1),
+        transcripts.round_of("Where is Alpha?", "Alpha is in Leeds.", 2),
+    ],
+    "responses": ["Analysis: doc 1.\nAnswer: Ada.", "Analysis: none.\nAnswer: I don't know."],
+    "query": "Where was the founder of Alpha born?",
+    "records": [
+        transcripts.round_of("Who founded Alpha?", "Ada.", 1),
+        transcripts.round_of("Where was Ada born?", "London.", 2),
+    ],
+    "question_1": "Who founded Alpha?",
+    "question_2": "Where was Ada born?",
+    "model_answers": ["Ada", "Ada Byron"],
+    "model_answer": "London",
+    "response": "She was born in London.",
+}
+
+_HISTORY_TURNS = [
+    ("user", "Who is Ada?"),
+    ("assistant", "Ada is a chemist."),
+    ("user", "Where is Alpha?"),
+    ("assistant", "Alpha is in Leeds."),
+]
+_DOCUMENTS_USER = (
+    "user",
+    "Question: Who founded Alpha?\n\nDocuments:\n"
+    "Document 1:\nAlpha was founded by Ada.\n\nDocument 2:\nAda was born in London.",
+)
+_RESPONSES_USER = (
+    "user",
+    "Question: Who founded Alpha?\n\nResponses:\n"
+    "Response 1:\nAnalysis: doc 1.\nAnswer: Ada.\n\n"
+    "Response 2:\nAnalysis: none.\nAnswer: I don't know.",
+)
+_RECORDS_USER = (
+    "user",
+    "Query: Where was the founder of Alpha born?\n\nRecords:\n"
+    "Record 1:\nQuestion: Who founded Alpha?\nAnswer: Ada.\n\n"
+    "Record 2:\nQuestion: Where was Ada born?\nAnswer: London.",
+)
+
+# The (role, content) of every message after the system message.
+_RICH_RENDERED = {
+    AGENT_ANSWER_SINGLE_HOP: [_DOCUMENTS_USER],
+    AGENT_ANSWER_MULTI_HOP: [*_HISTORY_TURNS, _DOCUMENTS_USER],
+    ROUTER_FINALIZE_SINGLE_HOP: [_RESPONSES_USER],
+    ROUTER_FINALIZE_MULTI_HOP: [*_HISTORY_TURNS, _RESPONSES_USER],
+    SPLITTER_FIRST_ROUND: [("user", "Question: Who founded Alpha?")],
+    JUDGER_SPLITTER: [_RECORDS_USER],
+    SELECTOR_PAIRWISE: [("user", "Question 1: Who founded Alpha?\nQuestion 2: Where was Ada born?")],
+    DEFENDER: [_RECORDS_USER],
+    POLISH_QUERY: [_RECORDS_USER],
+    CORRECTNESS_JUDGE_SINGLE_HOP: [
+        (
+            "user",
+            "Question: Who founded Alpha?\nModel answers: Ada/Ada Byron\n"
+            "Response: She was born in London.",
+        )
+    ],
+    "correctness_judge_multi_hop": [
+        (
+            "user",
+            "Question: Who founded Alpha?\nModel answer: London\nResponse: She was born in London.",
+        )
+    ],
+}
+
+
+class TestRenderedMessages:
+    def test_every_template_is_pinned(self):
+        assert set(_RICH_RENDERED) == set(TEMPLATES)
+
+    @pytest.mark.parametrize("template_id", sorted(TEMPLATES))
+    def test_rich_slots_render_exactly(self, template_id):
+        system = (GOLDEN_DIR / f"{template_id}.txt").read_text(encoding="utf-8").removesuffix("\n")
+        messages = render_prompt(template_id, _RICH_SLOTS)
+        assert [(m.role, m.content) for m in messages] == [
+            ("system", system),
+            *_RICH_RENDERED[template_id],
+        ]
