@@ -335,6 +335,8 @@ def _load_system(cfg: SystemConfig, args: argparse.Namespace) -> EvalSystem:
 
 def _answer_trace(result, system: EvalSystem) -> dict:
     if isinstance(result, PlanResult):
+        # The rounds the defender read; a one-shot plan has no defender.
+        records = () if system.strategy == PlanStrategy.ONE_SHOT else result.rounds
         return {
             "mode": "multi_hop",
             "strategy": system.strategy.value,
@@ -342,7 +344,7 @@ def _answer_trace(result, system: EvalSystem) -> dict:
             "final_answer": result.final_answer,
             "records": [
                 {"question": r.question, "answer": r.answer, "round": r.round}
-                for r in result.records
+                for r in records
             ],
             "rounds": [
                 {

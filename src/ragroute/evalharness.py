@@ -28,7 +28,7 @@ from .prompts import (
     CORRECTNESS_JUDGE_SINGLE_HOP,
     render_prompt,
 )
-from .router import RouterRegistry, route_and_answer, route_raw_knowledge
+from .router import RouterError, RouterRegistry, route_and_answer, route_raw_knowledge
 
 SINGLE = "single"
 MULTI = "multi"
@@ -296,7 +296,11 @@ def answer(system: EvalSystem, question: str, hop: str = SINGLE):
     """Answer one question as ``system`` is set up: the raw-knowledge baseline
     when its agent mode says so, else a multi-hop plan for a ``MULTI``
     question, else one routed round (over every registered agent in
-    ``AGENTS_ALL`` mode). Returns the ``RoutedAnswer`` or ``PlanResult``."""
+    ``AGENTS_ALL`` mode). Returns the ``RoutedAnswer`` or ``PlanResult``;
+    RouterError, before anything is embedded or asked, when no agent is
+    registered."""
+    if not system.registry.entries:
+        raise RouterError("no agents registered")
     if system.agent_mode == AGENTS_RAW_KNOWLEDGE:
         return route_raw_knowledge(system, question)
     if hop == MULTI:

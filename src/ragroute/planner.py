@@ -82,10 +82,9 @@ QARecord = namedtuple("QARecord", "question answer round")
 @dataclass(frozen=True)
 class PlanResult:
     final_answer: str
-    records: tuple[Round, ...]  # the rounds the defender read; () for one-shot
     usage: TokenUsage
     status: str
-    rounds: tuple[Round, ...] = ()
+    rounds: tuple[Round, ...]
 
     @property
     def selected_agent_ids(self) -> tuple[str, ...]:
@@ -102,62 +101,54 @@ class PlanResult:
         }
 
 
-class UsageMeter:
-    def __init__(self) -> None:
+class _Metered:
+    """A chat backend that adds every reply's usage to ``total``."""
+
+    def __init__(self, backend) -> None:
+        self.backend = backend
         self.total = TokenUsage()
 
-    def chat(self, backend, messages) -> str:
-        text, usage = backend.chat(messages)
+    def chat(self, messages):
+        text, usage = self.backend.chat(messages)
         self.total = self.total + usage
-        return text
-
-    def ask(self, backend, messages, parse):
-        """``ask_parsed``, charging every attempt's tokens to this meter."""
-        parsed, usage = ask_parsed(backend, messages, parse)
-        self.total = self.total + usage
-        return parsed
+        return text, usage
 
 
-def split_first_round(query: str, backend, meter: UsageMeter | None = None) -> list[str]:
+def split_first_round(query: str, backend) -> list[str]:
     """First-round decomposition; re-asks once before giving up."""
-    meter = meter or UsageMeter()
     messages = render_prompt(SPLITTER_FIRST_ROUND, {"question": query})
-    questions = meter.ask(backend, messages, lambda text: extract_numbered_questions(text) or None)
+    questions, _ = ask_parsed(
+        backend, messages, lambda text: extract_numbered_questions(text) or None
+    )
     if questions is None:
         raise PlanError("splitter produced no numbered subquestions")
     return questions
 
 
-def judge_and_split(
-    query: str, records: list[Round], backend, meter: UsageMeter | None = None
-) -> ParsedJudgment:
+def judge_and_split(query: str, records: list[Round], backend) -> ParsedJudgment:
     """Judge answerability from the records; on "no" the response carries the
     next round's candidate subquestions. Re-asks once on a bad parse."""
-    meter = meter or UsageMeter()
     messages = render_prompt(JUDGER_SPLITTER, {"query": query, "records": records})
-    judgment = meter.ask(backend, messages, parse_judgment)
+    judgment, _ = ask_parsed(backend, messages, parse_judgment)
     if judgment is None:
         raise ReplyParseError("unparseable judgment: no Answerable line")
     return judgment
 
 
-def _pairwise_ok(candidate: str, asked: str, backend, meter: UsageMeter) -> bool:
+def _pairwise_ok(candidate: str, asked: str, backend) -> bool:
     messages = render_prompt(
         SELECTOR_PAIRWISE, {"question_1": asked, "question_2": candidate}
     )
-    text = meter.chat(backend, messages)
+    text, _ = backend.chat(messages)
     for line in text.splitlines():
         if "meets both requirements" in line.lower():
             return "yes" in line.lower().split(":", 1)[-1]
     return False
 
 
-def polish_query(
-    query: str, records: list[Round], backend, meter: UsageMeter | None = None
-) -> str | None:
+def polish_query(query: str, records: list[Round], backend) -> str | None:
     """Rewrite a query against the records; None when the reply is unusable."""
-    meter = meter or UsageMeter()
-    text = meter.chat(backend, render_prompt(POLISH_QUERY, {"query": query, "records": records}))
+    text, _ = backend.chat(render_prompt(POLISH_QUERY, {"query": query, "records": records}))
     for line in text.splitlines():
         if line.lower().lstrip().startswith("polished query"):
             polished = line.split(":", 1)[-1].strip()
@@ -166,27 +157,20 @@ def polish_query(
     return None
 
 
-def select_subquestion(
-    candidates: list[str],
-    asked: list[str],
-    records: list[Round],
-    backend,
-    meter: UsageMeter | None = None,
-) -> str:
+def select_subquestion(candidates: list[str], records: list[Round], backend) -> str:
     """Pick the first candidate that is fresh and unambiguous.
 
-    Each candidate is checked pairwise against every previously asked
-    question, short-circuiting on the first failure. If nothing passes, the
+    Each candidate is checked pairwise against every question the records
+    asked, short-circuiting on the first failure. If nothing passes, the
     first candidate is polished against the records, or returned raw when
     the polish reply is unusable.
     """
     if not candidates:
         raise PlanError("no candidate subquestions")
-    meter = meter or UsageMeter()
     for candidate in candidates:
-        if all(_pairwise_ok(candidate, prior, backend, meter) for prior in asked):
+        if all(_pairwise_ok(candidate, r.question, backend) for r in records):
             return candidate
-    return polish_query(candidates[0], records, backend, meter) or candidates[0]
+    return polish_query(candidates[0], records, backend) or candidates[0]
 
 
 def _labeled_answer(text: str) -> str | None:
@@ -194,13 +178,10 @@ def _labeled_answer(text: str) -> str | None:
     return None if reply.degraded else reply.answer
 
 
-def defend(
-    query: str, records: list[Round], backend, meter: UsageMeter | None = None
-) -> str:
+def defend(query: str, records: list[Round], backend) -> str:
     """Final answer from the records; re-asks once on an unlabeled reply."""
-    meter = meter or UsageMeter()
     messages = render_prompt(DEFENDER, {"query": query, "records": records})
-    answer = meter.ask(backend, messages, _labeled_answer)
+    answer, _ = ask_parsed(backend, messages, _labeled_answer)
     if answer is None:
         raise PlanError("defender reply had no Answer section")
     return answer
@@ -212,34 +193,32 @@ def run_plan(system: EvalSystem, query: str) -> PlanResult:
     strategy = PlanStrategy(system.strategy)
     if system.max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    backend = system.backend
-    meter = UsageMeter()
+    backend = _Metered(system.backend)
     records: list[Round] = []
 
     def route(question: str, min_keep: int) -> str:
-        """Route one round, charge it to the meter, record it, and return
-        its curated answer."""
+        """Route one round, record it, and return its curated answer."""
         routed = route_and_answer(system, question, MULTI_HOP, history=records, min_keep=min_keep)
-        meter.total = meter.total + routed.usage
         records.append(Round(len(records) + 1, question, routed))
         return routed.final_answer
 
-    if strategy is PlanStrategy.ONE_SHOT:
-        final = route(query, ONE_SHOT_MIN_KEEP)
-        return PlanResult(final, (), meter.total, ANSWERABLE, tuple(records))
+    def result(final: str, status: str) -> PlanResult:
+        usage = sum((r.routed.usage for r in records), backend.total)
+        return PlanResult(final, usage, status, tuple(records))
 
-    candidates = split_first_round(query, backend, meter)
+    if strategy is PlanStrategy.ONE_SHOT:
+        return result(route(query, ONE_SHOT_MIN_KEEP), ANSWERABLE)
+
+    candidates = split_first_round(query, backend)
     status = EXHAUSTED
     if strategy is PlanStrategy.PRESPLIT:
         for sub in candidates:
-            polished = polish_query(sub, records, backend, meter) if records else None
+            polished = polish_query(sub, records, backend) if records else None
             route(polished or sub, ITERATIVE_MIN_KEEP)
     else:  # greedy round loop
         while len(records) < system.max_rounds:
-            asked = [r.question for r in records]
-            question = select_subquestion(candidates, asked, records, backend, meter)
-            route(question, ITERATIVE_MIN_KEEP)
-            judgment = judge_and_split(query, records, backend, meter)
+            route(select_subquestion(candidates, records, backend), ITERATIVE_MIN_KEEP)
+            judgment = judge_and_split(query, records, backend)
             if judgment.answerable:
                 status = ANSWERABLE
                 break
@@ -247,5 +226,4 @@ def run_plan(system: EvalSystem, query: str) -> PlanResult:
             if not candidates:
                 # Judge said "not answerable" but raised nothing new to ask.
                 break
-    final = defend(query, records, backend, meter)
-    return PlanResult(final, tuple(records), meter.total, status, tuple(records))
+    return result(defend(query, records, backend), status)

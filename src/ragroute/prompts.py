@@ -9,7 +9,7 @@ user/assistant turns between the two.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable
 
 from .llm import ChatMessage
 
@@ -170,38 +170,52 @@ TEMPLATES: dict[str, str] = {
     ),
 }
 
-_REQUIRED_SLOTS: dict[str, tuple[str, ...]] = {
-    AGENT_ANSWER_SINGLE_HOP: ("question", "documents"),
-    AGENT_ANSWER_MULTI_HOP: ("question", "documents", "history"),
-    ROUTER_FINALIZE_SINGLE_HOP: ("question", "responses"),
-    ROUTER_FINALIZE_MULTI_HOP: ("question", "responses", "history"),
-    SPLITTER_FIRST_ROUND: ("question",),
-    JUDGER_SPLITTER: ("query", "records"),
-    SELECTOR_PAIRWISE: ("question_1", "question_2"),
-    DEFENDER: ("query", "records"),
-    POLISH_QUERY: ("query", "records"),
-    CORRECTNESS_JUDGE_SINGLE_HOP: ("question", "model_answers", "response"),
-    CORRECTNESS_JUDGE_MULTI_HOP: ("question", "model_answer", "response"),
-}
 
-
-def _qa_pairs(history: Iterable) -> list[tuple[str, str]]:
-    return [(item.question, item.answer) for item in history]
-
-
-def _numbered_blocks(label: str, texts: Sequence[str]) -> str:
+def _numbered_blocks(label: str, texts: Iterable[str]) -> str:
     return "\n\n".join(f"{label} {i}:\n{t}" for i, t in enumerate(texts, 1))
 
 
-def _records_block(query: str, records: Iterable) -> str:
-    pairs = _qa_pairs(records)
-    if pairs:
-        body = "\n\n".join(
-            f"Record {i}:\nQuestion: {q}\nAnswer: {a}" for i, (q, a) in enumerate(pairs, 1)
-        )
-    else:
-        body = "(none)"
-    return f"Query: {query}\n\nRecords:\n{body}"
+def _documents(slots: dict) -> str:
+    documents = _numbered_blocks("Document", slots["documents"])
+    return f"Question: {slots['question']}\n\nDocuments:\n{documents}"
+
+
+def _responses(slots: dict) -> str:
+    responses = _numbered_blocks("Response", slots["responses"])
+    return f"Question: {slots['question']}\n\nResponses:\n{responses}"
+
+
+def _records(slots: dict) -> str:
+    blocks = [f"Question: {r.question}\nAnswer: {r.answer}" for r in slots["records"]]
+    return f"Query: {slots['query']}\n\nRecords:\n{_numbered_blocks('Record', blocks) or '(none)'}"
+
+
+# Each template's user message, built from its slots; a slot it reads that
+# is missing raises KeyError.
+_USER_MESSAGE: dict[str, Callable[[dict], str]] = {
+    AGENT_ANSWER_SINGLE_HOP: _documents,
+    AGENT_ANSWER_MULTI_HOP: _documents,
+    ROUTER_FINALIZE_SINGLE_HOP: _responses,
+    ROUTER_FINALIZE_MULTI_HOP: _responses,
+    SPLITTER_FIRST_ROUND: lambda slots: f"Question: {slots['question']}",
+    JUDGER_SPLITTER: _records,
+    SELECTOR_PAIRWISE: lambda slots: (
+        f"Question 1: {slots['question_1']}\nQuestion 2: {slots['question_2']}"
+    ),
+    DEFENDER: _records,
+    POLISH_QUERY: _records,
+    CORRECTNESS_JUDGE_SINGLE_HOP: lambda slots: (
+        f"Question: {slots['question']}\nModel answers: {'/'.join(slots['model_answers'])}\n"
+        f"Response: {slots['response']}"
+    ),
+    CORRECTNESS_JUDGE_MULTI_HOP: lambda slots: (
+        f"Question: {slots['question']}\nModel answer: {slots['model_answer']}\n"
+        f"Response: {slots['response']}"
+    ),
+}
+
+# The templates that read the ``history`` slot, as turns before the user message.
+_WITH_HISTORY = (AGENT_ANSWER_MULTI_HOP, ROUTER_FINALIZE_MULTI_HOP)
 
 
 def render_prompt(template_id: str, slots: dict) -> list[ChatMessage]:
@@ -213,35 +227,13 @@ def render_prompt(template_id: str, slots: dict) -> list[ChatMessage]:
     """
     if template_id not in TEMPLATES:
         raise KeyError(f"unknown template {template_id!r}")
-    missing = [s for s in _REQUIRED_SLOTS[template_id] if s not in slots]
-    if missing:
-        raise PromptSlotError(f"missing slot(s) for {template_id}: {', '.join(missing)}")
-
     messages = [ChatMessage("system", TEMPLATES[template_id])]
-    if "history" in _REQUIRED_SLOTS[template_id]:
-        for question, answer in _qa_pairs(slots["history"]):
-            messages.append(ChatMessage("user", question))
-            messages.append(ChatMessage("assistant", answer))
-
-    if template_id in (AGENT_ANSWER_SINGLE_HOP, AGENT_ANSWER_MULTI_HOP):
-        docs = _numbered_blocks("Document", list(slots["documents"]))
-        user = f"Question: {slots['question']}\n\nDocuments:\n{docs}"
-    elif template_id in (ROUTER_FINALIZE_SINGLE_HOP, ROUTER_FINALIZE_MULTI_HOP):
-        resp = _numbered_blocks("Response", list(slots["responses"]))
-        user = f"Question: {slots['question']}\n\nResponses:\n{resp}"
-    elif template_id == SPLITTER_FIRST_ROUND:
-        user = f"Question: {slots['question']}"
-    elif template_id in (JUDGER_SPLITTER, DEFENDER, POLISH_QUERY):
-        user = _records_block(slots["query"], slots["records"])
-    elif template_id == SELECTOR_PAIRWISE:
-        user = f"Question 1: {slots['question_1']}\nQuestion 2: {slots['question_2']}"
-    elif template_id == CORRECTNESS_JUDGE_SINGLE_HOP:
-        joined = "/".join(slots["model_answers"])
-        user = f"Question: {slots['question']}\nModel answers: {joined}\nResponse: {slots['response']}"
-    else:
-        user = (
-            f"Question: {slots['question']}\nModel answer: {slots['model_answer']}\n"
-            f"Response: {slots['response']}"
-        )
-    messages.append(ChatMessage("user", user))
+    try:
+        if template_id in _WITH_HISTORY:
+            for turn in slots["history"]:
+                messages.append(ChatMessage("user", turn.question))
+                messages.append(ChatMessage("assistant", turn.answer))
+        messages.append(ChatMessage("user", _USER_MESSAGE[template_id](slots)))
+    except KeyError as exc:
+        raise PromptSlotError(f"missing slot for {template_id}: {exc.args[0]}") from None
     return messages

@@ -26,6 +26,7 @@ from ragroute.evalharness import (
     useful_rate,
 )
 from ragroute.llm import ScriptedChatBackend, ScriptEntry
+from ragroute.router import RouterError
 
 
 class TestLexicalMatch:
@@ -369,6 +370,22 @@ class TestAnswerDispatch:
             assert list(result.selected_agent_ids) == system.registry.agent_ids
         else:
             assert result.selected_agent_ids[0] == "agent0"
+
+
+    @pytest.mark.parametrize("agent_mode", [AGENTS_SELECTED, AGENTS_ALL, AGENTS_RAW_KNOWLEDGE])
+    @pytest.mark.parametrize("hop", [SINGLE, MULTI])
+    def test_empty_registry_refused_before_embedding(self, agent_mode, hop):
+        from conftest import CountingEmbedder, make_agents, system_of
+
+        backend = ScriptedChatBackend([])
+        embedder = CountingEmbedder(transcripts.MOCK_DIM)
+        # The one agent's category has no documents, so it has no centroids.
+        agents, registry = make_agents([], ["a"], ["c"], backend, embedder)
+        system = system_of(agents, registry, backend, embedder, agent_mode=agent_mode)
+        with pytest.raises(RouterError, match="^no agents registered$"):
+            answer(system, "q?", hop)
+        assert embedder.calls == 0
+        assert backend.calls == []
 
 
 class TestLoadEvalItems:

@@ -12,7 +12,6 @@ from ragroute.planner import (
     EXHAUSTED,
     PlanError,
     PlanStrategy,
-    UsageMeter,
     defend,
     judge_and_split,
     polish_query,
@@ -54,17 +53,6 @@ class TestSplitFirstRound:
         assert len(backend.calls) == 2
 
 
-    def test_meter_charges_both_attempts(self):
-        backend = backend_of(
-            ("break the question into", "no numbering at all"),
-            ("break the question into", "1. First?"),
-        )
-        meter = UsageMeter()
-        assert split_first_round("q", backend, meter) == ["First?"]
-        assert len(backend.calls) == 2
-        assert meter.total == backend.calls[0].usage + backend.calls[1].usage
-
-
 class TestJudgeAndSplit:
     def test_unanswerable_round_yields_candidates(self):
         backend = backend_of(("justify if the query", transcripts.NR_JUDGER_REPLY_1))
@@ -104,8 +92,7 @@ class TestSelectSubquestion:
         backend = backend_of(("assess whether Question 2", transcripts.NR_SELECTOR_REPLY))
         selected = select_subquestion(
             [transcripts.NR_ROUND2_QUESTION, "other candidate?"],
-            [transcripts.NR_ROUND1_QUESTION],
-            [],
+            [transcripts.round_of(transcripts.NR_ROUND1_QUESTION, "answer one", 1)],
             backend,
         )
         assert selected == transcripts.NR_ROUND2_QUESTION
@@ -113,7 +100,7 @@ class TestSelectSubquestion:
 
     def test_vacuous_pass_with_empty_asked_makes_no_calls(self):
         backend = backend_of()
-        selected = select_subquestion(["only candidate?"], [], [], backend)
+        selected = select_subquestion(["only candidate?"], [], backend)
         assert selected == "only candidate?"
         assert backend.calls == []
 
@@ -124,7 +111,7 @@ class TestSelectSubquestion:
             ("polish the query", "Polished query: a sharper question?"),
         )
         selected = select_subquestion(
-            ["dup one?", "dup two?"], ["asked before?"], [], backend
+            ["dup one?", "dup two?"], [transcripts.round_of("asked before?", "a.", 1)], backend
         )
         assert selected == "a sharper question?"
         assert backend.calls[-1].prompt.startswith(TEMPLATES["polish_query"])
@@ -134,7 +121,7 @@ class TestSelectSubquestion:
             ("assess whether Question 2", "Explanation: same.\nMeets both requirements: no"),
             ("polish the query", "no polished marker here"),
         )
-        selected = select_subquestion(["dup?"], ["dup?"], [], backend)
+        selected = select_subquestion(["dup?"], [transcripts.round_of("dup?", "a.", 1)], backend)
         assert selected == "dup?"
         assert backend.calls[-1].prompt.startswith(TEMPLATES["polish_query"])
 
@@ -144,9 +131,11 @@ class TestSelectSubquestion:
             ("assess whether Question 2", "Explanation: ok.\nMeets both requirements: yes"),
             ("assess whether Question 2", "Explanation: ok.\nMeets both requirements: yes"),
         )
-        selected = select_subquestion(
-            ["stale?", "fresh?"], ["asked one?", "asked two?"], [], backend
-        )
+        asked = [
+            transcripts.round_of("asked one?", "a.", 1),
+            transcripts.round_of("asked two?", "b.", 2),
+        ]
+        selected = select_subquestion(["stale?", "fresh?"], asked, backend)
         # candidate 1 fails against asked one (1 call), candidate 2 passes
         # against both asked questions (2 calls)
         assert selected == "fresh?"
@@ -154,7 +143,7 @@ class TestSelectSubquestion:
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(PlanError):
-            select_subquestion([], [], [], backend_of())
+            select_subquestion([], [], backend_of())
 
 
 class TestDefend:
@@ -211,11 +200,10 @@ class TestRunPlanGreedy:
         result = run_plan(system, transcripts.NR_QUERY)
         assert result.final_answer == transcripts.NR_EXPECTED
         assert result.status == ANSWERABLE
-        assert len(result.records) == 2
         assert len(result.rounds) == 2
-        assert result.records[0].question == transcripts.NR_ROUND1_QUESTION
-        assert result.records[1].question == transcripts.NR_ROUND2_QUESTION
-        assert [r.round for r in result.records] == [1, 2]
+        assert result.rounds[0].question == transcripts.NR_ROUND1_QUESTION
+        assert result.rounds[1].question == transcripts.NR_ROUND2_QUESTION
+        assert [r.round for r in result.rounds] == [1, 2]
 
     def test_embeds_once_per_routed_round(self, news_reports_setup):
         from conftest import count_embeds
@@ -288,9 +276,9 @@ class TestRunPlanGreedy:
         agents, registry, backend = news_reports_setup
         system = system_of(agents, registry, backend, mock_embedder, strategy="greedy")
         result = run_plan(system, transcripts.NR_QUERY)
-        questions = [r.question for r in result.records]
+        questions = [r.question for r in result.rounds]
         assert len(questions) == len(set(questions))
-        assert [r.round for r in result.records] == list(range(1, len(questions) + 1))
+        assert [r.round for r in result.rounds] == list(range(1, len(questions) + 1))
 
 
 class TestRunPlanOneShot:
@@ -313,7 +301,7 @@ class TestRunPlanOneShot:
         )
         result = run_plan(system, "direct material?")
         assert result.final_answer == "Direct answer."
-        assert result.records == ()
+        assert [r.question for r in result.rounds] == ["direct material?"]
         forbidden = [
             TEMPLATES["splitter_first_round"],
             TEMPLATES["judger_splitter"],
@@ -377,8 +365,8 @@ class TestRunPlanPresplit:
         )
         result = run_plan(system, "a and b?")
         assert result.final_answer == "Alpha and Beta."
-        assert [r.question for r in result.records] == ["Sub A?", "Sub B, given Alpha?"]
-        assert len(result.records) == 2
+        assert [r.question for r in result.rounds] == ["Sub A?", "Sub B, given Alpha?"]
+        assert len(result.rounds) == 2
 
     def test_presplit_never_judges(self, mock_embedder):
         backend = backend_of(
