@@ -225,7 +225,7 @@ def render_prompt(template_id: str, slots: dict) -> list[ChatMessage]:
     composed into the final user message (and, for multi-hop templates, into
     alternating user/assistant history turns).
     """
-    if template_id not in TEMPLATES:
+    if template_id not in _USER_MESSAGE:
         raise KeyError(f"unknown template {template_id!r}")
     messages = [ChatMessage("system", TEMPLATES[template_id])]
     try:
