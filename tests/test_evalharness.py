@@ -11,6 +11,7 @@ from ragroute.evalharness import (
     MULTI,
     SINGLE,
     EvalItem,
+    EvalReport,
     EvalSystem,
     ItemOutcome,
     aggregate,
@@ -25,7 +26,7 @@ from ragroute.evalharness import (
     run_eval,
     useful_rate,
 )
-from ragroute.llm import ScriptedChatBackend, ScriptEntry
+from ragroute.llm import ScriptedChatBackend, ScriptEntry, TokenUsage
 from ragroute.router import RouterError
 
 
@@ -113,6 +114,99 @@ class TestRates:
         useful = useful_rate(outcomes)
         assert useful["doc"] == pytest.approx(100 * (0.5 + 0.0) / 2)
         assert useful["agent"] == pytest.approx(100 * (0.5 + 0.0) / 2)
+
+
+def pinned_report() -> EvalReport:
+    """Two modes of hand-built outcomes: judged yes, judged no and unjudged
+    items, an errored item, an item with no targets, one with targets but no
+    slots, and duplicate slots."""
+
+    def item(question, docs=(), agents=()):
+        return EvalItem(question, ("a",), frozenset(docs), frozenset(agents))
+
+    both = item("q1?", {"d1", "d2"}, {"a1"})
+    no_slots = item("q2?", {"d3"}, {"a2"})
+    no_targets = item("q3?")
+    errored = item("q4?", {"d1"}, {"a1"})
+    outcomes = {
+        "with_rag": [
+            ItemOutcome(both, "it is a", ("a1", "a2"), {"a1": ("d1", "d1"), "a2": ("d4",)},
+                        TokenUsage(10, 5), lexical=True, judged_correct=True),
+            ItemOutcome(no_slots, "no idea", ("a1",), {"a1": ()}, TokenUsage(7, 2),
+                        judged_correct=False),
+            ItemOutcome(no_targets, "a", ("a2",), {"a2": ("d2",)}, TokenUsage(4, 1), lexical=True),
+            ItemOutcome(errored, error="unscripted prompt"),
+        ],
+        "raw_model": [
+            ItemOutcome(both, "a guess", usage=TokenUsage(3, 4), lexical=True),
+            ItemOutcome(no_targets, "b", usage=TokenUsage(2, 2)),
+        ],
+    }
+    return EvalReport({mode: aggregate(outs) for mode, outs in outcomes.items()}, outcomes)
+
+
+def item_json(question, answer, selected, slots, prompt, completion, lexical, judged, error,
+              docs, agents, matched_slots, matched_docs) -> dict:
+    return {
+        "question": question, "final_answer": answer, "selected_agent_ids": selected,
+        "retrieved_doc_slots": slots, "prompt_tokens": prompt, "completion_tokens": completion,
+        "lexical": lexical, "judged_correct": judged, "error": error, "target_doc_ids": docs,
+        "target_agent_ids": agents, "matched_doc_slots": matched_slots,
+        "matched_distinct_docs": matched_docs,
+    }
+
+
+class TestReport:
+    """The whole report of ``pinned_report``, every figure counted by hand:
+    rates are over the items with targets of their kind, a useful rate
+    skips items with nothing retrieved, and an errored item counts in every
+    denominator."""
+
+    def test_json(self):
+        assert pinned_report().to_json() == {
+            "modes": {
+                "with_rag": {
+                    "n_items": 4, "n_errors": 1, "tokens_per_query": 7.25, "lexical_pct": 50.0,
+                    "judge_pct": 50.0, "n_unjudged": 2,
+                    "answerable_doc_pct": 33.33333333333333,
+                    "answerable_agent_pct": 33.33333333333333,
+                    "useful_doc_pct": 66.66666666666666, "useful_agent_pct": 25.0,
+                },
+                "raw_model": {
+                    "n_items": 2, "n_errors": 0, "tokens_per_query": 5.5, "lexical_pct": 50.0,
+                    "judge_pct": None, "n_unjudged": 2, "answerable_doc_pct": 0.0,
+                    "answerable_agent_pct": 0.0, "useful_doc_pct": 0.0, "useful_agent_pct": 0.0,
+                },
+            },
+            "items": {
+                "with_rag": [
+                    item_json("q1?", "it is a", ["a1", "a2"], {"a1": ["d1", "d1"], "a2": ["d4"]},
+                              10, 5, True, True, None, ["d1", "d2"], ["a1"], 2, 1),
+                    item_json("q2?", "no idea", ["a1"], {"a1": []},
+                              7, 2, False, False, None, ["d3"], ["a2"], 0, 0),
+                    item_json("q3?", "a", ["a2"], {"a2": ["d2"]},
+                              4, 1, True, None, None, [], [], 0, 0),
+                    item_json("q4?", "", [], {},
+                              0, 0, False, None, "unscripted prompt", ["d1"], ["a1"], 0, 0),
+                ],
+                "raw_model": [
+                    item_json("q1?", "a guess", [], {}, 3, 4, True, None, None,
+                              ["d1", "d2"], ["a1"], 0, 0),
+                    item_json("q3?", "b", [], {}, 2, 2, False, None, None, [], [], 0, 0),
+                ],
+            },
+        }
+
+    def test_table(self):
+        assert pinned_report().table().split("\n") == [
+            "Mode           Tokens/Query  Lexical (%)  Judge (%)  Ans.Doc (%)  Ans.Agent (%)  "
+            "Useful Doc (%)  Useful Agent (%) ",
+            "-" * 114,
+            "with_rag       7.25          50.00        50.00      33.33        33.33          "
+            "66.67           25.00            ",
+            "raw_model      5.50          50.00        -          0.00         0.00           "
+            "0.00            0.00             ",
+        ]
 
 
 class TestJudgeCorrectness:
