@@ -404,9 +404,7 @@ def cmd_eval(cfg: SystemConfig, args: argparse.Namespace) -> int:
     write_json(out.with_suffix(".json"), report.to_json(), indent=2)
     write_atomic(out.with_suffix(".txt"), (report.table() + "\n").encode("utf-8"))
     print(report.table())
-    hard_failures = sum(
-        1 for outcomes in report.outcomes.values() for o in outcomes if o.error is not None
-    )
+    hard_failures = sum(agg["n_errors"] for agg in report.mode_reports.values())
     if hard_failures:
         return _fail("eval", f"{hard_failures} item runs failed", EXIT_PARTIAL)
     return EXIT_OK

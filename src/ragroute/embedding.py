@@ -160,8 +160,10 @@ def _read_reply(reply) -> tuple[int, str, dict[str, str], bytes | bytearray]:
         return status, reason, fields, _read_chunked(reply)
     if coding is not None or length is None:
         return status, reason, fields, reply.read()
-    if not (length.isascii() and length.isdigit()):
-        raise TransportError(f"reply Content-Length is not a number: {length!r:.40}")
+    if not (length.isascii() and length.isdigit() and len(length) <= 18):
+        raise TransportError(
+            f"reply Content-Length is not a number of at most 18 digits: {length!r:.40}"
+        )
     body = bytearray()
     if short := _read_onto(reply, body, int(length)):
         raise TransportError(f"reply ended {short} bytes short of its Content-Length")

@@ -143,49 +143,18 @@ class ItemOutcome:
         }
 
 
-def doc_answerable(outcome: ItemOutcome) -> bool:
-    return bool(set(outcome.all_doc_slots) & outcome.item.target_doc_ids)
-
-
-def agent_answerable(outcome: ItemOutcome) -> bool:
-    return bool(set(outcome.selected_agent_ids) & outcome.item.target_agent_ids)
-
-
-def doc_useful(outcome: ItemOutcome) -> float | None:
-    slots = outcome.all_doc_slots
-    if not slots:
-        return None
-    return sum(1 for d in slots if d in outcome.item.target_doc_ids) / len(slots)
-
-
-def agent_useful(outcome: ItemOutcome) -> float | None:
-    if not outcome.selected_agent_ids:
-        return None
-    hits = sum(1 for a in outcome.selected_agent_ids if a in outcome.item.target_agent_ids)
-    return hits / len(outcome.selected_agent_ids)
-
-
-def answerable_rate(outcomes: list[ItemOutcome]) -> dict[str, float]:
-    """Document- and agent-level answerable percentages over items with targets."""
-    doc_items = [o for o in outcomes if o.item.target_doc_ids]
-    agent_items = [o for o in outcomes if o.item.target_agent_ids]
-    return {
-        "doc": 100.0 * _mean([1.0 if doc_answerable(o) else 0.0 for o in doc_items]),
-        "agent": 100.0 * _mean([1.0 if agent_answerable(o) else 0.0 for o in agent_items]),
-    }
-
-
-def useful_rate(outcomes: list[ItemOutcome]) -> dict[str, float]:
-    """Document-slot and selected-agent useful percentages, averaged per item."""
-    doc_vals = [v for o in outcomes if o.item.target_doc_ids for v in [doc_useful(o)] if v is not None]
-    agent_vals = [
-        v for o in outcomes if o.item.target_agent_ids for v in [agent_useful(o)] if v is not None
-    ]
-    return {"doc": 100.0 * _mean(doc_vals), "agent": 100.0 * _mean(agent_vals)}
-
-
 def _mean(values: list[float]) -> float:
     return sum(values) / len(values) if values else 0.0
+
+
+def _pct(values: list[float]) -> float:
+    """100 times the mean of ``values`` (a bool counts 1 or 0); 0.0 for none."""
+    return 100.0 * _mean(values)
+
+
+def _share(ids, targets: frozenset[str]) -> float:
+    """The fraction of ``ids`` (duplicates counted) that are in ``targets``."""
+    return sum(1 for i in ids if i in targets) / len(ids)
 
 
 def _correct_verdict(text: str) -> bool | None:
@@ -228,6 +197,18 @@ class EvalSystem:
     parallelism: int = 1
 
 
+# (header, width, aggregate key) of each table column after "Mode"
+_COLUMNS = (
+    ("Tokens/Query", 13, "tokens_per_query"),
+    ("Lexical (%)", 12, "lexical_pct"),
+    ("Judge (%)", 10, "judge_pct"),
+    ("Ans.Doc (%)", 12, "answerable_doc_pct"),
+    ("Ans.Agent (%)", 14, "answerable_agent_pct"),
+    ("Useful Doc (%)", 15, "useful_doc_pct"),
+    ("Useful Agent (%)", 17, "useful_agent_pct"),
+)
+
+
 @dataclass
 class EvalReport:
     mode_reports: dict[str, dict] = field(default_factory=dict)
@@ -240,56 +221,37 @@ class EvalReport:
         }
 
     def table(self) -> str:
-        cols = [
-            ("Mode", 14),
-            ("Tokens/Query", 13),
-            ("Lexical (%)", 12),
-            ("Judge (%)", 10),
-            ("Ans.Doc (%)", 12),
-            ("Ans.Agent (%)", 14),
-            ("Useful Doc (%)", 15),
-            ("Useful Agent (%)", 17),
-        ]
-        header = " ".join(name.ljust(width) for name, width in cols)
-        lines = [header, "-" * len(header)]
+        widths = (14, *(width for _, width, _ in _COLUMNS))
+        rows = [("Mode", *(header for header, _, _ in _COLUMNS))]
         for mode, agg in self.mode_reports.items():
-            row = [
-                mode.ljust(14),
-                f"{agg['tokens_per_query']:.2f}".ljust(13),
-                f"{agg['lexical_pct']:.2f}".ljust(12),
-                (f"{agg['judge_pct']:.2f}" if agg.get("judge_pct") is not None else "-").ljust(10),
-                f"{agg['answerable_doc_pct']:.2f}".ljust(12),
-                f"{agg['answerable_agent_pct']:.2f}".ljust(14),
-                f"{agg['useful_doc_pct']:.2f}".ljust(15),
-                f"{agg['useful_agent_pct']:.2f}".ljust(17),
-            ]
-            lines.append(" ".join(row))
+            cells = ("-" if agg[key] is None else f"{agg[key]:.2f}" for _, _, key in _COLUMNS)
+            rows.append((mode, *cells))
+        lines = [" ".join(cell.ljust(width) for cell, width in zip(row, widths)) for row in rows]
+        lines.insert(1, "-" * len(lines[0]))
         return "\n".join(lines)
 
 
 def aggregate(outcomes: list[ItemOutcome]) -> dict:
-    judged = [o for o in outcomes if o.judged_correct is not None]
-    ans = answerable_rate(outcomes)
-    useful = useful_rate(outcomes)
+    """One mode's figures over ``outcomes``, as the module docstring defines
+    them: each answerable and useful rate runs over the items with targets of
+    its kind, and a useful rate skips an item that retrieved nothing."""
+    judged = [o.judged_correct for o in outcomes if o.judged_correct is not None]
+    docs = [(o.all_doc_slots, o.item.target_doc_ids) for o in outcomes if o.item.target_doc_ids]
+    agents = [
+        (o.selected_agent_ids, o.item.target_agent_ids) for o in outcomes if o.item.target_agent_ids
+    ]
     return {
         "n_items": len(outcomes),
-        "n_errors": sum(1 for o in outcomes if o.error),
+        "n_errors": sum(1 for o in outcomes if o.error is not None),
         "tokens_per_query": _mean([float(o.usage.total) for o in outcomes]),
-        "lexical_pct": 100.0 * _mean([1.0 if o.lexical else 0.0 for o in outcomes]),
-        "judge_pct": (100.0 * _mean([1.0 if o.judged_correct else 0.0 for o in judged]))
-        if judged
-        else None,
-        "n_unjudged": sum(1 for o in outcomes if o.judged_correct is None),
-        "answerable_doc_pct": ans["doc"],
-        "answerable_agent_pct": ans["agent"],
-        "useful_doc_pct": useful["doc"],
-        "useful_agent_pct": useful["agent"],
+        "lexical_pct": _pct([o.lexical for o in outcomes]),
+        "judge_pct": _pct(judged) if judged else None,
+        "n_unjudged": len(outcomes) - len(judged),
+        "answerable_doc_pct": _pct([not targets.isdisjoint(ids) for ids, targets in docs]),
+        "answerable_agent_pct": _pct([not targets.isdisjoint(ids) for ids, targets in agents]),
+        "useful_doc_pct": _pct([_share(ids, targets) for ids, targets in docs if ids]),
+        "useful_agent_pct": _pct([_share(ids, targets) for ids, targets in agents if ids]),
     }
-
-
-def _run_raw_model(item: EvalItem, system: EvalSystem) -> ItemOutcome:
-    text, usage = system.backend.chat([ChatMessage("user", item.question)])
-    return ItemOutcome(item=item, final_answer=text.strip(), usage=usage)
 
 
 def answer(system: EvalSystem, question: str, hop: str = SINGLE):
@@ -309,14 +271,14 @@ def answer(system: EvalSystem, question: str, hop: str = SINGLE):
     return route_and_answer(system, question, selected_override=override)
 
 
-def _run_with_rag(item: EvalItem, system: EvalSystem) -> ItemOutcome:
+def _answered(item: EvalItem, system: EvalSystem, mode: str) -> ItemOutcome:
+    """``item`` answered in ``mode``: the bare model, or the pipeline."""
+    if mode == RAW_MODEL:
+        text, usage = system.backend.chat([ChatMessage("user", item.question)])
+        return ItemOutcome(item=item, final_answer=text.strip(), usage=usage)
     result = answer(system, item.question, item.hop)
     return ItemOutcome(
-        item=item,
-        final_answer=result.final_answer,
-        selected_agent_ids=result.selected_agent_ids,
-        retrieved_doc_slots=result.doc_slots,
-        usage=result.usage,
+        item, result.final_answer, result.selected_agent_ids, result.doc_slots, result.usage
     )
 
 
@@ -328,7 +290,8 @@ def run_eval(
 ) -> EvalReport:
     """Run every item through each requested pipeline mode.
 
-    Per-item errors are recorded on the outcome and the run continues;
+    An item whose answering, matching or judging raises is recorded as an
+    outcome holding only its error, never empty, and the run continues;
     aggregates always equal recomputation from the per-item outcomes.
     """
     report = EvalReport()
@@ -338,20 +301,15 @@ def run_eval(
         outcomes: list[ItemOutcome] = []
         for item in items:
             try:
-                if mode == RAW_MODEL:
-                    outcome = _run_raw_model(item, system)
-                else:
-                    outcome = _run_with_rag(item, system)
-            except Exception as exc:
-                outcome = ItemOutcome(item=item, error=str(exc))
-            if outcome.error is None:
+                outcome = _answered(item, system, mode)
                 outcome.lexical = lexical_match(outcome.final_answer, item.answers)
                 if judge_backend is not None:
-                    verdict, judge_usage = judge_correctness(
+                    outcome.judged_correct, judge_usage = judge_correctness(
                         item.question, item.answers, outcome.final_answer, judge_backend, item.hop
                     )
-                    outcome.judged_correct = verdict
                     outcome.usage = outcome.usage + judge_usage
+            except Exception as exc:
+                outcome = ItemOutcome(item=item, error=str(exc) or type(exc).__name__)
             outcomes.append(outcome)
         report.outcomes[mode] = outcomes
         report.mode_reports[mode] = aggregate(outcomes)

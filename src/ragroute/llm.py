@@ -174,13 +174,13 @@ class ScriptedChatBackend:
 
 def _reply_usage(usage) -> TokenUsage:
     """The token counts of a chat reply's ``usage`` object; a count it leaves
-    out is 0."""
+    out is 0, and one of 2**63 or more is refused."""
     if type(usage) is dict:
         counts = (usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0))
-        if all(type(n) is int and n >= 0 for n in counts):
+        if all(type(n) is int and 0 <= n < 2**63 for n in counts):
             return TokenUsage(*counts)
     raise MalformedReplyError(
-        f"chat reply usage is not an object of non-negative integer counts: {usage!r:.80}"
+        f"chat reply usage is not an object of integer counts in [0, 2**63): {usage!r:.80}"
     )
 
 

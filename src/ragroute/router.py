@@ -171,14 +171,17 @@ def _verdicts_from_evaluation(evaluation: str, count: int) -> list[str]:
     """Map evaluation bullets onto one verdict per response position.
 
     Keyword rule: a negative marker wins, then "conjectur", then "reliable";
-    positions never mentioned stay unhelpful.
+    positions never mentioned stay unhelpful, and so does an index out of
+    range (one with more digits than ``count`` is skipped before ``int``).
     """
     verdicts = [UNHELPFUL] * count
+    digits = len(str(count))
     for line in evaluation.splitlines():
         m = _BULLET_INDEX_RE.search(line)
         if not m:
             continue
-        indices = [int(tok) for tok in re.findall(r"\d+", m.group(1))]
+        tokens = re.findall(r"\d+", m.group(1))
+        indices = [int(tok) for tok in tokens if len(tok.lstrip("0")) <= digits]
         lowered = line.lower()
         if any(marker in lowered for marker in _NEGATIVE_MARKERS):
             verdict = UNHELPFUL

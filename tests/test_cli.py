@@ -697,6 +697,25 @@ class TestEval:
         assert selected["selected"] == [[f"agent{t}"] for t in range(4)]
         assert selected["all"] == [[f"agent{t}" for t in range(4)]] * 4
 
+    def test_judge_failure_is_an_item_error_and_the_report_is_written(self, tmp_path, capsys):
+        # The script answers every pipeline prompt but has no judge entry.
+        corpus, agents = topic_corpus_and_agents()
+        config = write_config(tmp_path, corpus, catch_all_script(), agents)
+        build_lifecycle(config)
+        capsys.readouterr()
+        dataset = topic_dataset(tmp_path)
+        code = main(["eval", "--config", str(config), "--dataset", str(dataset), "--judge",
+                     "--report", str(tmp_path / "r")])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "command": "eval", "error": "4 item runs failed",
+        }
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["modes"]["with_rag"]["n_errors"] == 4
+        items = report["items"]["with_rag"]
+        assert all(i["error"].startswith("unscripted prompt") for i in items)
+        assert (tmp_path / "r.txt").exists()
+
     def test_agent_mode_raw_knowledge_makes_one_generation_call_per_item(self, tmp_path, capsys):
         corpus, agents = topic_corpus_and_agents()
         # One reply per item and nothing else: a second call for any item

@@ -15,16 +15,12 @@ from ragroute.evalharness import (
     EvalSystem,
     ItemOutcome,
     aggregate,
-    agent_useful,
     answer,
-    answerable_rate,
-    doc_useful,
     judge_correctness,
     lexical_match,
     load_eval_items,
     normalize_text,
     run_eval,
-    useful_rate,
 )
 from ragroute.llm import ScriptedChatBackend, ScriptEntry, TokenUsage
 from ragroute.router import RouterError
@@ -72,17 +68,21 @@ def outcome(
     return ItemOutcome(item=item, selected_agent_ids=selected, retrieved_doc_slots=slots)
 
 
+def rates(outcomes: list[ItemOutcome]) -> dict[str, float]:
+    agg = aggregate(outcomes)
+    keys = ("answerable_doc_pct", "answerable_agent_pct", "useful_doc_pct", "useful_agent_pct")
+    return {key: agg[key] for key in keys}
+
+
 class TestRates:
     def test_target_doc_retrieved_by_any_agent_counts(self):
         o = outcome(("a1", "a2"), {"a1": ("dX",), "a2": ("dY",)}, {"dY"}, {"a9"})
-        rates = answerable_rate([o])
-        assert rates["doc"] == 100.0
-        assert rates["agent"] == 0.0
+        assert rates([o])["answerable_doc_pct"] == 100.0
+        assert rates([o])["answerable_agent_pct"] == 0.0
 
     def test_no_retrieval_zero(self):
         o = outcome((), {}, {"dX"}, {"a1"})
-        rates = answerable_rate([o])
-        assert rates["doc"] == 0.0 and rates["agent"] == 0.0
+        assert rates([o]) == dict.fromkeys(rates([o]), 0.0)
 
     def test_five_selected_one_target_is_twenty_percent(self):
         o = outcome(
@@ -91,29 +91,27 @@ class TestRates:
             set(),
             {"a3"},
         )
-        assert agent_useful(o) == pytest.approx(0.2)
-        assert useful_rate([o])["agent"] == pytest.approx(20.0)
+        assert rates([o])["useful_agent_pct"] == pytest.approx(20.0)
 
     def test_every_slot_on_target_is_hundred_percent(self):
         o = outcome(("a1",), {"a1": ("d1", "d1", "d1")}, {"d1"}, {"a1"})
-        assert doc_useful(o) == pytest.approx(1.0)
-        assert useful_rate([o])["doc"] == pytest.approx(100.0)
+        assert rates([o])["useful_doc_pct"] == pytest.approx(100.0)
 
     def test_duplicate_slots_counted(self):
         o = outcome(("a1", "a2"), {"a1": ("d1", "d2"), "a2": ("d1", "d3")}, {"d1"}, set())
-        assert doc_useful(o) == pytest.approx(2 / 4)
+        assert rates([o])["useful_doc_pct"] == pytest.approx(100 * 2 / 4)
 
     def test_hand_counted_synthetic_suite(self):
         outcomes = [
             outcome(("a1", "a2"), {"a1": ("d1",), "a2": ("d2",)}, {"d1"}, {"a1"}),
             outcome(("a2",), {"a2": ("d9", "d9")}, {"d1"}, {"a1"}),
         ]
-        ans = answerable_rate(outcomes)
-        assert ans["doc"] == pytest.approx(50.0)
-        assert ans["agent"] == pytest.approx(50.0)
-        useful = useful_rate(outcomes)
-        assert useful["doc"] == pytest.approx(100 * (0.5 + 0.0) / 2)
-        assert useful["agent"] == pytest.approx(100 * (0.5 + 0.0) / 2)
+        assert rates(outcomes) == pytest.approx({
+            "answerable_doc_pct": 50.0,
+            "answerable_agent_pct": 50.0,
+            "useful_doc_pct": 100 * (0.5 + 0.0) / 2,
+            "useful_agent_pct": 100 * (0.5 + 0.0) / 2,
+        })
 
 
 def pinned_report() -> EvalReport:
@@ -395,6 +393,19 @@ class TestRunEval:
         outcomes = report.outcomes["with_rag"]
         assert all(o.error for o in outcomes)
         assert report.mode_reports["with_rag"]["n_errors"] == 8
+
+    def test_an_error_without_a_message_is_named_by_its_type(self, mock_embedder):
+        class Failing:
+            calls: list = []
+
+            def chat(self, messages):
+                raise RuntimeError()
+
+        system = eight_topic_system(mock_embedder, catch_all_backend())
+        system.backend = Failing()
+        report = run_eval(topic_items(2), system, modes=["raw_model"])
+        assert [o.error for o in report.outcomes["raw_model"]] == ["RuntimeError"] * 2
+        assert report.mode_reports["raw_model"]["n_errors"] == 2
 
     def test_tokens_per_query_is_exact_mean_of_item_usage(self, mock_embedder):
         backend = catch_all_backend()

@@ -462,12 +462,14 @@ class TestTransport:
              "short of its Content-Length"),
             (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nffffffffff\r\n" + PONG,
              "chunked reply"),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: %s\r\n\r\n%s" % (b"9" * 5000, PONG),
+             "at most 18 digits"),
             (b"HTTP/1.1 200 OK\r\n", "before the reply head ended"),
             (b"", "before the reply head ended"),
         ],
         ids=["short-body", "no-status-code", "not-http", "no-colon", "length-not-digits",
              "chunk-size-not-hex", "chunked-cut-short", "terabyte-length", "terabyte-chunk",
-             "head-cut-short", "no-reply"],
+             "length-past-int-limit", "head-cut-short", "no-reply"],
     )
     def test_framing_faults_are_retried_then_transport_error(self, chat_server, wire, message):
         url, handler = chat_server
@@ -659,11 +661,15 @@ class TestMalformedReplies:
             b'{"choices": [{"message": {"content": "pong"}}], "usage": {"completion_tokens": -3}}',
             b'{"choices": [{"message": {"content": "pong"}}], "usage": {"prompt_tokens": 1.5}}',
             b'{"choices": [{"message": {"content": "pong"}}], "usage": {"prompt_tokens": true}}',
+            b'{"choices": [{"message": {"content": "pong"}}], "usage": {"prompt_tokens": 1%s}}'
+            % (b"0" * 400),
+            b'{"choices": [{"message": {"content": "pong"}}], "usage": {"completion_tokens": %d}}'
+            % 2**63,
             b"[" * 200_000,
         ],
         ids=["no-choices", "empty-choices", "no-message", "not-json", "null-content",
              "number-content", "null-usage", "list-usage", "string-count", "negative-count",
-             "float-count", "bool-count", "nested"],
+             "float-count", "bool-count", "count-beyond-float", "count-2**63", "nested"],
     )
     def test_chat_reply_is_typed_error(self, chat_server, reply):
         url, handler = chat_server
@@ -674,8 +680,9 @@ class TestMalformedReplies:
 
     @pytest.mark.parametrize(
         "usage, expected",
-        [("", TokenUsage(0, 0)), (', "usage": {"prompt_tokens": 5}', TokenUsage(5, 0))],
-        ids=["absent", "one-count"],
+        [("", TokenUsage(0, 0)), (', "usage": {"prompt_tokens": 5}', TokenUsage(5, 0)),
+         (', "usage": {"prompt_tokens": %d}' % (2**63 - 1), TokenUsage(2**63 - 1, 0))],
+        ids=["absent", "one-count", "largest-count"],
     )
     def test_chat_reply_counts_left_out_are_zero(self, chat_server, usage, expected):
         url, handler = chat_server

@@ -387,6 +387,10 @@ class TestVerdictParsing:
             UNHELPFUL, GOOD_RELIABLE, UNHELPFUL,
         ]
 
+    def test_index_past_the_int_digit_limit_is_skipped(self):
+        evaluation = f"- Response {'9' * 5000} is reliable.\n- Response 002 is reliable."
+        assert _verdicts_from_evaluation(evaluation, 2) == [UNHELPFUL, GOOD_RELIABLE]
+
     def test_dates_inside_bullets_do_not_create_indices(self):
         evaluation = "- Response 1: cites the December 15, 2023 report; reliable overall."
         assert _verdicts_from_evaluation(evaluation, 2) == [GOOD_RELIABLE, UNHELPFUL]
