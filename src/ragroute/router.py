@@ -172,7 +172,8 @@ def _verdicts_from_evaluation(evaluation: str, count: int) -> list[str]:
 
     Keyword rule: a negative marker wins, then "conjectur", then "reliable";
     positions never mentioned stay unhelpful, and so does an index out of
-    range (one with more digits than ``count`` is skipped before ``int``).
+    range (one with more digits than ``count``, leading zeros aside, is
+    skipped before ``int``).
     """
     verdicts = [UNHELPFUL] * count
     digits = len(str(count))
