@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import transcripts
-from ragroute.agent import AgentAnswer
+from ragroute.agent import MULTI_HOP, AgentAnswer
 from ragroute.llm import ScriptedChatBackend, ScriptEntry, TokenUsage
 from ragroute.retrieval import UnitQuery, unit_query, unit_scores
 from ragroute.store import IndexFileError, VectorFileError, save_vectors
@@ -579,6 +579,71 @@ class TestRouteAndAnswer:
         routed = route_and_answer(system, "alpha topic words beta subject")
         assert routed.final_answer == "from a."
         assert routed.verdicts["b"] == UNHELPFUL
+
+    @staticmethod
+    def _three_agents_b_unscripted(mock_embedder, parallelism: int):
+        """Agents a, b and c over one document each; b's chat has no script
+        entry, so b fails while a and c answer and one curation follows."""
+        from conftest import make_agents
+
+        backend = ScriptedChatBackend(
+            [
+                ScriptEntry("words here", "Analysis: ok\nAnswer: from a."),
+                ScriptEntry("items yonder", "Analysis: guess\nAnswer: from c."),
+                ScriptEntry(
+                    "set of respoonses",
+                    "Evaluation: \n- Response 1 is reliable.\n- Response 2 is a conjecture.\n"
+                    "Analysis: ok\nAnswer: from a and c.",
+                ),
+            ]
+        )
+        agents, registry = make_agents(
+            [
+                {"doc_id": "da", "category": "ca", "body": "alpha topic words here"},
+                {"doc_id": "db", "category": "cb", "body": "beta subject matter there"},
+                {"doc_id": "dc", "category": "cc", "body": "gamma theme items yonder"},
+            ],
+            ["a", "b", "c"],
+            ["ca", "cb", "cc"],
+            backend,
+            mock_embedder,
+        )
+        system = system_of(agents, registry, backend, mock_embedder, parallelism=parallelism)
+        return system, backend
+
+    @pytest.mark.parametrize("parallelism", [1, 3])
+    def test_whole_record_of_a_round_with_a_failed_agent(self, mock_embedder, parallelism):
+        system, backend = self._three_agents_b_unscripted(mock_embedder, parallelism)
+        routed = route_and_answer(system, "alpha topic beta subject gamma theme?")
+        assert routed.final_answer == "from a and c."
+        assert routed.selected_agent_ids == ("a", "b", "c")
+        assert list(routed.verdicts.items()) == [
+            ("a", GOOD_RELIABLE), ("c", CONJECTURE), ("b", UNHELPFUL),
+        ]
+        # a's and c's answers (146 + 8 each) plus the curation (204 + 25)
+        assert [c.usage for c in backend.calls] == [
+            TokenUsage(146, 8), TokenUsage(146, 8), TokenUsage(204, 25),
+        ]
+        assert routed.usage == TokenUsage(496, 41)
+        assert routed.doc_slots == {"a": ("da",), "c": ("dc",)}
+
+    def test_whole_record_of_a_multi_hop_round_with_history(self, mock_embedder):
+        system, backend = self._three_agents_b_unscripted(mock_embedder, 1)
+        history = [transcripts.round_of("Who wrote alpha?", "Ada wrote alpha.", 1)]
+        routed = route_and_answer(
+            system, "alpha beta gamma, given the first round?", MULTI_HOP, history=history
+        )
+        assert all("Who wrote alpha?\nAda wrote alpha.\n" in c.prompt for c in backend.calls)
+        assert routed.final_answer == "from a and c."
+        assert routed.selected_agent_ids == ("a", "b", "c")
+        assert list(routed.verdicts.items()) == [
+            ("a", GOOD_RELIABLE), ("c", CONJECTURE), ("b", UNHELPFUL),
+        ]
+        assert [c.usage for c in backend.calls] == [
+            TokenUsage(164, 8), TokenUsage(164, 8), TokenUsage(291, 25),
+        ]
+        assert routed.usage == TokenUsage(619, 41)
+        assert routed.doc_slots == {"a": ("da",), "c": ("dc",)}
 
     def test_usage_sums_agents_and_router(self, walking_dead_setup, mock_embedder):
         agents, registry, backend = walking_dead_setup
