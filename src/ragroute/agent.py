@@ -203,7 +203,7 @@ class Agent:
         try:
             text, usage = self.backend.chat(messages)
         except Exception as exc:
-            raise AgentError(self.agent_id, str(exc)) from exc
+            raise AgentError(self.agent_id, str(exc) or type(exc).__name__) from exc
         return AgentAnswer(self.agent_id, parse_agent_reply(text), text, kept, usage)
 
     def doc_ids_for(self, rows: np.ndarray) -> tuple[str, ...]:

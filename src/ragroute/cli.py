@@ -382,8 +382,8 @@ def cmd_ask(cfg: SystemConfig, args: argparse.Namespace) -> int:
         print(result.final_answer)
         trace.update(_answer_trace(result, system))
     except Exception as exc:
-        trace["error"] = str(exc)
-        code = _fail("ask", str(exc), EXIT_PARTIAL)
+        trace["error"] = str(exc) or type(exc).__name__
+        code = _fail("ask", trace["error"], EXIT_PARTIAL)
     trace["prompt_sha256"] = [call.prompt_sha256 for call in getattr(system.backend, "calls", [])]
     if args.trace_path:
         write_json(args.trace_path, trace, indent=2)
@@ -489,7 +489,7 @@ def main(argv: list[str] | None = None) -> int:
         command = globals()["cmd_" + args.command.replace("-", "_")]
         return command(cfg, args)
     except (InputError, OSError) as exc:
-        return _fail(args.command, str(exc))
+        return _fail(args.command, str(exc) or type(exc).__name__)
 
 
 if __name__ == "__main__":

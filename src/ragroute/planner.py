@@ -14,6 +14,7 @@ Three strategies:
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
@@ -142,16 +143,16 @@ def _pairwise_ok(candidate: str, asked: str, backend) -> bool:
     text, _ = backend.chat(messages)
     for line in text.splitlines():
         if "meets both requirements" in line.lower():
-            return "yes" in line.lower().split(":", 1)[-1]
+            return re.search(r"\byes\b", line.split(":", 1)[-1], re.I) is not None
     return False
 
 
 def polish_query(query: str, records: list[Round], backend) -> str | None:
-    """Rewrite a query against the records; None when the reply is unusable."""
+    """Rewrite a query against the records; None when no "Polished query:" has text."""
     text, _ = backend.chat(render_prompt(POLISH_QUERY, {"query": query, "records": records}))
     for line in text.splitlines():
         if line.lower().lstrip().startswith("polished query"):
-            polished = line.split(":", 1)[-1].strip()
+            polished = line.partition(":")[2].strip()
             if polished:
                 return polished
     return None

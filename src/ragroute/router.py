@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .agent import MULTI_HOP, SINGLE_HOP, Agent, AgentAnswer, AgentError
+from .agent import MULTI_HOP, SINGLE_HOP, AgentAnswer, AgentError
 from .llm import TokenUsage, _label_matches, ask_parsed, parse_agent_reply
 from .prompts import (
     AGENT_ANSWER_SINGLE_HOP,
@@ -55,7 +55,7 @@ class RouterRegistry:
     Built once, with one ``np.unique`` of ``agent_of_row``: ``entries``, each
     row's (agent_id, cluster_id); the sorted agent ids; the first row of each
     agent's run; each row's agent; and the rows, kept as given, as a
-    ``DenseIndex`` whose ids are ``agent_id#cluster_id``.
+    ``DenseIndex`` whose ids are the rows' agents.
 
     ValueError when the rows are out of that order or ``agent_of_row`` is
     not one per row; UnusableCentroidError names a centroid that is zero or
@@ -74,7 +74,7 @@ class RouterRegistry:
         self.entries = tuple(zip(names.tolist(), cluster_of_row.tolist()))
         matrix = np.zeros((0, 0), np.float32) if centroids is None else centroids
         try:
-            self._centroids = DenseIndex(matrix, [f"{a}#{c}" for a, c in self.entries])
+            self._centroids = DenseIndex(matrix, agent_of_row)
         except UnusableRowError as exc:
             raise UnusableCentroidError(*self.entries[exc.row]) from None
         self.dim = self._centroids.dim
@@ -199,18 +199,18 @@ def _verdicts_from_evaluation(evaluation: str, count: int) -> list[str]:
 
 
 def _split_router_sections(text: str) -> tuple[str, str] | None:
-    """(evaluation, answer) sections; None when there is no Answer."""
+    """(evaluation, answer) sections; None when the Answer is missing or empty."""
     labels = {name: _label_matches(name, text) for name in ("evaluation", "analysis", "answer")}
     if not labels["answer"]:
         return None
     answer_m = labels["answer"][-1]
-    analysis_candidates = [m for m in labels["analysis"] if m.start() < answer_m.start()]
-    analysis_m = analysis_candidates[-1] if analysis_candidates else None
-    eval_end = analysis_m.start() if analysis_m else answer_m.start()
-    eval_candidates = [m for m in labels["evaluation"] if m.start() < eval_end]
-    eval_m = eval_candidates[0] if eval_candidates else None
-    evaluation = text[eval_m.end() : eval_end].strip() if eval_m else ""
-    return evaluation, text[answer_m.end() :].strip()
+    answer = text[answer_m.end() :].strip()
+    if not answer:
+        return None
+    before = [m.start() for m in labels["analysis"] if m.start() < answer_m.start()]
+    eval_end = before[-1] if before else answer_m.start()
+    eval_m = next((m for m in labels["evaluation"] if m.start() < eval_end), None)
+    return (text[eval_m.end() : eval_end].strip() if eval_m else ""), answer
 
 
 def evaluate_and_curate(
@@ -219,8 +219,10 @@ def evaluate_and_curate(
     backend,
     mode: str = SINGLE_HOP,
     history: Iterable = (),
-) -> RoutedAnswer:
-    """Ask the curation prompt over all agent responses and parse verdicts."""
+) -> tuple[str, dict[str, str], TokenUsage]:
+    """Ask the curation prompt over all agent responses: the curated answer,
+    each answering agent's verdict by agent_id, and the curation's usage, a
+    re-ask included (RouterError when neither reply has a non-empty Answer)."""
     if not answers:
         raise RouterError("no agent answers to curate")
     template = ROUTER_FINALIZE_MULTI_HOP if mode == MULTI_HOP else ROUTER_FINALIZE_SINGLE_HOP
@@ -229,42 +231,12 @@ def evaluate_and_curate(
         "responses": [a.raw_text for a in answers],
         "history": list(history),
     }
-    messages = render_prompt(template, slots)
-    sections, usage = ask_parsed(backend, messages, _split_router_sections)
+    sections, usage = ask_parsed(backend, render_prompt(template, slots), _split_router_sections)
     if sections is None:
         raise RouterError("unparseable router output: no Answer section")
     evaluation, answer = sections
     by_position = _verdicts_from_evaluation(evaluation, len(answers))
-    verdicts = {a.agent_id: v for a, v in zip(answers, by_position)}
-    return RoutedAnswer(
-        final_answer=answer,
-        selected_agent_ids=tuple(a.agent_id for a in answers),
-        verdicts=verdicts,
-        usage=usage,
-    )
-
-
-def _fan_out(
-    question: str,
-    query: UnitQuery,
-    agents: list[Agent],
-    mode: str,
-    history: Iterable,
-    min_keep: int | None,
-    parallelism: int,
-) -> list[AgentAnswer | AgentError]:
-    def ask(agent: Agent):
-        try:
-            return agent.answer_question(
-                question, mode=mode, history=history, min_keep=min_keep, query=query
-            )
-        except AgentError as exc:
-            return exc
-
-    if parallelism > 1 and len(agents) > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            return list(pool.map(ask, agents))
-    return [ask(agent) for agent in agents]
+    return answer, {a.agent_id: v for a, v in zip(answers, by_position)}, usage
 
 
 def route_and_answer(
@@ -279,10 +251,11 @@ def route_and_answer(
     ``system.parallelism`` threads, and curate one final answer.
 
     The question is embedded once, as one ``UnitQuery``; that selects the
-    agents and every selected agent retrieves and reranks with it. Agents
-    that hard-fail are recorded as unhelpful with an error note; the query
-    proceeds with the answers that did arrive. ``selected_override`` bypasses centroid
-    selection (used by the all-agents baseline).
+    agents and every selected agent retrieves and reranks with it. An agent
+    that hard-fails stays selected, with an unhelpful verdict and no doc
+    slot; the others' answers are curated, and only when every agent failed
+    does a RouterError name each one's error. ``selected_override`` bypasses
+    centroid selection (used by the all-agents baseline).
     """
     query = UnitQuery(system.embedder.embed_batch([question])[0])
     if selected_override is not None:
@@ -291,17 +264,30 @@ def route_and_answer(
         selected = select_agents(system.registry, query, system.max_agents)
     history = list(history)
     agents = [system.agents[a] for a in selected]
-    results = _fan_out(question, query, agents, mode, history, min_keep, system.parallelism)
+
+    def ask(agent) -> AgentAnswer | AgentError:
+        try:
+            return agent.answer_question(
+                question, mode=mode, history=history, min_keep=min_keep, query=query
+            )
+        except AgentError as exc:
+            return exc
+
+    if system.parallelism > 1 and len(agents) > 1:
+        with ThreadPoolExecutor(max_workers=system.parallelism) as pool:
+            results = list(pool.map(ask, agents))
+    else:
+        results = [ask(agent) for agent in agents]
     answers = [r for r in results if isinstance(r, AgentAnswer)]
     failed = {r.agent_id: str(r) for r in results if isinstance(r, AgentError)}
     if not answers:
         raise RouterError(f"all selected agents failed: {failed}")
-    routed = evaluate_and_curate(question, answers, system.backend, mode=mode, history=history)
-    return replace(
-        routed,
+    answer, verdicts, usage = evaluate_and_curate(question, answers, system.backend, mode, history)
+    return RoutedAnswer(
+        final_answer=answer,
         selected_agent_ids=tuple(selected),
-        verdicts={**routed.verdicts, **dict.fromkeys(failed, UNHELPFUL)},
-        usage=sum((a.usage for a in answers), routed.usage),
+        verdicts={**verdicts, **dict.fromkeys(failed, UNHELPFUL)},
+        usage=sum((a.usage for a in answers), usage),
         doc_slots={
             a.agent_id: system.agents[a.agent_id].doc_ids_for(a.kept.rows) for a in answers
         },

@@ -14,8 +14,10 @@ import pytest
 import ragroute
 import transcripts
 from test_corpus import CHUNK_FILE_KEYS, CHUNK_KEYS, per_line_bytes, per_line_refusal
+from ragroute import cli
 from ragroute.cli import SystemConfig, main
 from ragroute.corpus import Chunk, ChunkingConfig, load_chunks, save_chunks
+from ragroute.llm import ScriptedChatBackend
 from ragroute.store import load_vectors, save_vectors
 
 
@@ -580,6 +582,44 @@ class TestAsk:
             "error": error["error"],
             "prompt_sha256": [],
         }
+
+    @pytest.mark.parametrize(
+        "flags, error",
+        [
+            ([], "all selected agents failed: {%s}" % ", ".join(
+                f"'{a}': 'agent {a}: RuntimeError'" for a in transcripts.WD_AGENT_IDS)),
+            (["--multihop", "--strategy", "presplit"], "RuntimeError"),
+        ],
+        ids=["agents", "planner"],
+    )
+    def test_an_exception_without_a_message_is_named_by_its_type(
+        self, tmp_path, capsys, monkeypatch, flags, error
+    ):
+        config = self._setup(tmp_path)
+        build_lifecycle(config)
+        capsys.readouterr()
+
+        def chat(backend, messages):
+            raise RuntimeError()
+
+        monkeypatch.setattr(ScriptedChatBackend, "chat", chat)
+        args = ["ask", "--config", str(config), "--question", transcripts.WD_QUESTION]
+        assert main([*args, *flags]) == 1
+        assert json.loads(capsys.readouterr().err) == {"command": "ask", "error": error}
+
+    def test_an_os_error_without_a_message_is_named_by_its_type(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        config = self._setup(tmp_path)
+        build_lifecycle(config)
+        capsys.readouterr()
+
+        def load(cfg, args):
+            raise OSError()
+
+        monkeypatch.setattr(cli, "_load_system", load)
+        assert main(["ask", "--config", str(config), "--question", "hi"]) == 2
+        assert json.loads(capsys.readouterr().err) == {"command": "ask", "error": "OSError"}
 
 
 def topic_corpus_and_agents(n=4):

@@ -141,6 +141,20 @@ class TestSelectSubquestion:
         assert selected == "fresh?"
         assert len(backend.calls) == 3
 
+    @pytest.mark.parametrize("verdict, fresh", [
+        ("no, not yesterday's question", False),
+        ("no (eyes on the date)", False),
+        ("Yes.", True),
+        ("yes, it is fresh", True),
+    ])
+    def test_pairwise_reads_yes_as_a_whole_word(self, verdict, fresh):
+        backend = backend_of(
+            ("assess whether Question 2", f"Explanation: x.\nMeets both requirements: {verdict}"),
+            ("polish the query", "Polished query: polished?"),
+        )
+        selected = select_subquestion(["cand?"], [transcripts.round_of("asked?", "a.", 1)], backend)
+        assert selected == ("cand?" if fresh else "polished?")
+
     def test_empty_candidates_rejected(self):
         with pytest.raises(PlanError):
             select_subquestion([], [], backend_of())
@@ -189,6 +203,15 @@ class TestPolishQuery:
     def test_unusable_reply_returns_none(self):
         backend = backend_of(("polish the query", "nothing to see"))
         assert polish_query("q?", [], backend) is None
+
+    @pytest.mark.parametrize("reply, polished", [
+        ("Polished query - Who is X?", None),
+        ("Polished query:", None),
+        ("Polished query - Who is X?\nPolished query: Who is Ada?", "Who is Ada?"),
+    ])
+    def test_only_the_text_after_a_colon_is_a_polished_query(self, reply, polished):
+        backend = backend_of(("polish the query", reply))
+        assert polish_query("q?", [], backend) == polished
 
 
 class TestRunPlanGreedy:
@@ -367,6 +390,37 @@ class TestRunPlanPresplit:
         assert result.final_answer == "Alpha and Beta."
         assert [r.question for r in result.rounds] == ["Sub A?", "Sub B, given Alpha?"]
         assert len(result.rounds) == 2
+
+    def test_an_empty_curated_answer_is_reasked_before_the_next_round(self, mock_embedder):
+        """A bare ``Answer:`` would be round 1's answer and so an empty history
+        turn in round 2; curation re-asks it like a missing one."""
+        curated = "Evaluation: \n- Response 1 is reliable.\nAnalysis: ok\nAnswer:"
+        backend = backend_of(
+            ("break the question into", "1. Sub A?\n2. Sub B?"),
+            ("collection of knowledge", "Analysis: a docs\nAnswer: Alpha."),
+            ("set of respoonses", curated),
+            ("set of respoonses", curated + " Alpha."),
+            ("polish the query", "Polished query: Sub B, given Alpha?"),
+            ("collection of knowledge", "Analysis: b docs\nAnswer: Beta."),
+            ("set of respoonses", curated + " Beta."),
+            ("If you need more information", "Analysis: combine\nAnswer: Alpha and Beta."),
+        )
+        from conftest import make_agents
+
+        agents, registry = make_agents(
+            [{"doc_id": "d", "category": "c", "body": "sub a sub b alpha beta words"}],
+            ["a"],
+            ["c"],
+            backend,
+            mock_embedder,
+        )
+        system = system_of(agents, registry, backend, mock_embedder, strategy="presplit")
+        result = run_plan(system, "a and b?")
+        assert [(r.question, r.answer) for r in result.rounds] == [
+            ("Sub A?", "Alpha."), ("Sub B, given Alpha?", "Beta."),
+        ]
+        assert result.final_answer == "Alpha and Beta."
+        assert len(backend.calls) == 8
 
     def test_presplit_never_judges(self, mock_embedder):
         backend = backend_of(

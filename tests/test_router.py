@@ -404,9 +404,9 @@ class TestEvaluateAndCurate:
         answers = [
             make_answer(a, transcripts.WD_AGENT_REPLIES[a]) for a in transcripts.WD_AGENT_IDS
         ]
-        routed = evaluate_and_curate(transcripts.WD_QUESTION, answers, backend)
-        assert routed.final_answer == transcripts.WD_EXPECTED
-        assert routed.verdicts == {
+        answer, verdicts, _ = evaluate_and_curate(transcripts.WD_QUESTION, answers, backend)
+        assert answer == transcripts.WD_EXPECTED
+        assert verdicts == {
             "a1": UNHELPFUL,
             "a2": GOOD_RELIABLE,
             "a3": UNHELPFUL,
@@ -425,9 +425,9 @@ class TestEvaluateAndCurate:
             make_answer("a1", "Analysis: none\nAnswer: I don't know."),
             make_answer("a2", "Analysis: none\nAnswer: I don't know."),
         ]
-        routed = evaluate_and_curate("q?", answers, backend)
-        assert routed.final_answer == "From my own knowledge: the answer is X."
-        assert set(routed.verdicts.values()) == {UNHELPFUL}
+        answer, verdicts, _ = evaluate_and_curate("q?", answers, backend)
+        assert answer == "From my own knowledge: the answer is X."
+        assert set(verdicts.values()) == {UNHELPFUL}
 
     def test_single_good_answer_consistent(self):
         reply = (
@@ -436,10 +436,10 @@ class TestEvaluateAndCurate:
             "Answer: The answer is forty-two."
         )
         backend = ScriptedChatBackend([ScriptEntry("set of respoonses", reply)])
-        routed = evaluate_and_curate(
+        answer, _, _ = evaluate_and_curate(
             "q?", [make_answer("solo", "Analysis: ...\nAnswer: The answer is forty-two.")], backend
         )
-        assert routed.final_answer == "The answer is forty-two."
+        assert answer == "The answer is forty-two."
 
     def test_unparseable_output_reasks_once_then_fails(self):
         backend = ScriptedChatBackend(
@@ -452,6 +452,22 @@ class TestEvaluateAndCurate:
             evaluate_and_curate("q?", [make_answer("a", "Answer: hm")], backend)
         assert len(backend.calls) == 2
 
+    @pytest.mark.parametrize("empty", ["Answer:", "Answer:  \n\t\n"])
+    def test_an_empty_answer_is_reasked_like_a_missing_one(self, empty):
+        reply = "Evaluation: \n- Response 1 is reliable.\nAnalysis: ok\n"
+        backend = ScriptedChatBackend(
+            [ScriptEntry("set of respoonses", reply + empty, repeat=True)]
+        )
+        with pytest.raises(RouterError):
+            evaluate_and_curate("q?", [make_answer("a", "Answer: hm")], backend)
+        assert len(backend.calls) == 2
+        backend = ScriptedChatBackend(
+            [ScriptEntry("set of respoonses", reply + empty),
+             ScriptEntry("set of respoonses", reply + "Answer: fine")]
+        )
+        answer, verdicts, _ = evaluate_and_curate("q?", [make_answer("a", "Answer: hm")], backend)
+        assert (answer, verdicts) == ("fine", {"a": GOOD_RELIABLE})
+
     def test_reask_recovers(self):
         good = "Evaluation: \n- Response 1 is reliable.\nAnalysis: ok\nAnswer: fine"
         backend = ScriptedChatBackend(
@@ -460,8 +476,8 @@ class TestEvaluateAndCurate:
                 ScriptEntry("set of respoonses", good),
             ]
         )
-        routed = evaluate_and_curate("q?", [make_answer("a", "Answer: fine")], backend)
-        assert routed.final_answer == "fine"
+        answer, _, _ = evaluate_and_curate("q?", [make_answer("a", "Answer: fine")], backend)
+        assert answer == "fine"
 
     def test_usage_accumulates_across_reasks(self):
         good = "Evaluation: \n- Response 1 is reliable.\nAnalysis: ok\nAnswer: fine"
@@ -471,8 +487,8 @@ class TestEvaluateAndCurate:
                 ScriptEntry("set of respoonses", good),
             ]
         )
-        routed = evaluate_and_curate("q?", [make_answer("a", "Answer: fine")], backend)
-        assert routed.usage == backend.calls[0].usage + backend.calls[1].usage
+        _, _, usage = evaluate_and_curate("q?", [make_answer("a", "Answer: fine")], backend)
+        assert usage == backend.calls[0].usage + backend.calls[1].usage
 
 
 class TestRouteAndAnswer:

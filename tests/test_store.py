@@ -8,11 +8,13 @@ mixed one."""
 from __future__ import annotations
 
 import ast
+import importlib
 import json
 import mmap
 import os
 import shutil
 from pathlib import Path
+from types import ModuleType
 from typing import Callable
 
 import numpy as np
@@ -218,6 +220,58 @@ def test_guard_tells_borrowed_imports_from_own_definitions():
     assert borrowed_imports(sources) == ["c: from .a import h"]
     sources["a"] += "from .b import g\n"
     assert borrowed_imports(sources) == ["a: from .b import g", "c: from .a import h"]
+
+
+def dead_imports(source: str) -> set[str]:
+    """The names a module's imports bind (``from __future__`` aside) that
+    none of its code reads."""
+    tree = ast.parse(source)
+    bound = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_each_unused_import_is_one_the_benchmark_traces(monkeypatch):
+    """An import that nothing reads is dead, unless ``perfbench/spans.py``
+    patches that name on that module to trace it."""
+    monkeypatch.syspath_prepend(str(PACKAGE.parents[1] / "perfbench"))
+    spans = importlib.import_module("spans")
+    traced = {
+        (owner.__name__, attr)
+        for owner, attr, _, _ in spans.patch_table()
+        if isinstance(owner, ModuleType)
+    }
+    untraced = [
+        f"{path.stem}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in sorted(dead_imports(path.read_text(encoding="utf-8")))
+        if (f"ragroute.{path.stem}", name) not in traced
+    ]
+    assert untraced == []
+
+
+def test_guard_finds_imports_that_nothing_reads():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, re as regex\n"
+        "import numpy.linalg\n"
+        "from dataclasses import dataclass, field, replace\n"
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    from .agent import Agent, AgentError\n"
+        "@dataclass\n"
+        "class R:\n"
+        "    agent: Agent\n"
+        "    slots: dict = field(default_factory=dict)\n"
+        "def norm(x) -> float:\n"
+        "    return numpy.linalg.norm(x)\n"
+    )
+    assert dead_imports(source) == {"os", "regex", "replace", "AgentError"}
 
 
 def test_json_is_decoded_in_three_places():
