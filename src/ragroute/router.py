@@ -210,7 +210,8 @@ def _split_router_sections(text: str) -> tuple[str, str] | None:
     before = [m.start() for m in labels["analysis"] if m.start() < answer_m.start()]
     eval_end = before[-1] if before else answer_m.start()
     eval_m = next((m for m in labels["evaluation"] if m.start() < eval_end), None)
-    return (text[eval_m.end() : eval_end].strip() if eval_m else ""), answer
+    evaluation = text[eval_m.end() : eval_end].strip() if eval_m else ""
+    return evaluation, answer
 
 
 def evaluate_and_curate(
@@ -231,7 +232,8 @@ def evaluate_and_curate(
         "responses": [a.raw_text for a in answers],
         "history": list(history),
     }
-    sections, usage = ask_parsed(backend, render_prompt(template, slots), _split_router_sections)
+    messages = render_prompt(template, slots)
+    sections, usage = ask_parsed(backend, messages, _split_router_sections)
     if sections is None:
         raise RouterError("unparseable router output: no Answer section")
     evaluation, answer = sections
