@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .agent import Agent
 from .corpus import read_jsonl, require_utf8, tokenize
-from .llm import ChatMessage, TokenUsage, ask_parsed
+from .llm import ChatMessage, TokenUsage, ask_parsed, says_yes, sections
 from .planner import PlanStrategy, run_plan
 from .prompts import (
     CORRECTNESS_JUDGE_MULTI_HOP,
@@ -158,10 +158,8 @@ def _share(ids, targets: frozenset[str]) -> float:
 
 
 def _correct_verdict(text: str) -> bool | None:
-    for line in text.splitlines():
-        if line.lower().lstrip().startswith("correct"):
-            return re.search(r"\byes\b", line.split(":", 1)[-1], re.I) is not None
-    return None
+    verdict = sections(text, "correct").get("correct")
+    return None if verdict is None else says_yes(verdict)
 
 
 def judge_correctness(

@@ -241,19 +241,15 @@ def ask_parsed(
 ) -> tuple[T | None, TokenUsage]:
     """Ask and parse the reply, re-asking once with the same messages.
 
-    ``parse`` returns None, or raises ReplyParseError, for a reply it cannot
-    use. Returns the first usable parse, or None after two unusable replies,
-    together with the summed usage of every call made.
+    ``parse`` returns None for a reply it cannot use. Returns the first
+    usable parse, or None after two unusable replies, together with the
+    summed usage of every call made.
     """
     usage = TokenUsage()
     for _ in range(2):
         text, call_usage = backend.chat(messages)
         usage = usage + call_usage
-        try:
-            parsed = parse(text)
-        except ReplyParseError:
-            continue
-        if parsed is not None:
+        if (parsed := parse(text)) is not None:
             return parsed, usage
     return None, usage
 
@@ -280,55 +276,52 @@ def _normalize_answer(text: str) -> str:
     return text.strip().replace("’", "'").lower().rstrip(".").strip()
 
 
-def _label_matches(label: str, text: str) -> list[re.Match]:
-    return list(re.finditer(rf"(?im)^[ \t]*{label}[ \t]*:", text))
+def sections(text: str, *labels: str) -> dict[str, str]:
+    """Each of ``labels`` that the reply holds, mapped to its section.
+
+    A label counts only where it starts a line (lines end at newlines),
+    after blanks and in any letter case, and is followed by a colon.
+    Its section is the text after the colon of its last such line, up to
+    the next line that starts with any of ``labels``, unstripped.
+    """
+    heads = "|".join(f"(?P<_{i}>{re.escape(label)})" for i, label in enumerate(labels))
+    found = list(re.finditer(rf"(?im)^[ \t]*(?:{heads})[ \t]*:", text))
+    ends = [m.start() for m in found[1:]] + [len(text)]
+    return {labels[int(m.lastgroup[1:])]: text[m.end() : end] for m, end in zip(found, ends)}
+
+
+def says_yes(section: str) -> bool:
+    """Whether the label's own line, the first line of its section, holds
+    "yes" as a whole word."""
+    return re.search(r"(?i)\byes\b", section.partition("\n")[0]) is not None
 
 
 def parse_agent_reply(text: str) -> ParsedAgentReply:
-    """Split a reply on its last line-anchored Analysis:/Answer: labels.
-
-    A reply with no Answer label degrades to (analysis="", answer=full text)
-    with the degraded flag set instead of failing.
-    """
-    answers = _label_matches("answer", text)
-    if not answers:
-        stripped = text.strip()
-        return ParsedAgentReply(
-            analysis="",
-            answer=stripped,
-            is_unknown=_normalize_answer(stripped) == _UNKNOWN_ANSWER,
-            degraded=True,
-        )
-    ans_label = answers[-1]
-    analyses = [m for m in _label_matches("analysis", text) if m.start() < ans_label.start()]
-    analysis = text[analyses[-1].end() : ans_label.start()].strip() if analyses else ""
-    answer = text[ans_label.end() :].strip()
+    """The Analysis:/Answer: sections of a reply (see ``sections``); a reply
+    with no Answer label degrades to (analysis="", answer=full text) with the
+    degraded flag set instead of failing."""
+    found = sections(text, "analysis", "answer")
+    degraded = "answer" not in found
+    answer = (text if degraded else found["answer"]).strip()
     return ParsedAgentReply(
-        analysis=analysis,
+        analysis="" if degraded else found.get("analysis", "").strip(),
         answer=answer,
         is_unknown=_normalize_answer(answer) == _UNKNOWN_ANSWER,
+        degraded=degraded,
     )
 
 
-def parse_judgment(text: str) -> ParsedJudgment:
-    """Extract Justification/Answerable/Response sections from a judger reply.
-
-    Raises ReplyParseError when the Answerable line is missing; the caller
-    re-asks once before giving up.
-    """
-    answerables = _label_matches("answerable", text)
-    if not answerables:
-        raise ReplyParseError("unparseable judgment: no Answerable line")
-    ans_label = answerables[-1]
-    line_end = text.find("\n", ans_label.end())
-    if line_end == -1:
-        line_end = len(text)
-    answerable = re.search(r"\byes\b", text[ans_label.end() : line_end], re.I) is not None
-    justs = [m for m in _label_matches("justification", text) if m.start() < ans_label.start()]
-    justification = text[justs[-1].end() : ans_label.start()].strip() if justs else ""
-    responses = [m for m in _label_matches("response", text) if m.start() >= line_end]
-    response = text[responses[0].end() :].strip() if responses else ""
-    return ParsedJudgment(justification=justification, answerable=answerable, response=response)
+def parse_judgment(text: str) -> ParsedJudgment | None:
+    """The Justification/Answerable/Response sections of a judger reply;
+    None when it has no Answerable line."""
+    found = sections(text, "justification", "answerable", "response")
+    if "answerable" not in found:
+        return None
+    return ParsedJudgment(
+        justification=found.get("justification", "").strip(),
+        answerable=says_yes(found["answerable"]),
+        response=found.get("response", "").strip(),
+    )
 
 
 _NUMBER = re.compile(r"\s*\d+\.")

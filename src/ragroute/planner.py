@@ -14,7 +14,6 @@ Three strategies:
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
@@ -29,6 +28,8 @@ from .llm import (
     extract_numbered_questions,
     parse_agent_reply,
     parse_judgment,
+    says_yes,
+    sections,
 )
 from .prompts import (
     DEFENDER,
@@ -141,21 +142,16 @@ def _pairwise_ok(candidate: str, asked: str, backend) -> bool:
         SELECTOR_PAIRWISE, {"question_1": asked, "question_2": candidate}
     )
     text, _ = backend.chat(messages)
-    for line in text.splitlines():
-        if "meets both requirements" in line.lower():
-            return re.search(r"\byes\b", line.split(":", 1)[-1], re.I) is not None
-    return False
+    verdict = sections(text, "meets both requirements").get("meets both requirements", "")
+    return says_yes(verdict)
 
 
 def polish_query(query: str, records: list[Round], backend) -> str | None:
-    """Rewrite a query against the records; None when no "Polished query:" has text."""
+    """Rewrite a query against the records: the text on the last "Polished
+    query:" line, or None when it has none."""
     text, _ = backend.chat(render_prompt(POLISH_QUERY, {"query": query, "records": records}))
-    for line in text.splitlines():
-        if line.lower().lstrip().startswith("polished query"):
-            polished = line.partition(":")[2].strip()
-            if polished:
-                return polished
-    return None
+    polished = sections(text, "polished query").get("polished query", "")
+    return polished.partition("\n")[0].strip() or None
 
 
 def select_subquestion(candidates: list[str], records: list[Round], backend) -> str:

@@ -55,9 +55,10 @@ def unit_scores(unit_rows: np.ndarray, unit_q: np.ndarray) -> np.ndarray:
 
 
 def unit_query(query_vec: np.ndarray) -> np.ndarray:
-    """The query as a float64 unit vector; a zero vector has no cosine."""
+    """The query as a float64 unit vector; a zero vector has no cosine. Its
+    norm is summed by ``np.einsum``, in one order whatever BLAS kernel runs."""
     q = np.asarray(query_vec, dtype=np.float64)
-    qn = np.linalg.norm(q)
+    qn = np.sqrt(np.einsum("i,i->", q, q))
     if qn == 0.0:
         raise ValueError("undefined similarity: zero query vector")
     return q / qn

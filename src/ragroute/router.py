@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .agent import MULTI_HOP, SINGLE_HOP, AgentAnswer, AgentError
-from .llm import TokenUsage, _label_matches, ask_parsed, parse_agent_reply
+from .llm import TokenUsage, ask_parsed, parse_agent_reply, sections
 from .prompts import (
     AGENT_ANSWER_SINGLE_HOP,
     ROUTER_FINALIZE_MULTI_HOP,
@@ -200,18 +200,9 @@ def _verdicts_from_evaluation(evaluation: str, count: int) -> list[str]:
 
 def _split_router_sections(text: str) -> tuple[str, str] | None:
     """(evaluation, answer) sections; None when the Answer is missing or empty."""
-    labels = {name: _label_matches(name, text) for name in ("evaluation", "analysis", "answer")}
-    if not labels["answer"]:
-        return None
-    answer_m = labels["answer"][-1]
-    answer = text[answer_m.end() :].strip()
-    if not answer:
-        return None
-    before = [m.start() for m in labels["analysis"] if m.start() < answer_m.start()]
-    eval_end = before[-1] if before else answer_m.start()
-    eval_m = next((m for m in labels["evaluation"] if m.start() < eval_end), None)
-    evaluation = text[eval_m.end() : eval_end].strip() if eval_m else ""
-    return evaluation, answer
+    found = sections(text, "evaluation", "analysis", "answer")
+    answer = found.get("answer", "").strip()
+    return (found.get("evaluation", "").strip(), answer) if answer else None
 
 
 def evaluate_and_curate(

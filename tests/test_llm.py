@@ -51,7 +51,10 @@ from ragroute.llm import (
     extract_numbered_questions,
     parse_agent_reply,
     parse_judgment,
+    says_yes,
+    sections,
 )
+from ragroute.planner import judge_and_split
 from ragroute.router import route_and_answer
 from ragroute.store import IndexFileError
 
@@ -784,6 +787,46 @@ def embedding_config(tmp_path, endpoint: str, api_key_env: str | None = None):
     return config
 
 
+class TestSections:
+    def test_each_label_maps_to_its_section(self):
+        text = "Analysis: why\nit is so\nAnswer: because"
+        assert sections(text, "analysis", "answer") == {
+            "analysis": " why\nit is so\n", "answer": " because"
+        }
+        assert sections(text, "evaluation") == {}
+
+    def test_the_last_occurrence_wins(self):
+        text = "Answer: first\nAnswer: second\nmore"
+        assert sections(text, "answer") == {"answer": " second\nmore"}
+
+    def test_a_section_ends_at_the_next_given_label(self):
+        text = "Evaluation: e\nAnswer: a\nAnalysis: late\nJustification: j"
+        assert sections(text, "evaluation", "analysis", "answer") == {
+            "evaluation": " e\n", "answer": " a\n", "analysis": " late\nJustification: j"
+        }
+
+    @pytest.mark.parametrize("text", [
+        "So the Answer: is not here", "Answer the question: no", "Answers: no", "Answer - no",
+        "\u3000Answer: no", "x\rAnswer: no",
+    ])
+    def test_a_label_starts_a_line_and_ends_at_a_colon(self, text):
+        assert sections(text, "answer") == {}
+
+    def test_leading_blanks_and_letter_case_are_ignored(self):
+        text = "intro\n \t aNsWeR \t: yes"
+        assert sections(text, "Answer") == {"Answer": " yes"}
+        assert sections(text, "answer", "ANSWERABLE") == {"answer": " yes"}
+
+    @pytest.mark.parametrize("section, yes", [
+        (" yes", True), (" Yes.", True), ("yes, fresh", True), (" YES\n", True),
+        (" eyes closed", False), (" yesterday", False), (" no", False), ("", False),
+        ("\nyes", False), (" no\nyes", False),
+    ])
+    def test_a_yes_is_read_on_the_labels_own_line(self, section, yes):
+        assert says_yes(section) is yes
+        assert parse_judgment(f"Answerable:{section}").answerable is yes
+
+
 class TestParseAgentReply:
     def test_analysis_and_answer_sections(self):
         reply = parse_agent_reply(transcripts.WD_AGENT_REPLIES["a2"])
@@ -844,9 +887,13 @@ class TestParseJudgment:
         assert judgment.justification == ""
         assert judgment.response == ""
 
-    def test_missing_answerable_raises(self):
+    def test_missing_answerable_is_unusable(self):
+        reply = "Justification: no idea\nResponse: nothing"
+        assert parse_judgment(reply) is None
+        backend = ScriptedChatBackend([ScriptEntry("justify if the query", reply, repeat=True)])
         with pytest.raises(ReplyParseError, match="unparseable judgment"):
-            parse_judgment("Justification: no idea\nResponse: nothing")
+            judge_and_split("q?", [], backend)
+        assert len(backend.calls) == 2
 
     def test_yes_must_be_a_word(self):
         assert parse_judgment("Answerable: yes").answerable is True

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ragroute
 import transcripts
 from ragroute.agent import MULTI_HOP, AgentAnswer
 from ragroute.llm import ScriptedChatBackend, ScriptEntry, TokenUsage
@@ -286,6 +292,56 @@ class TestSelectAgents:
             got = select_agents(registry, UnitQuery(query), cap)
             assert len(got) == min(cap, registry.agent_count)
             assert got == select_agents(registry, UnitQuery(query), cap)
+
+
+def dynamic_arch_openblas() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS that picks its kernel at run time,
+    so that ``OPENBLAS_CORETYPE`` can choose another."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+KERNEL_PROBE = """
+import hashlib
+import numpy as np
+from ragroute.retrieval import UnitQuery
+from ragroute.router import RouterRegistry, select_agents
+rng = np.random.default_rng(7)
+digest = hashlib.sha256()
+for dim in (24, 256, 1024):
+    agent_of_row = [f"a{i:02d}" for i in range(12) for _ in range(3)]
+    registry = RouterRegistry(agent_of_row, rng.normal(size=(36, dim)).astype(np.float32))
+    for _ in range(200):
+        query = UnitQuery(rng.normal(size=dim))
+        digest.update(query.unit.tobytes())
+        digest.update(" ".join(select_agents(registry, query, 5)).encode())
+print(digest.hexdigest())
+"""
+
+
+@pytest.mark.skipif(not dynamic_arch_openblas(), reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
+def test_the_query_path_has_the_same_bits_under_every_blas_kernel():
+    """``UnitQuery``'s unit vectors and ``select_agents``' choices, over 600
+    seeded queries, are the same bits under OpenBLAS's default, Prescott,
+    Sandybridge and Haswell kernels, each chosen in a child process's
+    environment. A kernel this CPU cannot run (SIGILL) is left out."""
+    digests = {}
+    for kernel in ("default", "Prescott", "Sandybridge", "Haswell"):
+        env = dict(os.environ, PYTHONPATH=str(Path(ragroute.__file__).parents[1]))
+        env.pop("OPENBLAS_CORETYPE", None)
+        if kernel != "default":
+            env["OPENBLAS_CORETYPE"] = kernel
+        done = subprocess.run(
+            [sys.executable, "-c", KERNEL_PROBE], env=env, capture_output=True, text=True
+        )
+        if done.returncode == -signal.SIGILL:
+            continue
+        assert done.returncode == 0, done.stderr
+        digests[kernel] = done.stdout
+    assert "default" in digests and len(set(digests.values())) == 1, digests
 
 
 def exact_select_agents(

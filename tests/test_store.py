@@ -12,6 +12,7 @@ import importlib
 import json
 import mmap
 import os
+import re
 import shutil
 from pathlib import Path
 from types import ModuleType
@@ -272,6 +273,46 @@ def test_guard_finds_imports_that_nothing_reads():
         "    return numpy.linalg.norm(x)\n"
     )
     assert dead_imports(source) == {"os", "regex", "replace", "AgentError"}
+
+
+def reply_grammar(source: str) -> list[str]:
+    """The string constants in ``source`` that hold a line-anchored label
+    pattern (``(?im)^`` or its kin) or a whole-word yes (``\\byes\\b``)."""
+    grammar = re.compile(r"\(\?[a-z]*m[a-z]*\)\^|\\byes\\b", re.I)
+    return [
+        f"{node.lineno}: {node.value!r}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and grammar.search(node.value)
+    ]
+
+
+def test_only_llm_knows_the_reply_grammar():
+    """A labelled reply is read through ``llm.sections`` and ``llm.says_yes``:
+    no other module matches a label at the start of a line or reads a yes."""
+    found = {
+        path.name: reply_grammar(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert found.pop("llm.py")
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+@pytest.mark.parametrize(
+    "source, grammar",
+    [
+        ('re.finditer(rf"(?im)^[ \\t]*{label}[ \\t]*:", text)', True),
+        ('re.compile(r"(?mi)^answer:")', True),
+        ('re.search(r"\\byes\\b", line, re.I)', True),
+        ('re.search(r"\\bYES\\b", line)', True),
+        ('re.compile(r"respon\\w*\\s+(\\d+)", re.I)', False),
+        ('re.compile(r"^\\s*\\d+\\.")', False),
+        ('says_yes(sections(text, "correct").get("correct", ""))', False),
+        ('"yes" in text', False),
+    ],
+)
+def test_guard_tells_reply_grammar_from_other_strings(source, grammar):
+    assert bool(reply_grammar(source)) is grammar
 
 
 def test_json_is_decoded_in_three_places():
