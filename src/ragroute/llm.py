@@ -284,6 +284,7 @@ def sections(text: str, *labels: str) -> dict[str, str]:
     Its section is the text after the colon of its last such line, up to
     the next line that starts with any of ``labels``, unstripped.
     """
+    # One named group per label maps a match back to its label in any case.
     heads = "|".join(f"(?P<_{i}>{re.escape(label)})" for i, label in enumerate(labels))
     found = list(re.finditer(rf"(?im)^[ \t]*(?:{heads})[ \t]*:", text))
     ends = [m.start() for m in found[1:]] + [len(text)]
