@@ -111,8 +111,18 @@ def tokenize(text: str) -> list[str]:
     """Split text into word and single-character punctuation tokens.
 
     Deterministic; whitespace is dropped, everything else survives as a token.
+    The tokens are ``_TOKEN_RE.findall(text)``, read a ``str.split`` piece at
+    a time: ``re``'s ``\\s`` is exactly ``str.isspace``, so no token runs
+    across whitespace, and ``\\w`` is exactly ``str.isalnum`` or ``_``, so a
+    piece that is all ``str.isalnum`` is one token without the regex.
     """
-    return _TOKEN_RE.findall(text)
+    tokens: list[str] = []
+    for piece in text.split():
+        if piece.isalnum():
+            tokens.append(piece)
+        else:
+            tokens += _TOKEN_RE.findall(piece)
+    return tokens
 
 
 def _tokens_re(least: int, most: int) -> re.Pattern:
@@ -124,19 +134,15 @@ def _tokens_re(least: int, most: int) -> re.Pattern:
 
 class PieceMemo(dict):
     """Whitespace piece -> the tuple of ``term_ids[t.lower()]`` over its
-    tokens ``t``, each distinct piece tokenized on first sight."""
+    ``tokenize`` tokens ``t``, each distinct piece tokenized on first sight."""
 
     def __init__(self, term_ids: dict[str, int]):
         super().__init__()
         self.term_ids = term_ids
 
     def __missing__(self, piece: str) -> tuple[int, ...]:
-        if piece.isalnum():  # one \w+ token: \w is str.isalnum or "_"
-            ids = (self.term_ids[piece.lower()],)
-        else:
-            tokens = map(str.lower, _TOKEN_RE.findall(piece))
-            ids = tuple(map(self.term_ids.__getitem__, tokens))
-        self[piece] = ids
+        tokens = map(str.lower, tokenize(piece))
+        ids = self[piece] = tuple(map(self.term_ids.__getitem__, tokens))
         return ids
 
 
@@ -152,12 +158,9 @@ def read_pieces(texts: Iterable[str], memo: PieceMemo) -> tuple[np.ndarray, np.n
     """``memo``'s ids for every token of ``texts``, text after text, and each
     text's token count.
 
-    A text's tokens are those of its ``str.split`` pieces, in order: ``re``'s
-    ``\\s`` is exactly ``str.isspace``, and no ``\\w`` character is
-    whitespace, so no token holds whitespace or runs across it. Each
-    distinct piece is tokenized once per memo (a piece that is all
-    ``str.isalnum`` is one token without the regex), and no token is kept
-    as a string.
+    A text's tokens are those of its ``str.split`` pieces, in order, as in
+    ``tokenize``. Each distinct piece is tokenized once per memo, and no
+    token is kept as a string.
     """
     ids: list[int] = []
     lengths: list[int] = []

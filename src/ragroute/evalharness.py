@@ -14,7 +14,6 @@ Metrics:
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -90,7 +89,9 @@ def load_eval_items(path: str | Path) -> list[EvalItem]:
 
 def normalize_text(text: str) -> str:
     """Lowercase, strip punctuation tokens, collapse whitespace."""
-    kept = [t.lower() for t in tokenize(text) if re.search(r"\w", t)]
+    # A token is a run of word characters (str.isalnum or "_") or one other
+    # character, so its first character tells which.
+    kept = [t.lower() for t in tokenize(text) if t[0].isalnum() or t[0] == "_"]
     return " ".join(kept)
 
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 import errno
 import json
 import random
+import re
+import string
 import tempfile
 import zlib
 from pathlib import Path
@@ -45,7 +47,27 @@ def make_doc(n_tokens: int, doc_id: str = "d") -> Document:
     return Document(doc_id=doc_id, title="", category="", body=body)
 
 
+# Every character ``str.isspace`` takes as whitespace, next to characters the
+# piece rule of ``tokenize`` could read wrongly: the underscore (a word
+# character that is not alphanumeric), a combining mark (not a word
+# character), non-ASCII letters and digits, a zero-width space (not
+# whitespace), a lone surrogate and ASCII punctuation.
+TOKEN_ALPHABET = (
+    "".join(filter(str.isspace, map(chr, range(0x110000))))
+    + "_\u0301\u0130\u0663\u200b\udcff"
+    + string.punctuation
+    + "aZ09"
+)
+TOKEN_TEXTS = st.one_of(st.text(), st.text(st.sampled_from(TOKEN_ALPHABET)))
+
+
 class TestTokenize:
+    @given(TOKEN_TEXTS)
+    @example("a\x1cb\x85c\xa0d\u3000e_f \u0130X e\u0301. \u0301")
+    @example("a_b.c word. \u0663\u0664,\u0665")
+    def test_same_tokens_as_the_regex_over_the_whole_text(self, text):
+        assert tokenize(text) == re.findall(r"\w+|[^\w\s]", text)
+
     def test_empty_input(self):
         assert tokenize("") == []
         assert tokenize("   \n\t ") == []

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import cosine_similarity
-from ragroute.corpus import TokenizedTexts, tokenize
+from ragroute.corpus import TokenizedTexts
 from ragroute.embedding import (
     DimensionMismatchError,
     MAX_EMBEDDING_DIM,
@@ -25,12 +25,13 @@ from ragroute.embedding import (
     _token_axis,
     make_embedder,
 )
+from test_setup_oracles import _ORACLE_TOKEN
 
 
 def naive_bag_cosine(a: str, b: str) -> float:
     """Oracle: plain bag-of-words cosine over lowercased tokens."""
-    ca = Counter(t.lower() for t in tokenize(a))
-    cb = Counter(t.lower() for t in tokenize(b))
+    ca = Counter(t.lower() for t in _ORACLE_TOKEN.findall(a))
+    cb = Counter(t.lower() for t in _ORACLE_TOKEN.findall(b))
     dot = sum(ca[t] * cb[t] for t in ca)
     na = math.sqrt(sum(v * v for v in ca.values()))
     nb = math.sqrt(sum(v * v for v in cb.values()))
@@ -43,7 +44,7 @@ def loop_embed_batch(texts: list[str], dim: int) -> np.ndarray:
     normalising each row and rounding the whole matrix to float32."""
     out = np.zeros((len(texts), dim), dtype=np.float64)
     for row, text in enumerate(texts):
-        for token in tokenize(text):
+        for token in _ORACLE_TOKEN.findall(text):
             out[row, _token_axis(token.lower(), dim)] += 1.0
         norm = np.linalg.norm(out[row])
         if norm > 0.0:

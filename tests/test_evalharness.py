@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import re
+
 import pytest
+from hypothesis import given
 
 import transcripts
 from ragroute.corpus import LineError, load_corpus
@@ -24,6 +27,7 @@ from ragroute.evalharness import (
 )
 from ragroute.llm import ScriptedChatBackend, ScriptEntry, TokenUsage
 from ragroute.router import RouterError
+from test_corpus import TOKEN_TEXTS
 
 
 class TestLexicalMatch:
@@ -51,6 +55,13 @@ class TestLexicalMatch:
 
     def test_normalize_text(self):
         assert normalize_text("  The Answer, is: Merle!  ") == "the answer is merle"
+
+    @given(TOKEN_TEXTS)
+    def test_normalize_text_keeps_the_tokens_that_hold_a_word_character(self, text):
+        """Against the definition it had: the lowercase regex tokens that
+        hold a word character, joined by one space."""
+        tokens = re.findall(r"\w+|[^\w\s]", text)
+        assert normalize_text(text) == " ".join(t.lower() for t in tokens if re.search(r"\w", t))
 
 
 def outcome(

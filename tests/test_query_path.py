@@ -36,6 +36,7 @@ from ragroute.retrieval import (
     unit_scores,
     unscored,
 )
+from test_setup_oracles import _ORACLE_TOKEN
 
 
 def oracle_dense_search(index: DenseIndex, query_vec: np.ndarray, top_n: int) -> list[OracleHit]:
@@ -132,9 +133,9 @@ def oracle_retrieve(agent: Agent, question: str, query_vec: np.ndarray) -> list[
     if method == DENSE:
         return oracle_dense_search(agent.dense_index, query_vec, depth)
     if method == BM25:
-        return oracle_bm25_search(agent.bm25_index, tokenize(question), depth)
+        return oracle_bm25_search(agent.bm25_index, _ORACLE_TOKEN.findall(question), depth)
     dense_hits = oracle_dense_search(agent.dense_index, query_vec, depth)
-    bm25_hits = oracle_bm25_search(agent.bm25_index, tokenize(question), depth)
+    bm25_hits = oracle_bm25_search(agent.bm25_index, _ORACLE_TOKEN.findall(question), depth)
     return oracle_mixture_search(dense_hits, bm25_hits, depth)
 
 
@@ -337,10 +338,10 @@ def brute_dense_search(index: DenseIndex, query_vec: np.ndarray, top_n: int) -> 
 
 def brute_bm25_search(chunks: list[Chunk], query_tokens: list[str], top_n: int) -> list[OracleHit]:
     """Brute force from the texts: each chunk's Okapi BM25 score in Python
-    floats, its terms counted from its own ``tokenize``, the query tokens'
+    floats, its terms counted by the token regex, the query tokens'
     weights added in query order; chunks sharing no query term are left out,
     the rest fully sorted by (-score, chunk_id)."""
-    tfs = {c.chunk_id: Counter(t.lower() for t in tokenize(c.text)) for c in chunks}
+    tfs = {c.chunk_id: Counter(t.lower() for t in _ORACLE_TOKEN.findall(c.text)) for c in chunks}
     n = len(tfs)
     avg_len = sum(sum(tf.values()) for tf in tfs.values()) / n
     df = Counter(term for tf in tfs.values() for term in tf)
@@ -416,5 +417,5 @@ class TestSearchAtSize:
         index = Bm25Index.build(chunks)
         ranked = bm25_search(index, tokenize(question), top_n)
         assert hit_bits(ranked_hits(index.chunk_ids, ranked, BM25)) == hit_bits(
-            brute_bm25_search(chunks, tokenize(question), top_n)
+            brute_bm25_search(chunks, _ORACLE_TOKEN.findall(question), top_n)
         )

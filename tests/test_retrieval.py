@@ -35,6 +35,7 @@ from ragroute.retrieval import (
     unscored,
 )
 from ragroute.store import IndexFileError, save_vectors
+from test_setup_oracles import _ORACLE_TOKEN
 
 
 def make_chunk(chunk_id: str, text: str) -> Chunk:
@@ -271,16 +272,16 @@ class TestBm25Search:
         query = ["cat", "fish", "cat"]
         k1, b = 1.2, 0.75
         n = len(chunks)
-        avg = sum(len(tokenize(c.text)) for c in chunks) / n
+        avg = sum(len(_ORACLE_TOKEN.findall(c.text)) for c in chunks) / n
 
         def naive_score(chunk: Chunk) -> float:
-            toks = [t.lower() for t in tokenize(chunk.text)]
+            toks = [t.lower() for t in _ORACLE_TOKEN.findall(chunk.text)]
             score = 0.0
             for term in query:
                 tf = toks.count(term)
                 if tf == 0:
                     continue
-                df = sum(1 for c in chunks if term in tokenize(c.text))
+                df = sum(1 for c in chunks if term in _ORACLE_TOKEN.findall(c.text))
                 idf = math.log(1 + (n - df + 0.5) / (df + 0.5))
                 score += idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * len(toks) / avg))
             return score
@@ -340,7 +341,7 @@ def dict_postings(chunks: list[Chunk]) -> tuple[dict[str, dict[str, int]], dict[
     postings: dict[str, dict[str, int]] = {}
     doc_len: dict[str, int] = {}
     for chunk in chunks:
-        terms = [t.lower() for t in tokenize(chunk.text)]
+        terms = [t.lower() for t in _ORACLE_TOKEN.findall(chunk.text)]
         doc_len[chunk.chunk_id] = len(terms)
         for term, tf in Counter(terms).items():
             postings.setdefault(term, {})[chunk.chunk_id] = tf

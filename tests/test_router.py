@@ -322,26 +322,75 @@ print(digest.hexdigest())
 """
 
 
-@pytest.mark.skipif(not dynamic_arch_openblas(), reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
-def test_the_query_path_has_the_same_bits_under_every_blas_kernel():
-    """``UnitQuery``'s unit vectors and ``select_agents``' choices, over 600
-    seeded queries, are the same bits under OpenBLAS's default, Prescott,
-    Sandybridge and Haswell kernels, each chosen in a child process's
-    environment. A kernel this CPU cannot run (SIGILL) is left out."""
-    digests = {}
+def under_every_blas_kernel(probe: str) -> dict[str, str]:
+    """The stdout of ``probe`` run by a child Python under OpenBLAS's default,
+    Prescott, Sandybridge and Haswell kernels, each chosen in the child's
+    environment; a kernel this CPU cannot run (SIGILL) is left out."""
+    out = {}
     for kernel in ("default", "Prescott", "Sandybridge", "Haswell"):
         env = dict(os.environ, PYTHONPATH=str(Path(ragroute.__file__).parents[1]))
         env.pop("OPENBLAS_CORETYPE", None)
         if kernel != "default":
             env["OPENBLAS_CORETYPE"] = kernel
-        done = subprocess.run(
-            [sys.executable, "-c", KERNEL_PROBE], env=env, capture_output=True, text=True
-        )
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
         if done.returncode == -signal.SIGILL:
             continue
         assert done.returncode == 0, done.stderr
-        digests[kernel] = done.stdout
-    assert "default" in digests and len(set(digests.values())) == 1, digests
+        out[kernel] = done.stdout
+    assert "default" in out, out
+    return out
+
+
+@pytest.mark.skipif(not dynamic_arch_openblas(), reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
+def test_the_query_path_has_the_same_bits_under_every_blas_kernel():
+    """``UnitQuery``'s unit vectors and ``select_agents``' choices, over 600
+    seeded queries, are the same bits under every BLAS kernel."""
+    digests = under_every_blas_kernel(KERNEL_PROBE)
+    assert len(set(digests.values())) == 1, digests
+
+
+SLACK_PROBE = """
+import json
+import numpy as np
+from ragroute.retrieval import DenseIndex, UnitQuery
+rng = np.random.default_rng(11)
+worst = {}
+for dim in (24, 256, 1024):
+    base = rng.normal(size=dim)
+    scales = rng.choice([-1e3, -1.0, -1e-3, 1e-3, 1.0, 1e3], size=(200, 1))
+    cases = {
+        "gaussian": (rng.normal(size=(200, dim)), [rng.normal(size=dim) for _ in range(20)]),
+        "small counts": (
+            rng.integers(0, 3, size=(200, dim)) + np.eye(200, dim),
+            [rng.integers(0, 3, size=dim) + 1.0 for _ in range(20)],
+        ),
+        "near parallel": (
+            scales * (base + 1e-4 * rng.normal(size=(200, dim))),
+            [base, -base] + [base + 1e-3 * rng.normal(size=dim) for _ in range(18)],
+        ),
+    }
+    for name, (rows, queries) in cases.items():
+        index = DenseIndex(np.asarray(rows, np.float32), [str(i) for i in range(len(rows))])
+        every = np.arange(len(index))
+        for query_vec in queries:
+            query = UnitQuery(query_vec)
+            error = np.max(np.abs(index.screen(query) - index.exact(every, query)))
+            key = f"{name} at {dim}"
+            worst[key] = max(worst.get(key, 0.0), float(error / index.slack))
+print(json.dumps(worst))
+"""
+
+
+@pytest.mark.skipif(not dynamic_arch_openblas(), reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
+def test_the_screen_stays_within_its_slack_under_every_blas_kernel():
+    """``DenseIndex.screen`` is one BLAS product, so its rounding depends on
+    the kernel; under each kernel, every row of Gaussian rows, of tie-heavy
+    rows of small counts and of near-parallel rows of mixed signs scaled by
+    up to 1e3 screens within ``slack`` of its exact cosine, at 24, 256 and
+    1024 dimensions (``worst`` is the largest error over ``slack``)."""
+    for kernel, out in under_every_blas_kernel(SLACK_PROBE).items():
+        worst = json.loads(out)
+        assert len(worst) == 9 and max(worst.values()) <= 1.0, (kernel, worst)
 
 
 def exact_select_agents(

@@ -5,8 +5,8 @@
 integer term id per token) and builds both the BM25 index and the mock
 embedder's rows from it, and the chunker cuts windows from regex runs of
 tokens. The oracles here are independent of that: an exhaustive check of
-the character classes the piece split relies on, ``tokenize`` on every
-whole text, a chunker that keeps one (start, end) span per token, a BM25
+the character classes the piece split relies on, the token regex on
+every whole text, a chunker that keeps one (start, end) span per token, a BM25
 file writer over dict postings, and the mock embedder's earlier per-text
 loop, kept verbatim. Every output must keep its bits.
 """
@@ -144,7 +144,7 @@ class TestChunkingOracle:
 
     @given(BODIES, CONFIGS)
     def test_windows_cover_every_token(self, body, cfg):
-        tokens = tokenize(body)
+        tokens = _ORACLE_TOKEN.findall(body)
         if not tokens:
             return
         chunks = chunk_document(Document("d", "", "", body), cfg)
@@ -152,7 +152,7 @@ class TestChunkingOracle:
         for i, chunk in enumerate(chunks):
             assert chunk.token_start == i * cfg.stride
             window = tokens[chunk.token_start : chunk.token_start + chunk.token_len]
-            assert tokenize(chunk.text) == window
+            assert _ORACLE_TOKEN.findall(chunk.text) == window
             assert chunk.text == chunk.text.strip()
             if i < len(chunks) - 1:
                 assert chunk.token_len == cfg.chunk_tokens
@@ -171,7 +171,7 @@ def oracle_mock_rows(texts: list[str], dim: int) -> np.ndarray:
     verbatim but for the token source: each text tokenized whole and each
     token hashed by ``_token_axis`` of its lowercase form."""
     out = np.zeros((len(texts), dim), dtype=np.float32)
-    for row, tokens in enumerate(map(tokenize, texts)):
+    for row, tokens in enumerate(map(_ORACLE_TOKEN.findall, texts)):
         axes = np.fromiter((_token_axis(t.lower(), dim) for t in tokens), dtype=np.intp)
         counts = np.bincount(axes, minlength=dim)
         norm = np.linalg.norm(counts)
@@ -185,9 +185,9 @@ _ALL_CHARS = "".join(map(chr, range(0x110000)))
 
 
 def test_whitespace_pieces_cut_no_token():
-    """``read_pieces`` tokenizes a text's ``str.split`` pieces, not the
-    text, and takes a piece that is all ``str.isalnum`` as one token. That
-    gives ``tokenize``'s tokens only because ``re``'s ``\\s`` and
+    """``tokenize`` reads a text's ``str.split`` pieces, not the text, and
+    takes a piece that is all ``str.isalnum`` as one token. That gives the
+    token regex's tokens over the whole text only because ``re``'s ``\\s`` and
     ``str.split`` both take exactly the ``str.isspace`` characters as
     whitespace, no ``\\w`` character is one, and ``\\w`` is exactly
     ``str.isalnum`` or the underscore."""
@@ -207,7 +207,7 @@ class TestTermTable:
     @given(TEXTS)
     def test_holds_the_lowercase_tokens_of_each_text(self, texts):
         table = term_table(texts)
-        want = [[t.lower() for t in tokenize(text)] for text in texts]
+        want = [[t.lower() for t in _ORACLE_TOKEN.findall(text)] for text in texts]
         assert table.terms == sorted({t for tokens in want for t in tokens})
         assert table.lengths.tolist() == list(map(len, want))
         assert [table.terms[i] for i in table.ids.tolist()] == [t for ts in want for t in ts]
@@ -221,7 +221,7 @@ class TestTermTable:
         letter."""
         text = "a\x1cb\x85c\xa0d\u3000e_f \u0130X e\u0301. \u0301"
         table = term_table([text, "", "  \n"])
-        tokens = [t.lower() for t in tokenize(text)]
+        tokens = [t.lower() for t in _ORACLE_TOKEN.findall(text)]
         assert tokens == ["a", "b", "c", "d", "e_f", "i\u0307x", "e", "\u0301", ".", "\u0301"]
         assert [table.terms[i] for i in table.ids.tolist()] == tokens
         assert table.lengths.tolist() == [10, 0, 0]

@@ -315,6 +315,59 @@ def test_guard_tells_reply_grammar_from_other_strings(source, grammar):
     assert bool(reply_grammar(source)) is grammar
 
 
+TOKEN_PATTERNS = {"_TOKEN", "_TOKEN_RE", "_tokens_re"}
+
+
+def token_grammar(source: str) -> list[str]:
+    """The places in ``source`` that know the token grammar: a string
+    constant holding ``[^\\w\\s]``, or a name, attribute or import of one of
+    ``corpus``'s token patterns."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            hit = r"[^\w\s]" in node.value
+        elif isinstance(node, ast.Name):
+            hit = node.id in TOKEN_PATTERNS
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr in TOKEN_PATTERNS
+        elif isinstance(node, ast.alias):
+            hit = node.name in TOKEN_PATTERNS
+        else:
+            continue
+        if hit:
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_only_corpus_knows_the_token_grammar():
+    """Every token is cut by ``corpus.tokenize`` or ``corpus``'s window
+    patterns: no other module spells the token regex or reaches for it."""
+    found = {
+        path.name: token_grammar(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert found.pop("corpus.py")
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+@pytest.mark.parametrize(
+    "source, grammar",
+    [
+        ('re.findall(r"\\w+|[^\\w\\s]", text)', True),
+        ('WORDS = re.compile("[^\\\\w\\\\s]")', True),
+        ("from .corpus import _TOKEN_RE, tokenize", True),
+        ("terms = corpus._TOKEN_RE.findall(text)", True),
+        ("run = _tokens_re(1, stride).match(body)", True),
+        ('pattern = rf"(?:{_TOKEN})+"', True),
+        ("tokens = tokenize(text)", False),
+        ('re.compile(r"[^\\w]+|\\s")', False),
+        ('name = "_TOKEN_RE"', False),
+    ],
+)
+def test_guard_tells_token_grammar_from_other_code(source, grammar):
+    assert bool(token_grammar(source)) is grammar
+
+
 def test_json_is_decoded_in_three_places():
     """Every file the program reads as JSON goes through ``store.read_json``
     (index files, chunk files included, and the config) or

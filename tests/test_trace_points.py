@@ -20,12 +20,13 @@ import pytest
 from ragroute import agent as agent_module
 from ragroute.agent import Agent, AgentConfig
 from ragroute.cli import SystemConfig, _load_system, build_parser, main
-from ragroute.corpus import Chunk, load_chunks, tokenize
+from ragroute.corpus import Chunk, load_chunks
 from ragroute.embedding import make_embedder
 from ragroute.evalharness import EvalItem, answer, run_eval
 from ragroute.llm import make_chat_backend
 from ragroute.retrieval import Bm25Index, DenseIndex, UnitQuery
 from test_cli import catch_all_script, topic_corpus_and_agents, write_config
+from test_setup_oracles import _ORACLE_TOKEN
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -147,7 +148,7 @@ def test_benchmark_counts_each_query_terms_df_without_per_posting_objects(monkey
     chunks = [
         Chunk(f"d:{i:05d}", "d", " ".join(rng.choices(vocab, k=50)), 0, 50) for i in range(2000)
     ]
-    df = Counter(term for c in chunks for term in {t.lower() for t in tokenize(c.text)})
+    df = Counter(term for c in chunks for term in {t.lower() for t in _ORACLE_TOKEN.findall(c.text)})
     query = ["W1", "w2", "zzz", "w1", "?", "w3"]
     want = sum(df[t.lower()] for t in query)
     assert want > 5000
