@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .corpus import DEFAULT_CHUNKING, Chunk, ChunkingConfig, chunk_ordinal, tokenize
-from .llm import ParsedAgentReply, TokenUsage, parse_agent_reply
+from .llm import ParsedAgentReply, parse_agent_reply
 from .prompts import AGENT_ANSWER_MULTI_HOP, AGENT_ANSWER_SINGLE_HOP, render_prompt
 from .retrieval import (
     BM25,
@@ -75,7 +75,6 @@ class AgentAnswer:
     reply: ParsedAgentReply
     raw_text: str
     kept: Ranked
-    usage: TokenUsage
 
 
 def _check_rows(agent_id: str, name: str, ids: list[str], want: list[str]) -> None:
@@ -98,12 +97,14 @@ class Agent:
         chunks: list[Chunk],
         dense_index: DenseIndex,
         bm25_index: Bm25Index,
-        embedder,
-        backend,
+        embedder=None,
+        backend=None,
     ):
         """Raises IndexFileError unless ``chunks`` and ``dense_index`` name
         ``bm25_index``'s chunks row for row, in chunk_id order, and each
         chunk_id ends in its ordinal, which is read here, once per row."""
+        # perfbench/run.py:load passes an embedder and a backend; the agent
+        # keeps neither, since each question brings its embedding and backend.
         self.config = config
         want = bm25_index.chunk_ids
         chunk_ids = [c.chunk_id for c in chunks]
@@ -116,8 +117,6 @@ class Agent:
         self.chunks = list(chunks)
         self.dense_index = dense_index
         self.bm25_index = bm25_index
-        self.embedder = embedder
-        self.backend = backend
 
     @property
     def agent_id(self) -> str:
@@ -173,25 +172,23 @@ class Agent:
     def answer_question(
         self,
         question: str,
+        query: UnitQuery,
+        backend,
         mode: str = SINGLE_HOP,
         history: Iterable = (),
         min_keep: int | None = None,
-        query: UnitQuery | None = None,
     ) -> AgentAnswer:
-        """Retrieve, rerank to at least min_keep chunks, and generate a reply.
+        """Retrieve, rerank to at least min_keep chunks, and generate a reply
+        with ``backend``, the question's metered one.
 
-        ``query`` is the question's embedding; the router passes the one it
-        selected agents with. Only without it does the agent embed the
-        question, once, for both retrieval and rerank. An agent
-        with an empty index answers "I don't know." without touching the
-        embedder or the backend. Backend hard failures are re-raised tagged
-        with the agent id.
+        ``query`` is the question's embedding, the one the router selected
+        agents with, for both retrieval and rerank. An agent with an empty
+        index answers "I don't know." without asking the backend. Backend
+        hard failures are re-raised tagged with the agent id.
         """
         if len(self.dense_index) == 0:
             unknown = ParsedAgentReply(analysis="", answer="I don't know.", is_unknown=True)
-            return AgentAnswer(self.agent_id, unknown, "", NO_HITS, TokenUsage())
-        if query is None:
-            query = UnitQuery(self.embedder.embed_batch([question])[0])
+            return AgentAnswer(self.agent_id, unknown, "", NO_HITS)
         kept = self.select_chunks(question, query, min_keep)
         template = AGENT_ANSWER_MULTI_HOP if mode == MULTI_HOP else AGENT_ANSWER_SINGLE_HOP
         slots = {
@@ -201,10 +198,10 @@ class Agent:
         }
         messages = render_prompt(template, slots)
         try:
-            text, usage = self.backend.chat(messages)
+            text, _ = backend.chat(messages)
         except Exception as exc:
             raise AgentError(self.agent_id, str(exc) or type(exc).__name__) from exc
-        return AgentAnswer(self.agent_id, parse_agent_reply(text), text, kept, usage)
+        return AgentAnswer(self.agent_id, parse_agent_reply(text), text, kept)
 
     def doc_ids_for(self, rows: np.ndarray) -> tuple[str, ...]:
         return tuple(self.chunks[row].doc_id for row in rows.tolist())

@@ -45,7 +45,7 @@ from .evalharness import (
     load_eval_items,
     run_eval,
 )
-from .llm import ChatBackendConfig, make_chat_backend
+from .llm import ChatBackendConfig, Metered, make_chat_backend
 from .planner import PlanResult, PlanStrategy
 from .prompts import TEMPLATES
 from .retrieval import Bm25Index, DenseIndex
@@ -319,7 +319,7 @@ def _load_system(cfg: SystemConfig, args: argparse.Namespace) -> EvalSystem:
                 f"agent {agent_cfg.agent_id} is indexed but not in the registry: run register"
             )
         bm25 = Bm25Index.load(adir / "bm25.json")
-        agents[agent_cfg.agent_id] = Agent(agent_cfg, chunks, dense, bm25, embedder, backend)
+        agents[agent_cfg.agent_id] = Agent(agent_cfg, chunks, dense, bm25)
     return EvalSystem(
         registry=registry,
         agents=agents,
@@ -356,14 +356,12 @@ def _answer_trace(result, system: EvalSystem) -> dict:
                 }
                 for r in result.rounds
             ],
-            "usage": asdict(result.usage),
         }
     return {
         "mode": "single_hop",
         "final_answer": result.final_answer,
         "selected_agents": list(result.selected_agent_ids),
         "verdicts": result.verdicts,
-        "usage": asdict(result.usage),
     }
 
 
@@ -377,10 +375,11 @@ def cmd_ask(cfg: SystemConfig, args: argparse.Namespace) -> int:
     system = _load_system(cfg, args)
     trace: dict = {"question": args.question, "max_agents": system.max_agents}
     code = EXIT_OK
+    meter, hop = Metered(system.backend), MULTI if args.multihop else SINGLE
     try:
-        result = answer(system, args.question, MULTI if args.multihop else SINGLE)
+        result = answer(replace(system, backend=meter), args.question, hop)
         print(result.final_answer)
-        trace.update(_answer_trace(result, system))
+        trace.update(_answer_trace(result, system), usage=asdict(meter.total))
     except Exception as exc:
         trace["error"] = str(exc) or type(exc).__name__
         code = _fail("ask", trace["error"], EXIT_PARTIAL)

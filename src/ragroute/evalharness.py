@@ -8,19 +8,21 @@ Metrics:
   among retrieved documents (selected agents);
 * useful rate: fraction of retrieved document slots (selected agents) that
   are targets, duplicates counted, averaged over items;
-* cost: exact tokens per query summed from the backend calls;
-* correctness judge: optional generative yes/no check.
+* cost: exact tokens per query, the usage that the item's own meter
+  summed from every chat call its answer made, a failed item's included;
+* correctness judge: optional generative yes/no check, whose tokens are
+  metered apart and reported beside the cost, not in it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
 
 from .agent import Agent
 from .corpus import read_jsonl, require_utf8, tokenize
-from .llm import ChatMessage, TokenUsage, ask_parsed, says_yes, sections
+from .llm import ChatMessage, Metered, TokenUsage, ask_parsed, says_yes, sections
 from .planner import PlanStrategy, run_plan
 from .prompts import (
     CORRECTNESS_JUDGE_MULTI_HOP,
@@ -113,6 +115,7 @@ class ItemOutcome:
     selected_agent_ids: tuple[str, ...] = ()
     retrieved_doc_slots: dict[str, tuple[str, ...]] = field(default_factory=dict)
     usage: TokenUsage = field(default_factory=TokenUsage)
+    judge_usage: TokenUsage = field(default_factory=TokenUsage)
     lexical: bool = False
     judged_correct: bool | None = None
     error: str | None = None
@@ -132,6 +135,7 @@ class ItemOutcome:
             "retrieved_doc_slots": {k: list(v) for k, v in self.retrieved_doc_slots.items()},
             "prompt_tokens": self.usage.prompt_tokens,
             "completion_tokens": self.usage.completion_tokens,
+            "judge_tokens": self.judge_usage.total,
             "lexical": self.lexical,
             "judged_correct": self.judged_correct,
             "error": self.error,
@@ -165,7 +169,7 @@ def _correct_verdict(text: str) -> bool | None:
 
 def judge_correctness(
     question: str, groundtruths: Iterable[str], response: str, backend, hop: str = SINGLE
-) -> tuple[bool | None, TokenUsage]:
+) -> bool | None:
     """Generative yes/no correctness check; None when unparseable twice."""
     gts = list(groundtruths)
     if hop == MULTI:
@@ -243,6 +247,7 @@ def aggregate(outcomes: list[ItemOutcome]) -> dict:
         "n_items": len(outcomes),
         "n_errors": sum(1 for o in outcomes if o.error is not None),
         "tokens_per_query": _mean([float(o.usage.total) for o in outcomes]),
+        "judge_tokens_per_query": _mean([float(o.judge_usage.total) for o in outcomes]),
         "lexical_pct": _pct([o.lexical for o in outcomes]),
         "judge_pct": _pct(judged) if judged else None,
         "n_unjudged": len(outcomes) - len(judged),
@@ -273,12 +278,10 @@ def answer(system: EvalSystem, question: str, hop: str = SINGLE):
 def _answered(item: EvalItem, system: EvalSystem, mode: str) -> ItemOutcome:
     """``item`` answered in ``mode``: the bare model, or the pipeline."""
     if mode == RAW_MODEL:
-        text, usage = system.backend.chat([ChatMessage("user", item.question)])
-        return ItemOutcome(item=item, final_answer=text.strip(), usage=usage)
+        text, _ = system.backend.chat([ChatMessage("user", item.question)])
+        return ItemOutcome(item=item, final_answer=text.strip())
     result = answer(system, item.question, item.hop)
-    return ItemOutcome(
-        item, result.final_answer, result.selected_agent_ids, result.doc_slots, result.usage
-    )
+    return ItemOutcome(item, result.final_answer, result.selected_agent_ids, result.doc_slots)
 
 
 def run_eval(
@@ -289,9 +292,11 @@ def run_eval(
 ) -> EvalReport:
     """Run every item through each requested pipeline mode.
 
-    An item whose answering, matching or judging raises is recorded as an
-    outcome holding only its error, never empty, and the run continues;
-    aggregates always equal recomputation from the per-item outcomes.
+    Each item is answered through one ``Metered`` backend and judged
+    through another, whose totals are its usage and judge usage. An item
+    whose answering, matching or judging raises is recorded as an outcome
+    holding its error, never empty, and what was spent before it, and the
+    run continues; aggregates always equal recomputation from the outcomes.
     """
     report = EvalReport()
     for mode in modes:
@@ -299,16 +304,17 @@ def run_eval(
             raise ValueError(f"unknown eval mode {mode!r}")
         outcomes: list[ItemOutcome] = []
         for item in items:
+            meter, judge = Metered(system.backend), Metered(judge_backend)
             try:
-                outcome = _answered(item, system, mode)
+                outcome = _answered(item, replace(system, backend=meter), mode)
                 outcome.lexical = lexical_match(outcome.final_answer, item.answers)
                 if judge_backend is not None:
-                    outcome.judged_correct, judge_usage = judge_correctness(
-                        item.question, item.answers, outcome.final_answer, judge_backend, item.hop
+                    outcome.judged_correct = judge_correctness(
+                        item.question, item.answers, outcome.final_answer, judge, item.hop
                     )
-                    outcome.usage = outcome.usage + judge_usage
             except Exception as exc:
                 outcome = ItemOutcome(item=item, error=str(exc) or type(exc).__name__)
+            outcome.usage, outcome.judge_usage = meter.total, judge.total
             outcomes.append(outcome)
         report.outcomes[mode] = outcomes
         report.mode_reports[mode] = aggregate(outcomes)

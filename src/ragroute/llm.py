@@ -4,7 +4,8 @@ The remote backend speaks the common chat-completions wire shape. The
 scripted mock replays canned transcripts for offline runs and tests: it scans
 an ordered script and answers with the first unconsumed entry whose matcher
 is a substring of the incoming prompt, charging usage at the exact token
-counts of prompt and reply.
+counts of prompt and reply. A question's tokens are counted by one
+``Metered`` backend wrapped around the chat backend for that question.
 """
 
 from __future__ import annotations
@@ -236,22 +237,34 @@ def make_chat_backend(cfg: ChatBackendConfig):
     return RemoteChatBackend(cfg)
 
 
-def ask_parsed(
-    backend, messages: list[ChatMessage], parse: Callable[[str], T | None]
-) -> tuple[T | None, TokenUsage]:
+class Metered:
+    """A chat backend that passes each call on to ``backend`` and adds the
+    usage it returns to ``total``, under a lock, so that one question's
+    threads can share it."""
+
+    def __init__(self, backend) -> None:
+        self.backend = backend
+        self.total = TokenUsage()
+        self._lock = threading.Lock()
+
+    def chat(self, messages: list[ChatMessage]) -> tuple[str, TokenUsage]:
+        text, usage = self.backend.chat(messages)
+        with self._lock:
+            self.total = self.total + usage
+        return text, usage
+
+
+def ask_parsed(backend, messages: list[ChatMessage], parse: Callable[[str], T | None]) -> T | None:
     """Ask and parse the reply, re-asking once with the same messages.
 
     ``parse`` returns None for a reply it cannot use. Returns the first
-    usable parse, or None after two unusable replies, together with the
-    summed usage of every call made.
+    usable parse, or None after two unusable replies; the tokens of both
+    calls are counted by the backend's meter, not here.
     """
-    usage = TokenUsage()
     for _ in range(2):
-        text, call_usage = backend.chat(messages)
-        usage = usage + call_usage
-        if (parsed := parse(text)) is not None:
-            return parsed, usage
-    return None, usage
+        if (parsed := parse(backend.chat(messages)[0])) is not None:
+            return parsed
+    return None
 
 
 @dataclass(frozen=True)

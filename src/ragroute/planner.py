@@ -23,7 +23,6 @@ from .agent import MULTI_HOP
 from .llm import (
     ParsedJudgment,
     ReplyParseError,
-    TokenUsage,
     ask_parsed,
     extract_numbered_questions,
     parse_agent_reply,
@@ -84,7 +83,6 @@ QARecord = namedtuple("QARecord", "question answer round")
 @dataclass(frozen=True)
 class PlanResult:
     final_answer: str
-    usage: TokenUsage
     status: str
     rounds: tuple[Round, ...]
 
@@ -103,23 +101,10 @@ class PlanResult:
         }
 
 
-class _Metered:
-    """A chat backend that adds every reply's usage to ``total``."""
-
-    def __init__(self, backend) -> None:
-        self.backend = backend
-        self.total = TokenUsage()
-
-    def chat(self, messages):
-        text, usage = self.backend.chat(messages)
-        self.total = self.total + usage
-        return text, usage
-
-
 def split_first_round(query: str, backend) -> list[str]:
     """First-round decomposition; re-asks once before giving up."""
     messages = render_prompt(SPLITTER_FIRST_ROUND, {"question": query})
-    questions, _ = ask_parsed(
+    questions = ask_parsed(
         backend, messages, lambda text: extract_numbered_questions(text) or None
     )
     if questions is None:
@@ -131,7 +116,7 @@ def judge_and_split(query: str, records: list[Round], backend) -> ParsedJudgment
     """Judge answerability from the records; on "no" the response carries the
     next round's candidate subquestions. Re-asks once on a bad parse."""
     messages = render_prompt(JUDGER_SPLITTER, {"query": query, "records": records})
-    judgment, _ = ask_parsed(backend, messages, parse_judgment)
+    judgment = ask_parsed(backend, messages, parse_judgment)
     if judgment is None:
         raise ReplyParseError("unparseable judgment: no Answerable line")
     return judgment
@@ -178,7 +163,7 @@ def _labeled_answer(text: str) -> str | None:
 def defend(query: str, records: list[Round], backend) -> str:
     """Final answer from the records; re-asks once on an unlabeled reply."""
     messages = render_prompt(DEFENDER, {"query": query, "records": records})
-    answer, _ = ask_parsed(backend, messages, _labeled_answer)
+    answer = ask_parsed(backend, messages, _labeled_answer)
     if answer is None:
         raise PlanError("defender reply had no Answer section")
     return answer
@@ -190,7 +175,7 @@ def run_plan(system: EvalSystem, query: str) -> PlanResult:
     strategy = PlanStrategy(system.strategy)
     if system.max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    backend = _Metered(system.backend)
+    backend = system.backend
     records: list[Round] = []
 
     def route(question: str, min_keep: int) -> str:
@@ -199,12 +184,8 @@ def run_plan(system: EvalSystem, query: str) -> PlanResult:
         records.append(Round(len(records) + 1, question, routed))
         return routed.final_answer
 
-    def result(final: str, status: str) -> PlanResult:
-        usage = sum((r.routed.usage for r in records), backend.total)
-        return PlanResult(final, usage, status, tuple(records))
-
     if strategy is PlanStrategy.ONE_SHOT:
-        return result(route(query, ONE_SHOT_MIN_KEEP), ANSWERABLE)
+        return PlanResult(route(query, ONE_SHOT_MIN_KEEP), ANSWERABLE, tuple(records))
 
     candidates = split_first_round(query, backend)
     status = EXHAUSTED
@@ -223,4 +204,4 @@ def run_plan(system: EvalSystem, query: str) -> PlanResult:
             if not candidates:
                 # Judge said "not answerable" but raised nothing new to ask.
                 break
-    return result(defend(query, records, backend), status)
+    return PlanResult(defend(query, records, backend), status, tuple(records))

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .agent import MULTI_HOP, SINGLE_HOP, AgentAnswer, AgentError
-from .llm import TokenUsage, ask_parsed, parse_agent_reply, sections
+from .llm import ask_parsed, parse_agent_reply, sections
 from .prompts import (
     AGENT_ANSWER_SINGLE_HOP,
     ROUTER_FINALIZE_MULTI_HOP,
@@ -158,7 +158,6 @@ class RoutedAnswer:
     final_answer: str
     selected_agent_ids: tuple[str, ...]
     verdicts: dict[str, str]
-    usage: TokenUsage
     # each answering agent's retrieved doc ids, in hit order
     doc_slots: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
@@ -211,10 +210,10 @@ def evaluate_and_curate(
     backend,
     mode: str = SINGLE_HOP,
     history: Iterable = (),
-) -> tuple[str, dict[str, str], TokenUsage]:
-    """Ask the curation prompt over all agent responses: the curated answer,
-    each answering agent's verdict by agent_id, and the curation's usage, a
-    re-ask included (RouterError when neither reply has a non-empty Answer)."""
+) -> tuple[str, dict[str, str]]:
+    """Ask the curation prompt over all agent responses, re-asking once: the
+    curated answer and each answering agent's verdict by agent_id
+    (RouterError when neither reply has a non-empty Answer)."""
     if not answers:
         raise RouterError("no agent answers to curate")
     template = ROUTER_FINALIZE_MULTI_HOP if mode == MULTI_HOP else ROUTER_FINALIZE_SINGLE_HOP
@@ -224,12 +223,12 @@ def evaluate_and_curate(
         "history": list(history),
     }
     messages = render_prompt(template, slots)
-    sections, usage = ask_parsed(backend, messages, _split_router_sections)
+    sections = ask_parsed(backend, messages, _split_router_sections)
     if sections is None:
         raise RouterError("unparseable router output: no Answer section")
     evaluation, answer = sections
     by_position = _verdicts_from_evaluation(evaluation, len(answers))
-    return answer, {a.agent_id: v for a, v in zip(answers, by_position)}, usage
+    return answer, {a.agent_id: v for a, v in zip(answers, by_position)}
 
 
 def route_and_answer(
@@ -241,7 +240,8 @@ def route_and_answer(
     selected_override: list[str] | None = None,
 ) -> RoutedAnswer:
     """Select up to ``system.max_agents`` agents, fan the question out over
-    ``system.parallelism`` threads, and curate one final answer.
+    ``system.parallelism`` threads, and curate one final answer. Every agent
+    and the curation ask ``system.backend``, so one meter there counts them.
 
     The question is embedded once, as one ``UnitQuery``; that selects the
     agents and every selected agent retrieves and reranks with it. An agent
@@ -261,7 +261,7 @@ def route_and_answer(
     def ask(agent) -> AgentAnswer | AgentError:
         try:
             return agent.answer_question(
-                question, mode=mode, history=history, min_keep=min_keep, query=query
+                question, query, system.backend, mode=mode, history=history, min_keep=min_keep
             )
         except AgentError as exc:
             return exc
@@ -275,12 +275,11 @@ def route_and_answer(
     failed = {r.agent_id: str(r) for r in results if isinstance(r, AgentError)}
     if not answers:
         raise RouterError(f"all selected agents failed: {failed}")
-    answer, verdicts, usage = evaluate_and_curate(question, answers, system.backend, mode, history)
+    answer, verdicts = evaluate_and_curate(question, answers, system.backend, mode, history)
     return RoutedAnswer(
         final_answer=answer,
         selected_agent_ids=tuple(selected),
         verdicts={**verdicts, **dict.fromkeys(failed, UNHELPFUL)},
-        usage=sum((a.usage for a in answers), usage),
         doc_slots={
             a.agent_id: system.agents[a.agent_id].doc_ids_for(a.kept.rows) for a in answers
         },
@@ -300,7 +299,7 @@ def route_raw_knowledge(system: EvalSystem, question: str) -> RoutedAnswer:
         kept = agent.select_chunks(question, query).rows
         blocks.extend(agent.document_blocks(kept))
         doc_slots[agent_id] = agent.doc_ids_for(kept)
-    text, usage = system.backend.chat(
+    text, _ = system.backend.chat(
         render_prompt(
             AGENT_ANSWER_SINGLE_HOP, {"question": question, "documents": blocks, "history": []}
         )
@@ -309,6 +308,5 @@ def route_raw_knowledge(system: EvalSystem, question: str) -> RoutedAnswer:
         final_answer=parse_agent_reply(text).answer,
         selected_agent_ids=tuple(selected),
         verdicts={},
-        usage=usage,
         doc_slots=doc_slots,
     )

@@ -60,21 +60,20 @@ def hit_bits(hits) -> list[tuple]:
     return [(h.chunk_id, struct.pack("<d", h.score), h.rank, h.method) for h in hits]
 
 
-def build_agent(config: AgentConfig, chunks: list[Chunk], embedder, backend) -> Agent:
+def build_agent(config: AgentConfig, chunks: list[Chunk], embedder) -> Agent:
     """An agent over ``chunks``, embedded and indexed in memory."""
     if chunks:
         matrix = embedder.embed_batch([c.text for c in chunks])
     else:
         matrix = np.zeros((0, embedder.dim), dtype=np.float32)
     dense = DenseIndex(matrix, [c.chunk_id for c in chunks])
-    return Agent(config, chunks, dense, Bm25Index.build(chunks), embedder, backend)
+    return Agent(config, chunks, dense, Bm25Index.build(chunks))
 
 
 def make_agents(
     corpus: list[dict],
     agent_ids: list[str],
     categories: list[str],
-    backend,
     embedder,
     chunking: ChunkingConfig = ChunkingConfig(256, 20),
     retrieval_method: str = "mixture",
@@ -101,7 +100,7 @@ def make_agents(
             min_keep=min_keep,
             chunking=chunking,
         )
-        agent = build_agent(config, chunks, embedder, backend)
+        agent = build_agent(config, chunks, embedder)
         agents[agent_id] = agent
         if chunks:
             matrix = embedder.embed_batch([c.text for c in chunks])
@@ -137,15 +136,6 @@ class CountingEmbedder(MockEmbedder):
     def embed_batch(self, texts: list[str]):
         self.calls += 1
         return super().embed_batch(texts)
-
-
-def count_embeds(agents: dict[str, Agent]) -> CountingEmbedder:
-    """Point every built agent at one fresh counting embedder and return it,
-    so only query-time embeds are counted."""
-    counter = CountingEmbedder(transcripts.MOCK_DIM)
-    for agent in agents.values():
-        agent.embedder = counter
-    return counter
 
 
 class CountingHTTPServer(HTTPServer):
@@ -202,7 +192,6 @@ def walking_dead_setup(mock_embedder):
         transcripts.WD_CORPUS,
         transcripts.WD_AGENT_IDS,
         transcripts.WD_CATEGORIES,
-        backend,
         mock_embedder,
     )
     return agents, registry, backend
@@ -216,7 +205,6 @@ def news_reports_setup(mock_embedder):
         transcripts.NR_CORPUS,
         ["tech"],
         ["technology"],
-        backend,
         mock_embedder,
         retrieval_depth=50,
         min_keep=10,

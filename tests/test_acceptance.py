@@ -265,7 +265,7 @@ def test_c8_plan_termination_bound(mock_embedder):
         backend = ScriptedChatBackend(entries)
         agents, registry = make_agents(
             [{"doc_id": "d", "category": "c", "body": f"seed question {case} fresh words"}],
-            ["a"], ["c"], backend, mock_embedder,
+            ["a"], ["c"], mock_embedder,
         )
         system = system_of(
             agents, registry, backend, mock_embedder, strategy="greedy", max_rounds=max_rounds

@@ -10,6 +10,7 @@ from conftest import build_agent
 from ragroute import agent as agent_module
 from ragroute.agent import Agent, AgentConfig, AgentError
 from ragroute.corpus import Chunk, ChunkingConfig, Document, chunk_document
+from ragroute.embedding import MockEmbedder
 from ragroute.llm import ScriptedChatBackend, ScriptEntry
 from ragroute.retrieval import Bm25Index, DenseIndex, UnitQuery
 from ragroute.store import IndexFileError
@@ -18,7 +19,6 @@ from ragroute.store import IndexFileError
 def agent_from_text(
     agent_id: str,
     body: str,
-    backend,
     embedder,
     retrieval_depth: int = 20,
     min_keep: int = 5,
@@ -33,13 +33,20 @@ def agent_from_text(
         min_keep=min_keep,
         chunking=chunking,
     )
-    return build_agent(config, chunks, embedder, backend)
+    return build_agent(config, chunks, embedder)
+
+
+def answer_of(agent: Agent, question: str, backend, **kwargs):
+    """``agent``'s answer to ``question``, asking ``backend``, with the
+    question embedded once by the mock embedder, as the router does."""
+    query = UnitQuery(MockEmbedder(transcripts.MOCK_DIM).embed_batch([question])[0])
+    return agent.answer_question(question, query, backend, **kwargs)
 
 
 class TestAnswerQuestion:
     def test_finds_answer_in_topical_corpus(self, walking_dead_setup):
-        agents, _, _ = walking_dead_setup
-        answer = agents["a4"].answer_question(transcripts.WD_QUESTION)
+        agents, _, backend = walking_dead_setup
+        answer = answer_of(agents["a4"], transcripts.WD_QUESTION, backend)
         assert "Merle Dixon" in answer.reply.answer
         assert not answer.reply.is_unknown
         assert len(answer.kept.rows)
@@ -49,20 +56,19 @@ class TestAnswerQuestion:
             [ScriptEntry("gardening", "Analysis: nothing relevant.\nAnswer: I don't know.")]
         )
         agent = agent_from_text(
-            "g", "gardening tips: prune roses in spring; mulch beds well", backend, mock_embedder
+            "g", "gardening tips: prune roses in spring; mulch beds well", mock_embedder
         )
-        answer = agent.answer_question("what is the capital of France")
+        answer = answer_of(agent, "what is the capital of France", backend)
         assert answer.reply.is_unknown
 
     def test_empty_index_short_circuits_without_backend_call(self, mock_embedder):
         backend = ScriptedChatBackend([])
         config = AgentConfig(agent_id="empty")
-        agent = build_agent(config, [], mock_embedder, backend)
-        answer = agent.answer_question("anything?")
+        agent = build_agent(config, [], mock_embedder)
+        answer = answer_of(agent, "anything?", backend)
         assert answer.reply.is_unknown
         assert len(answer.kept.rows) == len(answer.kept.scores) == 0
         assert backend.calls == []
-        assert answer.usage.total == 0
 
     def test_rerank_floor_puts_exactly_min_keep_chunks_in_prompt(self, mock_embedder):
         # corpus shares no vocabulary with the question: every similarity is
@@ -70,10 +76,10 @@ class TestAnswerQuestion:
         body = " ".join(f"filler{i}a filler{i}b filler{i}c" for i in range(60))
         backend = ScriptedChatBackend([ScriptEntry("Question:", "Answer: nothing")])
         agent = agent_from_text(
-            "f", body, backend, mock_embedder, retrieval_depth=20, min_keep=5,
+            "f", body, mock_embedder, retrieval_depth=20, min_keep=5,
             chunking=ChunkingConfig(8, 2),
         )
-        answer = agent.answer_question("zebra quagga okapi")
+        answer = answer_of(agent, "zebra quagga okapi", backend)
         assert len(answer.kept.rows) == 5
         prompt = backend.calls[0].prompt
         assert prompt.count("[doc:") == 5
@@ -84,14 +90,14 @@ class TestAnswerQuestion:
         backend = ScriptedChatBackend([ScriptEntry("Question:", "Answer: nothing",
                                                    repeat=True)])
         agent = agent_from_text(
-            "f", body, backend, mock_embedder, retrieval_depth=20, min_keep=5,
+            "f", body, mock_embedder, retrieval_depth=20, min_keep=5,
             chunking=ChunkingConfig(8, 2),
         )
         calls = []
         monkeypatch.setattr(agent_module, "chunk_ordinal",
                             lambda chunk_id: calls.append(chunk_id) or 0)
         for question in ("zebra quagga okapi", "filler3a filler7b?"):
-            answer = agent.answer_question(question)
+            answer = answer_of(agent, question, backend)
         assert len(answer.kept.rows) >= 5 and calls == []
         headers = re.findall(r"\[doc:f-doc chunk:(\d+)\]", backend.calls[-1].prompt)
         assert headers == [str(row) for row in answer.kept.rows.tolist()]
@@ -100,21 +106,21 @@ class TestAnswerQuestion:
         body = " ".join(f"filler{i}a filler{i}b filler{i}c" for i in range(60))
         backend = ScriptedChatBackend([ScriptEntry("Question:", "Answer: nothing")])
         agent = agent_from_text(
-            "f", body, backend, mock_embedder, retrieval_depth=20, min_keep=5,
+            "f", body, mock_embedder, retrieval_depth=20, min_keep=5,
             chunking=ChunkingConfig(8, 2),
         )
-        answer = agent.answer_question("zebra quagga okapi", min_keep=9)
+        answer = answer_of(agent, "zebra quagga okapi", backend, min_keep=9)
         assert len(answer.kept.rows) == 9
 
     def test_min_keep_below_1_raises_instead_of_meaning_the_default(self, mock_embedder):
         backend = ScriptedChatBackend([ScriptEntry("Question:", "Answer: nothing")])
-        agent = agent_from_text("f", "some topic words here", backend, mock_embedder)
+        agent = agent_from_text("f", "some topic words here", mock_embedder)
         query = UnitQuery(mock_embedder.embed_batch(["topic words"])[0])
         for min_keep in (0, -1):
             with pytest.raises(ValueError, match="min_keep must be >= 1"):
                 agent.select_chunks("topic words", query, min_keep)
             with pytest.raises(ValueError, match="min_keep must be >= 1"):
-                agent.answer_question("topic words", min_keep=min_keep)
+                answer_of(agent, "topic words", backend, min_keep=min_keep)
         assert backend.calls == []
 
     def test_prompt_contains_kept_texts_verbatim_and_nothing_else(self, mock_embedder):
@@ -125,10 +131,10 @@ class TestAnswerQuestion:
             "unrelated words entirely different topic here."
         )
         agent = agent_from_text(
-            "v", body, backend, mock_embedder, retrieval_depth=2, min_keep=1,
+            "v", body, mock_embedder, retrieval_depth=2, min_keep=1,
             chunking=ChunkingConfig(6, 0),
         )
-        answer = agent.answer_question("alpha beta gamma")
+        answer = answer_of(agent, "alpha beta gamma", backend)
         prompt = backend.calls[0].prompt
         kept = set(answer.kept.rows.tolist())
         for row, chunk in enumerate(agent.chunks):
@@ -143,19 +149,19 @@ class TestAnswerQuestion:
         body = " ".join(f"filler{i}a filler{i}b filler{i}c" for i in range(60))
         backend = ScriptedChatBackend([ScriptEntry("Question:", "Answer: nothing")])
         agent = agent_from_text(
-            "f", body, backend, mock_embedder, retrieval_depth=20, min_keep=8,
+            "f", body, mock_embedder, retrieval_depth=20, min_keep=8,
             chunking=ChunkingConfig(8, 2),
         )
-        kept = agent.answer_question("filler30a filler7b filler7c zebra").kept
+        kept = answer_of(agent, "filler30a filler7b filler7c zebra", backend).kept
         pairs = list(zip((-kept.scores).tolist(), kept.rows.tolist()))
         assert pairs == sorted(pairs) and len(set(kept.rows.tolist())) == len(pairs) == 8
         assert kept.scores[0] > 0 == kept.scores[-1]
 
     def test_multi_hop_history_joins_prompt_turns(self, mock_embedder):
         backend = ScriptedChatBackend([ScriptEntry("collection of knowledge", "Answer: fine")])
-        agent = agent_from_text("h", "some topic words here", backend, mock_embedder)
-        agent.answer_question(
-            "next question?", mode="multi_hop",
+        agent = agent_from_text("h", "some topic words here", mock_embedder)
+        answer_of(
+            agent, "next question?", backend, mode="multi_hop",
             history=[transcripts.round_of("prior q?", "prior a.", 1)],
         )
         prompt = backend.calls[0].prompt
@@ -164,20 +170,19 @@ class TestAnswerQuestion:
     def test_pure_function_under_mocks(self, mock_embedder):
         def run():
             backend = ScriptedChatBackend([ScriptEntry("Question:", "Answer: same")])
-            agent = agent_from_text("p", "stable corpus text tokens", backend, mock_embedder)
-            return agent.answer_question("stable question")
+            agent = agent_from_text("p", "stable corpus text tokens", mock_embedder)
+            return answer_of(agent, "stable question", backend)
 
         first, second = run(), run()
         assert first.reply == second.reply
         assert first.kept.rows.tolist() == second.kept.rows.tolist()
         assert first.kept.scores.tolist() == second.kept.scores.tolist()
-        assert first.usage == second.usage
 
     def test_backend_failure_tagged_with_agent_id(self, mock_embedder):
         backend = ScriptedChatBackend([])  # nothing scripted: every call fails
-        agent = agent_from_text("fragile", "corpus words", backend, mock_embedder)
+        agent = agent_from_text("fragile", "corpus words", mock_embedder)
         with pytest.raises(AgentError, match="fragile"):
-            agent.answer_question("corpus words?")
+            answer_of(agent, "corpus words?", backend)
 
 
 class TestAgentConfig:
@@ -223,8 +228,6 @@ class TestIndexConsistency:
             chunks_named(*chunk_ids.split()),
             DenseIndex(np.ones((len(dense_ids), 4), np.float32), dense_ids),
             Bm25Index.build(chunks_named("d:0", "d:1", "d:2")),
-            None,
-            None,
         )
         if message is None:
             assert [c.chunk_id for c in Agent(*args).chunks] == dense_ids
@@ -240,4 +243,4 @@ class TestIndexConsistency:
         )):
             Agent(AgentConfig(agent_id="a7"), chunks,
                   DenseIndex(np.ones((1, 4), np.float32), [chunk_id]),
-                  Bm25Index.build(chunks), None, None)
+                  Bm25Index.build(chunks))

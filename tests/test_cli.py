@@ -755,6 +755,14 @@ class TestEval:
         items = report["items"]["with_rag"]
         assert all(i["error"].startswith("unscripted prompt") for i in items)
         assert (tmp_path / "r.txt").exists()
+        # Each failed item keeps what its pipeline spent: the tokens of the
+        # same items answered without the judge.
+        assert main(["eval", "--config", str(config), "--dataset", str(dataset),
+                     "--report", str(tmp_path / "plain")]) == 0
+        plain = json.loads((tmp_path / "plain.json").read_text())["items"]["with_rag"]
+        spent = [(i["prompt_tokens"], i["completion_tokens"]) for i in plain]
+        assert all(prompt > 0 for prompt, _ in spent)
+        assert [(i["prompt_tokens"], i["completion_tokens"]) for i in items] == spent
 
     def test_agent_mode_raw_knowledge_makes_one_generation_call_per_item(self, tmp_path, capsys):
         corpus, agents = topic_corpus_and_agents()

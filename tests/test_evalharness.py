@@ -140,9 +140,9 @@ def pinned_report() -> EvalReport:
     outcomes = {
         "with_rag": [
             ItemOutcome(both, "it is a", ("a1", "a2"), {"a1": ("d1", "d1"), "a2": ("d4",)},
-                        TokenUsage(10, 5), lexical=True, judged_correct=True),
+                        TokenUsage(10, 5), TokenUsage(6, 1), lexical=True, judged_correct=True),
             ItemOutcome(no_slots, "no idea", ("a1",), {"a1": ()}, TokenUsage(7, 2),
-                        judged_correct=False),
+                        TokenUsage(6, 3), judged_correct=False),
             ItemOutcome(no_targets, "a", ("a2",), {"a2": ("d2",)}, TokenUsage(4, 1), lexical=True),
             ItemOutcome(errored, error="unscripted prompt"),
         ],
@@ -155,10 +155,11 @@ def pinned_report() -> EvalReport:
 
 
 def item_json(question, answer, selected, slots, prompt, completion, lexical, judged, error,
-              docs, agents, matched_slots, matched_docs) -> dict:
+              docs, agents, matched_slots, matched_docs, judge_tokens=0) -> dict:
     return {
         "question": question, "final_answer": answer, "selected_agent_ids": selected,
         "retrieved_doc_slots": slots, "prompt_tokens": prompt, "completion_tokens": completion,
+        "judge_tokens": judge_tokens,
         "lexical": lexical, "judged_correct": judged, "error": error, "target_doc_ids": docs,
         "target_agent_ids": agents, "matched_doc_slots": matched_slots,
         "matched_distinct_docs": matched_docs,
@@ -176,23 +177,24 @@ class TestReport:
             "modes": {
                 "with_rag": {
                     "n_items": 4, "n_errors": 1, "tokens_per_query": 7.25, "lexical_pct": 50.0,
-                    "judge_pct": 50.0, "n_unjudged": 2,
+                    "judge_tokens_per_query": 4.0, "judge_pct": 50.0, "n_unjudged": 2,
                     "answerable_doc_pct": 33.33333333333333,
                     "answerable_agent_pct": 33.33333333333333,
                     "useful_doc_pct": 66.66666666666666, "useful_agent_pct": 25.0,
                 },
                 "raw_model": {
                     "n_items": 2, "n_errors": 0, "tokens_per_query": 5.5, "lexical_pct": 50.0,
-                    "judge_pct": None, "n_unjudged": 2, "answerable_doc_pct": 0.0,
-                    "answerable_agent_pct": 0.0, "useful_doc_pct": 0.0, "useful_agent_pct": 0.0,
+                    "judge_tokens_per_query": 0.0, "judge_pct": None, "n_unjudged": 2,
+                    "answerable_doc_pct": 0.0, "answerable_agent_pct": 0.0, "useful_doc_pct": 0.0,
+                    "useful_agent_pct": 0.0,
                 },
             },
             "items": {
                 "with_rag": [
                     item_json("q1?", "it is a", ["a1", "a2"], {"a1": ["d1", "d1"], "a2": ["d4"]},
-                              10, 5, True, True, None, ["d1", "d2"], ["a1"], 2, 1),
+                              10, 5, True, True, None, ["d1", "d2"], ["a1"], 2, 1, 7),
                     item_json("q2?", "no idea", ["a1"], {"a1": []},
-                              7, 2, False, False, None, ["d3"], ["a2"], 0, 0),
+                              7, 2, False, False, None, ["d3"], ["a2"], 0, 0, 9),
                     item_json("q3?", "a", ["a2"], {"a2": ["d2"]},
                               4, 1, True, None, None, [], [], 0, 0),
                     item_json("q4?", "", [], {},
@@ -223,18 +225,17 @@ class TestJudgeCorrectness:
         backend = ScriptedChatBackend(
             [ScriptEntry("state only \"yes\" or \"no\"", transcripts.WD_JUDGE_REPLY)]
         )
-        flag, usage = judge_correctness(
+        flag = judge_correctness(
             transcripts.WD_QUESTION, [transcripts.WD_GROUNDTRUTH],
             transcripts.WD_EXPECTED, backend,
         )
         assert flag is True
-        assert usage.total > 0
 
     def test_multi_hop_judge_yes(self):
         backend = ScriptedChatBackend(
             [ScriptEntry("a model answer", transcripts.NR_JUDGE_REPLY)]
         )
-        flag, _ = judge_correctness(
+        flag = judge_correctness(
             transcripts.NR_QUERY, [transcripts.NR_GROUNDTRUTH],
             transcripts.NR_EXPECTED, backend, hop="multi",
         )
@@ -244,7 +245,7 @@ class TestJudgeCorrectness:
         backend = ScriptedChatBackend(
             [ScriptEntry("Response:", "Justification: contradicts.\nCorrect: no")]
         )
-        flag, _ = judge_correctness("q", ["truth"], "falsehood", backend)
+        flag = judge_correctness("q", ["truth"], "falsehood", backend)
         assert flag is False
 
     def test_unparseable_twice_returns_none(self):
@@ -254,10 +255,8 @@ class TestJudgeCorrectness:
                 ScriptEntry("Response:", "still no verdict"),
             ]
         )
-        flag, usage = judge_correctness("q", ["t"], "r", backend)
-        assert flag is None
+        assert judge_correctness("q", ["t"], "r", backend) is None
         assert len(backend.calls) == 2
-        assert usage == backend.calls[0].usage + backend.calls[1].usage
 
 
 def eight_topic_system(mock_embedder, backend, max_agents=5, agent_mode="selected"):
@@ -273,7 +272,6 @@ def eight_topic_system(mock_embedder, backend, max_agents=5, agent_mode="selecte
         corpus,
         [f"agent{t}" for t in range(8)],
         [f"cat{t}" for t in range(8)],
-        backend,
         mock_embedder,
     )
     return EvalSystem(
@@ -380,7 +378,7 @@ class TestRunEval:
             {"doc_id": "a-beta", "category": "ca", "body": "beta beta beta words"},
             {"doc_id": "b-gamma", "category": "cb", "body": "gamma gamma gamma words"},
         ]
-        agents, registry = make_agents(corpus, ["a", "b"], ["ca", "cb"], backend, mock_embedder)
+        agents, registry = make_agents(corpus, ["a", "b"], ["ca", "cb"], mock_embedder)
         system = EvalSystem(
             registry=registry, agents=agents, backend=backend, embedder=mock_embedder, max_agents=2
         )
@@ -434,6 +432,36 @@ class TestRunEval:
         system = eight_topic_system(mock_embedder, backend)
         report = run_eval(topic_items(2)[:2], system, judge_backend=judge)
         assert report.mode_reports["with_rag"]["judge_pct"] == 100.0
+
+    def test_a_failed_item_keeps_the_tokens_it_spent(self, mock_embedder):
+        # The judge has nothing scripted, so each item fails after its
+        # pipeline has answered.
+        backend = catch_all_backend()
+        system = eight_topic_system(mock_embedder, backend)
+        for item in topic_items(2):
+            start = len(backend.calls)
+            [outcome] = run_eval([item], system, judge_backend=ScriptedChatBackend([])).outcomes[
+                "with_rag"
+            ]
+            assert outcome.error.startswith("unscripted prompt")
+            logged = sum((c.usage for c in backend.calls[start:]), TokenUsage())
+            assert outcome.usage == logged
+            assert logged.total == 1092
+
+    def test_the_judge_is_counted_beside_the_pipeline_not_in_it(self, mock_embedder):
+        judge = ScriptedChatBackend(
+            [ScriptEntry("Response:", "Justification: ok.\nCorrect: yes", repeat=True)]
+        )
+        plain = run_eval(topic_items(2), eight_topic_system(mock_embedder, catch_all_backend()))
+        judged = run_eval(
+            topic_items(2), eight_topic_system(mock_embedder, catch_all_backend()),
+            judge_backend=judge,
+        )
+        plain, judged = plain.mode_reports["with_rag"], judged.mode_reports["with_rag"]
+        assert plain["tokens_per_query"] == judged["tokens_per_query"] == 1092.0
+        assert judged["judge_tokens_per_query"] == 163.0
+        assert sum(c.usage.total for c in judge.calls) == 2 * 163
+        assert plain["judge_tokens_per_query"] == 0.0
 
 
 def every_prompt_backend() -> ScriptedChatBackend:
@@ -496,7 +524,7 @@ class TestAnswerDispatch:
         backend = ScriptedChatBackend([])
         embedder = CountingEmbedder(transcripts.MOCK_DIM)
         # The one agent's category has no documents, so it has no centroids.
-        agents, registry = make_agents([], ["a"], ["c"], backend, embedder)
+        agents, registry = make_agents([], ["a"], ["c"], embedder)
         system = system_of(agents, registry, backend, embedder, agent_mode=agent_mode)
         with pytest.raises(RouterError, match="^no agents registered$"):
             answer(system, "q?", hop)

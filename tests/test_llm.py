@@ -42,6 +42,7 @@ from ragroute.llm import (
     CHAT_TIMEOUT_S,
     ChatBackendConfig,
     ChatMessage,
+    Metered,
     RemoteChatBackend,
     ReplyParseError,
     ScriptedChatBackend,
@@ -70,6 +71,43 @@ class TestTokenUsage:
             total = total + TokenUsage(10, 5)
         assert total == TokenUsage(30, 15)
         assert total.total == 45
+
+
+class TestMetered:
+    def test_passes_each_call_on_and_sums_the_usage_it_returns(self):
+        backend = ScriptedChatBackend([ScriptEntry("a", "b c d", repeat=True)])
+        meter = Metered(backend)
+        assert meter.chat(user("a a a")) == ("b c d", TokenUsage(3, 3))
+        assert meter.chat(user("a")) == ("b c d", TokenUsage(1, 3))
+        assert meter.total == sum((c.usage for c in backend.calls), TokenUsage())
+        assert meter.total == TokenUsage(4, 6)
+
+    def test_threads_sharing_one_meter_lose_no_call(self):
+        class Counted:
+            def chat(self, messages):
+                return "ok", TokenUsage(len(messages[0].content), 1)
+
+        meter, threads, calls = Metered(Counted()), 8, 1500
+        start = threading.Barrier(threads)
+
+        def ask(thread: int) -> None:
+            start.wait()
+            for call in range(calls):
+                meter.chat(user("x" * (1 + (thread * calls + call) % 7)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as CPython allows
+        try:
+            workers = [threading.Thread(target=ask, args=(t,)) for t in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        prompt = sum(1 + i % 7 for i in range(threads * calls))
+        assert meter.total == TokenUsage(prompt, threads * calls)
 
 
 class TestScriptedBackend:
@@ -338,7 +376,7 @@ class TestTransport:
         for name, backend in (("local", local), ("http", remote)):
             agents, registry = make_agents(
                 transcripts.WD_CORPUS, transcripts.WD_AGENT_IDS, transcripts.WD_CATEGORIES,
-                backend, mock_embedder,
+                mock_embedder,
             )
             system = system_of(
                 agents, registry, backend, mock_embedder, max_agents=5, parallelism=4

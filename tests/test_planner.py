@@ -6,7 +6,7 @@ import pytest
 
 import transcripts
 from conftest import system_of
-from ragroute.llm import ScriptedChatBackend, ScriptEntry, TokenUsage
+from ragroute.llm import Metered, ScriptedChatBackend, ScriptEntry, TokenUsage
 from ragroute.planner import (
     ANSWERABLE,
     EXHAUSTED,
@@ -229,10 +229,10 @@ class TestRunPlanGreedy:
         assert [r.round for r in result.rounds] == [1, 2]
 
     def test_embeds_once_per_routed_round(self, news_reports_setup):
-        from conftest import count_embeds
+        from conftest import CountingEmbedder
 
         agents, registry, backend = news_reports_setup
-        counter = count_embeds(agents)
+        counter = CountingEmbedder(transcripts.MOCK_DIM)
         system = system_of(agents, registry, backend, counter, strategy="greedy")
         result = run_plan(system, transcripts.NR_QUERY)
         assert len(result.rounds) == 2
@@ -240,10 +240,10 @@ class TestRunPlanGreedy:
 
     def test_usage_equals_backend_log_sum(self, news_reports_setup, mock_embedder):
         agents, registry, backend = news_reports_setup
-        system = system_of(agents, registry, backend, mock_embedder, strategy="greedy")
-        result = run_plan(system, transcripts.NR_QUERY)
-        total = sum((c.usage for c in backend.calls), TokenUsage())
-        assert result.usage == total
+        meter = Metered(backend)
+        run_plan(system_of(agents, registry, meter, mock_embedder, strategy="greedy"),
+                 transcripts.NR_QUERY)
+        assert meter.total == sum((c.usage for c in backend.calls), TokenUsage())
 
     def test_max_rounds_one_never_answerable_still_defends(self, mock_embedder):
         backend = backend_of(
@@ -259,7 +259,6 @@ class TestRunPlanGreedy:
             [{"doc_id": "d", "category": "c", "body": "sub one words sub two words"}],
             ["a"],
             ["c"],
-            backend,
             mock_embedder,
         )
         system = system_of(
@@ -284,7 +283,6 @@ class TestRunPlanGreedy:
             [{"doc_id": "d", "category": "c", "body": "the whole question words blue"}],
             ["a"],
             ["c"],
-            backend,
             mock_embedder,
         )
         system = system_of(
@@ -316,7 +314,6 @@ class TestRunPlanOneShot:
             [{"doc_id": "d", "category": "c", "body": "direct answer material words"}],
             ["a"],
             ["c"],
-            backend,
             mock_embedder,
         )
         system = system_of(
@@ -351,7 +348,6 @@ class TestRunPlanOneShot:
             [{"doc_id": "d", "category": "c", "body": body}],
             ["a"],
             ["c"],
-            backend,
             mock_embedder,
             chunking=ChunkingConfig(4, 0),
             retrieval_depth=50,
@@ -380,7 +376,6 @@ class TestRunPlanPresplit:
             [{"doc_id": "d", "category": "c", "body": "sub a sub b alpha beta words"}],
             ["a"],
             ["c"],
-            backend,
             mock_embedder,
         )
         system = system_of(
@@ -411,7 +406,6 @@ class TestRunPlanPresplit:
             [{"doc_id": "d", "category": "c", "body": "sub a sub b alpha beta words"}],
             ["a"],
             ["c"],
-            backend,
             mock_embedder,
         )
         system = system_of(agents, registry, backend, mock_embedder, strategy="presplit")
@@ -435,7 +429,6 @@ class TestRunPlanPresplit:
             [{"doc_id": "d", "category": "c", "body": "only sub words"}],
             ["a"],
             ["c"],
-            backend,
             mock_embedder,
         )
         system = system_of(agents, registry, backend, mock_embedder, strategy="presplit")
@@ -499,15 +492,15 @@ class TestPlanUsage:
             [{"doc_id": "d", "category": "c", "body": "sub one two three alpha words"}],
             ["a"],
             ["c"],
-            backend,
             mock_embedder,
         )
-        system = system_of(agents, registry, backend, mock_embedder, strategy=strategy)
+        meter = Metered(backend)
+        system = system_of(agents, registry, meter, mock_embedder, strategy=strategy)
         result = run_plan(system, "alpha?")
         assert result.final_answer == "Alpha."
         assert all(entry.consumed for entry in backend.entries)
         assert len(backend.calls) == n_calls
-        assert result.usage == sum((c.usage for c in backend.calls), TokenUsage())
+        assert meter.total == sum((c.usage for c in backend.calls), TokenUsage())
 
 
 class TestTerminationBound:
@@ -544,7 +537,6 @@ class TestTerminationBound:
                 [{"doc_id": "d", "category": "c", "body": "seed question zero fresh words"}],
                 ["a"],
                 ["c"],
-                backend,
                 mock_embedder,
             )
             system = system_of(

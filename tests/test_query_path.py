@@ -177,7 +177,7 @@ def make_agent(
     chunks = [make_chunk(cid, text) for cid, text in zip(ids, texts)]
     config = AgentConfig(agent_id="a", retrieval_method=method, retrieval_depth=depth,
                          min_keep=min_keep, rerank_threshold=threshold)
-    return Agent(config, chunks, DenseIndex(matrix, ids), Bm25Index.build(chunks), None, None)
+    return Agent(config, chunks, DenseIndex(matrix, ids), Bm25Index.build(chunks))
 
 
 _VOCAB = ["alpha", "Beta", "gamma", "delta", "eps", "zeta", ".", ","]
@@ -321,7 +321,7 @@ class TestSelectChunksAtSize:
                                  (n + 5, (None, n + 5))):
             config = AgentConfig(agent_id="a", retrieval_method=method, retrieval_depth=depth,
                                  min_keep=min(5, depth))
-            agent = Agent(config, chunks, dense, bm25, None, None)
+            agent = Agent(config, chunks, dense, bm25)
             for question, query_vec in questions:
                 for min_keep in overrides:
                     assert_same_as_oracle(agent, question, query_vec, min_keep)

@@ -73,7 +73,7 @@ def test_pairwise_verdict(lines, verdict):
 )
 def test_correctness_verdict(lines, verdict, hop):
     text = reply(lines, f"Correct: {verdict}")
-    flag, _ = judge_correctness("q?", ["truth"], "response", Replies(text), hop=hop)
+    flag = judge_correctness("q?", ["truth"], "response", Replies(text), hop=hop)
     assert flag is (verdict == "yes")
 
 

@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 import ragroute
 import transcripts
 from ragroute.agent import MULTI_HOP, AgentAnswer
-from ragroute.llm import ScriptedChatBackend, ScriptEntry, TokenUsage
+from ragroute.llm import Metered, ScriptedChatBackend, ScriptEntry, TokenUsage
 from ragroute.retrieval import UnitQuery, unit_query, unit_scores
 from ragroute.store import IndexFileError, VectorFileError, save_vectors
-from conftest import cosine_similarity, count_embeds, registry_of, system_of
+from conftest import CountingEmbedder, cosine_similarity, registry_of, system_of
 from ragroute.router import (
     CONJECTURE,
     GOOD_RELIABLE,
@@ -469,7 +469,7 @@ class TestScreenedSelectionAgainstExactScan:
 def make_answer(agent_id: str, text: str) -> AgentAnswer:
     from ragroute.llm import parse_agent_reply
 
-    return AgentAnswer(agent_id, parse_agent_reply(text), text, (), TokenUsage(5, 5))
+    return AgentAnswer(agent_id, parse_agent_reply(text), text, ())
 
 
 class TestVerdictParsing:
@@ -509,7 +509,7 @@ class TestEvaluateAndCurate:
         answers = [
             make_answer(a, transcripts.WD_AGENT_REPLIES[a]) for a in transcripts.WD_AGENT_IDS
         ]
-        answer, verdicts, _ = evaluate_and_curate(transcripts.WD_QUESTION, answers, backend)
+        answer, verdicts = evaluate_and_curate(transcripts.WD_QUESTION, answers, backend)
         assert answer == transcripts.WD_EXPECTED
         assert verdicts == {
             "a1": UNHELPFUL,
@@ -530,7 +530,7 @@ class TestEvaluateAndCurate:
             make_answer("a1", "Analysis: none\nAnswer: I don't know."),
             make_answer("a2", "Analysis: none\nAnswer: I don't know."),
         ]
-        answer, verdicts, _ = evaluate_and_curate("q?", answers, backend)
+        answer, verdicts = evaluate_and_curate("q?", answers, backend)
         assert answer == "From my own knowledge: the answer is X."
         assert set(verdicts.values()) == {UNHELPFUL}
 
@@ -541,7 +541,7 @@ class TestEvaluateAndCurate:
             "Answer: The answer is forty-two."
         )
         backend = ScriptedChatBackend([ScriptEntry("set of respoonses", reply)])
-        answer, _, _ = evaluate_and_curate(
+        answer, _ = evaluate_and_curate(
             "q?", [make_answer("solo", "Analysis: ...\nAnswer: The answer is forty-two.")], backend
         )
         assert answer == "The answer is forty-two."
@@ -570,7 +570,7 @@ class TestEvaluateAndCurate:
             [ScriptEntry("set of respoonses", reply + empty),
              ScriptEntry("set of respoonses", reply + "Answer: fine")]
         )
-        answer, verdicts, _ = evaluate_and_curate("q?", [make_answer("a", "Answer: hm")], backend)
+        answer, verdicts = evaluate_and_curate("q?", [make_answer("a", "Answer: hm")], backend)
         assert (answer, verdicts) == ("fine", {"a": GOOD_RELIABLE})
 
     def test_reask_recovers(self):
@@ -581,7 +581,7 @@ class TestEvaluateAndCurate:
                 ScriptEntry("set of respoonses", good),
             ]
         )
-        answer, _, _ = evaluate_and_curate("q?", [make_answer("a", "Answer: fine")], backend)
+        answer, _ = evaluate_and_curate("q?", [make_answer("a", "Answer: fine")], backend)
         assert answer == "fine"
 
     def test_usage_accumulates_across_reasks(self):
@@ -592,8 +592,9 @@ class TestEvaluateAndCurate:
                 ScriptEntry("set of respoonses", good),
             ]
         )
-        _, _, usage = evaluate_and_curate("q?", [make_answer("a", "Answer: fine")], backend)
-        assert usage == backend.calls[0].usage + backend.calls[1].usage
+        meter = Metered(backend)
+        evaluate_and_curate("q?", [make_answer("a", "Answer: fine")], meter)
+        assert meter.total == backend.calls[0].usage + backend.calls[1].usage
 
 
 class TestRouteAndAnswer:
@@ -618,7 +619,6 @@ class TestRouteAndAnswer:
             transcripts.WD_CORPUS,
             transcripts.WD_AGENT_IDS,
             transcripts.WD_CATEGORIES,
-            backend,
             mock_embedder,
         )
         system = system_of(agents, registry, backend, mock_embedder, max_agents=3)
@@ -644,7 +644,6 @@ class TestRouteAndAnswer:
             [{"doc_id": "d", "category": "t", "body": "topic words fill this corpus"}],
             ["solo"],
             ["t"],
-            backend,
             mock_embedder,
         )
         system = system_of(agents, registry, backend, mock_embedder)
@@ -663,7 +662,6 @@ class TestRouteAndAnswer:
             transcripts.WD_CORPUS,
             transcripts.WD_AGENT_IDS,
             transcripts.WD_CATEGORIES,
-            backend,
             mock_embedder,
         )
         system = system_of(agents, registry, backend, mock_embedder, max_agents=2)
@@ -693,7 +691,6 @@ class TestRouteAndAnswer:
             ],
             ["a", "b"],
             ["ca", "cb"],
-            backend,
             mock_embedder,
         )
         system = system_of(agents, registry, backend, mock_embedder)
@@ -726,7 +723,6 @@ class TestRouteAndAnswer:
             ],
             ["a", "b", "c"],
             ["ca", "cb", "cc"],
-            backend,
             mock_embedder,
         )
         system = system_of(agents, registry, backend, mock_embedder, parallelism=parallelism)
@@ -745,7 +741,6 @@ class TestRouteAndAnswer:
         assert [c.usage for c in backend.calls] == [
             TokenUsage(146, 8), TokenUsage(146, 8), TokenUsage(204, 25),
         ]
-        assert routed.usage == TokenUsage(496, 41)
         assert routed.doc_slots == {"a": ("da",), "c": ("dc",)}
 
     def test_whole_record_of_a_multi_hop_round_with_history(self, mock_embedder):
@@ -763,19 +758,19 @@ class TestRouteAndAnswer:
         assert [c.usage for c in backend.calls] == [
             TokenUsage(164, 8), TokenUsage(164, 8), TokenUsage(291, 25),
         ]
-        assert routed.usage == TokenUsage(619, 41)
         assert routed.doc_slots == {"a": ("da",), "c": ("dc",)}
 
     def test_usage_sums_agents_and_router(self, walking_dead_setup, mock_embedder):
         agents, registry, backend = walking_dead_setup
-        system = system_of(agents, registry, backend, mock_embedder, max_agents=5)
-        routed = route_and_answer(system, transcripts.WD_QUESTION)
-        total = sum((c.usage for c in backend.calls), TokenUsage())
-        assert routed.usage == total
+        meter = Metered(backend)
+        route_and_answer(system_of(agents, registry, meter, mock_embedder, max_agents=5),
+                         transcripts.WD_QUESTION)
+        assert len(backend.calls) == 6  # five agents + one curation call
+        assert meter.total == sum((c.usage for c in backend.calls), TokenUsage())
 
     def test_concurrent_fan_out_matches_sequential(self, mock_embedder):
         # disjoint matchers keep the scripted backend deterministic even when
-        # agents answer from worker threads
+        # agents answer from worker threads, which all count on one meter
         def run(parallelism: int):
             from conftest import make_agents
 
@@ -784,20 +779,22 @@ class TestRouteAndAnswer:
                 transcripts.WD_CORPUS,
                 transcripts.WD_AGENT_IDS,
                 transcripts.WD_CATEGORIES,
-                backend,
                 mock_embedder,
             )
+            meter = Metered(backend)
             system = system_of(
-                agents, registry, backend, mock_embedder, max_agents=5, parallelism=parallelism
+                agents, registry, meter, mock_embedder, max_agents=5, parallelism=parallelism
             )
-            return route_and_answer(system, transcripts.WD_QUESTION)
+            routed = route_and_answer(system, transcripts.WD_QUESTION)
+            assert meter.total == sum((c.usage for c in backend.calls), TokenUsage())
+            return routed, meter.total
 
-        sequential = run(1)
-        threaded = run(3)
+        sequential, sequential_total = run(1)
+        threaded, threaded_total = run(3)
         assert threaded.final_answer == sequential.final_answer
         assert threaded.selected_agent_ids == sequential.selected_agent_ids
         assert threaded.verdicts == sequential.verdicts
-        assert threaded.usage == sequential.usage
+        assert threaded_total == sequential_total
 
 
 class TestEmbedOnce:
@@ -806,7 +803,7 @@ class TestEmbedOnce:
     )
     def test_route_and_answer_embeds_once(self, walking_dead_setup, override):
         agents, registry, backend = walking_dead_setup
-        counter = count_embeds(agents)
+        counter = CountingEmbedder(transcripts.MOCK_DIM)
         system = system_of(agents, registry, backend, counter, max_agents=5)
         routed = route_and_answer(system, transcripts.WD_QUESTION, selected_override=override)
         assert routed.final_answer == transcripts.WD_EXPECTED
@@ -814,7 +811,7 @@ class TestEmbedOnce:
 
     def test_route_raw_knowledge_embeds_once(self, walking_dead_setup):
         agents, registry, _ = walking_dead_setup
-        counter = count_embeds(agents)
+        counter = CountingEmbedder(transcripts.MOCK_DIM)
         backend = ScriptedChatBackend([ScriptEntry("Question:", "Answer: Merle Dixon")])
         system = system_of(agents, registry, backend, counter, max_agents=3)
         routed = route_raw_knowledge(system, transcripts.WD_QUESTION)

@@ -368,6 +368,53 @@ def test_guard_tells_token_grammar_from_other_code(source, grammar):
     assert bool(token_grammar(source)) is grammar
 
 
+def token_usage(source: str) -> list[str]:
+    """The places in ``source`` that name ``TokenUsage``: a name, an
+    attribute or an import of it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            hit = node.id == "TokenUsage"
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr == "TokenUsage"
+        elif isinstance(node, ast.alias):
+            hit = node.name == "TokenUsage"
+        else:
+            continue
+        if hit:
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_tokens_are_counted_where_they_are_spent():
+    """A question's tokens are summed by its ``llm.Metered`` backend, which
+    ``evalharness`` reads into the outcome's fields: no other module carries
+    usage by return value."""
+    found = {
+        path.name: token_usage(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert found.pop("llm.py") and found.pop("evalharness.py")
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+@pytest.mark.parametrize(
+    "source, usage",
+    [
+        ("from .llm import TokenUsage, ask_parsed", True),
+        ("usage: TokenUsage", True),
+        ("total = sum((a.usage for a in answers), TokenUsage())", True),
+        ("return llm.TokenUsage(0, 0)", True),
+        ("parsed = ask_parsed(backend, messages, parse)", False),
+        ("text, _ = backend.chat(messages)", False),
+        ('name = "TokenUsage"', False),
+        ("meter = Metered(system.backend)", False),
+    ],
+)
+def test_guard_tells_token_usage_from_other_code(source, usage):
+    assert bool(token_usage(source)) is usage
+
+
 def test_json_is_decoded_in_three_places():
     """Every file the program reads as JSON goes through ``store.read_json``
     (index files, chunk files included, and the config) or

@@ -62,7 +62,7 @@ def test_select_chunks_enters_each_traced_stage_once(monkeypatch, method, stages
     config = AgentConfig(agent_id="a", retrieval_method=method, retrieval_depth=10, min_keep=3)
     dense = DenseIndex(rng.normal(size=(30, 8)).astype(np.float32), ids)
     bm25 = Bm25Index.build(chunks)
-    agent = Agent(config, chunks, dense, bm25, None, None)
+    agent = Agent(config, chunks, dense, bm25)
     entered = []
 
     def counting(owner, name):

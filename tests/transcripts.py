@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from ragroute.llm import ScriptedChatBackend, ScriptEntry, TokenUsage
+from ragroute.llm import ScriptedChatBackend, ScriptEntry
 from ragroute.planner import Round
 from ragroute.router import RoutedAnswer
 
@@ -425,4 +425,4 @@ def script_backend(entries: list[dict]) -> ScriptedChatBackend:
 
 def round_of(question: str, answer: str, number: int) -> Round:
     """Routed round ``number``, whose curated answer is ``answer``, as history."""
-    return Round(number, question, RoutedAnswer(answer, (), {}, TokenUsage()))
+    return Round(number, question, RoutedAnswer(answer, (), {}))
